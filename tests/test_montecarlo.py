@@ -113,8 +113,9 @@ class TestPlanValidation:
         dict(schemes=("xx",)),
         dict(n_angle_epochs=0),
         dict(n_fading_epochs=0),
-        dict(workers=0),
+        dict(schemes=("sm", "sm")),
         dict(gamma_th=-1.0),
+        dict(base_seed=-1),
     ])
     def test_rejects_bad_plans(self, overrides):
         with pytest.raises(ConfigurationError):
@@ -212,23 +213,6 @@ class TestEstimators:
                             mc.analysis.se_db_upper(params, applied.n_slots),
                             rel_tol=1e-12)
         assert all(math.isnan(v) for v in result.closed_form["ds"][0])
-
-    def test_worker_count_does_not_change_results(self):
-        config = rl.SystemConfig(n_slots=2)
-        base = dict(
-            axis_values=(0.0, 20.0), schemes=("sm", "bf", "ds", "db"),
-            n_angle_epochs=6, n_fading_epochs=2,
-        )
-        serial = rl.estimate_ergodic_se(_plan(**base, workers=1), config)
-        threaded = rl.estimate_ergodic_se(_plan(**base, workers=3), config)
-        assert serial.means == threaded.means
-        assert serial.stderrs == threaded.stderrs
-        ber_serial = rl.estimate_ber(_plan(**base, workers=1), config,
-                                     min_bits=20_000)
-        ber_threaded = rl.estimate_ber(_plan(**base, workers=3), config,
-                                       min_bits=20_000)
-        assert ber_serial.means == ber_threaded.means
-        assert ber_serial.n_trials == ber_threaded.n_trials
 
     def test_model_metric_differs_from_exact(self):
         config = rl.SystemConfig()
