@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Deployment, SystemConfig
-from .errors import ConfigurationError, NoCrossingError
+from .errors import ConfigurationError, ConvergenceError, NoCrossingError
 
 _EULER_GAMMA = 0.5772156649015329
 _SERIES_CUTOFF = 6.0
@@ -55,7 +55,7 @@ def _e1_cf_scaled(z: float) -> float:
         f *= delta
         if abs(delta - 1.0) < 1e-16:
             return 1.0 / f
-    raise RuntimeError("continued fraction failed to converge")
+    raise ConvergenceError(f"E1 continued fraction did not converge at z={z}")
 
 
 def _ei_neg_scalar(x: float) -> float:

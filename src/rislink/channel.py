@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .config import Deployment, SystemConfig
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .ris import RisConfiguration
+from .errors import SamplingError
 
 TX_RIS = "tx-ris"
 RIS_RX = "ris-rx"
@@ -71,12 +69,6 @@ class MultipathChannel:
     def gains(self) -> np.ndarray:
         return np.array([p.gain for p in self.paths])
 
-    def matrix(self) -> np.ndarray:
-        """Materialize the hop matrix as a sum of rank-one path terms."""
-        a_out = _response_matrix(self.n_out, self.arrival_freqs)
-        a_in = _response_matrix(self.n_in, self.departure_freqs)
-        return (a_out * self.gains) @ a_in.conj().T
-
 
 def _response_matrix(n_elements: int, freqs: np.ndarray) -> np.ndarray:
     """Stack array responses as columns: shape (n_elements, len(freqs))."""
@@ -116,7 +108,7 @@ def _draw_separated_freqs(
                 taken.append(freq)
                 break
         else:
-            raise RuntimeError("angle rejection sampling failed to converge")
+            raise SamplingError(f"angle sampling failed after {max_attempts} attempts")
     return np.array(out)
 
 
@@ -234,11 +226,42 @@ def redraw_fading(
     return MultipathChannel(channel.link, channel.ris_index, channel.n_out, channel.n_in, tuple(new))
 
 
-def _phase_array(gamma) -> np.ndarray:
-    """Accept a phase configuration object or a raw unit-modulus vector."""
-    if hasattr(gamma, "phase_vector"):
-        return gamma.phase_vector()
-    return np.asarray(gamma, dtype=complex)
+def dirichlet_kernel(delta, n_elements):
+    """``(1/n) * sum_{i<n} exp(1j * i * delta)`` in closed form, broadcasting.
+
+    ``delta`` is wrapped into [-pi, pi) first and halved to ``x``.  Where
+    ``n * |x|`` is below 1e-4 the ratio ``sin(n*x) / (n*sin(x))`` is replaced
+    by its second-order series, whose first dropped term is under 1e-17.
+    """
+    half = 0.5 * ((np.asarray(delta, dtype=float) + math.pi) % (2.0 * math.pi) - math.pi)
+    n = np.asarray(n_elements, dtype=float)
+    small = np.abs(n * half) < 1e-4
+    series = 1.0 - (n * n - 1.0) * half * half / 6.0
+    ratio = np.where(small, series, np.sin(n * half) / np.where(small, 1.0, n * np.sin(half)))
+    return np.exp(1j * (n - 1.0) * half) * ratio
+
+
+def surface_inner_products(
+    gammas: Sequence, out_freqs: np.ndarray, in_freqs: np.ndarray, n_elements: np.ndarray
+) -> np.ndarray:
+    """``a(out_l)^H diag(gamma_k) a(in_j)`` per surface, shape (K, L_out, L_in).
+
+    Linear profiles (``RisConfiguration``) give ``exp(1j*c) * D(slope + in_j -
+    out_l)`` without touching the elements.  A list holding any raw vector
+    (the oracle that only tests and ``selftest`` pass) takes the element sum.
+    """
+    if all(hasattr(gamma, "slope") for gamma in gammas):
+        slopes = np.array([gamma.slope for gamma in gammas])[:, None, None]
+        common = np.array([gamma.common_phase for gamma in gammas])[:, None, None]
+        delta = slopes + in_freqs[:, None, :] - out_freqs[:, :, None]
+        return np.exp(1j * common) * dirichlet_kernel(delta, n_elements[:, None, None])
+    vectors = [
+        g.phase_vector() if hasattr(g, "slope") else np.asarray(g, dtype=complex) for g in gammas
+    ]
+    return np.stack([
+        _response_matrix(n, out_f).conj().T @ (gamma[:, None] * _response_matrix(n, in_f))
+        for gamma, out_f, in_f, n in zip(vectors, out_freqs, in_freqs, n_elements)
+    ])
 
 
 def assemble_composite(
@@ -247,16 +270,10 @@ def assemble_composite(
     ris_rx: Sequence[MultipathChannel],
     deployment: Deployment,
 ) -> np.ndarray:
-    """End-to-end matrix: loss-weighted sum of per-surface reflections.
-
-    Surface ``k`` contributes ``loss_k * H_rx_k @ diag(phases_k) @ H_tx_k``.
-    """
-    n_rx = ris_rx[0].n_out
-    n_tx = tx_ris[0].n_in
-    h = np.zeros((n_rx, n_tx), dtype=complex)
-    for k, (down, up, gamma) in enumerate(zip(tx_ris, ris_rx, gammas)):
-        h += deployment.path_losses[k] * (up.matrix() * _phase_array(gamma)) @ down.matrix()
-    return h
+    """End-to-end matrix ``sum_k loss_k * H_rx_k @ diag(gamma_k) @ H_tx_k``,
+    evaluated through its exact factorization (:func:`cascaded_decomposition`),
+    so its cost scales with path counts, not surface sizes."""
+    return cascaded_decomposition(tx_ris, gammas, ris_rx, deployment).composite()
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,29 +320,28 @@ def cascaded_decomposition(
     path gains, the cascaded loss, and the surface's phase-profile inner
     product between the departing and arriving surface responses.
     """
-    n_rx = ris_rx[0].n_out
-    n_tx = tx_ris[0].n_in
     k_total = len(tx_ris)
     l_rx = len(ris_rx[0].paths)
     l_tx = len(tx_ris[0].paths)
 
-    rx_cols = []
-    tx_cols = []
-    core = np.zeros((k_total * l_rx, k_total * l_tx), dtype=complex)
-    for k in range(k_total):
-        up, down = ris_rx[k], tx_ris[k]
-        n_s = up.n_in
-        rx_cols.append(_response_matrix(n_rx, up.arrival_freqs))
-        tx_cols.append(_response_matrix(n_tx, down.departure_freqs))
-        surf_out = _response_matrix(n_s, up.departure_freqs)
-        surf_in = _response_matrix(n_s, down.arrival_freqs)
-        inner = surf_out.conj().T @ (_phase_array(gammas[k])[:, None] * surf_in)
-        block = deployment.path_losses[k] * np.outer(up.gains, down.gains) * inner
-        core[k * l_rx : (k + 1) * l_rx, k * l_tx : (k + 1) * l_tx] = block
+    inner = surface_inner_products(
+        gammas,
+        np.array([up.departure_freqs for up in ris_rx]),
+        np.array([down.arrival_freqs for down in tx_ris]),
+        np.array([up.n_in for up in ris_rx]),
+    )
+    rx_gains = np.array([up.gains for up in ris_rx])
+    tx_gains = np.array([down.gains for down in tx_ris])
+    losses = deployment.path_losses[:k_total, None, None]
+    blocks = losses * (rx_gains[:, :, None] * tx_gains[:, None, :]) * inner
+    core = np.zeros((k_total, l_rx, k_total, l_tx), dtype=complex)
+    core[np.arange(k_total), :, np.arange(k_total), :] = blocks
+    rx_freqs = np.concatenate([up.arrival_freqs for up in ris_rx])
+    tx_freqs = np.concatenate([down.departure_freqs for down in tx_ris])
     return CascadedDecomposition(
-        rx_factor=np.concatenate(rx_cols, axis=1),
-        tx_factor=np.concatenate(tx_cols, axis=1),
-        core=core,
+        rx_factor=_response_matrix(ris_rx[0].n_out, rx_freqs),
+        tx_factor=_response_matrix(tx_ris[0].n_in, tx_freqs),
+        core=core.reshape(k_total * l_rx, k_total * l_tx),
         n_ris=k_total,
         n_rx_paths_per_ris=l_rx,
         n_tx_paths_per_ris=l_tx,

@@ -106,6 +106,8 @@ def _parse_axis(spec_str: str) -> tuple[str, tuple[float, ...]]:
         numbers = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigurationError(f"bad axis grid {grid!r}") from exc
+    if not all(math.isfinite(v) for v in numbers):
+        raise ConfigurationError(f"axis grid {grid!r} must be finite")
     if len(numbers) == 1:
         return name, (numbers[0],)
     if len(numbers) != 3:

@@ -15,6 +15,7 @@ tie-breaking so equal inputs always yield equal selections.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -22,12 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import (
-    MultipathChannel,
-    _response_matrix,
-    array_response,
-    assemble_composite,
-)
+from .channel import MultipathChannel, _response_matrix, assemble_composite
 from .config import Deployment
 from .errors import SearchSpaceError, SelectionInfeasibleError
 from .ris import RisConfiguration, align_phases, common_phase_refinement
@@ -282,47 +278,34 @@ def build_customized_channel(
     tx_ris, ris_rx = subchannels
     n_rx = ris_rx[0].n_out
     n_tx = tx_ris[0].n_in
-    paths = selection.slot_paths[slot]
-
-    gammas: list[RisConfiguration] = []
-    rx_cols = []
-    tx_cols = []
+    gammas = [RisConfiguration.neutral(up.n_in, ris_index=k) for k, up in enumerate(ris_rx)]
+    rx_freqs = []
+    tx_freqs = []
     gains = []
-    assigned = dict(zip(selection.active_ris, paths))
-    for k, (down, up) in enumerate(zip(tx_ris, ris_rx)):
-        n_s = up.n_in
-        if k not in assigned:
-            gammas.append(RisConfiguration.neutral(n_s, ris_index=k))
-            continue
-        rx_path = assigned[k]
-        chosen = up.paths[rx_path]
-        los = down.paths[0]
+    for k, rx_path in zip(selection.active_ris, selection.slot_paths[slot]):
+        chosen = ris_rx[k].paths[rx_path]
+        los = tx_ris[k].paths[0]
         gamma = align_phases(
-            chosen.departure_freq,
-            los.arrival_freq,
-            n_s,
-            ris_index=k,
-            aligned_path=(rx_path, 0),
+            chosen.departure_freq, los.arrival_freq, ris_rx[k].n_in, k, (rx_path, 0)
         )
         if refine:
             gamma = gamma.with_common_phase(
                 common_phase_refinement(chosen.gain, los.gain, chosen.arrival_freq, n_rx)
             )
-        gammas.append(gamma)
-        rx_cols.append(array_response(n_rx, chosen.arrival_freq))
-        tx_cols.append(array_response(n_tx, los.departure_freq))
-        surf_out = array_response(n_s, chosen.departure_freq)
-        surf_in = array_response(n_s, los.arrival_freq)
-        inner = surf_out.conj() @ (gamma.phase_vector() * surf_in)
-        gains.append(deployment.path_losses[k] * chosen.gain * los.gain * inner)
+        gammas[k] = gamma
+        rx_freqs.append(chosen.arrival_freq)
+        tx_freqs.append(los.departure_freq)
+        # The profile retargets exactly this pair: its inner product is e^{ic}.
+        aligned = cmath.exp(1j * gamma.common_phase)
+        gains.append(deployment.path_losses[k] * chosen.gain * los.gain * aligned)
 
     exact_tx, exact_rx = exact_subchannels if exact_subchannels is not None else (tx_ris, ris_rx)
     exact_h = assemble_composite(exact_tx, gammas, exact_rx, deployment)
     return CustomizedChannel(
         selection=selection,
         slot=slot,
-        r_active=np.column_stack(rx_cols),
-        t_active=np.column_stack(tx_cols),
+        r_active=_response_matrix(n_rx, np.array(rx_freqs)),
+        t_active=_response_matrix(n_tx, np.array(tx_freqs)),
         xi_active=np.array(gains),
         gammas=tuple(gammas),
         exact_h=exact_h,

@@ -23,3 +23,11 @@ class SearchSpaceError(RislinkError, ValueError):
 
 class NoCrossingError(RislinkError, ValueError):
     """The two transmission strategies do not cross at any positive power."""
+
+
+class SamplingError(RislinkError, RuntimeError):
+    """Rejection sampling could not place a draw within its attempt budget."""
+
+
+class ConvergenceError(RislinkError, RuntimeError):
+    """An iterative numerical kernel did not converge."""

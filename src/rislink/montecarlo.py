@@ -61,7 +61,7 @@ def substream(base_seed: int, *key: int) -> np.random.Generator:
 
 def _axis_appliers():
     def integral(value: float) -> int:
-        if abs(value - round(value)) > 1e-9:
+        if not math.isfinite(value) or abs(value - round(value)) > 1e-9:
             raise ConfigurationError(f"axis value {value} must be an integer")
         return int(round(value))
 

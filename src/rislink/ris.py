@@ -22,22 +22,23 @@ from .channel import CascadedDecomposition
 
 @dataclass(frozen=True, eq=False)
 class RisConfiguration:
-    """Phase state of one surface.
+    """Phase state of one surface: a linear profile plus a common phase.
 
-    ``phases`` is the per-element profile in radians; ``common_phase`` is
-    added uniformly to every element.  ``aligned_path`` records which
-    (receiver-side, transmitter-side) path pair the profile retargets, or
-    ``None`` for a neutral surface.
+    Element ``i`` applies ``i * slope + common_phase`` radians.
+    ``aligned_path`` records which (receiver-side, transmitter-side) path
+    pair the profile retargets, or ``None`` for a neutral surface.
     """
 
     ris_index: int
-    phases: np.ndarray
+    n_elements: int
+    slope: float = 0.0
     aligned_path: tuple[int, int] | None = None
     common_phase: float = 0.0
 
     @property
-    def n_elements(self) -> int:
-        return self.phases.shape[0]
+    def phases(self) -> np.ndarray:
+        """Per-element profile in radians, without the common phase."""
+        return self.slope * np.arange(self.n_elements, dtype=float)
 
     def phase_vector(self) -> np.ndarray:
         """Unit-modulus reflection coefficients of every element."""
@@ -49,7 +50,7 @@ class RisConfiguration:
     @classmethod
     def neutral(cls, n_elements: int, ris_index: int = 0) -> "RisConfiguration":
         """All-zero profile (surface reflects without reshaping)."""
-        return cls(ris_index=ris_index, phases=np.zeros(n_elements))
+        return cls(ris_index=ris_index, n_elements=n_elements)
 
 
 def align_phases(
@@ -65,10 +66,10 @@ def align_phases(
     makes the surface's inner product between the two responses exactly one
     and leaves every well-separated path pair near zero.
     """
-    slope = departure_freq - arrival_freq
     return RisConfiguration(
         ris_index=ris_index,
-        phases=slope * np.arange(n_elements, dtype=float),
+        n_elements=n_elements,
+        slope=departure_freq - arrival_freq,
         aligned_path=aligned_path,
     )
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import analysis
 from .channel import (
+    _response_matrix,
     array_response,
     assemble_composite,
     cascaded_decomposition,
@@ -22,7 +23,7 @@ from .channel import (
 from .config import SystemConfig, place_deployment
 from .customize import build_customized_channel, select_paths_sm
 from .montecarlo import TrialPlan, estimate_ergodic_se, substream
-from .ris import align_phases
+from .ris import RisConfiguration, align_phases
 from .transceive import run_sm
 
 
@@ -35,6 +36,22 @@ def _draw_scene(config, seed=7):
         keep = ups[-1].arrival_freqs
         downs.append(draw_ris_rx_channel(config, deployment, k, rng, keep_away=keep))
     return deployment, ups, downs
+
+
+def hop_matrix(channel) -> np.ndarray:
+    """Dense oracle of one hop: the full matrix as a sum of rank-one path terms."""
+    a_out = _response_matrix(channel.n_out, channel.arrival_freqs) * channel.gains
+    return a_out @ _response_matrix(channel.n_in, channel.departure_freqs).conj().T
+
+
+def dense_composite(ups, phase_vectors, downs, deployment) -> np.ndarray:
+    """Dense oracle of the end-to-end matrix, ``sum_k loss_k * H_rx_k @
+    diag(gamma_k) @ H_tx_k``, with every surface element materialized.
+    The simulator never builds it; tests and these checks compare against it."""
+    return sum(
+        loss * (hop_matrix(down) * gamma) @ hop_matrix(up)
+        for loss, up, gamma, down in zip(deployment.path_losses, ups, phase_vectors, downs)
+    )
 
 
 def _check_geometry() -> str:
@@ -51,11 +68,31 @@ def _check_factorization() -> str:
     deployment, ups, downs = _draw_scene(config, seed=11)
     rng = substream(11, 1)
     gammas = [np.exp(2j * np.pi * rng.random(n)) for n in deployment.ris_element_counts]
-    exact = assemble_composite(ups, gammas, downs, deployment)
+    exact = dense_composite(ups, gammas, downs, deployment)
     deco = cascaded_decomposition(ups, gammas, downs, deployment)
     rel = np.linalg.norm(exact - deco.composite()) / np.linalg.norm(exact)
     assert rel < 1e-10, f"factorization residual {rel:.3e}"
     return f"residual {rel:.2e}"
+
+
+def _check_kernel_assembly() -> str:
+    config = SystemConfig()
+    deployment, ups, downs = _draw_scene(config, seed=13)
+    freqs = np.stack([d.arrival_freqs for d in downs])
+    selection = select_paths_sm(freqs, config.n_rx)
+    profiles = {
+        "aligned": build_customized_channel(selection, (ups, downs), deployment).gammas,
+        "neutral": [RisConfiguration.neutral(int(n)) for n in deployment.ris_element_counts],
+    }
+    worst = 0.0
+    for name, gammas in profiles.items():
+        kernel = assemble_composite(ups, gammas, downs, deployment)
+        dense = dense_composite(ups, [g.phase_vector() for g in gammas], downs, deployment)
+        rel = float(np.linalg.norm(kernel - dense) / np.linalg.norm(dense))
+        assert rel <= 1e-12, f"{name} profile: kernel vs dense residual {rel:.3e}"
+        worst = max(worst, rel)
+    sizes = sorted({int(n) for n in deployment.ris_element_counts})
+    return f"residual {worst:.2e} at {sizes} elements"
 
 
 def _check_alignment() -> str:
@@ -132,6 +169,7 @@ def _check_determinism() -> str:
 _CHECKS = (
     ("geometry", _check_geometry),
     ("factorization", _check_factorization),
+    ("kernel-assembly", _check_kernel_assembly),
     ("phase-alignment", _check_alignment),
     ("exp-integral", _check_exp_integral),
     ("path-selection", _check_selection),

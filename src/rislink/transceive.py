@@ -56,6 +56,19 @@ def _beam_precoder(custom: CustomizedChannel, config: SystemConfig) -> np.ndarra
     return math.sqrt(config.transmit_power / n_active) * custom.t_active.sum(axis=1)
 
 
+def _multiplex_slot(custom: CustomizedChannel, config: SystemConfig):
+    """One slot's precoder, stream matrix ``R^H H F`` and the per-stream
+    rotation that turns its diagonal real and positive."""
+    f = _multiplex_precoder(custom, config)
+    g = custom.r_active.conj().T @ custom.exact_h @ f
+    return f, g, np.exp(-1j * np.angle(np.diagonal(g)))
+
+
+def _beam_combiner(custom: CustomizedChannel, config: SystemConfig) -> np.ndarray:
+    """One slot's matched-filter combiner ``H f``."""
+    return custom.exact_h @ _beam_precoder(custom, config)
+
+
 def _check_slots(customs: Sequence[CustomizedChannel]) -> None:
     if len(customs) != customs[0].selection.n_slots:
         raise ValueError(
@@ -72,13 +85,15 @@ def _run_multiplex(
     config: SystemConfig,
     scheme: str,
     gamma_th: float,
+    slots: Sequence[tuple] | None = None,
 ) -> SchemeResult:
     """Shared multiplexing runner: per-slot combine, rotate, sum, detect.
 
     Each slot's combiner is the activated receive-response stack with its
     columns phase-rotated onto the realized per-stream gains, so slot
     outputs add coherently; stacking slots leaves per-stream noise at
-    ``n_slots * noise_power``.
+    ``n_slots * noise_power``.  ``slots`` passes precomputed
+    :func:`_multiplex_slot` terms.
     """
     _check_slots(customs)
     n_slots = len(customs)
@@ -86,10 +101,8 @@ def _run_multiplex(
     n_streams = customs[0].r_active.shape[1]
     effective = np.zeros((n_streams, n_streams), dtype=complex)
     model_amplitude = np.zeros(n_streams)
-    for custom in customs:
-        f = _multiplex_precoder(custom, config)
-        g = custom.r_active.conj().T @ custom.exact_h @ f
-        rotation = np.exp(-1j * np.angle(np.diagonal(g)))
+    slots = slots or [_multiplex_slot(custom, config) for custom in customs]
+    for custom, (_, g, rotation) in zip(customs, slots):
         effective += rotation[:, None] * g
         model_amplitude += np.abs(custom.xi_active)
 
@@ -119,16 +132,19 @@ def _run_beamform(
     config: SystemConfig,
     scheme: str,
     gamma_th: float,
+    combiners: Sequence[np.ndarray] | None = None,
 ) -> SchemeResult:
-    """Shared beamforming runner: matched-filter stacking across slots."""
+    """Shared beamforming runner: matched-filter stacking across slots.
+
+    ``combiners`` passes precomputed :func:`_beam_combiner` outputs."""
     _check_slots(customs)
     n_slots = len(customs)
     n_active = customs[0].t_active.shape[1]
     exact_power = 0.0
     model_sum = 0.0
-    for custom in customs:
-        f = _beam_precoder(custom, config)
-        exact_power += float(np.linalg.norm(custom.exact_h @ f) ** 2)
+    combiners = combiners or [_beam_combiner(custom, config) for custom in customs]
+    for custom, matched in zip(customs, combiners):
+        exact_power += float(np.linalg.norm(matched) ** 2)
         model_sum += float(np.abs(custom.xi_active).sum() ** 2)
 
     se = float(math.log2(1.0 + exact_power / config.noise_power) / n_slots)
@@ -219,27 +235,24 @@ def ber_trial(
     if symbols < 1:
         raise ValueError("need at least one symbol")
     if scheme in ("sm", "ds"):
-        base = _run_multiplex(customs, config, scheme, gamma_th)
+        slots = [_multiplex_slot(custom, config) for custom in customs]
+        base = _run_multiplex(customs, config, scheme, gamma_th, slots)
         n_streams = customs[0].r_active.shape[1]
         bits = _qpsk_bits(rng, (n_streams, 2, symbols))
         sent = _qpsk_modulate(bits)
         combined = np.zeros((n_streams, symbols), dtype=complex)
-        for custom in customs:
-            f = _multiplex_precoder(custom, config)
-            g = custom.r_active.conj().T @ custom.exact_h @ f
-            rotation = np.exp(-1j * np.angle(np.diagonal(g)))
+        for custom, (f, _, rotation) in zip(customs, slots):
             received = custom.exact_h @ (f @ sent)
             received += _awgn(rng, config.noise_power, received.shape)
             combined += rotation[:, None] * (custom.r_active.conj().T @ received)
         detected = _qpsk_detect(combined)
     elif scheme in ("bf", "db"):
-        base = _run_beamform(customs, config, scheme, gamma_th)
+        combiners = [_beam_combiner(custom, config) for custom in customs]
+        base = _run_beamform(customs, config, scheme, gamma_th, combiners)
         bits = _qpsk_bits(rng, (2, symbols))
         sent = _qpsk_modulate(bits)
         combined = np.zeros(symbols, dtype=complex)
-        for custom in customs:
-            f = _beam_precoder(custom, config)
-            matched = custom.exact_h @ f
+        for matched in combiners:
             received = np.outer(matched, sent)
             received += _awgn(rng, config.noise_power, received.shape)
             combined += matched.conj() @ received

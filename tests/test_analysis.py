@@ -47,6 +47,11 @@ class TestExponentialIntegral:
             with pytest.raises(ValueError):
                 an.exp_integral_ei(bad)
 
+    def test_unconverged_continued_fraction_is_a_package_error(self):
+        with pytest.raises(rl.ConvergenceError):
+            an._e1_cf_scaled(math.nan)
+        assert issubclass(rl.ConvergenceError, rl.RislinkError)
+
     def test_array_input(self):
         out = an.exp_integral_ei(np.array([-1.0, -20.0]))
         assert out.shape == (2,)

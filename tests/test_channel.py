@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rislink as rl
+from rislink.channel import _draw_separated_freqs, dirichlet_kernel, surface_inner_products
+from rislink.selftest import dense_composite, hop_matrix
 
 from conftest import BASE_SEED, candidate_matrix, draw_scene, random_gammas, small_config
 
@@ -113,7 +115,7 @@ class TestMultipathDraws:
             up = rl.draw_tx_ris_channel(
                 config, deployment, 0, rl.substream(BASE_SEED, 10, i)
             )
-            total += float(np.linalg.norm(up.matrix()) ** 2)
+            total += float(np.linalg.norm(hop_matrix(up)) ** 2)
         expected = config.n_tx * 24
         assert abs(total / n_draws / expected - 1.0) < 0.02
 
@@ -126,7 +128,7 @@ class TestMultipathDraws:
             down = rl.draw_ris_rx_channel(
                 config, deployment, 0, rl.substream(BASE_SEED, 11, i)
             )
-            total += float(np.linalg.norm(down.matrix()) ** 2)
+            total += float(np.linalg.norm(hop_matrix(down)) ** 2)
         expected = config.n_rx * 24
         assert abs(total / n_draws / expected - 1.0) < 0.02
 
@@ -152,13 +154,13 @@ class TestMultipathDraws:
             rl.array_response(24, los.arrival_freq),
             rl.array_response(config.n_tx, los.departure_freq).conj(),
         )
-        h = up.matrix()
+        h = hop_matrix(up)
         assert np.linalg.norm(h - rank_one) / np.linalg.norm(h) < 1e-5
 
     def test_single_receive_path_gives_rank_one(self):
         config = small_config(n_ris_rx_paths=1)
         _, _, downs = draw_scene(config, BASE_SEED, 2)
-        s = np.linalg.svd(downs[0].matrix(), compute_uv=False)
+        s = np.linalg.svd(hop_matrix(downs[0]), compute_uv=False)
         assert s[1] / s[0] < 1e-12
 
     def test_same_seed_identical_draw(self):
@@ -205,6 +207,15 @@ class TestMultipathDraws:
             off = gaps[~np.eye(len(freqs), dtype=bool)]
             assert off.min() >= threshold - 1e-12
 
+    def test_exhausted_sampler_is_a_package_error(self):
+        # One attempt per draw on a packed circle: some draw must land too
+        # close to an earlier one, and the failure is a RislinkError that
+        # the CLI maps to an exit code instead of a traceback.
+        with pytest.raises(rl.SamplingError):
+            _draw_separated_freqs(rl.substream(BASE_SEED, 24), 40, np.array([0.0]), 10.0,
+                                  max_attempts=1)
+        assert issubclass(rl.SamplingError, rl.RislinkError)
+
     def test_near_degenerate_geometry_still_draws(self):
         # A surface with very few elements would demand more angular
         # clearance than a full circle can hold; the sampler must relax
@@ -225,7 +236,7 @@ class TestCascadedFactorization:
         direct = np.zeros((config.n_rx, config.n_tx), dtype=complex)
         for k in range(config.n_ris):
             direct += deployment.path_losses[k] * (
-                downs[k].matrix() @ np.diag(gammas[k]) @ ups[k].matrix()
+                hop_matrix(downs[k]) @ np.diag(gammas[k]) @ hop_matrix(ups[k])
             )
         assert np.linalg.norm(h - direct) / np.linalg.norm(direct) < 1e-13
 
@@ -304,6 +315,8 @@ class TestCascadedFactorization:
                     assert abs(got - expected) <= 1e-12 * abs(expected)
 
     def test_accepts_structured_reflection_objects(self):
+        # Phase configurations take the closed-form kernel, raw vectors the
+        # element sum, so the two agree to rounding, not bit for bit.
         config = small_config()
         deployment, ups, downs = draw_scene(config, BASE_SEED, 9)
         gammas = [
@@ -318,4 +331,137 @@ class TestCascadedFactorization:
         raw = [g.phase_vector() for g in gammas]
         h_obj = rl.assemble_composite(ups, gammas, downs, deployment)
         h_raw = rl.assemble_composite(ups, raw, downs, deployment)
-        assert np.array_equal(h_obj, h_raw)
+        oracle = dense_composite(ups, raw, downs, deployment)
+        assert np.linalg.norm(h_obj - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        assert np.linalg.norm(h_raw - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+_EPS = np.finfo(float).eps
+
+
+def _kernel_oracle(delta: np.ndarray, n: int) -> np.ndarray:
+    return np.exp(1j * np.outer(delta, np.arange(n))).mean(-1)
+
+
+def _kernel_tolerance(delta: np.ndarray, n: int) -> np.ndarray:
+    # The oracle rounds every phase i*delta, so its own error grows with
+    # n*|delta|; the closed form stays within the same envelope.
+    return _EPS * n * (np.abs(delta) + 2.0 * math.pi)
+
+
+class TestDirichletKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3, 170, 211, 1000]),
+        st.sampled_from([0.0, 2.0 * math.pi, -2.0 * math.pi, 4.0 * math.pi, -4.0 * math.pi]),
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=1e-16, max_value=1e-6),
+            st.floats(min_value=-1e-6, max_value=-1e-16),
+        ),
+    )
+    def test_matches_element_sum_near_multiples_of_two_pi(self, n, base, offset):
+        delta = np.array([base + offset])
+        got = dirichlet_kernel(delta, n)
+        assert np.all(np.abs(got - _kernel_oracle(delta, n)) <= _kernel_tolerance(delta, n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3, 170, 211, 1000]),
+        st.floats(min_value=-20.0, max_value=20.0),
+    )
+    def test_matches_element_sum_everywhere(self, n, delta):
+        delta = np.array([delta])
+        got = dirichlet_kernel(delta, n)
+        assert np.all(np.abs(got - _kernel_oracle(delta, n)) <= _kernel_tolerance(delta, n))
+
+    def test_zero_offset_is_exactly_one(self):
+        for n in (1, 2, 3, 170, 211, 1000):
+            assert dirichlet_kernel(0.0, n) == 1.0
+
+    def test_broadcasts_over_surfaces(self):
+        delta = np.array([[0.0, 0.3], [1e-9, -2.0]])
+        n = np.array([[170], [211]])
+        got = dirichlet_kernel(delta, n)
+        for idx in np.ndindex(delta.shape):
+            expected = _kernel_oracle(delta[idx][None], int(n[idx[0], 0]))[0]
+            assert abs(got[idx] - expected) <= 1e-13
+
+
+def _adversarial_downs(ups, downs):
+    """Receive hops whose surface departures collide with transmit-side
+    arrivals: directly, shifted by 2*pi, and at the offset an aligned
+    profile maps onto another path's arrival."""
+    out = []
+    for up, down in zip(ups, downs):
+        arrivals = up.arrival_freqs
+        paths = list(down.paths)
+        targets = (
+            None,
+            arrivals[1 % arrivals.size],
+            arrivals[-1] + 2.0 * math.pi,
+            paths[0].departure_freq + arrivals[-1] - arrivals[0] - 2.0 * math.pi,
+        )
+        for l, target in enumerate(targets[: len(paths)]):
+            if target is not None:
+                paths[l] = rl.PathComponent(paths[l].gain, paths[l].arrival_freq, float(target))
+        out.append(rl.MultipathChannel(down.link, down.ris_index, down.n_out, down.n_in,
+                                       tuple(paths)))
+    return out
+
+
+class TestClosedFormAssembly:
+    """Kernel assembly against the element-by-element oracle at the
+    default surface sizes, on the profiles the schemes actually use."""
+
+    def _profiles(self, config, deployment, ups, downs):
+        candidates = candidate_matrix(downs)
+        sm = rl.select_paths_sm(candidates, config.n_rx)
+        bf = rl.select_paths_bf(candidates, config.n_rx)
+        return {
+            "aligned": rl.build_customized_channel(sm, (ups, downs), deployment).gammas,
+            "refined": rl.build_customized_channel(
+                bf, (ups, downs), deployment, refine=True).gammas,
+            "neutral": [
+                rl.RisConfiguration.neutral(int(n), ris_index=k)
+                for k, n in enumerate(deployment.ris_element_counts)
+            ],
+        }
+
+    @pytest.mark.parametrize("adversarial", [False, True])
+    def test_matches_dense_oracle(self, adversarial):
+        config = rl.SystemConfig()
+        for i in range(20):
+            deployment, ups, downs = draw_scene(config, BASE_SEED, 23, i)
+            if adversarial:
+                downs = _adversarial_downs(ups, downs)
+            for name, gammas in self._profiles(config, deployment, ups, downs).items():
+                h = rl.assemble_composite(ups, gammas, downs, deployment)
+                phases = [g.phase_vector() for g in gammas]
+                oracle = dense_composite(ups, phases, downs, deployment)
+                rel = np.linalg.norm(h - oracle) / np.linalg.norm(oracle)
+                assert rel <= 1e-12, (name, i, rel)
+
+    def test_mixed_structured_and_raw_list(self):
+        config = rl.SystemConfig()
+        deployment, ups, downs = draw_scene(config, BASE_SEED, 23, 1)
+        aligned = self._profiles(config, deployment, ups, downs)["aligned"]
+        mixed = [aligned[0]] + [g.phase_vector() for g in aligned[1:]]
+        h = rl.assemble_composite(ups, mixed, downs, deployment)
+        oracle = dense_composite(ups, [g.phase_vector() for g in aligned], downs, deployment)
+        assert np.linalg.norm(h - oracle) / np.linalg.norm(oracle) <= 1e-12
+
+    def test_adversarial_scene_hits_the_series_branch(self):
+        # The collisions put some kernel arguments at (or within rounding
+        # of) a multiple of 2*pi, where the sine ratio is 0/0.
+        config = rl.SystemConfig()
+        deployment, ups, downs = draw_scene(config, BASE_SEED, 23, 0)
+        downs = _adversarial_downs(ups, downs)
+        neutral = [rl.RisConfiguration.neutral(int(n)) for n in deployment.ris_element_counts]
+        inner = surface_inner_products(
+            neutral,
+            np.array([d.departure_freqs for d in downs]),
+            np.array([u.arrival_freqs for u in ups]),
+            deployment.ris_element_counts,
+        )
+        assert np.any(np.abs(inner - 1.0) < 1e-12)

@@ -7,7 +7,7 @@ import math
 import pytest
 
 import rislink as rl
-from rislink import cli
+from rislink import channel, cli
 from rislink.errors import ConfigurationError
 from rislink.montecarlo import SweepResult
 
@@ -50,6 +50,9 @@ class TestAxisParsing:
         "E_dBm=0:5",          # two-part grid
         "E_dBm=0:0:10",       # zero step
         "E_dBm=10:5:0",       # stop < start
+        "E_dBm=0:1:inf",      # infinite stop
+        "E_dBm=0:inf:10",     # infinite step
+        "E_dBm=nan",          # non-finite single value
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ConfigurationError):
@@ -269,8 +272,24 @@ class TestExitCodes:
              "--fading-epochs", "1", "--set", "angle_error_std=inf"],
             cli.EXIT_BAD_CONFIG,
         ),
+        *(
+            (["se-sweep", "--scheme", "sm", "--axis", axis,
+              "--output", "/tmp/unused.csv", "--angle-epochs", "1",
+              "--fading-epochs", "1"], cli.EXIT_BAD_CONFIG)
+            for axis in ("K=nan", "L_R=inf", "E_dBm=0:1:inf", "E_dBm=0:inf:10", "E_dBm=nan")
+        ),
     ])
     def test_error_paths(self, argv, code, capsys):
         assert _run(argv) == code
         if code != cli.EXIT_OK:
             assert "error:" in capsys.readouterr().err
+
+    def test_simulator_failure_prints_error_line(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise rl.SamplingError("angle sampling failed after 1 attempts")
+
+        monkeypatch.setattr(channel, "_draw_separated_freqs", exhausted)
+        argv = ["se-sweep", "--scheme", "sm", "--axis", "E_dBm=20", "--output",
+                "/tmp/unused.csv", "--angle-epochs", "1", "--fading-epochs", "1"]
+        assert _run(argv) == cli.EXIT_FAILURE
+        assert "error: angle sampling failed" in capsys.readouterr().err

@@ -126,6 +126,12 @@ class TestPlanValidation:
         with pytest.raises(ConfigurationError):
             rl.estimate_ergodic_se(plan, rl.SystemConfig())
 
+    @pytest.mark.parametrize("axis", ["L_R", "L_T", "M_R", "N_T", "N_R", "K"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_integer_axes_reject_non_finite(self, axis, value):
+        with pytest.raises(ConfigurationError):
+            rl.apply_axis(rl.SystemConfig(), axis, value)
+
     def test_axis_names_cover_all_sweeps(self):
         assert mc.AXIS_NAMES == (
             "E_dBm", "kappa_dB", "L_R", "L_T", "M_R",
