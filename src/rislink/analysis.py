@@ -142,6 +142,8 @@ class ClosedFormParams:
             self.n_ris_rx_paths,
             self.n_slots,
         )
+        if not all(math.isfinite(s) for s in scalars) or not np.all(np.isfinite(profile)):
+            raise ConfigurationError("closed-form parameters must be finite")
         if any(s <= 0 for s in scalars) or np.any(profile <= 0):
             raise ConfigurationError("closed-form parameters must be positive")
         if profile.shape != (self.n_ris,):

@@ -2,16 +2,18 @@
 
 Every transmitter-to-surface link is Rician (one deterministic
 line-of-sight path plus a few scattered paths); every surface-to-receiver
-link is pure Rayleigh scattering.  Channels are kept in path-list form so
-the composite end-to-end matrix can also be written exactly as a product
-of a receive steering factor, a block-diagonal core of per-path effective
-gains, and a transmit steering factor.
+link is pure Rayleigh scattering.  Each hop holds one read-only array per
+path attribute (gains, arrival and departure frequencies), so the
+composite end-to-end matrix can also be written exactly as a product of a
+receive steering factor, a block-diagonal core of per-path effective
+gains, and a transmit steering factor.  A fading epoch swaps only the
+gains array; the angle arrays are shared for the whole angle epoch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,43 +33,39 @@ def array_response(n_elements: int, spatial_freq: float) -> np.ndarray:
     return np.exp(1j * spatial_freq * np.arange(n_elements)) / math.sqrt(n_elements)
 
 
-@dataclass(frozen=True)
-class PathComponent:
-    """One propagation path: complex gain plus its two spatial frequencies."""
-
-    gain: complex
-    arrival_freq: float
-    departure_freq: float
-
-
 @dataclass(frozen=True, eq=False)
 class MultipathChannel:
-    """Path-list representation of one hop of the link.
+    """One hop of the link as per-path arrays.
 
     ``link`` is either ``"tx-ris"`` (matrix shape: surface elements by
     transmit antennas, path 0 is the line of sight) or ``"ris-rx"``
     (receive antennas by surface elements, all paths scattered).
-    Arrival frequencies live on the output side, departures on the input
-    side.
+    Entry ``l`` of ``gains``, ``arrival_freqs`` (output side) and
+    ``departure_freqs`` (input side) describes path ``l``.  The arrays are
+    read-only, so channels can share them and nobody can write through
+    one; a writable array passed in is copied first.
     """
 
     link: str
     ris_index: int
     n_out: int
     n_in: int
-    paths: tuple[PathComponent, ...]
+    gains: np.ndarray
+    arrival_freqs: np.ndarray
+    departure_freqs: np.ndarray
 
-    @property
-    def arrival_freqs(self) -> np.ndarray:
-        return np.array([p.arrival_freq for p in self.paths])
-
-    @property
-    def departure_freqs(self) -> np.ndarray:
-        return np.array([p.departure_freq for p in self.paths])
-
-    @property
-    def gains(self) -> np.ndarray:
-        return np.array([p.gain for p in self.paths])
+    def __post_init__(self) -> None:
+        for name, dtype in (("gains", complex), ("arrival_freqs", float),
+                            ("departure_freqs", float)):
+            values = np.asarray(getattr(self, name), dtype=dtype)
+            if values.flags.writeable:
+                values = values.copy()
+                values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        if self.gains.ndim != 1 or not (
+            self.gains.shape == self.arrival_freqs.shape == self.departure_freqs.shape
+        ):
+            raise ValueError("gains and frequencies must be 1-D arrays of one length")
 
 
 def _response_matrix(n_elements: int, freqs: np.ndarray) -> np.ndarray:
@@ -117,6 +115,20 @@ def _complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
 
 
+def _scattered_gains(
+    config: SystemConfig, link: str, n_s: int, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Fresh gains of a hop's ``count`` scattered paths, sharing the hop's
+    non-line-of-sight power equally (an empty draw when ``count`` is 0)."""
+    if not count:
+        scale = 0.0
+    elif link == TX_RIS:
+        scale = math.sqrt(config.n_tx * n_s / ((config.rician_factor + 1.0) * count))
+    else:
+        scale = math.sqrt(config.n_rx * n_s / count)
+    return scale * _complex_normal(rng, count)
+
+
 def min_angle_separation(deployment: Deployment) -> float:
     """Smallest allowed spacing of surface-side spatial frequencies.
 
@@ -153,15 +165,12 @@ def draw_tx_ris_channel(
     departures = math.pi * np.cos(rng.uniform(0.0, math.pi, size=n_nlos))
 
     los_gain = math.sqrt(kappa * config.n_tx * n_s / (kappa + 1.0))
-    paths = [PathComponent(complex(los_gain), los_arrival, los_departure)]
-    if n_nlos:
-        scale = math.sqrt(config.n_tx * n_s / ((kappa + 1.0) * n_nlos))
-        betas = scale * _complex_normal(rng, n_nlos)
-        paths += [
-            PathComponent(complex(b), float(a), float(d))
-            for b, a, d in zip(betas, arrivals, departures)
-        ]
-    return MultipathChannel(TX_RIS, k, n_s, config.n_tx, tuple(paths))
+    return MultipathChannel(
+        TX_RIS, k, n_s, config.n_tx,
+        gains=np.concatenate(([los_gain], _scattered_gains(config, TX_RIS, n_s, n_nlos, rng))),
+        arrival_freqs=np.concatenate(([los_arrival], arrivals)),
+        departure_freqs=np.concatenate(([los_departure], departures)),
+    )
 
 
 def draw_ris_rx_channel(
@@ -185,13 +194,8 @@ def draw_ris_rx_channel(
 
     departures = _draw_separated_freqs(rng, n_paths, np.asarray(keep_away), separation)
     arrivals = math.pi * np.cos(rng.uniform(0.0, math.pi, size=n_paths))
-    scale = math.sqrt(config.n_rx * n_s / n_paths)
-    gains = scale * _complex_normal(rng, n_paths)
-    paths = tuple(
-        PathComponent(complex(g), float(a), float(d))
-        for g, a, d in zip(gains, arrivals, departures)
-    )
-    return MultipathChannel(RIS_RX, k, config.n_rx, n_s, paths)
+    gains = _scattered_gains(config, RIS_RX, n_s, n_paths, rng)
+    return MultipathChannel(RIS_RX, k, config.n_rx, n_s, gains, arrivals, departures)
 
 
 def redraw_fading(
@@ -206,24 +210,9 @@ def redraw_fading(
     interval; the deterministic line of sight is untouched.
     """
     n_s = int(deployment.ris_element_counts[channel.ris_index])
-    if channel.link == TX_RIS:
-        scattered = channel.paths[1:]
-        scale = (
-            math.sqrt(config.n_tx * n_s / ((config.rician_factor + 1.0) * len(scattered)))
-            if scattered
-            else 0.0
-        )
-        new = [channel.paths[0]]
-    else:
-        scattered = channel.paths
-        scale = math.sqrt(config.n_rx * n_s / len(scattered))
-        new = []
-    betas = scale * _complex_normal(rng, len(scattered))
-    new += [
-        PathComponent(complex(b), p.arrival_freq, p.departure_freq)
-        for b, p in zip(betas, scattered)
-    ]
-    return MultipathChannel(channel.link, channel.ris_index, channel.n_out, channel.n_in, tuple(new))
+    kept = channel.gains[: 1 if channel.link == TX_RIS else 0]
+    fresh = _scattered_gains(config, channel.link, n_s, channel.gains.size - kept.size, rng)
+    return replace(channel, gains=np.concatenate((kept, fresh)))
 
 
 def dirichlet_kernel(delta, n_elements):
@@ -291,7 +280,6 @@ class CascadedDecomposition:
     rx_factor: np.ndarray
     tx_factor: np.ndarray
     core: np.ndarray
-    n_ris: int
     n_rx_paths_per_ris: int
     n_tx_paths_per_ris: int
 
@@ -321,8 +309,8 @@ def cascaded_decomposition(
     product between the departing and arriving surface responses.
     """
     k_total = len(tx_ris)
-    l_rx = len(ris_rx[0].paths)
-    l_tx = len(tx_ris[0].paths)
+    l_rx = ris_rx[0].gains.size
+    l_tx = tx_ris[0].gains.size
 
     inner = surface_inner_products(
         gammas,
@@ -342,7 +330,6 @@ def cascaded_decomposition(
         rx_factor=_response_matrix(ris_rx[0].n_out, rx_freqs),
         tx_factor=_response_matrix(tx_ris[0].n_in, tx_freqs),
         core=core.reshape(k_total * l_rx, k_total * l_tx),
-        n_ris=k_total,
         n_rx_paths_per_ris=l_rx,
         n_tx_paths_per_ris=l_tx,
     )

@@ -283,21 +283,20 @@ def build_customized_channel(
     tx_freqs = []
     gains = []
     for k, rx_path in zip(selection.active_ris, selection.slot_paths[slot]):
-        chosen = ris_rx[k].paths[rx_path]
-        los = tx_ris[k].paths[0]
+        up, down = ris_rx[k], tx_ris[k]
         gamma = align_phases(
-            chosen.departure_freq, los.arrival_freq, ris_rx[k].n_in, k, (rx_path, 0)
+            up.departure_freqs[rx_path], down.arrival_freqs[0], up.n_in, k, (rx_path, 0)
         )
         if refine:
-            gamma = gamma.with_common_phase(
-                common_phase_refinement(chosen.gain, los.gain, chosen.arrival_freq, n_rx)
-            )
+            gamma = gamma.with_common_phase(common_phase_refinement(
+                up.gains[rx_path], down.gains[0], up.arrival_freqs[rx_path], n_rx
+            ))
         gammas[k] = gamma
-        rx_freqs.append(chosen.arrival_freq)
-        tx_freqs.append(los.departure_freq)
+        rx_freqs.append(up.arrival_freqs[rx_path])
+        tx_freqs.append(down.departure_freqs[0])
         # The profile retargets exactly this pair: its inner product is e^{ic}.
         aligned = cmath.exp(1j * gamma.common_phase)
-        gains.append(deployment.path_losses[k] * chosen.gain * los.gain * aligned)
+        gains.append(deployment.path_losses[k] * up.gains[rx_path] * down.gains[0] * aligned)
 
     exact_tx, exact_rx = exact_subchannels if exact_subchannels is not None else (tx_ris, ris_rx)
     exact_h = assemble_composite(exact_tx, gammas, exact_rx, deployment)

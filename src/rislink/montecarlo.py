@@ -15,13 +15,13 @@ same seed reproduces every result bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .channel import (
+    TX_RIS,
     MultipathChannel,
-    PathComponent,
     draw_ris_rx_channel,
     draw_tx_ris_channel,
     min_angle_separation,
@@ -162,26 +162,13 @@ def inject_angle_error(
     """
     if sigma_e < 0:
         raise ValueError("sigma_e must be non-negative")
-    if sigma_e == 0 or channel.link == "tx-ris":
+    if sigma_e == 0 or channel.link == TX_RIS:
         return channel
-    n = len(channel.paths)
-    arrivals = channel.arrival_freqs + sigma_e * rng.standard_normal(n)
-    departures = channel.departure_freqs + sigma_e * rng.standard_normal(n)
-    paths = tuple(
-        PathComponent(p.gain, float(a), float(d))
-        for p, a, d in zip(channel.paths, arrivals, departures)
-    )
-    return MultipathChannel(channel.link, channel.ris_index, channel.n_out, channel.n_in, paths)
-
-
-def _with_gains(template: MultipathChannel, source: MultipathChannel) -> MultipathChannel:
-    """Template's angles with the source's current fading gains."""
-    paths = tuple(
-        PathComponent(s.gain, t.arrival_freq, t.departure_freq)
-        for t, s in zip(template.paths, source.paths)
-    )
-    return MultipathChannel(
-        template.link, template.ris_index, template.n_out, template.n_in, paths
+    n = channel.arrival_freqs.size
+    return replace(
+        channel,
+        arrival_freqs=channel.arrival_freqs + sigma_e * rng.standard_normal(n),
+        departure_freqs=channel.departure_freqs + sigma_e * rng.standard_normal(n),
     )
 
 
@@ -245,9 +232,9 @@ def _angle_epoch(
         for k in range(config.n_ris):
             cur_tx.append(redraw_fading(base_tx[k], config, deployment, fading_rng))
             cur_rx.append(redraw_fading(base_rx[k], config, deployment, fading_rng))
-        est_rx = (
-            [_with_gains(t, s) for t, s in zip(template_rx, cur_rx)] if mismatched else cur_rx
-        )
+        est_rx = cur_rx
+        if mismatched:
+            est_rx = [replace(t, gains=s.gains) for t, s in zip(template_rx, cur_rx)]
         for scheme in schemes:
             selection = selections[scheme]
             n_slots = config.n_slots if scheme in ("ds", "db") else 1

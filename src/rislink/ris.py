@@ -74,14 +74,6 @@ def align_phases(
     )
 
 
-def effective_gain(
-    decomposition: CascadedDecomposition, k: int, rx_path: int, tx_path: int
-) -> complex:
-    """Effective gain of one path pair through surface ``k`` (see
-    :meth:`CascadedDecomposition.gain`)."""
-    return decomposition.gain(k, rx_path, tx_path)
-
-
 def common_phase_refinement(
     rx_path_gain: complex,
     tx_los_gain: complex,

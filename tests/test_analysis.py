@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 import rislink as rl
 from rislink import analysis as an
-from rislink.errors import NoCrossingError
+from rislink.errors import ConfigurationError, NoCrossingError
 
 from conftest import BASE_SEED
 
@@ -213,6 +213,19 @@ def _scale(params: an.ClosedFormParams) -> float:
         * (params.rician_factor + 1.0)
         / (params.n_tx * params.rician_factor * c * c)
     )
+
+
+class TestClosedFormParams:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", [
+        "transmit_power", "noise_power", "rician_factor", "n_tx", "n_slots", "gain_profile",
+    ])
+    def test_rejects_non_finite(self, name, value):
+        params = an.ClosedFormParams.from_config(rl.SystemConfig())
+        if name == "gain_profile":
+            value = np.concatenate(([value], params.gain_profile[1:]))
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            dataclasses.replace(params, **{name: value})
 
 
 class TestCrossingPoint:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -82,11 +83,11 @@ class TestMultipathDraws:
         up = ups[0]
         assert up.n_out == int(deployment.ris_element_counts[0])
         assert up.n_in == config.n_tx
-        assert len(up.paths) == 1 + config.n_nlos_tx_paths
+        assert up.gains.size == 1 + config.n_nlos_tx_paths
         down = downs[0]
         assert down.n_out == config.n_rx
         assert down.n_in == int(deployment.ris_element_counts[0])
-        assert len(down.paths) == config.n_ris_rx_paths
+        assert down.gains.size == config.n_ris_rx_paths
 
     def test_transmit_line_of_sight_gain(self):
         config = small_config(rician_factor=4.0)
@@ -97,10 +98,10 @@ class TestMultipathDraws:
                 config.rician_factor * config.n_tx * n_s
                 / (config.rician_factor + 1.0)
             )
-            assert math.isclose(abs(up.paths[0].gain), expected, rel_tol=1e-12)
+            assert math.isclose(abs(up.gains[0]), expected, rel_tol=1e-12)
             # The deterministic component departs along the placement beam.
             assert math.isclose(
-                up.paths[0].departure_freq,
+                up.departure_freqs[0],
                 math.pi * deployment.direction_cosines[k],
                 rel_tol=1e-12,
             )
@@ -149,10 +150,9 @@ class TestMultipathDraws:
         deployment = _single_surface_deployment(24)
         up = rl.draw_tx_ris_channel(config, deployment, 0,
                                     rl.substream(BASE_SEED, 13))
-        los = up.paths[0]
-        rank_one = los.gain * np.outer(
-            rl.array_response(24, los.arrival_freq),
-            rl.array_response(config.n_tx, los.departure_freq).conj(),
+        rank_one = up.gains[0] * np.outer(
+            rl.array_response(24, up.arrival_freqs[0]),
+            rl.array_response(config.n_tx, up.departure_freqs[0]).conj(),
         )
         h = hop_matrix(up)
         assert np.linalg.norm(h - rank_one) / np.linalg.norm(h) < 1e-5
@@ -183,9 +183,43 @@ class TestMultipathDraws:
         assert np.array_equal(down2.arrival_freqs, downs[0].arrival_freqs)
         assert np.array_equal(down2.departure_freqs, downs[0].departure_freqs)
         # The deterministic component survives; diffuse gains are redrawn.
-        assert up2.paths[0].gain == ups[0].paths[0].gain
+        assert up2.gains[0] == ups[0].gains[0]
         assert not np.array_equal(up2.gains[1:], ups[0].gains[1:])
         assert not np.array_equal(down2.gains, downs[0].gains)
+        # Only the gains are new: both epochs share the angle arrays.
+        assert down2.arrival_freqs is downs[0].arrival_freqs
+        assert down2.departure_freqs is downs[0].departure_freqs
+
+    @pytest.mark.parametrize("name", ["gains", "arrival_freqs", "departure_freqs"])
+    def test_path_arrays_are_read_only(self, name):
+        _, ups, downs = draw_scene(small_config(), BASE_SEED, 4)
+        for channel in (ups[0], downs[0]):
+            with pytest.raises(ValueError):
+                getattr(channel, name)[0] = 0.0
+
+    def test_constructor_copies_writable_arrays(self):
+        gains = np.array([1.0 + 1.0j, 2.0])
+        freqs = np.array([0.1, 0.2])
+        channel = rl.MultipathChannel("ris-rx", 0, 2, 8, gains, freqs, freqs)
+        gains[0] = 0.0
+        freqs[0] = 0.0
+        assert channel.gains[0] == 1.0 + 1.0j
+        assert channel.arrival_freqs[0] == 0.1
+        assert channel.departure_freqs[0] == 0.1
+        with pytest.raises(ValueError):
+            rl.MultipathChannel("ris-rx", 0, 2, 8, gains, freqs, freqs[:1])
+
+    def test_redraw_and_angle_error_leave_input_untouched(self):
+        config = small_config()
+        deployment, ups, downs = draw_scene(config, BASE_SEED, 4)
+        for channel in (ups[0], downs[0]):
+            before = [np.copy(getattr(channel, name))
+                      for name in ("gains", "arrival_freqs", "departure_freqs")]
+            rl.redraw_fading(channel, config, deployment, rl.substream(BASE_SEED, 25))
+            rl.inject_angle_error(channel, 0.05, rl.substream(BASE_SEED, 26))
+            after = [channel.gains, channel.arrival_freqs, channel.departure_freqs]
+            for old, new in zip(before, after):
+                assert old.tobytes() == new.tobytes()
 
     def test_minimum_angle_separation_enforced(self):
         # The surface is the resolving aperture, so the clearance rule
@@ -224,7 +258,7 @@ class TestMultipathDraws:
         deployment = _single_surface_deployment(4)
         down = rl.draw_ris_rx_channel(config, deployment, 0,
                                       rl.substream(BASE_SEED, 16))
-        assert len(down.paths) == 10
+        assert down.gains.size == 10
 
 
 class TestCascadedFactorization:
@@ -395,18 +429,17 @@ def _adversarial_downs(ups, downs):
     out = []
     for up, down in zip(ups, downs):
         arrivals = up.arrival_freqs
-        paths = list(down.paths)
+        departures = down.departure_freqs.copy()
         targets = (
             None,
             arrivals[1 % arrivals.size],
             arrivals[-1] + 2.0 * math.pi,
-            paths[0].departure_freq + arrivals[-1] - arrivals[0] - 2.0 * math.pi,
+            departures[0] + arrivals[-1] - arrivals[0] - 2.0 * math.pi,
         )
-        for l, target in enumerate(targets[: len(paths)]):
+        for l, target in enumerate(targets[: departures.size]):
             if target is not None:
-                paths[l] = rl.PathComponent(paths[l].gain, paths[l].arrival_freq, float(target))
-        out.append(rl.MultipathChannel(down.link, down.ris_index, down.n_out, down.n_in,
-                                       tuple(paths)))
+                departures[l] = target
+        out.append(dataclasses.replace(down, departure_freqs=departures))
     return out
 
 

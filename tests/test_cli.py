@@ -278,6 +278,10 @@ class TestExitCodes:
               "--fading-epochs", "1"], cli.EXIT_BAD_CONFIG)
             for axis in ("K=nan", "L_R=inf", "E_dBm=0:1:inf", "E_dBm=0:inf:10", "E_dBm=nan")
         ),
+        (["crossing-point", "--n-rx", "2", "--profile", "nan,1e-6,1e-6,1e-6"],
+         cli.EXIT_BAD_CONFIG),
+        (["crossing-point", "--n-rx", "2", "--profile", "inf,1e-6,1e-6,1e-6"],
+         cli.EXIT_BAD_CONFIG),
     ])
     def test_error_paths(self, argv, code, capsys):
         assert _run(argv) == code

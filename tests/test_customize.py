@@ -271,7 +271,7 @@ class TestCustomizedChannel:
         for column, (k, path) in enumerate(
                 zip(selection.active_ris, selection.slot_paths[0])):
             assert abs(
-                custom.xi_active[column] - rl.effective_gain(deco, k, path, 0)
+                custom.xi_active[column] - deco.gain(k, path, 0)
             ) <= 1e-15
 
     def test_inactive_surfaces_are_neutral(self):

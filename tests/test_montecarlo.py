@@ -261,6 +261,30 @@ class TestEstimators:
             gaps.append(clean - noisy)
         assert gaps[1] > gaps[0]
 
+    # Selection-model means frozen repr-exact: no golden CSV covers the
+    # ``se_model`` metric, so this pins the code that builds ``xi_active``.
+    @pytest.mark.parametrize("sigma_e, expected", [
+        (0.0, {
+            "sm": (0.09473057918197629, 4.362431754086273),
+            "bf": (0.27291054782759855, 4.448859505494985),
+            "ds": (0.0680160592633888, 3.195815050897168),
+            "db": (0.23122490887723035, 2.5394316890466584),
+        }),
+        (0.05, {
+            "sm": (0.07851760915963894, 4.362431754086273),
+            "bf": (0.2975250629033034, 4.875262965084722),
+            "ds": (0.06677625666588817, 3.29650608575068),
+            "db": (0.2637734785953114, 2.6774150612364305),
+        }),
+    ])
+    def test_selection_model_means_frozen(self, sigma_e, expected):
+        config = rl.SystemConfig(n_slots=2, angle_error_std=sigma_e)
+        plan = _plan(axis_values=(0.0, 20.0), schemes=("sm", "bf", "ds", "db"),
+                     n_angle_epochs=3, n_fading_epochs=3)
+        result = rl.estimate_ergodic_se(plan, config, use_model=True)
+        for scheme, means in expected.items():
+            assert [repr(m) for m in result.means[scheme]] == [repr(m) for m in means]
+
     def test_ber_bit_budget_met(self):
         config = rl.SystemConfig()
         plan = _plan(schemes=("sm", "bf"), n_angle_epochs=2,

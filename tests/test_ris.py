@@ -210,7 +210,7 @@ class TestEffectiveGain:
         for k in range(config.n_ris):
             for l in range(l_r):
                 for j in range(l_t):
-                    assert rl.effective_gain(deco, k, l, j) == \
+                    assert deco.gain(k, l, j) == \
                         deco.core[k * l_r + l, k * l_t + j]
 
     def test_aligned_gain_magnitude_hits_target(self):
@@ -230,7 +230,7 @@ class TestEffectiveGain:
             for kk in range(1, config.n_ris)
         ]
         deco = rl.cascaded_decomposition(ups, gammas, downs, deployment)
-        gain = rl.effective_gain(deco, k, l, 0)
+        gain = deco.gain(k, l, 0)
         expected = (
             deployment.path_losses[k]
             * abs(downs[k].gains[l])
