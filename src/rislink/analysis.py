@@ -132,7 +132,8 @@ class ClosedFormParams:
     def __post_init__(self) -> None:
         profile = np.atleast_1d(np.asarray(self.gain_profile, dtype=float))
         object.__setattr__(self, "gain_profile", profile)
-        scalars = (
+        entries = profile.ravel().tolist()
+        values = (
             self.transmit_power,
             self.noise_power,
             self.rician_factor,
@@ -141,15 +142,23 @@ class ClosedFormParams:
             self.n_ris,
             self.n_ris_rx_paths,
             self.n_slots,
+            *entries,
         )
-        if not all(math.isfinite(s) for s in scalars) or not np.all(np.isfinite(profile)):
+        if not all(math.isfinite(v) for v in values):
             raise ConfigurationError("closed-form parameters must be finite")
-        if any(s <= 0 for s in scalars) or np.any(profile <= 0):
+        if any(v <= 0 for v in values):
             raise ConfigurationError("closed-form parameters must be positive")
         if profile.shape != (self.n_ris,):
             raise ConfigurationError("gain profile needs one entry per surface")
         if self.n_rx > self.n_ris:
             raise ConfigurationError("need n_rx <= n_ris")
+        # The fading constants 1 / (coefficient * profile^2) must be
+        # positive finite floats; the extreme profile entries bound them.
+        coefficient = self.power_coefficient()
+        high, low = max(entries), min(entries)
+        steepest, flattest = coefficient * (high * high), coefficient * (low * low)
+        if not (steepest < math.inf and flattest > 0.0 and 1.0 / flattest < math.inf):
+            raise ConfigurationError("closed-form parameters leave the floating-point range")
 
     @classmethod
     def from_config(

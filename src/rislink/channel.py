@@ -7,7 +7,10 @@ path attribute (gains, arrival and departure frequencies), so the
 composite end-to-end matrix can also be written exactly as a product of a
 receive steering factor, a block-diagonal core of per-path effective
 gains, and a transmit steering factor.  A fading epoch swaps only the
-gains array; the angle arrays are shared for the whole angle epoch.
+gains array; the angle arrays are shared for the whole angle epoch.  The
+gains of several fading epochs can be stacked on a leading epoch axis,
+and the factorization then carries that axis through to one composite
+matrix per epoch.
 """
 
 from __future__ import annotations
@@ -41,9 +44,10 @@ class MultipathChannel:
     transmit antennas, path 0 is the line of sight) or ``"ris-rx"``
     (receive antennas by surface elements, all paths scattered).
     Entry ``l`` of ``gains``, ``arrival_freqs`` (output side) and
-    ``departure_freqs`` (input side) describes path ``l``.  The arrays are
-    read-only, so channels can share them and nobody can write through
-    one; a writable array passed in is copied first.
+    ``departure_freqs`` (input side) describes path ``l``.  ``gains`` may
+    carry a leading fading-epoch axis, shape (F, L), over the same angles.
+    The arrays are read-only, so channels can share them and nobody can
+    write through one; a writable array passed in is copied first.
     """
 
     link: str
@@ -62,10 +66,15 @@ class MultipathChannel:
                 values = values.copy()
                 values.flags.writeable = False
             object.__setattr__(self, name, values)
-        if self.gains.ndim != 1 or not (
-            self.gains.shape == self.arrival_freqs.shape == self.departure_freqs.shape
+        if (
+            self.arrival_freqs.ndim != 1
+            or self.gains.ndim not in (1, 2)
+            or not self.gains.shape[-1:] == self.arrival_freqs.shape == self.departure_freqs.shape
         ):
-            raise ValueError("gains and frequencies must be 1-D arrays of one length")
+            raise ValueError(
+                "frequencies must be 1-D arrays of one length, and gains must match "
+                "them, optionally with a leading epoch axis"
+            )
 
 
 def _response_matrix(n_elements: int, freqs: np.ndarray) -> np.ndarray:
@@ -202,17 +211,26 @@ def redraw_fading(
     channel: MultipathChannel,
     config: SystemConfig,
     deployment: Deployment,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> MultipathChannel:
     """Redraw the scattered path gains of a hop, keeping every angle.
 
     Models a new small-scale fading epoch inside one angle-coherence
-    interval; the deterministic line of sight is untouched.
+    interval; the deterministic line of sight is untouched.  ``channel``
+    holds the gains of a single epoch.  Given a sequence of generators,
+    one per fading epoch, the result stacks one redraw per generator on a
+    leading epoch axis: gains of shape (F, L).
     """
     n_s = int(deployment.ris_element_counts[channel.ris_index])
-    kept = channel.gains[: 1 if channel.link == TX_RIS else 0]
-    fresh = _scattered_gains(config, channel.link, n_s, channel.gains.size - kept.size, rng)
-    return replace(channel, gains=np.concatenate((kept, fresh)))
+    n_kept = 1 if channel.link == TX_RIS else 0
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else rng
+    gains = np.empty((len(rngs), channel.gains.size), dtype=complex)
+    gains[:, :n_kept] = channel.gains[:n_kept]
+    for row, epoch_rng in zip(gains, rngs):
+        row[n_kept:] = _scattered_gains(config, channel.link, n_s, row.size - n_kept, epoch_rng)
+    gains.flags.writeable = False
+    return replace(channel, gains=gains[0] if single else gains)
 
 
 def dirichlet_kernel(delta, n_elements):
@@ -236,14 +254,17 @@ def surface_inner_products(
     """``a(out_l)^H diag(gamma_k) a(in_j)`` per surface, shape (K, L_out, L_in).
 
     Linear profiles (``RisConfiguration``) give ``exp(1j*c) * D(slope + in_j -
-    out_l)`` without touching the elements.  A list holding any raw vector
-    (the oracle that only tests and ``selftest`` pass) takes the element sum.
+    out_l)`` without touching the elements; common phases with a leading
+    epoch axis give shape (F, K, L_out, L_in), with the kernel evaluated
+    once.  A list holding any raw vector (the oracle that only tests and
+    ``selftest`` pass) takes the element sum.
     """
     if all(hasattr(gamma, "slope") for gamma in gammas):
         slopes = np.array([gamma.slope for gamma in gammas])[:, None, None]
-        common = np.array([gamma.common_phase for gamma in gammas])[:, None, None]
+        common = np.stack(np.broadcast_arrays(*(gamma.common_phase for gamma in gammas)), axis=-1)
         delta = slopes + in_freqs[:, None, :] - out_freqs[:, :, None]
-        return np.exp(1j * common) * dirichlet_kernel(delta, n_elements[:, None, None])
+        kernel = dirichlet_kernel(delta, n_elements[:, None, None])
+        return np.exp(1j * common[..., None, None]) * kernel
     vectors = [
         g.phase_vector() if hasattr(g, "slope") else np.asarray(g, dtype=complex) for g in gammas
     ]
@@ -275,6 +296,8 @@ class CascadedDecomposition:
     ``tx_factor`` are transmit responses of the transmitter-to-surface
     paths, and ``core`` is block-diagonal with one block per surface
     holding every per-path-pair effective gain through that surface.
+    Stacked gains give ``core`` (and the composite) a leading epoch axis;
+    the steering factors depend on angles only and have none.
     """
 
     rx_factor: np.ndarray
@@ -306,11 +329,13 @@ def cascaded_decomposition(
 
     The (rx_path, tx_path) entry of block ``k`` is the product of the two
     path gains, the cascaded loss, and the surface's phase-profile inner
-    product between the departing and arriving surface responses.
+    product between the departing and arriving surface responses.  Gains
+    stacked over F fading epochs (and common phases with an epoch axis)
+    give a core of shape (F, K*L_rx, K*L_tx).
     """
     k_total = len(tx_ris)
-    l_rx = ris_rx[0].gains.size
-    l_tx = tx_ris[0].gains.size
+    l_rx = ris_rx[0].arrival_freqs.size
+    l_tx = tx_ris[0].arrival_freqs.size
 
     inner = surface_inner_products(
         gammas,
@@ -318,18 +343,20 @@ def cascaded_decomposition(
         np.array([down.arrival_freqs for down in tx_ris]),
         np.array([up.n_in for up in ris_rx]),
     )
-    rx_gains = np.array([up.gains for up in ris_rx])
-    tx_gains = np.array([down.gains for down in tx_ris])
+    rx_gains = np.stack([up.gains for up in ris_rx], axis=-2)
+    tx_gains = np.stack([down.gains for down in tx_ris], axis=-2)
     losses = deployment.path_losses[:k_total, None, None]
-    blocks = losses * (rx_gains[:, :, None] * tx_gains[:, None, :]) * inner
-    core = np.zeros((k_total, l_rx, k_total, l_tx), dtype=complex)
-    core[np.arange(k_total), :, np.arange(k_total), :] = blocks
+    blocks = losses * (rx_gains[..., :, None] * tx_gains[..., None, :]) * inner
+    epochs = blocks.shape[:-3]
+    core = np.zeros(epochs + (k_total, l_rx, k_total, l_tx), dtype=complex)
+    for k in range(k_total):
+        core[..., k, :, k, :] = blocks[..., k, :, :]
     rx_freqs = np.concatenate([up.arrival_freqs for up in ris_rx])
     tx_freqs = np.concatenate([down.departure_freqs for down in tx_ris])
     return CascadedDecomposition(
         rx_factor=_response_matrix(ris_rx[0].n_out, rx_freqs),
         tx_factor=_response_matrix(tx_ris[0].n_in, tx_freqs),
-        core=core.reshape(k_total * l_rx, k_total * l_tx),
+        core=core.reshape(epochs + (k_total * l_rx, k_total * l_tx)),
         n_rx_paths_per_ris=l_rx,
         n_tx_paths_per_ris=l_tx,
     )

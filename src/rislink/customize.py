@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Sequence
 
@@ -94,14 +94,14 @@ def _best_tuple(
     for a in range(n_groups):
         shape = [1] * n_groups
         shape[a] = sizes[a]
-        objective = objective + (np.abs(diag[groups[a]] - 1.0) ** 2).reshape(shape)
+        objective += (np.abs(diag[groups[a]] - 1.0) ** 2).reshape(shape)
     for a in range(n_groups):
         for b in range(a + 1, n_groups):
             cross = np.abs(gram[np.ix_(groups[a], groups[b])] - target_off_diagonal) ** 2
             shape = [1] * n_groups
             shape[a] = sizes[a]
             shape[b] = sizes[b]
-            objective = objective + 2.0 * cross.reshape(shape)
+            objective += 2.0 * cross.reshape(shape)
     flat = int(np.argmin(objective))
     best = np.unravel_index(flat, sizes)
     return tuple(int(i) for i in best), float(objective.reshape(-1)[flat])
@@ -179,17 +179,22 @@ def select_paths_diversity(
     n_slots: int,
     n_rx: int,
     cap: int = DEFAULT_SEARCH_CAP,
+    first: PathSelection | None = None,
 ) -> PathSelection:
     """Assign disjoint per-slot paths for the path-hopping schemes.
 
     Slot 0 reuses the single-configuration search (``sm`` rules for ``ds``,
-    ``bf`` rules for ``db``); later slots greedily re-run the same search
+    ``bf`` rules for ``db``); pass that search's result as ``first`` when
+    it is already at hand.  Later slots greedily re-run the same search
     restricted to each active surface's unused paths, with the active
     surface set frozen.  Requires ``n_slots`` at most the per-surface path
     count.
     """
     if scheme not in ("ds", "db"):
         raise ValueError(f"unknown diversity scheme {scheme!r}")
+    base_scheme = "sm" if scheme == "ds" else "bf"
+    if first is not None and (first.scheme != base_scheme or first.n_slots != 1):
+        raise ValueError(f"slot 0 of {scheme!r} needs a one-slot {base_scheme!r} selection")
     candidates = np.asarray(candidates, dtype=float)
     n_ris, n_paths = candidates.shape
     if n_slots < 1:
@@ -198,11 +203,12 @@ def select_paths_diversity(
         raise SelectionInfeasibleError(
             f"{n_slots} slots need {n_slots} disjoint paths but only {n_paths} exist"
         )
-    first = (
-        select_paths_sm(candidates, n_rx, cap)
-        if scheme == "ds"
-        else select_paths_bf(candidates, n_rx, cap=cap)
-    )
+    if first is None:
+        first = (
+            select_paths_sm(candidates, n_rx, cap)
+            if scheme == "ds"
+            else select_paths_bf(candidates, n_rx, cap=cap)
+        )
     active = first.active_ris
     target = 0.0 if scheme == "ds" else 1.0
     gram = _candidate_gram(candidates, n_rx)
@@ -240,7 +246,9 @@ class CustomizedChannel:
     ``selection.active_ris`` order).  ``xi_active`` holds the designed
     effective gains of those paths, and ``exact_h`` is the full composite
     channel realized under the designed phase profiles, including whatever
-    the profiles did not shape.
+    the profiles did not shape.  A design over stacked fading epochs gives
+    ``xi_active`` and ``exact_h`` (and refined common phases) a leading
+    epoch axis; the responses depend on angles only and have none.
     """
 
     selection: PathSelection
@@ -253,7 +261,20 @@ class CustomizedChannel:
 
     def approx_h(self) -> np.ndarray:
         """Activated-paths-only model of the shaped channel."""
-        return (self.r_active * self.xi_active) @ self.t_active.conj().T
+        return (self.r_active * self.xi_active[..., None, :]) @ self.t_active.conj().T
+
+    def epoch(self, index: int) -> "CustomizedChannel":
+        """The single-epoch design of fading epoch ``index`` of a stacked design."""
+        return replace(
+            self,
+            xi_active=self.xi_active[index],
+            exact_h=self.exact_h[index],
+            gammas=tuple(
+                gamma.with_common_phase(gamma.common_phase[index])
+                if np.ndim(gamma.common_phase) else gamma
+                for gamma in self.gammas
+            ),
+        )
 
 
 def build_customized_channel(
@@ -273,39 +294,52 @@ def build_customized_channel(
     (needed by the beamforming schemes).  ``subchannels`` is the
     ``(tx_ris, ris_rx)`` channel pair as known to the designer; pass
     ``exact_subchannels`` to realize ``exact_h`` on different (error-free)
-    channels than the design saw.
+    channels than the design saw.  Gains stacked over F fading epochs give
+    an F-epoch design: profiles, responses and surface kernels are built
+    once, and only the gain-dependent parts carry the epoch axis.
     """
     tx_ris, ris_rx = subchannels
     n_rx = ris_rx[0].n_out
     n_tx = tx_ris[0].n_in
+    stacked = tx_ris[0].gains.ndim == 2
     gammas = [RisConfiguration.neutral(up.n_in, ris_index=k) for k, up in enumerate(ris_rx)]
     rx_freqs = []
     tx_freqs = []
     gains = []
     for k, rx_path in zip(selection.active_ris, selection.slot_paths[slot]):
         up, down = ris_rx[k], tx_ris[k]
+        rx_gains = np.atleast_2d(up.gains)[:, rx_path]
+        tx_gains = np.atleast_2d(down.gains)[:, 0]
         gamma = align_phases(
             up.departure_freqs[rx_path], down.arrival_freqs[0], up.n_in, k, (rx_path, 0)
         )
+        commons = [0.0] * rx_gains.size
         if refine:
-            gamma = gamma.with_common_phase(common_phase_refinement(
-                up.gains[rx_path], down.gains[0], up.arrival_freqs[rx_path], n_rx
-            ))
+            commons = [
+                common_phase_refinement(rx, tx, up.arrival_freqs[rx_path], n_rx)
+                for rx, tx in zip(rx_gains, tx_gains)
+            ]
+            gamma = gamma.with_common_phase(np.array(commons) if stacked else commons[0])
         gammas[k] = gamma
         rx_freqs.append(up.arrival_freqs[rx_path])
         tx_freqs.append(down.departure_freqs[0])
-        # The profile retargets exactly this pair: its inner product is e^{ic}.
-        aligned = cmath.exp(1j * gamma.common_phase)
-        gains.append(deployment.path_losses[k] * up.gains[rx_path] * down.gains[0] * aligned)
+        # The profile retargets exactly this pair: its inner product is
+        # e^{ic}.  Scalar products epoch by epoch, because numpy's
+        # vectorized complex product rounds differently (fused multiply-add).
+        gains.append([
+            deployment.path_losses[k] * rx * tx * cmath.exp(1j * common)
+            for rx, tx, common in zip(rx_gains, tx_gains, commons)
+        ])
 
     exact_tx, exact_rx = exact_subchannels if exact_subchannels is not None else (tx_ris, ris_rx)
     exact_h = assemble_composite(exact_tx, gammas, exact_rx, deployment)
+    xi_active = np.array(gains).T.copy()  # (epochs, active surfaces)
     return CustomizedChannel(
         selection=selection,
         slot=slot,
         r_active=_response_matrix(n_rx, np.array(rx_freqs)),
         t_active=_response_matrix(n_tx, np.array(tx_freqs)),
-        xi_active=np.array(gains),
+        xi_active=xi_active if stacked else xi_active[0],
         gammas=tuple(gammas),
         exact_h=exact_h,
     )

@@ -3,13 +3,17 @@
 Two nested randomness levels mirror the link's coherence structure: an
 angle epoch redraws every direction (and the receiver drop) and triggers a
 fresh path selection from statistical knowledge; fading epochs inside it
-redraw only the scattered gains and rebuild the phase design from instant
+redraw only the scattered gains and refine the phase design from instant
 knowledge.  Slot hopping for the diversity schemes happens inside a single
 fading epoch.
 
-Every random draw comes from a counter-based stream keyed by
-``(base_seed, grid index, epoch indices, purpose)``, so a rerun at the
-same seed reproduces every result bit for bit.
+Designs are per angle epoch: every angle-only part (profile slopes,
+surface kernels, steering responses) is built once per distinct (active
+surfaces, slot paths, refinement) design, and the F fading epochs' gains
+ride along a leading epoch axis through the designs and the runners.
+Draws stay per fading epoch: every random draw comes from a counter-based
+stream keyed by ``(base_seed, grid index, epoch indices, purpose)``, so a
+rerun at the same seed reproduces every result bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from .channel import (
 from .config import SystemConfig, db2lin, dbm2watt, place_deployment
 from .customize import (
     SCHEME_TAGS,
+    CustomizedChannel,
+    PathSelection,
     build_customized_channel,
     select_paths_bf,
     select_paths_diversity,
@@ -89,7 +95,10 @@ def apply_axis(config: SystemConfig, axis_name: str, value: float) -> SystemConf
         raise ConfigurationError(
             f"unknown sweep axis {axis_name!r}; expected one of {', '.join(AXIS_NAMES)}"
         )
-    return appliers[axis_name](config, value)
+    try:
+        return appliers[axis_name](config, value)
+    except OverflowError as exc:
+        raise ConfigurationError(f"axis value {axis_name}={value} is out of range") from exc
 
 
 @dataclass(frozen=True)
@@ -114,8 +123,8 @@ class TrialPlan:
             raise ConfigurationError("epoch counts must be at least 1")
         if not self.axis_values:
             raise ConfigurationError("sweep grid must be non-empty")
-        if list(self.axis_values) != sorted(self.axis_values):
-            raise ConfigurationError("sweep grid must be sorted ascending")
+        if any(a >= b for a, b in zip(self.axis_values, self.axis_values[1:])):
+            raise ConfigurationError("sweep grid must be strictly ascending (no repeated value)")
         if not self.schemes:
             raise ConfigurationError("need at least one scheme")
         for scheme in self.schemes:
@@ -172,12 +181,22 @@ def inject_angle_error(
     )
 
 
-def _select_for_scheme(scheme: str, candidates: np.ndarray, config: SystemConfig):
-    if scheme == "sm":
-        return select_paths_sm(candidates, config.n_rx)
-    if scheme == "bf":
-        return select_paths_bf(candidates, config.n_rx)
-    return select_paths_diversity(candidates, scheme, config.n_slots, config.n_rx)
+def _select_paths(
+    schemes: tuple[str, ...], candidates: np.ndarray, config: SystemConfig
+) -> dict[str, PathSelection]:
+    """Every scheme's selection; ``ds``/``db`` take the ``sm``/``bf``
+    selection as their slot 0 when that scheme runs too."""
+    selections = {}
+    if "sm" in schemes:
+        selections["sm"] = select_paths_sm(candidates, config.n_rx)
+    if "bf" in schemes:
+        selections["bf"] = select_paths_bf(candidates, config.n_rx)
+    for scheme, base in (("ds", "sm"), ("db", "bf")):
+        if scheme in schemes:
+            selections[scheme] = select_paths_diversity(
+                candidates, scheme, config.n_slots, config.n_rx, first=selections.get(base)
+            )
+    return selections
 
 
 _RUNNERS = {
@@ -198,7 +217,14 @@ def _angle_epoch(
     gamma_th: float,
     payload_symbols: dict[str, int] | None = None,
 ) -> dict[str, list[SchemeResult]]:
-    """Evaluate every scheme over one angle epoch's fading epochs."""
+    """Evaluate every scheme over one angle epoch's fading epochs.
+
+    Each fading epoch keeps its own substream and draw order (per surface:
+    transmit-side gains, then receive-side gains); the draws are stacked
+    into (F, L) gain arrays per hop.  Every distinct (active surfaces,
+    slot paths, refinement) design is built once for all F epochs, so
+    ``sm``/``ds`` and ``bf``/``db`` share their slot 0.
+    """
     rng = substream(base_seed, grid_index, epoch_index, _ANGLES)
     deployment = place_deployment(config, rng)
     separation = min_angle_separation(deployment)
@@ -222,44 +248,59 @@ def _angle_epoch(
         template_rx = base_rx
 
     candidates = np.array([ch.arrival_freqs for ch in template_rx])
-    selections = {scheme: _select_for_scheme(scheme, candidates, config) for scheme in schemes}
+    selections = _select_paths(schemes, candidates, config)
 
-    out: dict[str, list[SchemeResult]] = {scheme: [] for scheme in schemes}
-    for fading_index in range(n_fading_epochs):
-        fading_rng = substream(base_seed, grid_index, epoch_index, fading_index, _FADING)
-        cur_tx = []
-        cur_rx = []
-        for k in range(config.n_ris):
-            cur_tx.append(redraw_fading(base_tx[k], config, deployment, fading_rng))
-            cur_rx.append(redraw_fading(base_rx[k], config, deployment, fading_rng))
-        est_rx = cur_rx
-        if mismatched:
-            est_rx = [replace(t, gains=s.gains) for t, s in zip(template_rx, cur_rx)]
-        for scheme in schemes:
-            selection = selections[scheme]
-            n_slots = config.n_slots if scheme in ("ds", "db") else 1
-            refine = scheme in ("bf", "db")
-            customs = [
-                build_customized_channel(
-                    selection,
-                    (cur_tx, est_rx),
-                    deployment,
-                    slot=m,
-                    refine=refine,
-                    exact_subchannels=(cur_tx, cur_rx) if mismatched else None,
+    # Each epoch's generator sees the draws in the order of a single-epoch
+    # redraw: per surface, transmit-side gains, then receive-side gains.
+    fading_rngs = [
+        substream(base_seed, grid_index, epoch_index, fading_index, _FADING)
+        for fading_index in range(n_fading_epochs)
+    ]
+    cur_tx, cur_rx = [], []
+    for down, up in zip(base_tx, base_rx):
+        cur_tx.append(redraw_fading(down, config, deployment, fading_rngs))
+        cur_rx.append(redraw_fading(up, config, deployment, fading_rngs))
+    est_rx = cur_rx
+    if mismatched:
+        est_rx = [replace(t, gains=s.gains) for t, s in zip(template_rx, cur_rx)]
+
+    designs: dict[tuple, CustomizedChannel] = {}
+
+    def design(selection: PathSelection, slot: int, refine: bool) -> CustomizedChannel:
+        key = (selection.active_ris, selection.slot_paths[slot], refine)
+        if key not in designs:
+            designs[key] = build_customized_channel(
+                selection,
+                (cur_tx, est_rx),
+                deployment,
+                slot=slot,
+                refine=refine,
+                exact_subchannels=(cur_tx, cur_rx) if mismatched else None,
+            )
+        shared = designs[key]
+        if shared.selection is selection and shared.slot == slot:
+            return shared
+        return replace(shared, selection=selection, slot=slot)
+
+    out: dict[str, list[SchemeResult]] = {}
+    for scheme in schemes:
+        selection = selections[scheme]
+        refine = scheme in ("bf", "db")
+        customs = [design(selection, m, refine) for m in range(selection.n_slots)]
+        if payload_symbols is None:
+            out[scheme] = _RUNNERS[scheme](customs, config, gamma_th)
+        else:
+            out[scheme] = [
+                ber_trial(
+                    scheme,
+                    [custom.epoch(fading_index) for custom in customs],
+                    config,
+                    payload_symbols[scheme],
+                    substream(base_seed, grid_index, epoch_index, fading_index, _PAYLOAD),
+                    gamma_th,
                 )
-                for m in range(n_slots)
+                for fading_index in range(n_fading_epochs)
             ]
-            if payload_symbols is None:
-                result = _RUNNERS[scheme](customs, config, gamma_th)
-            else:
-                payload_rng = substream(
-                    base_seed, grid_index, epoch_index, fading_index, _PAYLOAD
-                )
-                result = ber_trial(
-                    scheme, customs, config, payload_symbols[scheme], payload_rng, gamma_th
-                )
-            out[scheme].append(result)
     return out
 
 
@@ -334,9 +375,12 @@ def _sweep(
     reduce = _REDUCERS[metric]
     forms = closed_form_companions if metric in ("se", "se_model") else lambda *_: _NO_FORM
     n_epochs = plan.n_angle_epochs * plan.n_fading_epochs
+    # Every grid point's config and closed forms first, so bad input fails
+    # before any simulation.
+    configs = [_grid_config(plan, config, i) for i in range(len(plan.axis_values))]
+    companions = [{scheme: forms(scheme, cfg) for scheme in plan.schemes} for cfg in configs]
     rows: dict[str, list[tuple]] = {scheme: [] for scheme in plan.schemes}
-    for grid_index in range(len(plan.axis_values)):
-        cfg = _grid_config(plan, config, grid_index)
+    for grid_index, cfg in enumerate(configs):
         payload_symbols = None
         if min_bits is not None:
             payload_symbols = {}
@@ -346,7 +390,7 @@ def _sweep(
         epochs = _collect_epochs(plan, cfg, grid_index, payload_symbols)
         for scheme in plan.schemes:
             mean, err, n = reduce([r for epoch in epochs for r in epoch[scheme]])
-            rows[scheme].append((mean, err, forms(scheme, cfg), n))
+            rows[scheme].append((mean, err, companions[grid_index][scheme], n))
     result = SweepResult(metric, plan.axis_name, plan.axis_values, plan.schemes)
     for scheme, columns in rows.items():
         (result.means[scheme], result.stderrs[scheme],

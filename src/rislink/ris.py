@@ -26,7 +26,9 @@ class RisConfiguration:
 
     Element ``i`` applies ``i * slope + common_phase`` radians.
     ``aligned_path`` records which (receiver-side, transmitter-side) path
-    pair the profile retargets, or ``None`` for a neutral surface.
+    pair the profile retargets, or ``None`` for a neutral surface.  A
+    design over stacked fading epochs holds one common phase per epoch
+    (an (F,) array); the slope depends on angles only.
     """
 
     ris_index: int
@@ -41,8 +43,9 @@ class RisConfiguration:
         return self.slope * np.arange(self.n_elements, dtype=float)
 
     def phase_vector(self) -> np.ndarray:
-        """Unit-modulus reflection coefficients of every element."""
-        return np.exp(1j * (self.phases + self.common_phase))
+        """Unit-modulus reflection coefficients of every element, with a
+        leading epoch axis when the common phase has one."""
+        return np.exp(1j * (self.phases + np.asarray(self.common_phase)[..., None]))
 
     def with_common_phase(self, common_phase: float) -> "RisConfiguration":
         return dataclasses.replace(self, common_phase=common_phase)

@@ -9,7 +9,9 @@ outage calls and is reported separately as a companion value.
 
 The path-hopping schemes run one shaped channel per slot and combine slot
 outputs coherently; the single-configuration runners are literally the
-one-slot case of the same code so reductions are bit-exact.
+one-slot case of the same code so reductions are bit-exact.  Designs over
+stacked fading epochs run in one pass and give one result per epoch, equal
+bit for bit to running each epoch on its own.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _multiplex_slot(custom: CustomizedChannel, config: SystemConfig):
     rotation that turns its diagonal real and positive."""
     f = _multiplex_precoder(custom, config)
     g = custom.r_active.conj().T @ custom.exact_h @ f
-    return f, g, np.exp(-1j * np.angle(np.diagonal(g)))
+    return f, g, np.exp(-1j * np.angle(np.diagonal(g, axis1=-2, axis2=-1)))
 
 
 def _beam_combiner(custom: CustomizedChannel, config: SystemConfig) -> np.ndarray:
@@ -86,45 +88,52 @@ def _run_multiplex(
     scheme: str,
     gamma_th: float,
     slots: Sequence[tuple] | None = None,
-) -> SchemeResult:
+) -> SchemeResult | list[SchemeResult]:
     """Shared multiplexing runner: per-slot combine, rotate, sum, detect.
 
     Each slot's combiner is the activated receive-response stack with its
     columns phase-rotated onto the realized per-stream gains, so slot
     outputs add coherently; stacking slots leaves per-stream noise at
     ``n_slots * noise_power``.  ``slots`` passes precomputed
-    :func:`_multiplex_slot` terms.
+    :func:`_multiplex_slot` terms.  Stacked designs give a list of
+    per-epoch results.
     """
     _check_slots(customs)
     n_slots = len(customs)
     noise_power = config.noise_power
     n_streams = customs[0].r_active.shape[1]
-    effective = np.zeros((n_streams, n_streams), dtype=complex)
-    model_amplitude = np.zeros(n_streams)
     slots = slots or [_multiplex_slot(custom, config) for custom in customs]
+    effective = np.zeros(slots[0][1].shape, dtype=complex)
+    model_amplitude = np.zeros(customs[0].xi_active.shape)
     for custom, (_, g, rotation) in zip(customs, slots):
-        effective += rotation[:, None] * g
+        effective += rotation[..., :, None] * g
         model_amplitude += np.abs(custom.xi_active)
 
     stacked_noise = n_slots * noise_power
     _, logdet = np.linalg.slogdet(
-        np.eye(n_streams) + effective @ effective.conj().T / stacked_noise
+        np.eye(n_streams) + effective @ np.swapaxes(effective.conj(), -1, -2) / stacked_noise
     )
-    se = float(logdet / math.log(2.0) / n_slots)
+    se = logdet / math.log(2.0) / n_slots
 
     snr = (
         model_amplitude**2
         * config.transmit_power
         / (n_streams * n_slots * noise_power)
     )
-    se_model = float(np.sum(np.log2(1.0 + snr)) / n_slots)
-    return SchemeResult(
-        scheme=scheme,
-        se_bits_per_hz=se,
-        se_model_bits_per_hz=se_model,
-        post_combine_snr=tuple(float(v) for v in snr),
-        outage=bool(snr.min() < gamma_th),
-    )
+    se_model = np.sum(np.log2(1.0 + snr), axis=-1) / n_slots
+    results = [
+        SchemeResult(
+            scheme=scheme,
+            se_bits_per_hz=float(epoch_se),
+            se_model_bits_per_hz=float(epoch_model),
+            post_combine_snr=tuple(epoch_snr.tolist()),
+            outage=bool(epoch_snr.min() < gamma_th),
+        )
+        for epoch_se, epoch_model, epoch_snr in zip(
+            np.atleast_1d(se), np.atleast_1d(se_model), np.atleast_2d(snr)
+        )
+    ]
+    return results if np.ndim(se) else results[0]
 
 
 def _run_beamform(
@@ -133,10 +142,11 @@ def _run_beamform(
     scheme: str,
     gamma_th: float,
     combiners: Sequence[np.ndarray] | None = None,
-) -> SchemeResult:
+) -> SchemeResult | list[SchemeResult]:
     """Shared beamforming runner: matched-filter stacking across slots.
 
-    ``combiners`` passes precomputed :func:`_beam_combiner` outputs."""
+    ``combiners`` passes precomputed :func:`_beam_combiner` outputs.
+    Stacked designs give a list of per-epoch results."""
     _check_slots(customs)
     n_slots = len(customs)
     n_active = customs[0].t_active.shape[1]
@@ -144,26 +154,33 @@ def _run_beamform(
     model_sum = 0.0
     combiners = combiners or [_beam_combiner(custom, config) for custom in customs]
     for custom, matched in zip(customs, combiners):
-        exact_power += float(np.linalg.norm(matched) ** 2)
-        model_sum += float(np.abs(custom.xi_active).sum() ** 2)
+        # Per epoch, the 1-D norm and the scalar power of a single-epoch
+        # run: a norm over the last axis sums in another order, and the
+        # array square (x*x) need not round like the scalar pow(x, 2).
+        exact_power += np.array([np.linalg.norm(v) ** 2 for v in np.atleast_2d(matched)])
+        model_sum += np.array([
+            s**2 for s in np.abs(np.atleast_2d(custom.xi_active)).sum(axis=-1)
+        ])
 
-    se = float(math.log2(1.0 + exact_power / config.noise_power) / n_slots)
-    snr_model = config.transmit_power * model_sum / (n_active * config.noise_power)
-    se_model = float(math.log2(1.0 + snr_model) / n_slots)
-    return SchemeResult(
-        scheme=scheme,
-        se_bits_per_hz=se,
-        se_model_bits_per_hz=se_model,
-        post_combine_snr=(float(snr_model),),
-        outage=bool(snr_model < gamma_th),
-    )
+    results = []
+    for epoch_power, epoch_model in zip(exact_power.tolist(), model_sum.tolist()):
+        se = math.log2(1.0 + epoch_power / config.noise_power) / n_slots
+        snr_model = config.transmit_power * epoch_model / (n_active * config.noise_power)
+        results.append(SchemeResult(
+            scheme=scheme,
+            se_bits_per_hz=se,
+            se_model_bits_per_hz=math.log2(1.0 + snr_model) / n_slots,
+            post_combine_snr=(snr_model,),
+            outage=bool(snr_model < gamma_th),
+        ))
+    return results if combiners[0].ndim == 2 else results[0]
 
 
 def run_sm(
     custom: CustomizedChannel,
     config: SystemConfig,
     gamma_th: float = DEFAULT_OUTAGE_THRESHOLD,
-) -> SchemeResult:
+) -> SchemeResult | list[SchemeResult]:
     """Spatial multiplexing: equal-power streams on the activated paths."""
     return _run_multiplex([custom], config, "sm", gamma_th)
 
@@ -172,7 +189,7 @@ def run_ds(
     customs: Sequence[CustomizedChannel],
     config: SystemConfig,
     gamma_th: float = DEFAULT_OUTAGE_THRESHOLD,
-) -> SchemeResult:
+) -> SchemeResult | list[SchemeResult]:
     """Multiplexing with per-slot path hopping, combined coherently."""
     return _run_multiplex(customs, config, "ds", gamma_th)
 
@@ -181,7 +198,7 @@ def run_bf(
     custom: CustomizedChannel,
     config: SystemConfig,
     gamma_th: float = DEFAULT_OUTAGE_THRESHOLD,
-) -> SchemeResult:
+) -> SchemeResult | list[SchemeResult]:
     """Single-stream beamforming with matched-filter reception."""
     return _run_beamform([custom], config, "bf", gamma_th)
 
@@ -190,7 +207,7 @@ def run_db(
     customs: Sequence[CustomizedChannel],
     config: SystemConfig,
     gamma_th: float = DEFAULT_OUTAGE_THRESHOLD,
-) -> SchemeResult:
+) -> SchemeResult | list[SchemeResult]:
     """Beamforming with per-slot path hopping, combined coherently."""
     return _run_beamform(customs, config, "db", gamma_th)
 

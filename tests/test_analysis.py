@@ -227,6 +227,20 @@ class TestClosedFormParams:
         with pytest.raises(ConfigurationError, match="must be finite"):
             dataclasses.replace(params, **{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("transmit_power", 1e300),    # stream SNR slope overflows: constants would be 0
+        ("noise_power", 1e-310),      # the same through a subnormal noise power
+        ("gain_profile", 1e-200),     # profile squared underflows: constants would be inf
+        ("gain_profile", 3e-162),     # subnormal slope: its inverse overflows
+        ("gain_profile", 1e200),      # profile squared overflows
+    ])
+    def test_rejects_floats_out_of_range(self, name, value):
+        params = an.ClosedFormParams.from_config(rl.SystemConfig())
+        if name == "gain_profile":
+            value = np.full(params.n_ris, value)
+        with pytest.raises(ConfigurationError, match="floating-point range"):
+            dataclasses.replace(params, **{name: value})
+
 
 class TestCrossingPoint:
     def test_two_stream_frozen_default(self):

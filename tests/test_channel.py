@@ -221,6 +221,28 @@ class TestMultipathDraws:
             for old, new in zip(before, after):
                 assert old.tobytes() == new.tobytes()
 
+    def test_stacked_redraw_matches_epoch_by_epoch(self):
+        config = small_config()
+        deployment, ups, downs = draw_scene(config, BASE_SEED, 4)
+        keys = (27, 28, 29)
+        stacked_rngs = [rl.substream(BASE_SEED, key) for key in keys]
+        single_rngs = [rl.substream(BASE_SEED, key) for key in keys]
+        for channel in (ups[0], downs[0], ups[1], downs[1]):
+            stacked = rl.redraw_fading(channel, config, deployment, stacked_rngs)
+            singles = [rl.redraw_fading(channel, config, deployment, rng) for rng in single_rngs]
+            assert stacked.gains.shape == (len(keys), channel.gains.size)
+            assert stacked.gains.tobytes() == np.stack([s.gains for s in singles]).tobytes()
+            assert not stacked.gains.flags.writeable
+            assert stacked.arrival_freqs is channel.arrival_freqs
+
+    def test_gains_may_carry_an_epoch_axis(self):
+        freqs = np.array([0.1, 0.2])
+        channel = rl.MultipathChannel("ris-rx", 0, 2, 8, np.ones((3, 2)), freqs, freqs)
+        assert channel.gains.shape == (3, 2)
+        for gains in (np.ones((3, 3)), np.ones((2, 3, 2)), np.ones(3)):
+            with pytest.raises(ValueError):
+                rl.MultipathChannel("ris-rx", 0, 2, 8, gains, freqs, freqs)
+
     def test_minimum_angle_separation_enforced(self):
         # The surface is the resolving aperture, so the clearance rule
         # binds the frequencies seen at the surface: transmit-side
@@ -293,6 +315,33 @@ class TestCascadedFactorization:
             deco = rl.cascaded_decomposition(ups, gammas, downs, deployment)
             rebuilt = deco.rx_factor @ deco.core @ deco.tx_factor.conj().T
             assert np.linalg.norm(h - rebuilt) <= 1e-10 * np.linalg.norm(h)
+
+    def test_stacked_epochs_match_single_epochs_bitwise(self):
+        config = small_config()
+        deployment, ups, downs = draw_scene(config, BASE_SEED, 30)
+        rngs = [rl.substream(BASE_SEED, 31, f) for f in range(4)]
+        stacked_ups = [rl.redraw_fading(up, config, deployment, rngs) for up in ups]
+        stacked_downs = [rl.redraw_fading(down, config, deployment, rngs) for down in downs]
+        phases = rl.substream(BASE_SEED, 32).uniform(-math.pi, math.pi, len(rngs))
+        # Surface 0 has a per-epoch common phase, the others one for all epochs.
+        gammas = [
+            rl.align_phases(0.3, -0.2, int(n), k).with_common_phase(phases if k == 0 else 0.4 * k)
+            for k, n in enumerate(deployment.ris_element_counts)
+        ]
+        stacked = rl.cascaded_decomposition(stacked_ups, gammas, stacked_downs, deployment)
+        composite = stacked.composite()
+        assert stacked.core.shape[0] == composite.shape[0] == len(rngs)
+        for f in range(len(rngs)):
+            single = rl.cascaded_decomposition(
+                [dataclasses.replace(up, gains=up.gains[f]) for up in stacked_ups],
+                [g.with_common_phase(phases[f]) if k == 0 else g for k, g in enumerate(gammas)],
+                [dataclasses.replace(down, gains=down.gains[f]) for down in stacked_downs],
+                deployment,
+            )
+            assert single.core.tobytes() == stacked.core[f].tobytes()
+            assert single.composite().tobytes() == composite[f].tobytes()
+        assert stacked.rx_factor.tobytes() == single.rx_factor.tobytes()
+        assert stacked.tx_factor.tobytes() == single.tx_factor.tobytes()
 
     def test_core_is_block_diagonal(self):
         config = small_config()

@@ -7,7 +7,7 @@ import math
 import pytest
 
 import rislink as rl
-from rislink import channel, cli
+from rislink import channel, cli, montecarlo
 from rislink.errors import ConfigurationError
 from rislink.montecarlo import SweepResult
 
@@ -287,6 +287,32 @@ class TestExitCodes:
         assert _run(argv) == code
         if code != cli.EXIT_OK:
             assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb, axis", [
+        ("se-sweep", "E_dBm=4000"),           # 10 ** 397 W overflows
+        ("se-sweep", "kappa_dB=4000"),
+        ("outage-sweep", "E_dBm=4000"),
+        ("se-sweep", "E_dBm=0:1000:4000"),    # fails at the last grid point
+        ("se-sweep", "E_dBm=0:1000:3000"),    # closed forms out of range at 3000
+        ("se-sweep", "sigma_e=1e15:0.05:1.000000000000000125e15"),  # 1e15 twice
+    ])
+    def test_bad_grid_fails_before_any_epoch(self, verb, axis, monkeypatch, capsys, tmp_path):
+        class Simulated(Exception):
+            pass
+
+        def simulated(*args, **kwargs):
+            raise Simulated
+
+        monkeypatch.setattr(montecarlo, "_angle_epoch", simulated)
+        out = tmp_path / "unused.csv"
+        argv = [verb, "--scheme", "sm", "--axis", axis, "--output", str(out),
+                "--angle-epochs", "1", "--fading-epochs", "1"]
+        assert _run(argv) == cli.EXIT_BAD_CONFIG
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+        # The same sweep on a good grid does reach the patched epoch.
+        with pytest.raises(Simulated):
+            cli.main(argv[:4] + ["E_dBm=0:10:20"] + argv[5:])
 
     def test_simulator_failure_prints_error_line(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):

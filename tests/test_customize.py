@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rislink as rl
+from rislink.customize import DEFAULT_SEARCH_CAP, _best_tuple, _candidate_gram
 from rislink.errors import SearchSpaceError, SelectionInfeasibleError
 
 from conftest import BASE_SEED, candidate_matrix, draw_scene, small_config
@@ -45,6 +46,47 @@ def _brute_force_bf(candidates: np.ndarray, n_rx: int, active=None):
         if best is None or objective < best[0]:
             best = (objective, active, paths)
     return best
+
+
+def _best_tuple_oracle(gram, groups, target_off_diagonal):
+    """The search objective as first written: a fresh array per added term."""
+    sizes = [len(g) for g in groups]
+    n_groups = len(groups)
+    objective = np.zeros(sizes)
+    diag = np.real(np.diagonal(gram))
+    for a in range(n_groups):
+        shape = [1] * n_groups
+        shape[a] = sizes[a]
+        objective = objective + (np.abs(diag[groups[a]] - 1.0) ** 2).reshape(shape)
+    for a in range(n_groups):
+        for b in range(a + 1, n_groups):
+            cross = np.abs(gram[np.ix_(groups[a], groups[b])] - target_off_diagonal) ** 2
+            shape = [1] * n_groups
+            shape[a] = sizes[a]
+            shape[b] = sizes[b]
+            objective = objective + 2.0 * cross.reshape(shape)
+    flat = int(np.argmin(objective))
+    best = np.unravel_index(flat, sizes)
+    return tuple(int(i) for i in best), float(objective.reshape(-1)[flat])
+
+
+class TestBestTuple:
+    def test_in_place_objective_matches_oracle_repr_exact(self):
+        rng = rl.substream(BASE_SEED, 60)
+        for trial in range(200):
+            n_ris = int(rng.integers(2, 5))
+            n_paths = int(rng.integers(2, 7))
+            n_rx = int(rng.integers(1, 5))
+            candidates = rng.uniform(-math.pi, math.pi, (n_ris, n_paths))
+            if trial % 2:
+                # Duplicated candidate columns make exactly tied objectives.
+                candidates[:, -1] = candidates[:, 0]
+                candidates[-1] = candidates[0]
+            gram = _candidate_gram(candidates, n_rx)
+            groups = [np.arange(n_paths) + k * n_paths for k in range(n_ris)]
+            for target in (0.0, 1.0):
+                got = _best_tuple(gram, groups, target, DEFAULT_SEARCH_CAP)
+                assert repr(got) == repr(_best_tuple_oracle(gram, groups, target))
 
 
 class TestMultiplexSelection:
@@ -228,6 +270,24 @@ class TestDiversitySelection:
         candidates = np.zeros((3, 4))
         with pytest.raises(ValueError):
             rl.select_paths_diversity(candidates, "xx", 2, 2)
+
+    def test_given_first_slot_gives_the_same_selection(self):
+        rng = rl.substream(BASE_SEED, 52)
+        candidates = rng.uniform(-math.pi, math.pi, (4, 5))
+        for scheme, first in (("ds", rl.select_paths_sm(candidates, 2)),
+                              ("db", rl.select_paths_bf(candidates, 2))):
+            searched = rl.select_paths_diversity(candidates, scheme, 3, 2)
+            reused = rl.select_paths_diversity(candidates, scheme, 3, 2, first=first)
+            assert reused == searched
+
+    def test_given_first_slot_must_follow_the_scheme_rules(self):
+        candidates = rl.substream(BASE_SEED, 53).uniform(-math.pi, math.pi, (4, 5))
+        with pytest.raises(ValueError):
+            rl.select_paths_diversity(candidates, "ds", 2, 2,
+                                      first=rl.select_paths_bf(candidates, 2))
+        with pytest.raises(ValueError):
+            rl.select_paths_diversity(candidates, "db", 2, 2,
+                                      first=rl.select_paths_diversity(candidates, "db", 2, 2))
 
 
 class TestCustomizedChannel:

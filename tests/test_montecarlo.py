@@ -116,6 +116,7 @@ class TestPlanValidation:
         dict(schemes=("sm", "sm")),
         dict(gamma_th=-1.0),
         dict(base_seed=-1),
+        dict(axis_values=(1e15, 1e15, 1.000000000000000125e15)),
     ])
     def test_rejects_bad_plans(self, overrides):
         with pytest.raises(ConfigurationError):
@@ -131,6 +132,11 @@ class TestPlanValidation:
     def test_integer_axes_reject_non_finite(self, axis, value):
         with pytest.raises(ConfigurationError):
             rl.apply_axis(rl.SystemConfig(), axis, value)
+
+    @pytest.mark.parametrize("axis", ["E_dBm", "kappa_dB"])
+    def test_axis_overflow_is_a_configuration_error(self, axis):
+        with pytest.raises(ConfigurationError, match="out of range"):
+            rl.apply_axis(rl.SystemConfig(), axis, 4000.0)
 
     def test_axis_names_cover_all_sweeps(self):
         assert mc.AXIS_NAMES == (
@@ -157,6 +163,108 @@ class TestPlanValidation:
             applied = mc._grid_config(plan, config, 0)
             got = getattr(applied, field)
             assert got == expected and type(got) is type(expected)
+
+
+def _per_epoch_oracle(config, schemes, grid_index, epoch_index, n_fading_epochs, base_seed,
+                      gamma_th, payload_symbols=None):
+    """The engine one fading epoch at a time: redraw, design and run every
+    epoch on 1-D gains, every scheme with its own selection and designs."""
+    rng = mc.substream(base_seed, grid_index, epoch_index, mc._ANGLES)
+    deployment = rl.place_deployment(config, rng)
+    separation = rl.min_angle_separation(deployment)
+    base_tx, base_rx = [], []
+    for k in range(config.n_ris):
+        base_tx.append(rl.draw_tx_ris_channel(config, deployment, k, rng, separation))
+        base_rx.append(rl.draw_ris_rx_channel(config, deployment, k, rng, separation,
+                                              keep_away=base_tx[-1].arrival_freqs))
+    mismatched = config.angle_error_std > 0
+    template_rx = base_rx
+    if mismatched:
+        err_rng = mc.substream(base_seed, grid_index, epoch_index, mc._MISMATCH)
+        template_rx = [rl.inject_angle_error(ch, config.angle_error_std, err_rng)
+                       for ch in base_rx]
+    candidates = np.array([ch.arrival_freqs for ch in template_rx])
+    selections = {
+        "sm": lambda: rl.select_paths_sm(candidates, config.n_rx),
+        "bf": lambda: rl.select_paths_bf(candidates, config.n_rx),
+        "ds": lambda: rl.select_paths_diversity(candidates, "ds", config.n_slots, config.n_rx),
+        "db": lambda: rl.select_paths_diversity(candidates, "db", config.n_slots, config.n_rx),
+    }
+    selections = {scheme: selections[scheme]() for scheme in schemes}
+    runners = {
+        "sm": lambda customs: rl.run_sm(customs[0], config, gamma_th),
+        "bf": lambda customs: rl.run_bf(customs[0], config, gamma_th),
+        "ds": lambda customs: rl.run_ds(customs, config, gamma_th),
+        "db": lambda customs: rl.run_db(customs, config, gamma_th),
+    }
+    out = {scheme: [] for scheme in schemes}
+    for fading_index in range(n_fading_epochs):
+        fading_rng = mc.substream(base_seed, grid_index, epoch_index, fading_index, mc._FADING)
+        cur_tx, cur_rx = [], []
+        for k in range(config.n_ris):
+            cur_tx.append(rl.redraw_fading(base_tx[k], config, deployment, fading_rng))
+            cur_rx.append(rl.redraw_fading(base_rx[k], config, deployment, fading_rng))
+        est_rx = cur_rx
+        if mismatched:
+            est_rx = [dataclasses.replace(t, gains=c.gains) for t, c in zip(template_rx, cur_rx)]
+        for scheme in schemes:
+            selection = selections[scheme]
+            customs = [
+                rl.build_customized_channel(
+                    selection, (cur_tx, est_rx), deployment, slot=m,
+                    refine=scheme in ("bf", "db"),
+                    exact_subchannels=(cur_tx, cur_rx) if mismatched else None,
+                )
+                for m in range(selection.n_slots)
+            ]
+            if payload_symbols is None:
+                out[scheme].append(runners[scheme](customs))
+            else:
+                payload_rng = mc.substream(base_seed, grid_index, epoch_index, fading_index,
+                                           mc._PAYLOAD)
+                out[scheme].append(rl.ber_trial(scheme, customs, config,
+                                                payload_symbols[scheme], payload_rng, gamma_th))
+    return out
+
+
+class TestStackedEngine:
+    """``_angle_epoch`` runs an angle epoch's fading epochs as stacked
+    arrays; every result field must equal the per-epoch engine's."""
+
+    @pytest.mark.parametrize("path", ["se", "ber"])
+    @pytest.mark.parametrize("sigma_e", [0.0, 0.05])
+    @pytest.mark.parametrize("n_slots", [1, 2, 3])
+    def test_matches_per_epoch_oracle(self, n_slots, sigma_e, path):
+        schemes = ("sm", "bf", "ds", "db")
+        payload = {scheme: 40 for scheme in schemes} if path == "ber" else None
+        for seed, grid_index, epoch_index, power in ((BASE_SEED, 0, 0, 1.0), (7, 3, 2, 1e-3)):
+            config = rl.SystemConfig(n_slots=n_slots, angle_error_std=sigma_e,
+                                     transmit_power=power)
+            args = (config, schemes, grid_index, epoch_index, 4, seed, 10.0, payload)
+            stacked = mc._angle_epoch(*args)
+            oracle = _per_epoch_oracle(*args)
+            for scheme in schemes:
+                assert len(stacked[scheme]) == 4
+                assert stacked[scheme] == oracle[scheme]
+
+    @pytest.mark.parametrize("schemes", [("ds",), ("db", "sm"), ("bf", "ds", "db")])
+    def test_scheme_subsets_match_per_epoch_oracle(self, schemes):
+        config = rl.SystemConfig(n_slots=2, n_rx=2)
+        args = (config, schemes, 1, 0, 3, 11, 10.0)
+        assert mc._angle_epoch(*args) == _per_epoch_oracle(*args)
+
+    def test_hopping_schemes_share_slot_zero(self, monkeypatch):
+        built = []
+        original = mc.build_customized_channel
+
+        def counting(selection, *args, slot=0, **kwargs):
+            built.append((selection.scheme, slot))
+            return original(selection, *args, slot=slot, **kwargs)
+
+        monkeypatch.setattr(mc, "build_customized_channel", counting)
+        config = rl.SystemConfig(n_slots=2)
+        mc._angle_epoch(config, ("sm", "bf", "ds", "db"), 0, 0, 3, BASE_SEED, 10.0)
+        assert sorted(built) == [("bf", 0), ("db", 1), ("ds", 1), ("sm", 0)]
 
 
 class TestEstimators:
@@ -282,6 +390,31 @@ class TestEstimators:
         plan = _plan(axis_values=(0.0, 20.0), schemes=("sm", "bf", "ds", "db"),
                      n_angle_epochs=3, n_fading_epochs=3)
         result = rl.estimate_ergodic_se(plan, config, use_model=True)
+        for scheme, means in expected.items():
+            assert [repr(m) for m in result.means[scheme]] == [repr(m) for m in means]
+
+    # Exact-rate means frozen repr-exact, written by the per-epoch engine:
+    # the golden CSVs keep 12 digits, so a last-bit drift of the exact
+    # log-det or matched-filter rate shows only here.
+    @pytest.mark.parametrize("sigma_e, expected", [
+        (0.0, {
+            "sm": (0.09577394068750487, 4.374843683873725),
+            "bf": (0.20770334280578054, 3.2825022256635212),
+            "ds": (0.06925611098140246, 3.1860729872734175),
+            "db": (0.15253029795706471, 2.2648114895476272),
+        }),
+        (0.05, {
+            "sm": (0.022345119187871767, 1.1474137977265122),
+            "bf": (0.007944905461249917, 0.8965968875387205),
+            "ds": (0.014993086946659398, 0.6191955723188914),
+            "db": (0.02388894503315819, 0.5908533165388543),
+        }),
+    ])
+    def test_exact_rate_means_frozen(self, sigma_e, expected):
+        config = rl.SystemConfig(n_slots=2, angle_error_std=sigma_e)
+        plan = _plan(axis_values=(0.0, 20.0), schemes=("sm", "bf", "ds", "db"),
+                     n_angle_epochs=3, n_fading_epochs=3)
+        result = rl.estimate_ergodic_se(plan, config)
         for scheme, means in expected.items():
             assert [repr(m) for m in result.means[scheme]] == [repr(m) for m in means]
 

@@ -248,3 +248,54 @@ class TestBitErrorTrials:
         with pytest.raises(ValueError):
             rl.ber_trial("sm", [custom], config, 0,
                          rl.substream(BASE_SEED, 92))
+
+
+class TestStackedEpochs:
+    """A design over stacked fading epochs against one design per epoch."""
+
+    RUNNERS = {
+        "sm": lambda customs, config: rl.run_sm(customs[0], config),
+        "bf": lambda customs, config: rl.run_bf(customs[0], config),
+        "ds": rl.run_ds,
+        "db": rl.run_db,
+    }
+
+    @pytest.mark.parametrize("scheme, n_slots", [("sm", 1), ("bf", 1), ("ds", 2), ("db", 3)])
+    def test_stacked_design_and_runners_match_each_epoch(self, scheme, n_slots):
+        config = small_config(n_slots=n_slots)
+        deployment, ups, downs = draw_scene(config, BASE_SEED, 93)
+        candidates = candidate_matrix(downs)
+        selection = (rl.select_paths_diversity(candidates, scheme, n_slots, config.n_rx)
+                     if n_slots > 1 else
+                     (rl.select_paths_sm if scheme == "sm" else rl.select_paths_bf)(
+                         candidates, config.n_rx))
+        keys = range(3)
+        rngs = [rl.substream(BASE_SEED, 94, f) for f in keys]
+        stacked_sub = ([], [])
+        for up, down in zip(ups, downs):  # each generator's draw order of a single epoch
+            stacked_sub[0].append(rl.redraw_fading(up, config, deployment, rngs))
+            stacked_sub[1].append(rl.redraw_fading(down, config, deployment, rngs))
+        refine = scheme in ("bf", "db")
+        stacked = [rl.build_customized_channel(selection, stacked_sub, deployment, slot=m,
+                                               refine=refine) for m in range(n_slots)]
+        results = self.RUNNERS[scheme](stacked, config)
+        assert len(results) == len(keys)
+        for f in keys:
+            rng = rl.substream(BASE_SEED, 94, f)
+            single_ups, single_downs = [], []
+            for up, down in zip(ups, downs):
+                single_ups.append(rl.redraw_fading(up, config, deployment, rng))
+                single_downs.append(rl.redraw_fading(down, config, deployment, rng))
+            singles = [rl.build_customized_channel(selection, (single_ups, single_downs),
+                                                   deployment, slot=m, refine=refine)
+                       for m in range(n_slots)]
+            for custom, single in zip(stacked, singles):
+                view = custom.epoch(f)
+                for name in ("r_active", "t_active", "xi_active", "exact_h"):
+                    assert getattr(view, name).tobytes() == getattr(single, name).tobytes()
+                assert [(g.slope, g.common_phase) for g in view.gammas] == \
+                    [(g.slope, g.common_phase) for g in single.gammas]
+            assert results[f] == self.RUNNERS[scheme](singles, config)
+            assert rl.ber_trial(scheme, [c.epoch(f) for c in stacked], config, 50,
+                                rl.substream(BASE_SEED, 95, f)) == \
+                rl.ber_trial(scheme, singles, config, 50, rl.substream(BASE_SEED, 95, f))
