@@ -83,11 +83,6 @@ def _response_matrix(n_elements: int, freqs: np.ndarray) -> np.ndarray:
     return np.exp(1j * phases) / math.sqrt(n_elements)
 
 
-def _circular_gap(a: np.ndarray, b: float) -> np.ndarray:
-    """Distance between spatial frequencies on the 2*pi circle."""
-    return np.abs((a - b + math.pi) % (2.0 * math.pi) - math.pi)
-
-
 def _draw_separated_freqs(
     rng: np.random.Generator,
     count: int,
@@ -103,14 +98,17 @@ def _draw_separated_freqs(
     so a near-degenerate geometry (a surface with very few elements) slows
     the draw down instead of deadlocking it.
     """
-    taken = list(np.atleast_1d(np.asarray(keep_away, dtype=float)))
+    taken = np.atleast_1d(np.asarray(keep_away, dtype=float)).tolist()
     total = count + len(taken)
     separation = min(separation, 2.0 * math.pi / (2.0 * total))
+    pi, two_pi = math.pi, 2.0 * math.pi
     out = []
     for _ in range(count):
         for _ in range(max_attempts):
-            freq = math.pi * math.cos(rng.uniform(0.0, math.pi))
-            if not taken or _circular_gap(np.array(taken), freq).min() >= separation:
+            freq = pi * math.cos(rng.uniform(0.0, pi))
+            # Python's float % is numpy's remainder (fmod plus a sign fix),
+            # so this test decides as its numpy array form does, bit for bit.
+            if all(abs((t - freq + pi) % two_pi - pi) >= separation for t in taken):
                 out.append(freq)
                 taken.append(freq)
                 break

@@ -36,6 +36,7 @@ from .montecarlo import (
     SweepResult,
     TrialPlan,
     apply_axis,
+    check_axis_grid,
     closed_form_companions,
     estimate_ber,
     estimate_ergodic_se,
@@ -205,6 +206,7 @@ def _write_closed_form_sweep(config: SystemConfig, axis_spec: str, path: str) ->
     """Closed-form-only sweep: the metric column carries each scheme's
     primary closed form (approximation where one exists, bound otherwise)."""
     axis_name, axis_values = _parse_axis(axis_spec)
+    check_axis_grid(axis_values)
     configs = [apply_axis(config, axis_name, value) for value in axis_values]
     schemes = ("sm", "bf", "db")
     result = SweepResult("closed_form", axis_name, axis_values, schemes)

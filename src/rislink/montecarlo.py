@@ -101,6 +101,15 @@ def apply_axis(config: SystemConfig, axis_name: str, value: float) -> SystemConf
         raise ConfigurationError(f"axis value {axis_name}={value} is out of range") from exc
 
 
+def check_axis_grid(axis_values: tuple[float, ...]) -> None:
+    """Reject an empty sweep grid, or one that is not strictly ascending
+    (a step below the values' resolution repeats a value)."""
+    if not axis_values:
+        raise ConfigurationError("sweep grid must be non-empty")
+    if any(a >= b for a, b in zip(axis_values, axis_values[1:])):
+        raise ConfigurationError("sweep grid must be strictly ascending (no repeated value)")
+
+
 @dataclass(frozen=True)
 class TrialPlan:
     """What to estimate: schemes, sweep axis, epoch counts, seed."""
@@ -121,10 +130,7 @@ class TrialPlan:
             )
         if self.n_angle_epochs < 1 or self.n_fading_epochs < 1:
             raise ConfigurationError("epoch counts must be at least 1")
-        if not self.axis_values:
-            raise ConfigurationError("sweep grid must be non-empty")
-        if any(a >= b for a, b in zip(self.axis_values, self.axis_values[1:])):
-            raise ConfigurationError("sweep grid must be strictly ascending (no repeated value)")
+        check_axis_grid(self.axis_values)
         if not self.schemes:
             raise ConfigurationError("need at least one scheme")
         for scheme in self.schemes:

@@ -21,7 +21,15 @@ from .channel import (
     draw_tx_ris_channel,
 )
 from .config import SystemConfig, place_deployment
-from .customize import build_customized_channel, select_paths_sm
+from .customize import (
+    _bounded_minimum,
+    _candidate_gram,
+    _head_prefixes,
+    _search_terms,
+    _slab_minima,
+    build_customized_channel,
+    select_paths_sm,
+)
 from .montecarlo import TrialPlan, estimate_ergodic_se, substream
 from .ris import RisConfiguration, align_phases
 from .transceive import run_sm
@@ -138,6 +146,22 @@ def _check_selection() -> str:
     return f"pairs {got}"
 
 
+def _check_selection_bound() -> str:
+    config = SystemConfig(n_ris_rx_paths=20)
+    _, _, downs = _draw_scene(config, seed=17)
+    gram = _candidate_gram(np.stack([d.arrival_freqs for d in downs]), config.n_rx)
+    groups = [np.arange(20) + 20 * k for k in range(config.n_ris)]
+    evaluated = []
+    for target in (0.0, 1.0):
+        unary, pairs = _search_terms(gram, groups, target)
+        heads = _head_prefixes(unary)
+        bounded, count = _bounded_minimum(unary, pairs)
+        unpruned = min(_slab_minima(unary, pairs, heads, np.arange(len(heads[0]))))
+        assert repr(bounded) == repr(unpruned), f"target {target}: {bounded} != {unpruned}"
+        evaluated.append(count)
+    return f"sm, bf targets evaluate {evaluated[0]}, {evaluated[1]} of {len(heads[0])} prefixes"
+
+
 def _check_power_and_run() -> str:
     config = SystemConfig(n_ris=2, n_rx=2, n_ris_rx_paths=4, n_nlos_tx_paths=1)
     deployment, ups, downs = _draw_scene(config, seed=9)
@@ -173,6 +197,7 @@ _CHECKS = (
     ("phase-alignment", _check_alignment),
     ("exp-integral", _check_exp_integral),
     ("path-selection", _check_selection),
+    ("selection-bound", _check_selection_bound),
     ("transceive", _check_power_and_run),
     ("determinism", _check_determinism),
 )

@@ -17,6 +17,29 @@ from rislink.selftest import dense_composite, hop_matrix
 from conftest import BASE_SEED, candidate_matrix, draw_scene, random_gammas, small_config
 
 
+def _circular_gap(a: np.ndarray, b: float) -> np.ndarray:
+    """Distance between spatial frequencies on the 2*pi circle, over an array."""
+    return np.abs((a - b + math.pi) % (2.0 * math.pi) - math.pi)
+
+
+def _draw_separated_freqs_oracle(rng, count, keep_away, separation, max_attempts=100_000):
+    """The rejection sampler as first written: each try rebuilds the taken
+    set as an array and tests the numpy circular gap."""
+    taken = list(np.atleast_1d(np.asarray(keep_away, dtype=float)))
+    separation = min(separation, 2.0 * math.pi / (2.0 * (count + len(taken))))
+    out = []
+    for _ in range(count):
+        for _ in range(max_attempts):
+            freq = math.pi * math.cos(rng.uniform(0.0, math.pi))
+            if not taken or _circular_gap(np.array(taken), freq).min() >= separation:
+                out.append(freq)
+                taken.append(freq)
+                break
+        else:
+            raise rl.SamplingError(f"angle sampling failed after {max_attempts} attempts")
+    return np.array(out)
+
+
 def _inner(n: int, freq_a: float, freq_b: float) -> complex:
     return complex(np.vdot(rl.array_response(n, freq_a),
                            rl.array_response(n, freq_b)))
@@ -271,6 +294,35 @@ class TestMultipathDraws:
             _draw_separated_freqs(rl.substream(BASE_SEED, 24), 40, np.array([0.0]), 10.0,
                                   max_attempts=1)
         assert issubclass(rl.SamplingError, rl.RislinkError)
+
+    @pytest.mark.parametrize("keep_away", [
+        (),
+        (0.0,),
+        (math.pi,),
+        (-math.pi,),
+        (np.nextafter(math.pi, 0.0), np.nextafter(-math.pi, 0.0)),
+        (math.pi - 1e-9, -math.pi + 1e-9, 0.5),
+    ])
+    def test_scalar_gap_check_matches_array_oracle(self, keep_away):
+        # The sampler tests each draw's circular gaps with Python floats;
+        # the draws, and what they leave of the stream, must be bitwise
+        # those of the gap computed over a numpy array.
+        for key in range(20):
+            separation = 2.0 * math.pi / (8 + 4 * key)
+            rng, oracle_rng = rl.substream(BASE_SEED, 25, key), rl.substream(BASE_SEED, 25, key)
+            got = _draw_separated_freqs(rng, 6, np.array(keep_away), separation)
+            expected = _draw_separated_freqs_oracle(oracle_rng, 6, np.array(keep_away), separation)
+            assert got.tolist() == expected.tolist()
+            assert rng.random(4).tolist() == oracle_rng.random(4).tolist()
+
+    def test_scalar_gap_equals_array_gap_across_the_wrap(self):
+        edges = [math.pi, -math.pi, np.nextafter(math.pi, 0.0), np.nextafter(-math.pi, 0.0),
+                 0.0, -0.0, 1e-300, 2.0 * math.pi / 3.0]
+        values = np.concatenate([edges, rl.substream(BASE_SEED, 26).uniform(-4.0, 4.0, 200)])
+        two_pi = 2.0 * math.pi
+        for freq in values.tolist():
+            scalar = [abs((t - freq + math.pi) % two_pi - math.pi) for t in values.tolist()]
+            assert scalar == _circular_gap(values, freq).tolist()
 
     def test_near_degenerate_geometry_still_draws(self):
         # A surface with very few elements would demand more angular

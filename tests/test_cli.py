@@ -314,6 +314,15 @@ class TestExitCodes:
         with pytest.raises(Simulated):
             cli.main(argv[:4] + ["E_dBm=0:10:20"] + argv[5:])
 
+    def test_closed_form_sweep_rejects_repeated_grid_values(self, capsys, tmp_path):
+        # A step below the resolution of 1e15 labels every row 1e+15.
+        out = tmp_path / "closed.csv"
+        argv = ["analyze", "--axis", "sigma_e=1e15:0.05:1.000000000000000125e15",
+                "--output", str(out)]
+        assert _run(argv) == cli.EXIT_BAD_CONFIG
+        assert "error: sweep grid must be strictly ascending" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulator_failure_prints_error_line(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise rl.SamplingError("angle sampling failed after 1 attempts")

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 import rislink as rl
-from rislink.customize import DEFAULT_SEARCH_CAP, _best_tuple, _candidate_gram
+from rislink import customize
+from rislink.customize import (
+    DEFAULT_SEARCH_CAP,
+    DENSE_SEARCH_LIMIT,
+    _best_tuple,
+    _candidate_gram,
+)
 from rislink.errors import SearchSpaceError, SelectionInfeasibleError
 
 from conftest import BASE_SEED, candidate_matrix, draw_scene, small_config
@@ -87,6 +93,55 @@ class TestBestTuple:
             for target in (0.0, 1.0):
                 got = _best_tuple(gram, groups, target, DEFAULT_SEARCH_CAP)
                 assert repr(got) == repr(_best_tuple_oracle(gram, groups, target))
+
+    @pytest.mark.parametrize(
+        "key, mode", list(enumerate(["random", "duplicated", "unequal", "constant"]))
+    )
+    def test_bounded_search_matches_oracle_repr_exact(self, key, mode):
+        # Above the dense limit with three or more groups, the search skips
+        # slabs by bound; it must still return the oracle's tuple and value.
+        rng = rl.substream(BASE_SEED, 61, key)
+        path_ranges = {3: (29, 31), 4: (15, 31), 5: (10, 16)}
+        for trial in range(6):
+            n_groups = 3 + trial % 3
+            n_paths = int(rng.integers(*path_ranges[n_groups]))
+            candidates = rng.uniform(-math.pi, math.pi, (n_groups, n_paths))
+            if mode == "duplicated":
+                candidates[:, -1] = candidates[:, 0]
+                candidates[-1] = candidates[0]
+            gram = _candidate_gram(candidates, int(rng.integers(1, 6)))
+            if mode == "constant":
+                gram = np.full_like(gram, 0.5 + 0.25j)
+            groups = [np.arange(n_paths) + k * n_paths for k in range(n_groups)]
+            if mode == "unequal":
+                # As in the later hopping slots: each group keeps its unused paths.
+                groups = [np.sort(rng.permutation(g)[: n_paths - int(rng.integers(0, 4))])
+                          for g in groups]
+            assert math.prod(len(g) for g in groups) > DENSE_SEARCH_LIMIT
+            for target in (0.0, 1.0):
+                got = _best_tuple(gram, groups, target, DEFAULT_SEARCH_CAP)
+                assert repr(got) == repr(_best_tuple_oracle(gram, groups, target))
+                if mode == "constant":
+                    assert got[0] == (0,) * n_groups
+
+    def test_bounded_search_prunes(self, monkeypatch):
+        evaluated = []
+
+        def counted(unary, pairs):
+            found = bounded(unary, pairs)
+            evaluated.append(found[1])
+            return found
+
+        bounded = customize._bounded_minimum
+        monkeypatch.setattr(customize, "_bounded_minimum", counted)
+        candidates = rl.substream(BASE_SEED, 62).uniform(-math.pi, math.pi, (4, 30))
+        gram = _candidate_gram(candidates, 4)
+        groups = [np.arange(30) + k * 30 for k in range(4)]
+        for target in (0.0, 1.0):
+            got = _best_tuple(gram, groups, target, DEFAULT_SEARCH_CAP)
+            assert repr(got) == repr(_best_tuple_oracle(gram, groups, target))
+        assert len(evaluated) == 2
+        assert all(1 <= count < 30 * 30 for count in evaluated), evaluated
 
 
 class TestMultiplexSelection:
