@@ -18,6 +18,7 @@ import numpy as np
 from . import analysis
 from .config import (
     SystemConfig,
+    db2lin,
     dump_config,
     load_config,
     parse_config_value,
@@ -127,6 +128,16 @@ def _load_effective_config(cmd: Command) -> SystemConfig:
     return config
 
 
+def _outage_threshold(gamma_th_db: float) -> float:
+    """Linear outage threshold of a finite ``--gamma-th-db``."""
+    if not math.isfinite(gamma_th_db):
+        raise ConfigurationError(f"outage threshold {gamma_th_db} dB must be finite")
+    try:
+        return db2lin(gamma_th_db)
+    except OverflowError as exc:
+        raise ConfigurationError(f"outage threshold {gamma_th_db} dB is out of range") from exc
+
+
 def _build_plan(cmd: Command, schemes_csv: str, axis_spec: str) -> TrialPlan:
     axis_name, axis_values = _parse_axis(axis_spec)
     schemes = tuple(s.strip() for s in schemes_csv.split(",") if s.strip())
@@ -137,7 +148,7 @@ def _build_plan(cmd: Command, schemes_csv: str, axis_spec: str) -> TrialPlan:
         n_angle_epochs=int(cmd.options["angle_epochs"]),
         n_fading_epochs=int(cmd.options["fading_epochs"]),
         base_seed=int(cmd.options["seed"]),
-        gamma_th=10.0 ** (float(cmd.options["gamma_th_db"]) / 10.0),
+        gamma_th=_outage_threshold(float(cmd.options["gamma_th_db"])),
     )
 
 
@@ -381,5 +392,4 @@ def main(argv: list[str] | None = None) -> None:
 
 
 if __name__ == "__main__":
-    np.seterr(over="raise")
     main()

@@ -14,6 +14,8 @@ ride along a leading epoch axis through the designs and the runners.
 Draws stay per fading epoch: every random draw comes from a counter-based
 stream keyed by ``(base_seed, grid index, epoch indices, purpose)``, so a
 rerun at the same seed reproduces every result bit for bit.
+Every scheme of a fading epoch reads that epoch's one payload stream, so
+``ds``/``db`` continue the ``sm``/``bf`` bit-error trial in one pass.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import ConfigurationError
 from .transceive import (
     DEFAULT_OUTAGE_THRESHOLD,
     SchemeResult,
-    ber_trial,
+    payload_errors,
     run_bf,
     run_db,
     run_ds,
@@ -142,8 +144,8 @@ class TrialPlan:
             raise ConfigurationError(f"duplicate scheme in {','.join(self.schemes)}")
         if self.base_seed < 0:
             raise ConfigurationError("seed must be non-negative")
-        if self.gamma_th < 0:
-            raise ConfigurationError("outage threshold must be non-negative")
+        if not math.isfinite(self.gamma_th) or self.gamma_th < 0:
+            raise ConfigurationError("outage threshold must be finite and non-negative")
 
 
 @dataclass
@@ -213,6 +215,26 @@ _RUNNERS = {
 }
 
 
+def _payload_ladders(
+    schemes: tuple[str, ...], payload_symbols: dict[str, int]
+) -> list[tuple[str, ...]]:
+    """Group the schemes into payload passes, shortest rung first.
+
+    ``sm`` and ``ds`` (``bf`` and ``db``) share a pass when both run with
+    the same payload size: the hopping scheme's slot 0 is then the
+    single-configuration design, fed the same bits and slot-0 noise.  Any
+    other scheme runs a pass of its own.
+    """
+    ladders = []
+    for single, hopping in (("sm", "ds"), ("bf", "db")):
+        if single in schemes and hopping in schemes and \
+                payload_symbols[single] == payload_symbols[hopping]:
+            ladders.append((single, hopping))
+        else:
+            ladders.extend((scheme,) for scheme in (single, hopping) if scheme in schemes)
+    return ladders
+
+
 def _angle_epoch(
     config: SystemConfig,
     schemes: tuple[str, ...],
@@ -229,7 +251,9 @@ def _angle_epoch(
     transmit-side gains, then receive-side gains); the draws are stacked
     into (F, L) gain arrays per hop.  Every distinct (active surfaces,
     slot paths, refinement) design is built once for all F epochs, so
-    ``sm``/``ds`` and ``bf``/``db`` share their slot 0.
+    ``sm``/``ds`` and ``bf``/``db`` share their slot 0.  With
+    ``payload_symbols``, each of :func:`_payload_ladders` runs one payload
+    pass per fading epoch, and each rung takes the errors after its slots.
     """
     rng = substream(base_seed, grid_index, epoch_index, _ANGLES)
     deployment = place_deployment(config, rng)
@@ -289,24 +313,33 @@ def _angle_epoch(
         return replace(shared, selection=selection, slot=slot)
 
     out: dict[str, list[SchemeResult]] = {}
+    slot_customs: dict[str, list[CustomizedChannel]] = {}
     for scheme in schemes:
         selection = selections[scheme]
         refine = scheme in ("bf", "db")
         customs = [design(selection, m, refine) for m in range(selection.n_slots)]
-        if payload_symbols is None:
-            out[scheme] = _RUNNERS[scheme](customs, config, gamma_th)
-        else:
-            out[scheme] = [
-                ber_trial(
-                    scheme,
-                    [custom.epoch(fading_index) for custom in customs],
-                    config,
-                    payload_symbols[scheme],
-                    substream(base_seed, grid_index, epoch_index, fading_index, _PAYLOAD),
-                    gamma_th,
+        slot_customs[scheme] = customs
+        out[scheme] = _RUNNERS[scheme](customs, config, gamma_th)
+    if payload_symbols is None:
+        return out
+
+    for ladder in _payload_ladders(schemes, payload_symbols):
+        customs = slot_customs[ladder[-1]]
+        for fading_index in range(n_fading_epochs):
+            sent, errors = payload_errors(
+                [custom.epoch(fading_index) for custom in customs],
+                config,
+                payload_symbols[ladder[-1]],
+                substream(base_seed, grid_index, epoch_index, fading_index, _PAYLOAD),
+                multiplex=ladder[0] in ("sm", "ds"),
+            )
+            for scheme in ladder:
+                results = out[scheme]
+                results[fading_index] = replace(
+                    results[fading_index],
+                    bit_errors=errors[len(slot_customs[scheme]) - 1],
+                    bits_sent=sent,
                 )
-                for fading_index in range(n_fading_epochs)
-            ]
     return out
 
 
@@ -378,6 +411,8 @@ def _sweep(
     """Walk the sweep grid, reducing each scheme's pooled realizations per
     grid point.  ``min_bits`` sends symbol-level payloads instead, splitting
     the bit budget evenly over the plan's epochs."""
+    if min_bits is not None and min_bits < 1:
+        raise ConfigurationError(f"need at least one payload bit, got min_bits={min_bits}")
     reduce = _REDUCERS[metric]
     forms = closed_form_companions if metric in ("se", "se_model") else lambda *_: _NO_FORM
     n_epochs = plan.n_angle_epochs * plan.n_fading_epochs

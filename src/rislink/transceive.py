@@ -11,7 +11,8 @@ The path-hopping schemes run one shaped channel per slot and combine slot
 outputs coherently; the single-configuration runners are literally the
 one-slot case of the same code so reductions are bit-exact.  Designs over
 stacked fading epochs run in one pass and give one result per epoch, equal
-bit for bit to running each epoch on its own.
+bit for bit to running each epoch on its own.  Bit-error payloads
+detect after every slot, so one pass serves every prefix of the slots.
 """
 
 from __future__ import annotations
@@ -87,22 +88,20 @@ def _run_multiplex(
     config: SystemConfig,
     scheme: str,
     gamma_th: float,
-    slots: Sequence[tuple] | None = None,
 ) -> SchemeResult | list[SchemeResult]:
     """Shared multiplexing runner: per-slot combine, rotate, sum, detect.
 
     Each slot's combiner is the activated receive-response stack with its
     columns phase-rotated onto the realized per-stream gains, so slot
     outputs add coherently; stacking slots leaves per-stream noise at
-    ``n_slots * noise_power``.  ``slots`` passes precomputed
-    :func:`_multiplex_slot` terms.  Stacked designs give a list of
-    per-epoch results.
+    ``n_slots * noise_power``.  Stacked designs give a list of per-epoch
+    results.
     """
     _check_slots(customs)
     n_slots = len(customs)
     noise_power = config.noise_power
     n_streams = customs[0].r_active.shape[1]
-    slots = slots or [_multiplex_slot(custom, config) for custom in customs]
+    slots = [_multiplex_slot(custom, config) for custom in customs]
     effective = np.zeros(slots[0][1].shape, dtype=complex)
     model_amplitude = np.zeros(customs[0].xi_active.shape)
     for custom, (_, g, rotation) in zip(customs, slots):
@@ -141,18 +140,16 @@ def _run_beamform(
     config: SystemConfig,
     scheme: str,
     gamma_th: float,
-    combiners: Sequence[np.ndarray] | None = None,
 ) -> SchemeResult | list[SchemeResult]:
     """Shared beamforming runner: matched-filter stacking across slots.
 
-    ``combiners`` passes precomputed :func:`_beam_combiner` outputs.
     Stacked designs give a list of per-epoch results."""
     _check_slots(customs)
     n_slots = len(customs)
     n_active = customs[0].t_active.shape[1]
     exact_power = 0.0
     model_sum = 0.0
-    combiners = combiners or [_beam_combiner(custom, config) for custom in customs]
+    combiners = [_beam_combiner(custom, config) for custom in customs]
     for custom, matched in zip(customs, combiners):
         # Per epoch, the 1-D norm and the scalar power of a single-epoch
         # run: a norm over the last axis sums in another order, and the
@@ -216,22 +213,78 @@ def _qpsk_bits(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return rng.integers(0, 2, size=shape)
 
 
+# Gray-coded QPSK points indexed by 2 * leading bit + trailing bit: the
+# leading bit keys the real sign, the trailing bit the imaginary sign.
+_QPSK_POINTS = (
+    (1.0 - 2.0 * np.array([0, 0, 1, 1])) + 1j * (1.0 - 2.0 * np.array([0, 1, 0, 1]))
+) / math.sqrt(2.0)
+
+
 def _qpsk_modulate(bits: np.ndarray) -> np.ndarray:
-    """Gray-coded QPSK: leading bit keys the real sign, trailing the imaginary."""
-    return ((1.0 - 2.0 * bits[..., 0, :]) + 1j * (1.0 - 2.0 * bits[..., 1, :])) / math.sqrt(2.0)
+    return _QPSK_POINTS[2 * bits[..., 0, :] + bits[..., 1, :]]
 
 
-def _qpsk_detect(observations: np.ndarray) -> np.ndarray:
-    """Sign detection; valid whenever the effective stream gain is real positive."""
-    return np.stack(
-        [(observations.real < 0).astype(np.int64), (observations.imag < 0).astype(np.int64)],
-        axis=-2,
+def _bit_errors(observations: np.ndarray, negative: np.ndarray) -> int:
+    """Sign-detection errors against the sent bits as booleans (a set bit
+    sends a negative component); valid whenever the effective stream gain
+    is real positive."""
+    return int(
+        np.count_nonzero((observations.real < 0) != negative[..., 0, :])
+        + np.count_nonzero((observations.imag < 0) != negative[..., 1, :])
     )
 
 
-def _awgn(rng: np.random.Generator, noise_power: float, shape: tuple[int, ...]) -> np.ndarray:
-    scale = math.sqrt(noise_power / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+def _awgn(
+    rng: np.random.Generator, noise_power: float, received: np.ndarray, scratch: np.ndarray
+) -> None:
+    """Add complex Gaussian noise of power ``noise_power`` to ``received``
+    in place.  The real parts are drawn first, then the imaginary parts,
+    into ``scratch`` of shape ``(2,) + received.shape``."""
+    rng.standard_normal(out=scratch)
+    scratch *= math.sqrt(noise_power / 2.0)
+    received.real += scratch[0]
+    received.imag += scratch[1]
+
+
+def payload_errors(
+    customs: Sequence[CustomizedChannel],
+    config: SystemConfig,
+    symbols: int,
+    rng: np.random.Generator,
+    multiplex: bool,
+) -> tuple[int, tuple[int, ...]]:
+    """Push Gray-coded QPSK payload through the exact slot channels.
+
+    ``symbols`` channel uses are simulated at once; multiplexing carries
+    one QPSK symbol per stream per use, beamforming one per use.  Slot
+    outputs are combined coherently, exactly as in the spectral-efficiency
+    runners, and sign-detected after every slot.  Returns the bits sent
+    and the cumulative bit errors after each slot: entry ``m`` is what a
+    trial on ``customs[:m + 1]`` counts with the same generator, because
+    the bits and each slot's noise are drawn in slot order.
+    """
+    if symbols < 1:
+        raise ValueError("need at least one symbol")
+    n_streams = customs[0].r_active.shape[1]
+    bits = _qpsk_bits(rng, (n_streams, 2, symbols) if multiplex else (2, symbols))
+    sent = _qpsk_modulate(bits)
+    negative = bits.astype(bool)
+    combined = np.zeros(sent.shape, dtype=complex)
+    scratch = np.empty((2, customs[0].exact_h.shape[0], symbols))
+    errors = []
+    for custom in customs:
+        if multiplex:
+            f, _, rotation = _multiplex_slot(custom, config)
+            received = custom.exact_h @ (f @ sent)
+            _awgn(rng, config.noise_power, received, scratch)
+            combined += rotation[:, None] * (custom.r_active.conj().T @ received)
+        else:
+            matched = _beam_combiner(custom, config)
+            received = np.outer(matched, sent)
+            _awgn(rng, config.noise_power, received, scratch)
+            combined += matched.conj() @ received
+        errors.append(_bit_errors(combined, negative))
+    return int(bits.size), tuple(errors)
 
 
 def ber_trial(
@@ -242,39 +295,13 @@ def ber_trial(
     rng: np.random.Generator,
     gamma_th: float = DEFAULT_OUTAGE_THRESHOLD,
 ) -> SchemeResult:
-    """Push Gray-coded QPSK payload through the exact channel and count errors.
-
-    ``symbols`` channel uses are simulated at once; the multiplexing
-    schemes carry one QPSK symbol per stream per use.  Slot outputs are
-    combined coherently before per-stream sign detection, exactly as in
-    the spectral-efficiency runners.
-    """
-    if symbols < 1:
-        raise ValueError("need at least one symbol")
+    """One scheme's runner result with the bit errors of a payload trial:
+    the last rung of :func:`payload_errors` over all of ``customs``."""
     if scheme in ("sm", "ds"):
-        slots = [_multiplex_slot(custom, config) for custom in customs]
-        base = _run_multiplex(customs, config, scheme, gamma_th, slots)
-        n_streams = customs[0].r_active.shape[1]
-        bits = _qpsk_bits(rng, (n_streams, 2, symbols))
-        sent = _qpsk_modulate(bits)
-        combined = np.zeros((n_streams, symbols), dtype=complex)
-        for custom, (f, _, rotation) in zip(customs, slots):
-            received = custom.exact_h @ (f @ sent)
-            received += _awgn(rng, config.noise_power, received.shape)
-            combined += rotation[:, None] * (custom.r_active.conj().T @ received)
-        detected = _qpsk_detect(combined)
+        base = _run_multiplex(customs, config, scheme, gamma_th)
     elif scheme in ("bf", "db"):
-        combiners = [_beam_combiner(custom, config) for custom in customs]
-        base = _run_beamform(customs, config, scheme, gamma_th, combiners)
-        bits = _qpsk_bits(rng, (2, symbols))
-        sent = _qpsk_modulate(bits)
-        combined = np.zeros(symbols, dtype=complex)
-        for matched in combiners:
-            received = np.outer(matched, sent)
-            received += _awgn(rng, config.noise_power, received.shape)
-            combined += matched.conj() @ received
-        detected = _qpsk_detect(combined)
+        base = _run_beamform(customs, config, scheme, gamma_th)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    errors = int(np.count_nonzero(detected != bits))
-    return dataclasses.replace(base, bit_errors=errors, bits_sent=int(bits.size))
+    sent, errors = payload_errors(customs, config, symbols, rng, scheme in ("sm", "ds"))
+    return dataclasses.replace(base, bit_errors=errors[-1], bits_sent=sent)

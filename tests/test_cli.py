@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -282,6 +286,18 @@ class TestExitCodes:
          cli.EXIT_BAD_CONFIG),
         (["crossing-point", "--n-rx", "2", "--profile", "inf,1e-6,1e-6,1e-6"],
          cli.EXIT_BAD_CONFIG),
+        *(
+            (["ber-sweep", "--scheme", "sm", "--axis", "E_dBm=0",
+              "--output", "/tmp/unused.csv", "--angle-epochs", "1",
+              "--fading-epochs", "1", "--min-bits", bits], cli.EXIT_BAD_CONFIG)
+            for bits in ("-5", "0")
+        ),
+        *(
+            (["outage-sweep", "--scheme", "sm", "--axis", "E_dBm=0",
+              "--output", "/tmp/unused.csv", "--angle-epochs", "1",
+              "--fading-epochs", "1", f"--gamma-th-db={threshold}"], cli.EXIT_BAD_CONFIG)
+            for threshold in ("nan", "inf", "-inf", "1e300")
+        ),
     ])
     def test_error_paths(self, argv, code, capsys):
         assert _run(argv) == code
@@ -322,6 +338,23 @@ class TestExitCodes:
         assert _run(argv) == cli.EXIT_BAD_CONFIG
         assert "error: sweep grid must be strictly ascending" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_entry_points_agree(self, capsys):
+        # An overflowing config value: every entry point reports it the
+        # same way, with an error line and the bad-config status.
+        argv = ["se-sweep", "--scheme", "sm", "--axis", "E_dBm=20",
+                "--output", "/tmp/unused.csv", "--angle-epochs", "1",
+                "--fading-epochs", "1", "--set", "rx_disk_radius=1e300"]
+        assert _run(argv) == cli.EXIT_BAD_CONFIG
+        assert "error:" in capsys.readouterr().err
+        src = str(Path(rl.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        for module in ("rislink", "rislink.cli"):
+            done = subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == cli.EXIT_BAD_CONFIG, (module, done.stderr)
+            assert "error:" in done.stderr and "Traceback" not in done.stderr
 
     def test_simulator_failure_prints_error_line(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):

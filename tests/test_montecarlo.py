@@ -11,6 +11,7 @@ from scipy import stats
 
 import rislink as rl
 import rislink.montecarlo as mc
+from rislink import transceive
 from rislink.channel import _complex_normal
 from rislink.errors import ConfigurationError
 
@@ -117,6 +118,8 @@ class TestPlanValidation:
         dict(gamma_th=-1.0),
         dict(base_seed=-1),
         dict(axis_values=(1e15, 1e15, 1.000000000000000125e15)),
+        dict(gamma_th=math.nan),
+        dict(gamma_th=math.inf),
     ])
     def test_rejects_bad_plans(self, overrides):
         with pytest.raises(ConfigurationError):
@@ -247,11 +250,46 @@ class TestStackedEngine:
                 assert len(stacked[scheme]) == 4
                 assert stacked[scheme] == oracle[scheme]
 
-    @pytest.mark.parametrize("schemes", [("ds",), ("db", "sm"), ("bf", "ds", "db")])
+    @pytest.mark.parametrize("schemes", [
+        ("ds",), ("db", "sm"), ("bf", "ds", "db"), ("sm", "ds"),
+    ])
     def test_scheme_subsets_match_per_epoch_oracle(self, schemes):
         config = rl.SystemConfig(n_slots=2, n_rx=2)
         args = (config, schemes, 1, 0, 3, 11, 10.0)
         assert mc._angle_epoch(*args) == _per_epoch_oracle(*args)
+        payload = {scheme: 60 for scheme in schemes}
+        assert mc._angle_epoch(*args, payload) == _per_epoch_oracle(*args, payload)
+
+    @pytest.mark.parametrize("n_slots", [2, 3])
+    def test_unequal_payloads_run_apart(self, n_slots):
+        # A payload ladder needs equal payload sizes; otherwise each
+        # scheme draws its own bits and noise, as the oracle does.
+        config = rl.SystemConfig(n_slots=n_slots)
+        schemes = ("sm", "bf", "ds", "db")
+        payload = {"sm": 30, "ds": 45, "bf": 70, "db": 70}
+        args = (config, schemes, 2, 1, 3, 5, 10.0, payload)
+        stacked = mc._angle_epoch(*args)
+        assert stacked == _per_epoch_oracle(*args)
+        assert mc._payload_ladders(schemes, payload) == [("sm",), ("ds",), ("bf", "db")]
+        assert all(r.bits_sent == 2 * config.n_rx * 30 for r in stacked["sm"])
+        assert all(r.bits_sent == 2 * config.n_rx * 45 for r in stacked["ds"])
+
+    def test_ladders_draw_each_slot_noise_once(self, monkeypatch):
+        calls = []
+        original = transceive._awgn
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(transceive, "_awgn", counting)
+        schemes = ("sm", "bf", "ds", "db")
+        n_fading = 3
+        mc._angle_epoch(rl.SystemConfig(n_slots=2), schemes, 0, 0, n_fading, BASE_SEED, 10.0,
+                        {scheme: 20 for scheme in schemes})
+        # One pass per ladder and fading epoch, one draw per slot: (sm, ds)
+        # and (bf, db) each draw twice, not 1 + 2 times.
+        assert len(calls) == 4 * n_fading
 
     def test_hopping_schemes_share_slot_zero(self, monkeypatch):
         built = []
@@ -417,6 +455,15 @@ class TestEstimators:
         result = rl.estimate_ergodic_se(plan, config)
         for scheme, means in expected.items():
             assert [repr(m) for m in result.means[scheme]] == [repr(m) for m in means]
+
+    @pytest.mark.parametrize("min_bits", [0, -5])
+    def test_ber_rejects_empty_budget_before_any_epoch(self, min_bits, monkeypatch):
+        def simulated(*args, **kwargs):
+            raise AssertionError("simulated an epoch")
+
+        monkeypatch.setattr(mc, "_angle_epoch", simulated)
+        with pytest.raises(ConfigurationError, match="payload bit"):
+            rl.estimate_ber(_plan(), rl.SystemConfig(), min_bits=min_bits)
 
     def test_ber_bit_budget_met(self):
         config = rl.SystemConfig()

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rislink as rl
+from rislink import transceive
 from rislink.transceive import _beam_precoder, _multiplex_precoder
 
 from conftest import BASE_SEED, candidate_matrix, draw_scene, small_config
@@ -248,6 +249,45 @@ class TestBitErrorTrials:
         with pytest.raises(ValueError):
             rl.ber_trial("sm", [custom], config, 0,
                          rl.substream(BASE_SEED, 92))
+
+
+class TestPayloadRungs:
+    """``payload_errors`` detects after every slot; each rung must equal a
+    pass over that prefix of the slots with the same generator."""
+
+    @pytest.mark.parametrize("scheme", ["ds", "db"])
+    def test_rungs_equal_prefix_passes(self, scheme):
+        config = rl.SystemConfig(n_slots=3, transmit_power=1e-3)
+        customs = _customs(config, (96,), scheme, n_slots=3)
+        multiplex = scheme == "ds"
+        sent, errors = transceive.payload_errors(customs, config, 80,
+                                                 rl.substream(BASE_SEED, 97), multiplex)
+        assert len(errors) == 3
+        for m in range(3):
+            prefix = transceive.payload_errors(customs[:m + 1], config, 80,
+                                               rl.substream(BASE_SEED, 97), multiplex)
+            assert prefix == (sent, errors[:m + 1])
+        assert rl.ber_trial(scheme, customs, config, 80, rl.substream(BASE_SEED, 97)) \
+            .bit_errors == errors[-1]
+
+    def test_modulation_table_matches_mapping(self):
+        bits = rl.substream(BASE_SEED, 98).integers(0, 2, size=(4, 2, 5000))
+        mapped = ((1.0 - 2.0 * bits[..., 0, :]) + 1j * (1.0 - 2.0 * bits[..., 1, :])) \
+            / math.sqrt(2.0)
+        assert transceive._qpsk_modulate(bits).tobytes() == mapped.tobytes()
+
+    def test_noise_matches_complex_draw(self):
+        # In-place real and imaginary adds give the bits of adding
+        # scale * (re + 1j * im) drawn as two arrays.
+        rng = rl.substream(BASE_SEED, 99)
+        received = rng.standard_normal((4, 3000)) + 1j * rng.standard_normal((4, 3000))
+        expected = received.copy()
+        draws = rl.substream(BASE_SEED, 100)
+        expected += math.sqrt(0.3 / 2.0) * (draws.standard_normal(received.shape)
+                                            + 1j * draws.standard_normal(received.shape))
+        transceive._awgn(rl.substream(BASE_SEED, 100), 0.3, received,
+                         np.empty((2,) + received.shape))
+        assert received.tobytes() == expected.tobytes()
 
 
 class TestStackedEpochs:
