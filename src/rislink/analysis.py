@@ -6,6 +6,13 @@ its Jensen upper bound, the beamforming upper bound (with and without
 intra-symbol diversity), elementary symmetric functions, and the
 transmit-power crossing point where the multiplexing bound overtakes the
 beamforming bound.
+
+The Ei kernels run on arrays: every entry follows the scalar recurrence
+in the scalar order with its own stop rule, and takes ``log`` and ``exp``
+from :mod:`math`, so array results equal one-point-at-a-time results bit
+for bit.  :func:`se_sm_approx` takes a whole sweep grid's stream
+constants to one kernel call.  The crossing solver runs on Python floats
+and rejects polynomials whose coefficients leave the float range.
 """
 
 from __future__ import annotations
@@ -22,48 +29,82 @@ _EULER_GAMMA = 0.5772156649015329
 _SERIES_CUTOFF = 6.0
 
 
-def _ei_series(x: float) -> float:
-    """Power series around zero: gamma + ln|x| + sum x^k/(k*k!)."""
-    total = _EULER_GAMMA + math.log(abs(x))
-    term = 1.0
+def _math_map(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` from :mod:`math` on every entry.  numpy's vectorized log and
+    exp may differ from libm in the last bit, so the kernels keep libm."""
+    return np.fromiter(map(fn, memoryview(values)), dtype=float, count=values.size)
+
+
+def _shaped(out: np.ndarray, arr: np.ndarray):
+    """A float for 0-d input, else ``out`` in the input's shape."""
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _ei_series(x):
+    """Power series around zero: gamma + ln|x| + sum x^k/(k*k!).
+
+    Scalar or array; every entry stops after its first term below 1e-22 in
+    magnitude, or after 199 terms, and leaves the working arrays.
+    """
+    arr = np.asarray(x, dtype=float)
+    flat = arr.ravel()
+    out = np.empty_like(flat)
+    active = np.arange(flat.size)
+    xs = flat
+    total = _EULER_GAMMA + _math_map(math.log, np.abs(flat))
+    term = np.ones_like(flat)
     for k in range(1, 200):
-        term *= x / k
+        if not active.size:
+            break
+        term *= xs / k
         contribution = term / k
         total += contribution
-        if abs(contribution) < 1e-22:
-            break
-    return total
+        done = np.abs(contribution) < 1e-22
+        if done.any():
+            out[active[done]] = total[done]
+            keep = ~done
+            active, xs, term, total = active[keep], xs[keep], term[keep], total[keep]
+    out[active] = total
+    return _shaped(out, arr)
 
 
-def _e1_cf_scaled(z: float) -> float:
-    """exp(z) * E1(z) for z >= cutoff via a modified-Lentz continued fraction."""
+def _e1_cf_scaled(z):
+    """exp(z) * E1(z) for z >= cutoff via a modified-Lentz continued fraction.
+
+    Scalar or array; every entry stops once its update ratio is within
+    1e-16 of one and leaves the working arrays.  An entry still running
+    after 499 steps raises :class:`ConvergenceError`.
+    """
     tiny = 1e-300
-    f = z + 1.0
+    arr = np.asarray(z, dtype=float)
+    flat = arr.ravel()
+    out = np.empty_like(flat)
+    active = np.arange(flat.size)
+    zs = flat
+    f = zs + 1.0
     c = f
-    d = 0.0
-    for n in range(1, 500):
-        a = -float(n * n)
-        b = z + 2.0 * n + 1.0
-        d = b + a * d
-        if d == 0.0:
-            d = tiny
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return 1.0 / f
-    raise ConvergenceError(f"E1 continued fraction did not converge at z={z}")
-
-
-def _ei_neg_scalar(x: float) -> float:
-    if not x < 0:
-        raise ValueError("argument must be negative")
-    if x > -_SERIES_CUTOFF:
-        return _ei_series(x)
-    return -math.exp(x) * _e1_cf_scaled(-x)
+    d = np.zeros_like(flat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, 500):
+            if not active.size:
+                break
+            a = -float(n * n)
+            b = zs + 2.0 * n + 1.0
+            d = b + a * d
+            d[d == 0.0] = tiny
+            c = b + a / c
+            c[c == 0.0] = tiny
+            d = 1.0 / d
+            delta = c * d
+            f *= delta
+            done = np.abs(delta - 1.0) < 1e-16
+            if done.any():
+                out[active[done]] = 1.0 / f[done]
+                keep = ~done
+                active, zs, f, c, d = active[keep], zs[keep], f[keep], c[keep], d[keep]
+    if active.size:
+        raise ConvergenceError(f"E1 continued fraction did not converge at z={zs[0]}")
+    return _shaped(out, arr)
 
 
 def exp_integral_ei(x):
@@ -74,31 +115,51 @@ def exp_integral_ei(x):
     array; every entry must be strictly negative.
     """
     arr = np.asarray(x, dtype=float)
-    out = np.empty_like(arr)
-    for idx, val in np.ndenumerate(arr):
-        out[idx] = _ei_neg_scalar(float(val))
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    if not np.all(arr < 0):
+        raise ValueError("argument must be negative")
+    flat = arr.ravel()
+    out = np.empty_like(flat)
+    near = flat > -_SERIES_CUTOFF
+    out[near] = _ei_series(flat[near])
+    tail = flat[~near]
+    out[~near] = -_math_map(math.exp, tail) * _e1_cf_scaled(-tail)
+    return _shaped(out, arr)
 
 
-def scaled_ei_neg(c: float) -> float:
-    """exp(c) * Ei(-c) for c > 0, overflow-free for large c."""
-    if not c > 0:
+def scaled_ei_neg(c):
+    """exp(c) * Ei(-c) for c > 0, overflow-free for large c.
+
+    Accepts a scalar or an array; every entry must be strictly positive.
+    """
+    arr = np.asarray(c, dtype=float)
+    if not np.all(arr > 0):
         raise ValueError("argument must be positive")
-    if c < _SERIES_CUTOFF:
-        return math.exp(c) * _ei_series(-c)
-    return -_e1_cf_scaled(c)
+    flat = arr.ravel()
+    out = np.empty_like(flat)
+    near = flat < _SERIES_CUTOFF
+    head = flat[near]
+    out[near] = _math_map(math.exp, head) * _ei_series(-head)
+    out[~near] = -_e1_cf_scaled(flat[~near])
+    return _shaped(out, arr)
 
 
-def se_sm_approx(c) -> float:
+def se_sm_approx(c):
     """Ergodic multiplexing SE approximation: -(1/ln2) sum exp(c) Ei(-c).
 
     ``c`` holds one positive fading constant per stream (inverse mean
-    stream SNR).
+    stream SNR) and gives a float.  A list of such rows, each at least 1-D,
+    gives a list of floats, with all rows' constants in one Ei kernel
+    call; each row still sums in stream order.
     """
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if np.any(c <= 0):
-        raise ValueError("stream constants must be positive")
-    return float(-sum(scaled_ei_neg(v) for v in c) / math.log(2.0))
+    rows_given = isinstance(c, list) and all(np.ndim(row) for row in c)
+    rows = [np.asarray(row, dtype=float).ravel() for row in (c if rows_given else [c])]
+    values = scaled_ei_neg(np.concatenate([np.empty(0), *rows])).tolist()
+    out, start = [], 0
+    for row in rows:
+        stop = start + row.size
+        out.append(-sum(values[start:stop]) / math.log(2.0))
+        start = stop
+    return out if rows_given else out[0]
 
 
 def se_sm_upper(c) -> float:
@@ -106,7 +167,7 @@ def se_sm_upper(c) -> float:
     c = np.atleast_1d(np.asarray(c, dtype=float))
     if np.any(c <= 0):
         raise ValueError("stream constants must be positive")
-    return float(np.sum(np.log2(1.0 + 1.0 / c)))
+    return float(np.add.reduce(np.log2(1.0 + 1.0 / c)))
 
 
 @dataclass(frozen=True)
@@ -152,9 +213,12 @@ class ClosedFormParams:
             raise ConfigurationError("gain profile needs one entry per surface")
         if self.n_rx > self.n_ris:
             raise ConfigurationError("need n_rx <= n_ris")
-        # The fading constants 1 / (coefficient * profile^2) must be
-        # positive finite floats; the extreme profile entries bound them.
-        coefficient = self.power_coefficient()
+        self._check_range(self.power_coefficient())
+
+    def _check_range(self, coefficient: float) -> None:
+        """The fading constants 1 / (coefficient * profile^2) must be
+        positive finite floats; the extreme profile entries bound them."""
+        entries = self.gain_profile.ravel().tolist()
         high, low = max(entries), min(entries)
         steepest, flattest = coefficient * (high * high), coefficient * (low * low)
         if not (steepest < math.inf and flattest > 0.0 and 1.0 / flattest < math.inf):
@@ -182,10 +246,12 @@ class ClosedFormParams:
             n_slots=config.n_slots,
         )
 
-    def power_coefficient(self) -> float:
-        """Per-unit-profile SNR slope: E * n_tx * kappa / (sigma^2 L (kappa+1))."""
+    def power_coefficient(self, transmit_power: float | None = None) -> float:
+        """Per-unit-profile SNR slope: E * n_tx * kappa / (sigma^2 L (kappa+1)),
+        at the bundle's transmit power E unless another is given."""
+        power = self.transmit_power if transmit_power is None else transmit_power
         return (
-            self.transmit_power
+            power
             * self.n_tx
             * self.rician_factor
             / (
@@ -201,6 +267,14 @@ class ClosedFormParams:
         return 1.0 / (self.power_coefficient() * profile**2)
 
 
+def _bf_bound(params: ClosedFormParams, coefficient: float) -> float:
+    profile = params.gain_profile
+    squares = float(np.add.reduce(profile**2))
+    cross = float(np.add.reduce(profile)) ** 2 - squares
+    scale = coefficient * params.n_rx / params.n_ris
+    return math.log2(1.0 + scale * (squares + math.pi / 4.0 * cross))
+
+
 def se_bf_upper(params: ClosedFormParams) -> float:
     """Jensen upper bound of the beamforming ergodic SE.
 
@@ -208,11 +282,7 @@ def se_bf_upper(params: ClosedFormParams) -> float:
     plus pi/4 times the off-diagonal profile products (the mean magnitude
     of a product of independent unit Rayleigh gains).
     """
-    profile = params.gain_profile
-    squares = float(np.sum(profile**2))
-    cross = float(np.sum(profile)) ** 2 - squares
-    scale = params.power_coefficient() * params.n_rx / params.n_ris
-    return math.log2(1.0 + scale * (squares + math.pi / 4.0 * cross))
+    return _bf_bound(params, params.power_coefficient())
 
 
 def se_db_upper(params: ClosedFormParams, n_slots: int | None = None) -> float:
@@ -224,18 +294,21 @@ def se_db_upper(params: ClosedFormParams, n_slots: int | None = None) -> float:
     m = params.n_slots if n_slots is None else int(n_slots)
     if m < 1:
         raise ConfigurationError("need at least one slot")
-    boosted = ClosedFormParams(
-        transmit_power=m * params.transmit_power,
-        noise_power=params.noise_power,
-        rician_factor=params.rician_factor,
-        n_tx=params.n_tx,
-        n_rx=params.n_rx,
-        n_ris=params.n_ris,
-        n_ris_rx_paths=params.n_ris_rx_paths,
-        gain_profile=params.gain_profile,
-        n_slots=m,
-    )
-    return se_bf_upper(boosted) / m
+    coefficient = params.power_coefficient(m * params.transmit_power)
+    params._check_range(coefficient)
+    return _bf_bound(params, coefficient) / m
+
+
+def _symmetric_sums(values: list[float], order: int) -> list[float]:
+    """Elementary symmetric polynomials of orders 0..order, on floats.
+
+    Each order's accumulator takes the same steps whatever the top order.
+    """
+    acc = [1.0] + [0.0] * order
+    for v in values:
+        for j in range(order, 0, -1):
+            acc[j] += v * acc[j - 1]
+    return acc
 
 
 def sym_func(values, order: int) -> float:
@@ -246,13 +319,7 @@ def sym_func(values, order: int) -> float:
     values = np.atleast_1d(np.asarray(values, dtype=float))
     if not 0 <= order <= values.size:
         raise ValueError(f"order {order} out of range for {values.size} entries")
-    acc = np.zeros(order + 1)
-    acc[0] = 1.0
-    for v in values:
-        upper = min(order, len(acc) - 1)
-        for j in range(upper, 0, -1):
-            acc[j] += v * acc[j - 1]
-    return float(acc[order])
+    return _symmetric_sums(values.ravel().tolist(), order)[order]
 
 
 def _crossing_polynomial(params: ClosedFormParams):
@@ -261,14 +328,18 @@ def _crossing_polynomial(params: ClosedFormParams):
     In the normalized power variable X, the bound gap is
     ``sum_{n>=2} tr_n(mux profile) X^(n-1) - rhs``; a positive root exists
     iff ``rhs > 0`` and is unique because every coefficient is positive.
+    Raises :class:`ConfigurationError` when a coefficient over- or
+    underflows, or the right-hand side is not finite.
     """
-    profile = params.gain_profile
-    mux_sq = profile[: params.n_rx] ** 2
-    all_sq = profile**2
+    profile = params.gain_profile.tolist()
+    squares = (params.gain_profile**2).tolist()
+    mux = _symmetric_sums(squares[: params.n_rx], params.n_rx)
     rhs = (params.n_rx / params.n_ris) * (
-        sym_func(all_sq, 1) + (math.pi / 2.0) * sym_func(profile, 2)
-    ) - sym_func(mux_sq, 1)
-    coeffs = [sym_func(mux_sq, n) for n in range(2, params.n_rx + 1)]
+        _symmetric_sums(squares, 1)[1] + (math.pi / 2.0) * _symmetric_sums(profile, 2)[2]
+    ) - mux[1]
+    coeffs = mux[2:]
+    if not (all(0.0 < c < math.inf for c in coeffs) and math.isfinite(rhs)):
+        raise ConfigurationError("crossing-point polynomial leaves the floating-point range")
     return coeffs, rhs
 
 
@@ -277,28 +348,35 @@ def crossing_point(params: ClosedFormParams) -> float:
     beamforming bound.
 
     Solves the normalized polynomial by doubling to bracket and bisecting
-    to 1e-13 relative width; raises :class:`NoCrossingError` when the
-    beamforming bound never leads (right-hand side non-positive).
+    to 1e-13 relative width (or until the midpoint repeats an endpoint);
+    raises :class:`NoCrossingError` when the beamforming bound never leads
+    (right-hand side non-positive) or the bracket leaves the float range.
     """
     if params.n_rx < 2:
         raise ValueError("crossing point needs at least two streams")
     coeffs, rhs = _crossing_polynomial(params)
     if rhs <= 0:
         raise NoCrossingError("bounds do not cross at positive power")
+    terms = tuple(enumerate(coeffs, start=1))
 
     def gap(x: float) -> float:
-        return sum(c * x**n for n, c in enumerate(coeffs, start=1)) - rhs
+        return sum([c * x**n for n, c in terms]) - rhs
 
+    # Bracketing past the float range: x**n raises OverflowError, and
+    # doubling past the largest float gives inf.
     hi = 1.0
-    for _ in range(5000):
-        if gap(hi) > 0:
-            break
-        hi *= 2.0
-    else:
-        raise NoCrossingError("failed to bracket the crossing point")
+    try:
+        while not gap(hi) > 0:
+            hi *= 2.0
+            if hi == math.inf:
+                raise OverflowError
+    except OverflowError:
+        raise NoCrossingError("bounds do not cross at a representable power") from None
     lo = 0.0
     while (hi - lo) > 1e-13 * hi:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if gap(mid) > 0:
             hi = mid
         else:

@@ -221,33 +221,40 @@ def _write_closed_form_sweep(config: SystemConfig, axis_spec: str, path: str) ->
     configs = [apply_axis(config, axis_name, value) for value in axis_values]
     schemes = ("sm", "bf", "db")
     result = SweepResult("closed_form", axis_name, axis_values, schemes)
+    companions = closed_form_companions(schemes, configs)
     for scheme in schemes:
-        companions = tuple(closed_form_companions(scheme, cfg) for cfg in configs)
-        result.means[scheme] = tuple(u if math.isnan(a) else a for a, u in companions)
+        pairs = companions[scheme]
+        result.means[scheme] = tuple(u if math.isnan(a) else a for a, u in pairs)
         result.stderrs[scheme] = (0.0,) * len(configs)
-        result.closed_form[scheme] = companions
+        result.closed_form[scheme] = pairs
         result.n_trials[scheme] = (0,) * len(configs)
     write_csv(result, path)
 
 
 def _print_summary(config: SystemConfig) -> None:
+    """Print the closed forms at one config; everything is evaluated before
+    the first line, so a rejected input prints only its error."""
     params = analysis.ClosedFormParams.from_config(config)
     c = params.c_values()
-    print(f"transmit power: {_fmt(config.transmit_power)} W")
-    print(f"stream constants: {', '.join(_fmt(v) for v in c)}")
-    print(f"sm approximation: {_fmt(analysis.se_sm_approx(c))} bits/s/Hz")
-    print(f"sm upper bound:   {_fmt(analysis.se_sm_upper(c))} bits/s/Hz")
-    print(f"bf upper bound:   {_fmt(analysis.se_bf_upper(params))} bits/s/Hz")
-    print(
-        f"db upper bound:   {_fmt(analysis.se_db_upper(params, config.n_slots))}"
-        f" bits/s/Hz (slots={config.n_slots})"
-    )
+    crossing = None
     if config.n_rx >= 2:
         try:
             e_th = analysis.crossing_point(params)
-            print(f"crossing point:   {_fmt(e_th)} W ({watt2dbm(e_th):.2f} dBm)")
+            crossing = f"{_fmt(e_th)} W ({watt2dbm(e_th):.2f} dBm)"
         except NoCrossingError:
-            print("crossing point:   none at positive power")
+            crossing = "none at positive power"
+    lines = [
+        f"transmit power: {_fmt(config.transmit_power)} W",
+        f"stream constants: {', '.join(_fmt(v) for v in c)}",
+        f"sm approximation: {_fmt(analysis.se_sm_approx(c))} bits/s/Hz",
+        f"sm upper bound:   {_fmt(analysis.se_sm_upper(c))} bits/s/Hz",
+        f"bf upper bound:   {_fmt(analysis.se_bf_upper(params))} bits/s/Hz",
+        f"db upper bound:   {_fmt(analysis.se_db_upper(params, config.n_slots))}"
+        f" bits/s/Hz (slots={config.n_slots})",
+    ]
+    if crossing is not None:
+        lines.append(f"crossing point:   {crossing}")
+    print("\n".join(lines))
 
 
 def _cmd_selftest(cmd: Command) -> int:

@@ -100,9 +100,9 @@ class SystemConfig:
     rx_disk_radius: float = 50.0
 
     def __post_init__(self) -> None:
-        for field in dataclasses.fields(self):
-            if field.type == "float" and not math.isfinite(getattr(self, field.name)):
-                raise ConfigurationError(f"{field.name} must be finite")
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
         if self.carrier_frequency <= 0:
             raise ConfigurationError("carrier_frequency must be positive")
         if not (self.n_tx >= self.n_rx >= 1):
@@ -135,6 +135,9 @@ class SystemConfig:
     def replace(self, **changes) -> "SystemConfig":
         """Return a copy with the given fields replaced (re-validated)."""
         return dataclasses.replace(self, **changes)
+
+
+_FLOAT_FIELDS = tuple(f.name for f in dataclasses.fields(SystemConfig) if f.type == "float")
 
 
 def path_loss(dist_tx_ris: float, dist_ris_rx: float, wavelength: float) -> float:
@@ -207,6 +210,14 @@ def _dft_direction_cosines(n_tx: int, dft_offset: float) -> np.ndarray:
     return np.where(v >= 1.0, v - 2.0, v)
 
 
+def _distances(config: SystemConfig) -> str:
+    return (
+        f"ris_axis_distance={config.ris_axis_distance!r}, "
+        f"rx_center_distance={config.rx_center_distance!r}, "
+        f"rx_disk_radius={config.rx_disk_radius!r}"
+    )
+
+
 def place_deployment(
     config: SystemConfig,
     rng: np.random.Generator,
@@ -250,14 +261,25 @@ def place_deployment(
         rx_position = np.asarray(rx_position, dtype=float)
 
     tx_position = np.zeros(2)
-    d_tx = np.linalg.norm(ris_positions - tx_position, axis=1)
-    d_rx = np.linalg.norm(ris_positions - rx_position, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_tx = np.linalg.norm(ris_positions - tx_position, axis=1)
+        d_rx = np.linalg.norm(ris_positions - rx_position, axis=1)
+    if not (np.isfinite(d_tx).all() and np.isfinite(d_rx).all()):
+        raise ConfigurationError(
+            f"deployment distances leave the floating-point range: {_distances(config)}"
+        )
     losses = np.array(
         [path_loss(a, b, config.wavelength) for a, b in zip(d_tx, d_rx)]
     )
-    counts = np.array(
-        [ris_element_count(config.gain_target, loss) for loss in losses], dtype=np.int64
-    )
+    try:
+        counts = np.array(
+            [ris_element_count(config.gain_target, loss) for loss in losses], dtype=np.int64
+        )
+    except OverflowError as exc:
+        raise ConfigurationError(
+            f"surface element counts overflow: gain_target={config.gain_target!r} "
+            f"is too large for the deployment distances {_distances(config)}"
+        ) from exc
     return Deployment(
         tx_position=tx_position,
         rx_position=rx_position,

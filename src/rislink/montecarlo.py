@@ -361,18 +361,31 @@ def _grid_config(plan: TrialPlan, config: SystemConfig, grid_index: int) -> Syst
     return apply_axis(config, plan.axis_name, plan.axis_values[grid_index])
 
 
-def closed_form_companions(scheme: str, config: SystemConfig) -> tuple[float, float]:
-    """Closed-form (approximation, upper bound) SE columns of one scheme at
-    one configuration; NaN where no closed form applies."""
-    params = analysis.ClosedFormParams.from_config(config)
-    if scheme == "sm":
-        c = params.c_values()
-        return (analysis.se_sm_approx(c), analysis.se_sm_upper(c))
-    if scheme == "bf":
-        return (math.nan, analysis.se_bf_upper(params))
-    if scheme == "db":
-        return (math.nan, analysis.se_db_upper(params, config.n_slots))
-    return _NO_FORM
+def closed_form_companions(
+    schemes: tuple[str, ...], configs: list[SystemConfig]
+) -> dict[str, tuple[tuple[float, float], ...]]:
+    """Closed-form (approximation, upper bound) SE columns of every scheme
+    at every configuration of a grid; NaN where no closed form applies.
+
+    Every configuration's parameter bundle is validated, whatever the
+    schemes; the grid's stream constants share one Ei kernel call.
+    """
+    params = [analysis.ClosedFormParams.from_config(cfg) for cfg in configs]
+    out = {}
+    for scheme in schemes:
+        if scheme == "sm":
+            c_rows = [p.c_values() for p in params]
+            uppers = [analysis.se_sm_upper(c) for c in c_rows]
+            out[scheme] = tuple(zip(analysis.se_sm_approx(c_rows), uppers))
+        elif scheme == "bf":
+            out[scheme] = tuple((math.nan, analysis.se_bf_upper(p)) for p in params)
+        elif scheme == "db":
+            out[scheme] = tuple(
+                (math.nan, analysis.se_db_upper(p, cfg.n_slots)) for p, cfg in zip(params, configs)
+            )
+        else:
+            out[scheme] = (_NO_FORM,) * len(configs)
+    return out
 
 
 def _mean_and_stderr(values: list[float]) -> tuple[float, float, int]:
@@ -414,12 +427,14 @@ def _sweep(
     if min_bits is not None and min_bits < 1:
         raise ConfigurationError(f"need at least one payload bit, got min_bits={min_bits}")
     reduce = _REDUCERS[metric]
-    forms = closed_form_companions if metric in ("se", "se_model") else lambda *_: _NO_FORM
     n_epochs = plan.n_angle_epochs * plan.n_fading_epochs
     # Every grid point's config and closed forms first, so bad input fails
     # before any simulation.
     configs = [_grid_config(plan, config, i) for i in range(len(plan.axis_values))]
-    companions = [{scheme: forms(scheme, cfg) for scheme in plan.schemes} for cfg in configs]
+    if metric in ("se", "se_model"):
+        companions = closed_form_companions(plan.schemes, configs)
+    else:
+        companions = {scheme: (_NO_FORM,) * len(configs) for scheme in plan.schemes}
     rows: dict[str, list[tuple]] = {scheme: [] for scheme in plan.schemes}
     for grid_index, cfg in enumerate(configs):
         payload_symbols = None
@@ -431,7 +446,7 @@ def _sweep(
         epochs = _collect_epochs(plan, cfg, grid_index, payload_symbols)
         for scheme in plan.schemes:
             mean, err, n = reduce([r for epoch in epochs for r in epoch[scheme]])
-            rows[scheme].append((mean, err, companions[grid_index][scheme], n))
+            rows[scheme].append((mean, err, companions[scheme][grid_index], n))
     result = SweepResult(metric, plan.axis_name, plan.axis_values, plan.schemes)
     for scheme, columns in rows.items():
         (result.means[scheme], result.stderrs[scheme],

@@ -115,12 +115,17 @@ def _check_alignment() -> str:
 
 def _check_exp_integral() -> str:
     from scipy.integrate import quad
+    from scipy.special import expi
 
     for x in (-0.06875, -1.0, -5.5, -30.0):
         oracle, _ = quad(lambda t: math.exp(t) / t, -np.inf, x)
         ours = analysis.exp_integral_ei(x)
         assert abs(ours - oracle) < 1e-10, f"Ei({x}) = {ours} vs {oracle}"
-    return "matches quadrature at 4 points"
+    # One array call across the series/continued-fraction cutoff at -6.
+    grid = -np.logspace(-8.0, math.log10(700.0), 241)
+    worst = float(np.max(np.abs(analysis.exp_integral_ei(grid) - expi(grid))))
+    assert worst < 1e-12, f"array Ei off scipy.special.expi by {worst:.3e}"
+    return f"matches quadrature at 4 points, expi on {grid.size} to {worst:.1e}"
 
 
 def _check_selection() -> str:

@@ -24,6 +24,138 @@ def _quad_ei(x: float) -> float:
     return value
 
 
+def _oracle_ei_series(x: float) -> float:
+    """Scalar power series around zero: gamma + ln|x| + sum x^k/(k*k!)."""
+    total = 0.5772156649015329 + math.log(abs(x))
+    term = 1.0
+    for k in range(1, 200):
+        term *= x / k
+        contribution = term / k
+        total += contribution
+        if abs(contribution) < 1e-22:
+            break
+    return total
+
+
+def _oracle_e1_cf_scaled(z: float) -> float:
+    """Scalar exp(z) * E1(z) by a modified-Lentz continued fraction."""
+    tiny = 1e-300
+    f = z + 1.0
+    c = f
+    d = 0.0
+    for n in range(1, 500):
+        a = -float(n * n)
+        b = z + 2.0 * n + 1.0
+        d = b + a * d
+        if d == 0.0:
+            d = tiny
+        c = b + a / c
+        if c == 0.0:
+            c = tiny
+        d = 1.0 / d
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return 1.0 / f
+    raise rl.ConvergenceError(f"E1 continued fraction did not converge at z={z}")
+
+
+def _oracle_ei_neg(x: float) -> float:
+    """Scalar Ei on the negative axis, one point at a time."""
+    if not x < 0:
+        raise ValueError("argument must be negative")
+    if x > -6.0:
+        return _oracle_ei_series(x)
+    return -math.exp(x) * _oracle_e1_cf_scaled(-x)
+
+
+def _oracle_scaled_ei_neg(c: float) -> float:
+    if c < 6.0:
+        return math.exp(c) * _oracle_ei_series(-c)
+    return -_oracle_e1_cf_scaled(c)
+
+
+_EI_EDGES = np.array([
+    -1e-300, -1e-8, np.nextafter(-6.0, 0.0), -6.0, np.nextafter(-6.0, -np.inf),
+    -700.0, -745.0, -1e5, -1e300,
+])
+
+
+def _seeded_ei_points(n: int = 20_000) -> np.ndarray:
+    rng = rl.substream(BASE_SEED, 103)
+    sets = [
+        -(10.0 ** rng.uniform(-8.0, math.log10(700.0), n // 2)),
+        -rng.uniform(5.0, 7.0, n // 4),                      # around the cutoff
+        # The continued fraction's stop rule needs delta == 1.0 exactly,
+        # which some z beyond about 1e15 never reach.
+        -(10.0 ** rng.uniform(-300.0, 12.0, n - n // 2 - n // 4)),
+    ]
+    return np.concatenate([*sets, _EI_EDGES])
+
+
+class TestArrayKernelMatchesScalarOracle:
+    """The array kernels must equal the scalar kernels bit for bit."""
+
+    def test_exp_integral_on_seeded_points(self):
+        x = _seeded_ei_points()
+        assert x.size >= 20_000
+        expected = np.array([_oracle_ei_neg(float(v)) for v in x])
+        assert an.exp_integral_ei(x).tobytes() == expected.tobytes()
+
+    def test_exp_integral_keeps_shape(self):
+        x = _seeded_ei_points(2_000)[:2_000].reshape(40, 50)
+        out = an.exp_integral_ei(x)
+        assert out.shape == (40, 50)
+        expected = np.array([_oracle_ei_neg(float(v)) for v in x.ravel()])
+        assert out.ravel().tobytes() == expected.tobytes()
+        assert an.exp_integral_ei(np.empty((0, 3))).shape == (0, 3)
+        assert an.exp_integral_ei(np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("x", [*_EI_EDGES.tolist(), -0.06875, -1.0, -20.0])
+    def test_scalar_and_zero_d_return_float(self, x):
+        for arg in (x, np.float64(x), np.array(x)):
+            value = an.exp_integral_ei(arg)
+            assert type(value) is float
+            assert repr(value) == repr(_oracle_ei_neg(x))
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -0.0, 0.5, math.inf])
+    def test_rejects_nan_zero_and_positive(self, bad):
+        with pytest.raises(ValueError):
+            an.exp_integral_ei(bad)
+        with pytest.raises(ValueError):
+            an.exp_integral_ei(np.array([-1.0, bad, -20.0]))
+
+    def test_scaled_variant_on_seeded_points(self):
+        c = -_seeded_ei_points(4_000)
+        expected = [_oracle_scaled_ei_neg(float(v)) for v in c]
+        assert [an.scaled_ei_neg(float(v)) for v in c] == expected
+
+    def test_unconverged_entry_raises_like_the_scalar_kernel(self):
+        z = 1.364716119505658e82        # delta never lands on exactly 1.0
+        with pytest.raises(rl.ConvergenceError):
+            _oracle_e1_cf_scaled(z)
+        with pytest.raises(rl.ConvergenceError):
+            an._e1_cf_scaled(np.array([6.0, z, 20.0]))
+        with pytest.raises(rl.ConvergenceError):
+            an.exp_integral_ei(np.array([-1.0, -z]))
+
+    def test_stream_sum_matches_scalar_sum(self):
+        rng = rl.substream(BASE_SEED, 104)
+        for n in (1, 2, 4, 9, 12, 17):
+            c = 10.0 ** rng.uniform(-6.0, 3.0, n)
+            expected = -sum(_oracle_scaled_ei_neg(float(v)) for v in c) / math.log(2.0)
+            assert repr(an.se_sm_approx(c)) == repr(float(expected))
+
+    def test_rows_match_one_row_at_a_time(self):
+        rng = rl.substream(BASE_SEED, 105)
+        rows = [10.0 ** rng.uniform(-6.0, 3.0, n) for n in (1, 3, 2, 12, 4)]
+        rows.append(list(rows[1]))
+        assert an.se_sm_approx(rows) == [an.se_sm_approx(c) for c in rows]
+        assert an.se_sm_approx([]) == []
+        with pytest.raises(ValueError):
+            an.se_sm_approx([rows[0], np.array([0.5, -1.0])])
+
+
 class TestExponentialIntegral:
     # Spot values frozen from an mpmath reference implementation
     # (50-digit working precision).
@@ -344,6 +476,68 @@ class TestCrossingPoint:
             dataclasses.replace(base, n_rx=3)
         )
         assert three < two
+
+    @staticmethod
+    def _pinned_sets(n_sets: int = 300):
+        rng = rl.substream(BASE_SEED, 102)
+        sets = []
+        for j in range(n_sets):
+            n_rx = 2 + j % 3
+            n_ris = int(rng.integers(n_rx, 9))
+            sets.append(an.ClosedFormParams(
+                transmit_power=float(rng.uniform(0.01, 10.0)),
+                noise_power=float(10.0 ** rng.uniform(-14.0, -11.0)),
+                rician_factor=float(rng.uniform(0.1, 100.0)),
+                n_tx=int(rng.integers(n_rx, 65)), n_rx=n_rx, n_ris=n_ris,
+                n_ris_rx_paths=int(rng.integers(1, 33)),
+                gain_profile=1e-6 * rng.uniform(0.6, 1.4, size=n_ris),
+            ))
+        return sets
+
+    def test_roots_frozen_on_seeded_sets(self):
+        # Repr-exact: the bisection must take the same decisions.
+        import hashlib
+
+        roots = [an.crossing_point(params) for params in self._pinned_sets()]
+        assert [repr(r) for r in roots[:3]] == \
+            ["0.89074940723615", "0.022860899160579803", "0.007221781168953938"]
+        assert hashlib.sha256(repr(roots).encode()).hexdigest() == \
+            "7f2d977e80e42b12c99819d668f7126ff4e2e81938e547df8bcc06304fbd8591"
+
+    @pytest.mark.parametrize("profile", [
+        [1e100] * 4,            # coefficients overflow to inf
+        [1e-100] * 4,           # coefficients underflow to zero
+    ])
+    def test_polynomial_out_of_float_range_rejected(self, profile):
+        params = dataclasses.replace(
+            an.ClosedFormParams.from_config(rl.SystemConfig()),
+            gain_profile=np.array(profile),
+        )
+        for solver in (an.crossing_point, an.crossing_point_three_stream):
+            with pytest.raises(ConfigurationError, match="crossing-point polynomial"):
+                solver(dataclasses.replace(params, n_rx=3))
+
+    @pytest.mark.parametrize("n_rx, profile", [
+        (2, [1e-80, 1e-80, 1.0, 1.0]),      # doubling reaches inf
+        (3, [1e-50, 1e-50, 1e-50, 1e5]),    # x**2 overflows first
+    ])
+    def test_bracket_beyond_float_range_is_no_crossing(self, n_rx, profile):
+        params = dataclasses.replace(
+            an.ClosedFormParams.from_config(rl.SystemConfig()),
+            n_rx=n_rx, gain_profile=np.array(profile),
+        )
+        with pytest.raises(NoCrossingError, match="representable"):
+            an.crossing_point(params)
+
+    def test_subnormal_root_stops_when_the_midpoint_repeats(self, monkeypatch):
+        # A root near 1e-320: the relative width test underflows, so only
+        # the repeated midpoint ends the bisection.
+        monkeypatch.setattr(an, "_crossing_polynomial", lambda params: ([1e300], 1e-20))
+        params = dataclasses.replace(
+            an.ClosedFormParams.from_config(rl.SystemConfig()), n_rx=2
+        )
+        # The returned power, 1e-320 / unit coefficient, underflows to 0.
+        assert 0.0 <= an.crossing_point(params) < 1e-300
 
     def test_no_crossing_raises(self):
         params = dataclasses.replace(

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -298,6 +299,21 @@ class TestExitCodes:
               "--fading-epochs", "1", f"--gamma-th-db={threshold}"], cli.EXIT_BAD_CONFIG)
             for threshold in ("nan", "inf", "-inf", "1e300")
         ),
+        # Crossing polynomials whose coefficients overflow or underflow.
+        (["crossing-point", "--n-rx", "2", "--profile", "1e100,1e100,1e100,1e100"],
+         cli.EXIT_BAD_CONFIG),
+        (["crossing-point", "--n-rx", "4", "--profile", "1e-100,1e-100,1e-100,1e-100"],
+         cli.EXIT_BAD_CONFIG),
+        (["crossing-point", "--n-rx", "2", "--profile", "1e-150,1e-150,1e-150,1e-150"],
+         cli.EXIT_BAD_CONFIG),
+        (["analyze", "--set", "gain_target=1e-150"], cli.EXIT_BAD_CONFIG),
+        (["analyze", "--set", "gain_target=1e100"], cli.EXIT_BAD_CONFIG),
+        # Valid polynomials whose root lies beyond the largest float:
+        # doubling reaches inf (n_rx=2), or x**2 overflows (n_rx=3).
+        (["crossing-point", "--n-rx", "2", "--profile", "1e-80,1e-80,1,1"],
+         cli.EXIT_NO_CROSSING),
+        (["crossing-point", "--n-rx", "3", "--profile", "1e-50,1e-50,1e-50,1e5"],
+         cli.EXIT_NO_CROSSING),
     ])
     def test_error_paths(self, argv, code, capsys):
         assert _run(argv) == code
@@ -355,6 +371,30 @@ class TestExitCodes:
                                   capture_output=True, text=True, timeout=120)
             assert done.returncode == cli.EXIT_BAD_CONFIG, (module, done.stderr)
             assert "error:" in done.stderr and "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("override, message", [
+        ("rx_disk_radius=1e300", "deployment distances leave the floating-point range"),
+        ("ris_axis_distance=1e200", "deployment distances leave the floating-point range"),
+        ("rx_center_distance=1e300", "deployment distances leave the floating-point range"),
+        ("ris_axis_distance=1e12", "surface element counts overflow"),
+    ])
+    def test_overflowing_deployment_is_named(self, override, message, capsys):
+        argv = ["se-sweep", "--scheme", "sm", "--axis", "E_dBm=20",
+                "--output", "/tmp/unused.csv", "--angle-epochs", "1",
+                "--fading-epochs", "1", "--set", override]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _run(argv) == cli.EXIT_BAD_CONFIG
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and override.split("=")[0] in err
+        assert "RuntimeWarning" not in err
+
+    def test_analyze_rejects_before_printing(self, capsys):
+        assert _run(["analyze", "--set", "gain_target=1e100"]) == cli.EXIT_BAD_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: crossing-point polynomial leaves the floating-point range" in err
 
     def test_simulator_failure_prints_error_line(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):

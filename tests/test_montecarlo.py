@@ -475,6 +475,55 @@ class TestEstimators:
             assert 0.0 <= result.means[scheme][0] <= 1.0
 
 
+def _companions(schemes, configs):
+    """Every scheme's (approximation, upper bound) pairs over a grid."""
+    return mc.closed_form_companions(schemes, configs)
+
+
+class TestClosedFormCompanions:
+    """Companion columns frozen repr-exact over n_rx 1-4 and 12, n_slots
+    1-3 and powers -40..60 dBm, all in one heterogeneous grid."""
+
+    SCHEMES = ("sm", "bf", "ds", "db")
+
+    @staticmethod
+    def _grid():
+        configs = []
+        for n_rx, n_ris in ((1, 4), (2, 4), (3, 4), (4, 4), (12, 12)):
+            for n_slots in (1, 2, 3):
+                base = rl.SystemConfig(n_rx=n_rx, n_ris=n_ris, n_slots=n_slots)
+                configs.extend(mc.apply_axis(base, "E_dBm", p)
+                               for p in np.arange(-40.0, 61.0, 5.0))
+        return configs
+
+    @pytest.mark.parametrize("index, expected", [
+        (0, {"sm": (2.098462461715715e-06, 2.0984639878380296e-06),
+             "bf": (math.nan, 7.0428412053881435e-06),
+             "db": (math.nan, 7.0428412053881435e-06)}),
+        (100, {"sm": (12.810932899554047, 14.388618320138542),
+               "bf": (math.nan, 9.932727781819464),
+               "db": (math.nan, 5.465994763189621)}),
+        (314, {"sm": (155.95832697298985, 165.94055931344252),
+               "bf": (math.nan, 20.68218444480324),
+               "db": (math.nan, 7.4223821246268775)}),
+    ])
+    def test_spot_values_frozen(self, index, expected):
+        companions = _companions(self.SCHEMES, self._grid())
+        for scheme, pair in expected.items():
+            assert repr(companions[scheme][index]) == repr(pair)
+        assert repr(companions["ds"][index]) == repr((math.nan, math.nan))
+
+    def test_whole_grid_frozen(self):
+        import hashlib
+
+        configs = self._grid()
+        assert len(configs) == 315
+        companions = _companions(self.SCHEMES, configs)
+        text = repr([companions[s] for s in self.SCHEMES])
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "aa224509771bdfda0a2270e081dd77d4d843c96ad3882ef777cce137177cb805"
+
+
 class TestWilsonInterval:
     def test_zero_errors_closed_form(self):
         z = 1.959963984540054
