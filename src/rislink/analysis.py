@@ -72,38 +72,44 @@ def _e1_cf_scaled(z):
     """exp(z) * E1(z) for z >= cutoff via a modified-Lentz continued fraction.
 
     Scalar or array; every entry stops once its update ratio is within
-    1e-16 of one and leaves the working arrays.  An entry still running
-    after 499 steps raises :class:`ConvergenceError`.
+    1e-16 of one (exactly one) and leaves the working arrays.  Beyond z of
+    about 1e15 the ratio can alternate one ulp either side of one for
+    ever; entries still running after 499 steps are rerun and settle at
+    the first ratio within 2**-52 of one.  An entry that does not settle
+    either (nan) raises :class:`ConvergenceError`.
     """
     tiny = 1e-300
     arr = np.asarray(z, dtype=float)
     flat = arr.ravel()
     out = np.empty_like(flat)
     active = np.arange(flat.size)
-    zs = flat
-    f = zs + 1.0
-    c = f
-    d = np.zeros_like(flat)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, 500):
-            if not active.size:
-                break
-            a = -float(n * n)
-            b = zs + 2.0 * n + 1.0
-            d = b + a * d
-            d[d == 0.0] = tiny
-            c = b + a / c
-            c[c == 0.0] = tiny
-            d = 1.0 / d
-            delta = c * d
-            f *= delta
-            done = np.abs(delta - 1.0) < 1e-16
-            if done.any():
-                out[active[done]] = 1.0 / f[done]
-                keep = ~done
-                active, zs, f, c, d = active[keep], zs[keep], f[keep], c[keep], d[keep]
+    for tol in (1e-16, 2.0**-52):
+        if not active.size:
+            break
+        zs = flat[active]
+        f = zs + 1.0
+        c = f
+        d = np.zeros_like(zs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(1, 500):
+                if not active.size:
+                    break
+                a = -float(n * n)
+                b = zs + 2.0 * n + 1.0
+                d = b + a * d
+                d[d == 0.0] = tiny
+                c = b + a / c
+                c[c == 0.0] = tiny
+                d = 1.0 / d
+                delta = c * d
+                f *= delta
+                done = np.abs(delta - 1.0) <= tol
+                if done.any():
+                    out[active[done]] = 1.0 / f[done]
+                    keep = ~done
+                    active, zs, f, c, d = active[keep], zs[keep], f[keep], c[keep], d[keep]
     if active.size:
-        raise ConvergenceError(f"E1 continued fraction did not converge at z={zs[0]}")
+        raise ConvergenceError(f"E1 continued fraction did not converge at z={flat[active[0]]}")
     return _shaped(out, arr)
 
 
@@ -405,5 +411,7 @@ def crossing_point_three_stream(params: ClosedFormParams) -> float:
     if rhs <= 0:
         raise NoCrossingError("bounds do not cross at positive power")
     quad, lin = coeffs[1], coeffs[0]
-    x_root = (-lin + math.sqrt(lin * lin + 4.0 * quad * rhs)) / (2.0 * quad)
+    # Root of quad*x^2 + lin*x = rhs without the cancellation of -lin + sqrt(...).
+    root_term = math.hypot(lin, 2.0 * math.sqrt(quad) * math.sqrt(rhs))
+    x_root = rhs / (0.5 * lin + 0.5 * root_term)
     return x_root / (params.power_coefficient() / params.transmit_power)

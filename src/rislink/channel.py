@@ -3,14 +3,14 @@
 Every transmitter-to-surface link is Rician (one deterministic
 line-of-sight path plus a few scattered paths); every surface-to-receiver
 link is pure Rayleigh scattering.  Each hop holds one read-only array per
-path attribute (gains, arrival and departure frequencies), so the
-composite end-to-end matrix can also be written exactly as a product of a
-receive steering factor, a block-diagonal core of per-path effective
-gains, and a transmit steering factor.  A fading epoch swaps only the
-gains array; the angle arrays are shared for the whole angle epoch.  The
-gains of several fading epochs can be stacked on a leading epoch axis,
-and the factorization then carries that axis through to one composite
-matrix per epoch.
+path attribute (gains, arrival and departure frequencies).  A fading epoch
+swaps only the gains array; the angle arrays are shared for the whole
+angle epoch, and the gains of several fading epochs can be stacked on a
+leading epoch axis.  :func:`assemble_composite` builds the end-to-end
+matrix from these arrays and the surfaces' linear phase profiles alone:
+every surface inner product is a Dirichlet kernel, so no hop matrix is
+ever materialized (``rislink.selftest.dense_composite`` is the dense
+oracle).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 
 from .config import Deployment, SystemConfig
 from .errors import SamplingError
+from .ris import RisConfiguration
 
 TX_RIS = "tx-ris"
 RIS_RX = "ris-rx"
@@ -247,89 +248,36 @@ def dirichlet_kernel(delta, n_elements):
 
 
 def surface_inner_products(
-    gammas: Sequence, out_freqs: np.ndarray, in_freqs: np.ndarray, n_elements: np.ndarray
+    gammas: Sequence[RisConfiguration], out_freqs: np.ndarray, in_freqs: np.ndarray,
+    n_elements: np.ndarray,
 ) -> np.ndarray:
     """``a(out_l)^H diag(gamma_k) a(in_j)`` per surface, shape (K, L_out, L_in).
 
-    Linear profiles (``RisConfiguration``) give ``exp(1j*c) * D(slope + in_j -
-    out_l)`` without touching the elements; common phases with a leading
-    epoch axis give shape (F, K, L_out, L_in), with the kernel evaluated
-    once.  A list holding any raw vector (the oracle that only tests and
-    ``selftest`` pass) takes the element sum.
+    A linear profile gives ``exp(1j*c) * D(slope + in_j - out_l)`` without
+    touching the elements; common phases with a leading epoch axis give
+    shape (F, K, L_out, L_in), with the kernel evaluated once.
     """
-    if all(hasattr(gamma, "slope") for gamma in gammas):
-        slopes = np.array([gamma.slope for gamma in gammas])[:, None, None]
-        common = np.stack(np.broadcast_arrays(*(gamma.common_phase for gamma in gammas)), axis=-1)
-        delta = slopes + in_freqs[:, None, :] - out_freqs[:, :, None]
-        kernel = dirichlet_kernel(delta, n_elements[:, None, None])
-        return np.exp(1j * common[..., None, None]) * kernel
-    vectors = [
-        g.phase_vector() if hasattr(g, "slope") else np.asarray(g, dtype=complex) for g in gammas
-    ]
-    return np.stack([
-        _response_matrix(n, out_f).conj().T @ (gamma[:, None] * _response_matrix(n, in_f))
-        for gamma, out_f, in_f, n in zip(vectors, out_freqs, in_freqs, n_elements)
-    ])
+    slopes = np.array([gamma.slope for gamma in gammas])[:, None, None]
+    common = np.stack(np.broadcast_arrays(*(gamma.common_phase for gamma in gammas)), axis=-1)
+    delta = slopes + in_freqs[:, None, :] - out_freqs[:, :, None]
+    kernel = dirichlet_kernel(delta, n_elements[:, None, None])
+    return np.exp(1j * common[..., None, None]) * kernel
 
 
 def assemble_composite(
     tx_ris: Sequence[MultipathChannel],
-    gammas: Sequence,
+    gammas: Sequence[RisConfiguration],
     ris_rx: Sequence[MultipathChannel],
     deployment: Deployment,
 ) -> np.ndarray:
-    """End-to-end matrix ``sum_k loss_k * H_rx_k @ diag(gamma_k) @ H_tx_k``,
-    evaluated through its exact factorization (:func:`cascaded_decomposition`),
-    so its cost scales with path counts, not surface sizes."""
-    return cascaded_decomposition(tx_ris, gammas, ris_rx, deployment).composite()
+    """End-to-end matrix ``sum_k loss_k * H_rx_k @ diag(gamma_k) @ H_tx_k``.
 
-
-@dataclass(frozen=True, eq=False)
-class CascadedDecomposition:
-    """Exact factorization of the composite channel.
-
-    ``composite == rx_factor @ core @ tx_factor.conj().T`` holds to
-    numerical precision.  Columns of ``rx_factor`` are receive responses of
-    the surface-to-receiver paths (surface-major order), columns of
-    ``tx_factor`` are transmit responses of the transmitter-to-surface
-    paths, and ``core`` is block-diagonal with one block per surface
-    holding every per-path-pair effective gain through that surface.
-    Stacked gains give ``core`` (and the composite) a leading epoch axis;
-    the steering factors depend on angles only and have none.
-    """
-
-    rx_factor: np.ndarray
-    tx_factor: np.ndarray
-    core: np.ndarray
-    n_rx_paths_per_ris: int
-    n_tx_paths_per_ris: int
-
-    def gain(self, k: int, rx_path: int, tx_path: int) -> complex:
-        """Effective gain of (surface k, receiver-side path, transmit-side path).
-
-        ``tx_path`` 0 is the line of sight.
-        """
-        row = k * self.n_rx_paths_per_ris + rx_path
-        col = k * self.n_tx_paths_per_ris + tx_path
-        return complex(self.core[row, col])
-
-    def composite(self) -> np.ndarray:
-        return self.rx_factor @ self.core @ self.tx_factor.conj().T
-
-
-def cascaded_decomposition(
-    tx_ris: Sequence[MultipathChannel],
-    gammas: Sequence,
-    ris_rx: Sequence[MultipathChannel],
-    deployment: Deployment,
-) -> CascadedDecomposition:
-    """Factor the composite channel into steering factors and a gain core.
-
-    The (rx_path, tx_path) entry of block ``k`` is the product of the two
-    path gains, the cascaded loss, and the surface's phase-profile inner
-    product between the departing and arriving surface responses.  Gains
-    stacked over F fading epochs (and common phases with an epoch axis)
-    give a core of shape (F, K*L_rx, K*L_tx).
+    Built as ``R @ core @ T^H`` from the path arrays alone, so its cost
+    scales with path counts, not surface sizes: ``R`` / ``T`` hold the
+    receive / transmit responses of every path (surface-major), and block
+    ``k`` of the block-diagonal ``core`` holds loss * rx gain * tx gain *
+    surface inner product per path pair.  Gains stacked over F fading
+    epochs (and common phases with an epoch axis) give shape (F, n_rx, n_tx).
     """
     k_total = len(tx_ris)
     l_rx = ris_rx[0].arrival_freqs.size
@@ -349,12 +297,10 @@ def cascaded_decomposition(
     core = np.zeros(epochs + (k_total, l_rx, k_total, l_tx), dtype=complex)
     for k in range(k_total):
         core[..., k, :, k, :] = blocks[..., k, :, :]
+    core = core.reshape(epochs + (k_total * l_rx, k_total * l_tx))
     rx_freqs = np.concatenate([up.arrival_freqs for up in ris_rx])
     tx_freqs = np.concatenate([down.departure_freqs for down in tx_ris])
-    return CascadedDecomposition(
-        rx_factor=_response_matrix(ris_rx[0].n_out, rx_freqs),
-        tx_factor=_response_matrix(tx_ris[0].n_in, tx_freqs),
-        core=core.reshape(epochs + (k_total * l_rx, k_total * l_tx)),
-        n_rx_paths_per_ris=l_rx,
-        n_tx_paths_per_ris=l_tx,
+    return (
+        _response_matrix(ris_rx[0].n_out, rx_freqs) @ core
+        @ _response_matrix(tx_ris[0].n_in, tx_freqs).conj().T
     )

@@ -4,20 +4,18 @@ A surface applies one programmable phase per element.  Linear-in-element
 profiles retarget a chosen (departing, arriving) path pair so that its
 effective gain collapses to the product of the two path gains and the
 cascaded loss; a scalar common phase on top of the profile co-phases the
-surviving terms at the receiver.
+surviving terms at the receiver.  What the profiles leave unshaped (the
+leakage) is ``exact_h - approx_h()`` of a
+:class:`rislink.customize.CustomizedChannel`.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
-import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
-
-from .channel import CascadedDecomposition
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,21 +95,3 @@ def common_phase_refinement(
         + 0.5 * (n_rx - 1) * rx_arrival_freq
     )
 
-
-def leakage_norm(
-    decomposition: CascadedDecomposition,
-    active: Iterable[tuple[int, int, int]],
-) -> float:
-    """Frobenius norm of the composite contribution of non-activated gains.
-
-    ``active`` lists (surface, receiver-side path, transmitter-side path)
-    triples whose core entries are zeroed before re-assembling; what
-    remains is the interference floor the phase profiles did not shape.
-    """
-    residual = decomposition.core.copy()
-    for k, rx_path, tx_path in active:
-        row = k * decomposition.n_rx_paths_per_ris + rx_path
-        col = k * decomposition.n_tx_paths_per_ris + tx_path
-        residual[row, col] = 0.0
-    leaked = decomposition.rx_factor @ residual @ decomposition.tx_factor.conj().T
-    return float(np.linalg.norm(leaked))

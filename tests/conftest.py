@@ -38,9 +38,12 @@ def candidate_matrix(downs) -> np.ndarray:
     return np.stack([down.arrival_freqs for down in downs])
 
 
-def random_gammas(deployment: rl.Deployment, rng: np.random.Generator):
-    """Unit-modulus reflection vectors with independent uniform phases."""
+def random_profiles(deployment: rl.Deployment, rng: np.random.Generator):
+    """Linear phase profiles with independent uniform slopes and common phases."""
     return [
-        np.exp(1j * rng.uniform(-np.pi, np.pi, int(count)))
-        for count in deployment.ris_element_counts
+        rl.RisConfiguration(k, int(count), slope=slope, common_phase=common)
+        for k, (count, slope, common) in enumerate(zip(
+            deployment.ris_element_counts,
+            *rng.uniform(-np.pi, np.pi, (2, deployment.ris_element_counts.size)),
+        ))
     ]

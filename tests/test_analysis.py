@@ -131,13 +131,17 @@ class TestArrayKernelMatchesScalarOracle:
         assert [an.scaled_ei_neg(float(v)) for v in c] == expected
 
     def test_unconverged_entry_raises_like_the_scalar_kernel(self):
-        z = 1.364716119505658e82        # delta never lands on exactly 1.0
+        # The scalar stop rule never fires here: delta never lands on
+        # exactly 1.0.  The array kernel settles such an entry one ulp
+        # from 1.0 instead, and leaves its neighbours bit for bit.
+        z = 1.364716119505658e82
         with pytest.raises(rl.ConvergenceError):
             _oracle_e1_cf_scaled(z)
-        with pytest.raises(rl.ConvergenceError):
-            an._e1_cf_scaled(np.array([6.0, z, 20.0]))
-        with pytest.raises(rl.ConvergenceError):
-            an.exp_integral_ei(np.array([-1.0, -z]))
+        settled = an._e1_cf_scaled(np.array([6.0, z, 20.0]))
+        assert settled[[0, 2]].tolist() == [_oracle_e1_cf_scaled(6.0), _oracle_e1_cf_scaled(20.0)]
+        assert math.isclose(settled[1], 1.0 / z, rel_tol=1e-12)
+        ei = an.exp_integral_ei(np.array([-1.0, -z]))
+        assert ei.tolist() == [_oracle_ei_neg(-1.0), -0.0]
 
     def test_stream_sum_matches_scalar_sum(self):
         rng = rl.substream(BASE_SEED, 104)
@@ -178,6 +182,16 @@ class TestExponentialIntegral:
         for bad in (0.0, 0.5, 10.0):
             with pytest.raises(ValueError):
                 an.exp_integral_ei(bad)
+
+    def test_continued_fraction_settles_for_huge_arguments(self):
+        # Above about 1e15 the update ratio can alternate one ulp either
+        # side of 1.0; the settled value must still follow the asymptotic
+        # series exp(z) E1(z) = 1/z (1 - 1/z + 2/z^2 - ...).
+        z = 10.0 ** rl.substream(BASE_SEED, 106).uniform(15.0, 40.0, 3_000)
+        series = (1.0 - 1.0 / z + 2.0 / z / z) / z
+        assert np.max(np.abs(an._e1_cf_scaled(z) - series) / series) <= 1e-12
+        c = np.array([6.875e20, 6.25e298, np.finfo(float).max])
+        assert np.all(np.abs(an.scaled_ei_neg(c) * c + 1.0) <= 1e-12)
 
     def test_unconverged_continued_fraction_is_a_package_error(self):
         with pytest.raises(rl.ConvergenceError):

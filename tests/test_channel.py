@@ -1,4 +1,4 @@
-"""Array responses, multipath draws, and the exact cascaded factorization."""
+"""Array responses, multipath draws, and the composite channel assembly."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import rislink as rl
 from rislink.channel import _draw_separated_freqs, dirichlet_kernel, surface_inner_products
 from rislink.selftest import dense_composite, hop_matrix
 
-from conftest import BASE_SEED, candidate_matrix, draw_scene, random_gammas, small_config
+from conftest import BASE_SEED, candidate_matrix, draw_scene, random_profiles, small_config
 
 
 def _circular_gap(a: np.ndarray, b: float) -> np.ndarray:
@@ -339,12 +339,12 @@ class TestCascadedFactorization:
     def test_assembly_matches_direct_sum(self):
         config = small_config()
         deployment, ups, downs = draw_scene(config, BASE_SEED, 5)
-        gammas = random_gammas(deployment, rl.substream(BASE_SEED, 17))
+        gammas = random_profiles(deployment, rl.substream(BASE_SEED, 17))
         h = rl.assemble_composite(ups, gammas, downs, deployment)
         direct = np.zeros((config.n_rx, config.n_tx), dtype=complex)
         for k in range(config.n_ris):
             direct += deployment.path_losses[k] * (
-                hop_matrix(downs[k]) @ np.diag(gammas[k]) @ hop_matrix(ups[k])
+                hop_matrix(downs[k]) @ np.diag(gammas[k].phase_vector()) @ hop_matrix(ups[k])
             )
         assert np.linalg.norm(h - direct) / np.linalg.norm(direct) < 1e-13
 
@@ -362,11 +362,10 @@ class TestCascadedFactorization:
                 gain_target=2e-7,
             )
             deployment, ups, downs = draw_scene(config, BASE_SEED, 19, trial)
-            gammas = random_gammas(deployment, rng)
+            gammas = random_profiles(deployment, rng)
             h = rl.assemble_composite(ups, gammas, downs, deployment)
-            deco = rl.cascaded_decomposition(ups, gammas, downs, deployment)
-            rebuilt = deco.rx_factor @ deco.core @ deco.tx_factor.conj().T
-            assert np.linalg.norm(h - rebuilt) <= 1e-10 * np.linalg.norm(h)
+            dense = dense_composite(ups, [g.phase_vector() for g in gammas], downs, deployment)
+            assert np.linalg.norm(h - dense) <= 1e-10 * np.linalg.norm(h)
 
     def test_stacked_epochs_match_single_epochs_bitwise(self):
         config = small_config()
@@ -380,78 +379,39 @@ class TestCascadedFactorization:
             rl.align_phases(0.3, -0.2, int(n), k).with_common_phase(phases if k == 0 else 0.4 * k)
             for k, n in enumerate(deployment.ris_element_counts)
         ]
-        stacked = rl.cascaded_decomposition(stacked_ups, gammas, stacked_downs, deployment)
-        composite = stacked.composite()
-        assert stacked.core.shape[0] == composite.shape[0] == len(rngs)
+        composite = rl.assemble_composite(stacked_ups, gammas, stacked_downs, deployment)
+        assert composite.shape == (len(rngs), config.n_rx, config.n_tx)
         for f in range(len(rngs)):
-            single = rl.cascaded_decomposition(
+            single = rl.assemble_composite(
                 [dataclasses.replace(up, gains=up.gains[f]) for up in stacked_ups],
                 [g.with_common_phase(phases[f]) if k == 0 else g for k, g in enumerate(gammas)],
                 [dataclasses.replace(down, gains=down.gains[f]) for down in stacked_downs],
                 deployment,
             )
-            assert single.core.tobytes() == stacked.core[f].tobytes()
-            assert single.composite().tobytes() == composite[f].tobytes()
-        assert stacked.rx_factor.tobytes() == single.rx_factor.tobytes()
-        assert stacked.tx_factor.tobytes() == single.tx_factor.tobytes()
-
-    def test_core_is_block_diagonal(self):
-        config = small_config()
-        deployment, ups, downs = draw_scene(config, BASE_SEED, 6)
-        gammas = random_gammas(deployment, rl.substream(BASE_SEED, 20))
-        deco = rl.cascaded_decomposition(ups, gammas, downs, deployment)
-        l_r = config.n_ris_rx_paths
-        l_t = config.n_nlos_tx_paths + 1
-        assert deco.core.shape == (config.n_ris * l_r, config.n_ris * l_t)
-        mask = np.zeros_like(deco.core, dtype=bool)
-        for k in range(config.n_ris):
-            mask[k * l_r:(k + 1) * l_r, k * l_t:(k + 1) * l_t] = True
-        assert np.all(deco.core[~mask] == 0.0)
-
-    def test_factor_columns_are_array_responses(self):
-        config = small_config()
-        deployment, ups, downs = draw_scene(config, BASE_SEED, 7)
-        gammas = random_gammas(deployment, rl.substream(BASE_SEED, 21))
-        deco = rl.cascaded_decomposition(ups, gammas, downs, deployment)
-        l_r = config.n_ris_rx_paths
-        l_t = config.n_nlos_tx_paths + 1
-        for k in range(config.n_ris):
-            for l in range(l_r):
-                assert np.array_equal(
-                    deco.rx_factor[:, k * l_r + l],
-                    rl.array_response(config.n_rx, downs[k].arrival_freqs[l]),
-                )
-            for j in range(l_t):
-                assert np.array_equal(
-                    deco.tx_factor[:, k * l_t + j],
-                    rl.array_response(config.n_tx, ups[k].departure_freqs[j]),
-                )
+            assert single.tobytes() == composite[f].tobytes()
 
     def test_core_entries_match_per_path_products(self):
         config = small_config()
         deployment, ups, downs = draw_scene(config, BASE_SEED, 8)
-        gammas = random_gammas(deployment, rl.substream(BASE_SEED, 22))
-        deco = rl.cascaded_decomposition(ups, gammas, downs, deployment)
-        l_r = config.n_ris_rx_paths
-        l_t = config.n_nlos_tx_paths + 1
+        gammas = random_profiles(deployment, rl.substream(BASE_SEED, 22))
+        inner = surface_inner_products(
+            gammas,
+            np.array([d.departure_freqs for d in downs]),
+            np.array([u.arrival_freqs for u in ups]),
+            deployment.ris_element_counts,
+        )
         for k in range(config.n_ris):
             n_s = int(deployment.ris_element_counts[k])
-            for l in range(l_r):
-                for j in range(l_t):
+            for l in range(config.n_ris_rx_paths):
+                for j in range(config.n_nlos_tx_paths + 1):
                     a_dep = rl.array_response(n_s, downs[k].departure_freqs[l])
                     a_arr = rl.array_response(n_s, ups[k].arrival_freqs[j])
-                    expected = (
-                        deployment.path_losses[k]
-                        * downs[k].gains[l]
-                        * ups[k].gains[j]
-                        * np.vdot(a_dep, gammas[k] * a_arr)
-                    )
-                    got = deco.core[k * l_r + l, k * l_t + j]
+                    loss_gains = deployment.path_losses[k] * downs[k].gains[l] * ups[k].gains[j]
+                    expected = loss_gains * np.vdot(a_dep, gammas[k].phase_vector() * a_arr)
+                    got = loss_gains * inner[k, l, j]
                     assert abs(got - expected) <= 1e-12 * abs(expected)
 
     def test_accepts_structured_reflection_objects(self):
-        # Phase configurations take the closed-form kernel, raw vectors the
-        # element sum, so the two agree to rounding, not bit for bit.
         config = small_config()
         deployment, ups, downs = draw_scene(config, BASE_SEED, 9)
         gammas = [
@@ -463,12 +423,9 @@ class TestCascadedFactorization:
             )
             for k in range(config.n_ris)
         ]
-        raw = [g.phase_vector() for g in gammas]
-        h_obj = rl.assemble_composite(ups, gammas, downs, deployment)
-        h_raw = rl.assemble_composite(ups, raw, downs, deployment)
-        oracle = dense_composite(ups, raw, downs, deployment)
-        assert np.linalg.norm(h_obj - oracle) <= 1e-12 * np.linalg.norm(oracle)
-        assert np.linalg.norm(h_raw - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        h = rl.assemble_composite(ups, gammas, downs, deployment)
+        oracle = dense_composite(ups, [g.phase_vector() for g in gammas], downs, deployment)
+        assert np.linalg.norm(h - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 _EPS = np.finfo(float).eps
@@ -575,15 +532,6 @@ class TestClosedFormAssembly:
                 oracle = dense_composite(ups, phases, downs, deployment)
                 rel = np.linalg.norm(h - oracle) / np.linalg.norm(oracle)
                 assert rel <= 1e-12, (name, i, rel)
-
-    def test_mixed_structured_and_raw_list(self):
-        config = rl.SystemConfig()
-        deployment, ups, downs = draw_scene(config, BASE_SEED, 23, 1)
-        aligned = self._profiles(config, deployment, ups, downs)["aligned"]
-        mixed = [aligned[0]] + [g.phase_vector() for g in aligned[1:]]
-        h = rl.assemble_composite(ups, mixed, downs, deployment)
-        oracle = dense_composite(ups, [g.phase_vector() for g in aligned], downs, deployment)
-        assert np.linalg.norm(h - oracle) / np.linalg.norm(oracle) <= 1e-12
 
     def test_adversarial_scene_hits_the_series_branch(self):
         # The collisions put some kernel arguments at (or within rounding

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import io
 import math
 import os
 import subprocess
@@ -10,6 +13,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rislink as rl
 from rislink import channel, cli, montecarlo
@@ -405,3 +410,67 @@ class TestExitCodes:
                 "/tmp/unused.csv", "--angle-epochs", "1", "--fading-epochs", "1"]
         assert _run(argv) == cli.EXIT_FAILURE
         assert "error: angle sampling failed" in capsys.readouterr().err
+
+
+_CONFIG_KEYS = [f.name for f in dataclasses.fields(rl.SystemConfig)]
+_EDGE_VALUES = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+    1e-300, -1e-300, 1e300, -1e300,
+]
+_VALUES = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.floats(),
+    st.integers(min_value=-10, max_value=10_000),
+).map(lambda v: repr(v) if isinstance(v, float) else str(v))
+_SETTINGS = st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _VALUES), max_size=2)
+
+
+def _fuzz_main(argv):
+    """Run ``cli.main`` on argv and return its status and stderr; any
+    warning, and any exception other than the exit, fails the caller."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+    stderr = err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert "Warning" not in stderr, stderr
+    code = info.value.code
+    assert code in {0, 2, 3, 4, 5}, (argv, code, stderr)
+    if code:
+        assert "error:" in stderr, (argv, stderr)
+    return code
+
+
+class TestClosedFormCliFuzz:
+    """Any config value through the closed-form verbs ends in a documented
+    status: success, or an ``error:`` line with a non-failure exit code."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(overrides=_SETTINGS, with_axis=st.booleans())
+    # Stream constants beyond 1e15, where the continued fraction used to
+    # stall one ulp from its stop rule.
+    @example(overrides=[("transmit_power", "1e-22")], with_axis=False)
+    @example(overrides=[("rician_factor", "1e-300")], with_axis=False)
+    def test_analyze(self, tmp_path_factory, overrides, with_axis):
+        argv = ["analyze"]
+        for key, value in overrides:
+            argv += ["--set", f"{key}={value}"]
+        if with_axis:
+            out = tmp_path_factory.mktemp("fuzz") / "closed.csv"
+            argv += ["--axis", "E_dBm=-40:20:60", "--output", str(out)]
+        _fuzz_main(argv)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        n_rx=st.sampled_from([2, 3, 4]),
+        profile=st.lists(_VALUES, min_size=1, max_size=6),
+        overrides=_SETTINGS,
+    )
+    def test_crossing_point(self, n_rx, profile, overrides):
+        argv = ["crossing-point", "--n-rx", str(n_rx), "--profile", ",".join(profile)]
+        for key, value in overrides:
+            argv += ["--set", f"{key}={value}"]
+        _fuzz_main(argv)

@@ -10,6 +10,7 @@ import pytest
 
 import rislink as rl
 from rislink import customize
+from rislink.channel import surface_inner_products
 from rislink.customize import (
     DEFAULT_SEARCH_CAP,
     DENSE_SEARCH_LIMIT,
@@ -382,12 +383,17 @@ class TestCustomizedChannel:
         selection = rl.select_paths_sm(candidate_matrix(downs), config.n_rx)
         custom = rl.build_customized_channel(selection, (ups, downs),
                                              deployment)
-        deco = rl.cascaded_decomposition(ups, custom.gammas, downs, deployment)
+        inner = surface_inner_products(
+            custom.gammas,
+            np.array([d.departure_freqs for d in downs]),
+            np.array([u.arrival_freqs for u in ups]),
+            deployment.ris_element_counts,
+        )
         for column, (k, path) in enumerate(
                 zip(selection.active_ris, selection.slot_paths[0])):
-            assert abs(
-                custom.xi_active[column] - deco.gain(k, path, 0)
-            ) <= 1e-15
+            gain = (deployment.path_losses[k] * downs[k].gains[path] * ups[k].gains[0]
+                    * inner[k, path, 0])
+            assert abs(custom.xi_active[column] - gain) <= 1e-15
 
     def test_inactive_surfaces_are_neutral(self):
         config, deployment, ups, downs = self._scene((55,))

@@ -10,8 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rislink as rl
+from rislink.channel import surface_inner_products
 
-from conftest import BASE_SEED, candidate_matrix, draw_scene, small_config
+from conftest import BASE_SEED, candidate_matrix, draw_scene
 
 
 def _reflect_gain(gamma, n: int, arrival: float, departure: float) -> complex:
@@ -123,96 +124,32 @@ class TestCommonPhaseRefinement:
 
 
 class TestLeakage:
-    def _decomposed_scene(self, key, config=None):
+    """Leakage: the part of the exact shaped channel that the activated-paths
+    model leaves out, relative to the whole channel."""
+
+    def _leakage(self, key, config=None):
         config = config or rl.SystemConfig()
         deployment, ups, downs = draw_scene(config, BASE_SEED, *key)
-        candidates = candidate_matrix(downs)
-        selection = rl.select_paths_sm(candidates, config.n_rx)
-        gammas = []
-        for k in range(config.n_ris):
-            n_s = int(deployment.ris_element_counts[k])
-            if k in selection.active_ris:
-                slot = selection.active_ris.index(k)
-                path = selection.slot_paths[0][slot]
-                gammas.append(rl.align_phases(
-                    downs[k].departure_freqs[path],
-                    ups[k].arrival_freqs[0],
-                    n_s, ris_index=k, aligned_path=(path, 0),
-                ))
-            else:
-                gammas.append(rl.RisConfiguration.neutral(n_s, ris_index=k))
-        deco = rl.cascaded_decomposition(ups, gammas, downs, deployment)
-        active = [
-            (k, selection.slot_paths[0][slot], 0)
-            for slot, k in enumerate(selection.active_ris)
-        ]
-        return config, deployment, deco, active
-
-    def test_empty_active_set_gives_full_norm(self):
-        config, deployment, deco, _ = self._decomposed_scene((32,))
-        full = np.linalg.norm(
-            deco.rx_factor @ deco.core @ deco.tx_factor.conj().T
-        )
-        assert math.isclose(rl.leakage_norm(deco, []), full, rel_tol=1e-9)
-
-    def test_everything_active_gives_zero(self):
-        config, _, deco, _ = self._decomposed_scene((33,))
-        l_r = config.n_ris_rx_paths
-        l_t = config.n_nlos_tx_paths + 1
-        everything = [
-            (k, l, j)
-            for k in range(config.n_ris)
-            for l in range(l_r)
-            for j in range(l_t)
-        ]
-        assert rl.leakage_norm(deco, everything) == 0.0
+        selection = rl.select_paths_sm(candidate_matrix(downs), config.n_rx)
+        custom = rl.build_customized_channel(selection, (ups, downs), deployment)
+        leaked = np.linalg.norm(custom.exact_h - custom.approx_h())
+        return float(leaked / np.linalg.norm(custom.exact_h))
 
     def test_aligned_leakage_is_usually_small(self):
-        small = 0
         n_scenes = 300
-        for i in range(n_scenes):
-            config, _, deco, active = self._decomposed_scene((34, i))
-            total = np.linalg.norm(
-                deco.rx_factor @ deco.core @ deco.tx_factor.conj().T
-            )
-            if rl.leakage_norm(deco, active) / total < 0.2:
-                small += 1
+        small = sum(self._leakage((34, i)) < 0.2 for i in range(n_scenes))
         assert small >= 0.9 * n_scenes
 
     def test_leakage_shrinks_with_surface_size(self):
         ratios = {}
         for label, factor in (("base", 1.0), ("scaled", 4.0)):
             config = rl.SystemConfig(gain_target=1e-6 * factor)
-            values = []
-            for i in range(60):
-                _, _, deco, active = self._decomposed_scene((35, i), config)
-                total = np.linalg.norm(
-                    deco.rx_factor @ deco.core @ deco.tx_factor.conj().T
-                )
-                values.append(rl.leakage_norm(deco, active) / total)
+            values = [self._leakage((35, i), config) for i in range(60)]
             ratios[label] = float(np.median(values))
         assert ratios["scaled"] < ratios["base"]
 
 
 class TestEffectiveGain:
-    def test_matches_core_entry(self):
-        config = small_config()
-        deployment, ups, downs = draw_scene(config, BASE_SEED, 36)
-        gammas = [
-            rl.align_phases(downs[k].departure_freqs[0],
-                            ups[k].arrival_freqs[0],
-                            int(deployment.ris_element_counts[k]), k)
-            for k in range(config.n_ris)
-        ]
-        deco = rl.cascaded_decomposition(ups, gammas, downs, deployment)
-        l_r = config.n_ris_rx_paths
-        l_t = config.n_nlos_tx_paths + 1
-        for k in range(config.n_ris):
-            for l in range(l_r):
-                for j in range(l_t):
-                    assert deco.gain(k, l, j) == \
-                        deco.core[k * l_r + l, k * l_t + j]
-
     def test_aligned_gain_magnitude_hits_target(self):
         # With the surface aligned on path (l, j), the effective gain is
         # the two-hop gain product times the achieved aperture gain,
@@ -229,8 +166,13 @@ class TestEffectiveGain:
                                         ris_index=kk)
             for kk in range(1, config.n_ris)
         ]
-        deco = rl.cascaded_decomposition(ups, gammas, downs, deployment)
-        gain = deco.gain(k, l, 0)
+        inner = surface_inner_products(
+            gammas,
+            np.array([d.departure_freqs for d in downs]),
+            np.array([u.arrival_freqs for u in ups]),
+            deployment.ris_element_counts,
+        )
+        gain = deployment.path_losses[k] * downs[k].gains[l] * ups[k].gains[0] * inner[k, l, 0]
         expected = (
             deployment.path_losses[k]
             * abs(downs[k].gains[l])
