@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Deployment, SystemConfig
+from .config import SystemConfig
 from .errors import ConfigurationError, ConvergenceError, NoCrossingError
 
 _EULER_GAMMA = 0.5772156649015329
@@ -231,15 +231,8 @@ class ClosedFormParams:
             raise ConfigurationError("closed-form parameters leave the floating-point range")
 
     @classmethod
-    def from_config(
-        cls, config: SystemConfig, deployment: Deployment | None = None
-    ) -> "ClosedFormParams":
-        """Bundle from a system config; equal-target profile unless a
-        realized deployment supplies exact counts and losses."""
-        if deployment is None:
-            profile = np.full(config.n_ris, config.gain_target)
-        else:
-            profile = deployment.ris_element_counts * deployment.path_losses
+    def from_config(cls, config: SystemConfig) -> "ClosedFormParams":
+        """Bundle from a system config, on the equal-gain-target profile."""
         return cls(
             transmit_power=config.transmit_power,
             noise_power=config.noise_power,
@@ -248,7 +241,7 @@ class ClosedFormParams:
             n_rx=config.n_rx,
             n_ris=config.n_ris,
             n_ris_rx_paths=config.n_ris_rx_paths,
-            gain_profile=profile,
+            gain_profile=np.full(config.n_ris, config.gain_target),
             n_slots=config.n_slots,
         )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -51,16 +51,8 @@ EXIT_INFEASIBLE = 3
 EXIT_NO_CROSSING = 4
 EXIT_SEARCH_SPACE = 5
 
-
-@dataclass
-class Command:
-    """One parsed CLI invocation."""
-
-    verb: str
-    config_path: str | None = None
-    output_path: str | None = None
-    overrides: dict[str, object] = field(default_factory=dict)
-    options: dict[str, object] = field(default_factory=dict)
+# Largest sweep grid ``--axis`` accepts, checked before the grid is built.
+_MAX_AXIS_POINTS = 10**6
 
 
 def _fmt(value: float) -> str:
@@ -117,14 +109,29 @@ def _parse_axis(spec_str: str) -> tuple[str, tuple[float, ...]]:
     start, step, stop = numbers
     if step <= 0 or stop < start:
         raise ConfigurationError("axis grid needs step > 0 and stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return name, tuple(start + i * step for i in range(count))
+    steps = (stop - start) / step + 1e-9
+    if not steps < _MAX_AXIS_POINTS:  # also an infinite span
+        raise ConfigurationError(
+            f"axis grid {grid!r} has more than {_MAX_AXIS_POINTS} points"
+        )
+    return name, tuple(start + i * step for i in range(int(math.floor(steps)) + 1))
 
 
-def _load_effective_config(cmd: Command) -> SystemConfig:
-    config = load_config(cmd.config_path) if cmd.config_path else SystemConfig()
-    if cmd.overrides:
-        config = config.replace(**cmd.overrides)
+def _parse_overrides(items: list[str]) -> dict[str, object]:
+    """Typed configuration fields of the ``--set KEY=VALUE`` items."""
+    overrides = {}
+    for item in items:
+        if "=" not in item:
+            raise ConfigurationError(f"--set expects KEY=VALUE, got {item!r}")
+        key, _, raw = item.partition("=")
+        overrides[key.strip()] = parse_config_value(key.strip(), raw.strip())
+    return overrides
+
+
+def _load_effective_config(args: argparse.Namespace) -> SystemConfig:
+    config = load_config(args.config) if args.config else SystemConfig()
+    if args.overrides:
+        config = config.replace(**args.overrides)
     return config
 
 
@@ -138,31 +145,31 @@ def _outage_threshold(gamma_th_db: float) -> float:
         raise ConfigurationError(f"outage threshold {gamma_th_db} dB is out of range") from exc
 
 
-def _build_plan(cmd: Command, schemes_csv: str, axis_spec: str) -> TrialPlan:
-    axis_name, axis_values = _parse_axis(axis_spec)
-    schemes = tuple(s.strip() for s in schemes_csv.split(",") if s.strip())
+def _build_plan(args: argparse.Namespace) -> TrialPlan:
+    axis_name, axis_values = _parse_axis(args.axis)
+    schemes = tuple(s.strip() for s in args.scheme.split(",") if s.strip())
     return TrialPlan(
         axis_name=axis_name,
         axis_values=axis_values,
         schemes=schemes,
-        n_angle_epochs=int(cmd.options["angle_epochs"]),
-        n_fading_epochs=int(cmd.options["fading_epochs"]),
-        base_seed=int(cmd.options["seed"]),
-        gamma_th=_outage_threshold(float(cmd.options["gamma_th_db"])),
+        n_angle_epochs=args.angle_epochs,
+        n_fading_epochs=args.fading_epochs,
+        base_seed=args.seed,
+        gamma_th=_outage_threshold(args.gamma_th_db),
     )
 
 
-def _cmd_sweep(cmd: Command) -> int:
-    config = _load_effective_config(cmd)
-    plan = _build_plan(cmd, cmd.options["schemes"], cmd.options["axis"])
-    if cmd.verb == "se-sweep":
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    config = _load_effective_config(args)
+    plan = _build_plan(args)
+    if args.verb == "se-sweep":
         result = estimate_ergodic_se(plan, config)
-    elif cmd.verb == "outage-sweep":
+    elif args.verb == "outage-sweep":
         result = estimate_outage(plan, config)
     else:
-        result = estimate_ber(plan, config, min_bits=int(cmd.options["min_bits"]))
-    write_csv(result, cmd.output_path)
-    print(f"wrote {cmd.output_path}")
+        result = estimate_ber(plan, config, min_bits=args.min_bits)
+    write_csv(result, args.output)
+    print(f"wrote {args.output}")
     return EXIT_OK
 
 
@@ -173,16 +180,15 @@ def _parse_profile(text: str) -> np.ndarray:
         raise ConfigurationError(f"bad gain profile {text!r}") from exc
 
 
-def _cmd_crossing_point(cmd: Command) -> int:
-    config = _load_effective_config(cmd)
-    n_rx = int(cmd.options["n_rx"] or config.n_rx)
+def _cmd_crossing_point(args: argparse.Namespace) -> int:
+    config = _load_effective_config(args)
+    n_rx = config.n_rx if args.n_rx is None else args.n_rx
     if n_rx < 2:
         raise ConfigurationError("crossing point needs at least two streams")
     config = config.replace(n_rx=n_rx)
     params = analysis.ClosedFormParams.from_config(config)
-    profile_csv = cmd.options.get("profile")
-    if profile_csv:
-        params = replace(params, gain_profile=_parse_profile(str(profile_csv)))
+    if args.profile:
+        params = replace(params, gain_profile=_parse_profile(args.profile))
     e_th = analysis.crossing_point(params)
     print(f"crossing point: {_fmt(e_th)} W ({watt2dbm(e_th):.2f} dBm)")
     closed = None
@@ -196,19 +202,17 @@ def _cmd_crossing_point(cmd: Command) -> int:
     return EXIT_OK
 
 
-def _cmd_analyze(cmd: Command) -> int:
-    config = _load_effective_config(cmd)
-    dump_path = cmd.options.get("dump_config")
-    if dump_path:
-        dump_config(config, dump_path)
-        print(f"wrote {dump_path}")
-    axis_spec = cmd.options.get("axis")
-    if axis_spec:
-        if not cmd.output_path:
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    config = _load_effective_config(args)
+    if args.dump_config:
+        dump_config(config, args.dump_config)
+        print(f"wrote {args.dump_config}")
+    if args.axis:
+        if not args.output:
             raise ConfigurationError("analyze with an axis needs --output")
-        _write_closed_form_sweep(config, axis_spec, cmd.output_path)
-        print(f"wrote {cmd.output_path}")
-    if not dump_path and not axis_spec:
+        _write_closed_form_sweep(config, args.axis, args.output)
+        print(f"wrote {args.output}")
+    if not args.dump_config and not args.axis:
         _print_summary(config)
     return EXIT_OK
 
@@ -257,8 +261,8 @@ def _print_summary(config: SystemConfig) -> None:
     print("\n".join(lines))
 
 
-def _cmd_selftest(cmd: Command) -> int:
-    del cmd
+def _cmd_selftest(args: argparse.Namespace) -> int:
+    del args
     from . import selftest
 
     return selftest.run()
@@ -327,37 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_command(argv: list[str] | None = None) -> Command:
-    args = build_parser().parse_args(argv)
-    overrides = {}
-    for item in args.overrides:
-        if "=" not in item:
-            raise ConfigurationError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, raw = item.partition("=")
-        overrides[key.strip()] = parse_config_value(key.strip(), raw.strip())
-    options = {"seed": args.seed}
-    for name in (
-        "scheme",
-        "axis",
-        "angle_epochs",
-        "fading_epochs",
-        "gamma_th_db",
-        "min_bits",
-        "n_rx",
-        "profile",
-        "dump_config",
-    ):
-        if hasattr(args, name):
-            options[name if name != "scheme" else "schemes"] = getattr(args, name)
-    return Command(
-        verb=args.verb,
-        config_path=getattr(args, "config", None),
-        output_path=getattr(args, "output", None),
-        overrides=overrides,
-        options=options,
-    )
-
-
 _VERBS = {
     "se-sweep": _cmd_sweep,
     "ber-sweep": _cmd_sweep,
@@ -368,10 +341,10 @@ _VERBS = {
 }
 
 
-def dispatch(cmd: Command) -> int:
-    """Run one command, mapping every error class to a distinct status."""
+def dispatch(args: argparse.Namespace) -> int:
+    """Run one parsed command, mapping every error class to a distinct status."""
     try:
-        return _VERBS[cmd.verb](cmd)
+        return _VERBS[args.verb](args)
     except (ConfigurationError, PlacementError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -390,12 +363,13 @@ def dispatch(cmd: Command) -> int:
 
 
 def main(argv: list[str] | None = None) -> None:
+    args = build_parser().parse_args(argv)
     try:
-        cmd = build_command(argv)
+        args.overrides = _parse_overrides(args.overrides)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_BAD_CONFIG)
-    raise SystemExit(dispatch(cmd))
+    raise SystemExit(dispatch(args))
 
 
 if __name__ == "__main__":

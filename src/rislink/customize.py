@@ -284,22 +284,17 @@ def select_paths_diversity(
     n_slots: int,
     n_rx: int,
     cap: int = DEFAULT_SEARCH_CAP,
-    first: PathSelection | None = None,
 ) -> PathSelection:
     """Assign disjoint per-slot paths for the path-hopping schemes.
 
     Slot 0 reuses the single-configuration search (``sm`` rules for ``ds``,
-    ``bf`` rules for ``db``); pass that search's result as ``first`` when
-    it is already at hand.  Later slots greedily re-run the same search
+    ``bf`` rules for ``db``).  Later slots greedily re-run the same search
     restricted to each active surface's unused paths, with the active
     surface set frozen.  Requires ``n_slots`` at most the per-surface path
     count.
     """
     if scheme not in ("ds", "db"):
         raise ValueError(f"unknown diversity scheme {scheme!r}")
-    base_scheme = "sm" if scheme == "ds" else "bf"
-    if first is not None and (first.scheme != base_scheme or first.n_slots != 1):
-        raise ValueError(f"slot 0 of {scheme!r} needs a one-slot {base_scheme!r} selection")
     candidates = np.asarray(candidates, dtype=float)
     n_ris, n_paths = candidates.shape
     if n_slots < 1:
@@ -308,12 +303,11 @@ def select_paths_diversity(
         raise SelectionInfeasibleError(
             f"{n_slots} slots need {n_slots} disjoint paths but only {n_paths} exist"
         )
-    if first is None:
-        first = (
-            select_paths_sm(candidates, n_rx, cap)
-            if scheme == "ds"
-            else select_paths_bf(candidates, n_rx, cap=cap)
-        )
+    first = (
+        select_paths_sm(candidates, n_rx, cap)
+        if scheme == "ds"
+        else select_paths_bf(candidates, n_rx, cap=cap)
+    )
     active = first.active_ris
     target = 0.0 if scheme == "ds" else 1.0
     gram = _candidate_gram(candidates, n_rx)

@@ -7,15 +7,19 @@ redraw only the scattered gains and refine the phase design from instant
 knowledge.  Slot hopping for the diversity schemes happens inside a single
 fading epoch.
 
-Designs are per angle epoch: every angle-only part (profile slopes,
-surface kernels, steering responses) is built once per distinct (active
-surfaces, slot paths, refinement) design, and the F fading epochs' gains
-ride along a leading epoch axis through the designs and the runners.
-Draws stay per fading epoch: every random draw comes from a counter-based
-stream keyed by ``(base_seed, grid index, epoch indices, purpose)``, so a
-rerun at the same seed reproduces every result bit for bit.
-Every scheme of a fading epoch reads that epoch's one payload stream, so
-``ds``/``db`` continue the ``sm``/``bf`` bit-error trial in one pass.
+The schemes come in two families, multiplexing (``sm``/``ds``) and
+beamforming (``bf``/``db``), and the hopping scheme of a family is its
+single-configuration scheme plus more slots.  Each family runs one
+pipeline per angle epoch: one selection, one design per slot, and one
+pass of its runner, from which ``sm``/``bf`` read the one-slot prefix and
+``ds``/``db`` every slot.  Every angle-only part of a design (profile
+slopes, surface kernels, steering responses) is built once, and the F
+fading epochs' gains ride along a leading epoch axis through the designs
+and the runners.  Draws stay per fading epoch: every random draw comes
+from a counter-based stream keyed by ``(base_seed, grid index, epoch
+indices, purpose)``, so a rerun at the same seed reproduces every result
+bit for bit.  Every scheme of a fading epoch reads that epoch's one
+payload stream, so one payload pass per family serves both its schemes.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ from .channel import (
 from .config import SystemConfig, db2lin, dbm2watt, place_deployment
 from .customize import (
     SCHEME_TAGS,
-    CustomizedChannel,
-    PathSelection,
     build_customized_channel,
     select_paths_bf,
     select_paths_diversity,
@@ -47,11 +49,9 @@ from .errors import ConfigurationError
 from .transceive import (
     DEFAULT_OUTAGE_THRESHOLD,
     SchemeResult,
+    _run_beamform,
+    _run_multiplex,
     payload_errors,
-    run_bf,
-    run_db,
-    run_ds,
-    run_sm,
 )
 from . import analysis
 
@@ -189,50 +189,10 @@ def inject_angle_error(
     )
 
 
-def _select_paths(
-    schemes: tuple[str, ...], candidates: np.ndarray, config: SystemConfig
-) -> dict[str, PathSelection]:
-    """Every scheme's selection; ``ds``/``db`` take the ``sm``/``bf``
-    selection as their slot 0 when that scheme runs too."""
-    selections = {}
-    if "sm" in schemes:
-        selections["sm"] = select_paths_sm(candidates, config.n_rx)
-    if "bf" in schemes:
-        selections["bf"] = select_paths_bf(candidates, config.n_rx)
-    for scheme, base in (("ds", "sm"), ("db", "bf")):
-        if scheme in schemes:
-            selections[scheme] = select_paths_diversity(
-                candidates, scheme, config.n_slots, config.n_rx, first=selections.get(base)
-            )
-    return selections
-
-
-_RUNNERS = {
-    "sm": lambda customs, config, gamma_th: run_sm(customs[0], config, gamma_th),
-    "bf": lambda customs, config, gamma_th: run_bf(customs[0], config, gamma_th),
-    "ds": run_ds,
-    "db": run_db,
-}
-
-
-def _payload_ladders(
-    schemes: tuple[str, ...], payload_symbols: dict[str, int]
-) -> list[tuple[str, ...]]:
-    """Group the schemes into payload passes, shortest rung first.
-
-    ``sm`` and ``ds`` (``bf`` and ``db``) share a pass when both run with
-    the same payload size: the hopping scheme's slot 0 is then the
-    single-configuration design, fed the same bits and slot-0 noise.  Any
-    other scheme runs a pass of its own.
-    """
-    ladders = []
-    for single, hopping in (("sm", "ds"), ("bf", "db")):
-        if single in schemes and hopping in schemes and \
-                payload_symbols[single] == payload_symbols[hopping]:
-            ladders.append((single, hopping))
-        else:
-            ladders.extend((scheme,) for scheme in (single, hopping) if scheme in schemes)
-    return ladders
+# Scheme family -> (single-configuration scheme, path-hopping scheme).  The
+# hopping scheme extends the single one: its selection and designs begin
+# with the single scheme's, and its results continue the same slot sums.
+_FAMILIES = {"multiplex": ("sm", "ds"), "beamform": ("bf", "db")}
 
 
 def _angle_epoch(
@@ -249,11 +209,13 @@ def _angle_epoch(
 
     Each fading epoch keeps its own substream and draw order (per surface:
     transmit-side gains, then receive-side gains); the draws are stacked
-    into (F, L) gain arrays per hop.  Every distinct (active surfaces,
-    slot paths, refinement) design is built once for all F epochs, so
-    ``sm``/``ds`` and ``bf``/``db`` share their slot 0.  With
-    ``payload_symbols``, each of :func:`_payload_ladders` runs one payload
-    pass per fading epoch, and each rung takes the errors after its slots.
+    into (F, L) gain arrays per hop.  Each scheme family runs once: one
+    selection (the hopping one when its hopping scheme is requested), one
+    design per slot for all F epochs, and one pass of the runner, where
+    ``sm``/``bf`` read the one-slot prefix and ``ds``/``db`` all slots.
+    With ``payload_symbols`` (family -> symbols per fading epoch), each
+    family also runs one payload pass per fading epoch, and each scheme
+    takes the bit errors after its slots.
     """
     rng = substream(base_seed, grid_index, epoch_index, _ANGLES)
     deployment = place_deployment(config, rng)
@@ -278,7 +240,6 @@ def _angle_epoch(
         template_rx = base_rx
 
     candidates = np.array([ch.arrival_freqs for ch in template_rx])
-    selections = _select_paths(schemes, candidates, config)
 
     # Each epoch's generator sees the draws in the order of a single-epoch
     # redraw: per surface, transmit-side gains, then receive-side gains.
@@ -294,51 +255,48 @@ def _angle_epoch(
     if mismatched:
         est_rx = [replace(t, gains=s.gains) for t, s in zip(template_rx, cur_rx)]
 
-    designs: dict[tuple, CustomizedChannel] = {}
-
-    def design(selection: PathSelection, slot: int, refine: bool) -> CustomizedChannel:
-        key = (selection.active_ris, selection.slot_paths[slot], refine)
-        if key not in designs:
-            designs[key] = build_customized_channel(
+    out: dict[str, list[SchemeResult]] = {}
+    for family, (single, hopping) in _FAMILIES.items():
+        multiplex = family == "multiplex"
+        if hopping in schemes:
+            selection = select_paths_diversity(candidates, hopping, config.n_slots, config.n_rx)
+        elif single in schemes:
+            select = select_paths_sm if multiplex else select_paths_bf
+            selection = select(candidates, config.n_rx)
+        else:
+            continue
+        customs = [
+            build_customized_channel(
                 selection,
                 (cur_tx, est_rx),
                 deployment,
-                slot=slot,
-                refine=refine,
+                slot=m,
+                refine=not multiplex,
                 exact_subchannels=(cur_tx, cur_rx) if mismatched else None,
             )
-        shared = designs[key]
-        if shared.selection is selection and shared.slot == slot:
-            return shared
-        return replace(shared, selection=selection, slot=slot)
-
-    out: dict[str, list[SchemeResult]] = {}
-    slot_customs: dict[str, list[CustomizedChannel]] = {}
-    for scheme in schemes:
-        selection = selections[scheme]
-        refine = scheme in ("bf", "db")
-        customs = [design(selection, m, refine) for m in range(selection.n_slots)]
-        slot_customs[scheme] = customs
-        out[scheme] = _RUNNERS[scheme](customs, config, gamma_th)
-    if payload_symbols is None:
-        return out
-
-    for ladder in _payload_ladders(schemes, payload_symbols):
-        customs = slot_customs[ladder[-1]]
+            for m in range(selection.n_slots)
+        ]
+        slots = {
+            scheme: n_slots
+            for scheme, n_slots in ((single, 1), (hopping, selection.n_slots))
+            if scheme in schemes
+        }
+        run = _run_multiplex if multiplex else _run_beamform
+        out.update(run(customs, config, slots, gamma_th))
+        if payload_symbols is None:
+            continue
         for fading_index in range(n_fading_epochs):
             sent, errors = payload_errors(
                 [custom.epoch(fading_index) for custom in customs],
                 config,
-                payload_symbols[ladder[-1]],
+                payload_symbols[family],
                 substream(base_seed, grid_index, epoch_index, fading_index, _PAYLOAD),
-                multiplex=ladder[0] in ("sm", "ds"),
+                multiplex=multiplex,
             )
-            for scheme in ladder:
+            for scheme, n_slots in slots.items():
                 results = out[scheme]
                 results[fading_index] = replace(
-                    results[fading_index],
-                    bit_errors=errors[len(slot_customs[scheme]) - 1],
-                    bits_sent=sent,
+                    results[fading_index], bit_errors=errors[n_slots - 1], bits_sent=sent
                 )
     return out
 
@@ -439,10 +397,11 @@ def _sweep(
     for grid_index, cfg in enumerate(configs):
         payload_symbols = None
         if min_bits is not None:
-            payload_symbols = {}
-            for scheme in plan.schemes:
-                bits_per_use = 2 * (cfg.n_rx if scheme in ("sm", "ds") else 1)
-                payload_symbols[scheme] = max(1, math.ceil(min_bits / (n_epochs * bits_per_use)))
+            # Bits per channel use: one QPSK symbol per stream, or one in all.
+            payload_symbols = {
+                family: max(1, math.ceil(min_bits / (n_epochs * 2 * streams)))
+                for family, streams in (("multiplex", cfg.n_rx), ("beamform", 1))
+            }
         epochs = _collect_epochs(plan, cfg, grid_index, payload_symbols)
         for scheme in plan.schemes:
             mean, err, n = reduce([r for epoch in epochs for r in epoch[scheme]])

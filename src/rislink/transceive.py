@@ -8,8 +8,10 @@ activated-gain (diagonalized) model supplies the per-stream SNRs used for
 outage calls and is reported separately as a companion value.
 
 The path-hopping schemes run one shaped channel per slot and combine slot
-outputs coherently; the single-configuration runners are literally the
-one-slot case of the same code so reductions are bit-exact.  Designs over
+outputs coherently.  The runners accumulate slot by slot and read each
+scheme off a prefix of the slots, so the single-configuration schemes are
+literally the one-slot case of the same code, and one pass over a hopping
+design serves both schemes of its family bit for bit.  Designs over
 stacked fading epochs run in one pass and give one result per epoch, equal
 bit for bit to running each epoch on its own.  Bit-error payloads
 detect after every slot, so one pass serves every prefix of the slots.
@@ -86,71 +88,77 @@ def _check_slots(customs: Sequence[CustomizedChannel]) -> None:
 def _run_multiplex(
     customs: Sequence[CustomizedChannel],
     config: SystemConfig,
-    scheme: str,
+    slots: dict[str, int],
     gamma_th: float,
-) -> SchemeResult | list[SchemeResult]:
+) -> dict[str, SchemeResult | list[SchemeResult]]:
     """Shared multiplexing runner: per-slot combine, rotate, sum, detect.
 
     Each slot's combiner is the activated receive-response stack with its
     columns phase-rotated onto the realized per-stream gains, so slot
-    outputs add coherently; stacking slots leaves per-stream noise at
-    ``n_slots * noise_power``.  Stacked designs give a list of per-epoch
-    results.
+    outputs add coherently; stacking m slots leaves per-stream noise at
+    ``m * noise_power``.  Slots accumulate in order, and each scheme of
+    ``slots`` (scheme -> slot count) reads its results off its prefix.
+    Stacked designs give a list of per-epoch results.
     """
     _check_slots(customs)
-    n_slots = len(customs)
     noise_power = config.noise_power
     n_streams = customs[0].r_active.shape[1]
-    slots = [_multiplex_slot(custom, config) for custom in customs]
-    effective = np.zeros(slots[0][1].shape, dtype=complex)
-    model_amplitude = np.zeros(customs[0].xi_active.shape)
-    for custom, (_, g, rotation) in zip(customs, slots):
+    effective = 0j
+    model_amplitude = 0.0
+    out = {}
+    for n_slots, custom in enumerate(customs, 1):
+        _, g, rotation = _multiplex_slot(custom, config)
         effective += rotation[..., :, None] * g
         model_amplitude += np.abs(custom.xi_active)
-
-    stacked_noise = n_slots * noise_power
-    _, logdet = np.linalg.slogdet(
-        np.eye(n_streams) + effective @ np.swapaxes(effective.conj(), -1, -2) / stacked_noise
-    )
-    se = logdet / math.log(2.0) / n_slots
-
-    snr = (
-        model_amplitude**2
-        * config.transmit_power
-        / (n_streams * n_slots * noise_power)
-    )
-    se_model = np.sum(np.log2(1.0 + snr), axis=-1) / n_slots
-    results = [
-        SchemeResult(
-            scheme=scheme,
-            se_bits_per_hz=float(epoch_se),
-            se_model_bits_per_hz=float(epoch_model),
-            post_combine_snr=tuple(epoch_snr.tolist()),
-            outage=bool(epoch_snr.min() < gamma_th),
+        readers = [scheme for scheme, count in slots.items() if count == n_slots]
+        if not readers:
+            continue
+        stacked_noise = n_slots * noise_power
+        _, logdet = np.linalg.slogdet(
+            np.eye(n_streams) + effective @ np.swapaxes(effective.conj(), -1, -2) / stacked_noise
         )
-        for epoch_se, epoch_model, epoch_snr in zip(
-            np.atleast_1d(se), np.atleast_1d(se_model), np.atleast_2d(snr)
+        se = logdet / math.log(2.0) / n_slots
+        snr = (
+            model_amplitude**2
+            * config.transmit_power
+            / (n_streams * n_slots * noise_power)
         )
-    ]
-    return results if np.ndim(se) else results[0]
+        se_model = np.sum(np.log2(1.0 + snr), axis=-1) / n_slots
+        for scheme in readers:
+            results = [
+                SchemeResult(
+                    scheme=scheme,
+                    se_bits_per_hz=float(epoch_se),
+                    se_model_bits_per_hz=float(epoch_model),
+                    post_combine_snr=tuple(epoch_snr.tolist()),
+                    outage=bool(epoch_snr.min() < gamma_th),
+                )
+                for epoch_se, epoch_model, epoch_snr in zip(
+                    np.atleast_1d(se), np.atleast_1d(se_model), np.atleast_2d(snr)
+                )
+            ]
+            out[scheme] = results if np.ndim(se) else results[0]
+    return out
 
 
 def _run_beamform(
     customs: Sequence[CustomizedChannel],
     config: SystemConfig,
-    scheme: str,
+    slots: dict[str, int],
     gamma_th: float,
-) -> SchemeResult | list[SchemeResult]:
+) -> dict[str, SchemeResult | list[SchemeResult]]:
     """Shared beamforming runner: matched-filter stacking across slots.
 
-    Stacked designs give a list of per-epoch results."""
+    Slots accumulate in order, and each scheme of ``slots`` (scheme ->
+    slot count) reads its results off its prefix.  Stacked designs give a
+    list of per-epoch results."""
     _check_slots(customs)
-    n_slots = len(customs)
     n_active = customs[0].t_active.shape[1]
     exact_power = 0.0
     model_sum = 0.0
-    combiners = [_beam_combiner(custom, config) for custom in customs]
-    for custom, matched in zip(customs, combiners):
+    out = {}
+    for n_slots, custom in enumerate(customs, 1):
+        matched = _beam_combiner(custom, config)
         # Per epoch, the 1-D norm and the scalar power of a single-epoch
         # run: a norm over the last axis sums in another order, and the
         # array square (x*x) need not round like the scalar pow(x, 2).
@@ -158,19 +166,20 @@ def _run_beamform(
         model_sum += np.array([
             s**2 for s in np.abs(np.atleast_2d(custom.xi_active)).sum(axis=-1)
         ])
-
-    results = []
-    for epoch_power, epoch_model in zip(exact_power.tolist(), model_sum.tolist()):
-        se = math.log2(1.0 + epoch_power / config.noise_power) / n_slots
-        snr_model = config.transmit_power * epoch_model / (n_active * config.noise_power)
-        results.append(SchemeResult(
-            scheme=scheme,
-            se_bits_per_hz=se,
-            se_model_bits_per_hz=math.log2(1.0 + snr_model) / n_slots,
-            post_combine_snr=(snr_model,),
-            outage=bool(snr_model < gamma_th),
-        ))
-    return results if combiners[0].ndim == 2 else results[0]
+        for scheme in [scheme for scheme, count in slots.items() if count == n_slots]:
+            results = []
+            for epoch_power, epoch_model in zip(exact_power.tolist(), model_sum.tolist()):
+                se = math.log2(1.0 + epoch_power / config.noise_power) / n_slots
+                snr_model = config.transmit_power * epoch_model / (n_active * config.noise_power)
+                results.append(SchemeResult(
+                    scheme=scheme,
+                    se_bits_per_hz=se,
+                    se_model_bits_per_hz=math.log2(1.0 + snr_model) / n_slots,
+                    post_combine_snr=(snr_model,),
+                    outage=bool(snr_model < gamma_th),
+                ))
+            out[scheme] = results if matched.ndim == 2 else results[0]
+    return out
 
 
 def run_sm(
@@ -179,7 +188,7 @@ def run_sm(
     gamma_th: float = DEFAULT_OUTAGE_THRESHOLD,
 ) -> SchemeResult | list[SchemeResult]:
     """Spatial multiplexing: equal-power streams on the activated paths."""
-    return _run_multiplex([custom], config, "sm", gamma_th)
+    return _run_multiplex([custom], config, {"sm": 1}, gamma_th)["sm"]
 
 
 def run_ds(
@@ -188,7 +197,7 @@ def run_ds(
     gamma_th: float = DEFAULT_OUTAGE_THRESHOLD,
 ) -> SchemeResult | list[SchemeResult]:
     """Multiplexing with per-slot path hopping, combined coherently."""
-    return _run_multiplex(customs, config, "ds", gamma_th)
+    return _run_multiplex(customs, config, {"ds": len(customs)}, gamma_th)["ds"]
 
 
 def run_bf(
@@ -197,7 +206,7 @@ def run_bf(
     gamma_th: float = DEFAULT_OUTAGE_THRESHOLD,
 ) -> SchemeResult | list[SchemeResult]:
     """Single-stream beamforming with matched-filter reception."""
-    return _run_beamform([custom], config, "bf", gamma_th)
+    return _run_beamform([custom], config, {"bf": 1}, gamma_th)["bf"]
 
 
 def run_db(
@@ -206,7 +215,7 @@ def run_db(
     gamma_th: float = DEFAULT_OUTAGE_THRESHOLD,
 ) -> SchemeResult | list[SchemeResult]:
     """Beamforming with per-slot path hopping, combined coherently."""
-    return _run_beamform(customs, config, "db", gamma_th)
+    return _run_beamform(customs, config, {"db": len(customs)}, gamma_th)["db"]
 
 
 def _qpsk_bits(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -298,10 +307,11 @@ def ber_trial(
     """One scheme's runner result with the bit errors of a payload trial:
     the last rung of :func:`payload_errors` over all of ``customs``."""
     if scheme in ("sm", "ds"):
-        base = _run_multiplex(customs, config, scheme, gamma_th)
+        run = _run_multiplex
     elif scheme in ("bf", "db"):
-        base = _run_beamform(customs, config, scheme, gamma_th)
+        run = _run_beamform
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
+    base = run(customs, config, {scheme: len(customs)}, gamma_th)[scheme]
     sent, errors = payload_errors(customs, config, symbols, rng, scheme in ("sm", "ds"))
     return dataclasses.replace(base, bit_errors=errors[-1], bits_sent=sent)

@@ -68,6 +68,11 @@ class TestAxisParsing:
         with pytest.raises(ConfigurationError):
             cli._parse_axis(bad)
 
+    def test_grid_size_limit(self):
+        assert len(cli._parse_axis("E_dBm=0:1:999999")[1]) == 10**6
+        with pytest.raises(ConfigurationError, match="more than 1000000 points"):
+            cli._parse_axis("E_dBm=0:1:1000000")
+
 
 @pytest.fixture(scope="module")
 def small_sweep():
@@ -319,6 +324,19 @@ class TestExitCodes:
          cli.EXIT_NO_CROSSING),
         (["crossing-point", "--n-rx", "3", "--profile", "1e-50,1e-50,1e-50,1e5"],
          cli.EXIT_NO_CROSSING),
+        # Zero streams is a stream count, not "use the config's".
+        (["crossing-point", "--n-rx", "0"], cli.EXIT_BAD_CONFIG),
+        # A bad --set fails before any verb runs, even one without a config.
+        (["selftest", "--set", "bogus=3"], cli.EXIT_BAD_CONFIG),
+        # Grids above a million points fail before the grid is built.
+        *(
+            (["se-sweep", "--scheme", "sm", "--axis", axis,
+              "--output", "/tmp/unused.csv", "--angle-epochs", "1",
+              "--fading-epochs", "1"], cli.EXIT_BAD_CONFIG)
+            for axis in ("E_dBm=0:1e-9:40", "E_dBm=-1e308:1:1e308")
+        ),
+        (["analyze", "--axis", "E_dBm=0:1e-9:40", "--output", "/tmp/unused.csv"],
+         cli.EXIT_BAD_CONFIG),
     ])
     def test_error_paths(self, argv, code, capsys):
         assert _run(argv) == code

@@ -327,24 +327,6 @@ class TestDiversitySelection:
         with pytest.raises(ValueError):
             rl.select_paths_diversity(candidates, "xx", 2, 2)
 
-    def test_given_first_slot_gives_the_same_selection(self):
-        rng = rl.substream(BASE_SEED, 52)
-        candidates = rng.uniform(-math.pi, math.pi, (4, 5))
-        for scheme, first in (("ds", rl.select_paths_sm(candidates, 2)),
-                              ("db", rl.select_paths_bf(candidates, 2))):
-            searched = rl.select_paths_diversity(candidates, scheme, 3, 2)
-            reused = rl.select_paths_diversity(candidates, scheme, 3, 2, first=first)
-            assert reused == searched
-
-    def test_given_first_slot_must_follow_the_scheme_rules(self):
-        candidates = rl.substream(BASE_SEED, 53).uniform(-math.pi, math.pi, (4, 5))
-        with pytest.raises(ValueError):
-            rl.select_paths_diversity(candidates, "ds", 2, 2,
-                                      first=rl.select_paths_bf(candidates, 2))
-        with pytest.raises(ValueError):
-            rl.select_paths_diversity(candidates, "db", 2, 2,
-                                      first=rl.select_paths_diversity(candidates, "db", 2, 2))
-
 
 class TestCustomizedChannel:
     def _scene(self, key, config=None):

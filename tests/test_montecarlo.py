@@ -225,8 +225,9 @@ def _per_epoch_oracle(config, schemes, grid_index, epoch_index, n_fading_epochs,
             else:
                 payload_rng = mc.substream(base_seed, grid_index, epoch_index, fading_index,
                                            mc._PAYLOAD)
+                family = "multiplex" if scheme in ("sm", "ds") else "beamform"
                 out[scheme].append(rl.ber_trial(scheme, customs, config,
-                                                payload_symbols[scheme], payload_rng, gamma_th))
+                                                payload_symbols[family], payload_rng, gamma_th))
     return out
 
 
@@ -239,7 +240,7 @@ class TestStackedEngine:
     @pytest.mark.parametrize("n_slots", [1, 2, 3])
     def test_matches_per_epoch_oracle(self, n_slots, sigma_e, path):
         schemes = ("sm", "bf", "ds", "db")
-        payload = {scheme: 40 for scheme in schemes} if path == "ber" else None
+        payload = {"multiplex": 40, "beamform": 40} if path == "ber" else None
         for seed, grid_index, epoch_index, power in ((BASE_SEED, 0, 0, 1.0), (7, 3, 2, 1e-3)):
             config = rl.SystemConfig(n_slots=n_slots, angle_error_std=sigma_e,
                                      transmit_power=power)
@@ -257,22 +258,8 @@ class TestStackedEngine:
         config = rl.SystemConfig(n_slots=2, n_rx=2)
         args = (config, schemes, 1, 0, 3, 11, 10.0)
         assert mc._angle_epoch(*args) == _per_epoch_oracle(*args)
-        payload = {scheme: 60 for scheme in schemes}
+        payload = {"multiplex": 60, "beamform": 60}
         assert mc._angle_epoch(*args, payload) == _per_epoch_oracle(*args, payload)
-
-    @pytest.mark.parametrize("n_slots", [2, 3])
-    def test_unequal_payloads_run_apart(self, n_slots):
-        # A payload ladder needs equal payload sizes; otherwise each
-        # scheme draws its own bits and noise, as the oracle does.
-        config = rl.SystemConfig(n_slots=n_slots)
-        schemes = ("sm", "bf", "ds", "db")
-        payload = {"sm": 30, "ds": 45, "bf": 70, "db": 70}
-        args = (config, schemes, 2, 1, 3, 5, 10.0, payload)
-        stacked = mc._angle_epoch(*args)
-        assert stacked == _per_epoch_oracle(*args)
-        assert mc._payload_ladders(schemes, payload) == [("sm",), ("ds",), ("bf", "db")]
-        assert all(r.bits_sent == 2 * config.n_rx * 30 for r in stacked["sm"])
-        assert all(r.bits_sent == 2 * config.n_rx * 45 for r in stacked["ds"])
 
     def test_ladders_draw_each_slot_noise_once(self, monkeypatch):
         calls = []
@@ -286,8 +273,8 @@ class TestStackedEngine:
         schemes = ("sm", "bf", "ds", "db")
         n_fading = 3
         mc._angle_epoch(rl.SystemConfig(n_slots=2), schemes, 0, 0, n_fading, BASE_SEED, 10.0,
-                        {scheme: 20 for scheme in schemes})
-        # One pass per ladder and fading epoch, one draw per slot: (sm, ds)
+                        {"multiplex": 20, "beamform": 20})
+        # One pass per family and fading epoch, one draw per slot: (sm, ds)
         # and (bf, db) each draw twice, not 1 + 2 times.
         assert len(calls) == 4 * n_fading
 
@@ -295,14 +282,30 @@ class TestStackedEngine:
         built = []
         original = mc.build_customized_channel
 
-        def counting(selection, *args, slot=0, **kwargs):
-            built.append((selection.scheme, slot))
-            return original(selection, *args, slot=slot, **kwargs)
+        def counting(selection, *args, slot=0, refine=False, **kwargs):
+            built.append((refine, slot))
+            return original(selection, *args, slot=slot, refine=refine, **kwargs)
 
         monkeypatch.setattr(mc, "build_customized_channel", counting)
         config = rl.SystemConfig(n_slots=2)
         mc._angle_epoch(config, ("sm", "bf", "ds", "db"), 0, 0, 3, BASE_SEED, 10.0)
-        assert sorted(built) == [("bf", 0), ("db", 1), ("ds", 1), ("sm", 0)]
+        # One design per slot and family: sm/bf take slot 0 of ds/db's.
+        assert sorted(built) == [(False, 0), (False, 1), (True, 0), (True, 1)]
+
+    def test_each_family_runs_each_slot_once(self, monkeypatch):
+        calls = []
+        for name in ("_multiplex_slot", "_beam_combiner"):
+            original = getattr(transceive, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(transceive, name, counting)
+        config = rl.SystemConfig(n_slots=2)
+        mc._angle_epoch(config, ("sm", "bf", "ds", "db"), 0, 0, 3, BASE_SEED, 10.0)
+        # sm/bf read their results off the first slot of ds/db's pass.
+        assert sorted(calls) == ["_beam_combiner"] * 2 + ["_multiplex_slot"] * 2
 
 
 class TestEstimators:
