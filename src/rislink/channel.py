@@ -6,17 +6,22 @@ link is pure Rayleigh scattering.  Each hop holds one read-only array per
 path attribute (gains, arrival and departure frequencies).  A fading epoch
 swaps only the gains array; the angle arrays are shared for the whole
 angle epoch, and the gains of several fading epochs can be stacked on a
-leading epoch axis.  :func:`assemble_composite` builds the end-to-end
-matrix from these arrays and the surfaces' linear phase profiles alone:
-every surface inner product is a Dirichlet kernel, so no hop matrix is
-ever materialized (``rislink.selftest.dense_composite`` is the dense
-oracle).
+leading epoch axis.  A :class:`HopStack` holds both hops of every surface
+for a block of angle epochs as arrays, with a leading angle axis on the
+angles and (angle, fading) axes on the gains.  :func:`composite` builds
+the end-to-end matrices of every row of a stack from these arrays and the
+surfaces' linear phase profiles alone: every surface inner product is a
+Dirichlet kernel, so no hop matrix is ever materialized
+(``rislink.selftest.dense_composite`` is the dense oracle), and
+:func:`assemble_composite` is its one-angle-epoch form.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -79,9 +84,17 @@ class MultipathChannel:
 
 
 def _response_matrix(n_elements: int, freqs: np.ndarray) -> np.ndarray:
-    """Stack array responses as columns: shape (n_elements, len(freqs))."""
-    phases = np.outer(np.arange(n_elements), freqs)
+    """Stack array responses as columns: shape (n_elements, len(freqs)),
+    after any leading axes of ``freqs``."""
+    phases = np.arange(n_elements)[:, None] * np.asarray(freqs)[..., None, :]
     return np.exp(1j * phases) / math.sqrt(n_elements)
+
+
+# Slack above the separation threshold that the two nearest frequencies
+# must leave before a draw is taken without testing every frequency: the
+# computed circular gap of two frequencies in [-pi, pi] is within 3e-15 of
+# the exact one.
+_GAP_MARGIN = 1e-12
 
 
 def _draw_separated_freqs(
@@ -98,23 +111,63 @@ def _draw_separated_freqs(
     The threshold is capped at half the packing density of the full circle
     so a near-degenerate geometry (a surface with very few elements) slows
     the draw down instead of deadlocking it.
+
+    Every try consumes one ``rng.uniform(0.0, pi)``, in order.  The uniforms
+    are drawn in batches: the first ``count`` are always consumed; beyond
+    them the generator state is saved, and once done it is restored and
+    exactly the consumed number redrawn, so the generator ends where one
+    scalar draw per try leaves it (after a ``SamplingError`` its state is
+    unspecified).  Each try is first tested against its two neighbours in
+    sorted order, which on the circle are the nearest taken frequencies:
+    a neighbour that is too close rejects it, as the full gap test would.
+    When every frequency lies in [-pi, pi] and both neighbours clear the
+    threshold by ``_GAP_MARGIN``, far above the few-ulp error of the gap
+    arithmetic, every other frequency clears it too and the try is taken;
+    otherwise the full gap test decides.
     """
     taken = np.atleast_1d(np.asarray(keep_away, dtype=float)).tolist()
     total = count + len(taken)
     separation = min(separation, 2.0 * math.pi / (2.0 * total))
     pi, two_pi = math.pi, 2.0 * math.pi
-    out = []
-    for _ in range(count):
-        for _ in range(max_attempts):
-            freq = pi * math.cos(rng.uniform(0.0, pi))
+
+    on_circle = all(-pi <= t <= pi for t in taken)
+    ordered = sorted(taken)
+    out: list[float] = []
+    attempts = 0
+    saved = None
+    consumed = 0
+    batch = count
+    while len(out) < count:
+        if out or attempts:
+            if saved is None:
+                saved = rng.bit_generator.state
+            batch = max(32, 4 * (count - len(out)))
+        for u in rng.uniform(0.0, pi, size=batch).tolist():
+            consumed += saved is not None
+            freq = pi * math.cos(u)
+            attempts += 1
+            i = bisect.bisect(ordered, freq)
             # Python's float % is numpy's remainder (fmod plus a sign fix),
-            # so this test decides as its numpy array form does, bit for bit.
-            if all(abs((t - freq + pi) % two_pi - pi) >= separation for t in taken):
+            # so these gaps decide as their numpy array form does, bit for bit.
+            near = math.inf
+            if ordered:
+                near = min(abs((ordered[i - 1] - freq + pi) % two_pi - pi),
+                           abs((ordered[i % len(ordered)] - freq + pi) % two_pi - pi))
+            if near >= separation and (
+                (on_circle and near >= separation + _GAP_MARGIN)
+                or all(abs((t - freq + pi) % two_pi - pi) >= separation for t in taken)
+            ):
                 out.append(freq)
                 taken.append(freq)
-                break
-        else:
-            raise SamplingError(f"angle sampling failed after {max_attempts} attempts")
+                ordered.insert(i, freq)
+                attempts = 0
+                if len(out) == count:
+                    break
+            elif attempts == max_attempts:
+                raise SamplingError(f"angle sampling failed after {max_attempts} attempts")
+    if saved is not None:
+        rng.bit_generator.state = saved
+        rng.uniform(0.0, pi, size=consumed)
     return np.array(out)
 
 
@@ -123,18 +176,22 @@ def _complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
 
 
+def _scatter_scale(config: SystemConfig, link: str, n_s: int, count: int) -> float:
+    """Amplitude of each of a hop's ``count`` scattered paths, which share
+    the hop's non-line-of-sight power equally (0 when there are none)."""
+    if not count:
+        return 0.0
+    if link == TX_RIS:
+        return math.sqrt(config.n_tx * n_s / ((config.rician_factor + 1.0) * count))
+    return math.sqrt(config.n_rx * n_s / count)
+
+
 def _scattered_gains(
     config: SystemConfig, link: str, n_s: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Fresh gains of a hop's ``count`` scattered paths, sharing the hop's
-    non-line-of-sight power equally (an empty draw when ``count`` is 0)."""
-    if not count:
-        scale = 0.0
-    elif link == TX_RIS:
-        scale = math.sqrt(config.n_tx * n_s / ((config.rician_factor + 1.0) * count))
-    else:
-        scale = math.sqrt(config.n_rx * n_s / count)
-    return scale * _complex_normal(rng, count)
+    """Fresh gains of a hop's ``count`` scattered paths (an empty draw when
+    ``count`` is 0)."""
+    return _scatter_scale(config, link, n_s, count) * _complex_normal(rng, count)
 
 
 def min_angle_separation(deployment: Deployment) -> float:
@@ -247,6 +304,121 @@ def dirichlet_kernel(delta, n_elements):
     return np.exp(1j * (n - 1.0) * half) * ratio
 
 
+def draw_fading_gains(
+    config: SystemConfig,
+    n_elements: np.ndarray,
+    los_gains: np.ndarray,
+    rngs: Sequence[Sequence[np.random.Generator]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh gains of both hops of every surface for a grid of fading epochs.
+
+    ``rngs[a][f]`` is the generator of fading epoch ``f`` of angle epoch
+    ``a``, whose surfaces have ``n_elements[a]`` elements and line-of-sight
+    gains ``los_gains[a]``.  Each generator makes one normal draw for all
+    surfaces, sliced in the order of :func:`redraw_fading` surface by
+    surface (transmit-side gains, then receive-side gains; real parts,
+    then imaginary parts), so every gain equals that redraw's bit for bit.
+    Returns (A, F, K, 1 + L_T) transmit-side and (A, F, K, L_R)
+    receive-side gains.
+    """
+    n_tx_paths, n_rx_paths = config.n_nlos_tx_paths, config.n_ris_rx_paths
+    n_angle, n_ris = n_elements.shape
+    width = 2 * (n_tx_paths + n_rx_paths)
+    normals = np.empty((n_angle, len(rngs[0]), n_ris * width))
+    for row, epoch_rngs in zip(normals, rngs):
+        for out, rng in zip(row, epoch_rngs):
+            rng.standard_normal(out=out)
+    normals = normals.reshape(normals.shape[:2] + (n_ris, width))
+    split = np.cumsum([n_tx_paths, n_tx_paths, n_rx_paths])
+    tx_re, tx_im, rx_re, rx_im = np.split(normals, split, axis=-1)
+
+    def scales(link: str, count: int) -> np.ndarray:
+        return np.array([
+            [_scatter_scale(config, link, int(n_s), count) for n_s in row] for row in n_elements
+        ])[:, None, :, None]
+
+    tx_gains = np.empty(normals.shape[:3] + (1 + n_tx_paths,), dtype=complex)
+    tx_gains[..., 0] = los_gains[:, None, :]
+    tx_gains[..., 1:] = scales(TX_RIS, n_tx_paths) * ((tx_re + 1j * tx_im) / math.sqrt(2.0))
+    rx_gains = scales(RIS_RX, n_rx_paths) * ((rx_re + 1j * rx_im) / math.sqrt(2.0))
+    return tx_gains, rx_gains
+
+
+@dataclass(frozen=True, eq=False)
+class HopStack:
+    """Both hops of every surface over a block of angle epochs, as arrays.
+
+    Frequencies have shape (A, K, L): ``tx_*`` describe the transmitter-to-
+    surface hops (path 0 the line of sight, arrivals at the surface) and
+    ``rx_*`` the surface-to-receiver hops (departures at the surface).
+    Gains have shape (A, F, K, L) over F fading epochs of the same angles.
+    ``n_elements`` and ``losses`` hold each surface's element count and
+    cascaded loss, shape (A, K).  The receive and transmit steering
+    factors depend on the angles only and are built once per stack.
+    """
+
+    n_rx: int
+    n_tx: int
+    tx_arrival: np.ndarray
+    tx_departure: np.ndarray
+    tx_gains: np.ndarray
+    rx_arrival: np.ndarray
+    rx_departure: np.ndarray
+    rx_gains: np.ndarray
+    n_elements: np.ndarray
+    losses: np.ndarray
+
+    @classmethod
+    def from_channels(
+        cls,
+        tx_ris: Sequence[MultipathChannel],
+        ris_rx: Sequence[MultipathChannel],
+        deployment: Deployment,
+    ) -> "HopStack":
+        """One angle epoch's hops; single-epoch gains get an F axis of 1."""
+
+        def stacked(hops, name):
+            return np.array([getattr(hop, name) for hop in hops])[None]
+
+        def gains(hops):
+            values = np.stack([hop.gains for hop in hops], axis=-2)
+            return values.reshape((1, -1) + values.shape[-2:])
+
+        return cls(
+            n_rx=ris_rx[0].n_out,
+            n_tx=tx_ris[0].n_in,
+            tx_arrival=stacked(tx_ris, "arrival_freqs"),
+            tx_departure=stacked(tx_ris, "departure_freqs"),
+            tx_gains=gains(tx_ris),
+            rx_arrival=stacked(ris_rx, "arrival_freqs"),
+            rx_departure=stacked(ris_rx, "departure_freqs"),
+            rx_gains=gains(ris_rx),
+            n_elements=stacked(ris_rx, "n_in"),
+            losses=deployment.path_losses[None, :len(tx_ris)],
+        )
+
+    @cached_property
+    def rx_steering(self) -> np.ndarray:
+        """Receive responses of every path, surface-major: (A, n_rx, K L_R)."""
+        return _response_matrix(self.n_rx, self.rx_arrival.reshape(len(self.rx_arrival), -1))
+
+    @cached_property
+    def tx_steering_h(self) -> np.ndarray:
+        """Conjugate transpose of the transmit responses: (A, K L_T, n_tx)."""
+        freqs = self.tx_departure.reshape(len(self.tx_departure), -1)
+        return np.swapaxes(_response_matrix(self.n_tx, freqs).conj(), -1, -2)
+
+
+def _inner_products(slopes, commons, out_freqs, in_freqs, n_elements) -> np.ndarray:
+    """``exp(1j*c) * D(slope + in_j - out_l)`` per surface: slopes and
+    element counts (A, K), common phases (A, F, K), frequencies (A, K, L);
+    shape (A, F, K, L_out, L_in), with the kernel evaluated once per angle
+    epoch."""
+    delta = slopes[..., None, None] + in_freqs[..., None, :] - out_freqs[..., :, None]
+    kernel = dirichlet_kernel(delta, n_elements[..., None, None])
+    return np.exp(1j * commons[..., None, None]) * kernel[:, None]
+
+
 def surface_inner_products(
     gammas: Sequence[RisConfiguration], out_freqs: np.ndarray, in_freqs: np.ndarray,
     n_elements: np.ndarray,
@@ -257,11 +429,39 @@ def surface_inner_products(
     touching the elements; common phases with a leading epoch axis give
     shape (F, K, L_out, L_in), with the kernel evaluated once.
     """
-    slopes = np.array([gamma.slope for gamma in gammas])[:, None, None]
+    slopes = np.array([gamma.slope for gamma in gammas])
     common = np.stack(np.broadcast_arrays(*(gamma.common_phase for gamma in gammas)), axis=-1)
-    delta = slopes + in_freqs[:, None, :] - out_freqs[:, :, None]
-    kernel = dirichlet_kernel(delta, n_elements[:, None, None])
-    return np.exp(1j * common[..., None, None]) * kernel
+    inner = _inner_products(
+        slopes[None], common.reshape(1, -1, len(gammas)), out_freqs[None], in_freqs[None],
+        np.asarray(n_elements)[None],
+    )
+    return inner[0] if common.ndim == 2 else inner[0, 0]
+
+
+def composite(hops: HopStack, slopes: np.ndarray, commons: np.ndarray) -> np.ndarray:
+    """End-to-end matrices of every (angle, fading) epoch of a stack under
+    linear profiles of slopes (A, K) and common phases (A, F or 1, K):
+    shape (A, F, n_rx, n_tx).
+
+    Built as ``R @ core @ T^H`` from the path arrays alone, so its cost
+    scales with path counts, not surface sizes: ``R`` / ``T`` hold the
+    receive / transmit responses of every path (surface-major), and block
+    ``k`` of the block-diagonal ``core`` holds loss * rx gain * tx gain *
+    surface inner product per path pair.
+    """
+    n_ris, l_rx = hops.rx_arrival.shape[1:]
+    l_tx = hops.tx_arrival.shape[-1]
+    inner = _inner_products(
+        slopes, commons, hops.rx_departure, hops.tx_arrival, hops.n_elements
+    )
+    losses = hops.losses[:, None, :, None, None]
+    blocks = losses * (hops.rx_gains[..., :, None] * hops.tx_gains[..., None, :]) * inner
+    epochs = blocks.shape[:-3]
+    core = np.zeros(epochs + (n_ris, l_rx, n_ris, l_tx), dtype=complex)
+    for k in range(n_ris):
+        core[..., k, :, k, :] = blocks[..., k, :, :]
+    core = core.reshape(epochs + (n_ris * l_rx, n_ris * l_tx))
+    return hops.rx_steering[:, None] @ core @ hops.tx_steering_h[:, None]
 
 
 def assemble_composite(
@@ -270,37 +470,12 @@ def assemble_composite(
     ris_rx: Sequence[MultipathChannel],
     deployment: Deployment,
 ) -> np.ndarray:
-    """End-to-end matrix ``sum_k loss_k * H_rx_k @ diag(gamma_k) @ H_tx_k``.
-
-    Built as ``R @ core @ T^H`` from the path arrays alone, so its cost
-    scales with path counts, not surface sizes: ``R`` / ``T`` hold the
-    receive / transmit responses of every path (surface-major), and block
-    ``k`` of the block-diagonal ``core`` holds loss * rx gain * tx gain *
-    surface inner product per path pair.  Gains stacked over F fading
-    epochs (and common phases with an epoch axis) give shape (F, n_rx, n_tx).
-    """
-    k_total = len(tx_ris)
-    l_rx = ris_rx[0].arrival_freqs.size
-    l_tx = tx_ris[0].arrival_freqs.size
-
-    inner = surface_inner_products(
-        gammas,
-        np.array([up.departure_freqs for up in ris_rx]),
-        np.array([down.arrival_freqs for down in tx_ris]),
-        np.array([up.n_in for up in ris_rx]),
-    )
-    rx_gains = np.stack([up.gains for up in ris_rx], axis=-2)
-    tx_gains = np.stack([down.gains for down in tx_ris], axis=-2)
-    losses = deployment.path_losses[:k_total, None, None]
-    blocks = losses * (rx_gains[..., :, None] * tx_gains[..., None, :]) * inner
-    epochs = blocks.shape[:-3]
-    core = np.zeros(epochs + (k_total, l_rx, k_total, l_tx), dtype=complex)
-    for k in range(k_total):
-        core[..., k, :, k, :] = blocks[..., k, :, :]
-    core = core.reshape(epochs + (k_total * l_rx, k_total * l_tx))
-    rx_freqs = np.concatenate([up.arrival_freqs for up in ris_rx])
-    tx_freqs = np.concatenate([down.departure_freqs for down in tx_ris])
-    return (
-        _response_matrix(ris_rx[0].n_out, rx_freqs) @ core
-        @ _response_matrix(tx_ris[0].n_in, tx_freqs).conj().T
-    )
+    """End-to-end matrix ``sum_k loss_k * H_rx_k @ diag(gamma_k) @ H_tx_k``
+    of one angle epoch (see :func:`composite`).  Gains stacked over F
+    fading epochs (and common phases with an epoch axis) give shape
+    (F, n_rx, n_tx)."""
+    hops = HopStack.from_channels(tx_ris, ris_rx, deployment)
+    slopes = np.array([[gamma.slope for gamma in gammas]])
+    common = np.stack(np.broadcast_arrays(*(gamma.common_phase for gamma in gammas)), axis=-1)
+    h = composite(hops, slopes, common.reshape(1, -1, len(gammas)))[0]
+    return h if tx_ris[0].gains.ndim == 2 else h[0]

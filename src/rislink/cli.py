@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -128,8 +129,29 @@ def _parse_overrides(items: list[str]) -> dict[str, object]:
     return overrides
 
 
+def _check_output_path(path: str, option: str) -> None:
+    """Reject an output path that cannot name a new or existing file
+    before any work is done."""
+    if not path:
+        raise ConfigurationError(f"{option} needs a file name")
+    if os.path.isdir(path):
+        raise ConfigurationError(f"{option} {path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigurationError(f"{option} {path!r}: directory {parent!r} does not exist")
+
+
 def _load_effective_config(args: argparse.Namespace) -> SystemConfig:
-    config = load_config(args.config) if args.config else SystemConfig()
+    config = SystemConfig()
+    if args.config:
+        try:
+            config = load_config(args.config)
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"--config {args.config!r} is not UTF-8 text") from exc
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot read --config {args.config!r}: {exc.strerror or exc}"
+            ) from exc
     if args.overrides:
         config = config.replace(**args.overrides)
     return config
@@ -162,6 +184,7 @@ def _build_plan(args: argparse.Namespace) -> TrialPlan:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_effective_config(args)
     plan = _build_plan(args)
+    _check_output_path(args.output, "--output")
     if args.verb == "se-sweep":
         result = estimate_ergodic_se(plan, config)
     elif args.verb == "outage-sweep":
@@ -204,6 +227,9 @@ def _cmd_crossing_point(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     config = _load_effective_config(args)
+    for path, option in ((args.dump_config, "--dump-config"), (args.output, "--output")):
+        if path is not None:
+            _check_output_path(path, option)
     if args.dump_config:
         dump_config(config, args.dump_config)
         print(f"wrote {args.dump_config}")
@@ -357,7 +383,7 @@ def dispatch(args: argparse.Namespace) -> int:
     except SearchSpaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEARCH_SPACE
-    except RislinkError as exc:
+    except (RislinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

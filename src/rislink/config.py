@@ -220,7 +220,7 @@ def _distances(config: SystemConfig) -> str:
 
 def place_deployment(
     config: SystemConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     rx_position: np.ndarray | None = None,
 ) -> Deployment:
     """Drop the receiver and place one surface per selected DFT beam.
@@ -229,7 +229,7 @@ def place_deployment(
     direction cosine wins ties), each surface sits on the vertical line
     ``x = ris_axis_distance`` along its beam, and element counts are sized
     from the realized cascaded losses.  The receiver position is drawn
-    uniformly on the drop disk unless given explicitly.
+    uniformly on the drop disk from ``rng`` unless given explicitly.
 
     Raises
     ------

@@ -11,7 +11,12 @@ The selectors score candidate receive responses by how close their Gram
 matrix is to a target (identity for multiplexing, all-ones for
 beamforming); searches are exact, skipping by bound only what cannot win,
 with deterministic lexicographic tie-breaking so equal inputs always
-yield equal selections.
+yield equal selections.  Selection and design work on stacks of angle
+epochs: :func:`select_paths_stack` runs every angle epoch's search from
+one :class:`SearchTerms`, and :func:`design_slots` designs one slot for
+every (angle epoch, fading epoch) row of a :class:`HopStack`.  The
+one-angle-epoch functions (``select_paths_*``, ``build_customized_channel``)
+are those stacks of one.
 """
 
 from __future__ import annotations
@@ -24,10 +29,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import MultipathChannel, _response_matrix, assemble_composite
+from .channel import HopStack, MultipathChannel, _response_matrix, composite
 from .config import Deployment
 from .errors import SearchSpaceError, SelectionInfeasibleError
-from .ris import RisConfiguration, align_phases, common_phase_refinement
+from .ris import RisConfiguration, common_phase_refinement
 
 SCHEME_TAGS = ("sm", "bf", "ds", "db")
 DEFAULT_SEARCH_CAP = 10_000_000
@@ -69,26 +74,52 @@ class PathSelection:
 def _candidate_gram(candidates: np.ndarray, n_rx: int) -> np.ndarray:
     """Gram matrix of receive responses for all (surface, path) candidates.
 
-    ``candidates`` has shape (n_ris, n_paths); column ``k * n_paths + l``
-    of the response stack belongs to surface ``k``, path ``l``.
+    ``candidates`` has shape (n_ris, n_paths), after any leading axes;
+    column ``k * n_paths + l`` of the response stack belongs to surface
+    ``k``, path ``l``.
     """
-    responses = _response_matrix(n_rx, np.asarray(candidates, dtype=float).ravel())
-    return responses.conj().T @ responses
+    candidates = np.asarray(candidates, dtype=float)
+    responses = _response_matrix(n_rx, candidates.reshape(candidates.shape[:-2] + (-1,)))
+    return np.swapaxes(responses.conj(), -1, -2) @ responses
+
+
+class SearchTerms:
+    """The selection objective's terms for a stack of angle epochs, shared
+    by every search over them: one Gram matrix per angle epoch, shape
+    (A, N, N), and the unary term ``|G_ii - 1|^2`` of every candidate."""
+
+    def __init__(self, gram: np.ndarray) -> None:
+        self.gram = gram
+        self.unary = np.abs(np.real(np.diagonal(gram, axis1=-2, axis2=-1)) - 1.0) ** 2
+
+    def gather(
+        self, groups: Sequence[np.ndarray], target_off_diagonal: float
+    ) -> tuple[list[np.ndarray], dict[tuple[int, int], np.ndarray]]:
+        """The terms of one search, each with a leading row axis: per
+        group, the unary terms of its indices, and per group pair ``a < b``
+        (keyed in lexicographic order) ``2 |G_ab - target|^2``.  ``groups``
+        holds flat candidate indices of shape (A, S), or (S,) for every row
+        alike."""
+        rows = np.arange(len(self.gram))[:, None]
+        groups = [np.asarray(g) for g in groups]
+        unary = [self.unary[rows, g] for g in groups]
+        pairs = {
+            (a, b): 2.0 * np.abs(
+                self.gram[rows[..., None], groups[a][..., :, None], groups[b][..., None, :]]
+                - target_off_diagonal
+            ) ** 2
+            for a, b in combinations(range(len(groups)), 2)
+        }
+        return unary, pairs
 
 
 def _search_terms(
     gram: np.ndarray, groups: Sequence[np.ndarray], target_off_diagonal: float
 ) -> tuple[list[np.ndarray], dict[tuple[int, int], np.ndarray]]:
-    """The non-negative terms of the selection objective: ``|G_aa - 1|^2``
-    per group index, and ``2 |G_ab - target|^2`` per group pair ``a < b``
-    (keyed in lexicographic order)."""
-    diag = np.real(np.diagonal(gram))
-    unary = [np.abs(diag[g] - 1.0) ** 2 for g in groups]
-    pairs = {
-        (a, b): 2.0 * np.abs(gram[groups[a][:, None], groups[b]] - target_off_diagonal) ** 2
-        for a, b in combinations(range(len(groups)), 2)
-    }
-    return unary, pairs
+    """One Gram matrix's search terms (see :class:`SearchTerms`), without
+    the row axis."""
+    unary, pairs = SearchTerms(gram[None]).gather(groups, target_off_diagonal)
+    return [u[0] for u in unary], {key: p[0] for key, p in pairs.items()}
 
 
 def _head_prefixes(unary: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -98,35 +129,41 @@ def _head_prefixes(unary: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 
 def _slab_objective(unary, pairs, heads: Sequence[np.ndarray]) -> np.ndarray:
-    """Exact objective over the slabs of the given head prefixes.
+    """Exact objective over the slabs of the given head prefixes, per row.
 
-    ``heads`` holds one index array per head group, all of one length c
-    (none for the whole search space, as one slab).  The result has shape
-    (c, *tail group sizes).  Every element sums zero, the unary terms in
-    group order, then the pair terms in lexicographic order: one order for
-    every slab, so objective values do not depend on how a search is cut.
+    Every term carries a leading row axis (one row per search).  ``heads``
+    holds one index array per head group, all of one length c (none for
+    the whole search space, as one slab).  The result has shape (rows, c,
+    *tail group sizes).  Every element sums zero, the unary terms in group
+    order, then the pair terms in lexicographic order: one order for every
+    slab and row, so objective values do not depend on how a search is
+    cut or stacked.
     """
     n_head = len(heads)
-    tail_sizes = [len(u) for u in unary[n_head:]]
-    objective = np.zeros([len(heads[0]) if heads else 1, *tail_sizes])
+    rows = len(unary[0])
+    tail_sizes = [u.shape[1] for u in unary[n_head:]]
+    objective = np.zeros([rows, len(heads[0]) if heads else 1, *tail_sizes])
     for members, term in [*(((a,), u) for a, u in enumerate(unary)), *pairs.items()]:
-        shape = [1] * objective.ndim
+        shape = [rows] + [1] * (objective.ndim - 1)
         for g in members:
             if g < n_head:
-                shape[0] = objective.shape[0]
+                shape[1] = objective.shape[1]
             else:
-                shape[1 + g - n_head] = tail_sizes[g - n_head]
-        index = tuple(heads[g] if g < n_head else slice(None) for g in members)
+                shape[2 + g - n_head] = tail_sizes[g - n_head]
+        index = (slice(None), *(heads[g] if g < n_head else slice(None) for g in members))
         objective += term[index].reshape(shape)
     return objective
 
 
 def _slab_minima(unary, pairs, heads: Sequence[np.ndarray], prefixes):
     """Yield (value, flat position) of the first minimizer of each chunk of
-    slabs.  ``prefixes`` are flat head-prefix indices in ascending order,
-    evaluated a bounded number of objective elements at a time."""
+    slabs of one search (terms without a row axis).  ``prefixes`` are flat
+    head-prefix indices in ascending order, evaluated a bounded number of
+    objective elements at a time."""
     slab = math.prod(len(u) for u in unary[len(heads):])
     step = max(1, _CHUNK_ELEMENTS // slab)
+    unary = [u[None] for u in unary]
+    pairs = {key: p[None] for key, p in pairs.items()}
     for start in range(0, len(prefixes), step):
         chunk = prefixes[start:start + step]
         objective = _slab_objective(unary, pairs, [h[chunk] for h in heads]).reshape(-1)
@@ -180,36 +217,143 @@ def _bounded_minimum(unary, pairs) -> tuple[tuple[float, int], int] | None:
     return best, 1 + len(survivors)
 
 
+def _search(
+    terms: SearchTerms,
+    groups: Sequence[np.ndarray],
+    target_off_diagonal: float,
+    cap: int,
+) -> list[tuple[tuple[int, ...], float]]:
+    """Exactly minimize the Gram mismatch over one index per group, for
+    every row of a stack of Gram matrices.
+
+    ``groups`` holds flat candidate column indices, of shape (A, S) or (S,)
+    for every row alike.  The objective is the squared Frobenius distance
+    between the selected columns' Gram matrix and a target with unit
+    diagonal and ``target_off_diagonal`` elsewhere.  Returns, per row,
+    positional indices into each group (first minimizer in lexicographic
+    order) and the objective value.
+
+    Searches of more than two groups and ``DENSE_SEARCH_LIMIT`` tuples are
+    bounded row by row (see ``_bounded_minimum``); smaller ones evaluate
+    every tuple of every row at once, which is faster there.  Both give
+    the exhaustive minimizer and its objective bit for bit.
+    """
+    sizes = [np.shape(g)[-1] for g in groups]
+    if math.prod(sizes) > cap:
+        raise SearchSpaceError(
+            f"selection search of {math.prod(sizes)} tuples exceeds cap {cap}"
+        )
+    unary, pairs = terms.gather(groups, target_off_diagonal)
+    rows = len(unary[0])
+    found = [None] * rows
+    if len(groups) > 2 and math.prod(sizes) > DENSE_SEARCH_LIMIT:
+        for r in range(rows):
+            bounded = _bounded_minimum([u[r] for u in unary], {k: p[r] for k, p in pairs.items()})
+            found[r] = bounded and bounded[0]
+    dense = [r for r in range(rows) if found[r] is None]
+    if dense:
+        objective = _slab_objective(
+            [u[dense] for u in unary], {k: p[dense] for k, p in pairs.items()}, []
+        ).reshape(len(dense), -1)
+        for r, values, k in zip(dense, objective, np.argmin(objective, axis=1).tolist()):
+            found[r] = (float(values[k]), k)
+    return [
+        (tuple(int(i) for i in np.unravel_index(flat, sizes)), value) for value, flat in found
+    ]
+
+
 def _best_tuple(
     gram: np.ndarray,
     groups: Sequence[np.ndarray],
     target_off_diagonal: float,
     cap: int,
 ) -> tuple[tuple[int, ...], float]:
-    """Exactly minimize the Gram mismatch over one index per group.
+    """:func:`_search` on one Gram matrix."""
+    return _search(SearchTerms(gram[None]), groups, target_off_diagonal, cap)[0]
 
-    ``groups`` holds flat candidate column indices.  The objective is the
-    squared Frobenius distance between the selected columns' Gram matrix
-    and a target with unit diagonal and ``target_off_diagonal`` elsewhere.
-    Returns positional indices into each group (first minimizer in
-    lexicographic order) and the objective value.
 
-    Searches of more than two groups and ``DENSE_SEARCH_LIMIT`` tuples are
-    bounded (see ``_bounded_minimum``); smaller ones evaluate every tuple
-    at once, which is faster there.  Both give the exhaustive minimizer
-    and its objective bit for bit.
+def select_paths_stack(
+    terms: SearchTerms,
+    n_paths: int,
+    n_rx: int,
+    scheme: str,
+    n_slots: int = 1,
+    active_ris: Sequence[int] | None = None,
+    cap: int = DEFAULT_SEARCH_CAP,
+) -> list[PathSelection]:
+    """One scheme's path selection for every angle epoch of a stack.
+
+    ``terms`` holds the search terms of candidates of shape (A, n_ris,
+    n_paths), shared by every search.  Slot 0 runs the multiplexing (``sm``,
+    ``ds``) or beamforming (``bf``, ``db``) search: see
+    :func:`select_paths_sm` and :func:`select_paths_bf`.  Each later slot
+    re-runs the same search restricted to each active surface's unused
+    paths, with the active surface set frozen (see
+    :func:`select_paths_diversity`).
     """
-    sizes = [len(g) for g in groups]
-    if math.prod(sizes) > cap:
-        raise SearchSpaceError(
-            f"selection search of {math.prod(sizes)} tuples exceeds cap {cap}"
+    multiplex = scheme in ("sm", "ds")
+    n_angle = len(terms.gram)
+    n_ris = terms.gram.shape[-1] // n_paths
+    if n_slots < 1:
+        raise SelectionInfeasibleError("need at least one slot")
+    if n_slots > n_paths:
+        raise SelectionInfeasibleError(
+            f"{n_slots} slots need {n_slots} disjoint paths but only {n_paths} exist"
         )
-    unary, pairs = _search_terms(gram, groups, target_off_diagonal)
-    found = None
-    if len(groups) > 2 and math.prod(sizes) > DENSE_SEARCH_LIMIT:
-        found = _bounded_minimum(unary, pairs)
-    value, flat = found[0] if found else next(_slab_minima(unary, pairs, [], [0]))
-    return tuple(int(i) for i in np.unravel_index(flat, sizes)), value
+    target = 0.0 if multiplex else 1.0
+    if multiplex:
+        if not (n_ris >= n_rx >= 1):
+            raise SelectionInfeasibleError("need n_ris >= n_rx >= 1 for multiplexing")
+        space = math.comb(n_ris, n_rx) * n_paths**n_rx
+        if space > cap:
+            raise SearchSpaceError(f"selection search of {space} tuples exceeds cap {cap}")
+        subsets = list(combinations(range(n_ris), n_rx))
+    else:
+        subsets = [tuple(range(n_ris)) if active_ris is None else tuple(sorted(active_ris))]
+    best = [(math.inf, (), ()) for _ in range(n_angle)]
+    for subset in subsets:
+        groups = [np.arange(n_paths) + k * n_paths for k in subset]
+        for r, (positions, obj) in enumerate(_search(terms, groups, target, cap)):
+            if obj < best[r][0] or not multiplex:
+                best[r] = (obj, subset, positions)
+    active = np.array([subset for _, subset, _ in best])
+    slot_paths = [[positions] for _, _, positions in best]
+    slot_objectives = [[obj] for obj, _, _ in best]
+    used = np.zeros((n_angle, n_ris, n_paths), dtype=bool)
+    rows = np.arange(n_angle)[:, None]
+    for m in range(1, n_slots):
+        used[rows, active, [paths[-1] for paths in slot_paths]] = True
+        # Unused paths of each active surface in ascending order, m per
+        # surface used so far: (A, n_active, n_paths - m).
+        free = np.nonzero(~used[rows, active])[-1].reshape(active.shape + (n_paths - m,))
+        groups = list(np.moveaxis(free + active[..., None] * n_paths, 1, 0))
+        for r, (positions, obj) in enumerate(_search(terms, groups, target, cap)):
+            slot_paths[r].append(tuple(int(free[r, i, p]) for i, p in enumerate(positions)))
+            slot_objectives[r].append(obj)
+    return [
+        PathSelection(
+            scheme=scheme,
+            active_ris=subset,
+            slot_paths=tuple(paths),
+            slot_objectives=tuple(objectives),
+        )
+        for (_, subset, _), paths, objectives in zip(best, slot_paths, slot_objectives)
+    ]
+
+
+def _select_one(
+    candidates: np.ndarray,
+    n_rx: int,
+    scheme: str,
+    n_slots: int = 1,
+    active_ris: Sequence[int] | None = None,
+    cap: int = DEFAULT_SEARCH_CAP,
+) -> PathSelection:
+    """:func:`select_paths_stack` on one angle epoch's candidates, shape
+    (n_ris, n_paths)."""
+    candidates = np.asarray(candidates, dtype=float)
+    terms = SearchTerms(_candidate_gram(candidates[None], n_rx))
+    return select_paths_stack(terms, candidates.shape[1], n_rx, scheme, n_slots, active_ris, cap)[0]
 
 
 def select_paths_sm(
@@ -225,30 +369,7 @@ def select_paths_sm(
     surface subset of size ``n_rx`` and every path assignment; ties go to
     the lexicographically smallest (subset, assignment).
     """
-    candidates = np.asarray(candidates, dtype=float)
-    n_ris, n_paths = candidates.shape
-    if not (n_ris >= n_rx >= 1):
-        raise SelectionInfeasibleError("need n_ris >= n_rx >= 1 for multiplexing")
-    space = math.comb(n_ris, n_rx) * n_paths**n_rx
-    if space > cap:
-        raise SearchSpaceError(f"selection search of {space} tuples exceeds cap {cap}")
-    gram = _candidate_gram(candidates, n_rx)
-    best_obj = math.inf
-    best_subset: tuple[int, ...] = ()
-    best_paths: tuple[int, ...] = ()
-    for subset in combinations(range(n_ris), n_rx):
-        groups = [np.arange(n_paths) + k * n_paths for k in subset]
-        positions, obj = _best_tuple(gram, groups, 0.0, cap)
-        if obj < best_obj:
-            best_obj = obj
-            best_subset = subset
-            best_paths = positions
-    return PathSelection(
-        scheme="sm",
-        active_ris=best_subset,
-        slot_paths=(best_paths,),
-        slot_objectives=(best_obj,),
-    )
+    return _select_one(candidates, n_rx, "sm", cap=cap)
 
 
 def select_paths_bf(
@@ -264,18 +385,7 @@ def select_paths_bf(
     matrix (perfect alignment); ties go to the lexicographically smallest
     assignment.
     """
-    candidates = np.asarray(candidates, dtype=float)
-    n_ris, n_paths = candidates.shape
-    active = tuple(range(n_ris)) if active_ris is None else tuple(sorted(active_ris))
-    gram = _candidate_gram(candidates, n_rx)
-    groups = [np.arange(n_paths) + k * n_paths for k in active]
-    positions, obj = _best_tuple(gram, groups, 1.0, cap)
-    return PathSelection(
-        scheme="bf",
-        active_ris=active,
-        slot_paths=(positions,),
-        slot_objectives=(obj,),
-    )
+    return _select_one(candidates, n_rx, "bf", active_ris=active_ris, cap=cap)
 
 
 def select_paths_diversity(
@@ -295,45 +405,7 @@ def select_paths_diversity(
     """
     if scheme not in ("ds", "db"):
         raise ValueError(f"unknown diversity scheme {scheme!r}")
-    candidates = np.asarray(candidates, dtype=float)
-    n_ris, n_paths = candidates.shape
-    if n_slots < 1:
-        raise SelectionInfeasibleError("need at least one slot")
-    if n_slots > n_paths:
-        raise SelectionInfeasibleError(
-            f"{n_slots} slots need {n_slots} disjoint paths but only {n_paths} exist"
-        )
-    first = (
-        select_paths_sm(candidates, n_rx, cap)
-        if scheme == "ds"
-        else select_paths_bf(candidates, n_rx, cap=cap)
-    )
-    active = first.active_ris
-    target = 0.0 if scheme == "ds" else 1.0
-    gram = _candidate_gram(candidates, n_rx)
-
-    used = {k: {path} for k, path in zip(active, first.slot_paths[0])}
-    slot_paths = [first.slot_paths[0]]
-    slot_objectives = [first.slot_objectives[0]]
-    for _ in range(1, n_slots):
-        groups = []
-        remaining = []
-        for k in active:
-            free = np.array([l for l in range(n_paths) if l not in used[k]])
-            remaining.append(free)
-            groups.append(free + k * n_paths)
-        positions, obj = _best_tuple(gram, groups, target, cap)
-        chosen = tuple(int(remaining[i][p]) for i, p in enumerate(positions))
-        for k, path in zip(active, chosen):
-            used[k].add(path)
-        slot_paths.append(chosen)
-        slot_objectives.append(obj)
-    return PathSelection(
-        scheme=scheme,
-        active_ris=active,
-        slot_paths=tuple(slot_paths),
-        slot_objectives=tuple(slot_objectives),
-    )
+    return _select_one(candidates, n_rx, scheme, n_slots, cap=cap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,6 +430,10 @@ class CustomizedChannel:
     gammas: tuple[RisConfiguration, ...]
     exact_h: np.ndarray
 
+    @property
+    def n_slots(self) -> int:
+        return self.selection.n_slots
+
     def approx_h(self) -> np.ndarray:
         """Activated-paths-only model of the shaped channel."""
         return (self.r_active * self.xi_active[..., None, :]) @ self.t_active.conj().T
@@ -374,6 +450,96 @@ class CustomizedChannel:
                 for gamma in self.gammas
             ),
         )
+
+
+@dataclass(frozen=True, eq=False)
+class DesignStack:
+    """One slot's designs over a block of (angle epoch, fading epoch) rows.
+
+    The arrays mean what :class:`CustomizedChannel`'s do, with leading
+    axes: ``r_active`` / ``t_active`` have shape (A, 1, n, n_active), one
+    per angle epoch, and ``xi_active`` (A, F, n_active) and ``exact_h``
+    (A, F, n_rx, n_tx) one per row.  The runners take either type.
+    """
+
+    slot: int
+    n_slots: int
+    r_active: np.ndarray
+    t_active: np.ndarray
+    xi_active: np.ndarray
+    exact_h: np.ndarray
+
+    def row(self, angle_index: int, fading_index: int) -> "DesignStack":
+        """The design of one row, with the leading axes dropped."""
+        return replace(
+            self,
+            r_active=self.r_active[angle_index, 0],
+            t_active=self.t_active[angle_index, 0],
+            xi_active=self.xi_active[angle_index, fading_index],
+            exact_h=self.exact_h[angle_index, fading_index],
+        )
+
+
+def design_slots(
+    selections: Sequence[PathSelection],
+    slot: int,
+    estimate: HopStack,
+    exact: HopStack,
+    refine: bool = False,
+) -> tuple[DesignStack, np.ndarray, np.ndarray]:
+    """Design slot ``slot`` of each angle epoch's selection over a stack.
+
+    Each active surface gets a linear profile retargeting its assigned
+    receiver-side path onto the transmitter line of sight; inactive
+    surfaces keep an all-zero profile.  With ``refine`` set, a common phase
+    per active surface and row co-phases the retargeted paths at the
+    receiver (needed by the beamforming schemes).  ``estimate`` holds the
+    hops as known to the designer and ``exact`` the hops the link realizes
+    (they differ in the receive-side angles under angle error).  Returns
+    the designs, and the profiles' slopes (A, K) and common phases
+    (A, F or 1, K).  The common phases and designed gains are computed
+    one scalar at a time, because numpy's vectorized complex product
+    rounds differently (fused multiply-add).
+    """
+    n_angle = len(selections)
+    rows = np.arange(n_angle)[:, None]
+    active = np.array([selection.active_ris for selection in selections])
+    paths = np.array([selection.slot_paths[slot] for selection in selections])
+    rx_freqs = estimate.rx_arrival[rows, active, paths]
+    slopes = np.zeros(estimate.n_elements.shape)
+    slopes[rows, active] = (
+        estimate.rx_departure[rows, active, paths] - estimate.tx_arrival[rows, active, 0]
+    )
+    # Gains of each retargeted pair over the fading epochs: (A, n_active, F).
+    rx_gains = np.moveaxis(estimate.rx_gains, 1, -1)[rows, active, paths]
+    tx_gains = np.moveaxis(estimate.tx_gains, 1, -1)[rows, active, 0]
+    n_fading = rx_gains.shape[-1]
+    commons = np.zeros((n_angle, n_fading if refine else 1, slopes.shape[1]))
+    xi_active = np.empty((n_angle, n_fading, active.shape[1]), dtype=complex)
+    for a, surfaces in enumerate(active.tolist()):
+        for i, k in enumerate(surfaces):
+            phases = [0.0] * n_fading
+            if refine:
+                phases = [
+                    common_phase_refinement(rx, tx, rx_freqs[a, i], estimate.n_rx)
+                    for rx, tx in zip(rx_gains[a, i], tx_gains[a, i])
+                ]
+                commons[a, :, k] = phases
+            # The profile retargets exactly this pair: its inner product is e^{ic}.
+            loss = estimate.losses[a, k]
+            xi_active[a, :, i] = [
+                loss * rx * tx * cmath.exp(1j * phase)
+                for rx, tx, phase in zip(rx_gains[a, i], tx_gains[a, i], phases)
+            ]
+    design = DesignStack(
+        slot=slot,
+        n_slots=selections[0].n_slots,
+        r_active=_response_matrix(estimate.n_rx, rx_freqs)[:, None],
+        t_active=_response_matrix(estimate.n_tx, estimate.tx_departure[rows, active, 0])[:, None],
+        xi_active=xi_active,
+        exact_h=composite(exact, slopes, commons),
+    )
+    return design, slopes, commons
 
 
 def build_customized_channel(
@@ -395,50 +561,31 @@ def build_customized_channel(
     ``exact_subchannels`` to realize ``exact_h`` on different (error-free)
     channels than the design saw.  Gains stacked over F fading epochs give
     an F-epoch design: profiles, responses and surface kernels are built
-    once, and only the gain-dependent parts carry the epoch axis.
+    once, and only the gain-dependent parts carry the epoch axis.  This is
+    :func:`design_slots` on one angle epoch.
     """
     tx_ris, ris_rx = subchannels
-    n_rx = ris_rx[0].n_out
-    n_tx = tx_ris[0].n_in
+    estimate = HopStack.from_channels(tx_ris, ris_rx, deployment)
+    exact = estimate
+    if exact_subchannels is not None:
+        exact = HopStack.from_channels(*exact_subchannels, deployment)
+    design, slopes, commons = design_slots([selection], slot, estimate, exact, refine)
     stacked = tx_ris[0].gains.ndim == 2
     gammas = [RisConfiguration.neutral(up.n_in, ris_index=k) for k, up in enumerate(ris_rx)]
-    rx_freqs = []
-    tx_freqs = []
-    gains = []
     for k, rx_path in zip(selection.active_ris, selection.slot_paths[slot]):
-        up, down = ris_rx[k], tx_ris[k]
-        rx_gains = np.atleast_2d(up.gains)[:, rx_path]
-        tx_gains = np.atleast_2d(down.gains)[:, 0]
-        gamma = align_phases(
-            up.departure_freqs[rx_path], down.arrival_freqs[0], up.n_in, k, (rx_path, 0)
+        gamma = RisConfiguration(
+            ris_index=k, n_elements=ris_rx[k].n_in, slope=slopes[0, k], aligned_path=(rx_path, 0)
         )
-        commons = [0.0] * rx_gains.size
         if refine:
-            commons = [
-                common_phase_refinement(rx, tx, up.arrival_freqs[rx_path], n_rx)
-                for rx, tx in zip(rx_gains, tx_gains)
-            ]
-            gamma = gamma.with_common_phase(np.array(commons) if stacked else commons[0])
+            gamma = gamma.with_common_phase(commons[0, :, k] if stacked else commons[0, 0, k])
         gammas[k] = gamma
-        rx_freqs.append(up.arrival_freqs[rx_path])
-        tx_freqs.append(down.departure_freqs[0])
-        # The profile retargets exactly this pair: its inner product is
-        # e^{ic}.  Scalar products epoch by epoch, because numpy's
-        # vectorized complex product rounds differently (fused multiply-add).
-        gains.append([
-            deployment.path_losses[k] * rx * tx * cmath.exp(1j * common)
-            for rx, tx, common in zip(rx_gains, tx_gains, commons)
-        ])
-
-    exact_tx, exact_rx = exact_subchannels if exact_subchannels is not None else (tx_ris, ris_rx)
-    exact_h = assemble_composite(exact_tx, gammas, exact_rx, deployment)
-    xi_active = np.array(gains).T.copy()  # (epochs, active surfaces)
+    epochs = 0 if stacked else (0, 0)
     return CustomizedChannel(
         selection=selection,
         slot=slot,
-        r_active=_response_matrix(n_rx, np.array(rx_freqs)),
-        t_active=_response_matrix(n_tx, np.array(tx_freqs)),
-        xi_active=xi_active if stacked else xi_active[0],
+        r_active=design.r_active[0, 0],
+        t_active=design.t_active[0, 0],
+        xi_active=design.xi_active[epochs],
         gammas=tuple(gammas),
-        exact_h=exact_h,
+        exact_h=design.exact_h[epochs],
     )

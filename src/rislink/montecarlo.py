@@ -10,16 +10,25 @@ fading epoch.
 The schemes come in two families, multiplexing (``sm``/``ds``) and
 beamforming (``bf``/``db``), and the hopping scheme of a family is its
 single-configuration scheme plus more slots.  Each family runs one
-pipeline per angle epoch: one selection, one design per slot, and one
-pass of its runner, from which ``sm``/``bf`` read the one-slot prefix and
-``ds``/``db`` every slot.  Every angle-only part of a design (profile
-slopes, surface kernels, steering responses) is built once, and the F
-fading epochs' gains ride along a leading epoch axis through the designs
-and the runners.  Draws stay per fading epoch: every random draw comes
-from a counter-based stream keyed by ``(base_seed, grid index, epoch
-indices, purpose)``, so a rerun at the same seed reproduces every result
-bit for bit.  Every scheme of a fading epoch reads that epoch's one
-payload stream, so one payload pass per family serves both its schemes.
+pipeline: one selection, one design per slot, and one pass of its runner,
+from which ``sm``/``bf`` read the one-slot prefix and ``ds``/``db`` every
+slot.
+
+A grid point's realizations are rows, one per (angle epoch, fading
+epoch), and run in chunks of at most ``CHUNK_ROWS`` rows: as many whole
+angle epochs as fit, or one angle epoch's fading epochs in pieces.  Draws
+stay per epoch: every random draw comes from a counter-based stream keyed
+by ``(base_seed, grid index, epoch indices, purpose)`` and is made in the
+order of a single-epoch run, so a rerun at the same seed reproduces every
+result bit for bit, however the rows are chunked.  Above the draws a chunk
+runs stacked: one set of selection terms (Gram matrices) serves both
+families, each family selects for all its angle epochs at once, and each
+slot design and runner pass covers every row, with the angle-only parts
+(steering responses, surface kernels) built once per angle epoch and the
+gain-dependent parts carrying the rows.  Bit-error payloads stay per
+fading epoch, each on its own substream; every scheme of a fading epoch
+reads that one payload stream, so one payload pass per family serves both
+its schemes.
 """
 
 from __future__ import annotations
@@ -31,19 +40,20 @@ import numpy as np
 
 from .channel import (
     TX_RIS,
+    HopStack,
     MultipathChannel,
+    draw_fading_gains,
     draw_ris_rx_channel,
     draw_tx_ris_channel,
     min_angle_separation,
-    redraw_fading,
 )
 from .config import SystemConfig, db2lin, dbm2watt, place_deployment
 from .customize import (
     SCHEME_TAGS,
-    build_customized_channel,
-    select_paths_bf,
-    select_paths_diversity,
-    select_paths_sm,
+    SearchTerms,
+    _candidate_gram,
+    design_slots,
+    select_paths_stack,
 )
 from .errors import ConfigurationError
 from .transceive import (
@@ -58,6 +68,11 @@ from . import analysis
 _GEOMETRY, _ANGLES, _FADING, _MISMATCH, _PAYLOAD = range(5)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+# Largest payload one fading epoch may send, in bits.  A fading epoch's
+# payload is held in memory at once, at about 80 (multiplexing) to 120
+# (beamforming) bytes per bit with the default arrays, so this keeps a
+# payload pass near 120 MiB.
+MAX_PAYLOAD_BITS = 1 << 20
 _NO_FORM = (math.nan, math.nan)
 
 
@@ -194,125 +209,155 @@ def inject_angle_error(
 # with the single scheme's, and its results continue the same slot sums.
 _FAMILIES = {"multiplex": ("sm", "ds"), "beamform": ("bf", "db")}
 
+# Rows (one angle epoch by one fading epoch each) designed and run at a
+# time.  A chunk holds as many whole angle epochs as fit, or one angle
+# epoch's fading epochs in pieces of this many, so a grid point's peak
+# memory does not grow with its epoch counts.
+CHUNK_ROWS = 128
 
-def _angle_epoch(
+
+def _run_chunk(
     config: SystemConfig,
     schemes: tuple[str, ...],
     grid_index: int,
-    epoch_index: int,
+    angle_indices: range,
     n_fading_epochs: int,
     base_seed: int,
     gamma_th: float,
     payload_symbols: dict[str, int] | None = None,
 ) -> dict[str, list[SchemeResult]]:
-    """Evaluate every scheme over one angle epoch's fading epochs.
+    """Evaluate every scheme over the rows of a chunk of angle epochs.
 
-    Each fading epoch keeps its own substream and draw order (per surface:
-    transmit-side gains, then receive-side gains); the draws are stacked
-    into (F, L) gain arrays per hop.  Each scheme family runs once: one
-    selection (the hopping one when its hopping scheme is requested), one
-    design per slot for all F epochs, and one pass of the runner, where
+    Every angle epoch draws from its own substreams in the order of a
+    single-epoch run: deployment, then per surface the transmit-side and
+    receive-side hops, then the angle-error perturbation; every fading
+    epoch draws its gains from its own generator (see
+    :func:`draw_fading_gains`).  Above the draws the chunk runs as stacked
+    rows: one set of search terms serves every selection, each scheme
+    family selects once (the hopping search when its hopping scheme is
+    requested), and then, for at most ``CHUNK_ROWS`` rows at a time, each
+    family designs each slot once and makes one runner pass, where
     ``sm``/``bf`` read the one-slot prefix and ``ds``/``db`` all slots.
     With ``payload_symbols`` (family -> symbols per fading epoch), each
-    family also runs one payload pass per fading epoch, and each scheme
-    takes the bit errors after its slots.
+    family also runs one payload pass per row, on that fading epoch's
+    payload substream, and each scheme takes the bit errors after its
+    slots.  Returns each scheme's results in (angle epoch, fading epoch)
+    order.
     """
-    rng = substream(base_seed, grid_index, epoch_index, _ANGLES)
-    deployment = place_deployment(config, rng)
-    separation = min_angle_separation(deployment)
-    base_tx: list[MultipathChannel] = []
-    base_rx: list[MultipathChannel] = []
-    for k in range(config.n_ris):
-        down = draw_tx_ris_channel(config, deployment, k, rng, separation)
-        up = draw_ris_rx_channel(
-            config, deployment, k, rng, separation, keep_away=down.arrival_freqs
-        )
-        base_tx.append(down)
-        base_rx.append(up)
-
     mismatched = config.angle_error_std > 0
-    if mismatched:
-        err_rng = substream(base_seed, grid_index, epoch_index, _MISMATCH)
-        template_rx = [
-            inject_angle_error(ch, config.angle_error_std, err_rng) for ch in base_rx
-        ]
-    else:
-        template_rx = base_rx
+    deployments, base_tx, base_rx, template_rx = [], [], [], []
+    for epoch_index in angle_indices:
+        rng = substream(base_seed, grid_index, epoch_index, _ANGLES)
+        deployment = place_deployment(config, rng)
+        separation = min_angle_separation(deployment)
+        downs, ups = [], []
+        for k in range(config.n_ris):
+            downs.append(draw_tx_ris_channel(config, deployment, k, rng, separation))
+            ups.append(draw_ris_rx_channel(
+                config, deployment, k, rng, separation, keep_away=downs[-1].arrival_freqs
+            ))
+        if mismatched:
+            err_rng = substream(base_seed, grid_index, epoch_index, _MISMATCH)
+            template_rx.append(
+                [inject_angle_error(ch, config.angle_error_std, err_rng) for ch in ups]
+            )
+        deployments.append(deployment)
+        base_tx.append(downs)
+        base_rx.append(ups)
+    template_rx = template_rx or base_rx
 
-    candidates = np.array([ch.arrival_freqs for ch in template_rx])
+    def stacked(hops, name):
+        return np.array([[getattr(hop, name) for hop in epoch] for epoch in hops])
 
-    # Each epoch's generator sees the draws in the order of a single-epoch
-    # redraw: per surface, transmit-side gains, then receive-side gains.
-    fading_rngs = [
-        substream(base_seed, grid_index, epoch_index, fading_index, _FADING)
-        for fading_index in range(n_fading_epochs)
-    ]
-    cur_tx, cur_rx = [], []
-    for down, up in zip(base_tx, base_rx):
-        cur_tx.append(redraw_fading(down, config, deployment, fading_rngs))
-        cur_rx.append(redraw_fading(up, config, deployment, fading_rngs))
-    est_rx = cur_rx
-    if mismatched:
-        est_rx = [replace(t, gains=s.gains) for t, s in zip(template_rx, cur_rx)]
-
-    out: dict[str, list[SchemeResult]] = {}
+    n_elements = np.array([d.ris_element_counts for d in deployments])
+    angles = dict(
+        n_rx=config.n_rx,
+        n_tx=config.n_tx,
+        tx_arrival=stacked(base_tx, "arrival_freqs"),
+        tx_departure=stacked(base_tx, "departure_freqs"),
+        rx_arrival=stacked(base_rx, "arrival_freqs"),
+        rx_departure=stacked(base_rx, "departure_freqs"),
+        n_elements=n_elements,
+        losses=np.array([d.path_losses for d in deployments]),
+    )
+    candidates = stacked(template_rx, "arrival_freqs")
+    terms = SearchTerms(_candidate_gram(candidates, config.n_rx))
+    families = []
     for family, (single, hopping) in _FAMILIES.items():
-        multiplex = family == "multiplex"
         if hopping in schemes:
-            selection = select_paths_diversity(candidates, hopping, config.n_slots, config.n_rx)
+            scheme, n_slots = hopping, config.n_slots
         elif single in schemes:
-            select = select_paths_sm if multiplex else select_paths_bf
-            selection = select(candidates, config.n_rx)
+            scheme, n_slots = single, 1
         else:
             continue
-        customs = [
-            build_customized_channel(
-                selection,
-                (cur_tx, est_rx),
-                deployment,
-                slot=m,
-                refine=not multiplex,
-                exact_subchannels=(cur_tx, cur_rx) if mismatched else None,
-            )
-            for m in range(selection.n_slots)
+        selections = select_paths_stack(
+            terms, config.n_ris_rx_paths, config.n_rx, scheme, n_slots
+        )
+        slots = {s: count for s, count in ((single, 1), (hopping, n_slots)) if s in schemes}
+        families.append((family, selections, slots))
+
+    los_gains = stacked(base_tx, "gains")[..., 0]
+    estimated = dict(rx_arrival=candidates, rx_departure=stacked(template_rx, "departure_freqs"))
+    out = {scheme: [[] for _ in angle_indices] for scheme in schemes}
+    step = max(1, CHUNK_ROWS // len(angle_indices))
+    for start in range(0, n_fading_epochs, step):
+        fading_indices = range(start, min(start + step, n_fading_epochs))
+        rngs = [
+            [substream(base_seed, grid_index, a, f, _FADING) for f in fading_indices]
+            for a in angle_indices
         ]
-        slots = {
-            scheme: n_slots
-            for scheme, n_slots in ((single, 1), (hopping, selection.n_slots))
-            if scheme in schemes
-        }
-        run = _run_multiplex if multiplex else _run_beamform
-        out.update(run(customs, config, slots, gamma_th))
-        if payload_symbols is None:
-            continue
-        for fading_index in range(n_fading_epochs):
-            sent, errors = payload_errors(
-                [custom.epoch(fading_index) for custom in customs],
-                config,
-                payload_symbols[family],
-                substream(base_seed, grid_index, epoch_index, fading_index, _PAYLOAD),
-                multiplex=multiplex,
-            )
-            for scheme, n_slots in slots.items():
-                results = out[scheme]
-                results[fading_index] = replace(
-                    results[fading_index], bit_errors=errors[n_slots - 1], bits_sent=sent
-                )
-    return out
+        tx_gains, rx_gains = draw_fading_gains(config, n_elements, los_gains, rngs)
+        exact = HopStack(tx_gains=tx_gains, rx_gains=rx_gains, **angles)
+        estimate = replace(exact, **estimated) if mismatched else exact
+        for family, selections, slots in families:
+            multiplex = family == "multiplex"
+            designs = [
+                design_slots(selections, m, estimate, exact, refine=not multiplex)[0]
+                for m in range(selections[0].n_slots)
+            ]
+            run = _run_multiplex if multiplex else _run_beamform
+            n_rows = len(fading_indices)
+            piece = {
+                scheme: [results[a * n_rows:(a + 1) * n_rows] for a in range(len(angle_indices))]
+                for scheme, results in run(designs, config, slots, gamma_th).items()
+            }
+            for a, epoch_index in enumerate(angle_indices):
+                for f, fading_index in enumerate(fading_indices if payload_symbols else ()):
+                    sent, errors = payload_errors(
+                        [design.row(a, f) for design in designs],
+                        config,
+                        payload_symbols[family],
+                        substream(base_seed, grid_index, epoch_index, fading_index, _PAYLOAD),
+                        multiplex=multiplex,
+                    )
+                    for scheme, n_slots in slots.items():
+                        piece[scheme][a][f] = replace(
+                            piece[scheme][a][f], bit_errors=errors[n_slots - 1], bits_sent=sent
+                        )
+                for scheme, epochs in piece.items():
+                    out[scheme][a].extend(epochs[a])
+    return {scheme: [r for epoch in epochs for r in epoch] for scheme, epochs in out.items()}
 
 
-def _collect_epochs(
+def _grid_point(
     plan: TrialPlan,
     config: SystemConfig,
     grid_index: int,
     payload_symbols: dict[str, int] | None = None,
-) -> list[dict[str, list[SchemeResult]]]:
-    """Run all angle epochs of one grid point, in order."""
-    return [
-        _angle_epoch(config, plan.schemes, grid_index, epoch_index, plan.n_fading_epochs,
-                     plan.base_seed, plan.gamma_th, payload_symbols)
-        for epoch_index in range(plan.n_angle_epochs)
-    ]
+) -> dict[str, list[SchemeResult]]:
+    """Every scheme's results over all (angle, fading) epochs of one grid
+    point, in chunks of at most ``CHUNK_ROWS`` rows."""
+    per_chunk = max(1, CHUNK_ROWS // plan.n_fading_epochs)
+    out: dict[str, list[SchemeResult]] = {scheme: [] for scheme in plan.schemes}
+    for start in range(0, plan.n_angle_epochs, per_chunk):
+        chunk = _run_chunk(
+            config, plan.schemes, grid_index,
+            range(start, min(start + per_chunk, plan.n_angle_epochs)),
+            plan.n_fading_epochs, plan.base_seed, plan.gamma_th, payload_symbols,
+        )
+        for scheme, results in chunk.items():
+            out[scheme].extend(results)
+    return out
 
 
 def _grid_config(plan: TrialPlan, config: SystemConfig, grid_index: int) -> SystemConfig:
@@ -376,6 +421,49 @@ _REDUCERS = {
 }
 
 
+def _payload_sizes(
+    plan: TrialPlan, configs: list[SystemConfig], min_bits: int
+) -> list[dict[str, int]]:
+    """QPSK symbols per fading epoch of each requested family at every
+    grid point.
+
+    The bit budget is split evenly over the plan's epochs, at one QPSK
+    symbol per stream and channel use (one stream for beamforming).  A
+    plan whose payload of one fading epoch would exceed
+    ``MAX_PAYLOAD_BITS`` is rejected.
+    """
+    n_epochs = plan.n_angle_epochs * plan.n_fading_epochs
+    sizes = []
+    for cfg in configs:
+        symbols = {}
+        for family, streams in (("multiplex", cfg.n_rx), ("beamform", 1)):
+            if not set(_FAMILIES[family]) & set(plan.schemes):
+                continue
+            per_use = 2 * streams
+            symbols[family] = max(1, -(-min_bits // (n_epochs * per_use)))
+            if symbols[family] * per_use > MAX_PAYLOAD_BITS:
+                raise ConfigurationError(
+                    f"min_bits={min_bits} over {n_epochs} epochs sends "
+                    f"{symbols[family] * per_use} bits per fading epoch, above the "
+                    f"limit of {MAX_PAYLOAD_BITS}; use more epochs or fewer bits"
+                )
+        sizes.append(symbols)
+    return sizes
+
+
+def _check_geometry(config: SystemConfig) -> None:
+    """Place the surfaces with the receiver at the centre and at the four
+    extreme points of its drop disk, so that a deployment which leaves the
+    floating-point range fails before any simulation (as it would in the
+    first angle epoch).  Only the array sizes, carrier, gain target and
+    distances enter the geometry."""
+    centre, radius = config.rx_center_distance, config.rx_disk_radius
+    points = [(centre, 0.0), (centre + radius, 0.0), (centre - radius, 0.0),
+              (centre, radius), (centre, -radius)]
+    for point in points:
+        place_deployment(config, None, rx_position=np.array(point))
+
+
 def _sweep(
     plan: TrialPlan, config: SystemConfig, metric: str, min_bits: int | None = None
 ) -> SweepResult:
@@ -385,26 +473,28 @@ def _sweep(
     if min_bits is not None and min_bits < 1:
         raise ConfigurationError(f"need at least one payload bit, got min_bits={min_bits}")
     reduce = _REDUCERS[metric]
-    n_epochs = plan.n_angle_epochs * plan.n_fading_epochs
-    # Every grid point's config and closed forms first, so bad input fails
-    # before any simulation.
+    # Every grid point's config, geometry, closed forms and payload size
+    # first, so bad input fails before any simulation.
     configs = [_grid_config(plan, config, i) for i in range(len(plan.axis_values))]
+    geometries = {
+        (cfg.n_tx, cfg.n_ris, cfg.dft_offset, cfg.carrier_frequency, cfg.gain_target,
+         cfg.ris_axis_distance, cfg.rx_center_distance, cfg.rx_disk_radius): cfg
+        for cfg in configs
+    }
+    for cfg in geometries.values():
+        _check_geometry(cfg)
+    payloads = [None] * len(configs)
+    if min_bits is not None:
+        payloads = _payload_sizes(plan, configs, min_bits)
     if metric in ("se", "se_model"):
         companions = closed_form_companions(plan.schemes, configs)
     else:
         companions = {scheme: (_NO_FORM,) * len(configs) for scheme in plan.schemes}
     rows: dict[str, list[tuple]] = {scheme: [] for scheme in plan.schemes}
-    for grid_index, cfg in enumerate(configs):
-        payload_symbols = None
-        if min_bits is not None:
-            # Bits per channel use: one QPSK symbol per stream, or one in all.
-            payload_symbols = {
-                family: max(1, math.ceil(min_bits / (n_epochs * 2 * streams)))
-                for family, streams in (("multiplex", cfg.n_rx), ("beamform", 1))
-            }
-        epochs = _collect_epochs(plan, cfg, grid_index, payload_symbols)
+    for grid_index, (cfg, payload_symbols) in enumerate(zip(configs, payloads)):
+        results = _grid_point(plan, cfg, grid_index, payload_symbols)
         for scheme in plan.schemes:
-            mean, err, n = reduce([r for epoch in epochs for r in epoch[scheme]])
+            mean, err, n = reduce(results[scheme])
             rows[scheme].append((mean, err, companions[scheme][grid_index], n))
     result = SweepResult(metric, plan.axis_name, plan.axis_values, plan.schemes)
     for scheme, columns in rows.items():

@@ -11,10 +11,13 @@ The path-hopping schemes run one shaped channel per slot and combine slot
 outputs coherently.  The runners accumulate slot by slot and read each
 scheme off a prefix of the slots, so the single-configuration schemes are
 literally the one-slot case of the same code, and one pass over a hopping
-design serves both schemes of its family bit for bit.  Designs over
-stacked fading epochs run in one pass and give one result per epoch, equal
-bit for bit to running each epoch on its own.  Bit-error payloads
-detect after every slot, so one pass serves every prefix of the slots.
+design serves both schemes of its family bit for bit.  Designs stacked
+over fading epochs (a :class:`CustomizedChannel` with an epoch axis) or
+over rows of angle and fading epochs (a
+:class:`rislink.customize.DesignStack`) run in one pass and give one
+result per row, in row order, equal bit for bit to running each row on
+its own.  Bit-error payloads take one row's design and detect after
+every slot, so one pass serves every prefix of the slots.
 """
 
 from __future__ import annotations
@@ -52,33 +55,32 @@ class SchemeResult:
 
 
 def _multiplex_precoder(custom: CustomizedChannel, config: SystemConfig) -> np.ndarray:
-    n_streams = custom.t_active.shape[1]
+    n_streams = custom.t_active.shape[-1]
     return math.sqrt(config.transmit_power / n_streams) * custom.t_active
 
 
 def _beam_precoder(custom: CustomizedChannel, config: SystemConfig) -> np.ndarray:
-    n_active = custom.t_active.shape[1]
-    return math.sqrt(config.transmit_power / n_active) * custom.t_active.sum(axis=1)
+    n_active = custom.t_active.shape[-1]
+    return math.sqrt(config.transmit_power / n_active) * custom.t_active.sum(axis=-1)
 
 
 def _multiplex_slot(custom: CustomizedChannel, config: SystemConfig):
     """One slot's precoder, stream matrix ``R^H H F`` and the per-stream
     rotation that turns its diagonal real and positive."""
     f = _multiplex_precoder(custom, config)
-    g = custom.r_active.conj().T @ custom.exact_h @ f
+    g = np.swapaxes(custom.r_active.conj(), -1, -2) @ custom.exact_h @ f
     return f, g, np.exp(-1j * np.angle(np.diagonal(g, axis1=-2, axis2=-1)))
 
 
 def _beam_combiner(custom: CustomizedChannel, config: SystemConfig) -> np.ndarray:
     """One slot's matched-filter combiner ``H f``."""
-    return custom.exact_h @ _beam_precoder(custom, config)
+    return (custom.exact_h @ _beam_precoder(custom, config)[..., None])[..., 0]
 
 
 def _check_slots(customs: Sequence[CustomizedChannel]) -> None:
-    if len(customs) != customs[0].selection.n_slots:
+    if len(customs) != customs[0].n_slots:
         raise ValueError(
-            f"got {len(customs)} slot channels for a "
-            f"{customs[0].selection.n_slots}-slot selection"
+            f"got {len(customs)} slot channels for a {customs[0].n_slots}-slot selection"
         )
     for m, custom in enumerate(customs):
         if custom.slot != m:
@@ -98,11 +100,11 @@ def _run_multiplex(
     outputs add coherently; stacking m slots leaves per-stream noise at
     ``m * noise_power``.  Slots accumulate in order, and each scheme of
     ``slots`` (scheme -> slot count) reads its results off its prefix.
-    Stacked designs give a list of per-epoch results.
+    Stacked designs give a list of per-row results.
     """
     _check_slots(customs)
     noise_power = config.noise_power
-    n_streams = customs[0].r_active.shape[1]
+    n_streams = customs[0].r_active.shape[-1]
     effective = 0j
     model_amplitude = 0.0
     out = {}
@@ -124,17 +126,19 @@ def _run_multiplex(
             / (n_streams * n_slots * noise_power)
         )
         se_model = np.sum(np.log2(1.0 + snr), axis=-1) / n_slots
+        snr = snr.reshape(-1, n_streams)
+        outages = (snr.min(axis=-1) < gamma_th).tolist()
         for scheme in readers:
             results = [
                 SchemeResult(
                     scheme=scheme,
-                    se_bits_per_hz=float(epoch_se),
-                    se_model_bits_per_hz=float(epoch_model),
-                    post_combine_snr=tuple(epoch_snr.tolist()),
-                    outage=bool(epoch_snr.min() < gamma_th),
+                    se_bits_per_hz=epoch_se,
+                    se_model_bits_per_hz=epoch_model,
+                    post_combine_snr=tuple(epoch_snr),
+                    outage=outage,
                 )
-                for epoch_se, epoch_model, epoch_snr in zip(
-                    np.atleast_1d(se), np.atleast_1d(se_model), np.atleast_2d(snr)
+                for epoch_se, epoch_model, epoch_snr, outage in zip(
+                    np.ravel(se).tolist(), np.ravel(se_model).tolist(), snr.tolist(), outages
                 )
             ]
             out[scheme] = results if np.ndim(se) else results[0]
@@ -151,9 +155,9 @@ def _run_beamform(
 
     Slots accumulate in order, and each scheme of ``slots`` (scheme ->
     slot count) reads its results off its prefix.  Stacked designs give a
-    list of per-epoch results."""
+    list of per-row results."""
     _check_slots(customs)
-    n_active = customs[0].t_active.shape[1]
+    n_active = customs[0].t_active.shape[-1]
     exact_power = 0.0
     model_sum = 0.0
     out = {}
@@ -162,9 +166,11 @@ def _run_beamform(
         # Per epoch, the 1-D norm and the scalar power of a single-epoch
         # run: a norm over the last axis sums in another order, and the
         # array square (x*x) need not round like the scalar pow(x, 2).
-        exact_power += np.array([np.linalg.norm(v) ** 2 for v in np.atleast_2d(matched)])
+        exact_power += np.array([
+            np.linalg.norm(v) ** 2 for v in matched.reshape(-1, matched.shape[-1])
+        ])
         model_sum += np.array([
-            s**2 for s in np.abs(np.atleast_2d(custom.xi_active)).sum(axis=-1)
+            s**2 for s in np.abs(custom.xi_active).reshape(-1, n_active).sum(axis=-1)
         ])
         for scheme in [scheme for scheme, count in slots.items() if count == n_slots]:
             results = []
@@ -178,7 +184,7 @@ def _run_beamform(
                     post_combine_snr=(snr_model,),
                     outage=bool(snr_model < gamma_th),
                 ))
-            out[scheme] = results if matched.ndim == 2 else results[0]
+            out[scheme] = results if matched.ndim > 1 else results[0]
     return out
 
 
@@ -274,7 +280,7 @@ def payload_errors(
     """
     if symbols < 1:
         raise ValueError("need at least one symbol")
-    n_streams = customs[0].r_active.shape[1]
+    n_streams = customs[0].r_active.shape[-1]
     bits = _qpsk_bits(rng, (n_streams, 2, symbols) if multiplex else (2, symbols))
     sent = _qpsk_modulate(bits)
     negative = bits.astype(bool)

@@ -7,11 +7,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rislink as rl
-from rislink.channel import _draw_separated_freqs, dirichlet_kernel, surface_inner_products
+from rislink.channel import (
+    _draw_separated_freqs,
+    dirichlet_kernel,
+    draw_fading_gains,
+    surface_inner_products,
+)
 from rislink.selftest import dense_composite, hop_matrix
 
 from conftest import BASE_SEED, candidate_matrix, draw_scene, random_profiles, small_config
@@ -258,6 +263,28 @@ class TestMultipathDraws:
             assert not stacked.gains.flags.writeable
             assert stacked.arrival_freqs is channel.arrival_freqs
 
+    @pytest.mark.parametrize("n_nlos", [0, 2])
+    def test_bulk_fading_draw_matches_redraws(self, n_nlos):
+        # One normal draw per generator for every surface and both hops
+        # gives, gain for gain, the per-surface redraws of that generator.
+        config = rl.SystemConfig(n_nlos_tx_paths=n_nlos, n_ris_rx_paths=5)
+        scenes = [draw_scene(config, BASE_SEED, 40 + a) for a in range(2)]
+        keys = [[(a, f) for f in range(3)] for a in range(2)]
+        tx_gains, rx_gains = draw_fading_gains(
+            config,
+            np.array([d.ris_element_counts for d, _, _ in scenes]),
+            np.array([[up.gains[0] for up in ups] for _, ups, _ in scenes]),
+            [[rl.substream(BASE_SEED, 30, *key) for key in row] for row in keys],
+        )
+        for a, (deployment, ups, downs) in enumerate(scenes):
+            for f in range(3):
+                rng = rl.substream(BASE_SEED, 30, a, f)
+                for k, (up, down) in enumerate(zip(ups, downs)):
+                    expected_tx = rl.redraw_fading(up, config, deployment, rng).gains
+                    expected_rx = rl.redraw_fading(down, config, deployment, rng).gains
+                    assert tx_gains[a, f, k].tobytes() == expected_tx.tobytes()
+                    assert rx_gains[a, f, k].tobytes() == expected_rx.tobytes()
+
     def test_gains_may_carry_an_epoch_axis(self):
         freqs = np.array([0.1, 0.2])
         channel = rl.MultipathChannel("ris-rx", 0, 2, 8, np.ones((3, 2)), freqs, freqs)
@@ -314,6 +341,43 @@ class TestMultipathDraws:
             expected = _draw_separated_freqs_oracle(oracle_rng, 6, np.array(keep_away), separation)
             assert got.tolist() == expected.tolist()
             assert rng.random(4).tolist() == oracle_rng.random(4).tolist()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        count=st.integers(min_value=0, max_value=40),
+        keep_away=st.one_of(
+            st.just([]),
+            st.lists(st.sampled_from([math.pi, -math.pi, float(np.nextafter(math.pi, 0.0)),
+                                      float(np.nextafter(-math.pi, 0.0)), 0.0, -0.0]),
+                     min_size=1, max_size=4),
+            st.lists(st.floats(min_value=-math.pi, max_value=math.pi), max_size=8),
+            st.integers(min_value=2, max_value=60).map(
+                lambda n: np.linspace(-math.pi, math.pi, n).tolist()),
+            st.lists(st.floats(min_value=-10.0, max_value=10.0), max_size=6),
+        ),
+        separation=st.one_of(st.floats(min_value=1e-4, max_value=0.5),
+                             st.floats(min_value=0.5, max_value=100.0)),
+        max_attempts=st.sampled_from([1, 2, 3, 10, 1000]),
+        key=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_batched_sampler_matches_scalar_oracle(self, count, keep_away, separation,
+                                                   max_attempts, key):
+        # The batched sampler consumes the stream exactly as one scalar
+        # draw per try: the same draws, the same generator state after
+        # them, and a SamplingError under the same attempt budget.  Large
+        # separations are capped at the relaxed packing threshold.
+        assume(count + len(keep_away) > 0)  # no threshold to relax
+        rng, oracle_rng = rl.substream(BASE_SEED, 27, key), rl.substream(BASE_SEED, 27, key)
+        args = (count, np.array(keep_away), separation, max_attempts)
+        try:
+            expected = _draw_separated_freqs_oracle(oracle_rng, *args)
+        except rl.SamplingError:
+            with pytest.raises(rl.SamplingError):
+                _draw_separated_freqs(rng, *args)
+            return
+        got = _draw_separated_freqs(rng, *args)
+        assert got.tolist() == expected.tolist()
+        assert rng.random(4).tolist() == oracle_rng.random(4).tolist()
 
     def test_scalar_gap_equals_array_gap_across_the_wrap(self):
         edges = [math.pi, -math.pi, np.nextafter(math.pi, 0.0), np.nextafter(-math.pi, 0.0),

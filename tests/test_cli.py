@@ -358,7 +358,7 @@ class TestExitCodes:
         def simulated(*args, **kwargs):
             raise Simulated
 
-        monkeypatch.setattr(montecarlo, "_angle_epoch", simulated)
+        monkeypatch.setattr(montecarlo, "_run_chunk", simulated)
         out = tmp_path / "unused.csv"
         argv = [verb, "--scheme", "sm", "--axis", axis, "--output", str(out),
                 "--angle-epochs", "1", "--fading-epochs", "1"]
@@ -443,9 +443,10 @@ _VALUES = st.one_of(
 _SETTINGS = st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _VALUES), max_size=2)
 
 
-def _fuzz_main(argv):
-    """Run ``cli.main`` on argv and return its status and stderr; any
-    warning, and any exception other than the exit, fails the caller."""
+def _fuzz_main(argv, allowed=frozenset({0, 2, 3, 4, 5})):
+    """Run ``cli.main`` on argv and return its status; any warning, any
+    status outside ``allowed``, and any exception other than the exit,
+    fails the caller."""
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -456,7 +457,7 @@ def _fuzz_main(argv):
     assert not caught, [str(w.message) for w in caught]
     assert "Warning" not in stderr, stderr
     code = info.value.code
-    assert code in {0, 2, 3, 4, 5}, (argv, code, stderr)
+    assert code in allowed, (argv, code, stderr)
     if code:
         assert "error:" in stderr, (argv, stderr)
     return code
@@ -492,3 +493,164 @@ class TestClosedFormCliFuzz:
         for key, value in overrides:
             argv += ["--set", f"{key}={value}"]
         _fuzz_main(argv)
+
+
+class _Simulated(Exception):
+    """Raised by the patched chunk entry point: the input reached the engine."""
+
+
+def _engine_reached(*args, **kwargs):
+    raise _Simulated
+
+
+class TestFileAndBudgetErrors:
+    """Unusable files and oversized payloads exit with an ``error:`` line
+    before any simulation; a failing write exits 1."""
+
+    @staticmethod
+    def _sweep(*extra, verb="se-sweep"):
+        return [verb, "--scheme", "sm", "--axis", "E_dBm=20", "--angle-epochs", "1",
+                "--fading-epochs", "1", *extra]
+
+    @pytest.mark.parametrize("case", ["missing", "not-utf8", "directory"])
+    def test_unreadable_config(self, case, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(montecarlo, "_run_chunk", _engine_reached)
+        path = tmp_path / "run.cfg"
+        if case == "not-utf8":
+            path.write_bytes(b"n_tx = 16\n\xff\xfe = 3\n")
+        elif case == "directory":
+            path.mkdir()
+        for argv in (
+            self._sweep("--config", str(path), "--output", str(tmp_path / "x.csv")),
+            ["analyze", "--config", str(path)],
+        ):
+            assert _run(argv) == cli.EXIT_BAD_CONFIG
+            err = capsys.readouterr().err
+            assert "error:" in err and "--config" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("verb", ["se-sweep", "ber-sweep", "outage-sweep"])
+    @pytest.mark.parametrize("case", ["missing-directory", "directory", "empty"])
+    def test_unwritable_sweep_output(self, verb, case, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(montecarlo, "_run_chunk", _engine_reached)
+        output = {"missing-directory": str(tmp_path / "nowhere" / "x.csv"),
+                  "directory": str(tmp_path), "empty": ""}[case]
+        assert _run(self._sweep("--output", output, verb=verb)) == cli.EXIT_BAD_CONFIG
+        assert "error: --output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--dump-config", "--output"])
+    @pytest.mark.parametrize("case", ["missing-directory", "directory"])
+    def test_unwritable_analyze_output(self, option, case, tmp_path, capsys):
+        path = str(tmp_path / "nowhere" / "x") if case == "missing-directory" else str(tmp_path)
+        argv = ["analyze", option, path]
+        if option == "--output":
+            argv += ["--axis", "E_dBm=0:10:20"]
+        else:
+            argv += ["--axis", "E_dBm=0:10:20", "--output", str(tmp_path / "fine.csv")]
+        assert _run(argv) == cli.EXIT_BAD_CONFIG
+        out, err = capsys.readouterr()
+        assert f"error: {option}" in err and out == ""
+        assert not (tmp_path / "fine.csv").exists()
+
+    @pytest.mark.parametrize("verb", ["se-sweep", "analyze"])
+    def test_write_failure_exits_1(self, verb, tmp_path, monkeypatch, capsys):
+        def full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_csv", full)
+        monkeypatch.setattr(cli, "dump_config", full)
+        if verb == "analyze":
+            argv = ["analyze", "--dump-config", str(tmp_path / "c.cfg")]
+        else:
+            argv = self._sweep("--output", str(tmp_path / "x.csv"))
+        assert _run(argv) == cli.EXIT_FAILURE
+        assert "error: [Errno 28] No space left on device" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("min_bits, n_epochs", [
+        (10**12, 1), (10**30, 1), (montecarlo.MAX_PAYLOAD_BITS + 1, 1),
+        (4 * montecarlo.MAX_PAYLOAD_BITS + 1, 4),
+    ])
+    def test_payload_above_budget_fails_before_any_epoch(self, min_bits, n_epochs, tmp_path,
+                                                         monkeypatch, capsys):
+        monkeypatch.setattr(montecarlo, "_run_chunk", _engine_reached)
+        argv = ["ber-sweep", "--scheme", "bf", "--axis", "E_dBm=20", "--angle-epochs",
+                str(n_epochs), "--fading-epochs", "1", "--min-bits", str(min_bits),
+                "--output", str(tmp_path / "x.csv")]
+        assert _run(argv) == cli.EXIT_BAD_CONFIG
+        assert "bits per fading epoch, above the limit" in capsys.readouterr().err
+        # At the limit itself, the sweep reaches the engine.
+        argv[argv.index("--min-bits") + 1] = str(n_epochs * montecarlo.MAX_PAYLOAD_BITS)
+        with pytest.raises(_Simulated):
+            cli.main(argv)
+
+
+_SWEEP_AXES = st.one_of(
+    st.builds(
+        "{}={}".format,
+        st.sampled_from([*montecarlo.AXIS_NAMES, "bogus", ""]),
+        st.one_of(
+            st.sampled_from(["nan", "inf", "-inf", "1e400", "", "-", "0", "2", "4000",
+                             "1e15", "0:10:20", "2:1:4", "0:1e-9:40", "0:0:1", "5:1:1",
+                             "1:2", "a:b:c", "0:inf:10"]),
+            st.floats().map(repr),
+            st.integers(min_value=-10, max_value=100).map(str),
+        ),
+    ),
+    st.text(max_size=12),
+)
+_CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from(_CONFIG_KEYS), _VALUES).map("{0[0]} = {0[1]}".format),
+    st.sampled_from(["# comment", "", "bogus = 1", "n_tx", "= 3", "n_tx = 16 = 4"]),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
+            max_size=16),
+)
+_CONFIG_BODIES = st.one_of(
+    st.lists(_CONFIG_LINES, max_size=4).map(lambda lines: "\n".join(lines).encode("utf-8")),
+    st.binary(max_size=24),
+)
+
+
+class TestSweepCliFuzz:
+    """Any ``--axis``, ``--config`` body and ``--min-bits`` through the
+    sweep verbs ends in a documented status, with an ``error:`` line and no
+    traceback when it fails; an input rejected with status 2 never reaches
+    the engine (the chunk entry point is patched to raise)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        verb=st.sampled_from(["se-sweep", "ber-sweep"]),
+        axis=_SWEEP_AXES,
+        body=_CONFIG_BODIES,
+        min_bits=st.one_of(st.integers(min_value=-5, max_value=10**4),
+                           st.integers(min_value=10**5, max_value=10**15),
+                           st.just(10**40)),
+    )
+    @example(verb="ber-sweep", axis="E_dBm=20", body=b"", min_bits=10**12)
+    @example(verb="se-sweep", axis="E_dBm=20", body=b"rx_disk_radius = 1e300", min_bits=1)
+    @example(verb="se-sweep", axis="E_dBm=20", body=b"n_tx = 8\nn_ris = 8", min_bits=1)
+    def test_sweep_verbs(self, tmp_path_factory, verb, axis, body, min_bits):
+        directory = tmp_path_factory.mktemp("sweep")
+        config = directory / "fuzz.cfg"
+        config.write_bytes(body)
+        argv = [verb, "--scheme", "sm,bf", "--axis", axis, "--config", str(config),
+                "--output", str(directory / "out.csv"), "--angle-epochs", "1",
+                "--fading-epochs", "1", "--seed", "3"]
+        if verb == "ber-sweep":
+            argv += ["--min-bits", str(min_bits)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_run_chunk", _engine_reached)
+            try:
+                code = _fuzz_main(argv)
+            except _Simulated:
+                code = None
+        if code is not None:
+            assert code == cli.EXIT_BAD_CONFIG, (argv, code)
+            return
+        # Accepted input: a small sweep runs to a documented status.
+        name, grid = cli._parse_axis(axis)
+        effective = cli._load_effective_config(
+            cli.build_parser().parse_args(argv[:-2] if verb == "ber-sweep" else argv)
+        )
+        effective = rl.apply_axis(effective, name, grid[-1])
+        if len(grid) <= 3 and effective.n_tx <= 64 and effective.n_ris_rx_paths <= 40 \
+                and effective.n_nlos_tx_paths <= 16:
+            assert _fuzz_main(argv, allowed={0, 1, 3, 5}) != cli.EXIT_BAD_CONFIG

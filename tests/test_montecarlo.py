@@ -168,6 +168,13 @@ class TestPlanValidation:
             assert got == expected and type(got) is type(expected)
 
 
+def _angle_epoch(config, schemes, grid_index, epoch_index, n_fading_epochs, base_seed, gamma_th,
+                 payload_symbols=None):
+    """One angle epoch through the chunk engine: a chunk of one angle epoch."""
+    return mc._run_chunk(config, schemes, grid_index, range(epoch_index, epoch_index + 1),
+                         n_fading_epochs, base_seed, gamma_th, payload_symbols)
+
+
 def _per_epoch_oracle(config, schemes, grid_index, epoch_index, n_fading_epochs, base_seed,
                       gamma_th, payload_symbols=None):
     """The engine one fading epoch at a time: redraw, design and run every
@@ -232,8 +239,22 @@ def _per_epoch_oracle(config, schemes, grid_index, epoch_index, n_fading_epochs,
 
 
 class TestStackedEngine:
-    """``_angle_epoch`` runs an angle epoch's fading epochs as stacked
-    arrays; every result field must equal the per-epoch engine's."""
+    """``_run_chunk`` runs a chunk of angle epochs, each with its fading
+    epochs, as stacked rows; every result field of every angle epoch must
+    equal the per-epoch engine's."""
+
+    @staticmethod
+    def _assert_chunk_matches(config, schemes, grid_index, angle_indices, n_fading, seed,
+                              payload=None):
+        chunk = mc._run_chunk(config, schemes, grid_index, angle_indices, n_fading, seed,
+                              10.0, payload)
+        for row, epoch_index in enumerate(angle_indices):
+            oracle = _per_epoch_oracle(config, schemes, grid_index, epoch_index, n_fading,
+                                       seed, 10.0, payload)
+            for scheme in schemes:
+                assert len(chunk[scheme]) == len(angle_indices) * n_fading
+                got = chunk[scheme][row * n_fading:(row + 1) * n_fading]
+                assert got == oracle[scheme], (scheme, epoch_index)
 
     @pytest.mark.parametrize("path", ["se", "ber"])
     @pytest.mark.parametrize("sigma_e", [0.0, 0.05])
@@ -241,25 +262,62 @@ class TestStackedEngine:
     def test_matches_per_epoch_oracle(self, n_slots, sigma_e, path):
         schemes = ("sm", "bf", "ds", "db")
         payload = {"multiplex": 40, "beamform": 40} if path == "ber" else None
-        for seed, grid_index, epoch_index, power in ((BASE_SEED, 0, 0, 1.0), (7, 3, 2, 1e-3)):
+        for seed, grid_index, angle_indices, power in (
+            (BASE_SEED, 0, range(0, 3), 1.0), (7, 3, range(2, 4), 1e-3),
+        ):
             config = rl.SystemConfig(n_slots=n_slots, angle_error_std=sigma_e,
                                      transmit_power=power)
-            args = (config, schemes, grid_index, epoch_index, 4, seed, 10.0, payload)
-            stacked = mc._angle_epoch(*args)
-            oracle = _per_epoch_oracle(*args)
-            for scheme in schemes:
-                assert len(stacked[scheme]) == 4
-                assert stacked[scheme] == oracle[scheme]
+            self._assert_chunk_matches(config, schemes, grid_index, angle_indices, 4, seed,
+                                       payload)
 
     @pytest.mark.parametrize("schemes", [
         ("ds",), ("db", "sm"), ("bf", "ds", "db"), ("sm", "ds"),
     ])
     def test_scheme_subsets_match_per_epoch_oracle(self, schemes):
         config = rl.SystemConfig(n_slots=2, n_rx=2)
-        args = (config, schemes, 1, 0, 3, 11, 10.0)
-        assert mc._angle_epoch(*args) == _per_epoch_oracle(*args)
+        self._assert_chunk_matches(config, schemes, 1, range(0, 3), 3, 11)
         payload = {"multiplex": 60, "beamform": 60}
-        assert mc._angle_epoch(*args, payload) == _per_epoch_oracle(*args, payload)
+        self._assert_chunk_matches(config, schemes, 1, range(0, 3), 3, 11, payload)
+
+    @pytest.mark.parametrize("sigma_e", [0.0, 0.05])
+    def test_active_surfaces_differ_by_row(self, sigma_e, monkeypatch):
+        # With more surfaces than streams, the multiplexing selection picks
+        # a different surface subset per angle epoch of one chunk.
+        selected = []
+        original = mc.select_paths_stack
+
+        def spying(*args, **kwargs):
+            selected.append(original(*args, **kwargs))
+            return selected[-1]
+
+        monkeypatch.setattr(mc, "select_paths_stack", spying)
+        config = rl.SystemConfig(n_rx=2, n_ris=4, n_slots=2, angle_error_std=sigma_e)
+        payload = {"multiplex": 30, "beamform": 30}
+        self._assert_chunk_matches(config, ("sm", "bf", "ds", "db"), 2, range(0, 6), 2, 5,
+                                   payload)
+        assert len({s.active_ris for s in selected[0]}) > 1
+
+    @pytest.mark.parametrize("rows", [1, 3, 5])
+    def test_chunks_cut_mid_angle_epoch(self, rows, monkeypatch):
+        # Fading epochs split over several chunks, and chunks of several
+        # angle epochs: the sweep's results are those of the per-epoch
+        # engine, in (angle epoch, fading epoch) order.
+        monkeypatch.setattr(mc, "CHUNK_ROWS", rows)
+        config = rl.SystemConfig(n_slots=2, angle_error_std=0.05)
+        schemes = ("sm", "bf", "ds", "db")
+        payload = {"multiplex": 20, "beamform": 20}
+        for n_fading in (1, 2, 4):
+            plan = _plan(schemes=schemes, n_angle_epochs=3, n_fading_epochs=n_fading)
+            for symbols in (None, payload):
+                got = mc._grid_point(plan, config, 0, symbols)
+                for scheme in schemes:
+                    expected = [
+                        r for e in range(3)
+                        for r in _per_epoch_oracle(config, schemes, 0, e, n_fading,
+                                                   plan.base_seed, plan.gamma_th,
+                                                   symbols)[scheme]
+                    ]
+                    assert got[scheme] == expected, (scheme, n_fading)
 
     def test_ladders_draw_each_slot_noise_once(self, monkeypatch):
         calls = []
@@ -272,7 +330,7 @@ class TestStackedEngine:
         monkeypatch.setattr(transceive, "_awgn", counting)
         schemes = ("sm", "bf", "ds", "db")
         n_fading = 3
-        mc._angle_epoch(rl.SystemConfig(n_slots=2), schemes, 0, 0, n_fading, BASE_SEED, 10.0,
+        _angle_epoch(rl.SystemConfig(n_slots=2), schemes, 0, 0, n_fading, BASE_SEED, 10.0,
                         {"multiplex": 20, "beamform": 20})
         # One pass per family and fading epoch, one draw per slot: (sm, ds)
         # and (bf, db) each draw twice, not 1 + 2 times.
@@ -280,15 +338,15 @@ class TestStackedEngine:
 
     def test_hopping_schemes_share_slot_zero(self, monkeypatch):
         built = []
-        original = mc.build_customized_channel
+        original = mc.design_slots
 
-        def counting(selection, *args, slot=0, refine=False, **kwargs):
+        def counting(selections, slot, *args, refine=False):
             built.append((refine, slot))
-            return original(selection, *args, slot=slot, refine=refine, **kwargs)
+            return original(selections, slot, *args, refine=refine)
 
-        monkeypatch.setattr(mc, "build_customized_channel", counting)
+        monkeypatch.setattr(mc, "design_slots", counting)
         config = rl.SystemConfig(n_slots=2)
-        mc._angle_epoch(config, ("sm", "bf", "ds", "db"), 0, 0, 3, BASE_SEED, 10.0)
+        _angle_epoch(config, ("sm", "bf", "ds", "db"), 0, 0, 3, BASE_SEED, 10.0)
         # One design per slot and family: sm/bf take slot 0 of ds/db's.
         assert sorted(built) == [(False, 0), (False, 1), (True, 0), (True, 1)]
 
@@ -303,7 +361,7 @@ class TestStackedEngine:
 
             monkeypatch.setattr(transceive, name, counting)
         config = rl.SystemConfig(n_slots=2)
-        mc._angle_epoch(config, ("sm", "bf", "ds", "db"), 0, 0, 3, BASE_SEED, 10.0)
+        _angle_epoch(config, ("sm", "bf", "ds", "db"), 0, 0, 3, BASE_SEED, 10.0)
         # sm/bf read their results off the first slot of ds/db's pass.
         assert sorted(calls) == ["_beam_combiner"] * 2 + ["_multiplex_slot"] * 2
 
@@ -314,7 +372,7 @@ class TestEstimators:
         plan = _plan(n_angle_epochs=1, n_fading_epochs=1,
                      schemes=("sm", "bf"))
         result = rl.estimate_ergodic_se(plan, config)
-        epoch = mc._angle_epoch(
+        epoch = _angle_epoch(
             mc._grid_config(plan, config, 0), plan.schemes, 0, 0, 1,
             plan.base_seed, plan.gamma_th,
         )
@@ -331,7 +389,7 @@ class TestEstimators:
         samples = [
             r.se_bits_per_hz
             for i in range(3)
-            for r in mc._angle_epoch(
+            for r in _angle_epoch(
                 mc._grid_config(plan, config, 0), plan.schemes, 0, i, 2,
                 plan.base_seed, plan.gamma_th,
             )["sm"]
@@ -464,7 +522,7 @@ class TestEstimators:
         def simulated(*args, **kwargs):
             raise AssertionError("simulated an epoch")
 
-        monkeypatch.setattr(mc, "_angle_epoch", simulated)
+        monkeypatch.setattr(mc, "_run_chunk", simulated)
         with pytest.raises(ConfigurationError, match="payload bit"):
             rl.estimate_ber(_plan(), rl.SystemConfig(), min_bits=min_bits)
 
