@@ -168,12 +168,23 @@ def se_sm_approx(c):
     return out if rows_given else out[0]
 
 
+# Below this, 1 + x rounds away over half of x's bits, and its rounding
+# error (up to 2^-53) can exceed the margin of the bound over the
+# multiplexing approximation (about x^2 / 2), so the bounds take
+# log2(1 + x) as log1p(x) / ln 2.  Above it they keep log2(1 + x).
+_LOG1P_BELOW = 2.0**-26
+
+
 def se_sm_upper(c) -> float:
     """Jensen upper bound of the multiplexing ergodic SE: sum log2(1 + 1/c)."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
     if np.any(c <= 0):
         raise ValueError("stream constants must be positive")
-    return float(np.add.reduce(np.log2(1.0 + 1.0 / c)))
+    snr = 1.0 / c
+    terms = np.log2(1.0 + snr)
+    if min(snr.tolist()) < _LOG1P_BELOW:
+        terms = np.where(snr < _LOG1P_BELOW, np.log1p(snr) / math.log(2.0), terms)
+    return float(np.add.reduce(terms))
 
 
 @dataclass(frozen=True)
@@ -271,7 +282,10 @@ def _bf_bound(params: ClosedFormParams, coefficient: float) -> float:
     squares = float(np.add.reduce(profile**2))
     cross = float(np.add.reduce(profile)) ** 2 - squares
     scale = coefficient * params.n_rx / params.n_ris
-    return math.log2(1.0 + scale * (squares + math.pi / 4.0 * cross))
+    snr = scale * (squares + math.pi / 4.0 * cross)
+    if snr < _LOG1P_BELOW:
+        return math.log1p(snr) / math.log(2.0)
+    return math.log2(1.0 + snr)
 
 
 def se_bf_upper(params: ClosedFormParams) -> float:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import Deployment, SystemConfig
+from .config import Deployment, SurfaceGeometry, SystemConfig, drop_receiver, receiver_losses
 from .errors import SamplingError
 from .ris import RisConfiguration
 
@@ -106,7 +106,8 @@ def _draw_separated_freqs(
 ) -> np.ndarray:
     """Draw spatial frequencies of uniform physical angles on (0, pi),
     rejecting any draw closer than ``separation`` to an earlier one or to
-    the ``keep_away`` set.
+    the ``keep_away`` set.  A draw of no frequency returns an empty array
+    and leaves the generator untouched.
 
     The threshold is capped at half the packing density of the full circle
     so a near-degenerate geometry (a surface with very few elements) slows
@@ -125,6 +126,8 @@ def _draw_separated_freqs(
     arithmetic, every other frequency clears it too and the try is taken;
     otherwise the full gap test decides.
     """
+    if not count:
+        return np.empty(0)
     taken = np.atleast_1d(np.asarray(keep_away, dtype=float)).tolist()
     total = count + len(taken)
     separation = min(separation, 2.0 * math.pi / (2.0 * total))
@@ -200,7 +203,31 @@ def min_angle_separation(deployment: Deployment) -> float:
     Tied to the largest beam width in the deployment: one full mainlobe of
     the smallest surface.
     """
-    return 2.0 * math.pi / float(deployment.ris_element_counts.min())
+    return _separation(deployment.ris_element_counts)
+
+
+def _separation(n_elements: np.ndarray) -> float:
+    return 2.0 * math.pi / float(np.min(n_elements))
+
+
+def _los_gain(config: SystemConfig, n_elements):
+    """Line-of-sight gain of a transmitter-to-surface hop: real, positive,
+    and carrying the whole Rician-factor weight (elementwise on arrays)."""
+    kappa = config.rician_factor
+    return np.sqrt(kappa * config.n_tx * n_elements / (kappa + 1.0))
+
+
+def _scattered_paths(
+    config: SystemConfig, link: str, n_s: int, keep_away: np.ndarray,
+    rng: np.random.Generator, separation: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scattered paths of one hop, drawn in this order: frequencies at
+    the surface (kept ``separation`` away from each other and from
+    ``keep_away``), frequencies at the far end, gains."""
+    count = config.n_nlos_tx_paths if link == TX_RIS else config.n_ris_rx_paths
+    at_surface = _draw_separated_freqs(rng, count, keep_away, separation)
+    far = math.pi * np.cos(rng.uniform(0.0, math.pi, size=count))
+    return at_surface, far, _scattered_gains(config, link, n_s, count, rng)
 
 
 def draw_tx_ris_channel(
@@ -221,20 +248,15 @@ def draw_tx_ris_channel(
     if separation is None:
         separation = min_angle_separation(deployment)
     n_s = int(deployment.ris_element_counts[k])
-    n_nlos = config.n_nlos_tx_paths
-    kappa = config.rician_factor
-
     los_arrival = deployment.los_arrival_freq(k)
-    los_departure = deployment.los_departure_freq(k)
-    arrivals = _draw_separated_freqs(rng, n_nlos, np.array([los_arrival]), separation)
-    departures = math.pi * np.cos(rng.uniform(0.0, math.pi, size=n_nlos))
-
-    los_gain = math.sqrt(kappa * config.n_tx * n_s / (kappa + 1.0))
+    arrivals, departures, gains = _scattered_paths(
+        config, TX_RIS, n_s, np.array([los_arrival]), rng, separation
+    )
     return MultipathChannel(
         TX_RIS, k, n_s, config.n_tx,
-        gains=np.concatenate(([los_gain], _scattered_gains(config, TX_RIS, n_s, n_nlos, rng))),
+        gains=np.concatenate(([_los_gain(config, n_s)], gains)),
         arrival_freqs=np.concatenate(([los_arrival], arrivals)),
-        departure_freqs=np.concatenate(([los_departure], departures)),
+        departure_freqs=np.concatenate(([deployment.los_departure_freq(k)], departures)),
     )
 
 
@@ -255,12 +277,58 @@ def draw_ris_rx_channel(
     if separation is None:
         separation = min_angle_separation(deployment)
     n_s = int(deployment.ris_element_counts[k])
-    n_paths = config.n_ris_rx_paths
-
-    departures = _draw_separated_freqs(rng, n_paths, np.asarray(keep_away), separation)
-    arrivals = math.pi * np.cos(rng.uniform(0.0, math.pi, size=n_paths))
-    gains = _scattered_gains(config, RIS_RX, n_s, n_paths, rng)
+    departures, arrivals, gains = _scattered_paths(
+        config, RIS_RX, n_s, np.asarray(keep_away), rng, separation
+    )
     return MultipathChannel(RIS_RX, k, config.n_rx, n_s, gains, arrivals, departures)
+
+
+def draw_angle_epochs(
+    config: SystemConfig, surfaces: SurfaceGeometry, rngs: Sequence[np.random.Generator]
+) -> tuple[dict, np.ndarray]:
+    """Every angle epoch's receiver drop and path angles, straight into arrays.
+
+    ``rngs[a]`` is angle epoch ``a``'s generator.  An epoch drops the
+    receiver and sizes the surfaces, then draws per surface the
+    transmitter-to-surface hop and the surface-to-receiver hop (kept away
+    from the first hop's arrivals): the calls of :func:`place_deployment`,
+    :func:`draw_tx_ris_channel` and :func:`draw_ris_rx_channel` in that
+    order, so every value and the generator's state after equal theirs bit
+    for bit.  The scattered gains are drawn and dropped; fading epochs
+    redraw them.  Returns the angle fields of a :class:`HopStack`
+    (frequencies (A, K, L), element counts and losses (A, K)) and the
+    line-of-sight gains (A, K).
+    """
+    n_angle, n_ris = len(rngs), config.n_ris
+    tx_arrival = np.empty((n_angle, n_ris, 1 + config.n_nlos_tx_paths))
+    tx_departure = np.empty_like(tx_arrival)
+    tx_arrival[..., 0] = surfaces.los_arrival
+    tx_departure[..., 0] = surfaces.los_departure
+    rx_arrival = np.empty((n_angle, n_ris, config.n_ris_rx_paths))
+    rx_departure = np.empty_like(rx_arrival)
+    losses = np.empty((n_angle, n_ris))
+    n_elements = np.empty((n_angle, n_ris), dtype=np.int64)
+    for a, rng in enumerate(rngs):
+        losses[a], n_elements[a] = receiver_losses(config, surfaces, drop_receiver(config, rng))
+        separation = _separation(n_elements[a])
+        for k, n_s in enumerate(n_elements[a].tolist()):
+            tx_arrival[a, k, 1:], tx_departure[a, k, 1:], _ = _scattered_paths(
+                config, TX_RIS, n_s, tx_arrival[a, k, :1], rng, separation
+            )
+            rx_departure[a, k], rx_arrival[a, k], _ = _scattered_paths(
+                config, RIS_RX, n_s, tx_arrival[a, k], rng, separation
+            )
+    angles = dict(
+        n_rx=config.n_rx,
+        n_tx=config.n_tx,
+        tx_arrival=tx_arrival,
+        tx_departure=tx_departure,
+        rx_arrival=rx_arrival,
+        rx_departure=rx_departure,
+        n_elements=n_elements,
+        losses=losses,
+    )
+    return angles, _los_gain(config, n_elements)
 
 
 def redraw_fading(

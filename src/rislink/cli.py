@@ -61,6 +61,13 @@ def _fmt(value: float) -> str:
 
 
 def write_csv(result: SweepResult, path) -> None:
+    """Write :func:`format_csv` of a sweep to ``path``."""
+    text = format_csv(result)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def format_csv(result: SweepResult) -> str:
     """Serialize a sweep: one row per (axis value, scheme), 12 significant
     digits, fixed column order, deterministic bytes."""
     if not result.axis_values or not result.schemes or not result.means:
@@ -82,8 +89,7 @@ def write_csv(result: SweepResult, path) -> None:
                     )
                 )
             )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _parse_axis(spec_str: str) -> tuple[str, tuple[float, ...]]:

@@ -199,8 +199,12 @@ class Deployment:
 
     def los_arrival_freq(self, k: int) -> float:
         """Spatial frequency at surface k of the LoS arriving from the transmitter."""
-        delta = self.tx_position - self.ris_positions[k]
-        return math.pi * float(delta[1] / np.linalg.norm(delta))
+        return _los_arrival_freq(self.tx_position, self.ris_positions[k])
+
+
+def _los_arrival_freq(tx_position: np.ndarray, ris_position: np.ndarray) -> float:
+    delta = tx_position - ris_position
+    return math.pi * float(delta[1] / np.linalg.norm(delta))
 
 
 def _dft_direction_cosines(n_tx: int, dft_offset: float) -> np.ndarray:
@@ -218,23 +222,33 @@ def _distances(config: SystemConfig) -> str:
     )
 
 
-def place_deployment(
-    config: SystemConfig,
-    rng: np.random.Generator | None,
-    rx_position: np.ndarray | None = None,
-) -> Deployment:
-    """Drop the receiver and place one surface per selected DFT beam.
+@dataclass(frozen=True, eq=False)
+class SurfaceGeometry:
+    """The part of a deployment that does not depend on the receiver drop.
 
-    The ``n_ris`` usable beams closest to broadside are kept (positive
-    direction cosine wins ties), each surface sits on the vertical line
-    ``x = ris_axis_distance`` along its beam, and element counts are sized
-    from the realized cascaded losses.  The receiver position is drawn
-    uniformly on the drop disk from ``rng`` unless given explicitly.
+    Holds what :class:`Deployment` holds for the transmitter and the
+    surfaces, plus each surface's distance from the transmitter and the
+    spatial frequencies of its line of sight: ``los_arrival`` at the
+    surface, ``los_departure`` at the transmitter.
+    """
+
+    tx_position: np.ndarray
+    ris_positions: np.ndarray
+    direction_cosines: np.ndarray
+    tx_distances: np.ndarray
+    los_arrival: np.ndarray
+    los_departure: np.ndarray
+
+
+def surface_geometry(config: SystemConfig) -> SurfaceGeometry:
+    """Place one surface per selected DFT beam (see :func:`place_deployment`).
 
     Raises
     ------
     PlacementError
         If fewer than ``n_ris`` DFT beams intersect the surface line.
+    ConfigurationError
+        If a transmitter-to-surface distance leaves the floating-point range.
     """
     cosines = _dft_direction_cosines(config.n_tx, config.dft_offset)
     usable = [u for u in cosines if 1e-12 < abs(u) < 1.0 - 1e-12]
@@ -247,29 +261,49 @@ def place_deployment(
 
     x = config.ris_axis_distance
     ris_positions = np.array([[x, x * u / math.sqrt(1.0 - u * u)] for u in chosen])
-
-    if rx_position is None:
-        radius = config.rx_disk_radius * math.sqrt(rng.uniform())
-        azimuth = rng.uniform(0.0, 2.0 * math.pi)
-        rx_position = np.array(
-            [
-                config.rx_center_distance + radius * math.cos(azimuth),
-                radius * math.sin(azimuth),
-            ]
-        )
-    else:
-        rx_position = np.asarray(rx_position, dtype=float)
-
     tx_position = np.zeros(2)
     with np.errstate(over="ignore", invalid="ignore"):
         d_tx = np.linalg.norm(ris_positions - tx_position, axis=1)
-        d_rx = np.linalg.norm(ris_positions - rx_position, axis=1)
-    if not (np.isfinite(d_tx).all() and np.isfinite(d_rx).all()):
+    if not np.isfinite(d_tx).all():
+        raise ConfigurationError(
+            f"deployment distances leave the floating-point range: {_distances(config)}"
+        )
+    return SurfaceGeometry(
+        tx_position=tx_position,
+        ris_positions=ris_positions,
+        direction_cosines=np.array(chosen),
+        tx_distances=d_tx,
+        los_arrival=np.array([_los_arrival_freq(tx_position, p) for p in ris_positions]),
+        los_departure=np.array([math.pi * float(u) for u in chosen]),
+    )
+
+
+def drop_receiver(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """A receiver position drawn uniformly on the drop disk: one
+    ``rng.uniform()`` for the radius, then one for the azimuth."""
+    radius = config.rx_disk_radius * math.sqrt(rng.uniform())
+    azimuth = rng.uniform(0.0, 2.0 * math.pi)
+    return np.array(
+        [
+            config.rx_center_distance + radius * math.cos(azimuth),
+            radius * math.sin(azimuth),
+        ]
+    )
+
+
+def receiver_losses(
+    config: SystemConfig, surfaces: SurfaceGeometry, rx_position: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each surface's cascaded loss to a receiver at ``rx_position`` and the
+    element count sized from it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_rx = np.linalg.norm(surfaces.ris_positions - rx_position, axis=1)
+    if not np.isfinite(d_rx).all():
         raise ConfigurationError(
             f"deployment distances leave the floating-point range: {_distances(config)}"
         )
     losses = np.array(
-        [path_loss(a, b, config.wavelength) for a, b in zip(d_tx, d_rx)]
+        [path_loss(a, b, config.wavelength) for a, b in zip(surfaces.tx_distances, d_rx)]
     )
     try:
         counts = np.array(
@@ -280,13 +314,42 @@ def place_deployment(
             f"surface element counts overflow: gain_target={config.gain_target!r} "
             f"is too large for the deployment distances {_distances(config)}"
         ) from exc
+    return losses, counts
+
+
+def place_deployment(
+    config: SystemConfig,
+    rng: np.random.Generator | None,
+    rx_position: np.ndarray | None = None,
+) -> Deployment:
+    """Drop the receiver and place one surface per selected DFT beam.
+
+    The ``n_ris`` usable beams closest to broadside are kept (positive
+    direction cosine wins ties), each surface sits on the vertical line
+    ``x = ris_axis_distance`` along its beam, and element counts are sized
+    from the realized cascaded losses.  The receiver position is drawn
+    uniformly on the drop disk from ``rng`` unless given explicitly.  This
+    is :func:`surface_geometry`, :func:`drop_receiver` and
+    :func:`receiver_losses` in one.
+
+    Raises
+    ------
+    PlacementError
+        If fewer than ``n_ris`` DFT beams intersect the surface line.
+    """
+    surfaces = surface_geometry(config)
+    if rx_position is None:
+        rx_position = drop_receiver(config, rng)
+    else:
+        rx_position = np.asarray(rx_position, dtype=float)
+    losses, counts = receiver_losses(config, surfaces, rx_position)
     return Deployment(
-        tx_position=tx_position,
+        tx_position=surfaces.tx_position,
         rx_position=rx_position,
-        ris_positions=ris_positions,
+        ris_positions=surfaces.ris_positions,
         ris_element_counts=counts,
         path_losses=losses,
-        direction_cosines=np.array(chosen),
+        direction_cosines=surfaces.direction_cosines,
     )
 
 

@@ -113,108 +113,137 @@ class SearchTerms:
         return unary, pairs
 
 
-def _search_terms(
-    gram: np.ndarray, groups: Sequence[np.ndarray], target_off_diagonal: float
-) -> tuple[list[np.ndarray], dict[tuple[int, int], np.ndarray]]:
-    """One Gram matrix's search terms (see :class:`SearchTerms`), without
-    the row axis."""
-    unary, pairs = SearchTerms(gram[None]).gather(groups, target_off_diagonal)
-    return [u[0] for u in unary], {key: p[0] for key, p in pairs.items()}
-
-
 def _head_prefixes(unary: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Every index prefix over all groups but the last two, as one index
-    array per head group, in C (lexicographic) order."""
-    return [h.ravel() for h in np.indices([len(u) for u in unary[:-2]])]
+    array per head group, in C (lexicographic) order.  Terms carry a
+    leading row axis."""
+    return [h.ravel() for h in np.indices([u.shape[-1] for u in unary[:-2]])]
 
 
-def _slab_objective(unary, pairs, heads: Sequence[np.ndarray]) -> np.ndarray:
-    """Exact objective over the slabs of the given head prefixes, per row.
+def _slab_objective(unary, pairs, rows: np.ndarray, heads: Sequence[np.ndarray]) -> np.ndarray:
+    """Exact objective over slabs, one per entry of ``rows``.
 
-    Every term carries a leading row axis (one row per search).  ``heads``
-    holds one index array per head group, all of one length c (none for
-    the whole search space, as one slab).  The result has shape (rows, c,
-    *tail group sizes).  Every element sums zero, the unary terms in group
-    order, then the pair terms in lexicographic order: one order for every
-    slab and row, so objective values do not depend on how a search is
-    cut or stacked.
+    Every term carries a leading row axis (one row per search).  Slab ``i``
+    belongs to row ``rows[i]`` and fixes head group ``g`` at ``heads[g][i]``
+    (with no heads, a row's whole search space is one slab).  The result
+    has shape (len(rows), *tail group sizes).  Every element sums zero, the
+    unary terms in group order, then the pair terms in lexicographic order:
+    one order for every slab and row, so objective values do not depend on
+    how a search is cut or stacked.
     """
     n_head = len(heads)
-    rows = len(unary[0])
     tail_sizes = [u.shape[1] for u in unary[n_head:]]
-    objective = np.zeros([rows, len(heads[0]) if heads else 1, *tail_sizes])
+    objective = np.zeros([len(rows), *tail_sizes])
     for members, term in [*(((a,), u) for a, u in enumerate(unary)), *pairs.items()]:
-        shape = [rows] + [1] * (objective.ndim - 1)
+        shape = [len(rows)] + [1] * len(tail_sizes)
         for g in members:
-            if g < n_head:
-                shape[1] = objective.shape[1]
-            else:
-                shape[2 + g - n_head] = tail_sizes[g - n_head]
-        index = (slice(None), *(heads[g] if g < n_head else slice(None) for g in members))
-        objective += term[index].reshape(shape)
+            if g >= n_head:
+                shape[1 + g - n_head] = tail_sizes[g - n_head]
+        # Head members come first, so the row and head indices stay adjacent.
+        objective += term[(rows, *(heads[g] for g in members if g < n_head))].reshape(shape)
     return objective
 
 
-def _slab_minima(unary, pairs, heads: Sequence[np.ndarray], prefixes):
-    """Yield (value, flat position) of the first minimizer of each chunk of
-    slabs of one search (terms without a row axis).  ``prefixes`` are flat
-    head-prefix indices in ascending order, evaluated a bounded number of
-    objective elements at a time."""
-    slab = math.prod(len(u) for u in unary[len(heads):])
-    step = max(1, _CHUNK_ELEMENTS // slab)
-    unary = [u[None] for u in unary]
-    pairs = {key: p[None] for key, p in pairs.items()}
-    for start in range(0, len(prefixes), step):
-        chunk = prefixes[start:start + step]
-        objective = _slab_objective(unary, pairs, [h[chunk] for h in heads]).reshape(-1)
-        k = int(np.argmin(objective))
-        yield float(objective[k]), int(chunk[k // slab]) * slab + k % slab
-
-
-def _bounded_minimum(unary, pairs) -> tuple[tuple[float, int], int] | None:
-    """Branch and bound (Land & Doig, 1960) over the head prefixes.
-
-    A prefix's slab is bounded from below by the prefix's own terms, plus,
-    for each tail group, the least of its unary term and its pair terms to
-    the prefix, plus the least of each tail-tail pair term.  The slab of
-    the lowest bound is evaluated first; every other slab whose bound,
-    less a 1e-12 relative margin for summation order, still exceeds that
-    value cannot hold a minimizer and is skipped.  Returns the (value,
-    flat position) of the first minimizer and the number of slabs
-    evaluated, or None when a term is not finite (the bound then proves
-    nothing).
-    """
+def _prefix_bounds(unary, pairs) -> np.ndarray:
+    """Lower bound of every head prefix's slab, per row: shape (rows,
+    prefixes), prefixes in C order (see :func:`_bounded_minima`)."""
+    n_rows = len(unary[0])
     n_head = len(unary) - 2
 
     def spread(term: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-        shape = [1] * (n_head + 1)
-        for axis, size in zip(axes, term.shape):
-            shape[axis] = size
+        shape = [n_rows] + [1] * (n_head + 1)
+        for axis, size in zip(axes, term.shape[1:]):
+            shape[1 + axis] = size
         return term.reshape(shape)
 
-    # Axis 0 holds a tail group's index and axis a + 1 head group a's.  The
-    # pair terms are copied tail-major, so the least over the tail index
-    # reduces across whole head grids in memory order.
+    # After the row axis, axis 0 holds a tail group's index and axis a + 1
+    # head group a's.  The pair terms are copied tail-major, so the least
+    # over the tail index reduces across whole head grids in memory order.
     bound = sum(spread(unary[a], (a + 1,)) for a in range(n_head))
     for a, b in combinations(range(n_head), 2):
         bound = bound + spread(pairs[a, b], (a + 1, b + 1))
     for t in range(n_head, len(unary)):
         reach = spread(unary[t], (0,))
         for a in range(n_head):
-            reach = reach + spread(np.ascontiguousarray(pairs[a, t].T), (0, a + 1))
-        bound = bound + reach.min(axis=0, keepdims=True)
+            reach = reach + spread(np.ascontiguousarray(np.swapaxes(pairs[a, t], 1, 2)), (0, a + 1))
+        bound = bound + reach.min(axis=1, keepdims=True)
     for a, b in combinations(range(n_head, len(unary)), 2):
-        bound = bound + pairs[a, b].min()
-    bound = bound.ravel()
-    if not np.isfinite(bound).all():
-        return None
+        bound = bound + spread(pairs[a, b].reshape(n_rows, -1).min(axis=1), ())
+    return bound.reshape(n_rows, -1)
+
+
+def _bounded_minima(unary, pairs) -> tuple[list[tuple[float, int] | None], np.ndarray]:
+    """Best-first branch and bound over the head prefixes of every row.
+
+    A prefix's slab is bounded from below (Land & Doig, 1960) by the
+    prefix's own terms, plus, for each tail group, the least of its unary
+    term and its pair terms to the prefix, plus the least of each
+    tail-tail pair term.  Each row first evaluates the slab of its lowest
+    bound, then the other slabs in ascending bound order, in rounds of
+    twice as many as the last, while their bound, less a 1e-12 relative
+    margin for summation order, does not exceed the least value found so
+    far (Lawler & Wood, 1966): a slab beyond that cannot hold a minimizer
+    or a tie.  A round evaluates the slabs of every row together, a
+    bounded number of objective elements at a time, and ties go to the
+    lower flat position, so the first minimizer wins whatever the order
+    of evaluation.  Returns, per row, the (value, flat position) of the
+    first minimizer, or None where a bound is not finite (it then proves
+    nothing), and the number of slabs each row evaluated.
+    """
+    n_rows = len(unary[0])
+    n_head = len(unary) - 2
     heads = _head_prefixes(unary)
-    first = int(np.argmin(bound))
-    best = min(_slab_minima(unary, pairs, heads, [first]))
-    survivors = np.flatnonzero(bound * (1.0 - 1e-12) <= best[0])
-    survivors = survivors[survivors != first]
-    best = min([best, *_slab_minima(unary, pairs, heads, survivors)])
-    return best, 1 + len(survivors)
+    # The bounds of a block of rows reduce (rows, tail index, prefix) grids.
+    block = max(1, _CHUNK_ELEMENTS // (len(heads[0]) * max(u.shape[1] for u in unary[n_head:])))
+    bound = np.concatenate([
+        _prefix_bounds(
+            [u[start:start + block] for u in unary],
+            {key: p[start:start + block] for key, p in pairs.items()},
+        )
+        for start in range(0, n_rows, block)
+    ])
+    cut = bound * (1.0 - 1e-12)
+    slab = math.prod(u.shape[1] for u in unary[n_head:])
+    step = max(1, _CHUNK_ELEMENTS // slab)
+    best = [(math.inf, math.inf)] * n_rows
+    evaluated = np.zeros(n_rows, dtype=np.int64)
+
+    def evaluate(rows: np.ndarray, prefixes: np.ndarray) -> None:
+        for start in range(0, len(rows), step):
+            r, p = rows[start:start + step], prefixes[start:start + step]
+            objective = _slab_objective(unary, pairs, r, [h[p] for h in heads])
+            objective = objective.reshape(len(r), slab)
+            k = objective.argmin(axis=1)
+            values = objective[np.arange(len(r)), k]
+            for row, value, flat in zip(r.tolist(), values.tolist(), (p * slab + k).tolist()):
+                best[row] = min(best[row], (value, flat))
+        evaluated[:] += np.bincount(rows, minlength=n_rows)
+
+    live = np.flatnonzero(np.isfinite(bound).all(axis=1))
+    lowest = bound[live].argmin(axis=1)
+    evaluate(live, lowest)
+    queues = {}
+    for r, first in zip(live.tolist(), lowest.tolist()):
+        rest = np.flatnonzero(cut[r] <= best[r][0])
+        rest = rest[rest != first]
+        queues[r] = rest[np.argsort(cut[r, rest], kind="stable")]
+    size = 1
+    while queues:
+        rows, prefixes = [], []
+        for r, queue in list(queues.items()):
+            take = int(np.searchsorted(cut[r, queue[:size]], best[r][0], side="right"))
+            rows.append(np.full(take, r))
+            prefixes.append(queue[:take])
+            if take < size or take == len(queue):
+                del queues[r]
+            else:
+                queues[r] = queue[size:]
+        evaluate(np.concatenate(rows), np.concatenate(prefixes))
+        size *= 2
+    found = [None] * n_rows
+    for r in live.tolist():
+        found[r] = best[r]
+    return found, evaluated
 
 
 def _search(
@@ -233,9 +262,10 @@ def _search(
     positional indices into each group (first minimizer in lexicographic
     order) and the objective value.
 
-    Searches of more than two groups and ``DENSE_SEARCH_LIMIT`` tuples are
-    bounded row by row (see ``_bounded_minimum``); smaller ones evaluate
-    every tuple of every row at once, which is faster there.  Both give
+    Searches of more than two groups and ``DENSE_SEARCH_LIMIT`` tuples
+    run one bounded search over all rows (see ``_bounded_minima``), and
+    rows whose bound proves nothing join the rest, which evaluate every
+    tuple of every row at once (faster for small searches).  Both give
     the exhaustive minimizer and its objective bit for bit.
     """
     sizes = [np.shape(g)[-1] for g in groups]
@@ -247,15 +277,11 @@ def _search(
     rows = len(unary[0])
     found = [None] * rows
     if len(groups) > 2 and math.prod(sizes) > DENSE_SEARCH_LIMIT:
-        for r in range(rows):
-            bounded = _bounded_minimum([u[r] for u in unary], {k: p[r] for k, p in pairs.items()})
-            found[r] = bounded and bounded[0]
-    dense = [r for r in range(rows) if found[r] is None]
-    if dense:
-        objective = _slab_objective(
-            [u[dense] for u in unary], {k: p[dense] for k, p in pairs.items()}, []
-        ).reshape(len(dense), -1)
-        for r, values, k in zip(dense, objective, np.argmin(objective, axis=1).tolist()):
+        found = _bounded_minima(unary, pairs)[0]
+    dense = np.array([r for r in range(rows) if found[r] is None], dtype=np.int64)
+    if len(dense):
+        objective = _slab_objective(unary, pairs, dense, []).reshape(len(dense), -1)
+        for r, values, k in zip(dense.tolist(), objective, np.argmin(objective, axis=1).tolist()):
             found[r] = (float(values[k]), k)
     return [
         (tuple(int(i) for i in np.unravel_index(flat, sizes)), value) for value, flat in found

@@ -38,16 +38,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import (
-    TX_RIS,
-    HopStack,
-    MultipathChannel,
-    draw_fading_gains,
-    draw_ris_rx_channel,
-    draw_tx_ris_channel,
-    min_angle_separation,
-)
-from .config import SystemConfig, db2lin, dbm2watt, place_deployment
+from .channel import TX_RIS, HopStack, MultipathChannel, draw_angle_epochs, draw_fading_gains
+from .config import SystemConfig, db2lin, dbm2watt, place_deployment, surface_geometry
 from .customize import (
     SCHEME_TAGS,
     SearchTerms,
@@ -196,12 +188,21 @@ def inject_angle_error(
         raise ValueError("sigma_e must be non-negative")
     if sigma_e == 0 or channel.link == TX_RIS:
         return channel
-    n = channel.arrival_freqs.size
-    return replace(
-        channel,
-        arrival_freqs=channel.arrival_freqs + sigma_e * rng.standard_normal(n),
-        departure_freqs=channel.departure_freqs + sigma_e * rng.standard_normal(n),
+    arrivals, departures = _angle_errors(
+        sigma_e, channel.arrival_freqs[None], channel.departure_freqs[None], rng
     )
+    return replace(channel, arrival_freqs=arrivals[0], departure_freqs=departures[0])
+
+
+def _angle_errors(
+    sigma_e: float, arrivals: np.ndarray, departures: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Perturbed copies of the surface-to-receiver frequencies of one angle
+    epoch, shape (K, L): one normal draw holds, per surface, the arrivals'
+    errors and then the departures', as :func:`inject_angle_error` draws
+    them surface by surface."""
+    errors = sigma_e * rng.standard_normal((len(arrivals), 2, arrivals.shape[-1]))
+    return arrivals + errors[:, 0], departures + errors[:, 1]
 
 
 # Scheme family -> (single-configuration scheme, path-hopping scheme).  The
@@ -229,15 +230,17 @@ def _run_chunk(
     """Evaluate every scheme over the rows of a chunk of angle epochs.
 
     Every angle epoch draws from its own substreams in the order of a
-    single-epoch run: deployment, then per surface the transmit-side and
-    receive-side hops, then the angle-error perturbation; every fading
-    epoch draws its gains from its own generator (see
-    :func:`draw_fading_gains`).  Above the draws the chunk runs as stacked
-    rows: one set of search terms serves every selection, each scheme
-    family selects once (the hopping search when its hopping scheme is
-    requested), and then, for at most ``CHUNK_ROWS`` rows at a time, each
-    family designs each slot once and makes one runner pass, where
-    ``sm``/``bf`` read the one-slot prefix and ``ds``/``db`` all slots.
+    single-epoch run, straight into the chunk's arrays (see
+    :func:`draw_angle_epochs`): deployment, then per surface the
+    transmit-side and receive-side hops, then the angle-error
+    perturbation; every fading epoch draws its gains from its own
+    generator (see :func:`draw_fading_gains`).  Above the draws the chunk
+    runs as stacked rows: one set of search terms serves every selection,
+    each scheme family selects once (the hopping search when its hopping
+    scheme is requested), and then, for at most ``CHUNK_ROWS`` rows at a
+    time, each family designs each slot once and makes one runner pass,
+    where ``sm``/``bf`` read the one-slot prefix and ``ds``/``db`` all
+    slots.
     With ``payload_symbols`` (family -> symbols per fading epoch), each
     family also runs one payload pass per row, on that fading epoch's
     payload substream, and each scheme takes the bit errors after its
@@ -245,42 +248,25 @@ def _run_chunk(
     order.
     """
     mismatched = config.angle_error_std > 0
-    deployments, base_tx, base_rx, template_rx = [], [], [], []
-    for epoch_index in angle_indices:
-        rng = substream(base_seed, grid_index, epoch_index, _ANGLES)
-        deployment = place_deployment(config, rng)
-        separation = min_angle_separation(deployment)
-        downs, ups = [], []
-        for k in range(config.n_ris):
-            downs.append(draw_tx_ris_channel(config, deployment, k, rng, separation))
-            ups.append(draw_ris_rx_channel(
-                config, deployment, k, rng, separation, keep_away=downs[-1].arrival_freqs
-            ))
-        if mismatched:
-            err_rng = substream(base_seed, grid_index, epoch_index, _MISMATCH)
-            template_rx.append(
-                [inject_angle_error(ch, config.angle_error_std, err_rng) for ch in ups]
-            )
-        deployments.append(deployment)
-        base_tx.append(downs)
-        base_rx.append(ups)
-    template_rx = template_rx or base_rx
-
-    def stacked(hops, name):
-        return np.array([[getattr(hop, name) for hop in epoch] for epoch in hops])
-
-    n_elements = np.array([d.ris_element_counts for d in deployments])
-    angles = dict(
-        n_rx=config.n_rx,
-        n_tx=config.n_tx,
-        tx_arrival=stacked(base_tx, "arrival_freqs"),
-        tx_departure=stacked(base_tx, "departure_freqs"),
-        rx_arrival=stacked(base_rx, "arrival_freqs"),
-        rx_departure=stacked(base_rx, "departure_freqs"),
-        n_elements=n_elements,
-        losses=np.array([d.path_losses for d in deployments]),
+    angles, los_gains = draw_angle_epochs(
+        config,
+        surface_geometry(config),
+        [substream(base_seed, grid_index, a, _ANGLES) for a in angle_indices],
     )
-    candidates = stacked(template_rx, "arrival_freqs")
+    estimated = {}
+    if mismatched:
+        estimated = dict(
+            rx_arrival=np.empty_like(angles["rx_arrival"]),
+            rx_departure=np.empty_like(angles["rx_departure"]),
+        )
+        for a, epoch_index in enumerate(angle_indices):
+            estimated["rx_arrival"][a], estimated["rx_departure"][a] = _angle_errors(
+                config.angle_error_std,
+                angles["rx_arrival"][a],
+                angles["rx_departure"][a],
+                substream(base_seed, grid_index, epoch_index, _MISMATCH),
+            )
+    candidates = estimated.get("rx_arrival", angles["rx_arrival"])
     terms = SearchTerms(_candidate_gram(candidates, config.n_rx))
     families = []
     for family, (single, hopping) in _FAMILIES.items():
@@ -296,8 +282,6 @@ def _run_chunk(
         slots = {s: count for s, count in ((single, 1), (hopping, n_slots)) if s in schemes}
         families.append((family, selections, slots))
 
-    los_gains = stacked(base_tx, "gains")[..., 0]
-    estimated = dict(rx_arrival=candidates, rx_departure=stacked(template_rx, "departure_freqs"))
     out = {scheme: [[] for _ in angle_indices] for scheme in schemes}
     step = max(1, CHUNK_ROWS // len(angle_indices))
     for start in range(0, n_fading_epochs, step):
@@ -306,7 +290,7 @@ def _run_chunk(
             [substream(base_seed, grid_index, a, f, _FADING) for f in fading_indices]
             for a in angle_indices
         ]
-        tx_gains, rx_gains = draw_fading_gains(config, n_elements, los_gains, rngs)
+        tx_gains, rx_gains = draw_fading_gains(config, angles["n_elements"], los_gains, rngs)
         exact = HopStack(tx_gains=tx_gains, rx_gains=rx_gains, **angles)
         estimate = replace(exact, **estimated) if mismatched else exact
         for family, selections, slots in families:

@@ -13,19 +13,22 @@ import numpy as np
 
 from . import analysis
 from .channel import (
+    HopStack,
     _response_matrix,
     array_response,
     assemble_composite,
+    draw_angle_epochs,
     draw_ris_rx_channel,
     draw_tx_ris_channel,
+    min_angle_separation,
 )
-from .config import SystemConfig, place_deployment
+from .config import SystemConfig, place_deployment, surface_geometry
 from .customize import (
-    _bounded_minimum,
+    SearchTerms,
+    _bounded_minima,
     _candidate_gram,
     _head_prefixes,
-    _search_terms,
-    _slab_minima,
+    _slab_objective,
     build_customized_channel,
     select_paths_sm,
 )
@@ -141,20 +144,53 @@ def _check_selection() -> str:
     return f"pairs {got}"
 
 
-def _check_selection_bound() -> str:
+def _check_bounded_search() -> str:
     config = SystemConfig(n_ris_rx_paths=20)
-    _, _, downs = _draw_scene(config, seed=17)
-    gram = _candidate_gram(np.stack([d.arrival_freqs for d in downs]), config.n_rx)
+    scenes = [_draw_scene(config, seed)[2] for seed in (17, 19, 23)]
+    candidates = np.array([[d.arrival_freqs for d in downs] for downs in scenes])
+    terms = SearchTerms(_candidate_gram(candidates, config.n_rx))
     groups = [np.arange(20) + 20 * k for k in range(config.n_ris)]
     evaluated = []
     for target in (0.0, 1.0):
-        unary, pairs = _search_terms(gram, groups, target)
+        unary, pairs = terms.gather(groups, target)
+        found, counts = _bounded_minima(unary, pairs)
         heads = _head_prefixes(unary)
-        bounded, count = _bounded_minimum(unary, pairs)
-        unpruned = min(_slab_minima(unary, pairs, heads, np.arange(len(heads[0]))))
-        assert repr(bounded) == repr(unpruned), f"target {target}: {bounded} != {unpruned}"
-        evaluated.append(count)
-    return f"sm, bf targets evaluate {evaluated[0]}, {evaluated[1]} of {len(heads[0])} prefixes"
+        for r, bounded in enumerate(found):
+            every_slab = np.full(len(heads[0]), r)
+            objective = _slab_objective(unary, pairs, every_slab, heads).reshape(-1)
+            k = int(np.argmin(objective))
+            unpruned = (float(objective[k]), k)
+            assert repr(bounded) == repr(unpruned), f"target {target}: {bounded} != {unpruned}"
+        evaluated.append(counts.tolist())
+    return (
+        f"sm, bf targets evaluate {evaluated[0]}, {evaluated[1]} of {len(heads[0])} "
+        "prefixes per row"
+    )
+
+
+def _check_draws() -> str:
+    config = SystemConfig()
+    stacked_rng, rng = substream(29, 0), substream(29, 0)
+    angles, los_gains = draw_angle_epochs(config, surface_geometry(config), [stacked_rng])
+    deployment = place_deployment(config, rng)
+    separation = min_angle_separation(deployment)
+    downs, ups = [], []
+    for k in range(config.n_ris):
+        downs.append(draw_tx_ris_channel(config, deployment, k, rng, separation))
+        keep = downs[-1].arrival_freqs
+        ups.append(draw_ris_rx_channel(config, deployment, k, rng, separation, keep_away=keep))
+    hops = HopStack.from_channels(downs, ups, deployment)
+    pairs = [(angles[name], getattr(hops, name)) for name in angles if name not in ("n_rx", "n_tx")]
+    pairs.append((los_gains, hops.tx_gains[:, 0, :, 0].real))
+    for got, expected in pairs:
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (
+            f"array draw {got} != per-surface draw {expected}"
+        )
+    # The state holds arrays, whose repr is exact at these sizes.
+    assert repr(stacked_rng.bit_generator.state) == repr(rng.bit_generator.state), (
+        "the array draw left its generator elsewhere"
+    )
+    return f"{len(pairs)} arrays and the generator state equal the per-surface draws"
 
 
 def _check_power_and_run() -> str:
@@ -191,7 +227,8 @@ _CHECKS = (
     ("phase-alignment", _check_alignment),
     ("exp-integral", _check_exp_integral),
     ("path-selection", _check_selection),
-    ("selection-bound", _check_selection_bound),
+    ("bounded-search", _check_bounded_search),
+    ("draws", _check_draws),
     ("transceive", _check_power_and_run),
     ("determinism", _check_determinism),
 )

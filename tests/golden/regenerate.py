@@ -3,19 +3,24 @@
 Run from the repository root::
 
     PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py --check
 
 The golden files freeze the simulator's output bytes at a fixed seed, so a
 refactor that moves any simulated number fails the golden test.  Rerunning
 this script changes what counts as correct: review the diff of every
-rewritten file and record the reason in CHANGES.md.
+rewritten file and record the reason in CHANGES.md.  With ``--check`` it
+rewrites nothing: it reruns every command in memory, names each file and
+column whose bytes would change, and exits 1 if any would.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import sys
 from pathlib import Path
+from unittest import mock
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
@@ -68,11 +73,79 @@ def write(name: str, path: Path) -> None:
                 raise RuntimeError(f"{name}: rislink exited {exc.code}") from exc
 
 
-def main() -> None:
+def render(name: str) -> str:
+    """Run the named command in-process and return its CSV text, writing
+    no file."""
+    from rislink import cli
+
+    texts = []
+
+    def capture(result, path) -> None:
+        texts.append(cli.format_csv(result))
+
+    with mock.patch.object(cli, "write_csv", capture):
+        write(name, GOLDEN_DIR / name)
+    return texts[0]
+
+
+def differences(expected: str, got: str) -> str | None:
+    """Which columns of a CSV differ (with their row numbers), or None."""
+    if expected == got:
+        return None
+    old, new = (text.splitlines() for text in (expected, got))
+    if not old or old[0] != new[0] or len(old) != len(new):
+        return f"header or row count differs ({len(old)} vs {len(new)} lines)"
+    header = old[0].split(",")
+    rows: dict[str, list[int]] = {}
+    for number, (a, b) in enumerate(zip(old[1:], new[1:]), 1):
+        a, b = a.split(","), b.split(",")
+        if len(a) != len(b):
+            rows.setdefault("(field count)", []).append(number)
+            continue
+        for column, x, y in zip(header, a, b):
+            if x != y:
+                rows.setdefault(column, []).append(number)
+    if not rows:
+        return "line endings or trailing bytes differ"
+    return "; ".join(
+        f"column {column} differs in rows {numbers}" for column, numbers in rows.items()
+    )
+
+
+def check(golden_dir: Path = GOLDEN_DIR, names=tuple(COMMANDS)) -> list[str]:
+    """One line per golden file whose bytes the commands would change."""
+    problems = []
+    for name in names:
+        path = golden_dir / name
+        if not path.is_file():
+            problems.append(f"{path}: missing")
+            continue
+        diff = differences(path.read_bytes().decode("utf-8"), render(name))
+        if diff:
+            problems.append(f"{path}: {diff}")
+    return problems
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help="compare in memory against the golden files, writing nothing",
+    )
+    args = parser.parse_args(argv)
+    if args.check:
+        problems = check()
+        for problem in problems:
+            print(problem, file=sys.stderr)
+        if problems:
+            return 1
+        print(f"all {len(COMMANDS)} golden files unchanged", file=sys.stderr)
+        return 0
     for name in COMMANDS:
         write(name, GOLDEN_DIR / name)
         print(f"wrote {GOLDEN_DIR / name}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

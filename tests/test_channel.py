@@ -7,16 +7,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rislink as rl
+from rislink import channel
 from rislink.channel import (
+    HopStack,
     _draw_separated_freqs,
     dirichlet_kernel,
+    draw_angle_epochs,
     draw_fading_gains,
     surface_inner_products,
 )
+from rislink.config import surface_geometry
+from rislink.montecarlo import _angle_errors
 from rislink.selftest import dense_composite, hop_matrix
 
 from conftest import BASE_SEED, candidate_matrix, draw_scene, random_profiles, small_config
@@ -366,9 +371,14 @@ class TestMultipathDraws:
         # draw per try: the same draws, the same generator state after
         # them, and a SamplingError under the same attempt budget.  Large
         # separations are capped at the relaxed packing threshold.
-        assume(count + len(keep_away) > 0)  # no threshold to relax
         rng, oracle_rng = rl.substream(BASE_SEED, 27, key), rl.substream(BASE_SEED, 27, key)
         args = (count, np.array(keep_away), separation, max_attempts)
+        if count + len(keep_away) == 0:
+            # No threshold to relax (the oracle divides by zero): nothing
+            # is drawn and the generator is left untouched.
+            assert _draw_separated_freqs(rng, *args).shape == (0,)
+            assert rng.random(4).tolist() == oracle_rng.random(4).tolist()
+            return
         try:
             expected = _draw_separated_freqs_oracle(oracle_rng, *args)
         except rl.SamplingError:
@@ -397,6 +407,116 @@ class TestMultipathDraws:
         down = rl.draw_ris_rx_channel(config, deployment, 0,
                                       rl.substream(BASE_SEED, 16))
         assert down.gains.size == 10
+
+
+def _per_surface_epoch(config, rng, error_rng):
+    """One angle epoch drawn with the per-surface wrappers: deployment,
+    then per surface both hops, then the angle error of each receive hop."""
+    deployment = rl.place_deployment(config, rng)
+    separation = rl.min_angle_separation(deployment)
+    txs, rxs = [], []
+    for k in range(config.n_ris):
+        txs.append(rl.draw_tx_ris_channel(config, deployment, k, rng, separation))
+        rxs.append(rl.draw_ris_rx_channel(config, deployment, k, rng, separation,
+                                          keep_away=txs[-1].arrival_freqs))
+    estimated = [rl.inject_angle_error(rx, config.angle_error_std, error_rng) for rx in rxs]
+    return HopStack.from_channels(txs, rxs, deployment), estimated
+
+
+def _angle_error_oracle(arrivals, departures, sigma_e, rng):
+    """The angle error as first written: per surface, the arrivals' errors,
+    then the departures'."""
+    out = [(arr + sigma_e * rng.standard_normal(arr.size),
+            dep + sigma_e * rng.standard_normal(dep.size))
+           for arr, dep in zip(arrivals, departures)]
+    return np.array([arr for arr, _ in out]), np.array([dep for _, dep in out])
+
+
+def _state(rng) -> str:
+    # The state holds small arrays, whose repr is exact.
+    return repr(rng.bit_generator.state)
+
+
+def _assert_array_draws_match_wrappers(config, key, n_angle):
+    surfaces = surface_geometry(config)
+    rngs = [rl.substream(BASE_SEED, 70, key, a) for a in range(n_angle)]
+    angles, los_gains = draw_angle_epochs(config, surfaces, rngs)
+    for a, stacked_rng in enumerate(rngs):
+        rng = rl.substream(BASE_SEED, 70, key, a)
+        error_rng, wrapper_error_rng, oracle_error_rng = (
+            rl.substream(BASE_SEED, 71, key, a) for _ in range(3))
+        hops, estimated = _per_surface_epoch(config, rng, wrapper_error_rng)
+        for name in ("tx_arrival", "tx_departure", "rx_arrival", "rx_departure",
+                     "n_elements", "losses"):
+            got, expected = angles[name][a], getattr(hops, name)[0]
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+        assert los_gains[a].tobytes() == hops.tx_gains[0, 0, :, 0].real.tobytes()
+        assert _state(stacked_rng) == _state(rng)
+        if config.angle_error_std:
+            arrivals, departures = _angle_errors(
+                config.angle_error_std, angles["rx_arrival"][a], angles["rx_departure"][a],
+                error_rng,
+            )
+            oracle = _angle_error_oracle(angles["rx_arrival"][a], angles["rx_departure"][a],
+                                         config.angle_error_std, oracle_error_rng)
+            wrapper = (np.array([e.arrival_freqs for e in estimated]),
+                       np.array([e.departure_freqs for e in estimated]))
+            for got in ((arrivals, departures), wrapper):
+                assert [g.tobytes() for g in got] == [o.tobytes() for o in oracle]
+            assert _state(error_rng) == _state(wrapper_error_rng) == _state(oracle_error_rng)
+    return angles
+
+
+class TestArrayAngleDraws:
+    """The engine's array-native angle draws against the per-surface wrappers."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(n_nlos_tx_paths=0),
+        dict(angle_error_std=0.05),
+        dict(n_ris=2, n_rx=2, n_ris_rx_paths=7, angle_error_std=0.3),
+        dict(n_rx=1, n_ris=1),
+        dict(n_ris_rx_paths=30, n_nlos_tx_paths=3),
+    ])
+    def test_named_configs(self, overrides):
+        _assert_array_draws_match_wrappers(rl.SystemConfig(**overrides), 0, 3)
+
+    def test_tiny_surfaces_relax_the_threshold(self):
+        config = rl.SystemConfig(gain_target=1e-8, n_ris_rx_paths=12, angle_error_std=0.05)
+        angles = _assert_array_draws_match_wrappers(config, 1, 4)
+        paths = 1 + config.n_nlos_tx_paths + config.n_ris_rx_paths
+        # The mainlobe rule asks for more clearance than the circle holds.
+        assert (2.0 * math.pi / angles["n_elements"].min(axis=1) > math.pi / paths).all()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n_rx=st.integers(min_value=1, max_value=3),
+        extra_ris=st.integers(min_value=0, max_value=2),
+        n_tx_paths=st.integers(min_value=0, max_value=3),
+        n_rx_paths=st.integers(min_value=1, max_value=16),
+        sigma_e=st.sampled_from([0.0, 0.05, 0.5]),
+        gain_target=st.sampled_from([1e-6, 2e-7, 1e-8]),
+        n_angle=st.integers(min_value=1, max_value=3),
+        key=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_random_configs(self, n_rx, extra_ris, n_tx_paths, n_rx_paths, sigma_e,
+                            gain_target, n_angle, key):
+        config = rl.SystemConfig(
+            n_tx=8, n_rx=n_rx, n_ris=n_rx + extra_ris, n_nlos_tx_paths=n_tx_paths,
+            n_ris_rx_paths=n_rx_paths, angle_error_std=sigma_e, gain_target=gain_target,
+        )
+        _assert_array_draws_match_wrappers(config, key, n_angle)
+
+    def test_sampling_error_propagates(self, monkeypatch):
+        # Under an attempt budget of one, the per-surface draw gives up; the
+        # array draw must give up the same way instead of returning.
+        sampler = channel._draw_separated_freqs
+        monkeypatch.setattr(channel, "_draw_separated_freqs",
+                            lambda *args: sampler(*args, max_attempts=1))
+        config = rl.SystemConfig(n_ris_rx_paths=40)
+        with pytest.raises(rl.SamplingError):
+            _per_surface_epoch(config, rl.substream(BASE_SEED, 72), rl.substream(BASE_SEED, 73))
+        with pytest.raises(rl.SamplingError):
+            draw_angle_epochs(config, surface_geometry(config), [rl.substream(BASE_SEED, 72)])
 
 
 class TestCascadedFactorization:

@@ -233,6 +233,20 @@ class TestAnalyze:
         assert _run(["analyze", "--axis", "E_dBm=0:20:40"]) == \
             cli.EXIT_BAD_CONFIG
 
+    def test_upper_bounds_stay_positive_at_tiny_snr(self, tmp_path):
+        # Down to SNRs where 1 + x rounds x away, every upper bound stays
+        # positive and at or above the multiplexing approximation.
+        out = tmp_path / "closed.csv"
+        argv = ["analyze", "--axis", "E_dBm=-250:10:40", "--output", str(out)]
+        assert _run(argv) == cli.EXIT_OK
+        _, rows = _read_rows(out)
+        assert len(rows) == 3 * 30
+        for row in rows:
+            approx, upper = float(row[4]), float(row[5])
+            assert upper > 0.0, row
+            if row[1] == "sm":
+                assert upper >= approx * (1.0 - 1e-12), row
+
 
 class TestExitCodes:
     def test_selftest_passes(self):

@@ -14,6 +14,7 @@ from rislink.channel import surface_inner_products
 from rislink.customize import (
     DEFAULT_SEARCH_CAP,
     DENSE_SEARCH_LIMIT,
+    SearchTerms,
     _best_tuple,
     _candidate_gram,
 )
@@ -125,24 +126,69 @@ class TestBestTuple:
                 if mode == "constant":
                     assert got[0] == (0,) * n_groups
 
-    def test_bounded_search_prunes(self, monkeypatch):
+    @staticmethod
+    def _count_slabs(monkeypatch) -> list[list[int]]:
+        """Record each stacked bounded search's per-row slab counts."""
         evaluated = []
+        bounded = customize._bounded_minima
 
         def counted(unary, pairs):
-            found = bounded(unary, pairs)
-            evaluated.append(found[1])
-            return found
+            found, counts = bounded(unary, pairs)
+            evaluated.append(counts.tolist())
+            return found, counts
 
-        bounded = customize._bounded_minimum
-        monkeypatch.setattr(customize, "_bounded_minimum", counted)
-        candidates = rl.substream(BASE_SEED, 62).uniform(-math.pi, math.pi, (4, 30))
-        gram = _candidate_gram(candidates, 4)
+        monkeypatch.setattr(customize, "_bounded_minima", counted)
+        return evaluated
+
+    def test_bounded_search_prunes(self, monkeypatch):
+        evaluated = self._count_slabs(monkeypatch)
+        candidates = rl.substream(BASE_SEED, 62).uniform(-math.pi, math.pi, (3, 4, 30))
+        grams = _candidate_gram(candidates, 4)
         groups = [np.arange(30) + k * 30 for k in range(4)]
         for target in (0.0, 1.0):
-            got = _best_tuple(gram, groups, target, DEFAULT_SEARCH_CAP)
-            assert repr(got) == repr(_best_tuple_oracle(gram, groups, target))
+            got = customize._search(SearchTerms(grams), groups, target, DEFAULT_SEARCH_CAP)
+            for gram, row in zip(grams, got):
+                assert repr(row) == repr(_best_tuple_oracle(gram, groups, target))
         assert len(evaluated) == 2
-        assert all(1 <= count < 30 * 30 for count in evaluated), evaluated
+        assert all(1 <= count < 30 * 30 for counts in evaluated for count in counts), evaluated
+
+    def test_stacked_rows_match_oracle(self, monkeypatch):
+        # One stacked bounded search over rows of every kind: each row must
+        # give the oracle's tuple and value.  Rows whose bound is not finite
+        # fall back to the dense search; the others stay bounded.
+        evaluated = self._count_slabs(monkeypatch)
+        rng = rl.substream(BASE_SEED, 63)
+        n_groups, n_paths = 4, 24
+        candidates = rng.uniform(-math.pi, math.pi, (7, n_groups, n_paths))
+        candidates[5, :, -1] = candidates[5, :, 0]  # duplicated columns: exact ties
+        candidates[5, -1] = candidates[5, 0]
+        grams = _candidate_gram(candidates, 3)
+        grams[1] = 0.5 + 0.25j  # constant: every tuple ties, the first wins
+        grams[2] = 0.5 + 0.25j + 1e-9 * rng.standard_normal(grams[2].shape)
+        # Each row keeps all but one path of each surface, as in a later slot.
+        groups = [
+            np.sort(np.array([rng.permutation(n_paths)[1:] for _ in grams]), axis=1) + k * n_paths
+            for k in range(n_groups)
+        ]
+        head, tail = groups[0][:, 0], groups[-1][:, 0]
+        grams[3, head[3], groups[1][3, 0]] = math.nan  # a head pair term
+        grams[4, head[4], head[4]] = math.inf  # a head unary term
+        grams[6, tail[6], tail[6]] = math.inf  # a tail unary term: still bounded
+        assert (n_paths - 1) ** n_groups > DENSE_SEARCH_LIMIT
+        for target in (0.0, 1.0):
+            got = customize._search(SearchTerms(grams), groups, target, DEFAULT_SEARCH_CAP)
+            for r, (gram, row) in enumerate(zip(grams, got)):
+                oracle = _best_tuple_oracle(gram, [g[r] for g in groups], target)
+                assert repr(row) == repr(oracle), (target, r)
+            assert got[1][0] == (0,) * n_groups
+        prefixes = (n_paths - 1) ** 2
+        for counts in evaluated:
+            assert counts[3] == counts[4] == 0, counts
+            bounded_rows = [c for r, c in enumerate(counts) if r not in (3, 4)]
+            assert all(1 <= c <= prefixes for c in bounded_rows), counts
+            assert counts[1] == prefixes, counts  # every slab holds a tie
+        # Row 0's multiplexing search takes hundreds of slabs over many rounds.
+        assert 200 <= evaluated[0][0] < prefixes, evaluated
 
 
 class TestMultiplexSelection:

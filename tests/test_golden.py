@@ -23,3 +23,23 @@ def test_output_matches_golden(name, tmp_path):
     out = tmp_path / name
     regenerate.write(name, out)
     assert out.read_bytes() == (regenerate.GOLDEN_DIR / name).read_bytes()
+
+
+def test_check_passes_on_the_golden_files():
+    assert regenerate.main(["--check"]) == 0
+
+
+def test_check_names_a_changed_file_and_column(tmp_path):
+    # A one-byte change to a copy is reported by file and column, and the
+    # check rewrites nothing.
+    name = "closed-form-power.csv"
+    data = bytearray((regenerate.GOLDEN_DIR / name).read_bytes())
+    first_row = data.index(b"\n") + 1
+    metric = first_row + data[first_row:].index(b",sm,") + len(b",sm,")
+    data[metric] = ord("7") if data[metric] != ord("7") else ord("8")
+    (tmp_path / name).write_bytes(bytes(data))
+    problems = regenerate.check(tmp_path, [name])
+    assert len(problems) == 1
+    assert name in problems[0] and "column metric differs in rows [1]" in problems[0]
+    assert (tmp_path / name).read_bytes() == bytes(data)
+    assert regenerate.check(regenerate.GOLDEN_DIR, [name]) == []
