@@ -356,6 +356,35 @@ def _crossing_polynomial(params: ClosedFormParams):
     return coeffs, rhs
 
 
+def _poly(terms, x: float) -> float:
+    """``sum c * x**n`` over ``terms``, added left to right."""
+    return sum([c * x**n for n, c in terms])
+
+
+def _replay_band(terms, rhs: float) -> tuple[float, float]:
+    """Certified replay thresholds of :func:`crossing_point`, or (0, inf)."""
+    m = len(terms)
+    gamma = (m + 4) * 2.0**-52
+    eta = (sum([c for _, c in terms]) + m) * 2.0**-1072
+    slopes = tuple((n - 1, n * c) for n, c in terms)
+    try:
+        x = min([(rhs / c) ** (1.0 / n) for n, c in terms])
+        for _ in range(100):
+            step = (_poly(terms, x) - rhs) / _poly(slopes, x)
+            x -= step
+            if not step > 1e-8 * x:
+                break
+        below, above = x * (1.0 - 8.0 * gamma), x * (1.0 + 8.0 * gamma)
+        if (eta <= 0.5 * gamma * rhs and _poly(terms, below) + eta < (1.0 - 2.0 * gamma) * rhs
+                and _poly(terms, above) - eta > (1.0 + 2.0 * gamma) * rhs):
+            upper = above * (1.0 + 2.0 * gamma)
+            if max(1.0, 4.0 * upper) ** m < math.inf:  # else the loop's x**n may raise
+                return below * (1.0 - 2.0 * gamma), upper
+    except OverflowError:
+        pass
+    return 0.0, math.inf
+
+
 def crossing_point(params: ClosedFormParams) -> float:
     """Transmit power (watts) where the multiplexing bound overtakes the
     beamforming bound.
@@ -363,7 +392,21 @@ def crossing_point(params: ClosedFormParams) -> float:
     Solves the normalized polynomial by doubling to bracket and bisecting
     to 1e-13 relative width (or until the midpoint repeats an endpoint);
     raises :class:`NoCrossingError` when the beamforming bound never leads
-    (right-hand side non-positive) or the bracket leaves the float range.
+    (right-hand side non-positive), or the bracket or the power (0 W
+    included) leaves the float range.
+
+    Decisions far from the root are replayed, not evaluated.  ``gap``'s
+    sign is that of S^ - rhs, where S^, the computed S(x) = sum c_n x^n
+    over m terms, has |S^ - S| <= gamma S + eta: gamma = (m + 4) 2^-52
+    covers pow, product and sum, and eta <= gamma rhs / 2 underflow.  With
+    r the root and t = 2 gamma, S superlinear gives g(x) <= -t rhs for
+    x <= r (1 - t) and g(x) >= t S(x) / (1 + t) for x >= r (1 + t), so
+    there the computed sign is the true one.  Newton falls monotonically
+    to r from the right (g is increasing and convex for X > 0), and sums
+    at x^ (1 -/+ s) beyond the error bound certify a bracket [a, b] of r;
+    points up to a (1 - t) or from b (1 + t) are replayed.  If Newton or
+    the certification fails, or x**n could overflow below twice the upper
+    threshold, every point is evaluated.
     """
     if params.n_rx < 2:
         raise ValueError("crossing point needs at least two streams")
@@ -371,15 +414,16 @@ def crossing_point(params: ClosedFormParams) -> float:
     if rhs <= 0:
         raise NoCrossingError("bounds do not cross at positive power")
     terms = tuple(enumerate(coeffs, start=1))
+    lower, upper = _replay_band(terms, rhs)
 
     def gap(x: float) -> float:
-        return sum([c * x**n for n, c in terms]) - rhs
+        return _poly(terms, x) - rhs
 
     # Bracketing past the float range: x**n raises OverflowError, and
     # doubling past the largest float gives inf.
     hi = 1.0
     try:
-        while not gap(hi) > 0:
+        while not (hi >= upper or hi > lower and gap(hi) > 0):
             hi *= 2.0
             if hi == math.inf:
                 raise OverflowError
@@ -390,13 +434,15 @@ def crossing_point(params: ClosedFormParams) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if gap(mid) > 0:
+        if mid >= upper or mid > lower and gap(mid) > 0:
             hi = mid
         else:
             lo = mid
-    x_root = 0.5 * (lo + hi)
     unit_coefficient = params.power_coefficient() / params.transmit_power
-    return x_root / unit_coefficient
+    power = 0.5 * (lo + hi) / unit_coefficient if unit_coefficient > 0 else math.inf
+    if not 0.0 < power < math.inf:
+        raise NoCrossingError("bounds do not cross at a representable power")
+    return power
 
 
 def crossing_point_two_stream(params: ClosedFormParams) -> float:

@@ -147,7 +147,9 @@ def _check_output_path(path: str, option: str) -> None:
         raise ConfigurationError(f"{option} {path!r}: directory {parent!r} does not exist")
 
 
-def _load_effective_config(args: argparse.Namespace) -> SystemConfig:
+def _load_effective_config(args: argparse.Namespace, **fixed) -> SystemConfig:
+    """The ``--config`` file (or the defaults) with the ``--set`` overrides
+    and then ``fixed`` applied in one validated replace."""
     config = SystemConfig()
     if args.config:
         try:
@@ -158,8 +160,8 @@ def _load_effective_config(args: argparse.Namespace) -> SystemConfig:
             raise ConfigurationError(
                 f"cannot read --config {args.config!r}: {exc.strerror or exc}"
             ) from exc
-    if args.overrides:
-        config = config.replace(**args.overrides)
+    if args.overrides or fixed:
+        config = config.replace(**{**args.overrides, **fixed})
     return config
 
 
@@ -210,11 +212,10 @@ def _parse_profile(text: str) -> np.ndarray:
 
 
 def _cmd_crossing_point(args: argparse.Namespace) -> int:
-    config = _load_effective_config(args)
-    n_rx = config.n_rx if args.n_rx is None else args.n_rx
+    config = _load_effective_config(args, **({} if args.n_rx is None else {"n_rx": args.n_rx}))
+    n_rx = config.n_rx
     if n_rx < 2:
         raise ConfigurationError("crossing point needs at least two streams")
-    config = config.replace(n_rx=n_rx)
     params = analysis.ClosedFormParams.from_config(config)
     if args.profile:
         params = replace(params, gain_profile=_parse_profile(args.profile))
@@ -277,8 +278,8 @@ def _print_summary(config: SystemConfig) -> None:
         try:
             e_th = analysis.crossing_point(params)
             crossing = f"{_fmt(e_th)} W ({watt2dbm(e_th):.2f} dBm)"
-        except NoCrossingError:
-            crossing = "none at positive power"
+        except NoCrossingError as exc:
+            crossing = f"none ({exc})"
     lines = [
         f"transmit power: {_fmt(config.transmit_power)} W",
         f"stream constants: {', '.join(_fmt(v) for v in c)}",

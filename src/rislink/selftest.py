@@ -8,6 +8,7 @@ diagnosable without the full test suite.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .customize import (
     build_customized_channel,
     select_paths_sm,
 )
+from .errors import NoCrossingError, RislinkError
 from .montecarlo import TrialPlan, estimate_ergodic_se, substream
 from .ris import RisConfiguration, align_phases
 from .transceive import run_sm
@@ -62,6 +64,44 @@ def dense_composite(ups, phase_vectors, downs, deployment) -> np.ndarray:
         loss * (hop_matrix(down) * gamma) @ hop_matrix(up)
         for loss, up, gamma, down in zip(deployment.path_losses, ups, phase_vectors, downs)
     )
+
+
+def evaluated_crossing_point(params) -> float:
+    """Oracle of :func:`analysis.crossing_point`: the same doubling bracket
+    and bisection with the sign of the gap evaluated at every point.  The
+    solver must return its root repr-equal, or raise the same error."""
+    if params.n_rx < 2:
+        raise ValueError("crossing point needs at least two streams")
+    coeffs, rhs = analysis._crossing_polynomial(params)
+    if rhs <= 0:
+        raise NoCrossingError("bounds do not cross at positive power")
+    terms = tuple(enumerate(coeffs, start=1))
+
+    def gap(x: float) -> float:
+        return sum([c * x**n for n, c in terms]) - rhs
+
+    hi = 1.0
+    try:
+        while not gap(hi) > 0:
+            hi *= 2.0
+            if hi == math.inf:
+                raise OverflowError
+    except OverflowError:
+        raise NoCrossingError("bounds do not cross at a representable power") from None
+    lo = 0.0
+    while (hi - lo) > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if gap(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    unit_coefficient = params.power_coefficient() / params.transmit_power
+    power = 0.5 * (lo + hi) / unit_coefficient if unit_coefficient > 0 else math.inf
+    if not 0.0 < power < math.inf:
+        raise NoCrossingError("bounds do not cross at a representable power")
+    return power
 
 
 def _check_geometry() -> str:
@@ -193,6 +233,37 @@ def _check_draws() -> str:
     return f"{len(pairs)} arrays and the generator state equal the per-surface draws"
 
 
+def _outcome(solver, params) -> str:
+    """The repr of the solver's root, or the name of the error it raised."""
+    try:
+        return repr(solver(params))
+    except (RislinkError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def _check_crossing_replay() -> str:
+    rng = substream(31, 0)
+    sets = []
+    for j in range(140):
+        n_rx = 2 + j % 7
+        n_ris = int(rng.integers(n_rx, n_rx + 4))
+        sets.append(analysis.ClosedFormParams(
+            transmit_power=float(rng.uniform(0.01, 10.0)),
+            noise_power=float(10.0 ** rng.uniform(-14.0, -11.0)),
+            rician_factor=float(rng.uniform(0.1, 100.0)),
+            n_tx=int(rng.integers(n_rx, 65)), n_rx=n_rx, n_ris=n_ris,
+            n_ris_rx_paths=int(rng.integers(1, 33)),
+            gain_profile=1e-6 * rng.uniform(0.6, 1.4, size=n_ris),
+        ))
+    # Extreme scaling: the root lies beyond the largest float.
+    sets.append(replace(sets[0], n_ris=4, gain_profile=np.array([1e-80, 1e-80, 1.0, 1.0])))
+    for params in sets:
+        ours = _outcome(analysis.crossing_point, params)
+        oracle = _outcome(evaluated_crossing_point, params)
+        assert ours == oracle, f"n_rx {params.n_rx}: {ours} != evaluated {oracle}"
+    return f"{len(sets)} sets match the evaluated bisection"
+
+
 def _check_power_and_run() -> str:
     config = SystemConfig(n_ris=2, n_rx=2, n_ris_rx_paths=4, n_nlos_tx_paths=1)
     deployment, ups, downs = _draw_scene(config, seed=9)
@@ -229,6 +300,7 @@ _CHECKS = (
     ("path-selection", _check_selection),
     ("bounded-search", _check_bounded_search),
     ("draws", _check_draws),
+    ("crossing-replay", _check_crossing_replay),
     ("transceive", _check_power_and_run),
     ("determinism", _check_determinism),
 )

@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import rislink as rl
 from rislink import analysis as an
 from rislink.errors import ConfigurationError, NoCrossingError
+from rislink.selftest import _outcome, evaluated_crossing_point
 
 from conftest import BASE_SEED
 
@@ -550,8 +552,83 @@ class TestCrossingPoint:
         params = dataclasses.replace(
             an.ClosedFormParams.from_config(rl.SystemConfig()), n_rx=2
         )
-        # The returned power, 1e-320 / unit coefficient, underflows to 0.
-        assert 0.0 <= an.crossing_point(params) < 1e-300
+        # The power, 1e-320 / unit coefficient, underflows to 0 W, which is
+        # no crossing at a representable power.
+        with pytest.raises(NoCrossingError, match="representable"):
+            an.crossing_point(params)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        n_rx=st.integers(2, 8),
+        extra=st.integers(0, 3),
+        shape=st.lists(st.floats(0.5, 1.5), min_size=11, max_size=11),
+        profile_exp=st.floats(-30.0, 4.0),
+        noise_exp=st.floats(-30.0, 4.0),
+        power_exp=st.floats(-30.0, 4.0),
+    )
+    @example(n_rx=2, extra=2, shape=[1.0] * 11, profile_exp=75.0, noise_exp=-300.0,
+             power_exp=-300.0)   # the root underflows to 0 W
+    def test_replay_matches_evaluated_bisection(self, n_rx, extra, shape, profile_exp,
+                                                noise_exp, power_exp):
+        try:
+            params = an.ClosedFormParams(
+                transmit_power=10.0**power_exp, noise_power=10.0**noise_exp,
+                rician_factor=3.0, n_tx=64, n_rx=n_rx, n_ris=n_rx + extra,
+                n_ris_rx_paths=8,
+                gain_profile=10.0**profile_exp * np.array(shape[: n_rx + extra]),
+            )
+        except ConfigurationError:
+            return
+        assert _outcome(an.crossing_point, params) == \
+            _outcome(evaluated_crossing_point, params)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        coeff_exps=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=7),
+        rhs_exp=st.floats(-320.0, 307.0),
+    )
+    def test_replay_matches_on_extreme_polynomials(self, coeff_exps, rhs_exp):
+        coeffs = [10.0**e for e in coeff_exps]
+        rhs = 10.0**rhs_exp
+        params = dataclasses.replace(
+            an.ClosedFormParams.from_config(rl.SystemConfig()), n_rx=2, noise_power=1e20
+        )
+        with mock.patch.object(an, "_crossing_polynomial", lambda params: (coeffs, rhs)):
+            assert _outcome(an.crossing_point, params) == \
+                _outcome(evaluated_crossing_point, params)
+
+    @pytest.mark.parametrize("coeffs, rhs, noise_power, outcome", [
+        ([1e-160, 1e-308], 1.0, 1e-13, "NoCrossingError"),  # x**2 overflows past the root
+        ([1e-300], 1e10, 1e-13, "NoCrossingError"),         # doubling reaches inf
+        ([1e300], 1e-20, 1e-13, "NoCrossingError"),         # the power underflows to 0 W
+        ([1e300], 1e-15, 1e20, "root"),                     # subnormal X: not certified
+        ([1e-107, 1e47], 1e-261, 1e20, "root"),             # x**2 underflows near the root
+    ])
+    def test_edges_fall_back_to_the_evaluated_loop(self, coeffs, rhs, noise_power, outcome,
+                                                   monkeypatch):
+        monkeypatch.setattr(an, "_crossing_polynomial", lambda params: (coeffs, rhs))
+        assert an._replay_band(tuple(enumerate(coeffs, start=1)), rhs) == (0.0, math.inf)
+        params = dataclasses.replace(
+            an.ClosedFormParams.from_config(rl.SystemConfig()), n_rx=2, noise_power=noise_power
+        )
+        got = _outcome(an.crossing_point, params)
+        assert got == _outcome(evaluated_crossing_point, params)
+        assert (got if got.endswith("Error") else "root") == outcome
+
+    def test_pinned_sets_take_few_polynomial_evaluations(self, monkeypatch):
+        # A silent fall-back to the evaluated loop costs about 87 per root.
+        calls = []
+        poly = an._poly
+
+        def counted(terms, x):
+            calls.append(x)
+            return poly(terms, x)
+
+        monkeypatch.setattr(an, "_poly", counted)
+        sets = self._pinned_sets()
+        for params in sets:
+            an.crossing_point(params)
+        assert len(calls) / len(sets) <= 25.0
 
     def test_no_crossing_raises(self):
         params = dataclasses.replace(

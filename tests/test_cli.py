@@ -197,6 +197,20 @@ class TestCrossingPoint:
         # Doubling every gain scales the crossing power by 1/4.
         assert math.isclose(doubled, base / 4.0, rel_tol=1e-9)
 
+    @pytest.mark.parametrize("argv, same_as", [
+        # Two streams on two surfaces: --n-rx is validated with the overrides.
+        (["--n-rx", "2", "--set", "n_ris=2"], ["--set", "n_rx=2", "--set", "n_ris=2"]),
+        # --n-rx wins over --set n_rx, in either order.
+        (["--set", "n_rx=3", "--n-rx", "2"], ["--n-rx", "2"]),
+        (["--n-rx", "2", "--set", "n_rx=3"], ["--n-rx", "2"]),
+    ])
+    def test_n_rx_composes_with_overrides(self, argv, same_as, capsys):
+        assert _run(["crossing-point", *argv]) == cli.EXIT_OK
+        got = capsys.readouterr().out
+        assert _run(["crossing-point", *same_as]) == cli.EXIT_OK
+        assert got == capsys.readouterr().out
+        assert got.startswith("crossing point: ")
+
 
 class TestAnalyze:
     def test_summary_lists_closed_forms(self, capsys):
@@ -351,6 +365,15 @@ class TestExitCodes:
         ),
         (["analyze", "--axis", "E_dBm=0:1e-9:40", "--output", "/tmp/unused.csv"],
          cli.EXIT_BAD_CONFIG),
+        # A root that underflows to 0 W, and one whose watts-per-X
+        # coefficient underflows to 0 (the power would be infinite).
+        (["crossing-point", "--n-rx", "2", "--profile", "1e75,1e75,1e75,1e75",
+          "--set", "noise_power=1e-300", "--set", "transmit_power=1e-300"],
+         cli.EXIT_NO_CROSSING),
+        (["crossing-point", "--n-rx", "2", "--set", "transmit_power=1e300",
+          "--set", "noise_power=1e30", "--set", "rician_factor=1e-300",
+          "--set", "gain_target=1e10"],
+         cli.EXIT_NO_CROSSING),
     ])
     def test_error_paths(self, argv, code, capsys):
         assert _run(argv) == code
@@ -426,6 +449,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {message}" in err and override.split("=")[0] in err
         assert "RuntimeWarning" not in err
+
+    def test_analyze_summary_names_a_zero_watt_root(self, capsys):
+        argv = ["analyze", "--set", "n_rx=2", "--set", "noise_power=1e-320",
+                "--set", "transmit_power=1e-320", "--set", "gain_target=1e75"]
+        assert _run(argv) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[-1] == (
+            "crossing point:   none (bounds do not cross at a representable power)"
+        )
 
     def test_analyze_rejects_before_printing(self, capsys):
         assert _run(["analyze", "--set", "gain_target=1e100"]) == cli.EXIT_BAD_CONFIG
