@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -339,3 +340,37 @@ class TestStackedEpochs:
             assert rl.ber_trial(scheme, [c.epoch(f) for c in stacked], config, 50,
                                 rl.substream(BASE_SEED, 95, f)) == \
                 rl.ber_trial(scheme, singles, config, 50, rl.substream(BASE_SEED, 95, f))
+
+
+class TestPayloadPin:
+    """Frozen seeded payload passes: sha256 of every pass's
+    ``(bits_sent, errors)`` repr and of its generator's state afterwards,
+    over both families, 1-4 streams, 1-3 slots, odd and large symbol
+    counts and two noise powers.  A change to the payload engine must keep
+    both digests."""
+
+    DIGESTS = {
+        True: ("dd4fbd42cf77bc39884121352e4fa52fbfbed7f84d2385cefe93264988c3bc01",
+               "8a4bf89e4f648d6620bf1e307ff5820596b9359de08a3d8cedf0f40494b31767"),
+        False: ("0f2a2bc43f28f8bf0037436f2ddff9b6b75d15d66cad027c360c3fa23645ae22",
+                "69561cb17579349a6c438ab195c6c25bf55a9edd749d6ebf7728be228085fa1e"),
+    }
+
+    @pytest.mark.parametrize("multiplex", [True, False])
+    def test_seeded_passes_frozen(self, multiplex):
+        results, states = hashlib.sha256(), hashlib.sha256()
+        for n_rx in range(1, 5):
+            for n_slots in range(1, 4):
+                config = small_config(n_rx=n_rx, n_ris=4, n_slots=n_slots)
+                single, hopping = ("sm", "ds") if multiplex else ("bf", "db")
+                customs = _customs(config, (300, n_rx, n_slots),
+                                   single if n_slots == 1 else hopping, n_slots)
+                for noise_power in (1e-14, 1e-12):
+                    noisy = config.replace(noise_power=noise_power)
+                    for symbols in (1, 7, 1563, 6250):
+                        rng = rl.substream(BASE_SEED, 301, n_rx, n_slots, symbols, multiplex)
+                        outcome = transceive.payload_errors(customs, noisy, symbols, rng,
+                                                            multiplex)
+                        results.update(repr(outcome).encode())
+                        states.update(repr(rng.bit_generator.state).encode())
+        assert (results.hexdigest(), states.hexdigest()) == self.DIGESTS[multiplex]
