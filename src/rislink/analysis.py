@@ -438,8 +438,15 @@ def crossing_point(params: ClosedFormParams) -> float:
             hi = mid
         else:
             lo = mid
+    return _crossing_watts(params, 0.5 * (lo + hi))
+
+
+def _crossing_watts(params: ClosedFormParams, x_root: float) -> float:
+    """Transmit power (watts) of a root of the normalized crossing
+    polynomial; :class:`NoCrossingError` unless it is positive and finite
+    (a unit coefficient that underflows to 0 puts it beyond the floats)."""
     unit_coefficient = params.power_coefficient() / params.transmit_power
-    power = 0.5 * (lo + hi) / unit_coefficient if unit_coefficient > 0 else math.inf
+    power = x_root / unit_coefficient if unit_coefficient > 0 else math.inf
     if not 0.0 < power < math.inf:
         raise NoCrossingError("bounds do not cross at a representable power")
     return power
@@ -452,8 +459,7 @@ def crossing_point_two_stream(params: ClosedFormParams) -> float:
     coeffs, rhs = _crossing_polynomial(params)
     if rhs <= 0:
         raise NoCrossingError("bounds do not cross at positive power")
-    x_root = rhs / coeffs[0]
-    return x_root / (params.power_coefficient() / params.transmit_power)
+    return _crossing_watts(params, rhs / coeffs[0])
 
 
 def crossing_point_three_stream(params: ClosedFormParams) -> float:
@@ -466,5 +472,4 @@ def crossing_point_three_stream(params: ClosedFormParams) -> float:
     quad, lin = coeffs[1], coeffs[0]
     # Root of quad*x^2 + lin*x = rhs without the cancellation of -lin + sqrt(...).
     root_term = math.hypot(lin, 2.0 * math.sqrt(quad) * math.sqrt(rhs))
-    x_root = rhs / (0.5 * lin + 0.5 * root_term)
-    return x_root / (params.power_coefficient() / params.transmit_power)
+    return _crossing_watts(params, rhs / (0.5 * lin + 0.5 * root_term))

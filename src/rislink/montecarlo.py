@@ -50,6 +50,7 @@ from .customize import (
 from .errors import ConfigurationError
 from .transceive import (
     DEFAULT_OUTAGE_THRESHOLD,
+    PayloadBuffers,
     SchemeResult,
     _run_beamform,
     _run_multiplex,
@@ -61,9 +62,9 @@ _GEOMETRY, _ANGLES, _FADING, _MISMATCH, _PAYLOAD = range(5)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 # Largest payload one fading epoch may send, in bits.  A fading epoch's
-# payload is held in memory at once, at about 80 (multiplexing) to 120
-# (beamforming) bytes per bit with the default arrays, so this keeps a
-# payload pass near 120 MiB.
+# payload is held in memory at once, at about 94 (multiplexing) to 102
+# (beamforming) bytes per bit with the default arrays (tracemalloc peak of
+# one pass), so this keeps a payload pass near 100 MiB.
 MAX_PAYLOAD_BITS = 1 << 20
 _NO_FORM = (math.nan, math.nan)
 
@@ -244,7 +245,8 @@ def _run_chunk(
     With ``payload_symbols`` (family -> symbols per fading epoch), each
     family also runs one payload pass per row, on that fading epoch's
     payload substream, and each scheme takes the bit errors after its
-    slots.  Returns each scheme's results in (angle epoch, fading epoch)
+    slots; a family's passes over a block of rows share one set of work
+    arrays.  Returns each scheme's results in (angle epoch, fading epoch)
     order.
     """
     mismatched = config.angle_error_std > 0
@@ -305,6 +307,10 @@ def _run_chunk(
                 scheme: [results[a * n_rows:(a + 1) * n_rows] for a in range(len(angle_indices))]
                 for scheme, results in run(designs, config, slots, gamma_th).items()
             }
+            buffers = None  # frees the last family's arrays before allocating
+            if payload_symbols:
+                buffers = PayloadBuffers(payload_symbols[family], config.n_rx, config.n_tx,
+                                         config.n_rx if multiplex else None)
             for a, epoch_index in enumerate(angle_indices):
                 for f, fading_index in enumerate(fading_indices if payload_symbols else ()):
                     sent, errors = payload_errors(
@@ -313,6 +319,7 @@ def _run_chunk(
                         payload_symbols[family],
                         substream(base_seed, grid_index, epoch_index, fading_index, _PAYLOAD),
                         multiplex=multiplex,
+                        buffers=buffers,
                     )
                     for scheme, n_slots in slots.items():
                         piece[scheme][a][f] = replace(

@@ -31,12 +31,13 @@ from .customize import (
     _head_prefixes,
     _slab_objective,
     build_customized_channel,
+    select_paths_bf,
     select_paths_sm,
 )
 from .errors import NoCrossingError, RislinkError
 from .montecarlo import TrialPlan, estimate_ergodic_se, substream
 from .ris import RisConfiguration, align_phases
-from .transceive import run_sm
+from .transceive import PayloadBuffers, payload_errors, run_sm
 
 
 def _draw_scene(config, seed=7):
@@ -276,6 +277,30 @@ def _check_power_and_run() -> str:
     return f"sm SE {result.se_bits_per_hz:.3f} bits/s/Hz"
 
 
+def _check_payload() -> str:
+    config = SystemConfig(n_ris=2, n_rx=2, n_ris_rx_paths=4, n_nlos_tx_paths=1,
+                          transmit_power=1e-2)
+    deployment, ups, downs = _draw_scene(config, seed=9)
+    freqs = np.stack([d.arrival_freqs for d in downs])
+    symbols = 500
+    counts = []
+    for multiplex, select in ((True, select_paths_sm), (False, select_paths_bf)):
+        custom = build_customized_channel(select(freqs, config.n_rx), (ups, downs), deployment,
+                                          refine=not multiplex)
+        held = PayloadBuffers(symbols, config.n_rx, config.n_tx,
+                              config.n_rx if multiplex else None)
+        runs = []
+        for buffers in (held, held, None):
+            rng = substream(37, int(multiplex))
+            outcome = payload_errors([custom], config, symbols, rng, multiplex, buffers)
+            runs.append((outcome, repr(rng.bit_generator.state)))
+        assert runs[0] == runs[1] == runs[2], (
+            f"{'sm' if multiplex else 'bf'} passes differ: {[run[0] for run in runs]}"
+        )
+        counts.append(f"{runs[0][0][1][0]}/{runs[0][0][0]}")
+    return f"sm, bf errors {', '.join(counts)} equal through a reused holder and fresh arrays"
+
+
 def _check_determinism() -> str:
     config = SystemConfig(n_ris=2, n_rx=2, n_ris_rx_paths=4)
     plan = dict(
@@ -302,6 +327,7 @@ _CHECKS = (
     ("draws", _check_draws),
     ("crossing-replay", _check_crossing_replay),
     ("transceive", _check_power_and_run),
+    ("payload", _check_payload),
     ("determinism", _check_determinism),
 )
 

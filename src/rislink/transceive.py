@@ -17,7 +17,8 @@ over rows of angle and fading epochs (a
 :class:`rislink.customize.DesignStack`) run in one pass and give one
 result per row, in row order, equal bit for bit to running each row on
 its own.  Bit-error payloads take one row's design and detect after
-every slot, so one pass serves every prefix of the slots.
+every slot, so one pass serves every prefix of the slots; a pass works in
+a :class:`PayloadBuffers` holder that later passes of its shape reuse.
 """
 
 from __future__ import annotations
@@ -235,18 +236,29 @@ _QPSK_POINTS = (
 ) / math.sqrt(2.0)
 
 
-def _qpsk_modulate(bits: np.ndarray) -> np.ndarray:
-    return _QPSK_POINTS[2 * bits[..., 0, :] + bits[..., 1, :]]
+def _qpsk_modulate(
+    bits: np.ndarray, index: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """QPSK points of ``bits`` (bit pairs on the second-to-last axis),
+    optionally written into the work arrays ``index`` and ``out``."""
+    index = np.multiply(bits[..., 0, :], 2, out=index)
+    np.add(index, bits[..., 1, :], out=index)
+    # The index is always in range; "clip" spares the copy that the default
+    # mode makes of an explicit output.
+    return np.take(_QPSK_POINTS, index, out=out, mode="clip")
 
 
-def _bit_errors(observations: np.ndarray, negative: np.ndarray) -> int:
+def _bit_errors(observations: np.ndarray, negative: np.ndarray, flips: np.ndarray) -> int:
     """Sign-detection errors against the sent bits as booleans (a set bit
     sends a negative component); valid whenever the effective stream gain
-    is real positive."""
-    return int(
-        np.count_nonzero((observations.real < 0) != negative[..., 0, :])
-        + np.count_nonzero((observations.imag < 0) != negative[..., 1, :])
-    )
+    is real positive.  ``flips`` is boolean work space of the
+    observations' shape."""
+    np.less(observations.real, 0, out=flips)
+    np.not_equal(flips, negative[..., 0, :], out=flips)
+    errors = np.count_nonzero(flips)
+    np.less(observations.imag, 0, out=flips)
+    np.not_equal(flips, negative[..., 1, :], out=flips)
+    return int(errors + np.count_nonzero(flips))
 
 
 def _awgn(
@@ -261,12 +273,38 @@ def _awgn(
     received.imag += scratch[1]
 
 
+class PayloadBuffers:
+    """Work arrays of payload passes of one shape, reused pass after pass.
+
+    Sized for ``symbols`` channel uses through an ``n_rx`` x ``n_tx``
+    channel, carrying ``n_streams`` QPSK streams (multiplexing) or one beam
+    (``n_streams=None``).  Every pass of :func:`payload_errors` writes each
+    array before it reads it, so a holder serves any number of passes of
+    its shape, in any order, with the results of fresh arrays.
+    """
+
+    def __init__(self, symbols: int, n_rx: int, n_tx: int, n_streams: int | None) -> None:
+        self.shape = (symbols, n_rx, n_tx, n_streams)
+        per_use = (symbols,) if n_streams is None else (n_streams, symbols)
+        self.index = np.empty(per_use, dtype=np.int64)
+        self.sent = np.empty(per_use, dtype=complex)
+        self.negative = np.empty(per_use[:-1] + (2, symbols), dtype=bool)
+        self.precoded = None if n_streams is None else np.empty((n_tx, symbols), dtype=complex)
+        self.received = np.empty((n_rx, symbols), dtype=complex)
+        self.noise = np.empty((2, n_rx, symbols))
+        self.projected = np.empty(per_use, dtype=complex)
+        self.rotated = None if n_streams is None else np.empty(per_use, dtype=complex)
+        self.combined = np.empty(per_use, dtype=complex)
+        self.flips = np.empty(per_use, dtype=bool)
+
+
 def payload_errors(
     customs: Sequence[CustomizedChannel],
     config: SystemConfig,
     symbols: int,
     rng: np.random.Generator,
     multiplex: bool,
+    buffers: PayloadBuffers | None = None,
 ) -> tuple[int, tuple[int, ...]]:
     """Push Gray-coded QPSK payload through the exact slot channels.
 
@@ -277,28 +315,42 @@ def payload_errors(
     and the cumulative bit errors after each slot: entry ``m`` is what a
     trial on ``customs[:m + 1]`` counts with the same generator, because
     the bits and each slot's noise are drawn in slot order.
+
+    The pass works in ``buffers`` (fresh ones when omitted), which must be
+    sized for it; the results do not depend on what the arrays held.
     """
     if symbols < 1:
         raise ValueError("need at least one symbol")
-    n_streams = customs[0].r_active.shape[-1]
-    bits = _qpsk_bits(rng, (n_streams, 2, symbols) if multiplex else (2, symbols))
-    sent = _qpsk_modulate(bits)
-    negative = bits.astype(bool)
-    combined = np.zeros(sent.shape, dtype=complex)
-    scratch = np.empty((2, customs[0].exact_h.shape[0], symbols))
+    n_rx, n_tx = customs[0].exact_h.shape
+    shape = (symbols, n_rx, n_tx, customs[0].r_active.shape[-1] if multiplex else None)
+    if buffers is None:
+        buffers = PayloadBuffers(*shape)
+    elif buffers.shape != shape:
+        raise ValueError(f"payload buffers sized for {buffers.shape}, the pass needs {shape}")
+    bits = _qpsk_bits(rng, buffers.negative.shape)
+    sent = _qpsk_modulate(bits, buffers.index, buffers.sent)
+    negative = np.not_equal(bits, 0, out=buffers.negative)
+    combined = buffers.combined
+    combined.fill(0)
+    received, projected = buffers.received, buffers.projected
     errors = []
     for custom in customs:
+        # Complex products keep the operand order and shapes of the plain
+        # expressions and never write onto an input: whether numpy fuses a
+        # complex multiply-add depends on all three (a 1 x 1 product
+        # written in place does not fuse), and fusing moves last bits.
         if multiplex:
             f, _, rotation = _multiplex_slot(custom, config)
-            received = custom.exact_h @ (f @ sent)
-            _awgn(rng, config.noise_power, received, scratch)
-            combined += rotation[:, None] * (custom.r_active.conj().T @ received)
+            np.matmul(custom.exact_h, np.matmul(f, sent, out=buffers.precoded), out=received)
+            _awgn(rng, config.noise_power, received, buffers.noise)
+            np.matmul(custom.r_active.conj().T, received, out=projected)
+            combined += np.multiply(rotation[:, None], projected, out=buffers.rotated)
         else:
             matched = _beam_combiner(custom, config)
-            received = np.outer(matched, sent)
-            _awgn(rng, config.noise_power, received, scratch)
-            combined += matched.conj() @ received
-        errors.append(_bit_errors(combined, negative))
+            np.outer(matched, sent, out=received)
+            _awgn(rng, config.noise_power, received, buffers.noise)
+            combined += np.matmul(matched.conj(), received, out=projected)
+        errors.append(_bit_errors(combined, negative, buffers.flips))
     return int(bits.size), tuple(errors)
 
 

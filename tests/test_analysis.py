@@ -545,6 +545,21 @@ class TestCrossingPoint:
         with pytest.raises(NoCrossingError, match="representable"):
             an.crossing_point(params)
 
+    @pytest.mark.parametrize("n_rx, solver", [
+        (2, an.crossing_point_two_stream),
+        (3, an.crossing_point_three_stream),
+    ])
+    def test_closed_forms_reject_a_unit_coefficient_of_zero(self, n_rx, solver):
+        # The power coefficient divided by 1e300 W underflows to 0, so the
+        # root lies at no representable power; the bisection says so too.
+        params = an.ClosedFormParams.from_config(rl.SystemConfig(
+            n_rx=n_rx, transmit_power=1e300, noise_power=1e30, rician_factor=1e-300,
+            gain_target=1e10,
+        ))
+        for solve in (solver, an.crossing_point):
+            with pytest.raises(NoCrossingError, match="at a representable power"):
+                solve(params)
+
     def test_subnormal_root_stops_when_the_midpoint_repeats(self, monkeypatch):
         # A root near 1e-320: the relative width test underflows, so only
         # the repeated midpoint ends the bisection.

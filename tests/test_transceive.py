@@ -374,3 +374,58 @@ class TestPayloadPin:
                         results.update(repr(outcome).encode())
                         states.update(repr(rng.bit_generator.state).encode())
         assert (results.hexdigest(), states.hexdigest()) == self.DIGESTS[multiplex]
+
+
+class TestPayloadBuffers:
+    """Payload passes through shared work arrays against fresh ones."""
+
+    SYMBOLS = 257
+
+    @pytest.mark.parametrize("poison", [False, True])
+    def test_shared_holders_match_fresh_passes(self, poison, monkeypatch):
+        observed = []
+        original = transceive._bit_errors
+
+        def recording(observations, *rest):
+            observed.append(observations.tobytes())
+            return original(observations, *rest)
+
+        monkeypatch.setattr(transceive, "_bit_errors", recording)
+        config = small_config(n_slots=2, transmit_power=1e-3)
+        customs = {multiplex: _customs(config, (110,), "ds" if multiplex else "db", 2)
+                   for multiplex in (True, False)}
+        holders = {
+            multiplex: transceive.PayloadBuffers(self.SYMBOLS, config.n_rx, config.n_tx,
+                                                 config.n_rx if multiplex else None)
+            for multiplex in (True, False)
+        }
+        if poison:
+            # Stale contents or a missed reset of the combined outputs
+            # would leak NaN into the detected observations.
+            for holder in holders.values():
+                for array in vars(holder).values():
+                    if isinstance(array, np.ndarray):
+                        array.fill(np.nan if array.dtype.kind in "fc" else True)
+        cases = [(multiplex, seed) for multiplex in (True, False) for seed in range(4)]
+        order = rl.substream(BASE_SEED, 111).permutation(len(cases))
+
+        def run(multiplex, seed, buffers):
+            rng = rl.substream(BASE_SEED, 112, seed)
+            del observed[:]
+            outcome = transceive.payload_errors(customs[multiplex], config, self.SYMBOLS, rng,
+                                                multiplex, buffers)
+            return outcome, repr(rng.bit_generator.state), list(observed)
+
+        for i in order:
+            multiplex, seed = cases[i]
+            shared = run(multiplex, seed, holders[multiplex])
+            assert shared == run(multiplex, seed, None)
+            assert shared[0][1][-1] > 0  # errors happen, so detection is exercised
+
+    def test_holder_of_another_shape_rejected(self):
+        config = small_config()
+        customs = _customs(config, (113,), "sm")
+        holder = transceive.PayloadBuffers(10, config.n_rx, config.n_tx, None)
+        with pytest.raises(ValueError, match="payload buffers sized for"):
+            transceive.payload_errors(customs, config, 10, rl.substream(BASE_SEED, 114), True,
+                                      holder)
