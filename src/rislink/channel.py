@@ -12,8 +12,9 @@ angles and (angle, fading) axes on the gains.  :func:`composite` builds
 the end-to-end matrices of every row of a stack from these arrays and the
 surfaces' linear phase profiles alone: every surface inner product is a
 Dirichlet kernel, so no hop matrix is ever materialized
-(``rislink.selftest.dense_composite`` is the dense oracle), and
-:func:`assemble_composite` is its one-angle-epoch form.
+(``rislink.selftest.dense_composite`` is the dense oracle).  One angle
+epoch's per-surface hops make a stack of one
+(:meth:`HopStack.from_channels`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 
 from .config import Deployment, SurfaceGeometry, SystemConfig, drop_receiver, receiver_losses
 from .errors import SamplingError
-from .ris import RisConfiguration
 
 TX_RIS = "tx-ris"
 RIS_RX = "ris-rx"
@@ -487,25 +487,6 @@ def _inner_products(slopes, commons, out_freqs, in_freqs, n_elements) -> np.ndar
     return np.exp(1j * commons[..., None, None]) * kernel[:, None]
 
 
-def surface_inner_products(
-    gammas: Sequence[RisConfiguration], out_freqs: np.ndarray, in_freqs: np.ndarray,
-    n_elements: np.ndarray,
-) -> np.ndarray:
-    """``a(out_l)^H diag(gamma_k) a(in_j)`` per surface, shape (K, L_out, L_in).
-
-    A linear profile gives ``exp(1j*c) * D(slope + in_j - out_l)`` without
-    touching the elements; common phases with a leading epoch axis give
-    shape (F, K, L_out, L_in), with the kernel evaluated once.
-    """
-    slopes = np.array([gamma.slope for gamma in gammas])
-    common = np.stack(np.broadcast_arrays(*(gamma.common_phase for gamma in gammas)), axis=-1)
-    inner = _inner_products(
-        slopes[None], common.reshape(1, -1, len(gammas)), out_freqs[None], in_freqs[None],
-        np.asarray(n_elements)[None],
-    )
-    return inner[0] if common.ndim == 2 else inner[0, 0]
-
-
 def composite(hops: HopStack, slopes: np.ndarray, commons: np.ndarray) -> np.ndarray:
     """End-to-end matrices of every (angle, fading) epoch of a stack under
     linear profiles of slopes (A, K) and common phases (A, F or 1, K):
@@ -530,20 +511,3 @@ def composite(hops: HopStack, slopes: np.ndarray, commons: np.ndarray) -> np.nda
         core[..., k, :, k, :] = blocks[..., k, :, :]
     core = core.reshape(epochs + (n_ris * l_rx, n_ris * l_tx))
     return hops.rx_steering[:, None] @ core @ hops.tx_steering_h[:, None]
-
-
-def assemble_composite(
-    tx_ris: Sequence[MultipathChannel],
-    gammas: Sequence[RisConfiguration],
-    ris_rx: Sequence[MultipathChannel],
-    deployment: Deployment,
-) -> np.ndarray:
-    """End-to-end matrix ``sum_k loss_k * H_rx_k @ diag(gamma_k) @ H_tx_k``
-    of one angle epoch (see :func:`composite`).  Gains stacked over F
-    fading epochs (and common phases with an epoch axis) give shape
-    (F, n_rx, n_tx)."""
-    hops = HopStack.from_channels(tx_ris, ris_rx, deployment)
-    slopes = np.array([[gamma.slope for gamma in gammas]])
-    common = np.stack(np.broadcast_arrays(*(gamma.common_phase for gamma in gammas)), axis=-1)
-    h = composite(hops, slopes, common.reshape(1, -1, len(gammas)))[0]
-    return h if tx_ris[0].gains.ndim == 2 else h[0]

@@ -151,7 +151,7 @@ def _load_effective_config(args: argparse.Namespace, **fixed) -> SystemConfig:
     """The ``--config`` file (or the defaults) with the ``--set`` overrides
     and then ``fixed`` applied in one validated replace."""
     config = SystemConfig()
-    if args.config:
+    if args.config is not None:
         try:
             config = load_config(args.config)
         except UnicodeDecodeError as exc:
@@ -217,7 +217,7 @@ def _cmd_crossing_point(args: argparse.Namespace) -> int:
     if n_rx < 2:
         raise ConfigurationError("crossing point needs at least two streams")
     params = analysis.ClosedFormParams.from_config(config)
-    if args.profile:
+    if args.profile is not None:
         params = replace(params, gain_profile=_parse_profile(args.profile))
     e_th = analysis.crossing_point(params)
     print(f"crossing point: {_fmt(e_th)} W ({watt2dbm(e_th):.2f} dBm)")
@@ -399,6 +399,8 @@ def main(argv: list[str] | None = None) -> None:
     args = build_parser().parse_args(argv)
     try:
         args.overrides = _parse_overrides(args.overrides)
+        if args.config == "":
+            raise ConfigurationError("--config needs a file name")
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_BAD_CONFIG)

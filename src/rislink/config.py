@@ -380,10 +380,11 @@ def parse_config_value(key: str, raw: str):
 def load_config(path) -> SystemConfig:
     """Read a flat ``key = value`` configuration file.
 
-    Blank lines and lines starting with ``#`` are ignored.  Unknown keys
-    and malformed values raise :class:`ConfigurationError`.
+    Blank lines and lines starting with ``#`` are ignored.  Unknown keys,
+    keys given twice and malformed values raise :class:`ConfigurationError`.
     """
     overrides = {}
+    seen = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             stripped = line.strip()
@@ -393,5 +394,10 @@ def load_config(path) -> SystemConfig:
                 raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
             key, _, raw = stripped.partition("=")
             key = key.strip()
+            if key in seen:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: key {key!r} already set on line {seen[key]}"
+                )
+            seen[key] = lineno
             overrides[key] = parse_config_value(key, raw.strip())
     return SystemConfig(**overrides)

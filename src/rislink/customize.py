@@ -14,9 +14,10 @@ with deterministic lexicographic tie-breaking so equal inputs always
 yield equal selections.  Selection and design work on stacks of angle
 epochs: :func:`select_paths_stack` runs every angle epoch's search from
 one :class:`SearchTerms`, and :func:`design_slots` designs one slot for
-every (angle epoch, fading epoch) row of a :class:`HopStack`.  The
-one-angle-epoch functions (``select_paths_*``, ``build_customized_channel``)
-are those stacks of one.
+every (angle epoch, fading epoch) row of a :class:`HopStack` into a
+:class:`DesignStack`.  One angle epoch is a stack of one.  What the
+profiles leave unshaped (the leakage) is, per row of a :class:`DesignStack`,
+``exact_h`` minus ``(r_active * xi_active) @ t_active^H``.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import HopStack, MultipathChannel, _response_matrix, composite
-from .config import Deployment
+from .channel import HopStack, _response_matrix, composite
 from .errors import SearchSpaceError, SelectionInfeasibleError
-from .ris import RisConfiguration, common_phase_refinement
+from .ris import common_phase_refinement
 
 SCHEME_TAGS = ("sm", "bf", "ds", "db")
 DEFAULT_SEARCH_CAP = 10_000_000
@@ -42,8 +42,6 @@ DEFAULT_SEARCH_CAP = 10_000_000
 DENSE_SEARCH_LIMIT = 1 << 14
 # Objective elements the bounded search evaluates at a time.
 _CHUNK_ELEMENTS = 1 << 16
-
-Subchannels = tuple[Sequence[MultipathChannel], Sequence[MultipathChannel]]
 
 
 @dataclass(frozen=True)
@@ -65,10 +63,6 @@ class PathSelection:
     @property
     def n_slots(self) -> int:
         return len(self.slot_paths)
-
-    @property
-    def objective_value(self) -> float:
-        return self.slot_objectives[0]
 
 
 def _candidate_gram(candidates: np.ndarray, n_rx: int) -> np.ndarray:
@@ -288,34 +282,28 @@ def _search(
     ]
 
 
-def _best_tuple(
-    gram: np.ndarray,
-    groups: Sequence[np.ndarray],
-    target_off_diagonal: float,
-    cap: int,
-) -> tuple[tuple[int, ...], float]:
-    """:func:`_search` on one Gram matrix."""
-    return _search(SearchTerms(gram[None]), groups, target_off_diagonal, cap)[0]
-
-
 def select_paths_stack(
     terms: SearchTerms,
     n_paths: int,
     n_rx: int,
     scheme: str,
     n_slots: int = 1,
-    active_ris: Sequence[int] | None = None,
     cap: int = DEFAULT_SEARCH_CAP,
 ) -> list[PathSelection]:
     """One scheme's path selection for every angle epoch of a stack.
 
     ``terms`` holds the search terms of candidates of shape (A, n_ris,
-    n_paths), shared by every search.  Slot 0 runs the multiplexing (``sm``,
-    ``ds``) or beamforming (``bf``, ``db``) search: see
-    :func:`select_paths_sm` and :func:`select_paths_bf`.  Each later slot
-    re-runs the same search restricted to each active surface's unused
-    paths, with the active surface set frozen (see
-    :func:`select_paths_diversity`).
+    n_paths), shared by every search; candidate ``[a, k, l]`` is the
+    receive-side spatial frequency of path ``l`` through surface ``k``.
+    Slot 0 runs the multiplexing search (``sm``, ``ds``): ``n_rx``
+    (surface, path) pairs whose responses' Gram matrix is closest to the
+    identity, over every surface subset of size ``n_rx`` and every path
+    assignment.  Or it runs the beamforming search (``bf``, ``db``): one
+    path on every surface, with the Gram matrix closest to all-ones
+    (perfect alignment).  Ties go to the lexicographically smallest
+    (subset, assignment).  Each later slot greedily re-runs the same
+    search restricted to each active surface's unused paths, with the
+    active surface set frozen, so ``n_slots`` is at most ``n_paths``.
     """
     multiplex = scheme in ("sm", "ds")
     n_angle = len(terms.gram)
@@ -335,7 +323,7 @@ def select_paths_stack(
             raise SearchSpaceError(f"selection search of {space} tuples exceeds cap {cap}")
         subsets = list(combinations(range(n_ris), n_rx))
     else:
-        subsets = [tuple(range(n_ris)) if active_ris is None else tuple(sorted(active_ris))]
+        subsets = [tuple(range(n_ris))]
     best = [(math.inf, (), ()) for _ in range(n_angle)]
     for subset in subsets:
         groups = [np.arange(n_paths) + k * n_paths for k in subset]
@@ -367,125 +355,17 @@ def select_paths_stack(
     ]
 
 
-def _select_one(
-    candidates: np.ndarray,
-    n_rx: int,
-    scheme: str,
-    n_slots: int = 1,
-    active_ris: Sequence[int] | None = None,
-    cap: int = DEFAULT_SEARCH_CAP,
-) -> PathSelection:
-    """:func:`select_paths_stack` on one angle epoch's candidates, shape
-    (n_ris, n_paths)."""
-    candidates = np.asarray(candidates, dtype=float)
-    terms = SearchTerms(_candidate_gram(candidates[None], n_rx))
-    return select_paths_stack(terms, candidates.shape[1], n_rx, scheme, n_slots, active_ris, cap)[0]
-
-
-def select_paths_sm(
-    candidates: np.ndarray,
-    n_rx: int,
-    cap: int = DEFAULT_SEARCH_CAP,
-) -> PathSelection:
-    """Pick ``n_rx`` (surface, path) pairs with the most orthogonal responses.
-
-    ``candidates[k, l]`` is the receive-side spatial frequency of path ``l``
-    through surface ``k``.  Minimizes the squared distance between the Gram
-    matrix of the selected receive responses and the identity, over every
-    surface subset of size ``n_rx`` and every path assignment; ties go to
-    the lexicographically smallest (subset, assignment).
-    """
-    return _select_one(candidates, n_rx, "sm", cap=cap)
-
-
-def select_paths_bf(
-    candidates: np.ndarray,
-    n_rx: int,
-    active_ris: Sequence[int] | None = None,
-    cap: int = DEFAULT_SEARCH_CAP,
-) -> PathSelection:
-    """Pick one path per surface with maximally aligned receive responses.
-
-    Activates every surface (or the given subset) and minimizes the squared
-    distance between the selected responses' Gram matrix and the all-ones
-    matrix (perfect alignment); ties go to the lexicographically smallest
-    assignment.
-    """
-    return _select_one(candidates, n_rx, "bf", active_ris=active_ris, cap=cap)
-
-
-def select_paths_diversity(
-    candidates: np.ndarray,
-    scheme: str,
-    n_slots: int,
-    n_rx: int,
-    cap: int = DEFAULT_SEARCH_CAP,
-) -> PathSelection:
-    """Assign disjoint per-slot paths for the path-hopping schemes.
-
-    Slot 0 reuses the single-configuration search (``sm`` rules for ``ds``,
-    ``bf`` rules for ``db``).  Later slots greedily re-run the same search
-    restricted to each active surface's unused paths, with the active
-    surface set frozen.  Requires ``n_slots`` at most the per-surface path
-    count.
-    """
-    if scheme not in ("ds", "db"):
-        raise ValueError(f"unknown diversity scheme {scheme!r}")
-    return _select_one(candidates, n_rx, scheme, n_slots, cap=cap)
-
-
-@dataclass(frozen=True, eq=False)
-class CustomizedChannel:
-    """One slot's designed link: phase profiles plus the shaped channel.
-
-    ``r_active`` / ``t_active`` hold the receive/transmit responses of the
-    activated paths (one column per active surface, in
-    ``selection.active_ris`` order).  ``xi_active`` holds the designed
-    effective gains of those paths, and ``exact_h`` is the full composite
-    channel realized under the designed phase profiles, including whatever
-    the profiles did not shape.  A design over stacked fading epochs gives
-    ``xi_active`` and ``exact_h`` (and refined common phases) a leading
-    epoch axis; the responses depend on angles only and have none.
-    """
-
-    selection: PathSelection
-    slot: int
-    r_active: np.ndarray
-    t_active: np.ndarray
-    xi_active: np.ndarray
-    gammas: tuple[RisConfiguration, ...]
-    exact_h: np.ndarray
-
-    @property
-    def n_slots(self) -> int:
-        return self.selection.n_slots
-
-    def approx_h(self) -> np.ndarray:
-        """Activated-paths-only model of the shaped channel."""
-        return (self.r_active * self.xi_active[..., None, :]) @ self.t_active.conj().T
-
-    def epoch(self, index: int) -> "CustomizedChannel":
-        """The single-epoch design of fading epoch ``index`` of a stacked design."""
-        return replace(
-            self,
-            xi_active=self.xi_active[index],
-            exact_h=self.exact_h[index],
-            gammas=tuple(
-                gamma.with_common_phase(gamma.common_phase[index])
-                if np.ndim(gamma.common_phase) else gamma
-                for gamma in self.gammas
-            ),
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class DesignStack:
     """One slot's designs over a block of (angle epoch, fading epoch) rows.
 
-    The arrays mean what :class:`CustomizedChannel`'s do, with leading
-    axes: ``r_active`` / ``t_active`` have shape (A, 1, n, n_active), one
-    per angle epoch, and ``xi_active`` (A, F, n_active) and ``exact_h``
-    (A, F, n_rx, n_tx) one per row.  The runners take either type.
+    ``r_active`` / ``t_active`` hold the receive / transmit responses of
+    the activated paths (one column per active surface, in the selection's
+    ``active_ris`` order), shape (A, 1, n, n_active): they depend on the
+    angles only.  ``xi_active`` holds the designed effective gains of
+    those paths, shape (A, F, n_active), and ``exact_h`` the full
+    composite channel realized under the designed profiles, including
+    whatever the profiles did not shape, shape (A, F, n_rx, n_tx).
     """
 
     slot: int
@@ -566,52 +446,3 @@ def design_slots(
         exact_h=composite(exact, slopes, commons),
     )
     return design, slopes, commons
-
-
-def build_customized_channel(
-    selection: PathSelection,
-    subchannels: Subchannels,
-    deployment: Deployment,
-    slot: int = 0,
-    refine: bool = False,
-    exact_subchannels: Subchannels | None = None,
-) -> CustomizedChannel:
-    """Design phase profiles for one slot and realize the shaped channel.
-
-    Each active surface gets a linear profile retargeting its assigned
-    receiver-side path onto the transmitter line of sight; inactive
-    surfaces keep an all-zero profile.  With ``refine`` set, a common phase
-    per active surface co-phases the retargeted paths at the receiver
-    (needed by the beamforming schemes).  ``subchannels`` is the
-    ``(tx_ris, ris_rx)`` channel pair as known to the designer; pass
-    ``exact_subchannels`` to realize ``exact_h`` on different (error-free)
-    channels than the design saw.  Gains stacked over F fading epochs give
-    an F-epoch design: profiles, responses and surface kernels are built
-    once, and only the gain-dependent parts carry the epoch axis.  This is
-    :func:`design_slots` on one angle epoch.
-    """
-    tx_ris, ris_rx = subchannels
-    estimate = HopStack.from_channels(tx_ris, ris_rx, deployment)
-    exact = estimate
-    if exact_subchannels is not None:
-        exact = HopStack.from_channels(*exact_subchannels, deployment)
-    design, slopes, commons = design_slots([selection], slot, estimate, exact, refine)
-    stacked = tx_ris[0].gains.ndim == 2
-    gammas = [RisConfiguration.neutral(up.n_in, ris_index=k) for k, up in enumerate(ris_rx)]
-    for k, rx_path in zip(selection.active_ris, selection.slot_paths[slot]):
-        gamma = RisConfiguration(
-            ris_index=k, n_elements=ris_rx[k].n_in, slope=slopes[0, k], aligned_path=(rx_path, 0)
-        )
-        if refine:
-            gamma = gamma.with_common_phase(commons[0, :, k] if stacked else commons[0, 0, k])
-        gammas[k] = gamma
-    epochs = 0 if stacked else (0, 0)
-    return CustomizedChannel(
-        selection=selection,
-        slot=slot,
-        r_active=design.r_active[0, 0],
-        t_active=design.t_active[0, 0],
-        xi_active=design.xi_active[epochs],
-        gammas=tuple(gammas),
-        exact_h=design.exact_h[epochs],
-    )

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import TX_RIS, HopStack, MultipathChannel, draw_angle_epochs, draw_fading_gains
-from .config import SystemConfig, db2lin, dbm2watt, place_deployment, surface_geometry
+from .config import SystemConfig, db2lin, dbm2watt, receiver_losses, surface_geometry
 from .customize import (
     SCHEME_TAGS,
     SearchTerms,
@@ -443,16 +443,17 @@ def _payload_sizes(
 
 
 def _check_geometry(config: SystemConfig) -> None:
-    """Place the surfaces with the receiver at the centre and at the four
+    """Size the surfaces for a receiver at the centre and at the four
     extreme points of its drop disk, so that a deployment which leaves the
     floating-point range fails before any simulation (as it would in the
     first angle epoch).  Only the array sizes, carrier, gain target and
     distances enter the geometry."""
+    surfaces = surface_geometry(config)
     centre, radius = config.rx_center_distance, config.rx_disk_radius
     points = [(centre, 0.0), (centre + radius, 0.0), (centre - radius, 0.0),
               (centre, radius), (centre, -radius)]
     for point in points:
-        place_deployment(config, None, rx_position=np.array(point))
+        receiver_losses(config, surfaces, np.array(point))
 
 
 def _sweep(

@@ -5,8 +5,11 @@ profiles retarget a chosen (departing, arriving) path pair so that its
 effective gain collapses to the product of the two path gains and the
 cascaded loss; a scalar common phase on top of the profile co-phases the
 surviving terms at the receiver.  What the profiles leave unshaped (the
-leakage) is ``exact_h - approx_h()`` of a
-:class:`rislink.customize.CustomizedChannel`.
+leakage) is, per row of a :class:`rislink.customize.DesignStack`,
+``exact_h`` minus ``(r_active * xi_active) @ t_active^H``.  The simulator
+designs profiles as arrays of slopes and common phases
+(:func:`rislink.customize.design_slots`); :class:`RisConfiguration` is
+the per-surface form that the dense oracle and the tests take.
 """
 
 from __future__ import annotations

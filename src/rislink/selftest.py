@@ -17,7 +17,7 @@ from .channel import (
     HopStack,
     _response_matrix,
     array_response,
-    assemble_composite,
+    composite,
     draw_angle_epochs,
     draw_ris_rx_channel,
     draw_tx_ris_channel,
@@ -25,19 +25,19 @@ from .channel import (
 )
 from .config import SystemConfig, place_deployment, surface_geometry
 from .customize import (
+    DEFAULT_SEARCH_CAP,
     SearchTerms,
     _bounded_minima,
     _candidate_gram,
     _head_prefixes,
     _slab_objective,
-    build_customized_channel,
-    select_paths_bf,
-    select_paths_sm,
+    design_slots,
+    select_paths_stack,
 )
 from .errors import NoCrossingError, RislinkError
 from .montecarlo import TrialPlan, estimate_ergodic_se, substream
 from .ris import RisConfiguration, align_phases
-from .transceive import PayloadBuffers, payload_errors, run_sm
+from .transceive import DEFAULT_OUTAGE_THRESHOLD, PayloadBuffers, _run_multiplex, payload_errors
 
 
 def _draw_scene(config, seed=7):
@@ -65,6 +65,24 @@ def dense_composite(ups, phase_vectors, downs, deployment) -> np.ndarray:
         loss * (hop_matrix(down) * gamma) @ hop_matrix(up)
         for loss, up, gamma, down in zip(deployment.path_losses, ups, phase_vectors, downs)
     )
+
+
+def select_one(candidates, n_rx, scheme, n_slots=1, cap=DEFAULT_SEARCH_CAP):
+    """:func:`select_paths_stack` on one angle epoch's candidates, shape
+    (n_ris, n_paths): a stack of one."""
+    candidates = np.asarray(candidates, dtype=float)
+    terms = SearchTerms(_candidate_gram(candidates[None], n_rx))
+    return select_paths_stack(terms, candidates.shape[1], n_rx, scheme, n_slots, cap)[0]
+
+
+def design_one(selection, hops, deployment, slot=0, refine=False, exact_hops=None):
+    """:func:`design_slots` on one angle epoch's per-surface hops
+    ``(tx_ris, ris_rx)`` as the designer knows them; ``exact_hops``
+    realizes the channel on other hops.  Gains stacked over F fading
+    epochs give F rows.  Returns the design, slopes and common phases."""
+    estimate = HopStack.from_channels(*hops, deployment)
+    exact = estimate if exact_hops is None else HopStack.from_channels(*exact_hops, deployment)
+    return design_slots([selection], slot, estimate, exact, refine)
 
 
 def evaluated_crossing_point(params) -> float:
@@ -118,18 +136,23 @@ def _check_kernel_assembly() -> str:
     config = SystemConfig()
     deployment, ups, downs = _draw_scene(config, seed=13)
     freqs = np.stack([d.arrival_freqs for d in downs])
-    selection = select_paths_sm(freqs, config.n_rx)
-    slopes, commons = substream(13, 1).uniform(-np.pi, np.pi, (2, config.n_ris))
+    selection = select_one(freqs, config.n_rx, "sm")
+    _, aligned_slopes, aligned_commons = design_one(selection, (ups, downs), deployment)
+    # Slopes (1, K) and common phases (1, 1, K) of a stack of one.
+    zeros = np.zeros((1, 1, config.n_ris))
+    slopes, commons = substream(13, 1).uniform(-np.pi, np.pi, (2, 1, 1, config.n_ris))
     profiles = {
-        "aligned": build_customized_channel(selection, (ups, downs), deployment).gammas,
-        "neutral": [RisConfiguration.neutral(int(n)) for n in deployment.ris_element_counts],
-        "random": [RisConfiguration(k, int(n), slope=slopes[k], common_phase=commons[k])
-                   for k, n in enumerate(deployment.ris_element_counts)],
+        "aligned": (aligned_slopes, aligned_commons),
+        "neutral": (zeros[0], zeros),
+        "random": (slopes[0], commons),
     }
+    hops = HopStack.from_channels(ups, downs, deployment)
     worst = 0.0
-    for name, gammas in profiles.items():
-        kernel = assemble_composite(ups, gammas, downs, deployment)
-        dense = dense_composite(ups, [g.phase_vector() for g in gammas], downs, deployment)
+    for name, (slope, common) in profiles.items():
+        kernel = composite(hops, slope, common)[0, 0]
+        phases = [RisConfiguration(k, int(n), slope=slope[0, k], common_phase=common[0, 0, k])
+                  .phase_vector() for k, n in enumerate(deployment.ris_element_counts)]
+        dense = dense_composite(ups, phases, downs, deployment)
         rel = float(np.linalg.norm(kernel - dense) / np.linalg.norm(dense))
         assert rel <= 1e-12, f"{name} profile: kernel vs dense residual {rel:.3e}"
         worst = max(worst, rel)
@@ -168,7 +191,7 @@ def _check_selection() -> str:
     config = SystemConfig(n_ris=3, n_rx=2, n_ris_rx_paths=3)
     _, _, downs = _draw_scene(config, seed=5)
     freqs = np.stack([d.arrival_freqs for d in downs])
-    selection = select_paths_sm(freqs, config.n_rx)
+    selection = select_one(freqs, config.n_rx, "sm")
 
     def objective(pairs):
         cols = array_response(config.n_rx, np.array([freqs[k, l] for k, l in pairs]))
@@ -269,9 +292,8 @@ def _check_power_and_run() -> str:
     config = SystemConfig(n_ris=2, n_rx=2, n_ris_rx_paths=4, n_nlos_tx_paths=1)
     deployment, ups, downs = _draw_scene(config, seed=9)
     freqs = np.stack([d.arrival_freqs for d in downs])
-    selection = select_paths_sm(freqs, config.n_rx)
-    custom = build_customized_channel(selection, (ups, downs), deployment)
-    result = run_sm(custom, config)
+    design = design_one(select_one(freqs, config.n_rx, "sm"), (ups, downs), deployment)[0]
+    (result,) = _run_multiplex([design], config, {"sm": 1}, DEFAULT_OUTAGE_THRESHOLD)["sm"]
     assert result.se_bits_per_hz > 0, "non-positive spectral efficiency"
     assert np.isfinite(result.se_model_bits_per_hz)
     return f"sm SE {result.se_bits_per_hz:.3f} bits/s/Hz"
@@ -284,18 +306,18 @@ def _check_payload() -> str:
     freqs = np.stack([d.arrival_freqs for d in downs])
     symbols = 500
     counts = []
-    for multiplex, select in ((True, select_paths_sm), (False, select_paths_bf)):
-        custom = build_customized_channel(select(freqs, config.n_rx), (ups, downs), deployment,
-                                          refine=not multiplex)
+    for multiplex, scheme in ((True, "sm"), (False, "bf")):
+        selection = select_one(freqs, config.n_rx, scheme)
+        design = design_one(selection, (ups, downs), deployment, refine=not multiplex)[0]
         held = PayloadBuffers(symbols, config.n_rx, config.n_tx,
                               config.n_rx if multiplex else None)
         runs = []
         for buffers in (held, held, None):
             rng = substream(37, int(multiplex))
-            outcome = payload_errors([custom], config, symbols, rng, multiplex, buffers)
+            outcome = payload_errors([design.row(0, 0)], config, symbols, rng, multiplex, buffers)
             runs.append((outcome, repr(rng.bit_generator.state)))
         assert runs[0] == runs[1] == runs[2], (
-            f"{'sm' if multiplex else 'bf'} passes differ: {[run[0] for run in runs]}"
+            f"{scheme} passes differ: {[run[0] for run in runs]}"
         )
         counts.append(f"{runs[0][0][1][0]}/{runs[0][0][0]}")
     return f"sm, bf errors {', '.join(counts)} equal through a reused holder and fresh arrays"

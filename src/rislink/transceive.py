@@ -11,19 +11,17 @@ The path-hopping schemes run one shaped channel per slot and combine slot
 outputs coherently.  The runners accumulate slot by slot and read each
 scheme off a prefix of the slots, so the single-configuration schemes are
 literally the one-slot case of the same code, and one pass over a hopping
-design serves both schemes of its family bit for bit.  Designs stacked
-over fading epochs (a :class:`CustomizedChannel` with an epoch axis) or
-over rows of angle and fading epochs (a
-:class:`rislink.customize.DesignStack`) run in one pass and give one
-result per row, in row order, equal bit for bit to running each row on
-its own.  Bit-error payloads take one row's design and detect after
-every slot, so one pass serves every prefix of the slots; a pass works in
-a :class:`PayloadBuffers` holder that later passes of its shape reuse.
+design serves both schemes of its family bit for bit.  The runners take
+one :class:`rislink.customize.DesignStack` per slot, over rows of angle
+and fading epochs, and give one result per row, in row order, equal bit
+for bit to running each row on its own.  Bit-error payloads take one
+row's design (:meth:`DesignStack.row`) and detect after every slot, so
+one pass serves every prefix of the slots; a pass works in a
+:class:`PayloadBuffers` holder that later passes of its shape reuse.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import SystemConfig
-from .customize import CustomizedChannel
+from .customize import DesignStack
 
 DEFAULT_OUTAGE_THRESHOLD = 10.0  # linear SNR, i.e. 10 dB
 
@@ -55,64 +53,64 @@ class SchemeResult:
     bits_sent: int = 0
 
 
-def _multiplex_precoder(custom: CustomizedChannel, config: SystemConfig) -> np.ndarray:
-    n_streams = custom.t_active.shape[-1]
-    return math.sqrt(config.transmit_power / n_streams) * custom.t_active
+def _multiplex_precoder(design: DesignStack, config: SystemConfig) -> np.ndarray:
+    n_streams = design.t_active.shape[-1]
+    return math.sqrt(config.transmit_power / n_streams) * design.t_active
 
 
-def _beam_precoder(custom: CustomizedChannel, config: SystemConfig) -> np.ndarray:
-    n_active = custom.t_active.shape[-1]
-    return math.sqrt(config.transmit_power / n_active) * custom.t_active.sum(axis=-1)
+def _beam_precoder(design: DesignStack, config: SystemConfig) -> np.ndarray:
+    n_active = design.t_active.shape[-1]
+    return math.sqrt(config.transmit_power / n_active) * design.t_active.sum(axis=-1)
 
 
-def _multiplex_slot(custom: CustomizedChannel, config: SystemConfig):
+def _multiplex_slot(design: DesignStack, config: SystemConfig):
     """One slot's precoder, stream matrix ``R^H H F`` and the per-stream
     rotation that turns its diagonal real and positive."""
-    f = _multiplex_precoder(custom, config)
-    g = np.swapaxes(custom.r_active.conj(), -1, -2) @ custom.exact_h @ f
+    f = _multiplex_precoder(design, config)
+    g = np.swapaxes(design.r_active.conj(), -1, -2) @ design.exact_h @ f
     return f, g, np.exp(-1j * np.angle(np.diagonal(g, axis1=-2, axis2=-1)))
 
 
-def _beam_combiner(custom: CustomizedChannel, config: SystemConfig) -> np.ndarray:
+def _beam_combiner(design: DesignStack, config: SystemConfig) -> np.ndarray:
     """One slot's matched-filter combiner ``H f``."""
-    return (custom.exact_h @ _beam_precoder(custom, config)[..., None])[..., 0]
+    return (design.exact_h @ _beam_precoder(design, config)[..., None])[..., 0]
 
 
-def _check_slots(customs: Sequence[CustomizedChannel]) -> None:
-    if len(customs) != customs[0].n_slots:
+def _check_slots(designs: Sequence[DesignStack]) -> None:
+    if len(designs) != designs[0].n_slots:
         raise ValueError(
-            f"got {len(customs)} slot channels for a {customs[0].n_slots}-slot selection"
+            f"got {len(designs)} slot channels for a {designs[0].n_slots}-slot selection"
         )
-    for m, custom in enumerate(customs):
-        if custom.slot != m:
-            raise ValueError(f"slot channel {m} was built for slot {custom.slot}")
+    for m, design in enumerate(designs):
+        if design.slot != m:
+            raise ValueError(f"slot channel {m} was built for slot {design.slot}")
 
 
 def _run_multiplex(
-    customs: Sequence[CustomizedChannel],
+    designs: Sequence[DesignStack],
     config: SystemConfig,
     slots: dict[str, int],
     gamma_th: float,
-) -> dict[str, SchemeResult | list[SchemeResult]]:
+) -> dict[str, list[SchemeResult]]:
     """Shared multiplexing runner: per-slot combine, rotate, sum, detect.
 
     Each slot's combiner is the activated receive-response stack with its
     columns phase-rotated onto the realized per-stream gains, so slot
     outputs add coherently; stacking m slots leaves per-stream noise at
     ``m * noise_power``.  Slots accumulate in order, and each scheme of
-    ``slots`` (scheme -> slot count) reads its results off its prefix.
-    Stacked designs give a list of per-row results.
+    ``slots`` (scheme -> slot count) reads its list of per-row results
+    off its prefix.
     """
-    _check_slots(customs)
+    _check_slots(designs)
     noise_power = config.noise_power
-    n_streams = customs[0].r_active.shape[-1]
+    n_streams = designs[0].r_active.shape[-1]
     effective = 0j
     model_amplitude = 0.0
     out = {}
-    for n_slots, custom in enumerate(customs, 1):
-        _, g, rotation = _multiplex_slot(custom, config)
+    for n_slots, design in enumerate(designs, 1):
+        _, g, rotation = _multiplex_slot(design, config)
         effective += rotation[..., :, None] * g
-        model_amplitude += np.abs(custom.xi_active)
+        model_amplitude += np.abs(design.xi_active)
         readers = [scheme for scheme, count in slots.items() if count == n_slots]
         if not readers:
             continue
@@ -130,7 +128,7 @@ def _run_multiplex(
         snr = snr.reshape(-1, n_streams)
         outages = (snr.min(axis=-1) < gamma_th).tolist()
         for scheme in readers:
-            results = [
+            out[scheme] = [
                 SchemeResult(
                     scheme=scheme,
                     se_bits_per_hz=epoch_se,
@@ -142,36 +140,34 @@ def _run_multiplex(
                     np.ravel(se).tolist(), np.ravel(se_model).tolist(), snr.tolist(), outages
                 )
             ]
-            out[scheme] = results if np.ndim(se) else results[0]
     return out
 
 
 def _run_beamform(
-    customs: Sequence[CustomizedChannel],
+    designs: Sequence[DesignStack],
     config: SystemConfig,
     slots: dict[str, int],
     gamma_th: float,
-) -> dict[str, SchemeResult | list[SchemeResult]]:
+) -> dict[str, list[SchemeResult]]:
     """Shared beamforming runner: matched-filter stacking across slots.
 
     Slots accumulate in order, and each scheme of ``slots`` (scheme ->
-    slot count) reads its results off its prefix.  Stacked designs give a
-    list of per-row results."""
-    _check_slots(customs)
-    n_active = customs[0].t_active.shape[-1]
+    slot count) reads its list of per-row results off its prefix."""
+    _check_slots(designs)
+    n_active = designs[0].t_active.shape[-1]
     exact_power = 0.0
     model_sum = 0.0
     out = {}
-    for n_slots, custom in enumerate(customs, 1):
-        matched = _beam_combiner(custom, config)
-        # Per epoch, the 1-D norm and the scalar power of a single-epoch
-        # run: a norm over the last axis sums in another order, and the
-        # array square (x*x) need not round like the scalar pow(x, 2).
+    for n_slots, design in enumerate(designs, 1):
+        matched = _beam_combiner(design, config)
+        # Per row, the 1-D norm and the scalar power of a one-row run: a
+        # norm over the last axis sums in another order, and the array
+        # square (x*x) need not round like the scalar pow(x, 2).
         exact_power += np.array([
             np.linalg.norm(v) ** 2 for v in matched.reshape(-1, matched.shape[-1])
         ])
         model_sum += np.array([
-            s**2 for s in np.abs(custom.xi_active).reshape(-1, n_active).sum(axis=-1)
+            s**2 for s in np.abs(design.xi_active).reshape(-1, n_active).sum(axis=-1)
         ])
         for scheme in [scheme for scheme, count in slots.items() if count == n_slots]:
             results = []
@@ -185,44 +181,8 @@ def _run_beamform(
                     post_combine_snr=(snr_model,),
                     outage=bool(snr_model < gamma_th),
                 ))
-            out[scheme] = results if matched.ndim > 1 else results[0]
+            out[scheme] = results
     return out
-
-
-def run_sm(
-    custom: CustomizedChannel,
-    config: SystemConfig,
-    gamma_th: float = DEFAULT_OUTAGE_THRESHOLD,
-) -> SchemeResult | list[SchemeResult]:
-    """Spatial multiplexing: equal-power streams on the activated paths."""
-    return _run_multiplex([custom], config, {"sm": 1}, gamma_th)["sm"]
-
-
-def run_ds(
-    customs: Sequence[CustomizedChannel],
-    config: SystemConfig,
-    gamma_th: float = DEFAULT_OUTAGE_THRESHOLD,
-) -> SchemeResult | list[SchemeResult]:
-    """Multiplexing with per-slot path hopping, combined coherently."""
-    return _run_multiplex(customs, config, {"ds": len(customs)}, gamma_th)["ds"]
-
-
-def run_bf(
-    custom: CustomizedChannel,
-    config: SystemConfig,
-    gamma_th: float = DEFAULT_OUTAGE_THRESHOLD,
-) -> SchemeResult | list[SchemeResult]:
-    """Single-stream beamforming with matched-filter reception."""
-    return _run_beamform([custom], config, {"bf": 1}, gamma_th)["bf"]
-
-
-def run_db(
-    customs: Sequence[CustomizedChannel],
-    config: SystemConfig,
-    gamma_th: float = DEFAULT_OUTAGE_THRESHOLD,
-) -> SchemeResult | list[SchemeResult]:
-    """Beamforming with per-slot path hopping, combined coherently."""
-    return _run_beamform(customs, config, {"db": len(customs)}, gamma_th)["db"]
 
 
 def _qpsk_bits(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -299,21 +259,23 @@ class PayloadBuffers:
 
 
 def payload_errors(
-    customs: Sequence[CustomizedChannel],
+    designs: Sequence[DesignStack],
     config: SystemConfig,
     symbols: int,
     rng: np.random.Generator,
     multiplex: bool,
     buffers: PayloadBuffers | None = None,
 ) -> tuple[int, tuple[int, ...]]:
-    """Push Gray-coded QPSK payload through the exact slot channels.
+    """Push Gray-coded QPSK payload through the exact slot channels of one
+    row: ``designs`` holds the row's design of each slot (see
+    :meth:`DesignStack.row`).
 
     ``symbols`` channel uses are simulated at once; multiplexing carries
     one QPSK symbol per stream per use, beamforming one per use.  Slot
     outputs are combined coherently, exactly as in the spectral-efficiency
     runners, and sign-detected after every slot.  Returns the bits sent
     and the cumulative bit errors after each slot: entry ``m`` is what a
-    trial on ``customs[:m + 1]`` counts with the same generator, because
+    trial on ``designs[:m + 1]`` counts with the same generator, because
     the bits and each slot's noise are drawn in slot order.
 
     The pass works in ``buffers`` (fresh ones when omitted), which must be
@@ -321,8 +283,8 @@ def payload_errors(
     """
     if symbols < 1:
         raise ValueError("need at least one symbol")
-    n_rx, n_tx = customs[0].exact_h.shape
-    shape = (symbols, n_rx, n_tx, customs[0].r_active.shape[-1] if multiplex else None)
+    n_rx, n_tx = designs[0].exact_h.shape
+    shape = (symbols, n_rx, n_tx, designs[0].r_active.shape[-1] if multiplex else None)
     if buffers is None:
         buffers = PayloadBuffers(*shape)
     elif buffers.shape != shape:
@@ -334,42 +296,21 @@ def payload_errors(
     combined.fill(0)
     received, projected = buffers.received, buffers.projected
     errors = []
-    for custom in customs:
+    for design in designs:
         # Complex products keep the operand order and shapes of the plain
         # expressions and never write onto an input: whether numpy fuses a
         # complex multiply-add depends on all three (a 1 x 1 product
         # written in place does not fuse), and fusing moves last bits.
         if multiplex:
-            f, _, rotation = _multiplex_slot(custom, config)
-            np.matmul(custom.exact_h, np.matmul(f, sent, out=buffers.precoded), out=received)
+            f, _, rotation = _multiplex_slot(design, config)
+            np.matmul(design.exact_h, np.matmul(f, sent, out=buffers.precoded), out=received)
             _awgn(rng, config.noise_power, received, buffers.noise)
-            np.matmul(custom.r_active.conj().T, received, out=projected)
+            np.matmul(design.r_active.conj().T, received, out=projected)
             combined += np.multiply(rotation[:, None], projected, out=buffers.rotated)
         else:
-            matched = _beam_combiner(custom, config)
+            matched = _beam_combiner(design, config)
             np.outer(matched, sent, out=received)
             _awgn(rng, config.noise_power, received, buffers.noise)
             combined += np.matmul(matched.conj(), received, out=projected)
         errors.append(_bit_errors(combined, negative, buffers.flips))
     return int(bits.size), tuple(errors)
-
-
-def ber_trial(
-    scheme: str,
-    customs: Sequence[CustomizedChannel],
-    config: SystemConfig,
-    symbols: int,
-    rng: np.random.Generator,
-    gamma_th: float = DEFAULT_OUTAGE_THRESHOLD,
-) -> SchemeResult:
-    """One scheme's runner result with the bit errors of a payload trial:
-    the last rung of :func:`payload_errors` over all of ``customs``."""
-    if scheme in ("sm", "ds"):
-        run = _run_multiplex
-    elif scheme in ("bf", "db"):
-        run = _run_beamform
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    base = run(customs, config, {scheme: len(customs)}, gamma_th)[scheme]
-    sent, errors = payload_errors(customs, config, symbols, rng, scheme in ("sm", "ds"))
-    return dataclasses.replace(base, bit_errors=errors[-1], bits_sent=sent)

@@ -38,6 +38,21 @@ def candidate_matrix(downs) -> np.ndarray:
     return np.stack([down.arrival_freqs for down in downs])
 
 
+def model_channel(design) -> np.ndarray:
+    """The activated-paths model of one row's design,
+    ``(r_active * xi_active) @ t_active^H``: what the leakage leaves out."""
+    return (design.r_active * design.xi_active) @ design.t_active.conj().T
+
+
+def profile_arrays(profiles):
+    """Slopes (1, K) and common phases (1, 1, K) of per-surface
+    :class:`rislink.RisConfiguration` profiles: one angle epoch's profiles
+    as :func:`rislink.channel.composite` takes them."""
+    slopes = np.array([[gamma.slope for gamma in profiles]])
+    commons = np.array([[[gamma.common_phase for gamma in profiles]]])
+    return slopes, commons
+
+
 def random_profiles(deployment: rl.Deployment, rng: np.random.Generator):
     """Linear phase profiles with independent uniform slopes and common phases."""
     return [

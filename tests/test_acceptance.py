@@ -18,7 +18,7 @@ import rislink as rl
 import rislink.analysis as an
 from rislink import cli
 from rislink.channel import _complex_normal
-from rislink.customize import select_paths_bf, select_paths_sm
+from rislink.selftest import select_one
 
 BASE_SEED = 20240601
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -299,14 +299,14 @@ def test_criterion_09_selection_matches_exhaustive_search():
         candidates = rng.uniform(-math.pi, math.pi, size=(n_ris, n_paths))
 
         obj, active, paths = _exhaustive_sm(candidates, n_rx)
-        got = select_paths_sm(candidates, n_rx)
+        got = select_one(candidates, n_rx, "sm")
         assert got.active_ris == active
         assert got.slot_paths[0] == paths
         assert math.isclose(got.slot_objectives[0], obj, rel_tol=1e-12,
                             abs_tol=1e-12)
 
         obj, active, paths = _exhaustive_bf(candidates, n_rx)
-        got = select_paths_bf(candidates, n_rx)
+        got = select_one(candidates, n_rx, "bf")
         assert got.active_ris == active
         assert got.slot_paths[0] == paths
         assert math.isclose(got.slot_objectives[0], obj, rel_tol=1e-12,

@@ -17,14 +17,22 @@ from rislink.channel import (
     _draw_separated_freqs,
     dirichlet_kernel,
     draw_angle_epochs,
+    _inner_products,
+    composite,
     draw_fading_gains,
-    surface_inner_products,
 )
 from rislink.config import surface_geometry
 from rislink.montecarlo import _angle_errors
-from rislink.selftest import dense_composite, hop_matrix
+from rislink.selftest import dense_composite, design_one, hop_matrix, select_one
 
-from conftest import BASE_SEED, candidate_matrix, draw_scene, random_profiles, small_config
+from conftest import (
+    BASE_SEED,
+    candidate_matrix,
+    draw_scene,
+    profile_arrays,
+    random_profiles,
+    small_config,
+)
 
 
 def _circular_gap(a: np.ndarray, b: float) -> np.ndarray:
@@ -519,12 +527,27 @@ class TestArrayAngleDraws:
             draw_angle_epochs(config, surface_geometry(config), [rl.substream(BASE_SEED, 72)])
 
 
+def _composite_of(ups, profiles, downs, deployment) -> np.ndarray:
+    """The composite of one angle epoch's hops under per-surface profiles."""
+    hops = HopStack.from_channels(ups, downs, deployment)
+    return composite(hops, *profile_arrays(profiles))[0, 0]
+
+
+def _inner_products_of(ups, profiles, downs, deployment) -> np.ndarray:
+    """Every surface's inner products under per-surface profiles, shape
+    (K, L_R, L_T)."""
+    hops = HopStack.from_channels(ups, downs, deployment)
+    return _inner_products(
+        *profile_arrays(profiles), hops.rx_departure, hops.tx_arrival, hops.n_elements
+    )[0, 0]
+
+
 class TestCascadedFactorization:
     def test_assembly_matches_direct_sum(self):
         config = small_config()
         deployment, ups, downs = draw_scene(config, BASE_SEED, 5)
         gammas = random_profiles(deployment, rl.substream(BASE_SEED, 17))
-        h = rl.assemble_composite(ups, gammas, downs, deployment)
+        h = _composite_of(ups, gammas, downs, deployment)
         direct = np.zeros((config.n_rx, config.n_tx), dtype=complex)
         for k in range(config.n_ris):
             direct += deployment.path_losses[k] * (
@@ -547,7 +570,7 @@ class TestCascadedFactorization:
             )
             deployment, ups, downs = draw_scene(config, BASE_SEED, 19, trial)
             gammas = random_profiles(deployment, rng)
-            h = rl.assemble_composite(ups, gammas, downs, deployment)
+            h = _composite_of(ups, gammas, downs, deployment)
             dense = dense_composite(ups, [g.phase_vector() for g in gammas], downs, deployment)
             assert np.linalg.norm(h - dense) <= 1e-10 * np.linalg.norm(h)
 
@@ -559,31 +582,27 @@ class TestCascadedFactorization:
         stacked_downs = [rl.redraw_fading(down, config, deployment, rngs) for down in downs]
         phases = rl.substream(BASE_SEED, 32).uniform(-math.pi, math.pi, len(rngs))
         # Surface 0 has a per-epoch common phase, the others one for all epochs.
-        gammas = [
-            rl.align_phases(0.3, -0.2, int(n), k).with_common_phase(phases if k == 0 else 0.4 * k)
-            for k, n in enumerate(deployment.ris_element_counts)
-        ]
-        composite = rl.assemble_composite(stacked_ups, gammas, stacked_downs, deployment)
-        assert composite.shape == (len(rngs), config.n_rx, config.n_tx)
+        slopes = np.full((1, config.n_ris), 0.3 - (-0.2))
+        commons = np.tile(0.4 * np.arange(config.n_ris), (1, len(rngs), 1))
+        commons[0, :, 0] = phases
+        stacked = composite(
+            HopStack.from_channels(stacked_ups, stacked_downs, deployment), slopes, commons
+        )[0]
+        assert stacked.shape == (len(rngs), config.n_rx, config.n_tx)
         for f in range(len(rngs)):
-            single = rl.assemble_composite(
+            hops = HopStack.from_channels(
                 [dataclasses.replace(up, gains=up.gains[f]) for up in stacked_ups],
-                [g.with_common_phase(phases[f]) if k == 0 else g for k, g in enumerate(gammas)],
                 [dataclasses.replace(down, gains=down.gains[f]) for down in stacked_downs],
                 deployment,
             )
-            assert single.tobytes() == composite[f].tobytes()
+            single = composite(hops, slopes, commons[:, f:f + 1])[0, 0]
+            assert single.tobytes() == stacked[f].tobytes()
 
     def test_core_entries_match_per_path_products(self):
         config = small_config()
         deployment, ups, downs = draw_scene(config, BASE_SEED, 8)
         gammas = random_profiles(deployment, rl.substream(BASE_SEED, 22))
-        inner = surface_inner_products(
-            gammas,
-            np.array([d.departure_freqs for d in downs]),
-            np.array([u.arrival_freqs for u in ups]),
-            deployment.ris_element_counts,
-        )
+        inner = _inner_products_of(ups, gammas, downs, deployment)
         for k in range(config.n_ris):
             n_s = int(deployment.ris_element_counts[k])
             for l in range(config.n_ris_rx_paths):
@@ -607,7 +626,7 @@ class TestCascadedFactorization:
             )
             for k in range(config.n_ris)
         ]
-        h = rl.assemble_composite(ups, gammas, downs, deployment)
+        h = _composite_of(ups, gammas, downs, deployment)
         oracle = dense_composite(ups, [g.phase_vector() for g in gammas], downs, deployment)
         assert np.linalg.norm(h - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
@@ -691,12 +710,19 @@ class TestClosedFormAssembly:
 
     def _profiles(self, config, deployment, ups, downs):
         candidates = candidate_matrix(downs)
-        sm = rl.select_paths_sm(candidates, config.n_rx)
-        bf = rl.select_paths_bf(candidates, config.n_rx)
+        counts = deployment.ris_element_counts
+
+        def designed(scheme, refine):
+            selection = select_one(candidates, config.n_rx, scheme)
+            _, slopes, commons = design_one(selection, (ups, downs), deployment, refine=refine)
+            return [
+                rl.RisConfiguration(k, int(n), slope=slopes[0, k], common_phase=commons[0, 0, k])
+                for k, n in enumerate(counts)
+            ]
+
         return {
-            "aligned": rl.build_customized_channel(sm, (ups, downs), deployment).gammas,
-            "refined": rl.build_customized_channel(
-                bf, (ups, downs), deployment, refine=True).gammas,
+            "aligned": designed("sm", refine=False),
+            "refined": designed("bf", refine=True),
             "neutral": [
                 rl.RisConfiguration.neutral(int(n), ris_index=k)
                 for k, n in enumerate(deployment.ris_element_counts)
@@ -711,7 +737,7 @@ class TestClosedFormAssembly:
             if adversarial:
                 downs = _adversarial_downs(ups, downs)
             for name, gammas in self._profiles(config, deployment, ups, downs).items():
-                h = rl.assemble_composite(ups, gammas, downs, deployment)
+                h = _composite_of(ups, gammas, downs, deployment)
                 phases = [g.phase_vector() for g in gammas]
                 oracle = dense_composite(ups, phases, downs, deployment)
                 rel = np.linalg.norm(h - oracle) / np.linalg.norm(oracle)
@@ -724,10 +750,5 @@ class TestClosedFormAssembly:
         deployment, ups, downs = draw_scene(config, BASE_SEED, 23, 0)
         downs = _adversarial_downs(ups, downs)
         neutral = [rl.RisConfiguration.neutral(int(n)) for n in deployment.ris_element_counts]
-        inner = surface_inner_products(
-            neutral,
-            np.array([d.departure_freqs for d in downs]),
-            np.array([u.arrival_freqs for u in ups]),
-            deployment.ris_element_counts,
-        )
+        inner = _inner_products_of(ups, neutral, downs, deployment)
         assert np.any(np.abs(inner - 1.0) < 1e-12)

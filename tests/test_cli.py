@@ -374,6 +374,17 @@ class TestExitCodes:
           "--set", "noise_power=1e30", "--set", "rician_factor=1e-300",
           "--set", "gain_target=1e10"],
          cli.EXIT_NO_CROSSING),
+        # An explicit empty file name or profile is not an absent one.
+        *(
+            ([verb, "--scheme", "sm", "--axis", "E_dBm=20",
+              "--output", "/tmp/unused.csv", "--angle-epochs", "1",
+              "--fading-epochs", "1", "--config", ""], cli.EXIT_BAD_CONFIG)
+            for verb in ("se-sweep", "ber-sweep", "outage-sweep")
+        ),
+        (["crossing-point", "--n-rx", "2", "--config", ""], cli.EXIT_BAD_CONFIG),
+        (["analyze", "--config", ""], cli.EXIT_BAD_CONFIG),
+        (["selftest", "--config", ""], cli.EXIT_BAD_CONFIG),
+        (["crossing-point", "--n-rx", "2", "--profile", ""], cli.EXIT_BAD_CONFIG),
     ])
     def test_error_paths(self, argv, code, capsys):
         assert _run(argv) == code
@@ -574,6 +585,18 @@ class TestFileAndBudgetErrors:
             assert _run(argv) == cli.EXIT_BAD_CONFIG
             err = capsys.readouterr().err
             assert "error:" in err and "--config" in err and "Traceback" not in err
+
+    def test_duplicated_config_key(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(montecarlo, "_run_chunk", _engine_reached)
+        path = tmp_path / "run.cfg"
+        path.write_text("n_tx = 16\nn_tx = 32\n", encoding="utf-8")
+        for argv in (
+            self._sweep("--config", str(path), "--output", str(tmp_path / "x.csv")),
+            ["analyze", "--config", str(path)],
+        ):
+            assert _run(argv) == cli.EXIT_BAD_CONFIG
+            err = capsys.readouterr().err
+            assert "error:" in err and "'n_tx' already set on line 1" in err
 
     @pytest.mark.parametrize("verb", ["se-sweep", "ber-sweep", "outage-sweep"])
     @pytest.mark.parametrize("case", ["missing-directory", "directory", "empty"])

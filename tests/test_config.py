@@ -237,6 +237,13 @@ class TestSerialization:
         loaded = rl.load_config(path)
         assert loaded == config
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        # The later value would silently win; both lines are named instead.
+        path = tmp_path / "run.cfg"
+        path.write_text("n_tx = 16\n# comment\nn_rx = 2\nn_tx = 32\n", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match=r":4: key 'n_tx' already set on line 1"):
+            rl.load_config(path)
+
     def test_parse_config_value_types(self):
         assert rl.parse_config_value("n_tx", "8") == 8
         assert rl.parse_config_value("transmit_power", "0.5") == 0.5

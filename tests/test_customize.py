@@ -1,4 +1,4 @@
-"""Path selection search and assembly of the customized channel."""
+"""Path selection search and the design of the customized channel."""
 
 from __future__ import annotations
 
@@ -10,17 +10,17 @@ import pytest
 
 import rislink as rl
 from rislink import customize
-from rislink.channel import surface_inner_products
+from rislink.channel import HopStack, _inner_products, composite
 from rislink.customize import (
     DEFAULT_SEARCH_CAP,
     DENSE_SEARCH_LIMIT,
     SearchTerms,
-    _best_tuple,
     _candidate_gram,
 )
 from rislink.errors import SearchSpaceError, SelectionInfeasibleError
+from rislink.selftest import design_one, select_one
 
-from conftest import BASE_SEED, candidate_matrix, draw_scene, small_config
+from conftest import BASE_SEED, candidate_matrix, draw_scene, model_channel, small_config
 
 
 def _gram_objective(freqs, n_rx: int, off_diagonal: float) -> float:
@@ -44,9 +44,9 @@ def _brute_force_sm(candidates: np.ndarray, n_rx: int):
     return best
 
 
-def _brute_force_bf(candidates: np.ndarray, n_rx: int, active=None):
+def _brute_force_bf(candidates: np.ndarray, n_rx: int):
     n_ris, n_paths = candidates.shape
-    active = tuple(range(n_ris)) if active is None else tuple(active)
+    active = tuple(range(n_ris))
     best = None
     for paths in itertools.product(range(n_paths), repeat=len(active)):
         freqs = [candidates[k, p] for k, p in zip(active, paths)]
@@ -56,7 +56,7 @@ def _brute_force_bf(candidates: np.ndarray, n_rx: int, active=None):
     return best
 
 
-def _best_tuple_oracle(gram, groups, target_off_diagonal):
+def _search_oracle(gram, groups, target_off_diagonal):
     """The search objective as first written: a fresh array per added term."""
     sizes = [len(g) for g in groups]
     n_groups = len(groups)
@@ -78,6 +78,12 @@ def _best_tuple_oracle(gram, groups, target_off_diagonal):
     return tuple(int(i) for i in best), float(objective.reshape(-1)[flat])
 
 
+def _search_one(gram, groups, target_off_diagonal):
+    """The selection search on one Gram matrix: a stack of one."""
+    terms = SearchTerms(gram[None])
+    return customize._search(terms, groups, target_off_diagonal, DEFAULT_SEARCH_CAP)[0]
+
+
 class TestBestTuple:
     def test_in_place_objective_matches_oracle_repr_exact(self):
         rng = rl.substream(BASE_SEED, 60)
@@ -93,8 +99,8 @@ class TestBestTuple:
             gram = _candidate_gram(candidates, n_rx)
             groups = [np.arange(n_paths) + k * n_paths for k in range(n_ris)]
             for target in (0.0, 1.0):
-                got = _best_tuple(gram, groups, target, DEFAULT_SEARCH_CAP)
-                assert repr(got) == repr(_best_tuple_oracle(gram, groups, target))
+                got = _search_one(gram, groups, target)
+                assert repr(got) == repr(_search_oracle(gram, groups, target))
 
     @pytest.mark.parametrize(
         "key, mode", list(enumerate(["random", "duplicated", "unequal", "constant"]))
@@ -121,8 +127,8 @@ class TestBestTuple:
                           for g in groups]
             assert math.prod(len(g) for g in groups) > DENSE_SEARCH_LIMIT
             for target in (0.0, 1.0):
-                got = _best_tuple(gram, groups, target, DEFAULT_SEARCH_CAP)
-                assert repr(got) == repr(_best_tuple_oracle(gram, groups, target))
+                got = _search_one(gram, groups, target)
+                assert repr(got) == repr(_search_oracle(gram, groups, target))
                 if mode == "constant":
                     assert got[0] == (0,) * n_groups
 
@@ -148,7 +154,7 @@ class TestBestTuple:
         for target in (0.0, 1.0):
             got = customize._search(SearchTerms(grams), groups, target, DEFAULT_SEARCH_CAP)
             for gram, row in zip(grams, got):
-                assert repr(row) == repr(_best_tuple_oracle(gram, groups, target))
+                assert repr(row) == repr(_search_oracle(gram, groups, target))
         assert len(evaluated) == 2
         assert all(1 <= count < 30 * 30 for counts in evaluated for count in counts), evaluated
 
@@ -178,7 +184,7 @@ class TestBestTuple:
         for target in (0.0, 1.0):
             got = customize._search(SearchTerms(grams), groups, target, DEFAULT_SEARCH_CAP)
             for r, (gram, row) in enumerate(zip(grams, got)):
-                oracle = _best_tuple_oracle(gram, [g[r] for g in groups], target)
+                oracle = _search_oracle(gram, [g[r] for g in groups], target)
                 assert repr(row) == repr(oracle), (target, r)
             assert got[1][0] == (0,) * n_groups
         prefixes = (n_paths - 1) ** 2
@@ -201,7 +207,7 @@ class TestMultiplexSelection:
             [0.4, 1.0],
             [0.4 + math.pi, 1.3],
         ])
-        selection = rl.select_paths_sm(candidates, n_rx)
+        selection = select_one(candidates, n_rx, "sm")
         assert selection.slot_objectives[0] < 1e-24
         assert selection.active_ris == (0, 1)
         assert selection.slot_paths[0] == (0, 0)
@@ -209,7 +215,7 @@ class TestMultiplexSelection:
     def test_objective_matches_recomputation(self):
         rng = rl.substream(BASE_SEED, 40)
         candidates = rng.uniform(-math.pi, math.pi, (4, 6))
-        selection = rl.select_paths_sm(candidates, 3)
+        selection = select_one(candidates, 3, "sm")
         freqs = [candidates[k, p] for k, p in
                  zip(selection.active_ris, selection.slot_paths[0])]
         assert math.isclose(
@@ -225,7 +231,7 @@ class TestMultiplexSelection:
             n_ris = int(rng.integers(n_rx, 4))
             n_paths = int(rng.integers(1, 5))
             candidates = rng.uniform(-math.pi, math.pi, (n_ris, n_paths))
-            selection = rl.select_paths_sm(candidates, n_rx)
+            selection = select_one(candidates, n_rx, "sm")
             objective, subset, paths = _brute_force_sm(candidates, n_rx)
             assert selection.active_ris == subset
             assert selection.slot_paths[0] == paths
@@ -235,7 +241,7 @@ class TestMultiplexSelection:
     def test_matches_brute_force_at_default_size(self):
         rng = rl.substream(BASE_SEED, 42)
         candidates = rng.uniform(-math.pi, math.pi, (4, 10))
-        selection = rl.select_paths_sm(candidates, 4)
+        selection = select_one(candidates, 4, "sm")
         objective, subset, paths = _brute_force_sm(candidates, 4)
         assert selection.active_ris == subset
         assert selection.slot_paths[0] == paths
@@ -244,20 +250,20 @@ class TestMultiplexSelection:
 
     def test_single_stream_trivial(self):
         candidates = np.array([[0.3, -1.2]])
-        selection = rl.select_paths_sm(candidates, 1)
+        selection = select_one(candidates, 1, "sm")
         assert selection.active_ris == (0,)
         assert selection.slot_objectives[0] == 0.0
 
     def test_search_cap_enforced(self):
         candidates = np.zeros((4, 10))
         with pytest.raises(SearchSpaceError):
-            rl.select_paths_sm(candidates, 4, cap=100)
+            select_one(candidates, 4, "sm", cap=100)
 
     def test_deterministic(self):
         rng = rl.substream(BASE_SEED, 43)
         candidates = rng.uniform(-math.pi, math.pi, (4, 10))
-        a = rl.select_paths_sm(candidates, 4)
-        b = rl.select_paths_sm(candidates, 4)
+        a = select_one(candidates, 4, "sm")
+        b = select_one(candidates, 4, "sm")
         assert a == b
 
 
@@ -265,7 +271,7 @@ class TestBeamformSelection:
     def test_uses_every_surface(self):
         rng = rl.substream(BASE_SEED, 44)
         candidates = rng.uniform(-math.pi, math.pi, (4, 5))
-        selection = rl.select_paths_bf(candidates, 2)
+        selection = select_one(candidates, 2, "bf")
         assert selection.active_ris == (0, 1, 2, 3)
         assert len(selection.slot_paths[0]) == 4
 
@@ -276,29 +282,21 @@ class TestBeamformSelection:
             n_ris = int(rng.integers(n_rx, 4))
             n_paths = int(rng.integers(1, 5))
             candidates = rng.uniform(-math.pi, math.pi, (n_ris, n_paths))
-            selection = rl.select_paths_bf(candidates, n_rx)
+            selection = select_one(candidates, n_rx, "bf")
             objective, active, paths = _brute_force_bf(candidates, n_rx)
             assert selection.active_ris == active
             assert selection.slot_paths[0] == paths
             assert math.isclose(selection.slot_objectives[0], objective,
                                 rel_tol=1e-12, abs_tol=1e-18)
 
-    def test_restricted_active_set(self):
-        rng = rl.substream(BASE_SEED, 46)
-        candidates = rng.uniform(-math.pi, math.pi, (4, 5))
-        selection = rl.select_paths_bf(candidates, 2, active_ris=(0, 2))
-        objective, active, paths = _brute_force_bf(candidates, 2, (0, 2))
-        assert selection.active_ris == active
-        assert selection.slot_paths[0] == paths
-
     def test_identical_frequencies_reach_zero(self):
         candidates = np.full((3, 4), 0.8)
-        selection = rl.select_paths_bf(candidates, 2)
+        selection = select_one(candidates, 2, "bf")
         assert selection.slot_objectives[0] < 1e-24
 
     def test_single_surface_objective_zero(self):
         candidates = np.array([[0.5, -0.5]])
-        selection = rl.select_paths_bf(candidates, 2)
+        selection = select_one(candidates, 2, "bf")
         assert selection.slot_objectives[0] < 1e-24
 
 
@@ -306,12 +304,12 @@ class TestDiversitySelection:
     def test_first_slot_matches_single_slot_rules(self):
         rng = rl.substream(BASE_SEED, 47)
         candidates = rng.uniform(-math.pi, math.pi, (4, 5))
-        ds = rl.select_paths_diversity(candidates, "ds", 2, 2)
-        sm = rl.select_paths_sm(candidates, 2)
+        ds = select_one(candidates, 2, "ds", 2)
+        sm = select_one(candidates, 2, "sm")
         assert ds.active_ris == sm.active_ris
         assert ds.slot_paths[0] == sm.slot_paths[0]
-        db = rl.select_paths_diversity(candidates, "db", 2, 2)
-        bf = rl.select_paths_bf(candidates, 2)
+        db = select_one(candidates, 2, "db", 2)
+        bf = select_one(candidates, 2, "bf")
         assert db.active_ris == bf.active_ris
         assert db.slot_paths[0] == bf.slot_paths[0]
 
@@ -319,7 +317,7 @@ class TestDiversitySelection:
         rng = rl.substream(BASE_SEED, 48)
         candidates = rng.uniform(-math.pi, math.pi, (4, 6))
         for scheme in ("ds", "db"):
-            selection = rl.select_paths_diversity(candidates, scheme, 3, 2)
+            selection = select_one(candidates, 2, scheme, 3)
             assert len(selection.slot_paths) == 3
             assert len(selection.slot_objectives) == 3
             for slot_paths in selection.slot_paths:
@@ -329,7 +327,7 @@ class TestDiversitySelection:
         rng = rl.substream(BASE_SEED, 49)
         candidates = rng.uniform(-math.pi, math.pi, (4, 5))
         for scheme in ("ds", "db"):
-            selection = rl.select_paths_diversity(candidates, scheme, 3, 2)
+            selection = select_one(candidates, 2, scheme, 3)
             for position in range(len(selection.active_ris)):
                 used = [paths[position] for paths in selection.slot_paths]
                 assert len(set(used)) == len(used)
@@ -337,7 +335,7 @@ class TestDiversitySelection:
     def test_later_slots_optimal_over_remaining_paths(self):
         rng = rl.substream(BASE_SEED, 50)
         candidates = rng.uniform(-math.pi, math.pi, (4, 4))
-        selection = rl.select_paths_diversity(candidates, "ds", 2, 2)
+        selection = select_one(candidates, 2, "ds", 2)
         active = selection.active_ris
         used = selection.slot_paths[0]
         best = None
@@ -358,7 +356,7 @@ class TestDiversitySelection:
         rng = rl.substream(BASE_SEED, 51)
         n_paths = 3
         candidates = rng.uniform(-math.pi, math.pi, (3, n_paths))
-        selection = rl.select_paths_diversity(candidates, "ds", n_paths, 2)
+        selection = select_one(candidates, 2, "ds", n_paths)
         for position in range(len(selection.active_ris)):
             used = sorted(paths[position] for paths in selection.slot_paths)
             assert used == list(range(n_paths))
@@ -366,15 +364,12 @@ class TestDiversitySelection:
     def test_more_slots_than_paths_rejected(self):
         candidates = np.zeros((3, 2))
         with pytest.raises(SelectionInfeasibleError):
-            rl.select_paths_diversity(candidates, "ds", 3, 2)
-
-    def test_unknown_scheme_rejected(self):
-        candidates = np.zeros((3, 4))
-        with pytest.raises(ValueError):
-            rl.select_paths_diversity(candidates, "xx", 2, 2)
+            select_one(candidates, 2, "ds", 3)
 
 
 class TestCustomizedChannel:
+    """One slot's design on one angle epoch: a stack of one."""
+
     def _scene(self, key, config=None):
         config = config or rl.SystemConfig()
         deployment, ups, downs = draw_scene(config, BASE_SEED, *key)
@@ -382,78 +377,72 @@ class TestCustomizedChannel:
 
     def test_multiplex_gram_is_near_identity(self):
         config, deployment, ups, downs = self._scene((52,))
-        selection = rl.select_paths_sm(candidate_matrix(downs), config.n_rx)
-        custom = rl.build_customized_channel(selection, (ups, downs),
-                                             deployment)
-        gram = custom.r_active.conj().T @ custom.r_active
+        selection = select_one(candidate_matrix(downs), config.n_rx, "sm")
+        design = design_one(selection, (ups, downs), deployment)[0].row(0, 0)
+        gram = design.r_active.conj().T @ design.r_active
         assert np.allclose(np.diag(gram), 1.0, atol=1e-12)
         assert np.linalg.norm(gram - np.eye(config.n_rx)) ** 2 \
             <= selection.slot_objectives[0] + 1e-12
 
     def test_active_columns_match_selection(self):
         config, deployment, ups, downs = self._scene((53,))
-        selection = rl.select_paths_sm(candidate_matrix(downs), config.n_rx)
-        custom = rl.build_customized_channel(selection, (ups, downs),
-                                             deployment)
+        selection = select_one(candidate_matrix(downs), config.n_rx, "sm")
+        design = design_one(selection, (ups, downs), deployment)[0].row(0, 0)
         for column, (k, path) in enumerate(
                 zip(selection.active_ris, selection.slot_paths[0])):
             assert np.array_equal(
-                custom.r_active[:, column],
+                design.r_active[:, column],
                 rl.array_response(config.n_rx, downs[k].arrival_freqs[path]),
             )
             assert np.array_equal(
-                custom.t_active[:, column],
+                design.t_active[:, column],
                 rl.array_response(config.n_tx, ups[k].departure_freqs[0]),
             )
 
     def test_gains_match_aligned_decomposition(self):
         config, deployment, ups, downs = self._scene((54,))
-        selection = rl.select_paths_sm(candidate_matrix(downs), config.n_rx)
-        custom = rl.build_customized_channel(selection, (ups, downs),
-                                             deployment)
-        inner = surface_inner_products(
-            custom.gammas,
-            np.array([d.departure_freqs for d in downs]),
-            np.array([u.arrival_freqs for u in ups]),
-            deployment.ris_element_counts,
-        )
+        selection = select_one(candidate_matrix(downs), config.n_rx, "sm")
+        design, slopes, commons = design_one(selection, (ups, downs), deployment)
+        hops = HopStack.from_channels(ups, downs, deployment)
+        inner = _inner_products(
+            slopes, commons, hops.rx_departure, hops.tx_arrival, hops.n_elements
+        )[0, 0]
         for column, (k, path) in enumerate(
                 zip(selection.active_ris, selection.slot_paths[0])):
             gain = (deployment.path_losses[k] * downs[k].gains[path] * ups[k].gains[0]
                     * inner[k, path, 0])
-            assert abs(custom.xi_active[column] - gain) <= 1e-15
+            assert abs(design.xi_active[0, 0, column] - gain) <= 1e-15
 
     def test_inactive_surfaces_are_neutral(self):
         config, deployment, ups, downs = self._scene((55,))
-        selection = rl.select_paths_sm(candidate_matrix(downs), config.n_rx)
-        custom = rl.build_customized_channel(selection, (ups, downs),
-                                             deployment)
-        assert len(custom.gammas) == config.n_ris
-        for k, gamma in enumerate(custom.gammas):
+        selection = select_one(candidate_matrix(downs), config.n_rx, "sm")
+        _, slopes, commons = design_one(selection, (ups, downs), deployment)
+        assert slopes.shape == (1, config.n_ris)
+        assert not commons.any()
+        for k in range(config.n_ris):
             if k not in selection.active_ris:
-                assert np.all(gamma.phases == 0.0)
+                assert slopes[0, k] == 0.0
             else:
-                assert gamma.aligned_path is not None
+                path = selection.slot_paths[0][selection.active_ris.index(k)]
+                retarget = downs[k].departure_freqs[path] - ups[k].arrival_freqs[0]
+                assert slopes[0, k] == retarget
 
     def test_exact_channel_matches_assembly(self):
         config, deployment, ups, downs = self._scene((56,))
-        selection = rl.select_paths_sm(candidate_matrix(downs), config.n_rx)
-        custom = rl.build_customized_channel(selection, (ups, downs),
-                                             deployment)
-        h = rl.assemble_composite(ups, custom.gammas, downs, deployment)
-        assert np.array_equal(custom.exact_h, h)
+        selection = select_one(candidate_matrix(downs), config.n_rx, "sm")
+        design, slopes, commons = design_one(selection, (ups, downs), deployment)
+        h = composite(HopStack.from_channels(ups, downs, deployment), slopes, commons)
+        assert np.array_equal(design.exact_h, h)
 
     def test_approximation_error_is_modest(self):
         ratios = []
         for i in range(150):
             config, deployment, ups, downs = self._scene((57, i))
-            selection = rl.select_paths_sm(candidate_matrix(downs),
-                                           config.n_rx)
-            custom = rl.build_customized_channel(selection, (ups, downs),
-                                                 deployment)
+            selection = select_one(candidate_matrix(downs), config.n_rx, "sm")
+            design = design_one(selection, (ups, downs), deployment)[0].row(0, 0)
             ratios.append(
-                np.linalg.norm(custom.approx_h() - custom.exact_h)
-                / np.linalg.norm(custom.exact_h)
+                np.linalg.norm(model_channel(design) - design.exact_h)
+                / np.linalg.norm(design.exact_h)
             )
         assert float(np.median(ratios)) < 0.25
 
@@ -461,12 +450,11 @@ class TestCustomizedChannel:
         # If all selected receive-side arrival frequencies coincide, the
         # model matrix is an exact rank-one outer product.
         config, deployment, ups, downs = self._scene((58,))
-        selection = rl.select_paths_bf(candidate_matrix(downs), config.n_rx)
-        custom = rl.build_customized_channel(selection, (ups, downs),
-                                             deployment)
+        selection = select_one(candidate_matrix(downs), config.n_rx, "bf")
+        design = design_one(selection, (ups, downs), deployment)[0].row(0, 0)
         freqs = [downs[k].arrival_freqs[p] for k, p in
                  zip(selection.active_ris, selection.slot_paths[0])]
-        approx = custom.approx_h()
+        approx = model_channel(design)
         s = np.linalg.svd(approx, compute_uv=False)
         spread = max(freqs) - min(freqs)
         if spread < 1e-12:
@@ -475,36 +463,26 @@ class TestCustomizedChannel:
             assert s[0] > 0.0
 
     def test_refinement_changes_only_common_phase(self):
+        # The per-element profiles (slopes) are untouched; refinement only
+        # adds a common phase per active surface.
         config, deployment, ups, downs = self._scene((59,))
-        selection = rl.select_paths_bf(candidate_matrix(downs), config.n_rx)
-        plain = rl.build_customized_channel(selection, (ups, downs),
-                                            deployment, refine=False)
-        refined = rl.build_customized_channel(selection, (ups, downs),
-                                              deployment, refine=True)
+        selection = select_one(candidate_matrix(downs), config.n_rx, "bf")
+        plain, plain_slopes, plain_commons = design_one(
+            selection, (ups, downs), deployment, refine=False)
+        refined, refined_slopes, refined_commons = design_one(
+            selection, (ups, downs), deployment, refine=True)
         assert np.allclose(np.abs(plain.xi_active), np.abs(refined.xi_active),
                            rtol=1e-12)
-        refined_any = False
-        for gp, gr in zip(plain.gammas, refined.gammas):
-            # The per-element profile is untouched; refinement only adds
-            # a constant rotation, so the phase-vector ratio is a single
-            # unit scalar.
-            assert np.array_equal(gp.phases, gr.phases)
-            assert gp.aligned_path == gr.aligned_path
-            ratio = gr.phase_vector() / gp.phase_vector()
-            assert np.allclose(ratio, ratio[0], atol=1e-12)
-            assert math.isclose(abs(ratio[0]), 1.0, rel_tol=1e-12)
-            refined_any = refined_any or gr.common_phase != gp.common_phase
-        assert refined_any
+        assert np.array_equal(plain_slopes, refined_slopes)
+        assert not plain_commons.any()
+        assert np.any(refined_commons != plain_commons)
 
     def test_slot_index_selects_diversity_branch(self):
         config = rl.SystemConfig(n_slots=2)
         deployment, ups, downs = draw_scene(config, BASE_SEED, 60)
-        selection = rl.select_paths_diversity(candidate_matrix(downs), "ds",
-                                              2, config.n_rx)
-        slot0 = rl.build_customized_channel(selection, (ups, downs),
-                                            deployment, slot=0)
-        slot1 = rl.build_customized_channel(selection, (ups, downs),
-                                            deployment, slot=1)
+        selection = select_one(candidate_matrix(downs), config.n_rx, "ds", 2)
+        slot0 = design_one(selection, (ups, downs), deployment, slot=0)[0]
+        slot1 = design_one(selection, (ups, downs), deployment, slot=1)[0]
         assert slot0.slot == 0 and slot1.slot == 1
         assert not np.array_equal(slot0.r_active, slot1.r_active)
 
@@ -514,14 +492,11 @@ class TestCustomizedChannel:
         config, deployment, ups, downs = self._scene((61,))
         rng = rl.substream(BASE_SEED, 62)
         est_downs = [rl.inject_angle_error(d, 0.05, rng) for d in downs]
-        selection = rl.select_paths_sm(candidate_matrix(est_downs),
-                                       config.n_rx)
-        custom = rl.build_customized_channel(
-            selection, (ups, est_downs), deployment,
-            exact_subchannels=(ups, downs),
+        selection = select_one(candidate_matrix(est_downs), config.n_rx, "sm")
+        design, slopes, commons = design_one(
+            selection, (ups, est_downs), deployment, exact_hops=(ups, downs),
         )
-        h_true = rl.assemble_composite(ups, custom.gammas, downs, deployment)
-        assert np.array_equal(custom.exact_h, h_true)
-        h_design = rl.assemble_composite(ups, custom.gammas, est_downs,
-                                         deployment)
-        assert not np.array_equal(custom.exact_h, h_design)
+        h_true = composite(HopStack.from_channels(ups, downs, deployment), slopes, commons)
+        assert np.array_equal(design.exact_h, h_true)
+        h_design = composite(HopStack.from_channels(ups, est_downs, deployment), slopes, commons)
+        assert not np.array_equal(design.exact_h, h_design)

@@ -14,6 +14,7 @@ import rislink.montecarlo as mc
 from rislink import transceive
 from rislink.channel import _complex_normal
 from rislink.errors import ConfigurationError
+from rislink.selftest import design_one, select_one
 
 from conftest import BASE_SEED
 
@@ -195,17 +196,9 @@ def _per_epoch_oracle(config, schemes, grid_index, epoch_index, n_fading_epochs,
                        for ch in base_rx]
     candidates = np.array([ch.arrival_freqs for ch in template_rx])
     selections = {
-        "sm": lambda: rl.select_paths_sm(candidates, config.n_rx),
-        "bf": lambda: rl.select_paths_bf(candidates, config.n_rx),
-        "ds": lambda: rl.select_paths_diversity(candidates, "ds", config.n_slots, config.n_rx),
-        "db": lambda: rl.select_paths_diversity(candidates, "db", config.n_slots, config.n_rx),
-    }
-    selections = {scheme: selections[scheme]() for scheme in schemes}
-    runners = {
-        "sm": lambda customs: rl.run_sm(customs[0], config, gamma_th),
-        "bf": lambda customs: rl.run_bf(customs[0], config, gamma_th),
-        "ds": lambda customs: rl.run_ds(customs, config, gamma_th),
-        "db": lambda customs: rl.run_db(customs, config, gamma_th),
+        scheme: select_one(candidates, config.n_rx, scheme,
+                           config.n_slots if scheme in ("ds", "db") else 1)
+        for scheme in schemes
     }
     out = {scheme: [] for scheme in schemes}
     for fading_index in range(n_fading_epochs):
@@ -219,22 +212,26 @@ def _per_epoch_oracle(config, schemes, grid_index, epoch_index, n_fading_epochs,
             est_rx = [dataclasses.replace(t, gains=c.gains) for t, c in zip(template_rx, cur_rx)]
         for scheme in schemes:
             selection = selections[scheme]
-            customs = [
-                rl.build_customized_channel(
-                    selection, (cur_tx, est_rx), deployment, slot=m,
-                    refine=scheme in ("bf", "db"),
-                    exact_subchannels=(cur_tx, cur_rx) if mismatched else None,
-                )
+            multiplex = scheme in ("sm", "ds")
+            designs = [
+                design_one(
+                    selection, (cur_tx, est_rx), deployment, slot=m, refine=not multiplex,
+                    exact_hops=(cur_tx, cur_rx) if mismatched else None,
+                )[0]
                 for m in range(selection.n_slots)
             ]
-            if payload_symbols is None:
-                out[scheme].append(runners[scheme](customs))
-            else:
+            run = transceive._run_multiplex if multiplex else transceive._run_beamform
+            (result,) = run(designs, config, {scheme: len(designs)}, gamma_th)[scheme]
+            if payload_symbols is not None:
                 payload_rng = mc.substream(base_seed, grid_index, epoch_index, fading_index,
                                            mc._PAYLOAD)
-                family = "multiplex" if scheme in ("sm", "ds") else "beamform"
-                out[scheme].append(rl.ber_trial(scheme, customs, config,
-                                                payload_symbols[family], payload_rng, gamma_th))
+                family = "multiplex" if multiplex else "beamform"
+                sent, errors = transceive.payload_errors(
+                    [design.row(0, 0) for design in designs], config, payload_symbols[family],
+                    payload_rng, multiplex,
+                )
+                result = dataclasses.replace(result, bit_errors=errors[-1], bits_sent=sent)
+            out[scheme].append(result)
     return out
 
 

@@ -10,9 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rislink as rl
-from rislink.channel import surface_inner_products
+from rislink.channel import HopStack, _inner_products
+from rislink.selftest import design_one, select_one
 
-from conftest import BASE_SEED, candidate_matrix, draw_scene
+from conftest import BASE_SEED, candidate_matrix, draw_scene, model_channel, profile_arrays
 
 
 def _reflect_gain(gamma, n: int, arrival: float, departure: float) -> complex:
@@ -130,10 +131,10 @@ class TestLeakage:
     def _leakage(self, key, config=None):
         config = config or rl.SystemConfig()
         deployment, ups, downs = draw_scene(config, BASE_SEED, *key)
-        selection = rl.select_paths_sm(candidate_matrix(downs), config.n_rx)
-        custom = rl.build_customized_channel(selection, (ups, downs), deployment)
-        leaked = np.linalg.norm(custom.exact_h - custom.approx_h())
-        return float(leaked / np.linalg.norm(custom.exact_h))
+        selection = select_one(candidate_matrix(downs), config.n_rx, "sm")
+        design = design_one(selection, (ups, downs), deployment)[0].row(0, 0)
+        leaked = np.linalg.norm(design.exact_h - model_channel(design))
+        return float(leaked / np.linalg.norm(design.exact_h))
 
     def test_aligned_leakage_is_usually_small(self):
         n_scenes = 300
@@ -166,12 +167,10 @@ class TestEffectiveGain:
                                         ris_index=kk)
             for kk in range(1, config.n_ris)
         ]
-        inner = surface_inner_products(
-            gammas,
-            np.array([d.departure_freqs for d in downs]),
-            np.array([u.arrival_freqs for u in ups]),
-            deployment.ris_element_counts,
-        )
+        hops = HopStack.from_channels(ups, downs, deployment)
+        inner = _inner_products(
+            *profile_arrays(gammas), hops.rx_departure, hops.tx_arrival, hops.n_elements
+        )[0, 0]
         gain = deployment.path_losses[k] * downs[k].gains[l] * ups[k].gains[0] * inner[k, l, 0]
         expected = (
             deployment.path_losses[k]

@@ -13,53 +13,63 @@ from hypothesis import strategies as st
 
 import rislink as rl
 from rislink import transceive
-from rislink.transceive import _beam_precoder, _multiplex_precoder
+from rislink.selftest import design_one, select_one
+from rislink.transceive import (
+    DEFAULT_OUTAGE_THRESHOLD,
+    _beam_precoder,
+    _multiplex_precoder,
+    _run_beamform,
+    _run_multiplex,
+)
 
 from conftest import BASE_SEED, candidate_matrix, draw_scene, small_config
 
 
-def _customs(config, key, scheme: str, n_slots: int = 1, refine=None):
+def _designs(config, key, scheme: str, n_slots: int = 1):
+    """Each slot's design of one scene: stacks of one row."""
     deployment, ups, downs = draw_scene(config, BASE_SEED, *key)
-    candidates = candidate_matrix(downs)
-    if n_slots == 1 and scheme == "sm":
-        selection = rl.select_paths_sm(candidates, config.n_rx)
-    elif n_slots == 1 and scheme == "bf":
-        selection = rl.select_paths_bf(candidates, config.n_rx)
-    else:
-        selection = rl.select_paths_diversity(candidates, scheme, n_slots,
-                                              config.n_rx)
-    if refine is None:
-        refine = scheme in ("bf", "db")
+    selection = select_one(candidate_matrix(downs), config.n_rx, scheme, n_slots)
+    refine = scheme in ("bf", "db")
     return [
-        rl.build_customized_channel(selection, (ups, downs), deployment,
-                                    slot=m, refine=refine)
+        design_one(selection, (ups, downs), deployment, slot=m, refine=refine)[0]
         for m in range(n_slots)
     ]
+
+
+def _rows(designs):
+    """The one row of each slot's design, as payload passes take them."""
+    return [design.row(0, 0) for design in designs]
+
+
+def _run(scheme, designs, config, gamma_th=DEFAULT_OUTAGE_THRESHOLD):
+    """One scheme's runner over all of ``designs``: its per-row results."""
+    run = _run_multiplex if scheme in ("sm", "ds") else _run_beamform
+    return run(designs, config, {scheme: len(designs)}, gamma_th)[scheme]
 
 
 class TestPrecoding:
     def test_multiplex_precoder_power(self):
         config = rl.SystemConfig(transmit_power=0.4)
-        (custom,) = _customs(config, (70,), "sm")
-        f = _multiplex_precoder(custom, config)
+        (design,) = _rows(_designs(config, (70,), "sm"))
+        f = _multiplex_precoder(design, config)
         assert math.isclose(float(np.linalg.norm(f) ** 2), 0.4, rel_tol=1e-12)
 
     def test_beam_precoder_power_on_orthogonal_beams(self):
         # Active transmit responses sit on distinct DFT beams, so the
         # summed beam carries exactly the configured power.
         config = rl.SystemConfig(transmit_power=0.4)
-        (custom,) = _customs(config, (71,), "bf")
-        f = _beam_precoder(custom, config)
+        (design,) = _rows(_designs(config, (71,), "bf"))
+        f = _beam_precoder(design, config)
         assert math.isclose(float(np.linalg.norm(f) ** 2), 0.4, rel_tol=1e-12)
 
 
 class TestModelSnr:
     def test_multiplex_formula(self):
         config = rl.SystemConfig()
-        (custom,) = _customs(config, (72,), "sm")
-        result = rl.run_sm(custom, config)
+        designs = _designs(config, (72,), "sm")
+        (result,) = _run("sm", designs, config)
         expected = (
-            np.abs(custom.xi_active) ** 2
+            np.abs(_rows(designs)[0].xi_active) ** 2
             * config.transmit_power
             / (config.n_rx * config.noise_power)
         )
@@ -72,12 +82,13 @@ class TestModelSnr:
 
     def test_beamform_formula(self):
         config = rl.SystemConfig()
-        (custom,) = _customs(config, (73,), "bf")
-        result = rl.run_bf(custom, config)
-        n_active = len(custom.xi_active)
+        designs = _designs(config, (73,), "bf")
+        (result,) = _run("bf", designs, config)
+        xi_active = _rows(designs)[0].xi_active
+        n_active = len(xi_active)
         expected = (
             config.transmit_power
-            * float(np.abs(custom.xi_active).sum() ** 2)
+            * float(np.abs(xi_active).sum() ** 2)
             / (n_active * config.noise_power)
         )
         assert math.isclose(result.post_combine_snr[0], expected,
@@ -90,11 +101,10 @@ class TestModelSnr:
         # times four) while stacked noise only doubles: the post-combine
         # SNR is exactly twice the single-slot value.
         config = rl.SystemConfig(n_slots=2)
-        slot0, slot1 = _customs(config, (74,), "ds", n_slots=2)
-        single = rl.run_sm(dataclasses.replace(slot0, selection=rl.select_paths_sm(
-            candidate_matrix(draw_scene(config, BASE_SEED, 74)[2]), config.n_rx)), config)
+        slot0, slot1 = _designs(config, (74,), "ds", n_slots=2)
+        (single,) = _run("sm", [dataclasses.replace(slot0, n_slots=1)], config)
         twin = dataclasses.replace(slot0, slot=1)
-        doubled = rl.run_ds([slot0, twin], config)
+        (doubled,) = _run("ds", [slot0, twin], config)
         assert np.allclose(
             doubled.post_combine_snr,
             2.0 * np.asarray(single.post_combine_snr),
@@ -103,29 +113,28 @@ class TestModelSnr:
 
     def test_outage_threshold_edges(self):
         config = rl.SystemConfig()
-        (custom,) = _customs(config, (75,), "sm")
-        assert rl.run_sm(custom, config, gamma_th=0.0).outage is False
-        assert rl.run_sm(custom, config, gamma_th=math.inf).outage is True
+        designs = _designs(config, (75,), "sm")
+        assert _run("sm", designs, config, gamma_th=0.0)[0].outage is False
+        assert _run("sm", designs, config, gamma_th=math.inf)[0].outage is True
 
 
 class TestSpectralEfficiency:
     def test_positive_and_monotone_in_power(self):
         base = rl.SystemConfig()
-        (custom,) = _customs(base, (76,), "sm")
+        designs = _designs(base, (76,), "sm")
         previous = 0.0
         for power in (1e-3, 1e-2, 1e-1, 1.0):
             config = dataclasses.replace(base, transmit_power=power)
-            se = rl.run_sm(custom, config).se_bits_per_hz
-            assert se > previous
-            previous = se
+            (result,) = _run("sm", designs, config)
+            assert result.se_bits_per_hz > previous
+            previous = result.se_bits_per_hz
 
     def test_vanishes_under_overwhelming_noise(self):
         config = rl.SystemConfig()
-        (custom,) = _customs(config, (77,), "sm")
         drowned = dataclasses.replace(config, noise_power=1e12)
-        assert rl.run_sm(custom, drowned).se_bits_per_hz < 1e-9
-        assert rl.run_bf(_customs(config, (77,), "bf")[0],
-                         drowned).se_bits_per_hz < 1e-9
+        for scheme in ("sm", "bf"):
+            (result,) = _run(scheme, _designs(config, (77,), scheme), drowned)
+            assert result.se_bits_per_hz < 1e-9
 
     def test_multiplex_mean_tracks_closed_form(self):
         config = rl.SystemConfig(transmit_power=0.1)
@@ -169,15 +178,12 @@ class TestSpectralEfficiency:
         assert hopped <= math.log2(1.0 + snr) + 1e-12
 
     def test_single_slot_hopping_reduces_exactly(self):
+        # A one-slot hopping scheme selects, designs and runs exactly as its
+        # single-configuration scheme.
         config = rl.SystemConfig(n_slots=1)
-        (custom_sm,) = _customs(config, (78,), "ds", n_slots=1)
-        (custom_bf,) = _customs(config, (78,), "db", n_slots=1)
-        for single, multi, custom in (
-            (rl.run_sm, rl.run_ds, custom_sm),
-            (rl.run_bf, rl.run_db, custom_bf),
-        ):
-            a = single(custom, config)
-            b = multi([custom], config)
+        for single, hopping in (("sm", "ds"), ("bf", "db")):
+            (a,) = _run(single, _designs(config, (78,), single), config)
+            (b,) = _run(hopping, _designs(config, (78,), hopping, n_slots=1), config)
             assert a.se_bits_per_hz == b.se_bits_per_hz
             assert a.se_model_bits_per_hz == b.se_model_bits_per_hz
             assert a.post_combine_snr == b.post_combine_snr
@@ -185,11 +191,11 @@ class TestSpectralEfficiency:
 
     def test_slot_order_validated(self):
         config = rl.SystemConfig(n_slots=2)
-        slot0, slot1 = _customs(config, (79,), "ds", n_slots=2)
+        slot0, slot1 = _designs(config, (79,), "ds", n_slots=2)
         with pytest.raises(ValueError):
-            rl.run_ds([slot1, slot0], config)
+            _run("ds", [slot1, slot0], config)
         with pytest.raises(ValueError):
-            rl.run_ds([slot0], config)
+            _run("ds", [slot0], config)
 
 
 class TestBitErrorTrials:
@@ -198,58 +204,49 @@ class TestBitErrorTrials:
         # beamforming's matched filter is real positive, so with
         # negligible noise, sign detection is error free.
         config = rl.SystemConfig(n_rx=1, n_ris=4, noise_power=1e-30)
-        (custom,) = _customs(config, (80,), "sm")
-        result = rl.ber_trial("sm", [custom], config, 400,
-                              rl.substream(BASE_SEED, 81))
-        assert result.bit_errors == 0
+        _, errors = transceive.payload_errors(
+            _rows(_designs(config, (80,), "sm")), config, 400, rl.substream(BASE_SEED, 81), True)
+        assert errors == (0,)
         config4 = rl.SystemConfig(noise_power=1e-30)
-        (beam,) = _customs(config4, (80,), "bf")
-        result = rl.ber_trial("bf", [beam], config4, 400,
-                              rl.substream(BASE_SEED, 82))
-        assert result.bit_errors == 0
+        _, errors = transceive.payload_errors(
+            _rows(_designs(config4, (80,), "bf")), config4, 400, rl.substream(BASE_SEED, 82),
+            False)
+        assert errors == (0,)
 
     def test_bit_accounting(self):
         config = rl.SystemConfig()
-        (custom,) = _customs(config, (83,), "sm")
-        result = rl.ber_trial("sm", [custom], config, 100,
-                              rl.substream(BASE_SEED, 84))
-        assert result.bits_sent == 2 * config.n_rx * 100
-        (beam,) = _customs(config, (83,), "bf")
-        result = rl.ber_trial("bf", [beam], config, 100,
-                              rl.substream(BASE_SEED, 85))
-        assert result.bits_sent == 2 * 100
+        sent, _ = transceive.payload_errors(
+            _rows(_designs(config, (83,), "sm")), config, 100, rl.substream(BASE_SEED, 84), True)
+        assert sent == 2 * config.n_rx * 100
+        sent, _ = transceive.payload_errors(
+            _rows(_designs(config, (83,), "bf")), config, 100, rl.substream(BASE_SEED, 85), False)
+        assert sent == 2 * 100
 
     def test_deterministic_for_equal_streams(self):
         config = rl.SystemConfig()
-        (custom,) = _customs(config, (86,), "sm")
-        a = rl.ber_trial("sm", [custom], config, 200,
-                         rl.substream(BASE_SEED, 87))
-        b = rl.ber_trial("sm", [custom], config, 200,
-                         rl.substream(BASE_SEED, 87))
-        assert a.bit_errors == b.bit_errors
+        rows = _rows(_designs(config, (86,), "sm"))
+        a = transceive.payload_errors(rows, config, 200, rl.substream(BASE_SEED, 87), True)
+        b = transceive.payload_errors(rows, config, 200, rl.substream(BASE_SEED, 87), True)
+        assert a == b
 
     def test_error_rate_drops_with_power(self):
         errors = {}
         for label, power in (("low", 1e-3), ("high", 10.0)):
             config = rl.SystemConfig(transmit_power=power, n_slots=2)
-            customs = _customs(config, (88,), "ds", n_slots=2)
+            rows = _rows(_designs(config, (88,), "ds", n_slots=2))
             total = 0
             for i in range(20):
-                total += rl.ber_trial(
-                    "ds", customs, config, 100, rl.substream(BASE_SEED, 89, i)
-                ).bit_errors
+                total += transceive.payload_errors(
+                    rows, config, 100, rl.substream(BASE_SEED, 89, i), True
+                )[1][-1]
             errors[label] = total
         assert errors["high"] < errors["low"]
 
-    def test_unknown_scheme_rejected(self):
+    def test_empty_payload_rejected(self):
         config = rl.SystemConfig()
-        (custom,) = _customs(config, (90,), "sm")
+        rows = _rows(_designs(config, (90,), "sm"))
         with pytest.raises(ValueError):
-            rl.ber_trial("xx", [custom], config, 10,
-                         rl.substream(BASE_SEED, 91))
-        with pytest.raises(ValueError):
-            rl.ber_trial("sm", [custom], config, 0,
-                         rl.substream(BASE_SEED, 92))
+            transceive.payload_errors(rows, config, 0, rl.substream(BASE_SEED, 92), True)
 
 
 class TestPayloadRungs:
@@ -259,17 +256,15 @@ class TestPayloadRungs:
     @pytest.mark.parametrize("scheme", ["ds", "db"])
     def test_rungs_equal_prefix_passes(self, scheme):
         config = rl.SystemConfig(n_slots=3, transmit_power=1e-3)
-        customs = _customs(config, (96,), scheme, n_slots=3)
+        rows = _rows(_designs(config, (96,), scheme, n_slots=3))
         multiplex = scheme == "ds"
-        sent, errors = transceive.payload_errors(customs, config, 80,
+        sent, errors = transceive.payload_errors(rows, config, 80,
                                                  rl.substream(BASE_SEED, 97), multiplex)
         assert len(errors) == 3
         for m in range(3):
-            prefix = transceive.payload_errors(customs[:m + 1], config, 80,
+            prefix = transceive.payload_errors(rows[:m + 1], config, 80,
                                                rl.substream(BASE_SEED, 97), multiplex)
             assert prefix == (sent, errors[:m + 1])
-        assert rl.ber_trial(scheme, customs, config, 80, rl.substream(BASE_SEED, 97)) \
-            .bit_errors == errors[-1]
 
     def test_modulation_table_matches_mapping(self):
         bits = rl.substream(BASE_SEED, 98).integers(0, 2, size=(4, 2, 5000))
@@ -294,32 +289,21 @@ class TestPayloadRungs:
 class TestStackedEpochs:
     """A design over stacked fading epochs against one design per epoch."""
 
-    RUNNERS = {
-        "sm": lambda customs, config: rl.run_sm(customs[0], config),
-        "bf": lambda customs, config: rl.run_bf(customs[0], config),
-        "ds": rl.run_ds,
-        "db": rl.run_db,
-    }
-
     @pytest.mark.parametrize("scheme, n_slots", [("sm", 1), ("bf", 1), ("ds", 2), ("db", 3)])
     def test_stacked_design_and_runners_match_each_epoch(self, scheme, n_slots):
         config = small_config(n_slots=n_slots)
         deployment, ups, downs = draw_scene(config, BASE_SEED, 93)
-        candidates = candidate_matrix(downs)
-        selection = (rl.select_paths_diversity(candidates, scheme, n_slots, config.n_rx)
-                     if n_slots > 1 else
-                     (rl.select_paths_sm if scheme == "sm" else rl.select_paths_bf)(
-                         candidates, config.n_rx))
+        selection = select_one(candidate_matrix(downs), config.n_rx, scheme, n_slots)
         keys = range(3)
         rngs = [rl.substream(BASE_SEED, 94, f) for f in keys]
-        stacked_sub = ([], [])
+        stacked_hops = ([], [])
         for up, down in zip(ups, downs):  # each generator's draw order of a single epoch
-            stacked_sub[0].append(rl.redraw_fading(up, config, deployment, rngs))
-            stacked_sub[1].append(rl.redraw_fading(down, config, deployment, rngs))
+            stacked_hops[0].append(rl.redraw_fading(up, config, deployment, rngs))
+            stacked_hops[1].append(rl.redraw_fading(down, config, deployment, rngs))
         refine = scheme in ("bf", "db")
-        stacked = [rl.build_customized_channel(selection, stacked_sub, deployment, slot=m,
-                                               refine=refine) for m in range(n_slots)]
-        results = self.RUNNERS[scheme](stacked, config)
+        stacked = [design_one(selection, stacked_hops, deployment, slot=m, refine=refine)
+                   for m in range(n_slots)]
+        results = _run(scheme, [design for design, _, _ in stacked], config)
         assert len(results) == len(keys)
         for f in keys:
             rng = rl.substream(BASE_SEED, 94, f)
@@ -327,19 +311,22 @@ class TestStackedEpochs:
             for up, down in zip(ups, downs):
                 single_ups.append(rl.redraw_fading(up, config, deployment, rng))
                 single_downs.append(rl.redraw_fading(down, config, deployment, rng))
-            singles = [rl.build_customized_channel(selection, (single_ups, single_downs),
-                                                   deployment, slot=m, refine=refine)
-                       for m in range(n_slots)]
-            for custom, single in zip(stacked, singles):
-                view = custom.epoch(f)
+            singles = [design_one(selection, (single_ups, single_downs), deployment, slot=m,
+                                  refine=refine) for m in range(n_slots)]
+            for (design, slopes, commons), (single, single_slopes, single_commons) in zip(
+                    stacked, singles):
+                view, single_row = design.row(0, f), single.row(0, 0)
                 for name in ("r_active", "t_active", "xi_active", "exact_h"):
-                    assert getattr(view, name).tobytes() == getattr(single, name).tobytes()
-                assert [(g.slope, g.common_phase) for g in view.gammas] == \
-                    [(g.slope, g.common_phase) for g in single.gammas]
-            assert results[f] == self.RUNNERS[scheme](singles, config)
-            assert rl.ber_trial(scheme, [c.epoch(f) for c in stacked], config, 50,
-                                rl.substream(BASE_SEED, 95, f)) == \
-                rl.ber_trial(scheme, singles, config, 50, rl.substream(BASE_SEED, 95, f))
+                    assert getattr(view, name).tobytes() == getattr(single_row, name).tobytes()
+                assert slopes.tobytes() == single_slopes.tobytes()
+                assert commons[:, f if refine else 0].tobytes() == single_commons[:, 0].tobytes()
+            assert results[f:f + 1] == _run(scheme, [single for single, _, _ in singles], config)
+            assert transceive.payload_errors(
+                [design.row(0, f) for design, _, _ in stacked], config, 50,
+                rl.substream(BASE_SEED, 95, f), scheme in ("sm", "ds")) == \
+                transceive.payload_errors(
+                    [single.row(0, 0) for single, _, _ in singles], config, 50,
+                    rl.substream(BASE_SEED, 95, f), scheme in ("sm", "ds"))
 
 
 class TestPayloadPin:
@@ -363,13 +350,13 @@ class TestPayloadPin:
             for n_slots in range(1, 4):
                 config = small_config(n_rx=n_rx, n_ris=4, n_slots=n_slots)
                 single, hopping = ("sm", "ds") if multiplex else ("bf", "db")
-                customs = _customs(config, (300, n_rx, n_slots),
-                                   single if n_slots == 1 else hopping, n_slots)
+                rows = _rows(_designs(config, (300, n_rx, n_slots),
+                                      single if n_slots == 1 else hopping, n_slots))
                 for noise_power in (1e-14, 1e-12):
                     noisy = config.replace(noise_power=noise_power)
                     for symbols in (1, 7, 1563, 6250):
                         rng = rl.substream(BASE_SEED, 301, n_rx, n_slots, symbols, multiplex)
-                        outcome = transceive.payload_errors(customs, noisy, symbols, rng,
+                        outcome = transceive.payload_errors(rows, noisy, symbols, rng,
                                                             multiplex)
                         results.update(repr(outcome).encode())
                         states.update(repr(rng.bit_generator.state).encode())
@@ -392,8 +379,8 @@ class TestPayloadBuffers:
 
         monkeypatch.setattr(transceive, "_bit_errors", recording)
         config = small_config(n_slots=2, transmit_power=1e-3)
-        customs = {multiplex: _customs(config, (110,), "ds" if multiplex else "db", 2)
-                   for multiplex in (True, False)}
+        rows = {multiplex: _rows(_designs(config, (110,), "ds" if multiplex else "db", 2))
+                for multiplex in (True, False)}
         holders = {
             multiplex: transceive.PayloadBuffers(self.SYMBOLS, config.n_rx, config.n_tx,
                                                  config.n_rx if multiplex else None)
@@ -412,7 +399,7 @@ class TestPayloadBuffers:
         def run(multiplex, seed, buffers):
             rng = rl.substream(BASE_SEED, 112, seed)
             del observed[:]
-            outcome = transceive.payload_errors(customs[multiplex], config, self.SYMBOLS, rng,
+            outcome = transceive.payload_errors(rows[multiplex], config, self.SYMBOLS, rng,
                                                 multiplex, buffers)
             return outcome, repr(rng.bit_generator.state), list(observed)
 
@@ -424,8 +411,8 @@ class TestPayloadBuffers:
 
     def test_holder_of_another_shape_rejected(self):
         config = small_config()
-        customs = _customs(config, (113,), "sm")
+        rows = _rows(_designs(config, (113,), "sm"))
         holder = transceive.PayloadBuffers(10, config.n_rx, config.n_tx, None)
         with pytest.raises(ValueError, match="payload buffers sized for"):
-            transceive.payload_errors(customs, config, 10, rl.substream(BASE_SEED, 114), True,
+            transceive.payload_errors(rows, config, 10, rl.substream(BASE_SEED, 114), True,
                                       holder)
