@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -475,6 +476,9 @@ def _assert_array_draws_match_wrappers(config, key, n_angle):
     return angles
 
 
+_TINY_CONFIG = rl.SystemConfig(gain_target=1e-8, n_ris_rx_paths=12, angle_error_std=0.05)
+
+
 class TestArrayAngleDraws:
     """The engine's array-native angle draws against the per-surface wrappers."""
 
@@ -489,7 +493,7 @@ class TestArrayAngleDraws:
         _assert_array_draws_match_wrappers(rl.SystemConfig(**overrides), 0, 3)
 
     def test_tiny_surfaces_relax_the_threshold(self):
-        config = rl.SystemConfig(gain_target=1e-8, n_ris_rx_paths=12, angle_error_std=0.05)
+        config = _TINY_CONFIG
         angles = _assert_array_draws_match_wrappers(config, 1, 4)
         paths = 1 + config.n_nlos_tx_paths + config.n_ris_rx_paths
         # The mainlobe rule asks for more clearance than the circle holds.
@@ -525,6 +529,104 @@ class TestArrayAngleDraws:
             _per_surface_epoch(config, rl.substream(BASE_SEED, 72), rl.substream(BASE_SEED, 73))
         with pytest.raises(rl.SamplingError):
             draw_angle_epochs(config, surface_geometry(config), [rl.substream(BASE_SEED, 72)])
+
+
+_NAMED_CONFIGS = [
+    dict(n_nlos_tx_paths=0),
+    dict(angle_error_std=0.05),
+    dict(n_ris=2, n_rx=2, n_ris_rx_paths=7, angle_error_std=0.3),
+    dict(n_rx=1, n_ris=1),
+    dict(n_ris_rx_paths=30, n_nlos_tx_paths=3),
+]
+
+
+def _random_configs(count):
+    """Seeded random configs (1-3 streams, up to two spare surfaces, 0-3
+    transmit-side and 1-16 receive-side scattered paths, three surface
+    sizes), cycling the angle error through 0, 0.05 and 0.5; each with its
+    stream key and its number of angle epochs."""
+    rng = rl.substream(BASE_SEED, 74)
+    out = []
+    for i in range(count):
+        n_rx = int(rng.integers(1, 4))
+        config = rl.SystemConfig(
+            n_tx=8, n_rx=n_rx, n_ris=n_rx + int(rng.integers(0, 3)),
+            n_nlos_tx_paths=int(rng.integers(0, 4)), n_ris_rx_paths=int(rng.integers(1, 17)),
+            angle_error_std=(0.0, 0.05, 0.5)[i % 3],
+            gain_target=(1e-6, 2e-7, 1e-8)[int(rng.integers(0, 3))],
+        )
+        out.append((config, int(rng.integers(0, 2**16)), int(rng.integers(1, 4))))
+    return out
+
+
+def _update(digest, *arrays):
+    for array in arrays:
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+
+
+def _draw_digests(cases, n_fading=2):
+    """sha256 of the array draws of every (config, key, angle epochs) case
+    and of their generators' states afterwards: every angle array and the
+    line-of-sight gains; with angle error, each angle epoch's perturbed
+    receive-side frequencies; the gains of ``n_fading`` fading epochs."""
+    arrays, states = hashlib.sha256(), hashlib.sha256()
+    for config, key, n_angle in cases:
+        rngs = [rl.substream(BASE_SEED, 70, key, a) for a in range(n_angle)]
+        angles, los_gains = draw_angle_epochs(config, surface_geometry(config), rngs)
+        _update(arrays, *(angles[name] for name in _ANGLE_ARRAYS), los_gains)
+        if config.angle_error_std:
+            for a in range(n_angle):
+                error_rng = rl.substream(BASE_SEED, 71, key, a)
+                _update(arrays, *_angle_errors(config.angle_error_std, angles["rx_arrival"][a],
+                                               angles["rx_departure"][a], error_rng))
+                rngs.append(error_rng)
+        fading_rngs = [[rl.substream(BASE_SEED, 72, key, a, f) for f in range(n_fading)]
+                       for a in range(n_angle)]
+        _update(arrays, *draw_fading_gains(config, angles["n_elements"], los_gains, fading_rngs))
+        for rng in rngs + [rng for row in fading_rngs for rng in row]:
+            states.update(_state(rng).encode())
+    return arrays.hexdigest(), states.hexdigest()
+
+
+_ANGLE_ARRAYS = ("tx_arrival", "tx_departure", "rx_arrival", "rx_departure", "n_elements",
+                 "losses")
+
+
+class TestArrayDrawPin:
+    """Frozen array draws: sha256 of every angle array, line-of-sight gain,
+    angle error and fading gain, and of every generator's state after its
+    draws, on the named configs and on 40 seeded random ones.  A change to
+    the draws must keep both digests."""
+
+    NAMED = [
+        ("1bdd1b37cac26f3146fd52b5512117a8366c7a6990ad002ea70390bb8332891f",
+         "4a3f2be152b5ad0d9233dc99539aa77c27ff1b66d5c6839b592750f1a1dee17f"),
+        ("8792f7fd2aae05f00986e813b490756f6ce2b74476b31e3dc5c2351452278f81",
+         "3a6ad718ade7e6a8e9bf62929d709deaba53325b40aaae5b23cd218c45a15de8"),
+        ("f5a9c147da5b5e0e57a203417132024b0c7eb8580c90a15b1eb432115bb38301",
+         "941a44fbe08f69353ab6d09fc118adc2b008236032416213af6ffded598c1206"),
+        ("0ef97b6e7b44504c4f15a9729a5c1028838a36af31b2a935392fcfae0846cc76",
+         "a2b58efbc012498ffdf91fb68c977b55cb274163c649771a2a175f8c7f3078cc"),
+        ("f9479b431f2b69b31a558da6aedaea3bdef4dbdb691188ef55f288dad39ac996",
+         "ed79a27e4d6ac4716a81fa72a7b4e9fd341d7038ddb20f147fb983555c67be18"),
+    ]
+    RANDOM = ("e984478bdb04220b67c1c34e866fa7f64137749a0a9f631d7d531599019d1396",
+              "df845630e4daf7883897c9e71d05e51f7c1db53cfeac6cee7e75e999d553413f")
+    # Surfaces so small that the sampler relaxes its threshold.
+    TINY = ("d94318cfca7f82d774d18208567beec535e05f4b1abee4cc6ce0e0ea3ba2e865",
+            "506c3edc9b2460d2d49a175147aa75f6e7fb5c5eb99f5bfde16e992271bf0711")
+
+    @pytest.mark.parametrize("index", range(len(_NAMED_CONFIGS)))
+    def test_named_configs_frozen(self, index):
+        config = rl.SystemConfig(**_NAMED_CONFIGS[index])
+        assert _draw_digests([(config, 0, 3)]) == self.NAMED[index]
+
+    def test_random_configs_frozen(self):
+        assert _draw_digests(_random_configs(40)) == self.RANDOM
+
+    def test_tiny_surfaces_frozen(self):
+        assert _draw_digests([(_TINY_CONFIG, 1, 4)]) == self.TINY
 
 
 def _composite_of(ups, profiles, downs, deployment) -> np.ndarray:
