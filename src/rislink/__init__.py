@@ -13,27 +13,15 @@ from .analysis import (
     se_db_upper,
     se_sm_approx,
     se_sm_upper,
-    sym_func,
-)
-from .channel import (
-    MultipathChannel,
-    array_response,
-    draw_ris_rx_channel,
-    draw_tx_ris_channel,
-    min_angle_separation,
-    redraw_fading,
 )
 from .config import (
-    Deployment,
     SystemConfig,
     db2lin,
     dbm2watt,
     dump_config,
-    lin2db,
     load_config,
     parse_config_value,
     path_loss,
-    place_deployment,
     ris_element_count,
     watt2dbm,
 )
@@ -55,15 +43,10 @@ from .montecarlo import (
     estimate_ber,
     estimate_ergodic_se,
     estimate_outage,
-    inject_angle_error,
     substream,
     wilson_half_width,
 )
-from .ris import (
-    RisConfiguration,
-    align_phases,
-    common_phase_refinement,
-)
+from .ris import common_phase_refinement
 from .transceive import SchemeResult
 
 __version__ = "0.1.0"
@@ -72,12 +55,9 @@ __all__ = [
     "ClosedFormParams",
     "ConfigurationError",
     "ConvergenceError",
-    "Deployment",
-    "MultipathChannel",
     "NoCrossingError",
     "PathSelection",
     "PlacementError",
-    "RisConfiguration",
     "RislinkError",
     "SamplingError",
     "SchemeResult",
@@ -86,30 +66,21 @@ __all__ = [
     "SweepResult",
     "SystemConfig",
     "TrialPlan",
-    "align_phases",
     "apply_axis",
-    "array_response",
     "common_phase_refinement",
     "crossing_point",
     "crossing_point_three_stream",
     "crossing_point_two_stream",
     "db2lin",
     "dbm2watt",
-    "draw_ris_rx_channel",
-    "draw_tx_ris_channel",
     "dump_config",
     "estimate_ber",
     "estimate_ergodic_se",
     "estimate_outage",
     "exp_integral_ei",
-    "inject_angle_error",
-    "lin2db",
     "load_config",
-    "min_angle_separation",
     "parse_config_value",
     "path_loss",
-    "place_deployment",
-    "redraw_fading",
     "ris_element_count",
     "scaled_ei_neg",
     "se_bf_upper",
@@ -117,7 +88,6 @@ __all__ = [
     "se_sm_approx",
     "se_sm_upper",
     "substream",
-    "sym_func",
     "watt2dbm",
     "wilson_half_width",
 ]

@@ -324,17 +324,6 @@ def _symmetric_sums(values: list[float], order: int) -> list[float]:
     return acc
 
 
-def sym_func(values, order: int) -> float:
-    """Elementary symmetric polynomial of the given entries.
-
-    Order 0 returns 1; the order may not exceed the number of entries.
-    """
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    if not 0 <= order <= values.size:
-        raise ValueError(f"order {order} out of range for {values.size} entries")
-    return _symmetric_sums(values.ravel().tolist(), order)[order]
-
-
 def _crossing_polynomial(params: ClosedFormParams):
     """Coefficients and right-hand side of the crossing-point equation.
 

@@ -2,85 +2,35 @@
 
 Every transmitter-to-surface link is Rician (one deterministic
 line-of-sight path plus a few scattered paths); every surface-to-receiver
-link is pure Rayleigh scattering.  Each hop holds one read-only array per
-path attribute (gains, arrival and departure frequencies).  A fading epoch
-swaps only the gains array; the angle arrays are shared for the whole
-angle epoch, and the gains of several fading epochs can be stacked on a
-leading epoch axis.  A :class:`HopStack` holds both hops of every surface
-for a block of angle epochs as arrays, with a leading angle axis on the
-angles and (angle, fading) axes on the gains.  :func:`composite` builds
-the end-to-end matrices of every row of a stack from these arrays and the
+link is pure Rayleigh scattering.  The two timescales of the link are two
+draws.  :func:`draw_angle_epochs` draws what stays fixed over an angle
+epoch (the receiver drop, which sizes the surfaces, and every path's
+angles); :func:`draw_fading_gains` draws what changes every fading epoch
+(the scattered path gains).  A :class:`HopStack` holds both hops of every
+surface for a block of angle epochs as arrays, with a leading angle axis
+on the angles and (angle, fading) axes on the gains, so the fading epochs
+of one angle epoch share its angle arrays.  :func:`composite` builds the
+end-to-end matrices of every row of a stack from these arrays and the
 surfaces' linear phase profiles alone: every surface inner product is a
 Dirichlet kernel, so no hop matrix is ever materialized
-(``rislink.selftest.dense_composite`` is the dense oracle).  One angle
-epoch's per-surface hops make a stack of one
-(:meth:`HopStack.from_channels`).
+(``rislink.selftest.dense_composite`` is the dense oracle).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .config import Deployment, SurfaceGeometry, SystemConfig, drop_receiver, receiver_losses
+from .config import SurfaceGeometry, SystemConfig, drop_receiver, receiver_losses
 from .errors import SamplingError
 
 TX_RIS = "tx-ris"
 RIS_RX = "ris-rx"
-
-
-def array_response(n_elements: int, spatial_freq: float) -> np.ndarray:
-    """Unit-norm uniform-linear-array response at a spatial frequency.
-
-    Element ``i`` contributes ``exp(1j * i * spatial_freq) / sqrt(n)``.
-    """
-    return np.exp(1j * spatial_freq * np.arange(n_elements)) / math.sqrt(n_elements)
-
-
-@dataclass(frozen=True, eq=False)
-class MultipathChannel:
-    """One hop of the link as per-path arrays.
-
-    ``link`` is either ``"tx-ris"`` (matrix shape: surface elements by
-    transmit antennas, path 0 is the line of sight) or ``"ris-rx"``
-    (receive antennas by surface elements, all paths scattered).
-    Entry ``l`` of ``gains``, ``arrival_freqs`` (output side) and
-    ``departure_freqs`` (input side) describes path ``l``.  ``gains`` may
-    carry a leading fading-epoch axis, shape (F, L), over the same angles.
-    The arrays are read-only, so channels can share them and nobody can
-    write through one; a writable array passed in is copied first.
-    """
-
-    link: str
-    ris_index: int
-    n_out: int
-    n_in: int
-    gains: np.ndarray
-    arrival_freqs: np.ndarray
-    departure_freqs: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name, dtype in (("gains", complex), ("arrival_freqs", float),
-                            ("departure_freqs", float)):
-            values = np.asarray(getattr(self, name), dtype=dtype)
-            if values.flags.writeable:
-                values = values.copy()
-                values.flags.writeable = False
-            object.__setattr__(self, name, values)
-        if (
-            self.arrival_freqs.ndim != 1
-            or self.gains.ndim not in (1, 2)
-            or not self.gains.shape[-1:] == self.arrival_freqs.shape == self.departure_freqs.shape
-        ):
-            raise ValueError(
-                "frequencies must be 1-D arrays of one length, and gains must match "
-                "them, optionally with a leading epoch axis"
-            )
 
 
 def _response_matrix(n_elements: int, freqs: np.ndarray) -> np.ndarray:
@@ -189,24 +139,9 @@ def _scatter_scale(config: SystemConfig, link: str, n_s: int, count: int) -> flo
     return math.sqrt(config.n_rx * n_s / count)
 
 
-def _scattered_gains(
-    config: SystemConfig, link: str, n_s: int, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Fresh gains of a hop's ``count`` scattered paths (an empty draw when
-    ``count`` is 0)."""
-    return _scatter_scale(config, link, n_s, count) * _complex_normal(rng, count)
-
-
-def min_angle_separation(deployment: Deployment) -> float:
-    """Smallest allowed spacing of surface-side spatial frequencies.
-
-    Tied to the largest beam width in the deployment: one full mainlobe of
-    the smallest surface.
-    """
-    return _separation(deployment.ris_element_counts)
-
-
 def _separation(n_elements: np.ndarray) -> float:
+    """Smallest allowed spacing of surface-side spatial frequencies: one
+    full mainlobe of the smallest surface."""
     return 2.0 * math.pi / float(np.min(n_elements))
 
 
@@ -227,60 +162,7 @@ def _scattered_paths(
     count = config.n_nlos_tx_paths if link == TX_RIS else config.n_ris_rx_paths
     at_surface = _draw_separated_freqs(rng, count, keep_away, separation)
     far = math.pi * np.cos(rng.uniform(0.0, math.pi, size=count))
-    return at_surface, far, _scattered_gains(config, link, n_s, count, rng)
-
-
-def draw_tx_ris_channel(
-    config: SystemConfig,
-    deployment: Deployment,
-    k: int,
-    rng: np.random.Generator,
-    separation: float | None = None,
-) -> MultipathChannel:
-    """Draw the Rician transmitter-to-surface hop for surface ``k``.
-
-    Path 0 is the deterministic line of sight fixed by the geometry with a
-    real positive gain carrying the whole Rician-factor weight; the
-    scattered paths get i.i.d. complex-Gaussian gains.  Scattered arrival
-    frequencies at the surface are rejection-sampled to stay ``separation``
-    away from the line of sight and from each other.
-    """
-    if separation is None:
-        separation = min_angle_separation(deployment)
-    n_s = int(deployment.ris_element_counts[k])
-    los_arrival = deployment.los_arrival_freq(k)
-    arrivals, departures, gains = _scattered_paths(
-        config, TX_RIS, n_s, np.array([los_arrival]), rng, separation
-    )
-    return MultipathChannel(
-        TX_RIS, k, n_s, config.n_tx,
-        gains=np.concatenate(([_los_gain(config, n_s)], gains)),
-        arrival_freqs=np.concatenate(([los_arrival], arrivals)),
-        departure_freqs=np.concatenate(([deployment.los_departure_freq(k)], departures)),
-    )
-
-
-def draw_ris_rx_channel(
-    config: SystemConfig,
-    deployment: Deployment,
-    k: int,
-    rng: np.random.Generator,
-    separation: float | None = None,
-    keep_away: np.ndarray | Sequence[float] = (),
-) -> MultipathChannel:
-    """Draw the Rayleigh surface-to-receiver hop for surface ``k``.
-
-    Departure frequencies at the surface are rejection-sampled to stay
-    ``separation`` away from each other and from ``keep_away`` (typically
-    the arrival frequencies already in use on the same surface).
-    """
-    if separation is None:
-        separation = min_angle_separation(deployment)
-    n_s = int(deployment.ris_element_counts[k])
-    departures, arrivals, gains = _scattered_paths(
-        config, RIS_RX, n_s, np.asarray(keep_away), rng, separation
-    )
-    return MultipathChannel(RIS_RX, k, config.n_rx, n_s, gains, arrivals, departures)
+    return at_surface, far, _scatter_scale(config, link, n_s, count) * _complex_normal(rng, count)
 
 
 def draw_angle_epochs(
@@ -289,13 +171,16 @@ def draw_angle_epochs(
     """Every angle epoch's receiver drop and path angles, straight into arrays.
 
     ``rngs[a]`` is angle epoch ``a``'s generator.  An epoch drops the
-    receiver and sizes the surfaces, then draws per surface the
-    transmitter-to-surface hop and the surface-to-receiver hop (kept away
-    from the first hop's arrivals): the calls of :func:`place_deployment`,
-    :func:`draw_tx_ris_channel` and :func:`draw_ris_rx_channel` in that
-    order, so every value and the generator's state after equal theirs bit
-    for bit.  The scattered gains are drawn and dropped; fading epochs
-    redraw them.  Returns the angle fields of a :class:`HopStack`
+    receiver (:func:`rislink.config.drop_receiver`), which sizes the
+    surfaces, then draws surface by surface the scattered paths of the
+    transmitter-to-surface hop (arrivals kept away from the line of sight)
+    and then those of the surface-to-receiver hop (departures kept away
+    from every transmit-side arrival at that surface), all at the spacing
+    of the smallest surface.  Each hop draws its surface-side frequencies,
+    its far-side frequencies and its scattered gains, in that order; the
+    gains are dropped, since fading epochs redraw them.
+    ``tests/test_channel.py`` pins every value and each generator's final
+    state by digest.  Returns the angle fields of a :class:`HopStack`
     (frequencies (A, K, L), element counts and losses (A, K)) and the
     line-of-sight gains (A, K).
     """
@@ -331,32 +216,6 @@ def draw_angle_epochs(
     return angles, _los_gain(config, n_elements)
 
 
-def redraw_fading(
-    channel: MultipathChannel,
-    config: SystemConfig,
-    deployment: Deployment,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-) -> MultipathChannel:
-    """Redraw the scattered path gains of a hop, keeping every angle.
-
-    Models a new small-scale fading epoch inside one angle-coherence
-    interval; the deterministic line of sight is untouched.  ``channel``
-    holds the gains of a single epoch.  Given a sequence of generators,
-    one per fading epoch, the result stacks one redraw per generator on a
-    leading epoch axis: gains of shape (F, L).
-    """
-    n_s = int(deployment.ris_element_counts[channel.ris_index])
-    n_kept = 1 if channel.link == TX_RIS else 0
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else rng
-    gains = np.empty((len(rngs), channel.gains.size), dtype=complex)
-    gains[:, :n_kept] = channel.gains[:n_kept]
-    for row, epoch_rng in zip(gains, rngs):
-        row[n_kept:] = _scattered_gains(config, channel.link, n_s, row.size - n_kept, epoch_rng)
-    gains.flags.writeable = False
-    return replace(channel, gains=gains[0] if single else gains)
-
-
 def dirichlet_kernel(delta, n_elements):
     """``(1/n) * sum_{i<n} exp(1j * i * delta)`` in closed form, broadcasting.
 
@@ -383,10 +242,10 @@ def draw_fading_gains(
     ``rngs[a][f]`` is the generator of fading epoch ``f`` of angle epoch
     ``a``, whose surfaces have ``n_elements[a]`` elements and line-of-sight
     gains ``los_gains[a]``.  Each generator makes one normal draw for all
-    surfaces, sliced in the order of :func:`redraw_fading` surface by
-    surface (transmit-side gains, then receive-side gains; real parts,
-    then imaginary parts), so every gain equals that redraw's bit for bit.
-    Returns (A, F, K, 1 + L_T) transmit-side and (A, F, K, L_R)
+    surfaces, sliced surface by surface into the real parts and then the
+    imaginary parts of the transmit-side scattered gains, then the same
+    for the receive-side gains.  The line-of-sight gains are copied in
+    unchanged.  Returns (A, F, K, 1 + L_T) transmit-side and (A, F, K, L_R)
     receive-side gains.
     """
     n_tx_paths, n_rx_paths = config.n_nlos_tx_paths, config.n_ris_rx_paths
@@ -435,35 +294,6 @@ class HopStack:
     rx_gains: np.ndarray
     n_elements: np.ndarray
     losses: np.ndarray
-
-    @classmethod
-    def from_channels(
-        cls,
-        tx_ris: Sequence[MultipathChannel],
-        ris_rx: Sequence[MultipathChannel],
-        deployment: Deployment,
-    ) -> "HopStack":
-        """One angle epoch's hops; single-epoch gains get an F axis of 1."""
-
-        def stacked(hops, name):
-            return np.array([getattr(hop, name) for hop in hops])[None]
-
-        def gains(hops):
-            values = np.stack([hop.gains for hop in hops], axis=-2)
-            return values.reshape((1, -1) + values.shape[-2:])
-
-        return cls(
-            n_rx=ris_rx[0].n_out,
-            n_tx=tx_ris[0].n_in,
-            tx_arrival=stacked(tx_ris, "arrival_freqs"),
-            tx_departure=stacked(tx_ris, "departure_freqs"),
-            tx_gains=gains(tx_ris),
-            rx_arrival=stacked(ris_rx, "arrival_freqs"),
-            rx_departure=stacked(ris_rx, "departure_freqs"),
-            rx_gains=gains(ris_rx),
-            n_elements=stacked(ris_rx, "n_in"),
-            losses=deployment.path_losses[None, :len(tx_ris)],
-        )
 
     @cached_property
     def rx_steering(self) -> np.ndarray:

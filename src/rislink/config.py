@@ -26,11 +26,6 @@ def db2lin(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
-def lin2db(value: float) -> float:
-    """Convert a linear power ratio to dB."""
-    return 10.0 * math.log10(value)
-
-
 def dbm2watt(value_dbm: float) -> float:
     """Convert a power level from dBm to watts."""
     return 10.0 ** ((value_dbm - 30.0) / 10.0)
@@ -164,44 +159,6 @@ def ris_element_count(gain_target: float, loss: float) -> int:
     return max(1, math.floor(gain_target / loss + 0.5))
 
 
-@dataclass(frozen=True, eq=False)
-class Deployment:
-    """Realized geometry: positions, element counts, cascaded losses.
-
-    Surfaces are ordered by decreasing y-coordinate.  ``direction_cosines``
-    holds the transmit-array direction cosine of each surface; the line of
-    sight toward surface ``k`` leaves the transmitter at spatial frequency
-    ``pi * direction_cosines[k]``.
-    """
-
-    tx_position: np.ndarray
-    rx_position: np.ndarray
-    ris_positions: np.ndarray
-    ris_element_counts: np.ndarray
-    path_losses: np.ndarray
-    direction_cosines: np.ndarray
-
-    @property
-    def n_ris(self) -> int:
-        return self.ris_positions.shape[0]
-
-    @property
-    def tx_ris_distances(self) -> np.ndarray:
-        return np.linalg.norm(self.ris_positions - self.tx_position, axis=1)
-
-    @property
-    def ris_rx_distances(self) -> np.ndarray:
-        return np.linalg.norm(self.ris_positions - self.rx_position, axis=1)
-
-    def los_departure_freq(self, k: int) -> float:
-        """Spatial frequency at the transmitter of the LoS toward surface k."""
-        return math.pi * float(self.direction_cosines[k])
-
-    def los_arrival_freq(self, k: int) -> float:
-        """Spatial frequency at surface k of the LoS arriving from the transmitter."""
-        return _los_arrival_freq(self.tx_position, self.ris_positions[k])
-
-
 def _los_arrival_freq(tx_position: np.ndarray, ris_position: np.ndarray) -> float:
     delta = tx_position - ris_position
     return math.pi * float(delta[1] / np.linalg.norm(delta))
@@ -226,10 +183,14 @@ def _distances(config: SystemConfig) -> str:
 class SurfaceGeometry:
     """The part of a deployment that does not depend on the receiver drop.
 
-    Holds what :class:`Deployment` holds for the transmitter and the
-    surfaces, plus each surface's distance from the transmitter and the
+    Holds the transmitter and surface positions, the transmit-array
+    direction cosine of each surface (surfaces are ordered by decreasing
+    y-coordinate), each surface's distance from the transmitter, and the
     spatial frequencies of its line of sight: ``los_arrival`` at the
-    surface, ``los_departure`` at the transmitter.
+    surface, ``los_departure`` at the transmitter (``pi`` times the
+    direction cosine).  An angle epoch adds the receiver drop
+    (:func:`drop_receiver`), from which :func:`receiver_losses` sizes the
+    surfaces.
     """
 
     tx_position: np.ndarray
@@ -241,7 +202,11 @@ class SurfaceGeometry:
 
 
 def surface_geometry(config: SystemConfig) -> SurfaceGeometry:
-    """Place one surface per selected DFT beam (see :func:`place_deployment`).
+    """Place one surface per selected DFT beam.
+
+    The ``n_ris`` usable beams closest to broadside are kept (positive
+    direction cosine wins ties), and each surface sits on the vertical line
+    ``x = ris_axis_distance`` along its beam.
 
     Raises
     ------
@@ -315,42 +280,6 @@ def receiver_losses(
             f"is too large for the deployment distances {_distances(config)}"
         ) from exc
     return losses, counts
-
-
-def place_deployment(
-    config: SystemConfig,
-    rng: np.random.Generator | None,
-    rx_position: np.ndarray | None = None,
-) -> Deployment:
-    """Drop the receiver and place one surface per selected DFT beam.
-
-    The ``n_ris`` usable beams closest to broadside are kept (positive
-    direction cosine wins ties), each surface sits on the vertical line
-    ``x = ris_axis_distance`` along its beam, and element counts are sized
-    from the realized cascaded losses.  The receiver position is drawn
-    uniformly on the drop disk from ``rng`` unless given explicitly.  This
-    is :func:`surface_geometry`, :func:`drop_receiver` and
-    :func:`receiver_losses` in one.
-
-    Raises
-    ------
-    PlacementError
-        If fewer than ``n_ris`` DFT beams intersect the surface line.
-    """
-    surfaces = surface_geometry(config)
-    if rx_position is None:
-        rx_position = drop_receiver(config, rng)
-    else:
-        rx_position = np.asarray(rx_position, dtype=float)
-    losses, counts = receiver_losses(config, surfaces, rx_position)
-    return Deployment(
-        tx_position=surfaces.tx_position,
-        rx_position=rx_position,
-        ris_positions=surfaces.ris_positions,
-        ris_element_counts=counts,
-        path_losses=losses,
-        direction_cosines=surfaces.direction_cosines,
-    )
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SystemConfig)}

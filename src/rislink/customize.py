@@ -304,7 +304,10 @@ def select_paths_stack(
     (subset, assignment).  Each later slot greedily re-runs the same
     search restricted to each active surface's unused paths, with the
     active surface set frozen, so ``n_slots`` is at most ``n_paths``.
+    A scheme outside ``SCHEME_TAGS`` raises ``ValueError``.
     """
+    if scheme not in SCHEME_TAGS:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {', '.join(SCHEME_TAGS)}")
     multiplex = scheme in ("sm", "ds")
     n_angle = len(terms.gram)
     n_ris = terms.gram.shape[-1] // n_paths

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import TX_RIS, HopStack, MultipathChannel, draw_angle_epochs, draw_fading_gains
+from .channel import HopStack, draw_angle_epochs, draw_fading_gains
 from .config import SystemConfig, db2lin, dbm2watt, receiver_losses, surface_geometry
 from .customize import (
     SCHEME_TAGS,
@@ -174,34 +174,15 @@ class SweepResult:
     n_trials: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
 
-def inject_angle_error(
-    channel: MultipathChannel, sigma_e: float, rng: np.random.Generator
-) -> MultipathChannel:
-    """Perturbed copy modeling imperfect surface-to-receiver angle estimates.
-
-    Every spatial frequency of a surface-to-receiver hop gains independent
-    real Gaussian noise of standard deviation ``sigma_e``; transmitter-side
-    hops are returned untouched (their geometry is known exactly).  The
-    perturbed copy is meant for selection and phase design only, never for
-    realizing the channel the link actually sees.
-    """
-    if sigma_e < 0:
-        raise ValueError("sigma_e must be non-negative")
-    if sigma_e == 0 or channel.link == TX_RIS:
-        return channel
-    arrivals, departures = _angle_errors(
-        sigma_e, channel.arrival_freqs[None], channel.departure_freqs[None], rng
-    )
-    return replace(channel, arrival_freqs=arrivals[0], departure_freqs=departures[0])
-
-
 def _angle_errors(
     sigma_e: float, arrivals: np.ndarray, departures: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Perturbed copies of the surface-to-receiver frequencies of one angle
-    epoch, shape (K, L): one normal draw holds, per surface, the arrivals'
-    errors and then the departures', as :func:`inject_angle_error` draws
-    them surface by surface."""
+    """Estimates of the surface-to-receiver frequencies of one angle epoch,
+    shape (K, L), for selection and phase design only: every frequency
+    gains independent real Gaussian noise of standard deviation
+    ``sigma_e``.  One normal draw holds, surface by surface, the arrivals'
+    errors and then the departures'.  Transmit-side angles are known
+    exactly and never perturbed."""
     errors = sigma_e * rng.standard_normal((len(arrivals), 2, arrivals.shape[-1]))
     return arrivals + errors[:, 0], departures + errors[:, 1]
 
@@ -231,11 +212,11 @@ def _run_chunk(
     """Evaluate every scheme over the rows of a chunk of angle epochs.
 
     Every angle epoch draws from its own substreams in the order of a
-    single-epoch run, straight into the chunk's arrays (see
-    :func:`draw_angle_epochs`): deployment, then per surface the
-    transmit-side and receive-side hops, then the angle-error
-    perturbation; every fading epoch draws its gains from its own
-    generator (see :func:`draw_fading_gains`).  Above the draws the chunk
+    single-epoch run, straight into the chunk's arrays: its receiver drop
+    and path angles (:func:`draw_angle_epochs`), then, with angle error,
+    the perturbed estimates on a second substream (:func:`_angle_errors`);
+    every fading epoch draws its gains from its own generator
+    (:func:`draw_fading_gains`).  Above the draws the chunk
     runs as stacked rows: one set of search terms serves every selection,
     each scheme family selects once (the hopping search when its hopping
     scheme is requested), and then, for at most ``CHUNK_ROWS`` rows at a

@@ -7,6 +7,7 @@ diagnosable without the full test suite.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -14,16 +15,15 @@ import numpy as np
 
 from . import analysis
 from .channel import (
+    RIS_RX,
+    TX_RIS,
     HopStack,
     _response_matrix,
-    array_response,
     composite,
     draw_angle_epochs,
-    draw_ris_rx_channel,
-    draw_tx_ris_channel,
-    min_angle_separation,
+    draw_fading_gains,
 )
-from .config import SystemConfig, place_deployment, surface_geometry
+from .config import SystemConfig, receiver_losses, surface_geometry
 from .customize import (
     DEFAULT_SEARCH_CAP,
     SearchTerms,
@@ -35,35 +35,55 @@ from .customize import (
     select_paths_stack,
 )
 from .errors import NoCrossingError, RislinkError
-from .montecarlo import TrialPlan, estimate_ergodic_se, substream
-from .ris import RisConfiguration, align_phases
+from .montecarlo import TrialPlan, _angle_errors, estimate_ergodic_se, substream
 from .transceive import DEFAULT_OUTAGE_THRESHOLD, PayloadBuffers, _run_multiplex, payload_errors
 
 
-def _draw_scene(config, seed=7):
-    rng = substream(seed, 0)
-    deployment = place_deployment(config, rng, rx_position=(config.rx_center_distance, 0.0))
-    ups, downs = [], []
-    for k in range(config.n_ris):
-        ups.append(draw_tx_ris_channel(config, deployment, k, rng))
-        keep = ups[-1].arrival_freqs
-        downs.append(draw_ris_rx_channel(config, deployment, k, rng, keep_away=keep))
-    return deployment, ups, downs
+def _draw_scene(config, seed=7) -> HopStack:
+    """One angle epoch and one fading epoch of the engine's draws, a stack
+    of one row: the angles on substream ``(seed, 0)``, the gains on
+    ``(seed, 0, 1)``."""
+    angles, los_gains = draw_angle_epochs(config, surface_geometry(config), [substream(seed, 0)])
+    rngs = [[substream(seed, 0, 1)]]
+    tx_gains, rx_gains = draw_fading_gains(config, angles["n_elements"], los_gains, rngs)
+    return HopStack(tx_gains=tx_gains, rx_gains=rx_gains, **angles)
 
 
-def hop_matrix(channel) -> np.ndarray:
-    """Dense oracle of one hop: the full matrix as a sum of rank-one path terms."""
-    a_out = _response_matrix(channel.n_out, channel.arrival_freqs) * channel.gains
-    return a_out @ _response_matrix(channel.n_in, channel.departure_freqs).conj().T
+def hop_matrix(hops: HopStack, link: str, k: int, a: int = 0, f: int = 0) -> np.ndarray:
+    """Dense oracle of one hop: surface ``k``'s transmitter-to-surface
+    (``link`` ``TX_RIS``, elements by transmit antennas) or
+    surface-to-receiver (``RIS_RX``, receive antennas by elements) matrix
+    in row (a, f) of a stack, as a sum of rank-one path terms."""
+    n_s = int(hops.n_elements[a, k])
+    if link == TX_RIS:
+        n_out, n_in, out_freqs, in_freqs = n_s, hops.n_tx, hops.tx_arrival, hops.tx_departure
+        gains = hops.tx_gains
+    else:
+        n_out, n_in, out_freqs, in_freqs = hops.n_rx, n_s, hops.rx_arrival, hops.rx_departure
+        gains = hops.rx_gains
+    a_out = _response_matrix(n_out, out_freqs[a, k]) * gains[a, f, k]
+    return a_out @ _response_matrix(n_in, in_freqs[a, k]).conj().T
 
 
-def dense_composite(ups, phase_vectors, downs, deployment) -> np.ndarray:
-    """Dense oracle of the end-to-end matrix, ``sum_k loss_k * H_rx_k @
-    diag(gamma_k) @ H_tx_k``, with every surface element materialized.
-    The simulator never builds it; tests and these checks compare against it."""
+def phase_profile(n_elements: int, slope: float, common: float = 0.0) -> np.ndarray:
+    """Reflection coefficients of a linear profile: element ``i`` applies
+    ``i * slope + common`` radians."""
+    return np.exp(1j * (slope * np.arange(n_elements, dtype=float) + common))
+
+
+def dense_composite(hops: HopStack, slopes, commons, a: int = 0, f: int = 0) -> np.ndarray:
+    """Dense oracle of row (a, f)'s end-to-end matrix under linear profiles,
+    with slopes (A, K) and common phases (A, F or 1, K) as
+    :func:`rislink.channel.composite` takes them: ``sum_k loss_k *
+    H_rx_k @ diag(gamma_k) @ H_tx_k`` with every surface element
+    materialized.  The simulator never builds it; tests and these checks
+    compare against it."""
+    commons = commons[:, f if commons.shape[1] > 1 else 0]
     return sum(
-        loss * (hop_matrix(down) * gamma) @ hop_matrix(up)
-        for loss, up, gamma, down in zip(deployment.path_losses, ups, phase_vectors, downs)
+        hops.losses[a, k] * (hop_matrix(hops, RIS_RX, k, a, f)
+                             * phase_profile(int(n_s), slopes[a, k], commons[a, k]))
+        @ hop_matrix(hops, TX_RIS, k, a, f)
+        for k, n_s in enumerate(hops.n_elements[a])
     )
 
 
@@ -75,14 +95,12 @@ def select_one(candidates, n_rx, scheme, n_slots=1, cap=DEFAULT_SEARCH_CAP):
     return select_paths_stack(terms, candidates.shape[1], n_rx, scheme, n_slots, cap)[0]
 
 
-def design_one(selection, hops, deployment, slot=0, refine=False, exact_hops=None):
-    """:func:`design_slots` on one angle epoch's per-surface hops
-    ``(tx_ris, ris_rx)`` as the designer knows them; ``exact_hops``
-    realizes the channel on other hops.  Gains stacked over F fading
-    epochs give F rows.  Returns the design, slopes and common phases."""
-    estimate = HopStack.from_channels(*hops, deployment)
-    exact = estimate if exact_hops is None else HopStack.from_channels(*exact_hops, deployment)
-    return design_slots([selection], slot, estimate, exact, refine)
+def design_one(selection, estimate: HopStack, slot=0, refine=False, exact: HopStack | None = None):
+    """:func:`design_slots` for one angle epoch's selection on a stack of
+    that angle epoch as the designer knows it; ``exact`` realizes the
+    channel on other hops.  Gains stacked over F fading epochs give F
+    rows.  Returns the design, slopes and common phases."""
+    return design_slots([selection], slot, estimate, estimate if exact is None else exact, refine)
 
 
 def evaluated_crossing_point(params) -> float:
@@ -125,8 +143,8 @@ def evaluated_crossing_point(params) -> float:
 
 def _check_geometry() -> str:
     config = SystemConfig()
-    deployment, _, _ = _draw_scene(config)
-    counts = tuple(int(c) for c in deployment.ris_element_counts)
+    centre = np.array([config.rx_center_distance, 0.0])
+    counts = tuple(receiver_losses(config, surface_geometry(config), centre)[1].tolist())
     expected = (211, 174, 174, 211)
     assert counts == expected, f"element counts {counts} != {expected}"
     return f"counts {counts}"
@@ -134,10 +152,9 @@ def _check_geometry() -> str:
 
 def _check_kernel_assembly() -> str:
     config = SystemConfig()
-    deployment, ups, downs = _draw_scene(config, seed=13)
-    freqs = np.stack([d.arrival_freqs for d in downs])
-    selection = select_one(freqs, config.n_rx, "sm")
-    _, aligned_slopes, aligned_commons = design_one(selection, (ups, downs), deployment)
+    hops = _draw_scene(config, seed=13)
+    selection = select_one(hops.rx_arrival[0], config.n_rx, "sm")
+    _, aligned_slopes, aligned_commons = design_one(selection, hops)
     # Slopes (1, K) and common phases (1, 1, K) of a stack of one.
     zeros = np.zeros((1, 1, config.n_ris))
     slopes, commons = substream(13, 1).uniform(-np.pi, np.pi, (2, 1, 1, config.n_ris))
@@ -146,17 +163,14 @@ def _check_kernel_assembly() -> str:
         "neutral": (zeros[0], zeros),
         "random": (slopes[0], commons),
     }
-    hops = HopStack.from_channels(ups, downs, deployment)
     worst = 0.0
     for name, (slope, common) in profiles.items():
         kernel = composite(hops, slope, common)[0, 0]
-        phases = [RisConfiguration(k, int(n), slope=slope[0, k], common_phase=common[0, 0, k])
-                  .phase_vector() for k, n in enumerate(deployment.ris_element_counts)]
-        dense = dense_composite(ups, phases, downs, deployment)
+        dense = dense_composite(hops, slope, common)
         rel = float(np.linalg.norm(kernel - dense) / np.linalg.norm(dense))
         assert rel <= 1e-12, f"{name} profile: kernel vs dense residual {rel:.3e}"
         worst = max(worst, rel)
-    sizes = sorted({int(n) for n in deployment.ris_element_counts})
+    sizes = sorted(set(hops.n_elements[0].tolist()))
     return f"residual {worst:.2e} at {sizes} elements"
 
 
@@ -164,8 +178,8 @@ def _check_alignment() -> str:
     n = 167
     rng = substream(3, 0)
     dep, arr = np.pi * (2 * rng.random(2) - 1)
-    gamma = align_phases(dep, arr, n).phase_vector()
-    gain = abs(array_response(n, dep).conj().T @ (gamma * array_response(n, arr).ravel()))
+    a_dep, a_arr = _response_matrix(n, [dep, arr]).T
+    gain = abs(np.vdot(a_dep, phase_profile(n, dep - arr) * a_arr))
     assert abs(gain - 1.0) < 1e-9, f"aligned gain {gain}"
     return f"aligned gain {float(gain):.12f}"
 
@@ -189,12 +203,11 @@ def _check_selection() -> str:
     from itertools import combinations
 
     config = SystemConfig(n_ris=3, n_rx=2, n_ris_rx_paths=3)
-    _, _, downs = _draw_scene(config, seed=5)
-    freqs = np.stack([d.arrival_freqs for d in downs])
+    freqs = _draw_scene(config, seed=5).rx_arrival[0]
     selection = select_one(freqs, config.n_rx, "sm")
 
     def objective(pairs):
-        cols = array_response(config.n_rx, np.array([freqs[k, l] for k, l in pairs]))
+        cols = _response_matrix(config.n_rx, [freqs[k, l] for k, l in pairs])
         return float(np.linalg.norm(cols.conj().T @ cols - np.eye(config.n_rx)) ** 2)
 
     flat = [(k, l) for k in range(config.n_ris) for l in range(config.n_ris_rx_paths)]
@@ -210,8 +223,7 @@ def _check_selection() -> str:
 
 def _check_bounded_search() -> str:
     config = SystemConfig(n_ris_rx_paths=20)
-    scenes = [_draw_scene(config, seed)[2] for seed in (17, 19, 23)]
-    candidates = np.array([[d.arrival_freqs for d in downs] for downs in scenes])
+    candidates = np.array([_draw_scene(config, seed).rx_arrival[0] for seed in (17, 19, 23)])
     terms = SearchTerms(_candidate_gram(candidates, config.n_rx))
     groups = [np.arange(20) + 20 * k for k in range(config.n_ris)]
     evaluated = []
@@ -232,29 +244,36 @@ def _check_bounded_search() -> str:
     )
 
 
+# sha256 of the draws that ``_check_draws`` makes, as they were frozen;
+# any change to the draw order or arithmetic moves it.
+_DRAWS_DIGEST = "addf73cd5d2598b9dfaa28878b9182dd89a430adb653d8c39746f3268590308a"
+
+
 def _check_draws() -> str:
-    config = SystemConfig()
-    stacked_rng, rng = substream(29, 0), substream(29, 0)
-    angles, los_gains = draw_angle_epochs(config, surface_geometry(config), [stacked_rng])
-    deployment = place_deployment(config, rng)
-    separation = min_angle_separation(deployment)
-    downs, ups = [], []
-    for k in range(config.n_ris):
-        downs.append(draw_tx_ris_channel(config, deployment, k, rng, separation))
-        keep = downs[-1].arrival_freqs
-        ups.append(draw_ris_rx_channel(config, deployment, k, rng, separation, keep_away=keep))
-    hops = HopStack.from_channels(downs, ups, deployment)
-    pairs = [(angles[name], getattr(hops, name)) for name in angles if name not in ("n_rx", "n_tx")]
-    pairs.append((los_gains, hops.tx_gains[:, 0, :, 0].real))
-    for got, expected in pairs:
-        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (
-            f"array draw {got} != per-surface draw {expected}"
-        )
-    # The state holds arrays, whose repr is exact at these sizes.
-    assert repr(stacked_rng.bit_generator.state) == repr(rng.bit_generator.state), (
-        "the array draw left its generator elsewhere"
+    # Two angle epochs of the default config with angle error, two fading
+    # epochs each, and every generator's state after its draws.
+    config = SystemConfig(angle_error_std=0.05)
+    rngs = [substream(29, a) for a in range(2)]
+    angles, los_gains = draw_angle_epochs(config, surface_geometry(config), rngs)
+    arrays = [angles[name] for name in ("tx_arrival", "tx_departure", "rx_arrival",
+                                        "rx_departure", "n_elements", "losses")] + [los_gains]
+    for a in range(2):
+        rngs.append(substream(29, a, 1))
+        arrays.extend(_angle_errors(config.angle_error_std, angles["rx_arrival"][a],
+                                    angles["rx_departure"][a], rngs[-1]))
+    fading = [[substream(29, a, 2, f) for f in range(2)] for a in range(2)]
+    arrays.extend(draw_fading_gains(config, angles["n_elements"], los_gains, fading))
+    rngs.extend(rng for row in fading for rng in row)
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(f"{array.dtype.str}{array.shape}".encode() + array.tobytes())
+    for rng in rngs:
+        # The state holds arrays, whose repr is exact at these sizes.
+        digest.update(repr(rng.bit_generator.state).encode())
+    assert digest.hexdigest() == _DRAWS_DIGEST, (
+        f"draw digest {digest.hexdigest()} != pinned {_DRAWS_DIGEST}"
     )
-    return f"{len(pairs)} arrays and the generator state equal the per-surface draws"
+    return f"{len(arrays)} arrays and {len(rngs)} generator states match the pinned digest"
 
 
 def _outcome(solver, params) -> str:
@@ -290,9 +309,8 @@ def _check_crossing_replay() -> str:
 
 def _check_power_and_run() -> str:
     config = SystemConfig(n_ris=2, n_rx=2, n_ris_rx_paths=4, n_nlos_tx_paths=1)
-    deployment, ups, downs = _draw_scene(config, seed=9)
-    freqs = np.stack([d.arrival_freqs for d in downs])
-    design = design_one(select_one(freqs, config.n_rx, "sm"), (ups, downs), deployment)[0]
+    hops = _draw_scene(config, seed=9)
+    design = design_one(select_one(hops.rx_arrival[0], config.n_rx, "sm"), hops)[0]
     (result,) = _run_multiplex([design], config, {"sm": 1}, DEFAULT_OUTAGE_THRESHOLD)["sm"]
     assert result.se_bits_per_hz > 0, "non-positive spectral efficiency"
     assert np.isfinite(result.se_model_bits_per_hz)
@@ -302,13 +320,12 @@ def _check_power_and_run() -> str:
 def _check_payload() -> str:
     config = SystemConfig(n_ris=2, n_rx=2, n_ris_rx_paths=4, n_nlos_tx_paths=1,
                           transmit_power=1e-2)
-    deployment, ups, downs = _draw_scene(config, seed=9)
-    freqs = np.stack([d.arrival_freqs for d in downs])
+    hops = _draw_scene(config, seed=9)
     symbols = 500
     counts = []
     for multiplex, scheme in ((True, "sm"), (False, "bf")):
-        selection = select_one(freqs, config.n_rx, scheme)
-        design = design_one(selection, (ups, downs), deployment, refine=not multiplex)[0]
+        selection = select_one(hops.rx_arrival[0], config.n_rx, scheme)
+        design = design_one(selection, hops, refine=not multiplex)[0]
         held = PayloadBuffers(symbols, config.n_rx, config.n_tx,
                               config.n_rx if multiplex else None)
         runs = []

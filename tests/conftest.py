@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 import rislink as rl
+from rislink.channel import (
+    RIS_RX,
+    TX_RIS,
+    HopStack,
+    _los_gain,
+    _scattered_paths,
+    _separation,
+    draw_fading_gains,
+)
+from rislink.config import drop_receiver, receiver_losses, surface_geometry
 
 BASE_SEED = 20240601
 
@@ -16,26 +28,47 @@ def small_config(**overrides) -> rl.SystemConfig:
     return rl.SystemConfig(**defaults)
 
 
-def draw_scene(config: rl.SystemConfig, seed: int = BASE_SEED, *key: int):
-    """Place a deployment and draw one full set of subchannels."""
+def draw_scene(config: rl.SystemConfig, seed: int = BASE_SEED, *key: int) -> HopStack:
+    """One angle epoch's hops with their gains, a stack of one row.
+
+    One generator draws, in this order: the receiver drop, every surface's
+    transmit-side hop, then every surface's receive-side hop (kept away from
+    that surface's transmit-side arrivals); each hop draws its surface-side
+    frequencies, far-side frequencies and scattered gains.  The engine
+    instead interleaves the two hops of each surface and draws the gains
+    from separate fading generators.
+    """
     rng = rl.substream(seed, *key) if key else rl.substream(seed, 0)
-    deployment = rl.place_deployment(config, rng)
-    ups = [
-        rl.draw_tx_ris_channel(config, deployment, k, rng)
-        for k in range(config.n_ris)
-    ]
-    downs = [
-        rl.draw_ris_rx_channel(
-            config, deployment, k, rng, keep_away=ups[k].arrival_freqs
-        )
-        for k in range(config.n_ris)
-    ]
-    return deployment, ups, downs
+    surfaces = surface_geometry(config)
+    losses, counts = receiver_losses(config, surfaces, drop_receiver(config, rng))
+    separation = _separation(counts)
+    tx = [_scattered_paths(config, TX_RIS, n_s, surfaces.los_arrival[k:k + 1], rng, separation)
+          for k, n_s in enumerate(counts.tolist())]
+
+    def with_los(i, los):
+        return np.array([np.concatenate(([los[k]], paths[i])) for k, paths in enumerate(tx)])
+
+    tx_arrival = with_los(0, surfaces.los_arrival)
+    rx = [_scattered_paths(config, RIS_RX, n_s, tx_arrival[k], rng, separation)
+          for k, n_s in enumerate(counts.tolist())]
+    return HopStack(
+        n_rx=config.n_rx, n_tx=config.n_tx,
+        tx_arrival=tx_arrival[None], tx_departure=with_los(1, surfaces.los_departure)[None],
+        tx_gains=with_los(2, _los_gain(config, counts)).astype(complex)[None, None],
+        rx_arrival=np.array([paths[1] for paths in rx])[None],
+        rx_departure=np.array([paths[0] for paths in rx])[None],
+        rx_gains=np.array([paths[2] for paths in rx], dtype=complex)[None, None],
+        n_elements=counts[None], losses=losses[None],
+    )
 
 
-def candidate_matrix(downs) -> np.ndarray:
-    """Stack the receive-side arrival frequencies into the selection input."""
-    return np.stack([down.arrival_freqs for down in downs])
+def with_fading(config: rl.SystemConfig, hops: HopStack, rngs) -> HopStack:
+    """A stack of one angle epoch with the gains of one fading epoch per
+    generator in ``rngs``, on the same angle arrays."""
+    tx_gains, rx_gains = draw_fading_gains(
+        config, hops.n_elements, hops.tx_gains[:, 0, :, 0].real, [rngs]
+    )
+    return replace(hops, tx_gains=tx_gains, rx_gains=rx_gains)
 
 
 def model_channel(design) -> np.ndarray:
@@ -44,21 +77,8 @@ def model_channel(design) -> np.ndarray:
     return (design.r_active * design.xi_active) @ design.t_active.conj().T
 
 
-def profile_arrays(profiles):
-    """Slopes (1, K) and common phases (1, 1, K) of per-surface
-    :class:`rislink.RisConfiguration` profiles: one angle epoch's profiles
-    as :func:`rislink.channel.composite` takes them."""
-    slopes = np.array([[gamma.slope for gamma in profiles]])
-    commons = np.array([[[gamma.common_phase for gamma in profiles]]])
-    return slopes, commons
-
-
-def random_profiles(deployment: rl.Deployment, rng: np.random.Generator):
-    """Linear phase profiles with independent uniform slopes and common phases."""
-    return [
-        rl.RisConfiguration(k, int(count), slope=slope, common_phase=common)
-        for k, (count, slope, common) in enumerate(zip(
-            deployment.ris_element_counts,
-            *rng.uniform(-np.pi, np.pi, (2, deployment.ris_element_counts.size)),
-        ))
-    ]
+def random_profiles(hops: HopStack, rng: np.random.Generator):
+    """Linear phase profiles of a stack of one with independent uniform
+    slopes (1, K) and common phases (1, 1, K)."""
+    slopes, commons = rng.uniform(-np.pi, np.pi, (2, hops.n_elements.shape[1]))
+    return slopes[None], commons[None, None]

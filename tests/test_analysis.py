@@ -311,21 +311,25 @@ class TestErgodicRateForms:
 class TestSymmetricFunctions:
     def test_small_diagonal(self):
         values = [1.0, 4.0, 9.0]
-        assert an.sym_func(values, 0) == 1.0
-        assert an.sym_func(values, 1) == 14.0
-        assert an.sym_func(values, 2) == 49.0
-        assert an.sym_func(values, 3) == 36.0
+        assert an._symmetric_sums(values, 0)[0] == 1.0
+        assert an._symmetric_sums(values, 1)[1] == 14.0
+        assert an._symmetric_sums(values, 2)[2] == 49.0
+        assert an._symmetric_sums(values, 3)[3] == 36.0
 
     def test_equal_entries_pair_count(self):
         c = 0.7
         for k in (2, 3, 5, 8):
             expected = math.comb(k, 2) * c * c
-            assert math.isclose(an.sym_func([c] * k, 2), expected,
+            assert math.isclose(an._symmetric_sums([c] * k, 2)[2], expected,
                                 rel_tol=1e-12)
 
     def test_order_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            an.sym_func([1.0], 2)
+        # The crossing polynomial takes orders up to the stream count over
+        # one entry per surface, so more streams than surfaces are refused
+        # before any sum is formed.
+        params = an.ClosedFormParams.from_config(rl.SystemConfig())
+        with pytest.raises(ConfigurationError, match="n_rx <= n_ris"):
+            dataclasses.replace(params, n_rx=params.n_ris + 1)
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=10.0),
@@ -335,7 +339,7 @@ class TestSymmetricFunctions:
     def test_characteristic_polynomial_identity(self, values, x):
         product = float(np.prod([1.0 + x * v for v in values]))
         series = sum(
-            x**n * an.sym_func(values, n) for n in range(len(values) + 1)
+            x**n * an._symmetric_sums(values, n)[n] for n in range(len(values) + 1)
         )
         assert math.isclose(product, series, rel_tol=1e-9, abs_tol=1e-9)
 
@@ -451,14 +455,14 @@ class TestCrossingPoint:
                    * (params.rician_factor + 1.0))
             )
             lhs = sum(
-                x ** (n - 1) * an.sym_func(d_top, n)
+                x ** (n - 1) * an._symmetric_sums(d_top, n)[n]
                 for n in range(2, n_rx + 1)
             )
             rhs = (
                 (n_rx / params.n_ris)
-                * (an.sym_func(d_full, 1)
-                   + (math.pi / 2.0) * an.sym_func(profile, 2))
-                - an.sym_func(d_top, 1)
+                * (an._symmetric_sums(d_full, 1)[1]
+                   + (math.pi / 2.0) * an._symmetric_sums(profile, 2)[2])
+                - an._symmetric_sums(d_top, 1)[1]
             )
             assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
 

@@ -14,26 +14,21 @@ from hypothesis import strategies as st
 import rislink as rl
 from rislink import channel
 from rislink.channel import (
-    HopStack,
+    RIS_RX,
+    TX_RIS,
     _draw_separated_freqs,
+    _inner_products,
+    _response_matrix,
+    composite,
     dirichlet_kernel,
     draw_angle_epochs,
-    _inner_products,
-    composite,
     draw_fading_gains,
 )
-from rislink.config import surface_geometry
+from rislink.config import drop_receiver, receiver_losses, surface_geometry
 from rislink.montecarlo import _angle_errors
-from rislink.selftest import dense_composite, design_one, hop_matrix, select_one
+from rislink.selftest import dense_composite, design_one, hop_matrix, phase_profile, select_one
 
-from conftest import (
-    BASE_SEED,
-    candidate_matrix,
-    draw_scene,
-    profile_arrays,
-    random_profiles,
-    small_config,
-)
+from conftest import BASE_SEED, draw_scene, random_profiles, small_config, with_fading
 
 
 def _circular_gap(a: np.ndarray, b: float) -> np.ndarray:
@@ -59,22 +54,25 @@ def _draw_separated_freqs_oracle(rng, count, keep_away, separation, max_attempts
     return np.array(out)
 
 
+def _response(n: int, freq: float) -> np.ndarray:
+    return _response_matrix(n, [freq])[:, 0]
+
+
 def _inner(n: int, freq_a: float, freq_b: float) -> complex:
-    return complex(np.vdot(rl.array_response(n, freq_a),
-                           rl.array_response(n, freq_b)))
+    return complex(np.vdot(_response(n, freq_a), _response(n, freq_b)))
 
 
 class TestArrayResponse:
     def test_two_element_broadside(self):
         assert np.allclose(
-            rl.array_response(2, 0.0),
+            _response(2, 0.0),
             np.array([1.0, 1.0]) / math.sqrt(2.0),
             atol=1e-15,
         )
 
     def test_four_element_alternating(self):
         assert np.allclose(
-            rl.array_response(4, math.pi),
+            _response(4, math.pi),
             np.array([1.0, -1.0, 1.0, -1.0]) / 2.0,
             atol=1e-12,
         )
@@ -85,7 +83,7 @@ class TestArrayResponse:
     )
     def test_unit_norm(self, n, freq):
         assert math.isclose(
-            float(np.linalg.norm(rl.array_response(n, freq))), 1.0, rel_tol=1e-12
+            float(np.linalg.norm(_response(n, freq))), 1.0, rel_tol=1e-12
         )
 
     def test_large_aperture_crosstalk_frozen(self):
@@ -107,225 +105,172 @@ class TestArrayResponse:
         assert worst < 0.25
 
 
-def _single_surface_deployment(n_elements: int) -> rl.Deployment:
-    return rl.Deployment(
-        tx_position=np.zeros(2),
-        rx_position=np.array([20.0, 0.0]),
-        ris_positions=np.array([[10.0, 3.0]]),
-        ris_element_counts=np.array([n_elements]),
-        path_losses=np.array([1.0]),
-        direction_cosines=np.array([0.5]),
-    )
-
-
 class TestMultipathDraws:
     def test_transmit_link_structure(self):
         config = small_config()
-        deployment, ups, downs = draw_scene(config)
-        up = ups[0]
-        assert up.n_out == int(deployment.ris_element_counts[0])
-        assert up.n_in == config.n_tx
-        assert up.gains.size == 1 + config.n_nlos_tx_paths
-        down = downs[0]
-        assert down.n_out == config.n_rx
-        assert down.n_in == int(deployment.ris_element_counts[0])
-        assert down.gains.size == config.n_ris_rx_paths
+        hops = draw_scene(config)
+        n_ris = config.n_ris
+        assert hops.n_tx == config.n_tx and hops.n_rx == config.n_rx
+        for name in ("tx_arrival", "tx_departure"):
+            assert getattr(hops, name).shape == (1, n_ris, 1 + config.n_nlos_tx_paths)
+        assert hops.tx_gains.shape == (1, 1, n_ris, 1 + config.n_nlos_tx_paths)
+        for name in ("rx_arrival", "rx_departure"):
+            assert getattr(hops, name).shape == (1, n_ris, config.n_ris_rx_paths)
+        assert hops.rx_gains.shape == (1, 1, n_ris, config.n_ris_rx_paths)
+        assert hops.n_elements.shape == hops.losses.shape == (1, n_ris)
+        assert hop_matrix(hops, TX_RIS, 0).shape == (int(hops.n_elements[0, 0]), config.n_tx)
+        assert hop_matrix(hops, RIS_RX, 0).shape == (config.n_rx, int(hops.n_elements[0, 0]))
 
     def test_transmit_line_of_sight_gain(self):
         config = small_config(rician_factor=4.0)
-        deployment, ups, _ = draw_scene(config, BASE_SEED, 1)
-        for k, up in enumerate(ups):
-            n_s = int(deployment.ris_element_counts[k])
+        hops = draw_scene(config, BASE_SEED, 1)
+        cosines = surface_geometry(config).direction_cosines
+        for k in range(config.n_ris):
+            n_s = int(hops.n_elements[0, k])
             expected = math.sqrt(
                 config.rician_factor * config.n_tx * n_s
                 / (config.rician_factor + 1.0)
             )
-            assert math.isclose(abs(up.gains[0]), expected, rel_tol=1e-12)
+            assert math.isclose(abs(hops.tx_gains[0, 0, k, 0]), expected, rel_tol=1e-12)
             # The deterministic component departs along the placement beam.
             assert math.isclose(
-                up.departure_freqs[0],
-                math.pi * deployment.direction_cosines[k],
-                rel_tol=1e-12,
+                hops.tx_departure[0, k, 0], math.pi * cosines[k], rel_tol=1e-12
             )
 
     def test_transmit_power_normalization(self):
         config = rl.SystemConfig(n_tx=8, n_rx=2, n_ris=2, rician_factor=10.0,
                                  n_nlos_tx_paths=2)
-        deployment = _single_surface_deployment(24)
-        total = 0.0
-        n_draws = 3000
-        for i in range(n_draws):
-            up = rl.draw_tx_ris_channel(
-                config, deployment, 0, rl.substream(BASE_SEED, 10, i)
-            )
-            total += float(np.linalg.norm(hop_matrix(up)) ** 2)
-        expected = config.n_tx * 24
-        assert abs(total / n_draws / expected - 1.0) < 0.02
+        total = expected = 0.0
+        for i in range(1500):  # 3000 hops over the two surfaces
+            hops = draw_scene(config, BASE_SEED, 10, i)
+            for k in range(config.n_ris):
+                total += float(np.linalg.norm(hop_matrix(hops, TX_RIS, k)) ** 2)
+                expected += config.n_tx * int(hops.n_elements[0, k])
+        assert abs(total / expected - 1.0) < 0.02
 
     def test_receive_power_normalization(self):
         config = rl.SystemConfig(n_tx=8, n_rx=2, n_ris=2, n_ris_rx_paths=4)
-        deployment = _single_surface_deployment(24)
-        total = 0.0
-        n_draws = 3000
-        for i in range(n_draws):
-            down = rl.draw_ris_rx_channel(
-                config, deployment, 0, rl.substream(BASE_SEED, 11, i)
-            )
-            total += float(np.linalg.norm(hop_matrix(down)) ** 2)
-        expected = config.n_rx * 24
-        assert abs(total / n_draws / expected - 1.0) < 0.02
+        total = expected = 0.0
+        for i in range(1500):  # 3000 hops over the two surfaces
+            hops = draw_scene(config, BASE_SEED, 11, i)
+            for k in range(config.n_ris):
+                total += float(np.linalg.norm(hop_matrix(hops, RIS_RX, k)) ** 2)
+                expected += config.n_rx * int(hops.n_elements[0, k])
+        assert abs(total / expected - 1.0) < 0.02
 
     def test_receive_gains_zero_mean(self):
         config = rl.SystemConfig(n_tx=8, n_rx=2, n_ris=2, n_ris_rx_paths=4)
-        deployment = _single_surface_deployment(24)
-        gains = np.concatenate([
-            rl.draw_ris_rx_channel(
-                config, deployment, 0, rl.substream(BASE_SEED, 12, i)
-            ).gains
-            for i in range(2000)
-        ])
+        rngs = [[rl.substream(BASE_SEED, 12, i) for i in range(2000)]]
+        _, gains = draw_fading_gains(config, np.array([[24]]), np.ones((1, 1)), rngs)
         scale = math.sqrt(config.n_rx * 24 / config.n_ris_rx_paths)
         assert abs(gains.mean()) / scale < 0.02
 
     def test_strong_rician_factor_collapses_to_line_of_sight(self):
         config = rl.SystemConfig(n_tx=8, n_rx=2, n_ris=2, rician_factor=1e12)
-        deployment = _single_surface_deployment(24)
-        up = rl.draw_tx_ris_channel(config, deployment, 0,
-                                    rl.substream(BASE_SEED, 13))
-        rank_one = up.gains[0] * np.outer(
-            rl.array_response(24, up.arrival_freqs[0]),
-            rl.array_response(config.n_tx, up.departure_freqs[0]).conj(),
+        hops = draw_scene(config, BASE_SEED, 13)
+        rank_one = hops.tx_gains[0, 0, 0, 0] * np.outer(
+            _response(int(hops.n_elements[0, 0]), hops.tx_arrival[0, 0, 0]),
+            _response(config.n_tx, hops.tx_departure[0, 0, 0]).conj(),
         )
-        h = hop_matrix(up)
+        h = hop_matrix(hops, TX_RIS, 0)
         assert np.linalg.norm(h - rank_one) / np.linalg.norm(h) < 1e-5
 
     def test_single_receive_path_gives_rank_one(self):
         config = small_config(n_ris_rx_paths=1)
-        _, _, downs = draw_scene(config, BASE_SEED, 2)
-        s = np.linalg.svd(hop_matrix(downs[0]), compute_uv=False)
+        hops = draw_scene(config, BASE_SEED, 2)
+        s = np.linalg.svd(hop_matrix(hops, RIS_RX, 0), compute_uv=False)
         assert s[1] / s[0] < 1e-12
 
     def test_same_seed_identical_draw(self):
         config = small_config()
-        _, ups_a, downs_a = draw_scene(config, BASE_SEED, 3)
-        _, ups_b, downs_b = draw_scene(config, BASE_SEED, 3)
-        for a, b in zip(ups_a + downs_a, ups_b + downs_b):
-            assert np.array_equal(a.gains, b.gains)
-            assert np.array_equal(a.arrival_freqs, b.arrival_freqs)
-            assert np.array_equal(a.departure_freqs, b.departure_freqs)
+        a, b = draw_scene(config, BASE_SEED, 3), draw_scene(config, BASE_SEED, 3)
+        for name in _ANGLE_ARRAYS + ("tx_gains", "rx_gains"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_redraw_fading_keeps_angles(self):
         config = small_config()
-        deployment, ups, downs = draw_scene(config, BASE_SEED, 4)
-        rng = rl.substream(BASE_SEED, 14)
-        up2 = rl.redraw_fading(ups[0], config, deployment, rng)
-        down2 = rl.redraw_fading(downs[0], config, deployment, rng)
-        assert np.array_equal(up2.arrival_freqs, ups[0].arrival_freqs)
-        assert np.array_equal(up2.departure_freqs, ups[0].departure_freqs)
-        assert np.array_equal(down2.arrival_freqs, downs[0].arrival_freqs)
-        assert np.array_equal(down2.departure_freqs, downs[0].departure_freqs)
+        hops = draw_scene(config, BASE_SEED, 4)
+        redrawn = with_fading(config, hops, [rl.substream(BASE_SEED, 14)])
         # The deterministic component survives; diffuse gains are redrawn.
-        assert up2.gains[0] == ups[0].gains[0]
-        assert not np.array_equal(up2.gains[1:], ups[0].gains[1:])
-        assert not np.array_equal(down2.gains, downs[0].gains)
+        assert redrawn.tx_gains[..., 0].tobytes() == hops.tx_gains[..., 0].tobytes()
+        assert not np.array_equal(redrawn.tx_gains[..., 1:], hops.tx_gains[..., 1:])
+        assert not np.array_equal(redrawn.rx_gains, hops.rx_gains)
         # Only the gains are new: both epochs share the angle arrays.
-        assert down2.arrival_freqs is downs[0].arrival_freqs
-        assert down2.departure_freqs is downs[0].departure_freqs
-
-    @pytest.mark.parametrize("name", ["gains", "arrival_freqs", "departure_freqs"])
-    def test_path_arrays_are_read_only(self, name):
-        _, ups, downs = draw_scene(small_config(), BASE_SEED, 4)
-        for channel in (ups[0], downs[0]):
-            with pytest.raises(ValueError):
-                getattr(channel, name)[0] = 0.0
-
-    def test_constructor_copies_writable_arrays(self):
-        gains = np.array([1.0 + 1.0j, 2.0])
-        freqs = np.array([0.1, 0.2])
-        channel = rl.MultipathChannel("ris-rx", 0, 2, 8, gains, freqs, freqs)
-        gains[0] = 0.0
-        freqs[0] = 0.0
-        assert channel.gains[0] == 1.0 + 1.0j
-        assert channel.arrival_freqs[0] == 0.1
-        assert channel.departure_freqs[0] == 0.1
-        with pytest.raises(ValueError):
-            rl.MultipathChannel("ris-rx", 0, 2, 8, gains, freqs, freqs[:1])
+        for name in _ANGLE_ARRAYS:
+            assert getattr(redrawn, name) is getattr(hops, name)
 
     def test_redraw_and_angle_error_leave_input_untouched(self):
         config = small_config()
-        deployment, ups, downs = draw_scene(config, BASE_SEED, 4)
-        for channel in (ups[0], downs[0]):
-            before = [np.copy(getattr(channel, name))
-                      for name in ("gains", "arrival_freqs", "departure_freqs")]
-            rl.redraw_fading(channel, config, deployment, rl.substream(BASE_SEED, 25))
-            rl.inject_angle_error(channel, 0.05, rl.substream(BASE_SEED, 26))
-            after = [channel.gains, channel.arrival_freqs, channel.departure_freqs]
-            for old, new in zip(before, after):
-                assert old.tobytes() == new.tobytes()
+        hops = draw_scene(config, BASE_SEED, 4)
+        names = _ANGLE_ARRAYS + ("tx_gains", "rx_gains")
+        before = [getattr(hops, name).tobytes() for name in names]
+        with_fading(config, hops, [rl.substream(BASE_SEED, 25)])
+        _angle_errors(0.05, hops.rx_arrival[0], hops.rx_departure[0], rl.substream(BASE_SEED, 26))
+        assert [getattr(hops, name).tobytes() for name in names] == before
 
     def test_stacked_redraw_matches_epoch_by_epoch(self):
         config = small_config()
-        deployment, ups, downs = draw_scene(config, BASE_SEED, 4)
+        hops = draw_scene(config, BASE_SEED, 4)
         keys = (27, 28, 29)
-        stacked_rngs = [rl.substream(BASE_SEED, key) for key in keys]
-        single_rngs = [rl.substream(BASE_SEED, key) for key in keys]
-        for channel in (ups[0], downs[0], ups[1], downs[1]):
-            stacked = rl.redraw_fading(channel, config, deployment, stacked_rngs)
-            singles = [rl.redraw_fading(channel, config, deployment, rng) for rng in single_rngs]
-            assert stacked.gains.shape == (len(keys), channel.gains.size)
-            assert stacked.gains.tobytes() == np.stack([s.gains for s in singles]).tobytes()
-            assert not stacked.gains.flags.writeable
-            assert stacked.arrival_freqs is channel.arrival_freqs
+        stacked = with_fading(config, hops, [rl.substream(BASE_SEED, key) for key in keys])
+        assert stacked.tx_gains.shape[1] == stacked.rx_gains.shape[1] == len(keys)
+        for f, key in enumerate(keys):
+            single = with_fading(config, hops, [rl.substream(BASE_SEED, key)])
+            assert stacked.tx_gains[:, f].tobytes() == single.tx_gains[:, 0].tobytes()
+            assert stacked.rx_gains[:, f].tobytes() == single.rx_gains[:, 0].tobytes()
 
     @pytest.mark.parametrize("n_nlos", [0, 2])
     def test_bulk_fading_draw_matches_redraws(self, n_nlos):
-        # One normal draw per generator for every surface and both hops
-        # gives, gain for gain, the per-surface redraws of that generator.
+        # A grid of fading epochs over several angle epochs gives, gain for
+        # gain, what each (angle, fading) cell draws alone: a chunk's rows
+        # do not depend on how the chunk is cut.
         config = rl.SystemConfig(n_nlos_tx_paths=n_nlos, n_ris_rx_paths=5)
-        scenes = [draw_scene(config, BASE_SEED, 40 + a) for a in range(2)]
-        keys = [[(a, f) for f in range(3)] for a in range(2)]
+        angles, los_gains = draw_angle_epochs(
+            config, surface_geometry(config), [rl.substream(BASE_SEED, 40 + a) for a in range(2)])
         tx_gains, rx_gains = draw_fading_gains(
-            config,
-            np.array([d.ris_element_counts for d, _, _ in scenes]),
-            np.array([[up.gains[0] for up in ups] for _, ups, _ in scenes]),
-            [[rl.substream(BASE_SEED, 30, *key) for key in row] for row in keys],
+            config, angles["n_elements"], los_gains,
+            [[rl.substream(BASE_SEED, 30, a, f) for f in range(3)] for a in range(2)],
         )
-        for a, (deployment, ups, downs) in enumerate(scenes):
+        for a in range(2):
             for f in range(3):
-                rng = rl.substream(BASE_SEED, 30, a, f)
-                for k, (up, down) in enumerate(zip(ups, downs)):
-                    expected_tx = rl.redraw_fading(up, config, deployment, rng).gains
-                    expected_rx = rl.redraw_fading(down, config, deployment, rng).gains
-                    assert tx_gains[a, f, k].tobytes() == expected_tx.tobytes()
-                    assert rx_gains[a, f, k].tobytes() == expected_rx.tobytes()
+                tx, rx = draw_fading_gains(config, angles["n_elements"][a:a + 1],
+                                           los_gains[a:a + 1],
+                                           [[rl.substream(BASE_SEED, 30, a, f)]])
+                assert tx_gains[a, f].tobytes() == tx[0, 0].tobytes()
+                assert rx_gains[a, f].tobytes() == rx[0, 0].tobytes()
 
     def test_gains_may_carry_an_epoch_axis(self):
-        freqs = np.array([0.1, 0.2])
-        channel = rl.MultipathChannel("ris-rx", 0, 2, 8, np.ones((3, 2)), freqs, freqs)
-        assert channel.gains.shape == (3, 2)
-        for gains in (np.ones((3, 3)), np.ones((2, 3, 2)), np.ones(3)):
-            with pytest.raises(ValueError):
-                rl.MultipathChannel("ris-rx", 0, 2, 8, gains, freqs, freqs)
+        # Gains over F fading epochs of the same angles give F end-to-end
+        # matrices, each the dense oracle's for that epoch, whether the
+        # common phases are per epoch or shared.
+        config = small_config()
+        hops = with_fading(config, draw_scene(config, BASE_SEED, 33),
+                           [rl.substream(BASE_SEED, 34, f) for f in range(3)])
+        assert hops.tx_gains.shape[:2] == hops.rx_gains.shape[:2] == (1, 3)
+        slopes, commons = random_profiles(hops, rl.substream(BASE_SEED, 35))
+        per_epoch = commons + np.arange(3)[None, :, None]
+        for phases in (commons, per_epoch):
+            h = composite(hops, slopes, phases)
+            assert h.shape == (1, 3, config.n_rx, config.n_tx)
+            for f in range(3):
+                dense = dense_composite(hops, slopes, phases, f=f)
+                assert np.linalg.norm(h[0, f] - dense) <= 1e-12 * np.linalg.norm(dense)
 
     def test_minimum_angle_separation_enforced(self):
         # The surface is the resolving aperture, so the clearance rule
         # binds the frequencies seen at the surface: transmit-side
-        # arrivals and receive-side departures, jointly per surface.
+        # arrivals and receive-side departures, jointly per surface, at one
+        # mainlobe of the smallest surface.
         config = rl.SystemConfig(n_tx=8, n_rx=2, n_ris=2, n_ris_rx_paths=6)
-        deployment = _single_surface_deployment(40)
-        threshold = rl.min_angle_separation(deployment)
-        assert math.isclose(threshold, 2.0 * math.pi / 40.0, rel_tol=1e-12)
         for i in range(200):
-            rng = rl.substream(BASE_SEED, 15, i)
-            up = rl.draw_tx_ris_channel(config, deployment, 0, rng)
-            down = rl.draw_ris_rx_channel(
-                config, deployment, 0, rng, keep_away=up.arrival_freqs
-            )
-            freqs = np.concatenate([up.arrival_freqs, down.departure_freqs])
-            gaps = np.abs(freqs[:, None] - freqs[None, :])
-            gaps = np.minimum(gaps, 2.0 * math.pi - gaps)
-            off = gaps[~np.eye(len(freqs), dtype=bool)]
-            assert off.min() >= threshold - 1e-12
+            hops = draw_scene(config, BASE_SEED, 15, i)
+            threshold = 2.0 * math.pi / hops.n_elements.min()
+            for k in range(config.n_ris):
+                freqs = np.concatenate([hops.tx_arrival[0, k], hops.rx_departure[0, k]])
+                gaps = np.abs(freqs[:, None] - freqs[None, :])
+                gaps = np.minimum(gaps, 2.0 * math.pi - gaps)
+                off = gaps[~np.eye(len(freqs), dtype=bool)]
+                assert off.min() >= threshold - 1e-12
 
     def test_exhausted_sampler_is_a_package_error(self):
         # One attempt per draw on a packed circle: some draw must land too
@@ -408,37 +353,13 @@ class TestMultipathDraws:
             assert scalar == _circular_gap(values, freq).tolist()
 
     def test_near_degenerate_geometry_still_draws(self):
-        # A surface with very few elements would demand more angular
+        # Surfaces with very few elements would demand more angular
         # clearance than a full circle can hold; the sampler must relax
         # the threshold instead of spinning forever.
-        config = rl.SystemConfig(n_tx=8, n_rx=2, n_ris=2, n_ris_rx_paths=10)
-        deployment = _single_surface_deployment(4)
-        down = rl.draw_ris_rx_channel(config, deployment, 0,
-                                      rl.substream(BASE_SEED, 16))
-        assert down.gains.size == 10
-
-
-def _per_surface_epoch(config, rng, error_rng):
-    """One angle epoch drawn with the per-surface wrappers: deployment,
-    then per surface both hops, then the angle error of each receive hop."""
-    deployment = rl.place_deployment(config, rng)
-    separation = rl.min_angle_separation(deployment)
-    txs, rxs = [], []
-    for k in range(config.n_ris):
-        txs.append(rl.draw_tx_ris_channel(config, deployment, k, rng, separation))
-        rxs.append(rl.draw_ris_rx_channel(config, deployment, k, rng, separation,
-                                          keep_away=txs[-1].arrival_freqs))
-    estimated = [rl.inject_angle_error(rx, config.angle_error_std, error_rng) for rx in rxs]
-    return HopStack.from_channels(txs, rxs, deployment), estimated
-
-
-def _angle_error_oracle(arrivals, departures, sigma_e, rng):
-    """The angle error as first written: per surface, the arrivals' errors,
-    then the departures'."""
-    out = [(arr + sigma_e * rng.standard_normal(arr.size),
-            dep + sigma_e * rng.standard_normal(dep.size))
-           for arr, dep in zip(arrivals, departures)]
-    return np.array([arr for arr, _ in out]), np.array([dep for _, dep in out])
+        config = rl.SystemConfig(n_tx=8, n_rx=2, n_ris=2, n_ris_rx_paths=10, gain_target=1e-8)
+        hops = draw_scene(config, BASE_SEED, 16)
+        assert 2.0 * math.pi / hops.n_elements.min() > math.pi / (3 + config.n_ris_rx_paths)
+        assert hops.rx_gains.shape[-1] == 10
 
 
 def _state(rng) -> str:
@@ -446,33 +367,45 @@ def _state(rng) -> str:
     return repr(rng.bit_generator.state)
 
 
-def _assert_array_draws_match_wrappers(config, key, n_angle):
+def _assert_array_draws_obey_the_model(config, key, n_angle):
+    """The model's rules on a block of array draws: the line of sight from
+    the geometry, surfaces sized from the drop, every surface-side
+    frequency a mainlobe of the smallest surface from the others (relaxed
+    to the packing limit), far-side frequencies in [-pi, pi], a rerun equal
+    bit for bit, and angle errors only on the receive-side frequencies."""
     surfaces = surface_geometry(config)
     rngs = [rl.substream(BASE_SEED, 70, key, a) for a in range(n_angle)]
     angles, los_gains = draw_angle_epochs(config, surfaces, rngs)
-    for a, stacked_rng in enumerate(rngs):
-        rng = rl.substream(BASE_SEED, 70, key, a)
-        error_rng, wrapper_error_rng, oracle_error_rng = (
-            rl.substream(BASE_SEED, 71, key, a) for _ in range(3))
-        hops, estimated = _per_surface_epoch(config, rng, wrapper_error_rng)
-        for name in ("tx_arrival", "tx_departure", "rx_arrival", "rx_departure",
-                     "n_elements", "losses"):
-            got, expected = angles[name][a], getattr(hops, name)[0]
-            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
-        assert los_gains[a].tobytes() == hops.tx_gains[0, 0, :, 0].real.tobytes()
-        assert _state(stacked_rng) == _state(rng)
+    again, _ = draw_angle_epochs(config, surfaces,
+                                 [rl.substream(BASE_SEED, 70, key, a) for a in range(n_angle)])
+    assert all(angles[name].tobytes() == again[name].tobytes() for name in _ANGLE_ARRAYS)
+    assert (angles["tx_arrival"][..., 0] == surfaces.los_arrival).all()
+    assert (angles["tx_departure"][..., 0] == surfaces.los_departure).all()
+    assert los_gains.tobytes() == np.sqrt(
+        config.rician_factor * config.n_tx * angles["n_elements"] / (config.rician_factor + 1.0)
+    ).tobytes()
+    paths = 1 + config.n_nlos_tx_paths + config.n_ris_rx_paths
+    for a in range(n_angle):
+        replay = rl.substream(BASE_SEED, 70, key, a)
+        losses, counts = receiver_losses(config, surfaces, drop_receiver(config, replay))
+        assert (angles["losses"][a] == losses).all() and (angles["n_elements"][a] == counts).all()
+        threshold = min(2.0 * math.pi / counts.min(), math.pi / paths)
+        for k in range(config.n_ris):
+            freqs = np.concatenate([angles["tx_arrival"][a, k], angles["rx_departure"][a, k]])
+            gaps = _circular_gap(freqs[:, None], freqs[None, :])[~np.eye(paths, dtype=bool)]
+            assert gaps.size == 0 or gaps.min() >= threshold - 1e-12
+        far = np.concatenate([angles["tx_departure"][a], angles["rx_arrival"][a]], axis=None)
+        assert (np.abs(far) <= math.pi).all()
         if config.angle_error_std:
+            rng = rl.substream(BASE_SEED, 71, key, a)
             arrivals, departures = _angle_errors(
-                config.angle_error_std, angles["rx_arrival"][a], angles["rx_departure"][a],
-                error_rng,
-            )
-            oracle = _angle_error_oracle(angles["rx_arrival"][a], angles["rx_departure"][a],
-                                         config.angle_error_std, oracle_error_rng)
-            wrapper = (np.array([e.arrival_freqs for e in estimated]),
-                       np.array([e.departure_freqs for e in estimated]))
-            for got in ((arrivals, departures), wrapper):
-                assert [g.tobytes() for g in got] == [o.tobytes() for o in oracle]
-            assert _state(error_rng) == _state(wrapper_error_rng) == _state(oracle_error_rng)
+                config.angle_error_std, angles["rx_arrival"][a], angles["rx_departure"][a], rng)
+            errors = config.angle_error_std * rl.substream(BASE_SEED, 71, key, a).standard_normal(
+                (config.n_ris, 2, config.n_ris_rx_paths))
+            assert np.allclose(arrivals - angles["rx_arrival"][a], errors[:, 0], rtol=0,
+                               atol=1e-14)
+            assert np.allclose(departures - angles["rx_departure"][a], errors[:, 1], rtol=0,
+                               atol=1e-14)
     return angles
 
 
@@ -480,7 +413,8 @@ _TINY_CONFIG = rl.SystemConfig(gain_target=1e-8, n_ris_rx_paths=12, angle_error_
 
 
 class TestArrayAngleDraws:
-    """The engine's array-native angle draws against the per-surface wrappers."""
+    """The engine's array-native angle draws against the model's rules; the
+    bits are pinned by :class:`TestArrayDrawPin`."""
 
     @pytest.mark.parametrize("overrides", [
         dict(n_nlos_tx_paths=0),
@@ -490,11 +424,11 @@ class TestArrayAngleDraws:
         dict(n_ris_rx_paths=30, n_nlos_tx_paths=3),
     ])
     def test_named_configs(self, overrides):
-        _assert_array_draws_match_wrappers(rl.SystemConfig(**overrides), 0, 3)
+        _assert_array_draws_obey_the_model(rl.SystemConfig(**overrides), 0, 3)
 
     def test_tiny_surfaces_relax_the_threshold(self):
         config = _TINY_CONFIG
-        angles = _assert_array_draws_match_wrappers(config, 1, 4)
+        angles = _assert_array_draws_obey_the_model(config, 1, 4)
         paths = 1 + config.n_nlos_tx_paths + config.n_ris_rx_paths
         # The mainlobe rule asks for more clearance than the circle holds.
         assert (2.0 * math.pi / angles["n_elements"].min(axis=1) > math.pi / paths).all()
@@ -516,17 +450,15 @@ class TestArrayAngleDraws:
             n_tx=8, n_rx=n_rx, n_ris=n_rx + extra_ris, n_nlos_tx_paths=n_tx_paths,
             n_ris_rx_paths=n_rx_paths, angle_error_std=sigma_e, gain_target=gain_target,
         )
-        _assert_array_draws_match_wrappers(config, key, n_angle)
+        _assert_array_draws_obey_the_model(config, key, n_angle)
 
     def test_sampling_error_propagates(self, monkeypatch):
-        # Under an attempt budget of one, the per-surface draw gives up; the
-        # array draw must give up the same way instead of returning.
+        # Under an attempt budget of one the sampler gives up; the array
+        # draw must give up the same way instead of returning.
         sampler = channel._draw_separated_freqs
         monkeypatch.setattr(channel, "_draw_separated_freqs",
                             lambda *args: sampler(*args, max_attempts=1))
         config = rl.SystemConfig(n_ris_rx_paths=40)
-        with pytest.raises(rl.SamplingError):
-            _per_surface_epoch(config, rl.substream(BASE_SEED, 72), rl.substream(BASE_SEED, 73))
         with pytest.raises(rl.SamplingError):
             draw_angle_epochs(config, surface_geometry(config), [rl.substream(BASE_SEED, 72)])
 
@@ -629,31 +561,24 @@ class TestArrayDrawPin:
         assert _draw_digests([(_TINY_CONFIG, 1, 4)]) == self.TINY
 
 
-def _composite_of(ups, profiles, downs, deployment) -> np.ndarray:
-    """The composite of one angle epoch's hops under per-surface profiles."""
-    hops = HopStack.from_channels(ups, downs, deployment)
-    return composite(hops, *profile_arrays(profiles))[0, 0]
-
-
-def _inner_products_of(ups, profiles, downs, deployment) -> np.ndarray:
-    """Every surface's inner products under per-surface profiles, shape
-    (K, L_R, L_T)."""
-    hops = HopStack.from_channels(ups, downs, deployment)
+def _inner_products_of(hops, slopes, commons) -> np.ndarray:
+    """Every surface's inner products in a stack of one, shape (K, L_R, L_T)."""
     return _inner_products(
-        *profile_arrays(profiles), hops.rx_departure, hops.tx_arrival, hops.n_elements
+        slopes, commons, hops.rx_departure, hops.tx_arrival, hops.n_elements
     )[0, 0]
 
 
 class TestCascadedFactorization:
     def test_assembly_matches_direct_sum(self):
         config = small_config()
-        deployment, ups, downs = draw_scene(config, BASE_SEED, 5)
-        gammas = random_profiles(deployment, rl.substream(BASE_SEED, 17))
-        h = _composite_of(ups, gammas, downs, deployment)
+        hops = draw_scene(config, BASE_SEED, 5)
+        slopes, commons = random_profiles(hops, rl.substream(BASE_SEED, 17))
+        h = composite(hops, slopes, commons)[0, 0]
         direct = np.zeros((config.n_rx, config.n_tx), dtype=complex)
         for k in range(config.n_ris):
-            direct += deployment.path_losses[k] * (
-                hop_matrix(downs[k]) @ np.diag(gammas[k].phase_vector()) @ hop_matrix(ups[k])
+            gamma = phase_profile(int(hops.n_elements[0, k]), slopes[0, k], commons[0, 0, k])
+            direct += hops.losses[0, k] * (
+                hop_matrix(hops, RIS_RX, k) @ np.diag(gamma) @ hop_matrix(hops, TX_RIS, k)
             )
         assert np.linalg.norm(h - direct) / np.linalg.norm(direct) < 1e-13
 
@@ -670,66 +595,57 @@ class TestCascadedFactorization:
                 n_nlos_tx_paths=int(rng.integers(0, 4)),
                 gain_target=2e-7,
             )
-            deployment, ups, downs = draw_scene(config, BASE_SEED, 19, trial)
-            gammas = random_profiles(deployment, rng)
-            h = _composite_of(ups, gammas, downs, deployment)
-            dense = dense_composite(ups, [g.phase_vector() for g in gammas], downs, deployment)
+            hops = draw_scene(config, BASE_SEED, 19, trial)
+            slopes, commons = random_profiles(hops, rng)
+            h = composite(hops, slopes, commons)[0, 0]
+            dense = dense_composite(hops, slopes, commons)
             assert np.linalg.norm(h - dense) <= 1e-10 * np.linalg.norm(h)
 
     def test_stacked_epochs_match_single_epochs_bitwise(self):
         config = small_config()
-        deployment, ups, downs = draw_scene(config, BASE_SEED, 30)
-        rngs = [rl.substream(BASE_SEED, 31, f) for f in range(4)]
-        stacked_ups = [rl.redraw_fading(up, config, deployment, rngs) for up in ups]
-        stacked_downs = [rl.redraw_fading(down, config, deployment, rngs) for down in downs]
-        phases = rl.substream(BASE_SEED, 32).uniform(-math.pi, math.pi, len(rngs))
+        stacked_hops = with_fading(config, draw_scene(config, BASE_SEED, 30),
+                               [rl.substream(BASE_SEED, 31, f) for f in range(4)])
+        n_fading = stacked_hops.tx_gains.shape[1]
+        phases = rl.substream(BASE_SEED, 32).uniform(-math.pi, math.pi, n_fading)
         # Surface 0 has a per-epoch common phase, the others one for all epochs.
         slopes = np.full((1, config.n_ris), 0.3 - (-0.2))
-        commons = np.tile(0.4 * np.arange(config.n_ris), (1, len(rngs), 1))
+        commons = np.tile(0.4 * np.arange(config.n_ris), (1, n_fading, 1))
         commons[0, :, 0] = phases
-        stacked = composite(
-            HopStack.from_channels(stacked_ups, stacked_downs, deployment), slopes, commons
-        )[0]
-        assert stacked.shape == (len(rngs), config.n_rx, config.n_tx)
-        for f in range(len(rngs)):
-            hops = HopStack.from_channels(
-                [dataclasses.replace(up, gains=up.gains[f]) for up in stacked_ups],
-                [dataclasses.replace(down, gains=down.gains[f]) for down in stacked_downs],
-                deployment,
-            )
+        stacked = composite(stacked_hops, slopes, commons)[0]
+        assert stacked.shape == (n_fading, config.n_rx, config.n_tx)
+        for f in range(n_fading):
+            hops = dataclasses.replace(stacked_hops, tx_gains=stacked_hops.tx_gains[:, f:f + 1],
+                                       rx_gains=stacked_hops.rx_gains[:, f:f + 1])
             single = composite(hops, slopes, commons[:, f:f + 1])[0, 0]
             assert single.tobytes() == stacked[f].tobytes()
 
     def test_core_entries_match_per_path_products(self):
         config = small_config()
-        deployment, ups, downs = draw_scene(config, BASE_SEED, 8)
-        gammas = random_profiles(deployment, rl.substream(BASE_SEED, 22))
-        inner = _inner_products_of(ups, gammas, downs, deployment)
+        hops = draw_scene(config, BASE_SEED, 8)
+        slopes, commons = random_profiles(hops, rl.substream(BASE_SEED, 22))
+        inner = _inner_products_of(hops, slopes, commons)
         for k in range(config.n_ris):
-            n_s = int(deployment.ris_element_counts[k])
+            n_s = int(hops.n_elements[0, k])
+            gamma = phase_profile(n_s, slopes[0, k], commons[0, 0, k])
             for l in range(config.n_ris_rx_paths):
                 for j in range(config.n_nlos_tx_paths + 1):
-                    a_dep = rl.array_response(n_s, downs[k].departure_freqs[l])
-                    a_arr = rl.array_response(n_s, ups[k].arrival_freqs[j])
-                    loss_gains = deployment.path_losses[k] * downs[k].gains[l] * ups[k].gains[j]
-                    expected = loss_gains * np.vdot(a_dep, gammas[k].phase_vector() * a_arr)
+                    a_dep = _response(n_s, hops.rx_departure[0, k, l])
+                    a_arr = _response(n_s, hops.tx_arrival[0, k, j])
+                    loss_gains = (hops.losses[0, k] * hops.rx_gains[0, 0, k, l]
+                                  * hops.tx_gains[0, 0, k, j])
+                    expected = loss_gains * np.vdot(a_dep, gamma * a_arr)
                     got = loss_gains * inner[k, l, j]
                     assert abs(got - expected) <= 1e-12 * abs(expected)
 
     def test_accepts_structured_reflection_objects(self):
+        # Profiles that align each surface's first receive-side path on its
+        # line of sight, as a design does.
         config = small_config()
-        deployment, ups, downs = draw_scene(config, BASE_SEED, 9)
-        gammas = [
-            rl.align_phases(
-                downs[k].departure_freqs[0],
-                ups[k].arrival_freqs[0],
-                int(deployment.ris_element_counts[k]),
-                ris_index=k,
-            )
-            for k in range(config.n_ris)
-        ]
-        h = _composite_of(ups, gammas, downs, deployment)
-        oracle = dense_composite(ups, [g.phase_vector() for g in gammas], downs, deployment)
+        hops = draw_scene(config, BASE_SEED, 9)
+        slopes = hops.rx_departure[:, :, 0] - hops.tx_arrival[:, :, 0]
+        commons = np.zeros((1, 1, config.n_ris))
+        h = composite(hops, slopes, commons)[0, 0]
+        oracle = dense_composite(hops, slopes, commons)
         assert np.linalg.norm(h - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
@@ -785,63 +701,49 @@ class TestDirichletKernel:
             assert abs(got[idx] - expected) <= 1e-13
 
 
-def _adversarial_downs(ups, downs):
-    """Receive hops whose surface departures collide with transmit-side
-    arrivals: directly, shifted by 2*pi, and at the offset an aligned
-    profile maps onto another path's arrival."""
-    out = []
-    for up, down in zip(ups, downs):
-        arrivals = up.arrival_freqs
-        departures = down.departure_freqs.copy()
+def _adversarial(hops):
+    """The stack with receive-side surface departures that collide with
+    transmit-side arrivals: directly, shifted by 2*pi, and at the offset an
+    aligned profile maps onto another path's arrival."""
+    departures = hops.rx_departure.copy()
+    for arrivals, row in zip(hops.tx_arrival[0], departures[0]):
         targets = (
             None,
             arrivals[1 % arrivals.size],
             arrivals[-1] + 2.0 * math.pi,
-            departures[0] + arrivals[-1] - arrivals[0] - 2.0 * math.pi,
+            row[0] + arrivals[-1] - arrivals[0] - 2.0 * math.pi,
         )
-        for l, target in enumerate(targets[: departures.size]):
+        for l, target in enumerate(targets[: row.size]):
             if target is not None:
-                departures[l] = target
-        out.append(dataclasses.replace(down, departure_freqs=departures))
-    return out
+                row[l] = target
+    return dataclasses.replace(hops, rx_departure=departures)
 
 
 class TestClosedFormAssembly:
     """Kernel assembly against the element-by-element oracle at the
     default surface sizes, on the profiles the schemes actually use."""
 
-    def _profiles(self, config, deployment, ups, downs):
-        candidates = candidate_matrix(downs)
-        counts = deployment.ris_element_counts
-
+    def _profiles(self, config, hops):
         def designed(scheme, refine):
-            selection = select_one(candidates, config.n_rx, scheme)
-            _, slopes, commons = design_one(selection, (ups, downs), deployment, refine=refine)
-            return [
-                rl.RisConfiguration(k, int(n), slope=slopes[0, k], common_phase=commons[0, 0, k])
-                for k, n in enumerate(counts)
-            ]
+            selection = select_one(hops.rx_arrival[0], config.n_rx, scheme)
+            return design_one(selection, hops, refine=refine)[1:]
 
         return {
             "aligned": designed("sm", refine=False),
             "refined": designed("bf", refine=True),
-            "neutral": [
-                rl.RisConfiguration.neutral(int(n), ris_index=k)
-                for k, n in enumerate(deployment.ris_element_counts)
-            ],
+            "neutral": (np.zeros((1, config.n_ris)), np.zeros((1, 1, config.n_ris))),
         }
 
     @pytest.mark.parametrize("adversarial", [False, True])
     def test_matches_dense_oracle(self, adversarial):
         config = rl.SystemConfig()
         for i in range(20):
-            deployment, ups, downs = draw_scene(config, BASE_SEED, 23, i)
+            hops = draw_scene(config, BASE_SEED, 23, i)
             if adversarial:
-                downs = _adversarial_downs(ups, downs)
-            for name, gammas in self._profiles(config, deployment, ups, downs).items():
-                h = _composite_of(ups, gammas, downs, deployment)
-                phases = [g.phase_vector() for g in gammas]
-                oracle = dense_composite(ups, phases, downs, deployment)
+                hops = _adversarial(hops)
+            for name, (slopes, commons) in self._profiles(config, hops).items():
+                h = composite(hops, slopes, commons)[0, 0]
+                oracle = dense_composite(hops, slopes, commons)
                 rel = np.linalg.norm(h - oracle) / np.linalg.norm(oracle)
                 assert rel <= 1e-12, (name, i, rel)
 
@@ -849,8 +751,7 @@ class TestClosedFormAssembly:
         # The collisions put some kernel arguments at (or within rounding
         # of) a multiple of 2*pi, where the sine ratio is 0/0.
         config = rl.SystemConfig()
-        deployment, ups, downs = draw_scene(config, BASE_SEED, 23, 0)
-        downs = _adversarial_downs(ups, downs)
-        neutral = [rl.RisConfiguration.neutral(int(n)) for n in deployment.ris_element_counts]
-        inner = _inner_products_of(ups, neutral, downs, deployment)
+        hops = _adversarial(draw_scene(config, BASE_SEED, 23, 0))
+        inner = _inner_products_of(hops, np.zeros((1, config.n_ris)),
+                                   np.zeros((1, 1, config.n_ris)))
         assert np.any(np.abs(inner - 1.0) < 1e-12)

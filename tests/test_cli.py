@@ -354,7 +354,7 @@ class TestExitCodes:
          cli.EXIT_NO_CROSSING),
         # Zero streams is a stream count, not "use the config's".
         (["crossing-point", "--n-rx", "0"], cli.EXIT_BAD_CONFIG),
-        # A bad --set fails before any verb runs, even one without a config.
+        # selftest takes no configuration options, so argparse rejects them.
         (["selftest", "--set", "bogus=3"], cli.EXIT_BAD_CONFIG),
         # Grids above a million points fail before the grid is built.
         *(
@@ -385,6 +385,7 @@ class TestExitCodes:
         (["analyze", "--config", ""], cli.EXIT_BAD_CONFIG),
         (["selftest", "--config", ""], cli.EXIT_BAD_CONFIG),
         (["crossing-point", "--n-rx", "2", "--profile", ""], cli.EXIT_BAD_CONFIG),
+        (["selftest", "--config", "missing.cfg"], cli.EXIT_BAD_CONFIG),
     ])
     def test_error_paths(self, argv, code, capsys):
         assert _run(argv) == code

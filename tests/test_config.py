@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rislink as rl
+from rislink.config import drop_receiver, receiver_losses, surface_geometry
 from rislink.errors import ConfigurationError, PlacementError
 
 from conftest import BASE_SEED
@@ -21,14 +22,14 @@ class TestUnitConversions:
     def test_known_values(self):
         assert math.isclose(rl.db2lin(10.0), 10.0, rel_tol=1e-12)
         assert rl.db2lin(0.0) == 1.0
-        assert math.isclose(rl.lin2db(100.0), 20.0, rel_tol=1e-12)
+        assert math.isclose(rl.db2lin(20.0), 100.0, rel_tol=1e-12)
         assert math.isclose(rl.dbm2watt(30.0), 1.0, rel_tol=1e-12)
         assert math.isclose(rl.dbm2watt(0.0), 1e-3, rel_tol=1e-12)
         assert math.isclose(rl.watt2dbm(1.0), 30.0, rel_tol=1e-12)
 
     @given(st.floats(min_value=-120.0, max_value=120.0))
     def test_db_roundtrip(self, value_db):
-        assert math.isclose(rl.lin2db(rl.db2lin(value_db)), value_db, abs_tol=1e-9)
+        assert math.isclose(10.0 * math.log10(rl.db2lin(value_db)), value_db, abs_tol=1e-9)
 
     @given(st.floats(min_value=-60.0, max_value=60.0))
     def test_dbm_roundtrip(self, value_dbm):
@@ -95,22 +96,23 @@ class TestElementCount:
         assert abs(count * loss - target) <= 0.5 * loss * (1.0 + 1e-9)
 
 
+def _drop(config, rng):
+    """A receiver drop and the losses and element counts it gives."""
+    rx_position = drop_receiver(config, rng)
+    return (rx_position, *receiver_losses(config, surface_geometry(config), rx_position))
+
+
 class TestPlacement:
     def test_default_counts_at_disk_center(self):
         config = rl.SystemConfig()
-        deployment = rl.place_deployment(
-            config,
-            rl.substream(BASE_SEED, 0),
-            rx_position=np.array([config.rx_center_distance, 0.0]),
+        _, counts = receiver_losses(
+            config, surface_geometry(config), np.array([config.rx_center_distance, 0.0])
         )
-        assert tuple(int(c) for c in deployment.ris_element_counts) == (
-            211, 174, 174, 211,
-        )
+        assert tuple(int(c) for c in counts) == (211, 174, 174, 211)
 
     def test_direction_cosines_on_dft_grid(self):
         config = rl.SystemConfig()
-        deployment = rl.place_deployment(config, rl.substream(BASE_SEED, 0))
-        cosines = deployment.direction_cosines
+        cosines = surface_geometry(config).direction_cosines
         # Beams sit on the transmit DFT grid, strictly inside the visible
         # region, sorted by descending cosine, with no duplicates.
         steps = cosines * config.n_tx / 2.0
@@ -122,45 +124,46 @@ class TestPlacement:
 
     def test_surface_positions_follow_cosines(self):
         config = rl.SystemConfig()
-        deployment = rl.place_deployment(config, rl.substream(BASE_SEED, 0))
+        surfaces = surface_geometry(config)
         x = config.ris_axis_distance
-        for position, u in zip(deployment.ris_positions,
-                               deployment.direction_cosines):
+        for position, u, los_departure, distance in zip(
+                surfaces.ris_positions, surfaces.direction_cosines, surfaces.los_departure,
+                surfaces.tx_distances):
             assert math.isclose(position[0], x, rel_tol=1e-12)
             assert math.isclose(
                 position[1], x * u / math.sqrt(1.0 - u * u), rel_tol=1e-12
             )
             # The cosine is the projection onto the transmit array line,
             # which runs along the second coordinate.
-            distance = np.linalg.norm(position - deployment.tx_position)
+            assert distance == np.linalg.norm(position - surfaces.tx_position)
             assert math.isclose(position[1] / distance, u, rel_tol=1e-12)
+            assert los_departure == math.pi * u
 
     def test_losses_match_two_hop_product(self):
         config = rl.SystemConfig()
-        deployment = rl.place_deployment(config, rl.substream(BASE_SEED, 3))
-        for position, loss in zip(deployment.ris_positions,
-                                  deployment.path_losses):
-            r1 = np.linalg.norm(position - deployment.tx_position)
-            r2 = np.linalg.norm(deployment.rx_position - position)
+        rx_position, losses, _ = _drop(config, rl.substream(BASE_SEED, 3))
+        surfaces = surface_geometry(config)
+        for position, loss in zip(surfaces.ris_positions, losses):
+            r1 = np.linalg.norm(position - surfaces.tx_position)
+            r2 = np.linalg.norm(rx_position - position)
             assert math.isclose(
                 loss, rl.path_loss(r1, r2, config.wavelength), rel_tol=1e-12
             )
 
     def test_achieved_gains_near_target(self):
         config = rl.SystemConfig()
-        deployment = rl.place_deployment(config, rl.substream(BASE_SEED, 4))
-        achieved = deployment.ris_element_counts * deployment.path_losses
+        _, losses, counts = _drop(config, rl.substream(BASE_SEED, 4))
+        achieved = counts * losses
         assert np.all(
             np.abs(achieved - config.gain_target)
-            <= 0.5 * deployment.path_losses * (1.0 + 1e-9)
+            <= 0.5 * losses * (1.0 + 1e-9)
         )
 
     def test_receiver_disk_is_uniform(self):
         config = rl.SystemConfig()
         center = np.array([config.rx_center_distance, 0.0])
         draws = np.array([
-            rl.place_deployment(config, rl.substream(BASE_SEED, 5, i)).rx_position
-            for i in range(4000)
+            drop_receiver(config, rl.substream(BASE_SEED, 5, i)) for i in range(4000)
         ])
         offsets = draws - center
         radii2 = np.sum(offsets**2, axis=1)
@@ -175,25 +178,28 @@ class TestPlacement:
         assert counts.min() > 850 and counts.max() < 1150
 
     def test_rx_override_is_used(self):
+        # The losses follow the receiver position they are given.
         config = rl.SystemConfig()
+        surfaces = surface_geometry(config)
         rx = np.array([170.0, -20.0])
-        deployment = rl.place_deployment(
-            config, rl.substream(BASE_SEED, 6), rx_position=rx
-        )
-        assert np.array_equal(deployment.rx_position, rx)
+        losses, counts = receiver_losses(config, surfaces, rx)
+        for position, distance, loss, count in zip(
+                surfaces.ris_positions, surfaces.tx_distances, losses, counts):
+            r2 = np.linalg.norm(rx - position)
+            assert loss == rl.path_loss(distance, r2, config.wavelength)
+            assert count == rl.ris_element_count(config.gain_target, loss)
 
     def test_same_seed_same_deployment(self):
         config = rl.SystemConfig()
-        a = rl.place_deployment(config, rl.substream(BASE_SEED, 7))
-        b = rl.place_deployment(config, rl.substream(BASE_SEED, 7))
-        assert np.array_equal(a.rx_position, b.rx_position)
-        assert np.array_equal(a.ris_element_counts, b.ris_element_counts)
-        assert np.array_equal(a.path_losses, b.path_losses)
+        a = _drop(config, rl.substream(BASE_SEED, 7))
+        b = _drop(config, rl.substream(BASE_SEED, 7))
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
     def test_too_few_usable_beams_raises(self):
         config = rl.SystemConfig(n_tx=2, n_rx=1, n_ris=1)
         with pytest.raises(PlacementError):
-            rl.place_deployment(config, rl.substream(BASE_SEED, 8))
+            surface_geometry(config)
 
 
 class TestValidation:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -10,7 +11,7 @@ import pytest
 
 import rislink as rl
 from rislink import customize
-from rislink.channel import HopStack, _inner_products, composite
+from rislink.channel import _inner_products, _response_matrix, composite
 from rislink.customize import (
     DEFAULT_SEARCH_CAP,
     DENSE_SEARCH_LIMIT,
@@ -18,14 +19,15 @@ from rislink.customize import (
     _candidate_gram,
 )
 from rislink.errors import SearchSpaceError, SelectionInfeasibleError
+from rislink.montecarlo import _angle_errors
 from rislink.selftest import design_one, select_one
 
-from conftest import BASE_SEED, candidate_matrix, draw_scene, model_channel, small_config
+from conftest import BASE_SEED, draw_scene, model_channel
 
 
 def _gram_objective(freqs, n_rx: int, off_diagonal: float) -> float:
     """Squared distance of the receive Gram matrix from its target."""
-    r = np.stack([rl.array_response(n_rx, f) for f in freqs], axis=1)
+    r = _response_matrix(n_rx, freqs)
     gram = r.conj().T @ r
     target = np.full((len(freqs), len(freqs)), off_diagonal, dtype=complex)
     np.fill_diagonal(target, 1.0)
@@ -366,57 +368,60 @@ class TestDiversitySelection:
         with pytest.raises(SelectionInfeasibleError):
             select_one(candidates, 2, "ds", 3)
 
+    def test_unknown_scheme_rejected(self):
+        candidates = rl.substream(BASE_SEED, 63).uniform(-math.pi, math.pi, (3, 4))
+        with pytest.raises(ValueError, match="unknown scheme 'xx'"):
+            select_one(candidates, 2, "xx")
+
 
 class TestCustomizedChannel:
     """One slot's design on one angle epoch: a stack of one."""
 
     def _scene(self, key, config=None):
         config = config or rl.SystemConfig()
-        deployment, ups, downs = draw_scene(config, BASE_SEED, *key)
-        return config, deployment, ups, downs
+        return config, draw_scene(config, BASE_SEED, *key)
 
     def test_multiplex_gram_is_near_identity(self):
-        config, deployment, ups, downs = self._scene((52,))
-        selection = select_one(candidate_matrix(downs), config.n_rx, "sm")
-        design = design_one(selection, (ups, downs), deployment)[0].row(0, 0)
+        config, hops = self._scene((52,))
+        selection = select_one(hops.rx_arrival[0], config.n_rx, "sm")
+        design = design_one(selection, hops)[0].row(0, 0)
         gram = design.r_active.conj().T @ design.r_active
         assert np.allclose(np.diag(gram), 1.0, atol=1e-12)
         assert np.linalg.norm(gram - np.eye(config.n_rx)) ** 2 \
             <= selection.slot_objectives[0] + 1e-12
 
     def test_active_columns_match_selection(self):
-        config, deployment, ups, downs = self._scene((53,))
-        selection = select_one(candidate_matrix(downs), config.n_rx, "sm")
-        design = design_one(selection, (ups, downs), deployment)[0].row(0, 0)
+        config, hops = self._scene((53,))
+        selection = select_one(hops.rx_arrival[0], config.n_rx, "sm")
+        design = design_one(selection, hops)[0].row(0, 0)
         for column, (k, path) in enumerate(
                 zip(selection.active_ris, selection.slot_paths[0])):
             assert np.array_equal(
                 design.r_active[:, column],
-                rl.array_response(config.n_rx, downs[k].arrival_freqs[path]),
+                _response_matrix(config.n_rx, hops.rx_arrival[0, k, path:path + 1])[:, 0],
             )
             assert np.array_equal(
                 design.t_active[:, column],
-                rl.array_response(config.n_tx, ups[k].departure_freqs[0]),
+                _response_matrix(config.n_tx, hops.tx_departure[0, k, :1])[:, 0],
             )
 
     def test_gains_match_aligned_decomposition(self):
-        config, deployment, ups, downs = self._scene((54,))
-        selection = select_one(candidate_matrix(downs), config.n_rx, "sm")
-        design, slopes, commons = design_one(selection, (ups, downs), deployment)
-        hops = HopStack.from_channels(ups, downs, deployment)
+        config, hops = self._scene((54,))
+        selection = select_one(hops.rx_arrival[0], config.n_rx, "sm")
+        design, slopes, commons = design_one(selection, hops)
         inner = _inner_products(
             slopes, commons, hops.rx_departure, hops.tx_arrival, hops.n_elements
         )[0, 0]
         for column, (k, path) in enumerate(
                 zip(selection.active_ris, selection.slot_paths[0])):
-            gain = (deployment.path_losses[k] * downs[k].gains[path] * ups[k].gains[0]
+            gain = (hops.losses[0, k] * hops.rx_gains[0, 0, k, path] * hops.tx_gains[0, 0, k, 0]
                     * inner[k, path, 0])
             assert abs(design.xi_active[0, 0, column] - gain) <= 1e-15
 
     def test_inactive_surfaces_are_neutral(self):
-        config, deployment, ups, downs = self._scene((55,))
-        selection = select_one(candidate_matrix(downs), config.n_rx, "sm")
-        _, slopes, commons = design_one(selection, (ups, downs), deployment)
+        config, hops = self._scene((55,))
+        selection = select_one(hops.rx_arrival[0], config.n_rx, "sm")
+        _, slopes, commons = design_one(selection, hops)
         assert slopes.shape == (1, config.n_ris)
         assert not commons.any()
         for k in range(config.n_ris):
@@ -424,22 +429,22 @@ class TestCustomizedChannel:
                 assert slopes[0, k] == 0.0
             else:
                 path = selection.slot_paths[0][selection.active_ris.index(k)]
-                retarget = downs[k].departure_freqs[path] - ups[k].arrival_freqs[0]
+                retarget = hops.rx_departure[0, k, path] - hops.tx_arrival[0, k, 0]
                 assert slopes[0, k] == retarget
 
     def test_exact_channel_matches_assembly(self):
-        config, deployment, ups, downs = self._scene((56,))
-        selection = select_one(candidate_matrix(downs), config.n_rx, "sm")
-        design, slopes, commons = design_one(selection, (ups, downs), deployment)
-        h = composite(HopStack.from_channels(ups, downs, deployment), slopes, commons)
+        config, hops = self._scene((56,))
+        selection = select_one(hops.rx_arrival[0], config.n_rx, "sm")
+        design, slopes, commons = design_one(selection, hops)
+        h = composite(hops, slopes, commons)
         assert np.array_equal(design.exact_h, h)
 
     def test_approximation_error_is_modest(self):
         ratios = []
         for i in range(150):
-            config, deployment, ups, downs = self._scene((57, i))
-            selection = select_one(candidate_matrix(downs), config.n_rx, "sm")
-            design = design_one(selection, (ups, downs), deployment)[0].row(0, 0)
+            config, hops = self._scene((57, i))
+            selection = select_one(hops.rx_arrival[0], config.n_rx, "sm")
+            design = design_one(selection, hops)[0].row(0, 0)
             ratios.append(
                 np.linalg.norm(model_channel(design) - design.exact_h)
                 / np.linalg.norm(design.exact_h)
@@ -449,10 +454,10 @@ class TestCustomizedChannel:
     def test_beamform_rank_one_when_departures_coincide(self):
         # If all selected receive-side arrival frequencies coincide, the
         # model matrix is an exact rank-one outer product.
-        config, deployment, ups, downs = self._scene((58,))
-        selection = select_one(candidate_matrix(downs), config.n_rx, "bf")
-        design = design_one(selection, (ups, downs), deployment)[0].row(0, 0)
-        freqs = [downs[k].arrival_freqs[p] for k, p in
+        config, hops = self._scene((58,))
+        selection = select_one(hops.rx_arrival[0], config.n_rx, "bf")
+        design = design_one(selection, hops)[0].row(0, 0)
+        freqs = [hops.rx_arrival[0, k, p] for k, p in
                  zip(selection.active_ris, selection.slot_paths[0])]
         approx = model_channel(design)
         s = np.linalg.svd(approx, compute_uv=False)
@@ -465,12 +470,12 @@ class TestCustomizedChannel:
     def test_refinement_changes_only_common_phase(self):
         # The per-element profiles (slopes) are untouched; refinement only
         # adds a common phase per active surface.
-        config, deployment, ups, downs = self._scene((59,))
-        selection = select_one(candidate_matrix(downs), config.n_rx, "bf")
+        config, hops = self._scene((59,))
+        selection = select_one(hops.rx_arrival[0], config.n_rx, "bf")
         plain, plain_slopes, plain_commons = design_one(
-            selection, (ups, downs), deployment, refine=False)
+            selection, hops, refine=False)
         refined, refined_slopes, refined_commons = design_one(
-            selection, (ups, downs), deployment, refine=True)
+            selection, hops, refine=True)
         assert np.allclose(np.abs(plain.xi_active), np.abs(refined.xi_active),
                            rtol=1e-12)
         assert np.array_equal(plain_slopes, refined_slopes)
@@ -479,24 +484,24 @@ class TestCustomizedChannel:
 
     def test_slot_index_selects_diversity_branch(self):
         config = rl.SystemConfig(n_slots=2)
-        deployment, ups, downs = draw_scene(config, BASE_SEED, 60)
-        selection = select_one(candidate_matrix(downs), config.n_rx, "ds", 2)
-        slot0 = design_one(selection, (ups, downs), deployment, slot=0)[0]
-        slot1 = design_one(selection, (ups, downs), deployment, slot=1)[0]
+        hops = draw_scene(config, BASE_SEED, 60)
+        selection = select_one(hops.rx_arrival[0], config.n_rx, "ds", 2)
+        slot0 = design_one(selection, hops, slot=0)[0]
+        slot1 = design_one(selection, hops, slot=1)[0]
         assert slot0.slot == 0 and slot1.slot == 1
         assert not np.array_equal(slot0.r_active, slot1.r_active)
 
     def test_mismatched_design_keeps_true_exact_channel(self):
         # Selection and phase design run on the perturbed estimate, but
         # the exact channel must be assembled from the true draws.
-        config, deployment, ups, downs = self._scene((61,))
-        rng = rl.substream(BASE_SEED, 62)
-        est_downs = [rl.inject_angle_error(d, 0.05, rng) for d in downs]
-        selection = select_one(candidate_matrix(est_downs), config.n_rx, "sm")
-        design, slopes, commons = design_one(
-            selection, (ups, est_downs), deployment, exact_hops=(ups, downs),
-        )
-        h_true = composite(HopStack.from_channels(ups, downs, deployment), slopes, commons)
+        config, hops = self._scene((61,))
+        arrivals, departures = _angle_errors(0.05, hops.rx_arrival[0], hops.rx_departure[0],
+                                             rl.substream(BASE_SEED, 62))
+        estimate = dataclasses.replace(hops, rx_arrival=arrivals[None],
+                                       rx_departure=departures[None])
+        selection = select_one(estimate.rx_arrival[0], config.n_rx, "sm")
+        design, slopes, commons = design_one(selection, estimate, exact=hops)
+        h_true = composite(hops, slopes, commons)
         assert np.array_equal(design.exact_h, h_true)
-        h_design = composite(HopStack.from_channels(ups, est_downs, deployment), slopes, commons)
+        h_design = composite(estimate, slopes, commons)
         assert not np.array_equal(design.exact_h, h_design)

@@ -1,8 +1,13 @@
-"""The package's export list matches what its namespace binds."""
+"""The package's export list matches what its namespace binds, and the
+names README cites exist."""
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+import re
 import types
+from pathlib import Path
 
 import rislink as rl
 
@@ -24,12 +29,9 @@ PUBLIC_NAMES = [
     "ClosedFormParams",
     "ConfigurationError",
     "ConvergenceError",
-    "Deployment",
-    "MultipathChannel",
     "NoCrossingError",
     "PathSelection",
     "PlacementError",
-    "RisConfiguration",
     "RislinkError",
     "SamplingError",
     "SchemeResult",
@@ -38,30 +40,21 @@ PUBLIC_NAMES = [
     "SweepResult",
     "SystemConfig",
     "TrialPlan",
-    "align_phases",
     "apply_axis",
-    "array_response",
     "common_phase_refinement",
     "crossing_point",
     "crossing_point_three_stream",
     "crossing_point_two_stream",
     "db2lin",
     "dbm2watt",
-    "draw_ris_rx_channel",
-    "draw_tx_ris_channel",
     "dump_config",
     "estimate_ber",
     "estimate_ergodic_se",
     "estimate_outage",
     "exp_integral_ei",
-    "inject_angle_error",
-    "lin2db",
     "load_config",
-    "min_angle_separation",
     "parse_config_value",
     "path_loss",
-    "place_deployment",
-    "redraw_fading",
     "ris_element_count",
     "scaled_ei_neg",
     "se_bf_upper",
@@ -69,7 +62,6 @@ PUBLIC_NAMES = [
     "se_sm_approx",
     "se_sm_upper",
     "substream",
-    "sym_func",
     "watt2dbm",
     "wilson_half_width",
 ]
@@ -77,3 +69,33 @@ PUBLIC_NAMES = [
 
 def test_all_is_the_pinned_public_surface():
     assert sorted(rl.__all__) == PUBLIC_NAMES
+
+
+_MODULES = {info.name for info in pkgutil.iter_modules(rl.__path__)}
+
+
+def _readme_names() -> set[str]:
+    """Every backticked dotted name in README.md that starts with
+    ``rislink.`` or with one of the package's modules, without the
+    ``rislink.`` prefix."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    names = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text)
+    return {name.removeprefix("rislink.") for name in names
+            if name.startswith("rislink.") or name.split(".")[0] in _MODULES}
+
+
+def test_readme_dotted_names_resolve():
+    names = _readme_names()
+    assert {"montecarlo.CHUNK_ROWS", "transceive.PayloadBuffers",
+            "selftest.dense_composite"} <= names
+    missing = []
+    for name in sorted(names):
+        parts = name.split(".")
+        target = rl
+        if parts[0] in _MODULES:
+            target = importlib.import_module(f"rislink.{parts.pop(0)}")
+        for part in parts:
+            target = getattr(target, part, None)
+        if target is None:
+            missing.append(name)
+    assert missing == []

@@ -12,7 +12,8 @@ from scipy import stats
 import rislink as rl
 import rislink.montecarlo as mc
 from rislink import transceive
-from rislink.channel import _complex_normal
+from rislink.channel import HopStack, _complex_normal, draw_angle_epochs, draw_fading_gains
+from rislink.config import surface_geometry
 from rislink.errors import ConfigurationError
 from rislink.selftest import design_one, select_one
 
@@ -66,44 +67,41 @@ class TestFadingStatistics:
 
 
 class TestAngleErrorInjection:
-    def _down(self):
+    def _angles(self):
         config = rl.SystemConfig()
-        deployment = rl.place_deployment(config, rl.substream(BASE_SEED, 113))
-        up = rl.draw_tx_ris_channel(config, deployment, 0,
-                                    rl.substream(BASE_SEED, 114))
-        down = rl.draw_ris_rx_channel(config, deployment, 0,
-                                      rl.substream(BASE_SEED, 115))
-        return up, down
+        angles, _ = draw_angle_epochs(config, surface_geometry(config),
+                                      [rl.substream(BASE_SEED, 113)])
+        return angles["rx_arrival"][0], angles["rx_departure"][0]
 
     def test_zero_sigma_is_identity(self):
-        up, down = self._down()
-        assert rl.inject_angle_error(down, 0.0,
-                                     rl.substream(BASE_SEED, 116)) is down
+        arrivals, departures = self._angles()
+        got = mc._angle_errors(0.0, arrivals, departures, rl.substream(BASE_SEED, 116))
+        assert [g.tobytes() for g in got] == [arrivals.tobytes(), departures.tobytes()]
 
     def test_transmit_hop_never_perturbed(self):
-        up, _ = self._down()
-        assert rl.inject_angle_error(up, 0.3,
-                                     rl.substream(BASE_SEED, 117)) is up
+        # The error draw holds two normals per receive-side path and none
+        # for the transmit side, whose geometry is known exactly.
+        arrivals, departures = self._angles()
+        rng, replay = rl.substream(BASE_SEED, 117), rl.substream(BASE_SEED, 117)
+        mc._angle_errors(0.3, arrivals, departures, rng)
+        replay.standard_normal(2 * arrivals.size)
+        assert repr(rng.bit_generator.state) == repr(replay.bit_generator.state)
 
     def test_perturbs_frequencies_not_gains(self):
-        _, down = self._down()
+        arrivals, departures = self._angles()
         sigma = 0.05
-        perturbed = rl.inject_angle_error(down, sigma,
-                                          rl.substream(BASE_SEED, 118))
-        assert np.array_equal(perturbed.gains, down.gains)
-        assert not np.array_equal(perturbed.arrival_freqs,
-                                  down.arrival_freqs)
-        assert not np.array_equal(perturbed.departure_freqs,
-                                  down.departure_freqs)
+        perturbed = mc._angle_errors(sigma, arrivals, departures, rl.substream(BASE_SEED, 118))
+        assert not np.array_equal(perturbed[0], arrivals)
+        assert not np.array_equal(perturbed[1], departures)
         # Additive real Gaussian on the spatial frequencies, so offsets
         # stay small at this sigma.
-        assert np.max(np.abs(perturbed.arrival_freqs - down.arrival_freqs)) \
-            < 6.0 * sigma
+        assert np.max(np.abs(perturbed[0] - arrivals)) < 6.0 * sigma
 
     def test_negative_sigma_rejected(self):
-        _, down = self._down()
-        with pytest.raises(ValueError):
-            rl.inject_angle_error(down, -0.1, rl.substream(BASE_SEED, 119))
+        with pytest.raises(ConfigurationError):
+            rl.SystemConfig(angle_error_std=-0.1)
+        with pytest.raises(ConfigurationError):
+            rl.apply_axis(rl.SystemConfig(), "sigma_e", -0.1)
 
 
 class TestPlanValidation:
@@ -178,23 +176,20 @@ def _angle_epoch(config, schemes, grid_index, epoch_index, n_fading_epochs, base
 
 def _per_epoch_oracle(config, schemes, grid_index, epoch_index, n_fading_epochs, base_seed,
                       gamma_th, payload_symbols=None):
-    """The engine one fading epoch at a time: redraw, design and run every
-    epoch on 1-D gains, every scheme with its own selection and designs."""
-    rng = mc.substream(base_seed, grid_index, epoch_index, mc._ANGLES)
-    deployment = rl.place_deployment(config, rng)
-    separation = rl.min_angle_separation(deployment)
-    base_tx, base_rx = [], []
-    for k in range(config.n_ris):
-        base_tx.append(rl.draw_tx_ris_channel(config, deployment, k, rng, separation))
-        base_rx.append(rl.draw_ris_rx_channel(config, deployment, k, rng, separation,
-                                              keep_away=base_tx[-1].arrival_freqs))
-    mismatched = config.angle_error_std > 0
-    template_rx = base_rx
-    if mismatched:
-        err_rng = mc.substream(base_seed, grid_index, epoch_index, mc._MISMATCH)
-        template_rx = [rl.inject_angle_error(ch, config.angle_error_std, err_rng)
-                       for ch in base_rx]
-    candidates = np.array([ch.arrival_freqs for ch in template_rx])
+    """The engine one fading epoch at a time: design and run every epoch
+    on a stack of one row, every scheme with its own selection and designs."""
+    angles, los_gains = draw_angle_epochs(
+        config, surface_geometry(config),
+        [mc.substream(base_seed, grid_index, epoch_index, mc._ANGLES)],
+    )
+    estimated = {}
+    if config.angle_error_std > 0:
+        arrivals, departures = mc._angle_errors(
+            config.angle_error_std, angles["rx_arrival"][0], angles["rx_departure"][0],
+            mc.substream(base_seed, grid_index, epoch_index, mc._MISMATCH),
+        )
+        estimated = dict(rx_arrival=arrivals[None], rx_departure=departures[None])
+    candidates = estimated.get("rx_arrival", angles["rx_arrival"])[0]
     selections = {
         scheme: select_one(candidates, config.n_rx, scheme,
                            config.n_slots if scheme in ("ds", "db") else 1)
@@ -203,21 +198,15 @@ def _per_epoch_oracle(config, schemes, grid_index, epoch_index, n_fading_epochs,
     out = {scheme: [] for scheme in schemes}
     for fading_index in range(n_fading_epochs):
         fading_rng = mc.substream(base_seed, grid_index, epoch_index, fading_index, mc._FADING)
-        cur_tx, cur_rx = [], []
-        for k in range(config.n_ris):
-            cur_tx.append(rl.redraw_fading(base_tx[k], config, deployment, fading_rng))
-            cur_rx.append(rl.redraw_fading(base_rx[k], config, deployment, fading_rng))
-        est_rx = cur_rx
-        if mismatched:
-            est_rx = [dataclasses.replace(t, gains=c.gains) for t, c in zip(template_rx, cur_rx)]
+        tx_gains, rx_gains = draw_fading_gains(config, angles["n_elements"], los_gains,
+                                               [[fading_rng]])
+        exact = HopStack(tx_gains=tx_gains, rx_gains=rx_gains, **angles)
+        estimate = dataclasses.replace(exact, **estimated)
         for scheme in schemes:
             selection = selections[scheme]
             multiplex = scheme in ("sm", "ds")
             designs = [
-                design_one(
-                    selection, (cur_tx, est_rx), deployment, slot=m, refine=not multiplex,
-                    exact_hops=(cur_tx, cur_rx) if mismatched else None,
-                )[0]
+                design_one(selection, estimate, slot=m, refine=not multiplex, exact=exact)[0]
                 for m in range(selection.n_slots)
             ]
             run = transceive._run_multiplex if multiplex else transceive._run_beamform

@@ -10,31 +10,28 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rislink as rl
-from rislink.channel import HopStack, _inner_products
-from rislink.selftest import design_one, select_one
+from rislink.channel import _inner_products, _response_matrix
+from rislink.selftest import design_one, phase_profile, select_one
 
-from conftest import BASE_SEED, candidate_matrix, draw_scene, model_channel, profile_arrays
+from conftest import BASE_SEED, draw_scene, model_channel
 
 
-def _reflect_gain(gamma, n: int, arrival: float, departure: float) -> complex:
-    """Scalar gain of one reflected path through a configured surface."""
-    phase = gamma.phase_vector() if hasattr(gamma, "phase_vector") else gamma
-    return complex(np.vdot(
-        rl.array_response(n, departure),
-        phase * rl.array_response(n, arrival),
-    ))
+def _reflect_gain(phase: np.ndarray, n: int, arrival: float, departure: float) -> complex:
+    """Scalar gain of one reflected path through a surface's reflection
+    coefficients."""
+    a_departure, a_arrival = _response_matrix(n, [departure, arrival]).T
+    return complex(np.vdot(a_departure, phase * a_arrival))
 
 
 class TestPhaseAlignment:
     def test_neutral_configuration_is_identity(self):
-        gamma = rl.RisConfiguration.neutral(16)
-        assert np.array_equal(gamma.phases, np.zeros(16))
-        assert np.array_equal(gamma.phase_vector(), np.ones(16, dtype=complex))
+        assert np.array_equal(phase_profile(16, 0.0), np.ones(16, dtype=complex))
 
     def test_per_element_phase_formula(self):
-        gamma = rl.align_phases(0.3, 1.1, 8)
-        expected = np.arange(8) * (0.3 - 1.1)
-        assert np.allclose(gamma.phases, expected, atol=1e-12)
+        expected = np.exp(1j * np.arange(8) * (0.3 - 1.1))
+        assert np.allclose(phase_profile(8, 0.3 - 1.1), expected, atol=1e-12)
+        rotated = np.exp(1j * (np.arange(8) * (0.3 - 1.1) + 0.7))
+        assert np.allclose(phase_profile(8, 0.3 - 1.1, 0.7), rotated, atol=1e-12)
 
     @given(
         st.floats(min_value=-math.pi, max_value=math.pi),
@@ -42,16 +39,14 @@ class TestPhaseAlignment:
         st.integers(min_value=1, max_value=400),
     )
     def test_aligned_path_has_unit_gain(self, arrival, departure, n):
-        gamma = rl.align_phases(departure, arrival, n)
-        gain = _reflect_gain(gamma, n, arrival, departure)
+        gain = _reflect_gain(phase_profile(n, departure - arrival), n, arrival, departure)
         assert math.isclose(abs(gain), 1.0, rel_tol=1e-9)
 
     def test_alignment_is_never_beaten_by_random_phases(self):
         rng = rl.substream(BASE_SEED, 30)
         n = 64
         arrival, departure = 0.7, -1.9
-        aligned = abs(_reflect_gain(rl.align_phases(departure, arrival, n),
-                                    n, arrival, departure))
+        aligned = abs(_reflect_gain(phase_profile(n, departure - arrival), n, arrival, departure))
         for _ in range(500):
             random_gamma = np.exp(1j * rng.uniform(-math.pi, math.pi, n))
             assert abs(_reflect_gain(random_gamma, n, arrival, departure)) \
@@ -59,30 +54,23 @@ class TestPhaseAlignment:
 
     def test_unaligned_path_obeys_aperture_crosstalk_bound(self):
         n = 211
-        gamma = rl.align_phases(0.5, 0.0, n)
+        gamma = phase_profile(n, 0.5 - 0.0)
         # A second path arriving 0.2 rad off the aligned one passes with
         # at most the aperture-kernel magnitude at that offset.
         other = abs(_reflect_gain(gamma, n, 0.2, 0.5))
-        kernel = abs(np.vdot(rl.array_response(n, 0.0),
-                             rl.array_response(n, 0.2)))
+        kernel = abs(np.vdot(*_response_matrix(n, [0.0, 0.2]).T))
         assert math.isclose(other, kernel, rel_tol=1e-9)
         assert other < 0.05
 
     def test_common_phase_preserves_magnitude(self):
-        gamma = rl.align_phases(-0.9, 0.4, 32)
-        rotated = gamma.with_common_phase(1.234)
+        gamma = phase_profile(32, -0.9 - 0.4)
+        rotated = phase_profile(32, -0.9 - 0.4, 1.234)
         g0 = _reflect_gain(gamma, 32, 0.4, -0.9)
         g1 = _reflect_gain(rotated, 32, 0.4, -0.9)
         assert math.isclose(abs(g0), abs(g1), rel_tol=1e-12)
         assert math.isclose(
             float(np.angle(g1 * np.conj(g0))), 1.234, rel_tol=1e-9
         )
-
-    def test_aligned_path_metadata_is_kept(self):
-        gamma = rl.align_phases(-0.9, 0.4, 32, ris_index=3, aligned_path=(2, 1))
-        assert gamma.ris_index == 3
-        assert gamma.aligned_path == (2, 1)
-        assert gamma.with_common_phase(0.5).aligned_path == (2, 1)
 
 
 class TestCommonPhaseRefinement:
@@ -130,9 +118,9 @@ class TestLeakage:
 
     def _leakage(self, key, config=None):
         config = config or rl.SystemConfig()
-        deployment, ups, downs = draw_scene(config, BASE_SEED, *key)
-        selection = select_one(candidate_matrix(downs), config.n_rx, "sm")
-        design = design_one(selection, (ups, downs), deployment)[0].row(0, 0)
+        hops = draw_scene(config, BASE_SEED, *key)
+        selection = select_one(hops.rx_arrival[0], config.n_rx, "sm")
+        design = design_one(selection, hops)[0].row(0, 0)
         leaked = np.linalg.norm(design.exact_h - model_channel(design))
         return float(leaked / np.linalg.norm(design.exact_h))
 
@@ -156,25 +144,15 @@ class TestEffectiveGain:
         # the two-hop gain product times the achieved aperture gain,
         # i.e. |rho * g_r * g_t| * N_S * loss ~ target.
         config = rl.SystemConfig()
-        deployment, ups, downs = draw_scene(config, BASE_SEED, 37)
+        hops = draw_scene(config, BASE_SEED, 37)
         k, l = 0, 2
-        n_s = int(deployment.ris_element_counts[k])
-        gammas = [
-            rl.align_phases(downs[0].departure_freqs[l],
-                            ups[0].arrival_freqs[0], n_s, 0, (l, 0)),
-        ] + [
-            rl.RisConfiguration.neutral(int(deployment.ris_element_counts[kk]),
-                                        ris_index=kk)
-            for kk in range(1, config.n_ris)
-        ]
-        hops = HopStack.from_channels(ups, downs, deployment)
+        slopes = np.zeros((1, config.n_ris))
+        slopes[0, k] = hops.rx_departure[0, k, l] - hops.tx_arrival[0, k, 0]
         inner = _inner_products(
-            *profile_arrays(gammas), hops.rx_departure, hops.tx_arrival, hops.n_elements
+            slopes, np.zeros((1, 1, config.n_ris)), hops.rx_departure, hops.tx_arrival,
+            hops.n_elements,
         )[0, 0]
-        gain = deployment.path_losses[k] * downs[k].gains[l] * ups[k].gains[0] * inner[k, l, 0]
-        expected = (
-            deployment.path_losses[k]
-            * abs(downs[k].gains[l])
-            * abs(ups[k].gains[0])
-        )
+        rx_gain, tx_gain = hops.rx_gains[0, 0, k, l], hops.tx_gains[0, 0, k, 0]
+        gain = hops.losses[0, k] * rx_gain * tx_gain * inner[k, l, 0]
+        expected = hops.losses[0, k] * abs(rx_gain) * abs(tx_gain)
         assert math.isclose(abs(gain), expected, rel_tol=1e-9)

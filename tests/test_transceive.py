@@ -22,16 +22,16 @@ from rislink.transceive import (
     _run_multiplex,
 )
 
-from conftest import BASE_SEED, candidate_matrix, draw_scene, small_config
+from conftest import BASE_SEED, draw_scene, small_config, with_fading
 
 
 def _designs(config, key, scheme: str, n_slots: int = 1):
     """Each slot's design of one scene: stacks of one row."""
-    deployment, ups, downs = draw_scene(config, BASE_SEED, *key)
-    selection = select_one(candidate_matrix(downs), config.n_rx, scheme, n_slots)
+    hops = draw_scene(config, BASE_SEED, *key)
+    selection = select_one(hops.rx_arrival[0], config.n_rx, scheme, n_slots)
     refine = scheme in ("bf", "db")
     return [
-        design_one(selection, (ups, downs), deployment, slot=m, refine=refine)[0]
+        design_one(selection, hops, slot=m, refine=refine)[0]
         for m in range(n_slots)
     ]
 
@@ -292,27 +292,19 @@ class TestStackedEpochs:
     @pytest.mark.parametrize("scheme, n_slots", [("sm", 1), ("bf", 1), ("ds", 2), ("db", 3)])
     def test_stacked_design_and_runners_match_each_epoch(self, scheme, n_slots):
         config = small_config(n_slots=n_slots)
-        deployment, ups, downs = draw_scene(config, BASE_SEED, 93)
-        selection = select_one(candidate_matrix(downs), config.n_rx, scheme, n_slots)
+        hops = draw_scene(config, BASE_SEED, 93)
+        selection = select_one(hops.rx_arrival[0], config.n_rx, scheme, n_slots)
         keys = range(3)
-        rngs = [rl.substream(BASE_SEED, 94, f) for f in keys]
-        stacked_hops = ([], [])
-        for up, down in zip(ups, downs):  # each generator's draw order of a single epoch
-            stacked_hops[0].append(rl.redraw_fading(up, config, deployment, rngs))
-            stacked_hops[1].append(rl.redraw_fading(down, config, deployment, rngs))
         refine = scheme in ("bf", "db")
-        stacked = [design_one(selection, stacked_hops, deployment, slot=m, refine=refine)
+        stacked_hops = with_fading(config, hops, [rl.substream(BASE_SEED, 94, f) for f in keys])
+        stacked = [design_one(selection, stacked_hops, slot=m, refine=refine)
                    for m in range(n_slots)]
         results = _run(scheme, [design for design, _, _ in stacked], config)
         assert len(results) == len(keys)
         for f in keys:
-            rng = rl.substream(BASE_SEED, 94, f)
-            single_ups, single_downs = [], []
-            for up, down in zip(ups, downs):
-                single_ups.append(rl.redraw_fading(up, config, deployment, rng))
-                single_downs.append(rl.redraw_fading(down, config, deployment, rng))
-            singles = [design_one(selection, (single_ups, single_downs), deployment, slot=m,
-                                  refine=refine) for m in range(n_slots)]
+            single_hops = with_fading(config, hops, [rl.substream(BASE_SEED, 94, f)])
+            singles = [design_one(selection, single_hops, slot=m, refine=refine)
+                       for m in range(n_slots)]
             for (design, slopes, commons), (single, single_slopes, single_commons) in zip(
                     stacked, singles):
                 view, single_row = design.row(0, f), single.row(0, 0)
