@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -350,6 +351,59 @@ class TestStackedEngine:
         _angle_epoch(config, ("sm", "bf", "ds", "db"), 0, 0, 3, BASE_SEED, 10.0)
         # sm/bf read their results off the first slot of ds/db's pass.
         assert sorted(calls) == ["_beam_combiner"] * 2 + ["_multiplex_slot"] * 2
+
+
+class TestRowResultPin:
+    """Frozen engine rows: sha256 of the repr of every field of every
+    ``SchemeResult``, and of the bytes of every design's slopes, common
+    phases, designed gains and exact channel, over seeded ``_run_chunk``
+    calls of 40 configs (1-4 receive antennas, 1-3 slots, 0-2 scattered
+    transmit paths, with and without angle error, 1-3 angle epochs by 1-5
+    fading epochs, all four schemes, some with payloads).  A change to the
+    engine must keep both digests."""
+
+    DIGESTS = ("86809c7d6a52e593ba883df24e84d3f557a33f00e11074fbde4877b6f74e8f75",
+               "62413f0dc49b0ccace6906ad045cc2cbc1a2f3e4cbea764edf823665eb3ec5c4")
+
+    @staticmethod
+    def _calls(count: int):
+        rng = rl.substream(BASE_SEED, 401)
+        for _ in range(count):
+            n_rx = int(rng.integers(1, 5))
+            n_slots = int(rng.integers(1, 4))
+            config = rl.SystemConfig(
+                n_tx=8, n_rx=n_rx, n_ris=int(rng.integers(n_rx, 5)),
+                n_nlos_tx_paths=int(rng.integers(0, 3)),
+                n_ris_rx_paths=int(rng.integers(n_slots, 7)), n_slots=n_slots,
+                angle_error_std=(0.0, 0.05)[int(rng.integers(2))],
+                transmit_power=float(10.0 ** rng.uniform(-4.0, 0.0)), gain_target=2e-7,
+            )
+            start = int(rng.integers(0, 5))
+            angle_indices = range(start, start + int(rng.integers(1, 4)))
+            payload = None
+            if rng.integers(2):
+                payload = {"multiplex": int(rng.integers(1, 30)),
+                           "beamform": int(rng.integers(1, 30))}
+            yield (config, ("sm", "bf", "ds", "db"), int(rng.integers(0, 4)), angle_indices,
+                   int(rng.integers(1, 6)), int(rng.integers(0, 2**31)), 10.0, payload)
+
+    def test_seeded_chunks_frozen(self, monkeypatch):
+        results, designs = hashlib.sha256(), hashlib.sha256()
+        original = mc.design_slots
+
+        def recording(*args, **kwargs):
+            design, slopes, commons = original(*args, **kwargs)
+            for array in (slopes, commons, design.xi_active, design.exact_h):
+                designs.update(f"{array.dtype.str}{array.shape}".encode() + array.tobytes())
+            return design, slopes, commons
+
+        monkeypatch.setattr(mc, "design_slots", recording)
+        for args in self._calls(40):
+            chunk = mc._run_chunk(*args)
+            for scheme, rows in chunk.items():
+                for row in rows:
+                    results.update(repr((scheme, dataclasses.astuple(row))).encode())
+        assert (results.hexdigest(), designs.hexdigest()) == self.DIGESTS
 
 
 class TestEstimators:
