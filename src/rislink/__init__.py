@@ -46,7 +46,6 @@ from .montecarlo import (
     substream,
     wilson_half_width,
 )
-from .ris import common_phase_refinement
 from .transceive import SchemeResult
 
 __version__ = "0.1.0"
@@ -67,7 +66,6 @@ __all__ = [
     "SystemConfig",
     "TrialPlan",
     "apply_axis",
-    "common_phase_refinement",
     "crossing_point",
     "crossing_point_three_stream",
     "crossing_point_two_stream",

@@ -154,14 +154,18 @@ def _los_gain(config: SystemConfig, n_elements):
 
 def _scattered_paths(
     config: SystemConfig, link: str, n_s: int, keep_away: np.ndarray,
-    rng: np.random.Generator, separation: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    rng: np.random.Generator, separation: float, gains: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The scattered paths of one hop, drawn in this order: frequencies at
     the surface (kept ``separation`` away from each other and from
-    ``keep_away``), frequencies at the far end, gains."""
+    ``keep_away``), frequencies at the far end, gains.  Without ``gains``
+    their normals are drawn in one call and None is returned."""
     count = config.n_nlos_tx_paths if link == TX_RIS else config.n_ris_rx_paths
     at_surface = _draw_separated_freqs(rng, count, keep_away, separation)
     far = math.pi * np.cos(rng.uniform(0.0, math.pi, size=count))
+    if not gains:
+        rng.standard_normal(2 * count)
+        return at_surface, far, None
     return at_surface, far, _scatter_scale(config, link, n_s, count) * _complex_normal(rng, count)
 
 
@@ -178,7 +182,8 @@ def draw_angle_epochs(
     from every transmit-side arrival at that surface), all at the spacing
     of the smallest surface.  Each hop draws its surface-side frequencies,
     its far-side frequencies and its scattered gains, in that order; the
-    gains are dropped, since fading epochs redraw them.
+    gains' normals are drawn in one call and dropped, since fading epochs
+    redraw the gains.
     ``tests/test_channel.py`` pins every value and each generator's final
     state by digest.  Returns the angle fields of a :class:`HopStack`
     (frequencies (A, K, L), element counts and losses (A, K)) and the
@@ -198,10 +203,10 @@ def draw_angle_epochs(
         separation = _separation(n_elements[a])
         for k, n_s in enumerate(n_elements[a].tolist()):
             tx_arrival[a, k, 1:], tx_departure[a, k, 1:], _ = _scattered_paths(
-                config, TX_RIS, n_s, tx_arrival[a, k, :1], rng, separation
+                config, TX_RIS, n_s, tx_arrival[a, k, :1], rng, separation, gains=False
             )
             rx_departure[a, k], rx_arrival[a, k], _ = _scattered_paths(
-                config, RIS_RX, n_s, tx_arrival[a, k], rng, separation
+                config, RIS_RX, n_s, tx_arrival[a, k], rng, separation, gains=False
             )
     angles = dict(
         n_rx=config.n_rx,

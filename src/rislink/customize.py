@@ -15,14 +15,17 @@ yield equal selections.  Selection and design work on stacks of angle
 epochs: :func:`select_paths_stack` runs every angle epoch's search from
 one :class:`SearchTerms`, and :func:`design_slots` designs one slot for
 every (angle epoch, fading epoch) row of a :class:`HopStack` into a
-:class:`DesignStack`.  One angle epoch is a stack of one.  What the
-profiles leave unshaped (the leakage) is, per row of a :class:`DesignStack`,
-``exact_h`` minus ``(r_active * xi_active) @ t_active^H``.
+:class:`DesignStack`.  One angle epoch is a stack of one.
+
+Every profile is linear in the element index (element ``i`` applies ``i *
+slope + c`` radians): its slope retargets one path pair onto the cascaded
+loss times the two path gains, and ``c`` co-phases the retargeted paths at
+the receiver.  What the profiles leave unshaped (the leakage) is, per row
+of a :class:`DesignStack`, ``exact_h - (r_active * xi_active) @ t_active^H``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -32,7 +35,6 @@ import numpy as np
 
 from .channel import HopStack, _response_matrix, composite
 from .errors import SearchSpaceError, SelectionInfeasibleError
-from .ris import common_phase_refinement
 
 SCHEME_TAGS = ("sm", "bf", "ds", "db")
 DEFAULT_SEARCH_CAP = 10_000_000
@@ -389,6 +391,38 @@ class DesignStack:
         )
 
 
+def _phase(z: np.ndarray) -> np.ndarray:
+    """``cmath.phase`` of every element: ``math.atan2`` of the parts
+    (``np.arctan2`` rounds differently on some inputs)."""
+    flat = z.ravel()
+    return np.array(list(map(math.atan2, flat.imag.tolist(), flat.real.tolist()))).reshape(z.shape)
+
+
+def _common_phases(rx_gains, tx_gains, rx_freqs, n_rx: int) -> np.ndarray:
+    """Common phases that co-phase retargeted paths at the receive array,
+    elementwise: each cancels its two path-gain phases and the phase at the
+    array centre, so combining terms add with non-negative real parts.  A
+    zero gain defines no phase and raises ``ValueError``."""
+    if not (np.all(rx_gains != 0) and np.all(tx_gains != 0)):
+        raise ValueError("path gains must be nonzero to define a phase")
+    return -(_phase(rx_gains) + _phase(tx_gains) + 0.5 * (n_rx - 1) * rx_freqs)
+
+
+def _designed_gains(losses, rx_gains, tx_gains, phases) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of ``loss * rx * tx * exp(1j * phase)``,
+    elementwise, rounded as the scalar complex products: each product in
+    separate real operations (numpy's complex multiply may fuse a
+    multiply-add), the loss as ``loss + 0j``, and ``exp(1j * c)`` as
+    ``math.cos``/``math.sin`` of ``(1j * c).imag``, which is ``0.0 + c``."""
+    re = losses * rx_gains.real - 0.0 * rx_gains.imag
+    im = losses * rx_gains.imag + 0.0 * rx_gains.real
+    re, im = re * tx_gains.real - im * tx_gains.imag, re * tx_gains.imag + im * tx_gains.real
+    flat = np.ravel(phases + 0.0).tolist()
+    cos, sin = (np.array(list(map(f, flat))).reshape(np.shape(phases))
+                for f in (math.cos, math.sin))
+    return re * cos - im * sin, re * sin + im * cos
+
+
 def design_slots(
     selections: Sequence[PathSelection],
     slot: int,
@@ -406,9 +440,9 @@ def design_slots(
     hops as known to the designer and ``exact`` the hops the link realizes
     (they differ in the receive-side angles under angle error).  Returns
     the designs, and the profiles' slopes (A, K) and common phases
-    (A, F or 1, K).  The common phases and designed gains are computed
-    one scalar at a time, because numpy's vectorized complex product
-    rounds differently (fused multiply-add).
+    (A, F or 1, K).  The common phases and designed gains are computed as
+    arrays that round exactly as one scalar at a time would (see
+    :func:`_common_phases` and :func:`_designed_gains`).
     """
     n_angle = len(selections)
     rows = np.arange(n_angle)[:, None]
@@ -424,22 +458,14 @@ def design_slots(
     tx_gains = np.moveaxis(estimate.tx_gains, 1, -1)[rows, active, 0]
     n_fading = rx_gains.shape[-1]
     commons = np.zeros((n_angle, n_fading if refine else 1, slopes.shape[1]))
+    phases = 0.0
+    if refine:
+        phases = _common_phases(rx_gains, tx_gains, rx_freqs[..., None], estimate.n_rx)
+        commons[rows, :, active] = phases
+    # The profile retargets exactly this pair: its inner product is e^{ic}.
+    gains = _designed_gains(estimate.losses[rows, active][..., None], rx_gains, tx_gains, phases)
     xi_active = np.empty((n_angle, n_fading, active.shape[1]), dtype=complex)
-    for a, surfaces in enumerate(active.tolist()):
-        for i, k in enumerate(surfaces):
-            phases = [0.0] * n_fading
-            if refine:
-                phases = [
-                    common_phase_refinement(rx, tx, rx_freqs[a, i], estimate.n_rx)
-                    for rx, tx in zip(rx_gains[a, i], tx_gains[a, i])
-                ]
-                commons[a, :, k] = phases
-            # The profile retargets exactly this pair: its inner product is e^{ic}.
-            loss = estimate.losses[a, k]
-            xi_active[a, :, i] = [
-                loss * rx * tx * cmath.exp(1j * phase)
-                for rx, tx, phase in zip(rx_gains[a, i], tx_gains[a, i], phases)
-            ]
+    xi_active.real, xi_active.imag = (np.swapaxes(part, 1, 2) for part in gains)
     design = DesignStack(
         slot=slot,
         n_slots=selections[0].n_slots,

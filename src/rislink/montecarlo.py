@@ -33,13 +33,17 @@ its schemes.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .channel import HopStack, draw_angle_epochs, draw_fading_gains
-from .config import SystemConfig, db2lin, dbm2watt, receiver_losses, surface_geometry
+from .config import SurfaceGeometry, SystemConfig, db2lin, dbm2watt, receiver_losses
+from .config import surface_geometry
 from .customize import (
     SCHEME_TAGS,
     SearchTerms,
@@ -69,10 +73,86 @@ MAX_PAYLOAD_BITS = 1 << 20
 _NO_FORM = (math.nan, math.nan)
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq mixing): the entropy hash,
+# the pool mix, and generate_state's (XOR, multiplier) per pool word.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _MIX_L, _MIX_R = 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
+_STATE_CONSTS = [(0x8B51F9DD * 0x58F38DED**i & _MASK32, 0x8B51F9DD * 0x58F38DED**(i + 1) & _MASK32)
+                 for i in range(4)]
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)  # Philox converts an int counter in Python.
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit words of a non-negative integer, least significant first."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+@functools.lru_cache(maxsize=256)
+def _hashes(word: int, const: int) -> tuple[tuple[int, ...], int]:
+    """The hashes of ``word`` into each pool word from hash constant
+    ``const``, and the constant after them."""
+    out = []
+    for _ in range(4):
+        const, value = const * _MULT_A & _MASK32, word ^ const
+        value = value * const & _MASK32
+        out.append(value ^ value >> 16)
+    return tuple(out), const
+
+
+def _absorb(state: tuple, n: int) -> tuple[tuple[int, ...], int]:
+    """(pool, hash constant) after mixing each word of ``n`` into the pool."""
+    pool, const = state
+    for word in _words(n):
+        hashes, const = _hashes(word, const)
+        mixed = [(_MIX_L * x - _MIX_R * y) & _MASK32 for x, y in zip(pool, hashes)]
+        pool = tuple([value ^ value >> 16 for value in mixed])
+    return pool, const
+
+
+@functools.lru_cache(maxsize=256)
+def _pool(base_seed: int, prefix: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """SeedSequence's (pool, hash constant) after ``base_seed`` and the key
+    ``prefix``: numpy's pool of the seed alone (which has taken 16 hashes,
+    and 4 more per seed word beyond the fourth), then each key word mixed
+    into every pool word."""
+    if prefix:
+        return _absorb(_pool(base_seed, prefix[:-1]), prefix[-1])
+    pool = np.random.SeedSequence(base_seed).pool.tolist()
+    return tuple(pool), _INIT_A * _MULT_A**(16 + 4 * max(len(_words(base_seed)) - 4, 0)) & _MASK32
+
+
+class _PhiloxKey(ISeedSequence):
+    """One Philox key, served only as ``generate_state(2, np.uint64)``."""
+
+    def __init__(self, key: np.ndarray) -> None:
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key serves only generate_state(2, np.uint64)")
+        return self.key
+
+
 def substream(base_seed: int, *key: int) -> np.random.Generator:
-    """Counter-based generator for one (grid, epoch, purpose) cell."""
-    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(seq))
+    """Counter-based generator for one (grid, epoch, purpose) cell.
+
+    It is ``Philox(SeedSequence(base_seed, spawn_key=key))``, its key
+    derived by SeedSequence's hash in Python integers from the cached pool
+    of the (seed, key prefix).  A counter-based stream is fixed by its key
+    alone (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+    SC'11), so every draw is SeedSequence's, bit for bit.  Negative
+    integers raise ``ValueError`` and a seed that is not an integer
+    (None included) ``TypeError``.
+    """
+    key = tuple(map(int, key))
+    state = _pool(operator.index(base_seed), key[:-1])
+    pool, _ = _absorb(state, key[-1]) if key else state
+    words = [(x ^ c) * m & _MASK32 for x, (c, m) in zip(pool, _STATE_CONSTS)]
+    words = [value ^ value >> 16 for value in words]
+    philox_key = np.array([words[0] | words[1] << 32, words[2] | words[3] << 32], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_PhiloxKey(philox_key), counter=_ZERO_COUNTER))
 
 
 def _axis_appliers():
@@ -208,16 +288,18 @@ def _run_chunk(
     base_seed: int,
     gamma_th: float,
     payload_symbols: dict[str, int] | None = None,
+    surfaces: SurfaceGeometry | None = None,
 ) -> dict[str, list[SchemeResult]]:
     """Evaluate every scheme over the rows of a chunk of angle epochs.
 
     Every angle epoch draws from its own substreams in the order of a
     single-epoch run, straight into the chunk's arrays: its receiver drop
-    and path angles (:func:`draw_angle_epochs`), then, with angle error,
-    the perturbed estimates on a second substream (:func:`_angle_errors`);
+    and path angles (:func:`draw_angle_epochs`, on the surface geometry
+    ``surfaces``, built when omitted), then, with angle error, the
+    perturbed estimates on a second substream (:func:`_angle_errors`);
     every fading epoch draws its gains from its own generator
-    (:func:`draw_fading_gains`).  Above the draws the chunk
-    runs as stacked rows: one set of search terms serves every selection,
+    (:func:`draw_fading_gains`).  Above the draws the chunk runs as
+    stacked rows: one set of search terms serves every selection,
     each scheme family selects once (the hopping search when its hopping
     scheme is requested), and then, for at most ``CHUNK_ROWS`` rows at a
     time, each family designs each slot once and makes one runner pass,
@@ -233,7 +315,7 @@ def _run_chunk(
     mismatched = config.angle_error_std > 0
     angles, los_gains = draw_angle_epochs(
         config,
-        surface_geometry(config),
+        surface_geometry(config) if surfaces is None else surfaces,
         [substream(base_seed, grid_index, a, _ANGLES) for a in angle_indices],
     )
     estimated = {}
@@ -316,16 +398,17 @@ def _grid_point(
     config: SystemConfig,
     grid_index: int,
     payload_symbols: dict[str, int] | None = None,
+    surfaces: SurfaceGeometry | None = None,
 ) -> dict[str, list[SchemeResult]]:
     """Every scheme's results over all (angle, fading) epochs of one grid
-    point, in chunks of at most ``CHUNK_ROWS`` rows."""
+    point, in chunks of at most ``CHUNK_ROWS`` rows (see :func:`_run_chunk`)."""
     per_chunk = max(1, CHUNK_ROWS // plan.n_fading_epochs)
     out: dict[str, list[SchemeResult]] = {scheme: [] for scheme in plan.schemes}
     for start in range(0, plan.n_angle_epochs, per_chunk):
         chunk = _run_chunk(
             config, plan.schemes, grid_index,
             range(start, min(start + per_chunk, plan.n_angle_epochs)),
-            plan.n_fading_epochs, plan.base_seed, plan.gamma_th, payload_symbols,
+            plan.n_fading_epochs, plan.base_seed, plan.gamma_th, payload_symbols, surfaces,
         )
         for scheme, results in chunk.items():
             out[scheme].extend(results)
@@ -423,18 +506,19 @@ def _payload_sizes(
     return sizes
 
 
-def _check_geometry(config: SystemConfig) -> None:
-    """Size the surfaces for a receiver at the centre and at the four
-    extreme points of its drop disk, so that a deployment which leaves the
-    floating-point range fails before any simulation (as it would in the
-    first angle epoch).  Only the array sizes, carrier, gain target and
-    distances enter the geometry."""
+def _check_geometry(config: SystemConfig) -> SurfaceGeometry:
+    """The config's surface geometry, sized for a receiver at the centre
+    and at the four extreme points of its drop disk, so that a deployment
+    which leaves the floating-point range fails before any simulation (as
+    it would in the first angle epoch).  Only the array sizes, carrier,
+    gain target and distances enter the geometry."""
     surfaces = surface_geometry(config)
     centre, radius = config.rx_center_distance, config.rx_disk_radius
     points = [(centre, 0.0), (centre + radius, 0.0), (centre - radius, 0.0),
               (centre, radius), (centre, -radius)]
     for point in points:
         receiver_losses(config, surfaces, np.array(point))
+    return surfaces
 
 
 def _sweep(
@@ -449,13 +533,12 @@ def _sweep(
     # Every grid point's config, geometry, closed forms and payload size
     # first, so bad input fails before any simulation.
     configs = [_grid_config(plan, config, i) for i in range(len(plan.axis_values))]
-    geometries = {
-        (cfg.n_tx, cfg.n_ris, cfg.dft_offset, cfg.carrier_frequency, cfg.gain_target,
-         cfg.ris_axis_distance, cfg.rx_center_distance, cfg.rx_disk_radius): cfg
-        for cfg in configs
-    }
-    for cfg in geometries.values():
-        _check_geometry(cfg)
+    keys = [(cfg.n_tx, cfg.n_ris, cfg.dft_offset, cfg.carrier_frequency, cfg.gain_target,
+             cfg.ris_axis_distance, cfg.rx_center_distance, cfg.rx_disk_radius) for cfg in configs]
+    geometries = {}
+    for key, cfg in zip(keys, configs):
+        if key not in geometries:
+            geometries[key] = _check_geometry(cfg)
     payloads = [None] * len(configs)
     if min_bits is not None:
         payloads = _payload_sizes(plan, configs, min_bits)
@@ -465,7 +548,7 @@ def _sweep(
         companions = {scheme: (_NO_FORM,) * len(configs) for scheme in plan.schemes}
     rows: dict[str, list[tuple]] = {scheme: [] for scheme in plan.schemes}
     for grid_index, (cfg, payload_symbols) in enumerate(zip(configs, payloads)):
-        results = _grid_point(plan, cfg, grid_index, payload_symbols)
+        results = _grid_point(plan, cfg, grid_index, payload_symbols, geometries[keys[grid_index]])
         for scheme in plan.schemes:
             mean, err, n = reduce(results[scheme])
             rows[scheme].append((mean, err, companions[scheme][grid_index], n))

@@ -276,6 +276,20 @@ def _check_draws() -> str:
     return f"{len(arrays)} arrays and {len(rngs)} generator states match the pinned digest"
 
 
+def _check_substreams() -> str:
+    # Keys of 0-5 integers of up to three words on seeds of up to six, drawn
+    # by numpy's default generator, against SeedSequence's Philox states.
+    rng = np.random.default_rng(41)
+    for j in range(64):
+        seed = int(rng.integers(0, 2**63)) << (32 * (j % 5))
+        key = [int(rng.integers(0, 2**63)) >> int(rng.integers(0, 64)) << 32 * int(rng.integers(3))
+               for _ in range(j % 6)]
+        ours = substream(seed, *key).bit_generator.state
+        oracle = np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)).state
+        assert repr(ours) == repr(oracle), f"seed {seed}, key {key}: {ours} != {oracle}"
+    return "64 keys on seeds of up to 191 bits match SeedSequence's Philox keys"
+
+
 def _outcome(solver, params) -> str:
     """The repr of the solver's root, or the name of the error it raised."""
     try:
@@ -363,6 +377,7 @@ _CHECKS = (
     ("exp-integral", _check_exp_integral),
     ("path-selection", _check_selection),
     ("bounded-search", _check_bounded_search),
+    ("substreams", _check_substreams),
     ("draws", _check_draws),
     ("crossing-replay", _check_crossing_replay),
     ("transceive", _check_power_and_run),

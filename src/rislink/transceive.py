@@ -160,14 +160,15 @@ def _run_beamform(
     out = {}
     for n_slots, design in enumerate(designs, 1):
         matched = _beam_combiner(design, config)
-        # Per row, the 1-D norm and the scalar power of a one-row run: a
-        # norm over the last axis sums in another order, and the array
-        # square (x*x) need not round like the scalar pow(x, 2).
-        exact_power += np.array([
-            np.linalg.norm(v) ** 2 for v in matched.reshape(-1, matched.shape[-1])
-        ])
+        # Per row, a 1-D norm's sums of squares, as batched (1, n) @ (n, 1)
+        # dot products on the real and imaginary views (the norm's strides;
+        # a sum over the last axis adds in another order), and the scalar
+        # pow(x, 2) of a one-row run, which the array x*x need not match.
+        re, im = (part.reshape(-1, 1, part.shape[-1]) for part in (matched.real, matched.imag))
+        squares = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+        exact_power += np.array([x**2 for x in np.sqrt(squares).ravel().tolist()])
         model_sum += np.array([
-            s**2 for s in np.abs(design.xi_active).reshape(-1, n_active).sum(axis=-1)
+            s**2 for s in np.abs(design.xi_active).reshape(-1, n_active).sum(axis=-1).tolist()
         ])
         for scheme in [scheme for scheme, count in slots.items() if count == n_slots]:
             results = []

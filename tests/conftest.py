@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import replace
 
 import numpy as np
@@ -82,3 +83,43 @@ def random_profiles(hops: HopStack, rng: np.random.Generator):
     slopes (1, K) and common phases (1, 1, K)."""
     slopes, commons = rng.uniform(-np.pi, np.pi, (2, hops.n_elements.shape[1]))
     return slopes[None], commons[None, None]
+
+
+def common_phase_refinement(
+    rx_path_gain: complex, tx_los_gain: complex, rx_arrival_freq: float, n_rx: int
+) -> float:
+    """Scalar oracle of one common phase (``customize._common_phases``):
+    cancels the two path-gain phases plus the phase accumulated at the
+    centre of the receive array."""
+    if rx_path_gain == 0 or tx_los_gain == 0:
+        raise ValueError("path gains must be nonzero to define a phase")
+    return -(
+        cmath.phase(rx_path_gain)
+        + cmath.phase(tx_los_gain)
+        + 0.5 * (n_rx - 1) * rx_arrival_freq
+    )
+
+
+def scalar_phase_design(selections, slot: int, estimate: HopStack, refine: bool):
+    """Scalar oracle of ``customize.design_slots``'s common phases (A, F or
+    1, K) and designed gains (A, F, n_active): one scalar at a time, on
+    numpy scalars, as the design loops ran before they became arrays."""
+    n_fading = estimate.rx_gains.shape[1]
+    commons = np.zeros((len(selections), n_fading if refine else 1, estimate.n_elements.shape[1]))
+    xi_active = np.empty((len(selections), n_fading, len(selections[0].active_ris)), dtype=complex)
+    for a, selection in enumerate(selections):
+        for i, (k, l) in enumerate(zip(selection.active_ris, selection.slot_paths[slot])):
+            rx_gains, tx_gains = estimate.rx_gains[a, :, k, l], estimate.tx_gains[a, :, k, 0]
+            phases = [0.0] * n_fading
+            if refine:
+                phases = [
+                    common_phase_refinement(rx, tx, estimate.rx_arrival[a, k, l], estimate.n_rx)
+                    for rx, tx in zip(rx_gains, tx_gains)
+                ]
+                commons[a, :, k] = phases
+            loss = estimate.losses[a, k]
+            xi_active[a, :, i] = [
+                loss * rx * tx * cmath.exp(1j * phase)
+                for rx, tx, phase in zip(rx_gains, tx_gains, phases)
+            ]
+    return commons, xi_active

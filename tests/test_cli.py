@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rislink as rl
-from rislink import channel, cli, montecarlo
+from rislink import channel, cli, montecarlo, selftest
 from rislink.errors import ConfigurationError
 from rislink.montecarlo import SweepResult
 
@@ -265,6 +265,15 @@ class TestAnalyze:
 class TestExitCodes:
     def test_selftest_passes(self):
         assert _run(["selftest"]) == cli.EXIT_OK
+
+    def test_selftest_reports_every_check(self, capsys):
+        assert _run(["selftest"]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines if line.startswith("PASS")] == [
+            f"PASS {name}" for name, _ in selftest._CHECKS
+        ]
+        assert "PASS substreams" in [line.split(":")[0] for line in lines]
+        assert lines[-1] == "all 12 checks passed"
 
     @pytest.mark.parametrize("argv,code", [
         (["analyze", "--set", "n_tx=banana"], cli.EXIT_BAD_CONFIG),

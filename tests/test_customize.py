@@ -11,7 +11,9 @@ import pytest
 
 import rislink as rl
 from rislink import customize
-from rislink.channel import _inner_products, _response_matrix, composite
+from rislink.channel import HopStack, _inner_products, _response_matrix, composite
+from rislink.channel import draw_angle_epochs
+from rislink.config import surface_geometry
 from rislink.customize import (
     DEFAULT_SEARCH_CAP,
     DENSE_SEARCH_LIMIT,
@@ -22,7 +24,7 @@ from rislink.errors import SearchSpaceError, SelectionInfeasibleError
 from rislink.montecarlo import _angle_errors
 from rislink.selftest import design_one, select_one
 
-from conftest import BASE_SEED, draw_scene, model_channel
+from conftest import BASE_SEED, draw_scene, model_channel, scalar_phase_design
 
 
 def _gram_objective(freqs, n_rx: int, off_diagonal: float) -> float:
@@ -505,3 +507,87 @@ class TestCustomizedChannel:
         assert np.array_equal(design.exact_h, h_true)
         h_design = composite(estimate, slopes, commons)
         assert not np.array_equal(design.exact_h, h_design)
+
+
+def _adversarial_gains(rng, shape, zeros: bool) -> np.ndarray:
+    """Gains of magnitude 1e-150 to 1e150: at random phases, on the axes
+    with signed zero parts, within a few ulp of phase +-pi (or exactly at
+    it), and, with ``zeros``, exactly zero with signed parts."""
+    magnitude = 10.0 ** rng.uniform(-150.0, 150.0, shape)
+    angle = rng.uniform(-math.pi, math.pi, shape)
+    signs = rng.choice([-1.0, 1.0], (3,) + shape)
+    tiny = signs[1] * magnitude * np.where(rng.random(shape) < 0.5, 0.0,
+                                            10.0 ** rng.uniform(-18.0, -15.0, shape))
+    on_real = rng.random(shape) < 0.5
+    kinds = [
+        (magnitude * np.cos(angle), magnitude * np.sin(angle)),
+        (np.where(on_real, signs[0] * magnitude, signs[0] * 0.0),
+         np.where(on_real, signs[1] * 0.0, signs[1] * magnitude)),
+        (-magnitude, tiny),
+        (signs[0] * 0.0, signs[1] * 0.0),
+    ]
+    kind = rng.integers(0, 4 if zeros else 3, shape)
+    gains = np.empty(shape, dtype=complex)
+    gains.real = np.choose(kind, [re for re, _ in kinds])
+    gains.imag = np.choose(kind, [im for _, im in kinds])
+    return gains
+
+
+class TestArrayPhaseDesign:
+    """``design_slots`` computes the common phases and designed gains as
+    arrays; they must equal the scalar loops (``conftest.scalar_phase_design``)
+    repr for repr, signed zeros included, on adversarial gains."""
+
+    @staticmethod
+    def _stack(config, rng, n_angle, n_fading, zeros):
+        angles, _ = draw_angle_epochs(
+            config, surface_geometry(config),
+            [rl.substream(BASE_SEED, 60, n_angle, a) for a in range(n_angle)],
+        )
+        n_ris, n_tx_paths = angles["tx_arrival"].shape[1:]
+        return HopStack(
+            tx_gains=_adversarial_gains(rng, (n_angle, n_fading, n_ris, n_tx_paths), zeros),
+            rx_gains=_adversarial_gains(rng, (n_angle, n_fading, n_ris, config.n_ris_rx_paths),
+                                        zeros),
+            **angles,
+        )
+
+    @pytest.mark.parametrize("scheme", ["sm", "bf", "ds", "db"])
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_matches_scalar_loops_on_adversarial_gains(self, scheme, refine):
+        rng = rl.substream(BASE_SEED, 61, refine)
+        checked = 0
+        for n_rx in range(1, 5):
+            n_slots = 2 if scheme in ("ds", "db") else 1
+            config = rl.SystemConfig(n_tx=8, n_rx=n_rx, n_ris=4, n_ris_rx_paths=3,
+                                     n_slots=n_slots, gain_target=2e-7)
+            hops = self._stack(config, rng, 3, 40, zeros=not refine)
+            terms = SearchTerms(_candidate_gram(hops.rx_arrival, n_rx))
+            selections = customize.select_paths_stack(terms, 3, n_rx, scheme, n_slots)
+            for slot in range(n_slots):
+                with np.errstate(all="ignore"):
+                    design, _, commons = customize.design_slots(
+                        selections, slot, hops, hops, refine=refine
+                    )
+                oracle_commons, oracle_xi = scalar_phase_design(selections, slot, hops, refine)
+                assert repr(commons.tolist()) == repr(oracle_commons.tolist())
+                assert repr(design.xi_active.tolist()) == repr(oracle_xi.tolist())
+                checked += design.xi_active.size
+        assert checked >= 4 * 3 * 40
+
+    @pytest.mark.parametrize("zero", ["rx", "tx"])
+    def test_zero_gain_rejected_by_refinement(self, zero):
+        config = rl.SystemConfig(n_tx=8, n_rx=2, n_ris=3, n_ris_rx_paths=3, gain_target=2e-7)
+        hops = self._stack(config, rl.substream(BASE_SEED, 62), 2, 3, zeros=False)
+        terms = SearchTerms(_candidate_gram(hops.rx_arrival, config.n_rx))
+        (selection, *_) = selections = customize.select_paths_stack(terms, 3, 2, "bf")
+        k, l = selection.active_ris[0], selection.slot_paths[0][0]
+        gains = (hops.rx_gains[0, 1, k, l:l + 1] if zero == "rx" else hops.tx_gains[0, 1, k, :1])
+        gains[:] = complex(-0.0, 0.0)
+        with pytest.raises(ValueError), np.errstate(all="ignore"):
+            customize.design_slots(selections, 0, hops, hops, refine=True)
+        with np.errstate(all="ignore"):
+            design = customize.design_slots(selections, 0, hops, hops)[0]
+        assert repr(design.xi_active.tolist()) == repr(
+            scalar_phase_design(selections, 0, hops, False)[1].tolist()
+        )

@@ -41,7 +41,6 @@ PUBLIC_NAMES = [
     "SystemConfig",
     "TrialPlan",
     "apply_axis",
-    "common_phase_refinement",
     "crossing_point",
     "crossing_point_three_stream",
     "crossing_point_two_stream",

@@ -44,6 +44,69 @@ class TestSubstreams:
         assert not np.array_equal(a, c)
 
 
+def _seed_sequence_cases(count: int):
+    """Seeds and keys of 0-5 integers, each of 1 to 200 bits, so that seeds
+    and key integers reach 2^32, 2^64 and 2^128 (a seed of 2^128 or more
+    takes SeedSequence's extra-entropy branch); every third case extends an
+    earlier one's key, so cached prefixes are reused.  Drawn from numpy's
+    default generator, which does not go through ``substream``."""
+    rng = np.random.default_rng(20240617)
+
+    def integer() -> int:
+        return int(rng.integers(0, 2**63)) >> int(rng.integers(0, 63)) << int(rng.integers(0, 138))
+
+    cases = []
+    for j in range(count):
+        if j % 3 == 2:
+            seed, key = cases[int(rng.integers(len(cases)))]
+            cases.append((seed, key + (integer(),)))
+        else:
+            cases.append((integer(), tuple(integer() for _ in range(int(rng.integers(0, 6))))))
+    return cases
+
+
+class TestSubstreamKeys:
+    """``substream`` derives its Philox key without ``SeedSequence``; key,
+    state and draws must be those of ``Philox(SeedSequence(seed,
+    spawn_key=key))``."""
+
+    def test_keys_and_draws_match_seed_sequence(self):
+        cases = _seed_sequence_cases(600)
+        sizes = [max((seed, *key)).bit_length() for seed, key in cases]
+        assert max(seed for seed, _ in cases) >= 2**128 and max(sizes) > 160
+        assert {min(len(key), 5) for _, key in cases} == set(range(6))
+        for seed, key in cases:
+            ours = rl.substream(seed, *key)
+            sequence = np.random.SeedSequence(seed, spawn_key=key)
+            oracle = np.random.Generator(np.random.Philox(sequence))
+            assert np.array_equal(ours.bit_generator.seed_seq.generate_state(2, np.uint64),
+                                  sequence.generate_state(2, np.uint64)), (seed, key)
+            assert repr(ours.bit_generator.state) == repr(oracle.bit_generator.state)
+            assert ours.standard_normal(7).tobytes() == oracle.standard_normal(7).tobytes()
+            assert ours.integers(0, 2**64, 3, dtype=np.uint64).tobytes() == \
+                oracle.integers(0, 2**64, 3, dtype=np.uint64).tobytes()
+
+    @pytest.mark.parametrize("seed, key", [
+        (-1, ()), (-(2**70), (3,)), (5, (-1,)), (2**130, (2, -3)), (5, (1, 2, -(2**64))),
+        (1.5, ()), (2.0, (1,)),
+    ])
+    def test_bad_inputs_raise_like_seed_sequence(self, seed, key):
+        with pytest.raises(Exception) as expected:
+            np.random.SeedSequence(seed, spawn_key=key)
+        with pytest.raises(expected.type):
+            rl.substream(seed, *key)
+
+    def test_key_shim_serves_only_philox(self):
+        shim = rl.substream(7, 1, 2).bit_generator.seed_seq
+        key = np.random.SeedSequence(7, spawn_key=(1, 2)).generate_state(2, np.uint64)
+        assert np.array_equal(shim.generate_state(2, np.uint64), key)
+        assert np.array_equal(shim.generate_state(2, dtype="u8"), key)
+        for request in [(2,), (2, np.uint32), (4, np.uint32), (1, np.uint64), (3, np.uint64),
+                        (4, np.uint64), (2, np.int64)]:
+            with pytest.raises(ValueError):
+                shim.generate_state(*request)
+
+
 class TestFadingStatistics:
     def test_unit_variance_complex_gaussian(self):
         rng = rl.substream(BASE_SEED, 110)

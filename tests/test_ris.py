@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import rislink as rl
 from rislink.channel import _inner_products, _response_matrix
+from rislink.customize import _common_phases
 from rislink.selftest import design_one, phase_profile, select_one
 
 from conftest import BASE_SEED, draw_scene, model_channel
@@ -73,22 +74,26 @@ class TestPhaseAlignment:
         )
 
 
+def _common_phase(gain_r, gain_t, arrival, n_rx) -> float:
+    """One common phase from the design's array path."""
+    return float(_common_phases(np.array([gain_r]), np.array([gain_t]), np.array([arrival]),
+                                n_rx)[0])
+
+
 class TestCommonPhaseRefinement:
     def test_synthetic_rotation_formula(self):
         theta_r, theta_t, arrival = 0.8, -1.3, 0.6
         n_rx = 4
-        phi = rl.common_phase_refinement(
-            np.exp(1j * theta_r), np.exp(1j * theta_t), arrival, n_rx
-        )
+        phi = _common_phase(np.exp(1j * theta_r), np.exp(1j * theta_t), arrival, n_rx)
         expected = -(theta_r + theta_t + (n_rx - 1) / 2.0 * arrival)
         delta = (phi - expected) % (2.0 * math.pi)
         assert min(delta, 2.0 * math.pi - delta) < 1e-9
 
     def test_zero_gain_rejected(self):
         with pytest.raises(ValueError):
-            rl.common_phase_refinement(0.0, 1.0, 0.3, 4)
+            _common_phase(0j, 1.0 + 0j, 0.3, 4)
         with pytest.raises(ValueError):
-            rl.common_phase_refinement(1.0, 0.0, 0.3, 4)
+            _common_phase(1.0 + 0j, -0.0 + 0j, 0.3, 4)
 
     def test_refined_contributions_add_coherently(self):
         # Synthetic single-path branches with arbitrary gain phases:
@@ -102,7 +107,7 @@ class TestCommonPhaseRefinement:
         for arrival in (0.9, -1.7, 2.4):
             gain_r = complex(*rng.normal(size=2))
             gain_t = complex(*rng.normal(size=2))
-            phi = rl.common_phase_refinement(gain_r, gain_t, arrival, n_rx)
+            phi = _common_phase(gain_r, gain_t, arrival, n_rx)
             center = (gain_r * gain_t * np.exp(1j * phi)
                       * np.exp(1j * 0.5 * (n_rx - 1) * arrival))
             assert abs(center.imag) / abs(center.real) < 1e-9
