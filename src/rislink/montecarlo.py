@@ -90,24 +90,25 @@ def _words(n: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=256)
-def _hashes(word: int, const: int) -> tuple[tuple[int, ...], int]:
-    """The hashes of ``word`` into each pool word from hash constant
-    ``const``, and the constant after them."""
-    out = []
+def _mix_terms(word: int, const: int) -> tuple[tuple[int, ...], int]:
+    """What mixing ``word`` from hash constant ``const`` adds to each pool
+    word before the mix's final shift (``-_MIX_R`` times the word's hash,
+    modulo 2^32), and the constant after its four hashes."""
+    terms = []
     for _ in range(4):
-        const, value = const * _MULT_A & _MASK32, word ^ const
+        value = word ^ const
+        const = const * _MULT_A & _MASK32
         value = value * const & _MASK32
-        out.append(value ^ value >> 16)
-    return tuple(out), const
+        terms.append(-_MIX_R * (value ^ value >> 16) & _MASK32)
+    return tuple(terms), const
 
 
 def _absorb(state: tuple, n: int) -> tuple[tuple[int, ...], int]:
     """(pool, hash constant) after mixing each word of ``n`` into the pool."""
     pool, const = state
     for word in _words(n):
-        hashes, const = _hashes(word, const)
-        mixed = [(_MIX_L * x - _MIX_R * y) & _MASK32 for x, y in zip(pool, hashes)]
-        pool = tuple([value ^ value >> 16 for value in mixed])
+        terms, const = _mix_terms(word, const)
+        pool = tuple([(v := (_MIX_L * x + t) & _MASK32) ^ v >> 16 for x, t in zip(pool, terms)])
     return pool, const
 
 
@@ -149,8 +150,7 @@ def substream(base_seed: int, *key: int) -> np.random.Generator:
     key = tuple(map(int, key))
     state = _pool(operator.index(base_seed), key[:-1])
     pool, _ = _absorb(state, key[-1]) if key else state
-    words = [(x ^ c) * m & _MASK32 for x, (c, m) in zip(pool, _STATE_CONSTS)]
-    words = [value ^ value >> 16 for value in words]
+    words = [(v := (x ^ c) * m & _MASK32) ^ v >> 16 for x, (c, m) in zip(pool, _STATE_CONSTS)]
     philox_key = np.array([words[0] | words[1] << 32, words[2] | words[3] << 32], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_PhiloxKey(philox_key), counter=_ZERO_COUNTER))
 
