@@ -410,10 +410,9 @@ def _common_phases(rx_gains, tx_gains, rx_freqs, n_rx: int) -> np.ndarray:
 
 def _designed_gains(losses, rx_gains, tx_gains, phases) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of ``loss * rx * tx * exp(1j * phase)``,
-    elementwise, rounded as the scalar complex products: each product in
-    separate real operations (numpy's complex multiply may fuse a
-    multiply-add), the loss as ``loss + 0j``, and ``exp(1j * c)`` as
-    ``math.cos``/``math.sin`` of ``(1j * c).imag``, which is ``0.0 + c``."""
+    rounded as the scalar complex products: in separate real operations
+    (numpy's complex multiply may fuse a multiply-add), the loss as ``loss
+    + 0j`` and ``exp(1j * c)`` from ``(1j * c).imag``, which is ``0.0 + c``."""
     re = losses * rx_gains.real - 0.0 * rx_gains.imag
     im = losses * rx_gains.imag + 0.0 * rx_gains.real
     re, im = re * tx_gains.real - im * tx_gains.imag, re * tx_gains.imag + im * tx_gains.real

@@ -91,9 +91,8 @@ def _words(n: int) -> list[int]:
 
 @functools.lru_cache(maxsize=256)
 def _mix_terms(word: int, const: int) -> tuple[tuple[int, ...], int]:
-    """What mixing ``word`` from hash constant ``const`` adds to each pool
-    word before the mix's final shift (``-_MIX_R`` times the word's hash,
-    modulo 2^32), and the constant after its four hashes."""
+    """What mixing ``word`` from hash constant ``const`` adds to the four
+    pool words (``-_MIX_R`` times its hashes), and the constant after."""
     terms = []
     for _ in range(4):
         value = word ^ const
@@ -124,11 +123,11 @@ def _pool(base_seed: int, prefix: tuple[int, ...]) -> tuple[tuple[int, ...], int
     return tuple(pool), _INIT_A * _MULT_A**(16 + 4 * max(len(_words(base_seed)) - 4, 0)) & _MASK32
 
 
+@dataclass
 class _PhiloxKey(ISeedSequence):
     """One Philox key, served only as ``generate_state(2, np.uint64)``."""
 
-    def __init__(self, key: np.ndarray) -> None:
-        self.key = key
+    key: np.ndarray
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 2 or np.dtype(dtype) != np.uint64:
@@ -144,8 +143,7 @@ def substream(base_seed: int, *key: int) -> np.random.Generator:
     of the (seed, key prefix).  A counter-based stream is fixed by its key
     alone (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
     SC'11), so every draw is SeedSequence's, bit for bit.  Negative
-    integers raise ``ValueError`` and a seed that is not an integer
-    (None included) ``TypeError``.
+    integers raise ``ValueError``, a seed that is not one ``TypeError``.
     """
     key = tuple(map(int, key))
     state = _pool(operator.index(base_seed), key[:-1])

@@ -76,6 +76,16 @@ def _beam_combiner(design: DesignStack, config: SystemConfig) -> np.ndarray:
     return (design.exact_h @ _beam_precoder(design, config)[..., None])[..., 0]
 
 
+def _beam_powers(matched: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(v) ** 2`` of every row ``v`` of ``matched``, bit for
+    bit: the sums of squares as batched dot products on the real and
+    imaginary views, with the norm's strides (a sum over the last axis adds
+    in another order), then the scalar ``** 2`` (``x * x`` may differ)."""
+    re, im = (part.reshape(-1, 1, part.shape[-1]) for part in (matched.real, matched.imag))
+    squares = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return np.array([x**2 for x in np.sqrt(squares).ravel().tolist()])
+
+
 def _check_slots(designs: Sequence[DesignStack]) -> None:
     if len(designs) != designs[0].n_slots:
         raise ValueError(
@@ -159,14 +169,7 @@ def _run_beamform(
     model_sum = 0.0
     out = {}
     for n_slots, design in enumerate(designs, 1):
-        matched = _beam_combiner(design, config)
-        # Per row, a 1-D norm's sums of squares, as batched (1, n) @ (n, 1)
-        # dot products on the real and imaginary views (the norm's strides;
-        # a sum over the last axis adds in another order), and the scalar
-        # pow(x, 2) of a one-row run, which the array x*x need not match.
-        re, im = (part.reshape(-1, 1, part.shape[-1]) for part in (matched.real, matched.imag))
-        squares = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
-        exact_power += np.array([x**2 for x in np.sqrt(squares).ravel().tolist()])
+        exact_power += _beam_powers(_beam_combiner(design, config))
         model_sum += np.array([
             s**2 for s in np.abs(design.xi_active).reshape(-1, n_active).sum(axis=-1).tolist()
         ])

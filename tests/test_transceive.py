@@ -286,6 +286,27 @@ class TestPayloadRungs:
         assert received.tobytes() == expected.tobytes()
 
 
+class TestBeamPowers:
+    """The beamforming runner's batched beam powers against a 1-D
+    ``np.linalg.norm(v) ** 2`` per row, bit for bit."""
+
+    def test_match_per_row_norms_on_random_stacks(self):
+        rng = rl.substream(BASE_SEED, 97)
+        rows = 0
+        for trial in range(400):
+            n = int(rng.integers(1, 9))
+            shape = (int(rng.integers(1, 4)), int(rng.integers(1, 60)), n)
+            scale = 10.0 ** rng.uniform(-12.0, 3.0)
+            channel = scale * (rng.standard_normal(shape + (5,))
+                               + 1j * rng.standard_normal(shape + (5,)))
+            # The runner's combiner is a matmul output's last column.
+            matched = (channel @ rng.standard_normal((5, 1)).astype(complex))[..., 0]
+            expected = [np.linalg.norm(v) ** 2 for v in matched.reshape(-1, n)]
+            assert transceive._beam_powers(matched).tobytes() == np.array(expected).tobytes()
+            rows += len(expected)
+        assert rows > 10_000
+
+
 class TestStackedEpochs:
     """A design over stacked fading epochs against one design per epoch."""
 
