@@ -39,7 +39,6 @@ import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .channel import HopStack, draw_angle_epochs, draw_fading_gains
 from .config import SurfaceGeometry, SystemConfig, db2lin, dbm2watt, receiver_losses
@@ -114,18 +113,19 @@ def _absorb(state: tuple, n: int) -> tuple[tuple[int, ...], int]:
 @functools.lru_cache(maxsize=256)
 def _pool(base_seed: int, prefix: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """SeedSequence's (pool, hash constant) after ``base_seed`` and the key
-    ``prefix``: numpy's pool of the seed alone (which has taken 16 hashes,
-    and 4 more per seed word beyond the fourth), then each key word mixed
-    into every pool word."""
+    ``prefix``: numpy's pool of the seed (16 hashes, and 4 per seed word
+    past the fourth), then each key word mixed into every pool word."""
     if prefix:
         return _absorb(_pool(base_seed, prefix[:-1]), prefix[-1])
+    np.random.bit_generator.ISeedSequence.register(_PhiloxKey)
     pool = np.random.SeedSequence(base_seed).pool.tolist()
     return tuple(pool), _INIT_A * _MULT_A**(16 + 4 * max(len(_words(base_seed)) - 4, 0)) & _MASK32
 
 
 @dataclass
-class _PhiloxKey(ISeedSequence):
-    """One Philox key, served only as ``generate_state(2, np.uint64)``."""
+class _PhiloxKey:
+    """One Philox key, served only as ``generate_state(2, np.uint64)``: an
+    ``ISeedSequence`` once :func:`_pool` has loaded numpy.random for a seed."""
 
     key: np.ndarray
 
