@@ -46,7 +46,6 @@ from .montecarlo import (
     substream,
     wilson_half_width,
 )
-from .transceive import SchemeResult
 
 __version__ = "0.1.0"
 
@@ -59,7 +58,6 @@ __all__ = [
     "PlacementError",
     "RislinkError",
     "SamplingError",
-    "SchemeResult",
     "SearchSpaceError",
     "SelectionInfeasibleError",
     "SweepResult",

@@ -9,6 +9,7 @@ writes the same bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -150,6 +151,9 @@ def _check_output_path(path: str, option: str) -> None:
 def _load_effective_config(args: argparse.Namespace, **fixed) -> SystemConfig:
     """The ``--config`` file (or the defaults) with the ``--set`` overrides
     and then ``fixed`` applied in one validated replace."""
+    overrides = _parse_overrides(args.overrides)
+    if args.config == "":
+        raise ConfigurationError("--config needs a file name")
     config = SystemConfig()
     if args.config is not None:
         try:
@@ -160,8 +164,8 @@ def _load_effective_config(args: argparse.Namespace, **fixed) -> SystemConfig:
             raise ConfigurationError(
                 f"cannot read --config {args.config!r}: {exc.strerror or exc}"
             ) from exc
-    if args.overrides or fixed:
-        config = config.replace(**{**args.overrides, **fixed})
+    if overrides or fixed:
+        config = config.replace(**{**overrides, **fixed})
     return config
 
 
@@ -311,11 +315,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="KEY=VALUE",
         help="override one configuration key (repeatable)",
     )
-    parser.add_argument("--seed", type=int, default=20240601, help="base RNG seed")
 
 
 def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
     _add_common(parser)
+    parser.add_argument("--seed", type=int, default=20240601, help="base RNG seed")
     parser.add_argument("--scheme", required=True, help="comma list of sm,bf,ds,db")
     parser.add_argument(
         "--axis", required=True, metavar="NAME=START:STEP:STOP", help="sweep axis"
@@ -363,6 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: parsing leaves no state on it.
+_parser = functools.cache(build_parser)
+
+
 _VERBS = {
     "se-sweep": _cmd_sweep,
     "ber-sweep": _cmd_sweep,
@@ -373,39 +381,28 @@ _VERBS = {
 }
 
 
+# (error classes, exit status) in order: an error takes the first row it
+# is an instance of, and the last row holds every error a command reports.
+_EXIT_CODES = (
+    ((ConfigurationError, PlacementError), EXIT_BAD_CONFIG),
+    (SelectionInfeasibleError, EXIT_INFEASIBLE),
+    (NoCrossingError, EXIT_NO_CROSSING),
+    (SearchSpaceError, EXIT_SEARCH_SPACE),
+    ((RislinkError, OSError), EXIT_FAILURE),
+)
+
+
 def dispatch(args: argparse.Namespace) -> int:
     """Run one parsed command, mapping every error class to a distinct status."""
     try:
         return _VERBS[args.verb](args)
-    except (ConfigurationError, PlacementError) as exc:
+    except _EXIT_CODES[-1][0] as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except SelectionInfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except NoCrossingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CROSSING
-    except SearchSpaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEARCH_SPACE
-    except (RislinkError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
 
 
 def main(argv: list[str] | None = None) -> None:
-    args = build_parser().parse_args(argv)
-    if args.verb == "selftest":  # it takes no configuration
-        raise SystemExit(dispatch(args))
-    try:
-        args.overrides = _parse_overrides(args.overrides)
-        if args.config == "":
-            raise ConfigurationError("--config needs a file name")
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_CONFIG)
-    raise SystemExit(dispatch(args))
+    raise SystemExit(dispatch(_parser().parse_args(argv)))
 
 
 if __name__ == "__main__":

@@ -246,7 +246,6 @@ def _search(
     terms: SearchTerms,
     groups: Sequence[np.ndarray],
     target_off_diagonal: float,
-    cap: int,
 ) -> list[tuple[tuple[int, ...], float]]:
     """Exactly minimize the Gram mismatch over one index per group, for
     every row of a stack of Gram matrices.
@@ -265,10 +264,6 @@ def _search(
     the exhaustive minimizer and its objective bit for bit.
     """
     sizes = [np.shape(g)[-1] for g in groups]
-    if math.prod(sizes) > cap:
-        raise SearchSpaceError(
-            f"selection search of {math.prod(sizes)} tuples exceeds cap {cap}"
-        )
     unary, pairs = terms.gather(groups, target_off_diagonal)
     rows = len(unary[0])
     found = [None] * rows
@@ -282,6 +277,27 @@ def _search(
     return [
         (tuple(int(i) for i in np.unravel_index(flat, sizes)), value) for value, flat in found
     ]
+
+
+def check_selection(n_paths: int, n_ris: int, n_rx: int, scheme: str, n_slots: int = 1,
+                    cap: int = DEFAULT_SEARCH_CAP) -> None:
+    """Reject an unknown scheme (``ValueError``), slots or surfaces that
+    ``n_paths`` paths per surface cannot serve (``SelectionInfeasibleError``)
+    and a first-slot search above ``cap`` tuples (``SearchSpaceError``)."""
+    if scheme not in SCHEME_TAGS:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {', '.join(SCHEME_TAGS)}")
+    if n_slots < 1:
+        raise SelectionInfeasibleError("need at least one slot")
+    if n_slots > n_paths:
+        raise SelectionInfeasibleError(
+            f"{n_slots} slots need {n_slots} disjoint paths but only {n_paths} exist"
+        )
+    multiplex = scheme in ("sm", "ds")
+    if multiplex and not (n_ris >= n_rx >= 1):
+        raise SelectionInfeasibleError("need n_ris >= n_rx >= 1 for multiplexing")
+    space = math.comb(n_ris, n_rx) * n_paths**n_rx if multiplex else n_paths**n_ris
+    if space > cap:
+        raise SearchSpaceError(f"selection search of {space} tuples exceeds cap {cap}")
 
 
 def select_paths_stack(
@@ -306,33 +322,21 @@ def select_paths_stack(
     (subset, assignment).  Each later slot greedily re-runs the same
     search restricted to each active surface's unused paths, with the
     active surface set frozen, so ``n_slots`` is at most ``n_paths``.
-    A scheme outside ``SCHEME_TAGS`` raises ``ValueError``.
+    Inputs that :func:`check_selection` rejects raise its errors.
     """
-    if scheme not in SCHEME_TAGS:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {', '.join(SCHEME_TAGS)}")
-    multiplex = scheme in ("sm", "ds")
     n_angle = len(terms.gram)
     n_ris = terms.gram.shape[-1] // n_paths
-    if n_slots < 1:
-        raise SelectionInfeasibleError("need at least one slot")
-    if n_slots > n_paths:
-        raise SelectionInfeasibleError(
-            f"{n_slots} slots need {n_slots} disjoint paths but only {n_paths} exist"
-        )
+    check_selection(n_paths, n_ris, n_rx, scheme, n_slots, cap)
+    multiplex = scheme in ("sm", "ds")
     target = 0.0 if multiplex else 1.0
     if multiplex:
-        if not (n_ris >= n_rx >= 1):
-            raise SelectionInfeasibleError("need n_ris >= n_rx >= 1 for multiplexing")
-        space = math.comb(n_ris, n_rx) * n_paths**n_rx
-        if space > cap:
-            raise SearchSpaceError(f"selection search of {space} tuples exceeds cap {cap}")
         subsets = list(combinations(range(n_ris), n_rx))
     else:
         subsets = [tuple(range(n_ris))]
     best = [(math.inf, (), ()) for _ in range(n_angle)]
     for subset in subsets:
         groups = [np.arange(n_paths) + k * n_paths for k in subset]
-        for r, (positions, obj) in enumerate(_search(terms, groups, target, cap)):
+        for r, (positions, obj) in enumerate(_search(terms, groups, target)):
             if obj < best[r][0] or not multiplex:
                 best[r] = (obj, subset, positions)
     active = np.array([subset for _, subset, _ in best])
@@ -346,7 +350,7 @@ def select_paths_stack(
         # surface used so far: (A, n_active, n_paths - m).
         free = np.nonzero(~used[rows, active])[-1].reshape(active.shape + (n_paths - m,))
         groups = list(np.moveaxis(free + active[..., None] * n_paths, 1, 0))
-        for r, (positions, obj) in enumerate(_search(terms, groups, target, cap)):
+        for r, (positions, obj) in enumerate(_search(terms, groups, target)):
             slot_paths[r].append(tuple(int(free[r, i, p]) for i, p in enumerate(positions)))
             slot_objectives[r].append(obj)
     return [

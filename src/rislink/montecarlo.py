@@ -25,10 +25,12 @@ runs stacked: one set of selection terms (Gram matrices) serves both
 families, each family selects for all its angle epochs at once, and each
 slot design and runner pass covers every row, with the angle-only parts
 (steering responses, surface kernels) built once per angle epoch and the
-gain-dependent parts carrying the rows.  Bit-error payloads stay per
-fading epoch, each on its own substream; every scheme of a fading epoch
-reads that one payload stream, so one payload pass per family serves both
-its schemes.
+gain-dependent parts carrying the rows.  Results stay columns over
+(angle epoch, fading epoch) from the runners to the reducers, one
+:class:`SchemeResult` per scheme and block of rows.  Bit-error payloads
+stay per fading epoch, each on its own substream, and write their counts
+into their row; every scheme of a fading epoch reads that one payload
+stream, so one payload pass per family serves both its schemes.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -47,6 +49,7 @@ from .customize import (
     SCHEME_TAGS,
     SearchTerms,
     _candidate_gram,
+    check_selection,
     design_slots,
     select_paths_stack,
 )
@@ -270,6 +273,24 @@ def _angle_errors(
 # with the single scheme's, and its results continue the same slot sums.
 _FAMILIES = {"multiplex": ("sm", "ds"), "beamform": ("bf", "db")}
 
+
+def _family_runs(schemes: tuple[str, ...], config: SystemConfig):
+    """(family, scheme its selection searches for, {requested scheme: slots
+    it reads}) of every family with a requested scheme: the hopping search
+    when the hopping scheme is requested, else the one-slot one."""
+    for family, (single, hopping) in _FAMILIES.items():
+        slots = {s: n for s, n in ((single, 1), (hopping, config.n_slots)) if s in schemes}
+        if slots:
+            yield family, hopping if hopping in slots else single, slots
+
+
+def _join(parts: list[SchemeResult], axis: int) -> SchemeResult:
+    """Results of consecutive row blocks as one, joined along ``axis`` (1:
+    fading epochs of one block of angle epochs, 0: angle epochs)."""
+    return SchemeResult(*(np.concatenate([getattr(part, f.name) for part in parts], axis=axis)
+                          for f in fields(SchemeResult)))
+
+
 # Rows (one angle epoch by one fading epoch each) designed and run at a
 # time.  A chunk holds as many whole angle epochs as fit, or one angle
 # epoch's fading epochs in pieces of this many, so a grid point's peak
@@ -287,7 +308,7 @@ def _run_chunk(
     gamma_th: float,
     payload_symbols: dict[str, int] | None = None,
     surfaces: SurfaceGeometry | None = None,
-) -> dict[str, list[SchemeResult]]:
+) -> dict[str, SchemeResult]:
     """Evaluate every scheme over the rows of a chunk of angle epochs.
 
     Every angle epoch draws from its own substreams in the order of a
@@ -305,10 +326,10 @@ def _run_chunk(
     slots.
     With ``payload_symbols`` (family -> symbols per fading epoch), each
     family also runs one payload pass per row, on that fading epoch's
-    payload substream, and each scheme takes the bit errors after its
-    slots; a family's passes over a block of rows share one set of work
-    arrays.  Returns each scheme's results in (angle epoch, fading epoch)
-    order.
+    payload substream, and each scheme's columns take the bit errors
+    after its slots in that row; a family's passes over a block of rows
+    share one set of work arrays.  Returns each scheme's result, its
+    columns over (angle epoch, fading epoch).
     """
     mismatched = config.angle_error_std > 0
     angles, los_gains = draw_angle_epochs(
@@ -331,21 +352,13 @@ def _run_chunk(
             )
     candidates = estimated.get("rx_arrival", angles["rx_arrival"])
     terms = SearchTerms(_candidate_gram(candidates, config.n_rx))
-    families = []
-    for family, (single, hopping) in _FAMILIES.items():
-        if hopping in schemes:
-            scheme, n_slots = hopping, config.n_slots
-        elif single in schemes:
-            scheme, n_slots = single, 1
-        else:
-            continue
-        selections = select_paths_stack(
-            terms, config.n_ris_rx_paths, config.n_rx, scheme, n_slots
-        )
-        slots = {s: count for s, count in ((single, 1), (hopping, n_slots)) if s in schemes}
-        families.append((family, selections, slots))
+    families = [
+        (family, select_paths_stack(terms, config.n_ris_rx_paths, config.n_rx, scheme,
+                                    slots[scheme]), slots)
+        for family, scheme, slots in _family_runs(schemes, config)
+    ]
 
-    out = {scheme: [[] for _ in angle_indices] for scheme in schemes}
+    pieces = {scheme: [] for scheme in schemes}
     step = max(1, CHUNK_ROWS // len(angle_indices))
     for start in range(0, n_fading_epochs, step):
         fading_indices = range(start, min(start + step, n_fading_epochs))
@@ -363,17 +376,13 @@ def _run_chunk(
                 for m in range(selections[0].n_slots)
             ]
             run = _run_multiplex if multiplex else _run_beamform
-            n_rows = len(fading_indices)
-            piece = {
-                scheme: [results[a * n_rows:(a + 1) * n_rows] for a in range(len(angle_indices))]
-                for scheme, results in run(designs, config, slots, gamma_th).items()
-            }
+            results = run(designs, config, slots, gamma_th)
             buffers = None  # frees the last family's arrays before allocating
             if payload_symbols:
                 buffers = PayloadBuffers(payload_symbols[family], config.n_rx, config.n_tx,
                                          config.n_rx if multiplex else None)
-            for a, epoch_index in enumerate(angle_indices):
-                for f, fading_index in enumerate(fading_indices if payload_symbols else ()):
+            for a, epoch_index in enumerate(angle_indices if payload_symbols else ()):
+                for f, fading_index in enumerate(fading_indices):
                     sent, errors = payload_errors(
                         [design.row(a, f) for design in designs],
                         config,
@@ -383,12 +392,11 @@ def _run_chunk(
                         buffers=buffers,
                     )
                     for scheme, n_slots in slots.items():
-                        piece[scheme][a][f] = replace(
-                            piece[scheme][a][f], bit_errors=errors[n_slots - 1], bits_sent=sent
-                        )
-                for scheme, epochs in piece.items():
-                    out[scheme][a].extend(epochs[a])
-    return {scheme: [r for epoch in epochs for r in epoch] for scheme, epochs in out.items()}
+                        results[scheme].bit_errors[a, f] = errors[n_slots - 1]
+                        results[scheme].bits_sent[a, f] = sent
+            for scheme, result in results.items():
+                pieces[scheme].append(result)
+    return {scheme: _join(parts, axis=1) for scheme, parts in pieces.items()}
 
 
 def _grid_point(
@@ -397,20 +405,19 @@ def _grid_point(
     grid_index: int,
     payload_symbols: dict[str, int] | None = None,
     surfaces: SurfaceGeometry | None = None,
-) -> dict[str, list[SchemeResult]]:
-    """Every scheme's results over all (angle, fading) epochs of one grid
+) -> dict[str, SchemeResult]:
+    """Every scheme's result over all (angle, fading) epochs of one grid
     point, in chunks of at most ``CHUNK_ROWS`` rows (see :func:`_run_chunk`)."""
     per_chunk = max(1, CHUNK_ROWS // plan.n_fading_epochs)
-    out: dict[str, list[SchemeResult]] = {scheme: [] for scheme in plan.schemes}
-    for start in range(0, plan.n_angle_epochs, per_chunk):
-        chunk = _run_chunk(
+    chunks = [
+        _run_chunk(
             config, plan.schemes, grid_index,
             range(start, min(start + per_chunk, plan.n_angle_epochs)),
             plan.n_fading_epochs, plan.base_seed, plan.gamma_th, payload_symbols, surfaces,
         )
-        for scheme, results in chunk.items():
-            out[scheme].extend(results)
-    return out
+        for start in range(0, plan.n_angle_epochs, per_chunk)
+    ]
+    return {scheme: _join([chunk[scheme] for chunk in chunks], axis=0) for scheme in plan.schemes}
 
 
 def _grid_config(plan: TrialPlan, config: SystemConfig, grid_index: int) -> SystemConfig:
@@ -444,8 +451,7 @@ def closed_form_companions(
     return out
 
 
-def _mean_and_stderr(values: list[float]) -> tuple[float, float, int]:
-    samples = np.array(values)
+def _mean_and_stderr(samples: np.ndarray) -> tuple[float, float, int]:
     stderr = samples.std(ddof=1) / math.sqrt(samples.size) if samples.size > 1 else 0.0
     return float(samples.mean()), float(stderr), samples.size
 
@@ -459,17 +465,16 @@ def wilson_half_width(errors: int, total: int, z: float = _WILSON_Z) -> float:
     return z * math.sqrt(p * (1.0 - p) / total + z * z / (4.0 * total * total)) / denom
 
 
-def _pooled_error_rate(results: list[SchemeResult]) -> tuple[float, float, int]:
-    errors = sum(r.bit_errors for r in results)
-    bits = sum(r.bits_sent for r in results)
+def _pooled_error_rate(result: SchemeResult) -> tuple[float, float, int]:
+    errors, bits = int(result.bit_errors.sum()), int(result.bits_sent.sum())
     return errors / bits, wilson_half_width(errors, bits), bits
 
 
-# Metric -> (metric, stderr, n_trials) columns from one scheme's pooled results.
+# Metric -> (metric, stderr, n_trials) columns from one scheme's grid-point result.
 _REDUCERS = {
-    "se": lambda rs: _mean_and_stderr([r.se_bits_per_hz for r in rs]),
-    "se_model": lambda rs: _mean_and_stderr([r.se_model_bits_per_hz for r in rs]),
-    "outage": lambda rs: _mean_and_stderr([float(r.outage) for r in rs]),
+    "se": lambda r: _mean_and_stderr(r.se_bits_per_hz.ravel()),
+    "se_model": lambda r: _mean_and_stderr(r.se_model_bits_per_hz.ravel()),
+    "outage": lambda r: _mean_and_stderr(r.outage.ravel().astype(float)),
     "ber": _pooled_error_rate,
 }
 
@@ -489,10 +494,8 @@ def _payload_sizes(
     sizes = []
     for cfg in configs:
         symbols = {}
-        for family, streams in (("multiplex", cfg.n_rx), ("beamform", 1)):
-            if not set(_FAMILIES[family]) & set(plan.schemes):
-                continue
-            per_use = 2 * streams
+        for family, _, _ in _family_runs(plan.schemes, cfg):
+            per_use = 2 * (cfg.n_rx if family == "multiplex" else 1)
             symbols[family] = max(1, -(-min_bits // (n_epochs * per_use)))
             if symbols[family] * per_use > MAX_PAYLOAD_BITS:
                 raise ConfigurationError(
@@ -528,8 +531,8 @@ def _sweep(
     if min_bits is not None and min_bits < 1:
         raise ConfigurationError(f"need at least one payload bit, got min_bits={min_bits}")
     reduce = _REDUCERS[metric]
-    # Every grid point's config, geometry, closed forms and payload size
-    # first, so bad input fails before any simulation.
+    # Every grid point's config, geometry, closed forms, payload size and
+    # selection searches first, so bad input fails before any simulation.
     configs = [_grid_config(plan, config, i) for i in range(len(plan.axis_values))]
     keys = [(cfg.n_tx, cfg.n_ris, cfg.dft_offset, cfg.carrier_frequency, cfg.gain_target,
              cfg.ris_axis_distance, cfg.rx_center_distance, cfg.rx_disk_radius) for cfg in configs]
@@ -544,6 +547,9 @@ def _sweep(
         companions = closed_form_companions(plan.schemes, configs)
     else:
         companions = {scheme: (_NO_FORM,) * len(configs) for scheme in plan.schemes}
+    for cfg in configs:
+        for _, scheme, slots in _family_runs(plan.schemes, cfg):
+            check_selection(cfg.n_ris_rx_paths, cfg.n_ris, cfg.n_rx, scheme, slots[scheme])
     rows: dict[str, list[tuple]] = {scheme: [] for scheme in plan.schemes}
     for grid_index, (cfg, payload_symbols) in enumerate(zip(configs, payloads)):
         results = _grid_point(plan, cfg, grid_index, payload_symbols, geometries[keys[grid_index]])

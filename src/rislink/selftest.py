@@ -325,10 +325,10 @@ def _check_power_and_run() -> str:
     config = SystemConfig(n_ris=2, n_rx=2, n_ris_rx_paths=4, n_nlos_tx_paths=1)
     hops = _draw_scene(config, seed=9)
     design = design_one(select_one(hops.rx_arrival[0], config.n_rx, "sm"), hops)[0]
-    (result,) = _run_multiplex([design], config, {"sm": 1}, DEFAULT_OUTAGE_THRESHOLD)["sm"]
-    assert result.se_bits_per_hz > 0, "non-positive spectral efficiency"
-    assert np.isfinite(result.se_model_bits_per_hz)
-    return f"sm SE {result.se_bits_per_hz:.3f} bits/s/Hz"
+    result = _run_multiplex([design], config, {"sm": 1}, DEFAULT_OUTAGE_THRESHOLD)["sm"]
+    assert result.se_bits_per_hz.item() > 0, "non-positive spectral efficiency"
+    assert np.isfinite(result.se_model_bits_per_hz.item())
+    return f"sm SE {result.se_bits_per_hz.item():.3f} bits/s/Hz"
 
 
 def _check_payload() -> str:

@@ -13,8 +13,9 @@ scheme off a prefix of the slots, so the single-configuration schemes are
 literally the one-slot case of the same code, and one pass over a hopping
 design serves both schemes of its family bit for bit.  The runners take
 one :class:`rislink.customize.DesignStack` per slot, over rows of angle
-and fading epochs, and give one result per row, in row order, equal bit
-for bit to running each row on its own.  Bit-error payloads take one
+and fading epochs, and give one :class:`SchemeResult` per scheme whose
+fields are columns over those rows, each row equal bit for bit to running
+it on its own.  Bit-error payloads take one
 row's design (:meth:`DesignStack.row`) and detect after every slot, so
 one pass serves every prefix of the slots; a pass works in a
 :class:`PayloadBuffers` holder that later passes of its shape reuse.
@@ -34,23 +35,31 @@ from .customize import DesignStack
 DEFAULT_OUTAGE_THRESHOLD = 10.0  # linear SNR, i.e. 10 dB
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchemeResult:
-    """Per-realization outcome of one scheme.
+    """One scheme's outcomes over (angle epoch, fading epoch) rows: every
+    field is an (A, F) column, ``post_combine_snr`` (A, F, streams).
 
     ``se_bits_per_hz`` is evaluated on the exact channel;
     ``se_model_bits_per_hz`` and ``post_combine_snr`` come from the
-    activated-gain model (outage is called on the latter).  Bit counters
-    are zero unless the result came from a symbol-level trial.
+    activated-gain model (outage is called on the latter).  The int64 bit
+    counters are zero unless a symbol-level pass wrote them.
     """
 
-    scheme: str
-    se_bits_per_hz: float
-    se_model_bits_per_hz: float
-    post_combine_snr: tuple[float, ...]
-    outage: bool
-    bit_errors: int = 0
-    bits_sent: int = 0
+    se_bits_per_hz: np.ndarray
+    se_model_bits_per_hz: np.ndarray
+    post_combine_snr: np.ndarray
+    outage: np.ndarray
+    bit_errors: np.ndarray
+    bits_sent: np.ndarray
+
+
+def _result(rows: tuple[int, int], se, se_model, snr, outage) -> SchemeResult:
+    """The columns shaped over ``rows`` (A, F), the SNR with a stream axis,
+    and bit counters of their own, all zero."""
+    counts = [np.zeros(rows, dtype=np.int64) for _ in range(2)]
+    return SchemeResult(se.reshape(rows), se_model.reshape(rows), snr.reshape(rows + (-1,)),
+                        outage.reshape(rows), *counts)
 
 
 def _multiplex_precoder(design: DesignStack, config: SystemConfig) -> np.ndarray:
@@ -101,15 +110,15 @@ def _run_multiplex(
     config: SystemConfig,
     slots: dict[str, int],
     gamma_th: float,
-) -> dict[str, list[SchemeResult]]:
+) -> dict[str, SchemeResult]:
     """Shared multiplexing runner: per-slot combine, rotate, sum, detect.
 
     Each slot's combiner is the activated receive-response stack with its
     columns phase-rotated onto the realized per-stream gains, so slot
     outputs add coherently; stacking m slots leaves per-stream noise at
     ``m * noise_power``.  Slots accumulate in order, and each scheme of
-    ``slots`` (scheme -> slot count) reads its list of per-row results
-    off its prefix.
+    ``slots`` (scheme -> slot count) reads its result columns off its
+    prefix.
     """
     _check_slots(designs)
     noise_power = config.noise_power
@@ -135,21 +144,9 @@ def _run_multiplex(
             / (n_streams * n_slots * noise_power)
         )
         se_model = np.sum(np.log2(1.0 + snr), axis=-1) / n_slots
-        snr = snr.reshape(-1, n_streams)
-        outages = (snr.min(axis=-1) < gamma_th).tolist()
+        outage = snr.min(axis=-1) < gamma_th
         for scheme in readers:
-            out[scheme] = [
-                SchemeResult(
-                    scheme=scheme,
-                    se_bits_per_hz=epoch_se,
-                    se_model_bits_per_hz=epoch_model,
-                    post_combine_snr=tuple(epoch_snr),
-                    outage=outage,
-                )
-                for epoch_se, epoch_model, epoch_snr, outage in zip(
-                    np.ravel(se).tolist(), np.ravel(se_model).tolist(), snr.tolist(), outages
-                )
-            ]
+            out[scheme] = _result(se.shape, se, se_model, snr, outage)
     return out
 
 
@@ -158,12 +155,13 @@ def _run_beamform(
     config: SystemConfig,
     slots: dict[str, int],
     gamma_th: float,
-) -> dict[str, list[SchemeResult]]:
+) -> dict[str, SchemeResult]:
     """Shared beamforming runner: matched-filter stacking across slots.
 
     Slots accumulate in order, and each scheme of ``slots`` (scheme ->
-    slot count) reads its list of per-row results off its prefix."""
+    slot count) reads its result columns off its prefix."""
     _check_slots(designs)
+    rows = designs[0].exact_h.shape[:-2]
     n_active = designs[0].t_active.shape[-1]
     exact_power = 0.0
     model_sum = 0.0
@@ -173,19 +171,15 @@ def _run_beamform(
         model_sum += np.array([
             s**2 for s in np.abs(design.xi_active).reshape(-1, n_active).sum(axis=-1).tolist()
         ])
-        for scheme in [scheme for scheme, count in slots.items() if count == n_slots]:
-            results = []
-            for epoch_power, epoch_model in zip(exact_power.tolist(), model_sum.tolist()):
-                se = math.log2(1.0 + epoch_power / config.noise_power) / n_slots
-                snr_model = config.transmit_power * epoch_model / (n_active * config.noise_power)
-                results.append(SchemeResult(
-                    scheme=scheme,
-                    se_bits_per_hz=se,
-                    se_model_bits_per_hz=math.log2(1.0 + snr_model) / n_slots,
-                    post_combine_snr=(snr_model,),
-                    outage=bool(snr_model < gamma_th),
-                ))
-            out[scheme] = results
+        readers = [scheme for scheme, count in slots.items() if count == n_slots]
+        if not readers:
+            continue
+        # The rates take math.log2 row by row: np.log2 may round otherwise.
+        se = np.array(list(map(math.log2, (1.0 + exact_power / config.noise_power).tolist())))
+        snr = config.transmit_power * model_sum / (n_active * config.noise_power)
+        se_model = np.array(list(map(math.log2, (1.0 + snr).tolist())))
+        for scheme in readers:
+            out[scheme] = _result(rows, se / n_slots, se_model / n_slots, snr, snr < gamma_th)
     return out
 
 

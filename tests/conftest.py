@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import cmath
-from dataclasses import replace
+from collections import namedtuple
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from rislink.channel import (
     draw_fading_gains,
 )
 from rislink.config import drop_receiver, receiver_losses, surface_geometry
+from rislink.transceive import SchemeResult
 
 BASE_SEED = 20240601
 
@@ -123,3 +125,27 @@ def scalar_phase_design(selections, slot: int, estimate: HopStack, refine: bool)
                 for rx, tx, phase in zip(rx_gains, tx_gains, phases)
             ]
     return commons, xi_active
+
+
+ResultRow = namedtuple("ResultRow", [f.name for f in fields(SchemeResult)])
+
+
+def result_rows(result: SchemeResult) -> list[ResultRow]:
+    """The rows of a column result in (angle epoch, fading epoch) order,
+    every field as Python scalars (``post_combine_snr`` a tuple)."""
+    n_rows = result.se_bits_per_hz.size
+    return [
+        ResultRow(se, model, tuple(snr), outage, errors, sent)
+        for se, model, snr, outage, errors, sent in zip(
+            result.se_bits_per_hz.ravel().tolist(), result.se_model_bits_per_hz.ravel().tolist(),
+            result.post_combine_snr.reshape(n_rows, -1).tolist(), result.outage.ravel().tolist(),
+            result.bit_errors.ravel().tolist(), result.bits_sent.ravel().tolist(),
+        )
+    ]
+
+
+def assert_same_columns(got: SchemeResult, expected: SchemeResult, context=None) -> None:
+    """Every field of ``got`` has the dtype, shape and bytes of ``expected``'s."""
+    for f in fields(SchemeResult):
+        a, b = getattr(got, f.name), getattr(expected, f.name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (f.name, context)

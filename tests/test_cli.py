@@ -395,6 +395,9 @@ class TestExitCodes:
         (["selftest", "--config", ""], cli.EXIT_BAD_CONFIG),
         (["crossing-point", "--n-rx", "2", "--profile", ""], cli.EXIT_BAD_CONFIG),
         (["selftest", "--config", "missing.cfg"], cli.EXIT_BAD_CONFIG),
+        # Only the sweeps draw, so only they take a seed.
+        (["analyze", "--seed", "3"], cli.EXIT_BAD_CONFIG),
+        (["crossing-point", "--n-rx", "2", "--seed", "3"], cli.EXIT_BAD_CONFIG),
     ])
     def test_error_paths(self, argv, code, capsys):
         assert _run(argv) == code
@@ -487,6 +490,17 @@ class TestExitCodes:
         assert out == ""
         assert "error: crossing-point polynomial leaves the floating-point range" in err
 
+    def test_consecutive_calls_do_not_share_overrides(self, capsys):
+        # One parser serves every call of the process; a call without
+        # --set prints the defaults' summary after one with it.
+        summaries = []
+        for argv in (["analyze"], ["analyze", "--set", "n_rx=2"], ["analyze"]):
+            assert _run(argv) == cli.EXIT_OK
+            summaries.append(capsys.readouterr().out)
+        assert summaries[0] == summaries[2] != summaries[1]
+        assert "stream constants" in summaries[0]
+        assert cli._parser() is cli._parser()
+
     def test_simulator_failure_prints_error_line(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise rl.SamplingError("angle sampling failed after 1 attempts")
@@ -572,8 +586,9 @@ def _engine_reached(*args, **kwargs):
 
 
 class TestFileAndBudgetErrors:
-    """Unusable files and oversized payloads exit with an ``error:`` line
-    before any simulation; a failing write exits 1."""
+    """Unusable files, oversized payloads and selections that cannot run
+    at some grid point exit with an ``error:`` line before any simulation;
+    a failing write exits 1."""
 
     @staticmethod
     def _sweep(*extra, verb="se-sweep"):
@@ -645,6 +660,22 @@ class TestFileAndBudgetErrors:
         assert _run(argv) == cli.EXIT_FAILURE
         assert "error: [Errno 28] No space left on device" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, code", [
+        # Four slots over three paths at the last grid point.
+        (["--scheme", "ds", "--axis", "M_R=1:1:4", "--set", "n_ris_rx_paths=3"],
+         cli.EXIT_INFEASIBLE),
+        # 60**4 = 12,960,000 tuples at the last grid point, above the cap.
+        (["--scheme", "sm", "--axis", "L_R=10:10:60"], cli.EXIT_SEARCH_SPACE),
+    ])
+    def test_unrunnable_selection_fails_before_any_epoch(self, argv, code, tmp_path,
+                                                        monkeypatch, capsys):
+        monkeypatch.setattr(montecarlo, "_run_chunk", _engine_reached)
+        out = tmp_path / "x.csv"
+        assert _run(["se-sweep", *argv, "--angle-epochs", "1", "--fading-epochs", "1",
+                     "--output", str(out)]) == code
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("min_bits, n_epochs", [
         (10**12, 1), (10**30, 1), (montecarlo.MAX_PAYLOAD_BITS + 1, 1),
         (4 * montecarlo.MAX_PAYLOAD_BITS + 1, 4),
@@ -692,8 +723,29 @@ _CONFIG_BODIES = st.one_of(
 class TestSweepCliFuzz:
     """Any ``--axis``, ``--config`` body and ``--min-bits`` through the
     sweep verbs ends in a documented status, with an ``error:`` line and no
-    traceback when it fails; an input rejected with status 2 never reaches
+    traceback when it fails; an input rejected with status 2, or with
+    status 5 where a grid point's search is above the cap, never reaches
     the engine (the chunk entry point is patched to raise)."""
+
+    @staticmethod
+    def _effective_config(argv, verb):
+        return cli._load_effective_config(
+            cli.build_parser().parse_args(argv[:-2] if verb == "ber-sweep" else argv)
+        )
+
+    @classmethod
+    def _search_over_cap(cls, argv, verb, axis):
+        """Whether the sm or bf first-slot search of some grid point has
+        more tuples than the default cap."""
+        name, grid = cli._parse_axis(axis)
+        base = cls._effective_config(argv, verb)
+        for value in grid:
+            cfg = rl.apply_axis(base, name, value)
+            paths = cfg.n_ris_rx_paths
+            sm = math.comb(cfg.n_ris, cfg.n_rx) * paths**cfg.n_rx
+            if max(sm, paths**cfg.n_ris) > 10**7:
+                return True
+        return False
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -723,14 +775,16 @@ class TestSweepCliFuzz:
             except _Simulated:
                 code = None
         if code is not None:
-            assert code == cli.EXIT_BAD_CONFIG, (argv, code)
+            # Bad input, or a selection search that this test finds above
+            # the cap at some grid point (sm and bf search one slot, so no
+            # slot count is infeasible).
+            assert code == cli.EXIT_BAD_CONFIG or (
+                code == cli.EXIT_SEARCH_SPACE and self._search_over_cap(argv, verb, axis)
+            ), (argv, code)
             return
         # Accepted input: a small sweep runs to a documented status.
         name, grid = cli._parse_axis(axis)
-        effective = cli._load_effective_config(
-            cli.build_parser().parse_args(argv[:-2] if verb == "ber-sweep" else argv)
-        )
-        effective = rl.apply_axis(effective, name, grid[-1])
+        effective = rl.apply_axis(self._effective_config(argv, verb), name, grid[-1])
         if len(grid) <= 3 and effective.n_tx <= 64 and effective.n_ris_rx_paths <= 40 \
                 and effective.n_nlos_tx_paths <= 16:
             assert _fuzz_main(argv, allowed={0, 1, 3, 5}) != cli.EXIT_BAD_CONFIG

@@ -15,7 +15,6 @@ from rislink.channel import HopStack, _inner_products, _response_matrix, composi
 from rislink.channel import draw_angle_epochs
 from rislink.config import surface_geometry
 from rislink.customize import (
-    DEFAULT_SEARCH_CAP,
     DENSE_SEARCH_LIMIT,
     SearchTerms,
     _candidate_gram,
@@ -85,7 +84,7 @@ def _search_oracle(gram, groups, target_off_diagonal):
 def _search_one(gram, groups, target_off_diagonal):
     """The selection search on one Gram matrix: a stack of one."""
     terms = SearchTerms(gram[None])
-    return customize._search(terms, groups, target_off_diagonal, DEFAULT_SEARCH_CAP)[0]
+    return customize._search(terms, groups, target_off_diagonal)[0]
 
 
 class TestBestTuple:
@@ -156,7 +155,7 @@ class TestBestTuple:
         grams = _candidate_gram(candidates, 4)
         groups = [np.arange(30) + k * 30 for k in range(4)]
         for target in (0.0, 1.0):
-            got = customize._search(SearchTerms(grams), groups, target, DEFAULT_SEARCH_CAP)
+            got = customize._search(SearchTerms(grams), groups, target)
             for gram, row in zip(grams, got):
                 assert repr(row) == repr(_search_oracle(gram, groups, target))
         assert len(evaluated) == 2
@@ -186,7 +185,7 @@ class TestBestTuple:
         grams[6, tail[6], tail[6]] = math.inf  # a tail unary term: still bounded
         assert (n_paths - 1) ** n_groups > DENSE_SEARCH_LIMIT
         for target in (0.0, 1.0):
-            got = customize._search(SearchTerms(grams), groups, target, DEFAULT_SEARCH_CAP)
+            got = customize._search(SearchTerms(grams), groups, target)
             for r, (gram, row) in enumerate(zip(grams, got)):
                 oracle = _search_oracle(gram, [g[r] for g in groups], target)
                 assert repr(row) == repr(oracle), (target, r)
@@ -260,8 +259,9 @@ class TestMultiplexSelection:
 
     def test_search_cap_enforced(self):
         candidates = np.zeros((4, 10))
-        with pytest.raises(SearchSpaceError):
-            select_one(candidates, 4, "sm", cap=100)
+        for scheme in ("sm", "bf"):
+            with pytest.raises(SearchSpaceError):
+                select_one(candidates, 4, scheme, cap=100)
 
     def test_deterministic(self):
         rng = rl.substream(BASE_SEED, 43)

@@ -34,7 +34,6 @@ PUBLIC_NAMES = [
     "PlacementError",
     "RislinkError",
     "SamplingError",
-    "SchemeResult",
     "SearchSpaceError",
     "SelectionInfeasibleError",
     "SweepResult",

@@ -18,7 +18,7 @@ from rislink.config import surface_geometry
 from rislink.errors import ConfigurationError
 from rislink.selftest import design_one, select_one
 
-from conftest import BASE_SEED
+from conftest import BASE_SEED, assert_same_columns, result_rows
 
 
 def _plan(**overrides) -> rl.TrialPlan:
@@ -238,10 +238,19 @@ def _angle_epoch(config, schemes, grid_index, epoch_index, n_fading_epochs, base
                          n_fading_epochs, base_seed, gamma_th, payload_symbols)
 
 
+def _joined(parts, axis):
+    """Column results of consecutive row blocks, concatenated along ``axis``."""
+    return transceive.SchemeResult(*(
+        np.concatenate([getattr(part, f.name) for part in parts], axis=axis)
+        for f in dataclasses.fields(transceive.SchemeResult)
+    ))
+
+
 def _per_epoch_oracle(config, schemes, grid_index, epoch_index, n_fading_epochs, base_seed,
                       gamma_th, payload_symbols=None):
     """The engine one fading epoch at a time: design and run every epoch
-    on a stack of one row, every scheme with its own selection and designs."""
+    on a stack of one row, every scheme with its own selection and designs.
+    Returns each scheme's columns over the angle epoch's (1, F) rows."""
     angles, los_gains = draw_angle_epochs(
         config, surface_geometry(config),
         [mc.substream(base_seed, grid_index, epoch_index, mc._ANGLES)],
@@ -274,7 +283,7 @@ def _per_epoch_oracle(config, schemes, grid_index, epoch_index, n_fading_epochs,
                 for m in range(selection.n_slots)
             ]
             run = transceive._run_multiplex if multiplex else transceive._run_beamform
-            (result,) = run(designs, config, {scheme: len(designs)}, gamma_th)[scheme]
+            result = run(designs, config, {scheme: len(designs)}, gamma_th)[scheme]
             if payload_symbols is not None:
                 payload_rng = mc.substream(base_seed, grid_index, epoch_index, fading_index,
                                            mc._PAYLOAD)
@@ -283,28 +292,29 @@ def _per_epoch_oracle(config, schemes, grid_index, epoch_index, n_fading_epochs,
                     [design.row(0, 0) for design in designs], config, payload_symbols[family],
                     payload_rng, multiplex,
                 )
-                result = dataclasses.replace(result, bit_errors=errors[-1], bits_sent=sent)
+                result.bit_errors[0, 0], result.bits_sent[0, 0] = errors[-1], sent
             out[scheme].append(result)
-    return out
+    return {scheme: _joined(parts, axis=1) for scheme, parts in out.items()}
 
 
 class TestStackedEngine:
     """``_run_chunk`` runs a chunk of angle epochs, each with its fading
-    epochs, as stacked rows; every result field of every angle epoch must
-    equal the per-epoch engine's."""
+    epochs, as stacked rows; every result column of every angle epoch must
+    hold the per-epoch engine's bytes."""
 
     @staticmethod
     def _assert_chunk_matches(config, schemes, grid_index, angle_indices, n_fading, seed,
                               payload=None):
         chunk = mc._run_chunk(config, schemes, grid_index, angle_indices, n_fading, seed,
                               10.0, payload)
-        for row, epoch_index in enumerate(angle_indices):
-            oracle = _per_epoch_oracle(config, schemes, grid_index, epoch_index, n_fading,
-                                       seed, 10.0, payload)
-            for scheme in schemes:
-                assert len(chunk[scheme]) == len(angle_indices) * n_fading
-                got = chunk[scheme][row * n_fading:(row + 1) * n_fading]
-                assert got == oracle[scheme], (scheme, epoch_index)
+        oracles = [
+            _per_epoch_oracle(config, schemes, grid_index, epoch_index, n_fading, seed, 10.0,
+                              payload)
+            for epoch_index in angle_indices
+        ]
+        for scheme in schemes:
+            expected = _joined([oracle[scheme] for oracle in oracles], axis=0)
+            assert_same_columns(chunk[scheme], expected, scheme)
 
     @pytest.mark.parametrize("path", ["se", "ber"])
     @pytest.mark.parametrize("sigma_e", [0.0, 0.05])
@@ -361,13 +371,29 @@ class TestStackedEngine:
             for symbols in (None, payload):
                 got = mc._grid_point(plan, config, 0, symbols)
                 for scheme in schemes:
-                    expected = [
-                        r for e in range(3)
-                        for r in _per_epoch_oracle(config, schemes, 0, e, n_fading,
-                                                   plan.base_seed, plan.gamma_th,
-                                                   symbols)[scheme]
-                    ]
-                    assert got[scheme] == expected, (scheme, n_fading)
+                    expected = _joined([
+                        _per_epoch_oracle(config, schemes, 0, e, n_fading, plan.base_seed,
+                                          plan.gamma_th, symbols)[scheme]
+                        for e in range(3)
+                    ], axis=0)
+                    assert_same_columns(got[scheme], expected, (scheme, n_fading))
+
+    @pytest.mark.parametrize("n_slots", [1, 2])
+    def test_columns_without_payload(self, n_slots):
+        # (A, F) columns, the SNR with a stream axis, and zero int64 bit
+        # counters.
+        config = rl.SystemConfig(n_slots=n_slots, n_rx=2)
+        schemes = ("sm", "bf", "ds", "db")
+        chunk = mc._run_chunk(config, schemes, 0, range(1, 4), 5, BASE_SEED, 10.0)
+        for scheme in schemes:
+            result = chunk[scheme]
+            for f in dataclasses.fields(result):
+                assert getattr(result, f.name).shape[:2] == (3, 5), (scheme, f.name)
+            streams = 2 if scheme in ("sm", "ds") else 1
+            assert result.post_combine_snr.shape == (3, 5, streams)
+            assert result.outage.dtype == bool
+            for counts in (result.bit_errors, result.bits_sent):
+                assert counts.dtype == np.int64 and not counts.any()
 
     def test_ladders_draw_each_slot_noise_once(self, monkeypatch):
         calls = []
@@ -417,8 +443,9 @@ class TestStackedEngine:
 
 
 class TestRowResultPin:
-    """Frozen engine rows: sha256 of the repr of every field of every
-    ``SchemeResult``, and of the bytes of every design's slopes, common
+    """Frozen engine rows: sha256 of the repr of every field of every row
+    of each scheme's ``SchemeResult`` columns, as Python scalars after the
+    scheme name, and of the bytes of every design's slopes, common
     phases, designed gains and exact channel, over seeded ``_run_chunk``
     calls of 40 configs (1-4 receive antennas, 1-3 slots, 0-2 scattered
     transmit paths, with and without angle error, 1-3 angle epochs by 1-5
@@ -463,9 +490,9 @@ class TestRowResultPin:
         monkeypatch.setattr(mc, "design_slots", recording)
         for args in self._calls(40):
             chunk = mc._run_chunk(*args)
-            for scheme, rows in chunk.items():
-                for row in rows:
-                    results.update(repr((scheme, dataclasses.astuple(row))).encode())
+            for scheme, result in chunk.items():
+                for row in result_rows(result):
+                    results.update(repr((scheme, (scheme, *row))).encode())
         assert (results.hexdigest(), designs.hexdigest()) == self.DIGESTS
 
 
@@ -481,7 +508,7 @@ class TestEstimators:
         )
         for scheme in plan.schemes:
             assert result.means[scheme][0] == \
-                epoch[scheme][0].se_bits_per_hz
+                epoch[scheme].se_bits_per_hz.item()
             assert result.stderrs[scheme][0] == 0.0
             assert result.n_trials[scheme][0] == 1
 
@@ -492,10 +519,10 @@ class TestEstimators:
         samples = [
             r.se_bits_per_hz
             for i in range(3)
-            for r in _angle_epoch(
+            for r in result_rows(_angle_epoch(
                 mc._grid_config(plan, config, 0), plan.schemes, 0, i, 2,
                 plan.base_seed, plan.gamma_th,
-            )["sm"]
+            )["sm"])
         ]
         assert math.isclose(result.means["sm"][0], float(np.mean(samples)),
                             rel_tol=1e-12)

@@ -22,7 +22,7 @@ from rislink.transceive import (
     _run_multiplex,
 )
 
-from conftest import BASE_SEED, draw_scene, small_config, with_fading
+from conftest import BASE_SEED, draw_scene, result_rows, small_config, with_fading
 
 
 def _designs(config, key, scheme: str, n_slots: int = 1):
@@ -44,7 +44,7 @@ def _rows(designs):
 def _run(scheme, designs, config, gamma_th=DEFAULT_OUTAGE_THRESHOLD):
     """One scheme's runner over all of ``designs``: its per-row results."""
     run = _run_multiplex if scheme in ("sm", "ds") else _run_beamform
-    return run(designs, config, {scheme: len(designs)}, gamma_th)[scheme]
+    return result_rows(run(designs, config, {scheme: len(designs)}, gamma_th)[scheme])
 
 
 class TestPrecoding:
