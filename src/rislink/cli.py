@@ -237,6 +237,10 @@ def _cmd_crossing_point(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if args.output is not None and not args.axis:
+        raise ConfigurationError("--output needs --axis")
+    if args.axis and not args.output:
+        raise ConfigurationError("analyze with an axis needs --output")
     config = _load_effective_config(args)
     for path, option in ((args.dump_config, "--dump-config"), (args.output, "--output")):
         if path is not None:
@@ -245,8 +249,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         dump_config(config, args.dump_config)
         print(f"wrote {args.dump_config}")
     if args.axis:
-        if not args.output:
-            raise ConfigurationError("analyze with an axis needs --output")
         _write_closed_form_sweep(config, args.axis, args.output)
         print(f"wrote {args.output}")
     if not args.dump_config and not args.axis:

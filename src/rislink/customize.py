@@ -27,7 +27,7 @@ of a :class:`DesignStack`, ``exact_h - (r_active * xi_active) @ t_active^H``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
@@ -279,11 +279,11 @@ def _search(
     ]
 
 
-def check_selection(n_paths: int, n_ris: int, n_rx: int, scheme: str, n_slots: int = 1,
-                    cap: int = DEFAULT_SEARCH_CAP) -> None:
+def check_selection(n_paths: int, n_ris: int, n_rx: int, scheme: str, n_slots: int = 1) -> None:
     """Reject an unknown scheme (``ValueError``), slots or surfaces that
     ``n_paths`` paths per surface cannot serve (``SelectionInfeasibleError``)
-    and a first-slot search above ``cap`` tuples (``SearchSpaceError``)."""
+    and a first-slot search above ``DEFAULT_SEARCH_CAP`` tuples
+    (``SearchSpaceError``)."""
     if scheme not in SCHEME_TAGS:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {', '.join(SCHEME_TAGS)}")
     if n_slots < 1:
@@ -296,8 +296,9 @@ def check_selection(n_paths: int, n_ris: int, n_rx: int, scheme: str, n_slots: i
     if multiplex and not (n_ris >= n_rx >= 1):
         raise SelectionInfeasibleError("need n_ris >= n_rx >= 1 for multiplexing")
     space = math.comb(n_ris, n_rx) * n_paths**n_rx if multiplex else n_paths**n_ris
-    if space > cap:
-        raise SearchSpaceError(f"selection search of {space} tuples exceeds cap {cap}")
+    if space > DEFAULT_SEARCH_CAP:
+        raise SearchSpaceError(f"selection search of {space} tuples exceeds cap "
+                               f"{DEFAULT_SEARCH_CAP}")
 
 
 def select_paths_stack(
@@ -306,7 +307,6 @@ def select_paths_stack(
     n_rx: int,
     scheme: str,
     n_slots: int = 1,
-    cap: int = DEFAULT_SEARCH_CAP,
 ) -> list[PathSelection]:
     """One scheme's path selection for every angle epoch of a stack.
 
@@ -326,7 +326,7 @@ def select_paths_stack(
     """
     n_angle = len(terms.gram)
     n_ris = terms.gram.shape[-1] // n_paths
-    check_selection(n_paths, n_ris, n_rx, scheme, n_slots, cap)
+    check_selection(n_paths, n_ris, n_rx, scheme, n_slots)
     multiplex = scheme in ("sm", "ds")
     target = 0.0 if multiplex else 1.0
     if multiplex:
@@ -383,16 +383,6 @@ class DesignStack:
     t_active: np.ndarray
     xi_active: np.ndarray
     exact_h: np.ndarray
-
-    def row(self, angle_index: int, fading_index: int) -> "DesignStack":
-        """The design of one row, with the leading axes dropped."""
-        return replace(
-            self,
-            r_active=self.r_active[angle_index, 0],
-            t_active=self.t_active[angle_index, 0],
-            xi_active=self.xi_active[angle_index, fading_index],
-            exact_h=self.exact_h[angle_index, fading_index],
-        )
 
 
 def _phase(z: np.ndarray) -> np.ndarray:

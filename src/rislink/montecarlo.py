@@ -28,9 +28,9 @@ slot design and runner pass covers every row, with the angle-only parts
 gain-dependent parts carrying the rows.  Results stay columns over
 (angle epoch, fading epoch) from the runners to the reducers, one
 :class:`SchemeResult` per scheme and block of rows.  Bit-error payloads
-stay per fading epoch, each on its own substream, and write their counts
-into their row; every scheme of a fading epoch reads that one payload
-stream, so one payload pass per family serves both its schemes.
+ride on each family's runner pass, every row on its fading epoch's own
+substream; every scheme of a fading epoch reads that one payload stream,
+so one pass per family serves both its schemes.
 """
 
 from __future__ import annotations
@@ -54,14 +54,7 @@ from .customize import (
     select_paths_stack,
 )
 from .errors import ConfigurationError
-from .transceive import (
-    DEFAULT_OUTAGE_THRESHOLD,
-    PayloadBuffers,
-    SchemeResult,
-    _run_beamform,
-    _run_multiplex,
-    payload_errors,
-)
+from .transceive import DEFAULT_OUTAGE_THRESHOLD, SchemeResult, _run_beamform, _run_multiplex
 from . import analysis
 
 _GEOMETRY, _ANGLES, _FADING, _MISMATCH, _PAYLOAD = range(5)
@@ -325,10 +318,9 @@ def _run_chunk(
     where ``sm``/``bf`` read the one-slot prefix and ``ds``/``db`` all
     slots.
     With ``payload_symbols`` (family -> symbols per fading epoch), each
-    family also runs one payload pass per row, on that fading epoch's
-    payload substream, and each scheme's columns take the bit errors
-    after its slots in that row; a family's passes over a block of rows
-    share one set of work arrays.  Returns each scheme's result, its
+    runner pass also carries the family's payload over its rows, every
+    row on that fading epoch's payload substream, and fills the bit
+    counts of every scheme it reads.  Returns each scheme's result, its
     columns over (angle epoch, fading epoch).
     """
     mismatched = config.angle_error_std > 0
@@ -375,26 +367,14 @@ def _run_chunk(
                 design_slots(selections, m, estimate, exact, refine=not multiplex)[0]
                 for m in range(selections[0].n_slots)
             ]
-            run = _run_multiplex if multiplex else _run_beamform
-            results = run(designs, config, slots, gamma_th)
-            buffers = None  # frees the last family's arrays before allocating
+            payload = None
             if payload_symbols:
-                buffers = PayloadBuffers(payload_symbols[family], config.n_rx, config.n_tx,
-                                         config.n_rx if multiplex else None)
-            for a, epoch_index in enumerate(angle_indices if payload_symbols else ()):
-                for f, fading_index in enumerate(fading_indices):
-                    sent, errors = payload_errors(
-                        [design.row(a, f) for design in designs],
-                        config,
-                        payload_symbols[family],
-                        substream(base_seed, grid_index, epoch_index, fading_index, _PAYLOAD),
-                        multiplex=multiplex,
-                        buffers=buffers,
-                    )
-                    for scheme, n_slots in slots.items():
-                        results[scheme].bit_errors[a, f] = errors[n_slots - 1]
-                        results[scheme].bits_sent[a, f] = sent
-            for scheme, result in results.items():
+                payload = (payload_symbols[family], [
+                    [substream(base_seed, grid_index, a, f, _PAYLOAD) for f in fading_indices]
+                    for a in angle_indices
+                ])
+            run = _run_multiplex if multiplex else _run_beamform
+            for scheme, result in run(designs, config, slots, gamma_th, payload).items():
                 pieces[scheme].append(result)
     return {scheme: _join(parts, axis=1) for scheme, parts in pieces.items()}
 

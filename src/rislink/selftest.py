@@ -25,7 +25,6 @@ from .channel import (
 )
 from .config import SystemConfig, receiver_losses, surface_geometry
 from .customize import (
-    DEFAULT_SEARCH_CAP,
     SearchTerms,
     _bounded_minima,
     _candidate_gram,
@@ -36,15 +35,15 @@ from .customize import (
 )
 from .errors import NoCrossingError, RislinkError
 from .montecarlo import TrialPlan, _angle_errors, estimate_ergodic_se, substream
-from .transceive import DEFAULT_OUTAGE_THRESHOLD, PayloadBuffers, _run_multiplex, payload_errors
+from .transceive import DEFAULT_OUTAGE_THRESHOLD, _run_beamform, _run_multiplex
 
 
-def _draw_scene(config, seed=7) -> HopStack:
-    """One angle epoch and one fading epoch of the engine's draws, a stack
-    of one row: the angles on substream ``(seed, 0)``, the gains on
-    ``(seed, 0, 1)``."""
+def _draw_scene(config, seed=7, n_fading=1) -> HopStack:
+    """One angle epoch and ``n_fading`` fading epochs of the engine's
+    draws, a stack of that many rows: the angles on substream ``(seed,
+    0)``, fading epoch ``f``'s gains on ``(seed, 0, 1 + f)``."""
     angles, los_gains = draw_angle_epochs(config, surface_geometry(config), [substream(seed, 0)])
-    rngs = [[substream(seed, 0, 1)]]
+    rngs = [[substream(seed, 0, 1 + f) for f in range(n_fading)]]
     tx_gains, rx_gains = draw_fading_gains(config, angles["n_elements"], los_gains, rngs)
     return HopStack(tx_gains=tx_gains, rx_gains=rx_gains, **angles)
 
@@ -87,12 +86,12 @@ def dense_composite(hops: HopStack, slopes, commons, a: int = 0, f: int = 0) -> 
     )
 
 
-def select_one(candidates, n_rx, scheme, n_slots=1, cap=DEFAULT_SEARCH_CAP):
+def select_one(candidates, n_rx, scheme, n_slots=1):
     """:func:`select_paths_stack` on one angle epoch's candidates, shape
     (n_ris, n_paths): a stack of one."""
     candidates = np.asarray(candidates, dtype=float)
     terms = SearchTerms(_candidate_gram(candidates[None], n_rx))
-    return select_paths_stack(terms, candidates.shape[1], n_rx, scheme, n_slots, cap)[0]
+    return select_paths_stack(terms, candidates.shape[1], n_rx, scheme, n_slots)[0]
 
 
 def design_one(selection, estimate: HopStack, slot=0, refine=False, exact: HopStack | None = None):
@@ -334,24 +333,34 @@ def _check_power_and_run() -> str:
 def _check_payload() -> str:
     config = SystemConfig(n_ris=2, n_rx=2, n_ris_rx_paths=4, n_nlos_tx_paths=1,
                           transmit_power=1e-2)
-    hops = _draw_scene(config, seed=9)
-    symbols = 500
+    hops = _draw_scene(config, seed=9, n_fading=3)
+    # The middle row is drowned: the last row follows an error-heavy row.
+    drown = np.array([1.0, 1e-3, 1.0])[None, :, None, None]
     counts = []
     for multiplex, scheme in ((True, "sm"), (False, "bf")):
+        run = _run_multiplex if multiplex else _run_beamform
         selection = select_one(hops.rx_arrival[0], config.n_rx, scheme)
         design = design_one(selection, hops, refine=not multiplex)[0]
-        held = PayloadBuffers(symbols, config.n_rx, config.n_tx,
-                              config.n_rx if multiplex else None)
-        runs = []
-        for buffers in (held, held, None):
-            rng = substream(37, int(multiplex))
-            outcome = payload_errors([design.row(0, 0)], config, symbols, rng, multiplex, buffers)
-            runs.append((outcome, repr(rng.bit_generator.state)))
-        assert runs[0] == runs[1] == runs[2], (
-            f"{scheme} passes differ: {[run[0] for run in runs]}"
+        design = replace(design, exact_h=design.exact_h * drown)
+
+        def counts_and_states(rows, keys):
+            # Bit errors, bits sent and generator states, row f on key f.
+            rngs = [substream(37, int(multiplex), f) for f in keys]
+            result = run([rows], config, {scheme: 1}, DEFAULT_OUTAGE_THRESHOLD, (500, [rngs]))
+            return (result[scheme].bit_errors[0].tolist(), result[scheme].bits_sent[0].tolist(),
+                    [repr(rng.bit_generator.state) for rng in rngs])
+
+        block = counts_and_states(design, range(3))
+        alone = [
+            counts_and_states(replace(design, xi_active=design.xi_active[:, f:f + 1],
+                                      exact_h=design.exact_h[:, f:f + 1]), [f])
+            for f in range(3)
+        ]
+        assert block == tuple(sum(parts, []) for parts in zip(*alone)), (
+            f"{scheme} block {block[0]} != rows alone {[row[0] for row in alone]}"
         )
-        counts.append(f"{runs[0][0][1][0]}/{runs[0][0][0]}")
-    return f"sm, bf errors {', '.join(counts)} equal through a reused holder and fresh arrays"
+        counts.append(f"{'/'.join(map(str, block[0]))} of {block[1][0]}")
+    return f"sm, bf errors {', '.join(counts)} bits per row equal as a block and row by row"
 
 
 def _check_determinism() -> str:

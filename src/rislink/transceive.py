@@ -15,10 +15,9 @@ design serves both schemes of its family bit for bit.  The runners take
 one :class:`rislink.customize.DesignStack` per slot, over rows of angle
 and fading epochs, and give one :class:`SchemeResult` per scheme whose
 fields are columns over those rows, each row equal bit for bit to running
-it on its own.  Bit-error payloads take one
-row's design (:meth:`DesignStack.row`) and detect after every slot, so
-one pass serves every prefix of the slots; a pass works in a
-:class:`PayloadBuffers` holder that later passes of its shape reuse.
+it on its own.  A runner given a bit-error payload pushes it through the
+slot transceivers it has just built (:func:`payload_errors`), detecting
+after every slot, so each scheme reads its bit counts off its prefix too.
 """
 
 from __future__ import annotations
@@ -105,11 +104,25 @@ def _check_slots(designs: Sequence[DesignStack]) -> None:
             raise ValueError(f"slot channel {m} was built for slot {design.slot}")
 
 
+# A block's payload: QPSK symbols per row and each row's generator rngs[a][f].
+_Payload = tuple[int, Sequence[Sequence[np.random.Generator]]]
+
+
+def _write_counts(out: dict[str, SchemeResult], slots: dict[str, int], sent: int,
+                  errors: np.ndarray) -> None:
+    """Write a payload's bit counts (see :func:`payload_errors`) into every
+    scheme's columns: each scheme of ``slots`` reads the errors after its slots."""
+    for scheme, n_slots in slots.items():
+        out[scheme].bit_errors[...] = errors[n_slots - 1]
+        out[scheme].bits_sent[...] = sent
+
+
 def _run_multiplex(
     designs: Sequence[DesignStack],
     config: SystemConfig,
     slots: dict[str, int],
     gamma_th: float,
+    payload: _Payload | None = None,
 ) -> dict[str, SchemeResult]:
     """Shared multiplexing runner: per-slot combine, rotate, sum, detect.
 
@@ -118,16 +131,19 @@ def _run_multiplex(
     outputs add coherently; stacking m slots leaves per-stream noise at
     ``m * noise_power``.  Slots accumulate in order, and each scheme of
     ``slots`` (scheme -> slot count) reads its result columns off its
-    prefix.
+    prefix.  A ``payload`` (see :func:`payload_errors`) runs on the same
+    slot transceivers and fills the bit counts.
     """
     _check_slots(designs)
     noise_power = config.noise_power
     n_streams = designs[0].r_active.shape[-1]
     effective = 0j
     model_amplitude = 0.0
+    links = []
     out = {}
     for n_slots, design in enumerate(designs, 1):
-        _, g, rotation = _multiplex_slot(design, config)
+        links.append(_multiplex_slot(design, config))
+        _, g, rotation = links[-1]
         effective += rotation[..., :, None] * g
         model_amplitude += np.abs(design.xi_active)
         readers = [scheme for scheme, count in slots.items() if count == n_slots]
@@ -147,6 +163,8 @@ def _run_multiplex(
         outage = snr.min(axis=-1) < gamma_th
         for scheme in readers:
             out[scheme] = _result(se.shape, se, se_model, snr, outage)
+    if payload is not None:
+        _write_counts(out, slots, *payload_errors(designs, links, config, *payload, True))
     return out
 
 
@@ -155,19 +173,24 @@ def _run_beamform(
     config: SystemConfig,
     slots: dict[str, int],
     gamma_th: float,
+    payload: _Payload | None = None,
 ) -> dict[str, SchemeResult]:
     """Shared beamforming runner: matched-filter stacking across slots.
 
     Slots accumulate in order, and each scheme of ``slots`` (scheme ->
-    slot count) reads its result columns off its prefix."""
+    slot count) reads its result columns off its prefix.  A ``payload``
+    (see :func:`payload_errors`) runs on the same matched filters and
+    fills the bit counts."""
     _check_slots(designs)
     rows = designs[0].exact_h.shape[:-2]
     n_active = designs[0].t_active.shape[-1]
     exact_power = 0.0
     model_sum = 0.0
+    links = []
     out = {}
     for n_slots, design in enumerate(designs, 1):
-        exact_power += _beam_powers(_beam_combiner(design, config))
+        links.append(_beam_combiner(design, config))
+        exact_power += _beam_powers(links[-1])
         model_sum += np.array([
             s**2 for s in np.abs(design.xi_active).reshape(-1, n_active).sum(axis=-1).tolist()
         ])
@@ -180,11 +203,9 @@ def _run_beamform(
         se_model = np.array(list(map(math.log2, (1.0 + snr).tolist())))
         for scheme in readers:
             out[scheme] = _result(rows, se / n_slots, se_model / n_slots, snr, snr < gamma_th)
+    if payload is not None:
+        _write_counts(out, slots, *payload_errors(designs, links, config, *payload, False))
     return out
-
-
-def _qpsk_bits(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    return rng.integers(0, 2, size=shape)
 
 
 # Gray-coded QPSK points indexed by 2 * leading bit + trailing bit: the
@@ -231,84 +252,76 @@ def _awgn(
     received.imag += scratch[1]
 
 
-class PayloadBuffers:
-    """Work arrays of payload passes of one shape, reused pass after pass.
-
-    Sized for ``symbols`` channel uses through an ``n_rx`` x ``n_tx``
-    channel, carrying ``n_streams`` QPSK streams (multiplexing) or one beam
-    (``n_streams=None``).  Every pass of :func:`payload_errors` writes each
-    array before it reads it, so a holder serves any number of passes of
-    its shape, in any order, with the results of fresh arrays.
-    """
-
-    def __init__(self, symbols: int, n_rx: int, n_tx: int, n_streams: int | None) -> None:
-        self.shape = (symbols, n_rx, n_tx, n_streams)
-        per_use = (symbols,) if n_streams is None else (n_streams, symbols)
-        self.index = np.empty(per_use, dtype=np.int64)
-        self.sent = np.empty(per_use, dtype=complex)
-        self.negative = np.empty(per_use[:-1] + (2, symbols), dtype=bool)
-        self.precoded = None if n_streams is None else np.empty((n_tx, symbols), dtype=complex)
-        self.received = np.empty((n_rx, symbols), dtype=complex)
-        self.noise = np.empty((2, n_rx, symbols))
-        self.projected = np.empty(per_use, dtype=complex)
-        self.rotated = None if n_streams is None else np.empty(per_use, dtype=complex)
-        self.combined = np.empty(per_use, dtype=complex)
-        self.flips = np.empty(per_use, dtype=bool)
-
-
 def payload_errors(
     designs: Sequence[DesignStack],
+    links: Sequence,
     config: SystemConfig,
     symbols: int,
-    rng: np.random.Generator,
+    rngs: Sequence[Sequence[np.random.Generator]],
     multiplex: bool,
-    buffers: PayloadBuffers | None = None,
-) -> tuple[int, tuple[int, ...]]:
-    """Push Gray-coded QPSK payload through the exact slot channels of one
-    row: ``designs`` holds the row's design of each slot (see
-    :meth:`DesignStack.row`).
+) -> tuple[int, np.ndarray]:
+    """Push Gray-coded QPSK payload through the exact slot channels of a
+    block of rows.
 
-    ``symbols`` channel uses are simulated at once; multiplexing carries
-    one QPSK symbol per stream per use, beamforming one per use.  Slot
-    outputs are combined coherently, exactly as in the spectral-efficiency
-    runners, and sign-detected after every slot.  Returns the bits sent
-    and the cumulative bit errors after each slot: entry ``m`` is what a
-    trial on ``designs[:m + 1]`` counts with the same generator, because
-    the bits and each slot's noise are drawn in slot order.
+    ``designs`` holds each slot's design over (A, F) rows and ``links``
+    each slot's transceiver as the runner built it: the precoder, stream
+    matrix and rotation of :func:`_multiplex_slot`, or the matched filter
+    of :func:`_beam_combiner`.  Row (a, f) draws from ``rngs[a][f]``.
 
-    The pass works in ``buffers`` (fresh ones when omitted), which must be
-    sized for it; the results do not depend on what the arrays held.
+    ``symbols`` channel uses are simulated at once per row; multiplexing
+    carries one QPSK symbol per stream per use, beamforming one per use.
+    Slot outputs are combined coherently, exactly as in the
+    spectral-efficiency runners, and sign-detected after every slot.
+    Returns the bits sent per row and the cumulative bit errors, shape
+    (slots, A, F): entry ``[m, a, f]`` is what a pass over
+    ``designs[:m + 1]`` counts in row (a, f) with the same generator,
+    because each row draws its bits and then each slot's noise in slot
+    order.  The work arrays are allocated once per call; every row
+    writes each of them before it reads it.
     """
     if symbols < 1:
         raise ValueError("need at least one symbol")
-    n_rx, n_tx = designs[0].exact_h.shape
-    shape = (symbols, n_rx, n_tx, designs[0].r_active.shape[-1] if multiplex else None)
-    if buffers is None:
-        buffers = PayloadBuffers(*shape)
-    elif buffers.shape != shape:
-        raise ValueError(f"payload buffers sized for {buffers.shape}, the pass needs {shape}")
-    bits = _qpsk_bits(rng, buffers.negative.shape)
-    sent = _qpsk_modulate(bits, buffers.index, buffers.sent)
-    negative = np.not_equal(bits, 0, out=buffers.negative)
-    combined = buffers.combined
-    combined.fill(0)
-    received, projected = buffers.received, buffers.projected
-    errors = []
-    for design in designs:
-        # Complex products keep the operand order and shapes of the plain
-        # expressions and never write onto an input: whether numpy fuses a
-        # complex multiply-add depends on all three (a 1 x 1 product
-        # written in place does not fuse), and fusing moves last bits.
-        if multiplex:
-            f, _, rotation = _multiplex_slot(design, config)
-            np.matmul(design.exact_h, np.matmul(f, sent, out=buffers.precoded), out=received)
-            _awgn(rng, config.noise_power, received, buffers.noise)
-            np.matmul(design.r_active.conj().T, received, out=projected)
-            combined += np.multiply(rotation[:, None], projected, out=buffers.rotated)
-        else:
-            matched = _beam_combiner(design, config)
-            np.outer(matched, sent, out=received)
-            _awgn(rng, config.noise_power, received, buffers.noise)
-            combined += np.matmul(matched.conj(), received, out=projected)
-        errors.append(_bit_errors(combined, negative, buffers.flips))
-    return int(bits.size), tuple(errors)
+    if len(links) != len(designs):
+        raise ValueError(f"got {len(links)} slot transceivers for {len(designs)} slot designs")
+    n_angle, n_fading, n_rx, n_tx = designs[0].exact_h.shape
+    if len(rngs) != n_angle or any(len(row) != n_fading for row in rngs):
+        raise ValueError(f"payload generators do not match the designs' {n_angle} x "
+                         f"{n_fading} rows")
+    per_use = (designs[0].r_active.shape[-1], symbols) if multiplex else (symbols,)
+    index = np.empty(per_use, dtype=np.int64)
+    points = np.empty(per_use, dtype=complex)
+    negative = np.empty(per_use[:-1] + (2, symbols), dtype=bool)
+    precoded = np.empty((n_tx, symbols), dtype=complex) if multiplex else None
+    received = np.empty((n_rx, symbols), dtype=complex)
+    noise = np.empty((2, n_rx, symbols))
+    projected = np.empty(per_use, dtype=complex)
+    rotated = np.empty(per_use, dtype=complex) if multiplex else None
+    combined = np.empty(per_use, dtype=complex)
+    flips = np.empty(per_use, dtype=bool)
+    errors = np.zeros((len(designs), n_angle, n_fading), dtype=np.int64)
+    for a, row_rngs in enumerate(rngs):
+        for f, rng in enumerate(row_rngs):
+            bits = rng.integers(0, 2, size=negative.shape)
+            sent = _qpsk_modulate(bits, index, points)
+            np.not_equal(bits, 0, out=negative)
+            combined.fill(0)
+            for m, (design, link) in enumerate(zip(designs, links)):
+                # Complex products keep the operand order and shapes of the
+                # plain expressions and never write onto an input: whether
+                # numpy fuses a complex multiply-add depends on all three (a
+                # 1 x 1 product written in place does not fuse), and fusing
+                # moves last bits.
+                if multiplex:
+                    precoder, _, rotation = link
+                    np.matmul(design.exact_h[a, f], np.matmul(precoder[a, 0], sent, out=precoded),
+                              out=received)
+                    _awgn(rng, config.noise_power, received, noise)
+                    np.matmul(design.r_active[a, 0].conj().T, received, out=projected)
+                    combined += np.multiply(rotation[a, f][:, None], projected, out=rotated)
+                else:
+                    matched = link[a, f]
+                    np.outer(matched, sent, out=received)
+                    _awgn(rng, config.noise_power, received, noise)
+                    combined += np.matmul(matched.conj(), received, out=projected)
+                errors[m, a, f] = _bit_errors(combined, negative, flips)
+    return int(negative.size), errors

@@ -19,6 +19,7 @@ from rislink.channel import (
     draw_fading_gains,
 )
 from rislink.config import drop_receiver, receiver_losses, surface_geometry
+from rislink import transceive
 from rislink.transceive import SchemeResult
 
 BASE_SEED = 20240601
@@ -72,6 +73,25 @@ def with_fading(config: rl.SystemConfig, hops: HopStack, rngs) -> HopStack:
         config, hops.n_elements, hops.tx_gains[:, 0, :, 0].real, [rngs]
     )
     return replace(hops, tx_gains=tx_gains, rx_gains=rx_gains)
+
+
+def design_row(design, angle_index: int = 0, fading_index: int = 0):
+    """The design of one row of a ``DesignStack``, with the leading axes
+    dropped."""
+    return replace(
+        design,
+        r_active=design.r_active[angle_index, 0],
+        t_active=design.t_active[angle_index, 0],
+        xi_active=design.xi_active[angle_index, fading_index],
+        exact_h=design.exact_h[angle_index, fading_index],
+    )
+
+
+def slot_links(designs, config: rl.SystemConfig, multiplex: bool) -> list:
+    """Each slot's transceiver over its design's rows, as the runners build
+    it for ``transceive.payload_errors``."""
+    slot = transceive._multiplex_slot if multiplex else transceive._beam_combiner
+    return [slot(design, config) for design in designs]
 
 
 def model_channel(design) -> np.ndarray:

@@ -398,11 +398,28 @@ class TestExitCodes:
         # Only the sweeps draw, so only they take a seed.
         (["analyze", "--seed", "3"], cli.EXIT_BAD_CONFIG),
         (["crossing-point", "--n-rx", "2", "--seed", "3"], cli.EXIT_BAD_CONFIG),
+        # analyze writes a CSV only for an axis.
+        (["analyze", "--output", "/tmp/unused.csv"], cli.EXIT_BAD_CONFIG),
+        (["analyze", "--output", "/tmp/unused.csv", "--dump-config", "/tmp/unused.cfg"],
+         cli.EXIT_BAD_CONFIG),
     ])
     def test_error_paths(self, argv, code, capsys):
         assert _run(argv) == code
         if code != cli.EXIT_OK:
             assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sweep, message", [
+        (["--output", "sweep.csv"], "--output needs --axis"),
+        (["--axis", "E_dBm=0:10:20"], "analyze with an axis needs --output"),
+    ])
+    @pytest.mark.parametrize("extra", [[], ["--dump-config", "effective.cfg"]])
+    def test_analyze_half_a_sweep_writes_nothing(self, sweep, message, extra, tmp_path,
+                                                 capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert _run(["analyze", *sweep, *extra]) == cli.EXIT_BAD_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("verb, axis", [
         ("se-sweep", "E_dBm=4000"),           # 10 ** 397 W overflows

@@ -23,7 +23,7 @@ from rislink.errors import SearchSpaceError, SelectionInfeasibleError
 from rislink.montecarlo import _angle_errors
 from rislink.selftest import design_one, select_one
 
-from conftest import BASE_SEED, draw_scene, model_channel, scalar_phase_design
+from conftest import BASE_SEED, design_row, draw_scene, model_channel, scalar_phase_design
 
 
 def _gram_objective(freqs, n_rx: int, off_diagonal: float) -> float:
@@ -257,11 +257,12 @@ class TestMultiplexSelection:
         assert selection.active_ris == (0,)
         assert selection.slot_objectives[0] == 0.0
 
-    def test_search_cap_enforced(self):
+    def test_search_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(customize, "DEFAULT_SEARCH_CAP", 100)
         candidates = np.zeros((4, 10))
         for scheme in ("sm", "bf"):
             with pytest.raises(SearchSpaceError):
-                select_one(candidates, 4, scheme, cap=100)
+                select_one(candidates, 4, scheme)
 
     def test_deterministic(self):
         rng = rl.substream(BASE_SEED, 43)
@@ -386,7 +387,7 @@ class TestCustomizedChannel:
     def test_multiplex_gram_is_near_identity(self):
         config, hops = self._scene((52,))
         selection = select_one(hops.rx_arrival[0], config.n_rx, "sm")
-        design = design_one(selection, hops)[0].row(0, 0)
+        design = design_row(design_one(selection, hops)[0])
         gram = design.r_active.conj().T @ design.r_active
         assert np.allclose(np.diag(gram), 1.0, atol=1e-12)
         assert np.linalg.norm(gram - np.eye(config.n_rx)) ** 2 \
@@ -395,7 +396,7 @@ class TestCustomizedChannel:
     def test_active_columns_match_selection(self):
         config, hops = self._scene((53,))
         selection = select_one(hops.rx_arrival[0], config.n_rx, "sm")
-        design = design_one(selection, hops)[0].row(0, 0)
+        design = design_row(design_one(selection, hops)[0])
         for column, (k, path) in enumerate(
                 zip(selection.active_ris, selection.slot_paths[0])):
             assert np.array_equal(
@@ -446,7 +447,7 @@ class TestCustomizedChannel:
         for i in range(150):
             config, hops = self._scene((57, i))
             selection = select_one(hops.rx_arrival[0], config.n_rx, "sm")
-            design = design_one(selection, hops)[0].row(0, 0)
+            design = design_row(design_one(selection, hops)[0])
             ratios.append(
                 np.linalg.norm(model_channel(design) - design.exact_h)
                 / np.linalg.norm(design.exact_h)
@@ -458,7 +459,7 @@ class TestCustomizedChannel:
         # model matrix is an exact rank-one outer product.
         config, hops = self._scene((58,))
         selection = select_one(hops.rx_arrival[0], config.n_rx, "bf")
-        design = design_one(selection, hops)[0].row(0, 0)
+        design = design_row(design_one(selection, hops)[0])
         freqs = [hops.rx_arrival[0, k, p] for k, p in
                  zip(selection.active_ris, selection.slot_paths[0])]
         approx = model_channel(design)

@@ -84,8 +84,7 @@ def _readme_names() -> set[str]:
 
 def test_readme_dotted_names_resolve():
     names = _readme_names()
-    assert {"montecarlo.CHUNK_ROWS", "transceive.PayloadBuffers",
-            "selftest.dense_composite"} <= names
+    assert {"montecarlo.CHUNK_ROWS", "selftest.dense_composite"} <= names
     missing = []
     for name in sorted(names):
         parts = name.split(".")

@@ -18,7 +18,7 @@ from rislink.config import surface_geometry
 from rislink.errors import ConfigurationError
 from rislink.selftest import design_one, select_one
 
-from conftest import BASE_SEED, assert_same_columns, result_rows
+from conftest import BASE_SEED, assert_same_columns, result_rows, slot_links
 
 
 def _plan(**overrides) -> rl.TrialPlan:
@@ -289,10 +289,10 @@ def _per_epoch_oracle(config, schemes, grid_index, epoch_index, n_fading_epochs,
                                            mc._PAYLOAD)
                 family = "multiplex" if multiplex else "beamform"
                 sent, errors = transceive.payload_errors(
-                    [design.row(0, 0) for design in designs], config, payload_symbols[family],
-                    payload_rng, multiplex,
+                    designs, slot_links(designs, config, multiplex), config,
+                    payload_symbols[family], [[payload_rng]], multiplex,
                 )
-                result.bit_errors[0, 0], result.bits_sent[0, 0] = errors[-1], sent
+                result.bit_errors[0, 0], result.bits_sent[0, 0] = errors[-1, 0, 0], sent
             out[scheme].append(result)
     return {scheme: _joined(parts, axis=1) for scheme, parts in out.items()}
 
@@ -426,7 +426,9 @@ class TestStackedEngine:
         # One design per slot and family: sm/bf take slot 0 of ds/db's.
         assert sorted(built) == [(False, 0), (False, 1), (True, 0), (True, 1)]
 
-    def test_each_family_runs_each_slot_once(self, monkeypatch):
+    @pytest.mark.parametrize("payload", [None, {"multiplex": 20, "beamform": 20}],
+                             ids=["no-payload", "payload"])
+    def test_each_family_runs_each_slot_once(self, payload, monkeypatch):
         calls = []
         for name in ("_multiplex_slot", "_beam_combiner"):
             original = getattr(transceive, name)
@@ -437,8 +439,9 @@ class TestStackedEngine:
 
             monkeypatch.setattr(transceive, name, counting)
         config = rl.SystemConfig(n_slots=2)
-        _angle_epoch(config, ("sm", "bf", "ds", "db"), 0, 0, 3, BASE_SEED, 10.0)
-        # sm/bf read their results off the first slot of ds/db's pass.
+        _angle_epoch(config, ("sm", "bf", "ds", "db"), 0, 0, 3, BASE_SEED, 10.0, payload)
+        # sm/bf read their results off the first slot of ds/db's pass, and
+        # the payloads run on the slot transceivers of that pass.
         assert sorted(calls) == ["_beam_combiner"] * 2 + ["_multiplex_slot"] * 2
 
 

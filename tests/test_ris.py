@@ -14,7 +14,7 @@ from rislink.channel import _inner_products, _response_matrix
 from rislink.customize import _common_phases
 from rislink.selftest import design_one, phase_profile, select_one
 
-from conftest import BASE_SEED, draw_scene, model_channel
+from conftest import BASE_SEED, design_row, draw_scene, model_channel
 
 
 def _reflect_gain(phase: np.ndarray, n: int, arrival: float, departure: float) -> complex:
@@ -125,7 +125,7 @@ class TestLeakage:
         config = config or rl.SystemConfig()
         hops = draw_scene(config, BASE_SEED, *key)
         selection = select_one(hops.rx_arrival[0], config.n_rx, "sm")
-        design = design_one(selection, hops)[0].row(0, 0)
+        design = design_row(design_one(selection, hops)[0])
         leaked = np.linalg.norm(design.exact_h - model_channel(design))
         return float(leaked / np.linalg.norm(design.exact_h))
 

@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 
 import rislink as rl
 from rislink import transceive
+from rislink.channel import HopStack, draw_angle_epochs, draw_fading_gains
+from rislink.config import surface_geometry
+from rislink.customize import SearchTerms, _candidate_gram, design_slots, select_paths_stack
 from rislink.selftest import design_one, select_one
 from rislink.transceive import (
     DEFAULT_OUTAGE_THRESHOLD,
@@ -22,7 +25,15 @@ from rislink.transceive import (
     _run_multiplex,
 )
 
-from conftest import BASE_SEED, draw_scene, result_rows, small_config, with_fading
+from conftest import (
+    BASE_SEED,
+    design_row,
+    draw_scene,
+    result_rows,
+    slot_links,
+    small_config,
+    with_fading,
+)
 
 
 def _designs(config, key, scheme: str, n_slots: int = 1):
@@ -37,8 +48,24 @@ def _designs(config, key, scheme: str, n_slots: int = 1):
 
 
 def _rows(designs):
-    """The one row of each slot's design, as payload passes take them."""
-    return [design.row(0, 0) for design in designs]
+    """The one row of each slot's design, with the leading axes dropped."""
+    return [design_row(design) for design in designs]
+
+
+def _pass(designs, config, symbols, rng, multiplex):
+    """One payload pass over slot designs of one row: the bits sent and the
+    errors after each slot, as a tuple."""
+    sent, errors = transceive.payload_errors(
+        designs, slot_links(designs, config, multiplex), config, symbols, [[rng]], multiplex)
+    return sent, tuple(errors[:, 0, 0].tolist())
+
+
+def _row_block(design, a, f):
+    """Row (a, f) of a slot design as a stack of one row."""
+    return dataclasses.replace(
+        design, r_active=design.r_active[a:a + 1], t_active=design.t_active[a:a + 1],
+        xi_active=design.xi_active[a:a + 1, f:f + 1], exact_h=design.exact_h[a:a + 1, f:f + 1],
+    )
 
 
 def _run(scheme, designs, config, gamma_th=DEFAULT_OUTAGE_THRESHOLD):
@@ -204,49 +231,67 @@ class TestBitErrorTrials:
         # beamforming's matched filter is real positive, so with
         # negligible noise, sign detection is error free.
         config = rl.SystemConfig(n_rx=1, n_ris=4, noise_power=1e-30)
-        _, errors = transceive.payload_errors(
-            _rows(_designs(config, (80,), "sm")), config, 400, rl.substream(BASE_SEED, 81), True)
+        _, errors = _pass(
+            _designs(config, (80,), "sm"), config, 400, rl.substream(BASE_SEED, 81), True)
         assert errors == (0,)
         config4 = rl.SystemConfig(noise_power=1e-30)
-        _, errors = transceive.payload_errors(
-            _rows(_designs(config4, (80,), "bf")), config4, 400, rl.substream(BASE_SEED, 82),
-            False)
+        _, errors = _pass(
+            _designs(config4, (80,), "bf"), config4, 400, rl.substream(BASE_SEED, 82), False)
         assert errors == (0,)
 
     def test_bit_accounting(self):
         config = rl.SystemConfig()
-        sent, _ = transceive.payload_errors(
-            _rows(_designs(config, (83,), "sm")), config, 100, rl.substream(BASE_SEED, 84), True)
+        sent, _ = _pass(
+            _designs(config, (83,), "sm"), config, 100, rl.substream(BASE_SEED, 84), True)
         assert sent == 2 * config.n_rx * 100
-        sent, _ = transceive.payload_errors(
-            _rows(_designs(config, (83,), "bf")), config, 100, rl.substream(BASE_SEED, 85), False)
+        sent, _ = _pass(
+            _designs(config, (83,), "bf"), config, 100, rl.substream(BASE_SEED, 85), False)
         assert sent == 2 * 100
 
     def test_deterministic_for_equal_streams(self):
         config = rl.SystemConfig()
-        rows = _rows(_designs(config, (86,), "sm"))
-        a = transceive.payload_errors(rows, config, 200, rl.substream(BASE_SEED, 87), True)
-        b = transceive.payload_errors(rows, config, 200, rl.substream(BASE_SEED, 87), True)
+        rows = _designs(config, (86,), "sm")
+        a = _pass(rows, config, 200, rl.substream(BASE_SEED, 87), True)
+        b = _pass(rows, config, 200, rl.substream(BASE_SEED, 87), True)
         assert a == b
 
     def test_error_rate_drops_with_power(self):
         errors = {}
         for label, power in (("low", 1e-3), ("high", 10.0)):
             config = rl.SystemConfig(transmit_power=power, n_slots=2)
-            rows = _rows(_designs(config, (88,), "ds", n_slots=2))
+            rows = _designs(config, (88,), "ds", n_slots=2)
             total = 0
             for i in range(20):
-                total += transceive.payload_errors(
-                    rows, config, 100, rl.substream(BASE_SEED, 89, i), True
-                )[1][-1]
+                total += _pass(rows, config, 100, rl.substream(BASE_SEED, 89, i), True)[1][-1]
             errors[label] = total
         assert errors["high"] < errors["low"]
 
     def test_empty_payload_rejected(self):
         config = rl.SystemConfig()
-        rows = _rows(_designs(config, (90,), "sm"))
+        rows = _designs(config, (90,), "sm")
         with pytest.raises(ValueError):
-            transceive.payload_errors(rows, config, 0, rl.substream(BASE_SEED, 92), True)
+            _pass(rows, config, 0, rl.substream(BASE_SEED, 92), True)
+
+    @pytest.mark.parametrize("multiplex", [True, False])
+    def test_links_of_other_slot_count_rejected(self, multiplex):
+        # zip would pair the first slots and drop the rest silently.
+        config = small_config(n_slots=2)
+        designs = _designs(config, (91,), "ds" if multiplex else "db", n_slots=2)
+        links = slot_links(designs, config, multiplex)
+        for wrong in (links[:1], links + links[:1]):
+            with pytest.raises(ValueError, match="slot transceivers"):
+                transceive.payload_errors(designs, wrong, config, 10,
+                                          [[rl.substream(BASE_SEED, 92)]], multiplex)
+
+    @pytest.mark.parametrize("grid", [(0, 1), (2, 1), (1, 0), (1, 2)])
+    def test_generators_of_other_rows_rejected(self, grid):
+        config = small_config()
+        designs = _designs(config, (93,), "sm")
+        rngs = [[rl.substream(BASE_SEED, 94, a, f) for f in range(grid[1])]
+                for a in range(grid[0])]
+        with pytest.raises(ValueError, match="payload generators"):
+            transceive.payload_errors(designs, slot_links(designs, config, True), config, 10,
+                                      rngs, True)
 
 
 class TestPayloadRungs:
@@ -256,14 +301,12 @@ class TestPayloadRungs:
     @pytest.mark.parametrize("scheme", ["ds", "db"])
     def test_rungs_equal_prefix_passes(self, scheme):
         config = rl.SystemConfig(n_slots=3, transmit_power=1e-3)
-        rows = _rows(_designs(config, (96,), scheme, n_slots=3))
+        rows = _designs(config, (96,), scheme, n_slots=3)
         multiplex = scheme == "ds"
-        sent, errors = transceive.payload_errors(rows, config, 80,
-                                                 rl.substream(BASE_SEED, 97), multiplex)
+        sent, errors = _pass(rows, config, 80, rl.substream(BASE_SEED, 97), multiplex)
         assert len(errors) == 3
         for m in range(3):
-            prefix = transceive.payload_errors(rows[:m + 1], config, 80,
-                                               rl.substream(BASE_SEED, 97), multiplex)
+            prefix = _pass(rows[:m + 1], config, 80, rl.substream(BASE_SEED, 97), multiplex)
             assert prefix == (sent, errors[:m + 1])
 
     def test_modulation_table_matches_mapping(self):
@@ -322,24 +365,26 @@ class TestStackedEpochs:
                    for m in range(n_slots)]
         results = _run(scheme, [design for design, _, _ in stacked], config)
         assert len(results) == len(keys)
+        multiplex = scheme in ("sm", "ds")
+        stacked_designs = [design for design, _, _ in stacked]
+        sent, errors = transceive.payload_errors(
+            stacked_designs, slot_links(stacked_designs, config, multiplex), config, 50,
+            [[rl.substream(BASE_SEED, 95, f) for f in keys]], multiplex)
         for f in keys:
             single_hops = with_fading(config, hops, [rl.substream(BASE_SEED, 94, f)])
             singles = [design_one(selection, single_hops, slot=m, refine=refine)
                        for m in range(n_slots)]
             for (design, slopes, commons), (single, single_slopes, single_commons) in zip(
                     stacked, singles):
-                view, single_row = design.row(0, f), single.row(0, 0)
+                view, single_row = design_row(design, 0, f), design_row(single)
                 for name in ("r_active", "t_active", "xi_active", "exact_h"):
                     assert getattr(view, name).tobytes() == getattr(single_row, name).tobytes()
                 assert slopes.tobytes() == single_slopes.tobytes()
                 assert commons[:, f if refine else 0].tobytes() == single_commons[:, 0].tobytes()
             assert results[f:f + 1] == _run(scheme, [single for single, _, _ in singles], config)
-            assert transceive.payload_errors(
-                [design.row(0, f) for design, _, _ in stacked], config, 50,
-                rl.substream(BASE_SEED, 95, f), scheme in ("sm", "ds")) == \
-                transceive.payload_errors(
-                    [single.row(0, 0) for single, _, _ in singles], config, 50,
-                    rl.substream(BASE_SEED, 95, f), scheme in ("sm", "ds"))
+            assert (sent, tuple(errors[:, 0, f].tolist())) == \
+                _pass([single for single, _, _ in singles], config, 50,
+                      rl.substream(BASE_SEED, 95, f), multiplex)
 
 
 class TestPayloadPin:
@@ -363,26 +408,25 @@ class TestPayloadPin:
             for n_slots in range(1, 4):
                 config = small_config(n_rx=n_rx, n_ris=4, n_slots=n_slots)
                 single, hopping = ("sm", "ds") if multiplex else ("bf", "db")
-                rows = _rows(_designs(config, (300, n_rx, n_slots),
-                                      single if n_slots == 1 else hopping, n_slots))
+                rows = _designs(config, (300, n_rx, n_slots),
+                                single if n_slots == 1 else hopping, n_slots)
                 for noise_power in (1e-14, 1e-12):
                     noisy = config.replace(noise_power=noise_power)
                     for symbols in (1, 7, 1563, 6250):
                         rng = rl.substream(BASE_SEED, 301, n_rx, n_slots, symbols, multiplex)
-                        outcome = transceive.payload_errors(rows, noisy, symbols, rng,
-                                                            multiplex)
+                        outcome = _pass(rows, noisy, symbols, rng, multiplex)
                         results.update(repr(outcome).encode())
                         states.update(repr(rng.bit_generator.state).encode())
         assert (results.hexdigest(), states.hexdigest()) == self.DIGESTS[multiplex]
 
 
-class TestPayloadBuffers:
-    """Payload passes through shared work arrays against fresh ones."""
+class TestPayloadBlocks:
+    """A payload pass over a block of rows against each row passed alone."""
 
     SYMBOLS = 257
 
-    @pytest.mark.parametrize("poison", [False, True])
-    def test_shared_holders_match_fresh_passes(self, poison, monkeypatch):
+    @pytest.mark.parametrize("scheme", ["ds", "db"])
+    def test_block_matches_rows_alone(self, scheme, monkeypatch):
         observed = []
         original = transceive._bit_errors
 
@@ -391,41 +435,40 @@ class TestPayloadBuffers:
             return original(observations, *rest)
 
         monkeypatch.setattr(transceive, "_bit_errors", recording)
-        config = small_config(n_slots=2, transmit_power=1e-3)
-        rows = {multiplex: _rows(_designs(config, (110,), "ds" if multiplex else "db", 2))
-                for multiplex in (True, False)}
-        holders = {
-            multiplex: transceive.PayloadBuffers(self.SYMBOLS, config.n_rx, config.n_tx,
-                                                 config.n_rx if multiplex else None)
-            for multiplex in (True, False)
-        }
-        if poison:
-            # Stale contents or a missed reset of the combined outputs
-            # would leak NaN into the detected observations.
-            for holder in holders.values():
-                for array in vars(holder).values():
-                    if isinstance(array, np.ndarray):
-                        array.fill(np.nan if array.dtype.kind in "fc" else True)
-        cases = [(multiplex, seed) for multiplex in (True, False) for seed in range(4)]
-        order = rl.substream(BASE_SEED, 111).permutation(len(cases))
-
-        def run(multiplex, seed, buffers):
-            rng = rl.substream(BASE_SEED, 112, seed)
+        config = small_config(n_slots=2, transmit_power=1.0)
+        multiplex = scheme == "ds"
+        angles, los_gains = draw_angle_epochs(
+            config, surface_geometry(config), [rl.substream(BASE_SEED, 110, a) for a in range(2)])
+        keys = [[(a, f) for f in range(3)] for a in range(2)]
+        tx_gains, rx_gains = draw_fading_gains(
+            config, angles["n_elements"], los_gains,
+            [[rl.substream(BASE_SEED, 111, *key) for key in row] for row in keys])
+        hops = HopStack(tx_gains=tx_gains, rx_gains=rx_gains, **angles)
+        terms = SearchTerms(_candidate_gram(angles["rx_arrival"], config.n_rx))
+        selections = select_paths_stack(terms, config.n_ris_rx_paths, config.n_rx, scheme, 2)
+        # Row (0, 1) is drowned, so its errors are many and row (0, 2)
+        # follows an error-heavy row in the block.
+        drown = np.ones((2, 3, 1, 1))
+        drown[0, 1] = 1e-3
+        designs = [
+            dataclasses.replace(design, exact_h=design.exact_h * drown)
+            for design in (design_slots(selections, m, hops, hops, refine=not multiplex)[0]
+                           for m in range(2))
+        ]
+        rngs = [[rl.substream(BASE_SEED, 112, *key) for key in row] for row in keys]
+        sent, errors = transceive.payload_errors(
+            designs, slot_links(designs, config, multiplex), config, self.SYMBOLS, rngs,
+            multiplex)
+        block_observed = list(observed)
+        assert errors.shape == (2, 2, 3)
+        assert errors[-1, 0, 1] > 0.3 * sent > errors[-1, 0, 2] > 0
+        alone_observed = []
+        for a, f in (key for row in keys for key in row):
             del observed[:]
-            outcome = transceive.payload_errors(rows[multiplex], config, self.SYMBOLS, rng,
-                                                multiplex, buffers)
-            return outcome, repr(rng.bit_generator.state), list(observed)
-
-        for i in order:
-            multiplex, seed = cases[i]
-            shared = run(multiplex, seed, holders[multiplex])
-            assert shared == run(multiplex, seed, None)
-            assert shared[0][1][-1] > 0  # errors happen, so detection is exercised
-
-    def test_holder_of_another_shape_rejected(self):
-        config = small_config()
-        rows = _rows(_designs(config, (113,), "sm"))
-        holder = transceive.PayloadBuffers(10, config.n_rx, config.n_tx, None)
-        with pytest.raises(ValueError, match="payload buffers sized for"):
-            transceive.payload_errors(rows, config, 10, rl.substream(BASE_SEED, 114), True,
-                                      holder)
+            rng = rl.substream(BASE_SEED, 112, a, f)
+            alone = _pass([_row_block(design, a, f) for design in designs], config,
+                          self.SYMBOLS, rng, multiplex)
+            assert (sent, tuple(errors[:, a, f].tolist())) == alone, (a, f)
+            assert repr(rngs[a][f].bit_generator.state) == repr(rng.bit_generator.state)
+            alone_observed += observed
+        assert block_observed == alone_observed
