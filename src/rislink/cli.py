@@ -333,8 +333,11 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No abbreviated options: a prefix such as --gamma-th would otherwise
+    # bind silently to the one option it starts.
     parser = argparse.ArgumentParser(
         prog="rislink",
+        allow_abbrev=False,
         description="Link-level simulator for surface-assisted MIMO channel shaping",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -344,12 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("ber-sweep", "Monte Carlo bit error rate over a sweep axis"),
         ("outage-sweep", "Monte Carlo outage probability over a sweep axis"),
     ):
-        p = sub.add_parser(verb, help=doc)
+        p = sub.add_parser(verb, help=doc, allow_abbrev=False)
         _add_sweep_args(p)
         if verb == "ber-sweep":
             p.add_argument("--min-bits", type=int, default=1_000_000)
 
-    p = sub.add_parser("crossing-point", help="solve the bound crossing power")
+    p = sub.add_parser("crossing-point", help="solve the bound crossing power",
+                       allow_abbrev=False)
     _add_common(p)
     p.add_argument("--n-rx", type=int, default=None, help="stream count (default: config)")
     p.add_argument(
@@ -359,13 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-surface gain profile overriding the equal target",
     )
 
-    p = sub.add_parser("analyze", help="closed-form summary, sweep, or config dump")
+    p = sub.add_parser("analyze", help="closed-form summary, sweep, or config dump",
+                       allow_abbrev=False)
     _add_common(p)
     p.add_argument("--axis", default=None, metavar="NAME=START:STEP:STOP")
     p.add_argument("--output", default=None, help="CSV output path for --axis")
     p.add_argument("--dump-config", default=None, help="write the effective config file")
 
-    sub.add_parser("selftest", help="run fast invariant checks")
+    sub.add_parser("selftest", help="run fast invariant checks", allow_abbrev=False)
     return parser
 
 

@@ -15,22 +15,27 @@ from which ``sm``/``bf`` read the one-slot prefix and ``ds``/``db`` every
 slot.
 
 A grid point's realizations are rows, one per (angle epoch, fading
-epoch), and run in chunks of at most ``CHUNK_ROWS`` rows: as many whole
-angle epochs as fit, or one angle epoch's fading epochs in pieces.  Draws
-stay per epoch: every random draw comes from a counter-based stream keyed
-by ``(base_seed, grid index, epoch indices, purpose)`` and is made in the
+epoch).  Grid points whose configs differ only in transmit power (a power
+sweep) form one stream of rows, grid point after grid point, since only
+the runners read the power.  The rows run in chunks of at most
+``CHUNK_ROWS`` rows: as many whole angle epochs as fit, across grid-point
+boundaries, or one angle epoch's fading epochs in pieces.  Draws stay per
+epoch: every random draw comes from a counter-based stream keyed by
+``(base_seed, grid index, epoch indices, purpose)`` and is made in the
 order of a single-epoch run, so a rerun at the same seed reproduces every
-result bit for bit, however the rows are chunked.  Above the draws a chunk
-runs stacked: one set of selection terms (Gram matrices) serves both
-families, each family selects for all its angle epochs at once, and each
-slot design and runner pass covers every row, with the angle-only parts
+result bit for bit, however the rows are chunked or grouped.  Above the
+draws a chunk runs stacked: one set of selection terms (Gram matrices)
+serves both families, each family selects for all its angle epochs at
+once, and each slot design covers every row, with the angle-only parts
 (steering responses, surface kernels) built once per angle epoch and the
-gain-dependent parts carrying the rows.  Results stay columns over
-(angle epoch, fading epoch) from the runners to the reducers, one
-:class:`SchemeResult` per scheme and block of rows.  Bit-error payloads
-ride on each family's runner pass, every row on its fading epoch's own
-substream; every scheme of a fading epoch reads that one payload stream,
-so one pass per family serves both its schemes.
+gain-dependent parts carrying the rows.  Each family's runner makes one
+pass per grid point of the chunk, on that point's rows and config, so its
+arithmetic and scalar power stay those of a grid point run alone.
+Results stay columns over (angle epoch, fading epoch) from the runners to
+the reducers, one :class:`SchemeResult` per scheme and block of rows.
+Bit-error payloads ride on each family's runner pass, every row on its
+fading epoch's own substream; every scheme of a fading epoch reads that
+one payload stream, so one pass per family serves both its schemes.
 """
 
 from __future__ import annotations
@@ -285,25 +290,28 @@ def _join(parts: list[SchemeResult], axis: int) -> SchemeResult:
 
 
 # Rows (one angle epoch by one fading epoch each) designed and run at a
-# time.  A chunk holds as many whole angle epochs as fit, or one angle
-# epoch's fading epochs in pieces of this many, so a grid point's peak
-# memory does not grow with its epoch counts.
+# time.  A chunk holds as many whole angle epochs as fit, of one or more
+# grid points of a power sweep, or one angle epoch's fading epochs in
+# pieces of this many, so a sweep's peak memory grows neither with its
+# epoch counts nor with its grid.
 CHUNK_ROWS = 128
 
 
 def _run_chunk(
-    config: SystemConfig,
+    configs: dict[int, SystemConfig],
     schemes: tuple[str, ...],
-    grid_index: int,
-    angle_indices: range,
+    rows: list[tuple[int, int]],
     n_fading_epochs: int,
     base_seed: int,
     gamma_th: float,
-    payload_symbols: dict[str, int] | None = None,
+    payloads: dict[int, dict[str, int]] | None = None,
     surfaces: SurfaceGeometry | None = None,
-) -> dict[str, SchemeResult]:
+) -> dict[int, dict[str, SchemeResult]]:
     """Evaluate every scheme over the rows of a chunk of angle epochs.
 
+    ``rows`` holds the chunk's (grid index, angle epoch) keys, grid-major;
+    ``configs[g]`` is grid point ``g``'s config, and the chunk's configs
+    may differ only in ``transmit_power``, which only the runners read.
     Every angle epoch draws from its own substreams in the order of a
     single-epoch run, straight into the chunk's arrays: its receiver drop
     and path angles (:func:`draw_angle_epochs`, on the surface geometry
@@ -314,20 +322,23 @@ def _run_chunk(
     stacked rows: one set of search terms serves every selection,
     each scheme family selects once (the hopping search when its hopping
     scheme is requested), and then, for at most ``CHUNK_ROWS`` rows at a
-    time, each family designs each slot once and makes one runner pass,
+    time, each family designs each slot once and makes one runner pass
+    per grid point, on that point's rows of the designs and its own config,
     where ``sm``/``bf`` read the one-slot prefix and ``ds``/``db`` all
     slots.
-    With ``payload_symbols`` (family -> symbols per fading epoch), each
-    runner pass also carries the family's payload over its rows, every
-    row on that fading epoch's payload substream, and fills the bit
-    counts of every scheme it reads.  Returns each scheme's result, its
-    columns over (angle epoch, fading epoch).
+    With ``payloads`` (``payloads[g]``: family -> symbols per fading
+    epoch), each runner pass also carries the family's payload over its
+    rows, every row on that fading epoch's payload substream, and fills the
+    bit counts of every scheme it reads.  Returns, per grid index, each
+    scheme's result, its columns over that point's (angle epoch, fading
+    epoch) rows.
     """
+    config = configs[rows[0][0]]
     mismatched = config.angle_error_std > 0
     angles, los_gains = draw_angle_epochs(
         config,
         surface_geometry(config) if surfaces is None else surfaces,
-        [substream(base_seed, grid_index, a, _ANGLES) for a in angle_indices],
+        [substream(base_seed, g, a, _ANGLES) for g, a in rows],
     )
     estimated = {}
     if mismatched:
@@ -335,12 +346,12 @@ def _run_chunk(
             rx_arrival=np.empty_like(angles["rx_arrival"]),
             rx_departure=np.empty_like(angles["rx_departure"]),
         )
-        for a, epoch_index in enumerate(angle_indices):
-            estimated["rx_arrival"][a], estimated["rx_departure"][a] = _angle_errors(
+        for r, (g, a) in enumerate(rows):
+            estimated["rx_arrival"][r], estimated["rx_departure"][r] = _angle_errors(
                 config.angle_error_std,
-                angles["rx_arrival"][a],
-                angles["rx_departure"][a],
-                substream(base_seed, grid_index, epoch_index, _MISMATCH),
+                angles["rx_arrival"][r],
+                angles["rx_departure"][r],
+                substream(base_seed, g, a, _MISMATCH),
             )
     candidates = estimated.get("rx_arrival", angles["rx_arrival"])
     terms = SearchTerms(_candidate_gram(candidates, config.n_rx))
@@ -349,15 +360,15 @@ def _run_chunk(
                                     slots[scheme]), slots)
         for family, scheme, slots in _family_runs(schemes, config)
     ]
+    # Each grid point's rows of the chunk, a block of consecutive rows.
+    grid = [g for g, _ in rows]
+    blocks = {g: slice(grid.index(g), grid.index(g) + grid.count(g)) for g in dict.fromkeys(grid)}
 
-    pieces = {scheme: [] for scheme in schemes}
-    step = max(1, CHUNK_ROWS // len(angle_indices))
+    pieces = {g: {scheme: [] for scheme in schemes} for g in blocks}
+    step = max(1, CHUNK_ROWS // len(rows))
     for start in range(0, n_fading_epochs, step):
         fading_indices = range(start, min(start + step, n_fading_epochs))
-        rngs = [
-            [substream(base_seed, grid_index, a, f, _FADING) for f in fading_indices]
-            for a in angle_indices
-        ]
+        rngs = [[substream(base_seed, g, a, f, _FADING) for f in fading_indices] for g, a in rows]
         tx_gains, rx_gains = draw_fading_gains(config, angles["n_elements"], los_gains, rngs)
         exact = HopStack(tx_gains=tx_gains, rx_gains=rx_gains, **angles)
         estimate = replace(exact, **estimated) if mismatched else exact
@@ -367,37 +378,26 @@ def _run_chunk(
                 design_slots(selections, m, estimate, exact, refine=not multiplex)[0]
                 for m in range(selections[0].n_slots)
             ]
-            payload = None
-            if payload_symbols:
-                payload = (payload_symbols[family], [
-                    [substream(base_seed, grid_index, a, f, _PAYLOAD) for f in fading_indices]
-                    for a in angle_indices
-                ])
             run = _run_multiplex if multiplex else _run_beamform
-            for scheme, result in run(designs, config, slots, gamma_th, payload).items():
-                pieces[scheme].append(result)
-    return {scheme: _join(parts, axis=1) for scheme, parts in pieces.items()}
-
-
-def _grid_point(
-    plan: TrialPlan,
-    config: SystemConfig,
-    grid_index: int,
-    payload_symbols: dict[str, int] | None = None,
-    surfaces: SurfaceGeometry | None = None,
-) -> dict[str, SchemeResult]:
-    """Every scheme's result over all (angle, fading) epochs of one grid
-    point, in chunks of at most ``CHUNK_ROWS`` rows (see :func:`_run_chunk`)."""
-    per_chunk = max(1, CHUNK_ROWS // plan.n_fading_epochs)
-    chunks = [
-        _run_chunk(
-            config, plan.schemes, grid_index,
-            range(start, min(start + per_chunk, plan.n_angle_epochs)),
-            plan.n_fading_epochs, plan.base_seed, plan.gamma_th, payload_symbols, surfaces,
-        )
-        for start in range(0, plan.n_angle_epochs, per_chunk)
-    ]
-    return {scheme: _join([chunk[scheme] for chunk in chunks], axis=0) for scheme in plan.schemes}
+            for g, block in blocks.items():
+                payload = None
+                if payloads:
+                    payload = (payloads[g][family], [
+                        [substream(base_seed, g, a, f, _PAYLOAD) for f in fading_indices]
+                        for _, a in rows[block]
+                    ])
+                point_designs = [
+                    replace(d, **{name: getattr(d, name)[block]
+                                  for name in ("r_active", "t_active", "xi_active", "exact_h")})
+                    for d in designs
+                ]
+                results = run(point_designs, configs[g], slots, gamma_th, payload)
+                for scheme, result in results.items():
+                    pieces[g][scheme].append(result)
+    return {
+        g: {scheme: _join(parts, axis=1) for scheme, parts in by_scheme.items()}
+        for g, by_scheme in pieces.items()
+    }
 
 
 def _grid_config(plan: TrialPlan, config: SystemConfig, grid_index: int) -> SystemConfig:
@@ -520,9 +520,9 @@ def _sweep(
     for key, cfg in zip(keys, configs):
         if key not in geometries:
             geometries[key] = _check_geometry(cfg)
-    payloads = [None] * len(configs)
+    payloads = None
     if min_bits is not None:
-        payloads = _payload_sizes(plan, configs, min_bits)
+        payloads = dict(enumerate(_payload_sizes(plan, configs, min_bits)))
     if metric in ("se", "se_model"):
         companions = closed_form_companions(plan.schemes, configs)
     else:
@@ -530,16 +530,37 @@ def _sweep(
     for cfg in configs:
         for _, scheme, slots in _family_runs(plan.schemes, cfg):
             check_selection(cfg.n_ris_rx_paths, cfg.n_ris, cfg.n_rx, scheme, slots[scheme])
-    rows: dict[str, list[tuple]] = {scheme: [] for scheme in plan.schemes}
-    for grid_index, (cfg, payload_symbols) in enumerate(zip(configs, payloads)):
-        results = _grid_point(plan, cfg, grid_index, payload_symbols, geometries[keys[grid_index]])
-        for scheme in plan.schemes:
-            mean, err, n = reduce(results[scheme])
-            rows[scheme].append((mean, err, companions[scheme][grid_index], n))
+    # Grid points whose configs differ only in transmit power, which only
+    # the runners read, run as one stream of rows, each row still on its
+    # own grid point's substreams.
+    groups: dict[SystemConfig, list[int]] = {}
+    for grid_index, cfg in enumerate(configs):
+        groups.setdefault(cfg.replace(transmit_power=1.0), []).append(grid_index)
+    points = dict(enumerate(configs))
+    per_chunk = max(1, CHUNK_ROWS // plan.n_fading_epochs)
+    reduced = [None] * len(configs)
+    for group in groups.values():
+        rows = [(g, a) for g in group for a in range(plan.n_angle_epochs)]
+        parts: dict[int, list] = {}
+        for start in range(0, len(rows), per_chunk):
+            stop = min(start + per_chunk, len(rows))
+            chunk = _run_chunk(points, plan.schemes, rows[start:stop], plan.n_fading_epochs,
+                               plan.base_seed, plan.gamma_th, payloads, geometries[keys[group[0]]])
+            for g, results in chunk.items():
+                parts.setdefault(g, []).append(results)
+            # Rows run grid-major, so a grid point is whole once the next row is another's.
+            for g in [g for g in parts if stop == len(rows) or rows[stop][0] != g]:
+                chunks = parts.pop(g)
+                reduced[g] = {
+                    scheme: reduce(_join([results[scheme] for results in chunks], axis=0))
+                    for scheme in plan.schemes
+                }
     result = SweepResult(metric, plan.axis_name, plan.axis_values, plan.schemes)
-    for scheme, columns in rows.items():
-        (result.means[scheme], result.stderrs[scheme],
-         result.closed_form[scheme], result.n_trials[scheme]) = zip(*columns)
+    for scheme in plan.schemes:
+        result.means[scheme], result.stderrs[scheme], result.n_trials[scheme] = zip(
+            *(stats[scheme] for stats in reduced)
+        )
+        result.closed_form[scheme] = companions[scheme]
     return result
 
 

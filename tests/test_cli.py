@@ -402,6 +402,20 @@ class TestExitCodes:
         (["analyze", "--output", "/tmp/unused.csv"], cli.EXIT_BAD_CONFIG),
         (["analyze", "--output", "/tmp/unused.csv", "--dump-config", "/tmp/unused.cfg"],
          cli.EXIT_BAD_CONFIG),
+        # An abbreviated option is an unknown one, not its completion.
+        *(
+            (["se-sweep", "--scheme", "sm", "--axis", "E_dBm=20", "--output",
+              "/tmp/unused.csv", *options], cli.EXIT_BAD_CONFIG)
+            for options in (
+                ["--angle", "1", "--fading-epochs", "1"],
+                ["--angle-epochs", "1", "--fading", "1"],
+                ["--angle-epochs", "1", "--fading-epochs", "1", "--gamma-th", "3"],
+            )
+        ),
+        (["ber-sweep", "--scheme", "bf", "--axis", "E_dBm=20", "--output", "/tmp/unused.csv",
+          "--angle-epochs", "1", "--fading-epochs", "1", "--min", "100"], cli.EXIT_BAD_CONFIG),
+        (["analyze", "--dump", "/tmp/unused.cfg"], cli.EXIT_BAD_CONFIG),
+        (["crossing-point", "--n", "2"], cli.EXIT_BAD_CONFIG),
     ])
     def test_error_paths(self, argv, code, capsys):
         assert _run(argv) == code

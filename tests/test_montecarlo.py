@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from rislink.config import surface_geometry
 from rislink.errors import ConfigurationError
 from rislink.selftest import design_one, select_one
 
-from conftest import BASE_SEED, assert_same_columns, result_rows, slot_links
+from conftest import BASE_SEED, assert_same_columns, result_rows, slot_links, small_config
 
 
 def _plan(**overrides) -> rl.TrialPlan:
@@ -231,11 +232,21 @@ class TestPlanValidation:
             assert got == expected and type(got) is type(expected)
 
 
+def _one_point_chunk(config, schemes, grid_index, angle_indices, n_fading_epochs, base_seed,
+                     gamma_th, payload_symbols=None):
+    """A chunk of one grid point's angle epochs through the chunk engine:
+    each scheme's columns over its (angle epoch, fading epoch) rows."""
+    payloads = None if payload_symbols is None else {grid_index: payload_symbols}
+    return mc._run_chunk({grid_index: config}, schemes,
+                         [(grid_index, a) for a in angle_indices], n_fading_epochs, base_seed,
+                         gamma_th, payloads)[grid_index]
+
+
 def _angle_epoch(config, schemes, grid_index, epoch_index, n_fading_epochs, base_seed, gamma_th,
                  payload_symbols=None):
     """One angle epoch through the chunk engine: a chunk of one angle epoch."""
-    return mc._run_chunk(config, schemes, grid_index, range(epoch_index, epoch_index + 1),
-                         n_fading_epochs, base_seed, gamma_th, payload_symbols)
+    return _one_point_chunk(config, schemes, grid_index, range(epoch_index, epoch_index + 1),
+                            n_fading_epochs, base_seed, gamma_th, payload_symbols)
 
 
 def _joined(parts, axis):
@@ -297,6 +308,28 @@ def _per_epoch_oracle(config, schemes, grid_index, epoch_index, n_fading_epochs,
     return {scheme: _joined(parts, axis=1) for scheme, parts in out.items()}
 
 
+def _swept_columns(plan, config, min_bits=None):
+    """Run a sweep (SE, or BER with ``min_bits``) and record its engine
+    calls: every grid point's columns as its chunks computed them, joined
+    in row order, and the number of ``_run_chunk`` calls."""
+    calls = []
+    original = mc._run_chunk
+
+    def recording(*args, **kwargs):
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc, "_run_chunk", recording)
+        mc._sweep(plan, config, "se" if min_bits is None else "ber", min_bits)
+    columns = [
+        {scheme: _joined([call[g][scheme] for call in calls if g in call], axis=0)
+         for scheme in plan.schemes}
+        for g in range(len(plan.axis_values))
+    ]
+    return columns, len(calls)
+
+
 class TestStackedEngine:
     """``_run_chunk`` runs a chunk of angle epochs, each with its fading
     epochs, as stacked rows; every result column of every angle epoch must
@@ -305,8 +338,8 @@ class TestStackedEngine:
     @staticmethod
     def _assert_chunk_matches(config, schemes, grid_index, angle_indices, n_fading, seed,
                               payload=None):
-        chunk = mc._run_chunk(config, schemes, grid_index, angle_indices, n_fading, seed,
-                              10.0, payload)
+        chunk = _one_point_chunk(config, schemes, grid_index, angle_indices, n_fading, seed,
+                                 10.0, payload)
         oracles = [
             _per_epoch_oracle(config, schemes, grid_index, epoch_index, n_fading, seed, 10.0,
                               payload)
@@ -365,14 +398,16 @@ class TestStackedEngine:
         monkeypatch.setattr(mc, "CHUNK_ROWS", rows)
         config = rl.SystemConfig(n_slots=2, angle_error_std=0.05)
         schemes = ("sm", "bf", "ds", "db")
-        payload = {"multiplex": 20, "beamform": 20}
         for n_fading in (1, 2, 4):
             plan = _plan(schemes=schemes, n_angle_epochs=3, n_fading_epochs=n_fading)
-            for symbols in (None, payload):
-                got = mc._grid_point(plan, config, 0, symbols)
+            applied = mc._grid_config(plan, config, 0)
+            for min_bits in (None, 480 * n_fading):
+                symbols = None if min_bits is None else \
+                    mc._payload_sizes(plan, [applied], min_bits)[0]
+                got = _swept_columns(plan, config, min_bits)[0][0]
                 for scheme in schemes:
                     expected = _joined([
-                        _per_epoch_oracle(config, schemes, 0, e, n_fading, plan.base_seed,
+                        _per_epoch_oracle(applied, schemes, 0, e, n_fading, plan.base_seed,
                                           plan.gamma_th, symbols)[scheme]
                         for e in range(3)
                     ], axis=0)
@@ -384,7 +419,7 @@ class TestStackedEngine:
         # counters.
         config = rl.SystemConfig(n_slots=n_slots, n_rx=2)
         schemes = ("sm", "bf", "ds", "db")
-        chunk = mc._run_chunk(config, schemes, 0, range(1, 4), 5, BASE_SEED, 10.0)
+        chunk = _one_point_chunk(config, schemes, 0, range(1, 4), 5, BASE_SEED, 10.0)
         for scheme in schemes:
             result = chunk[scheme]
             for f in dataclasses.fields(result):
@@ -445,6 +480,97 @@ class TestStackedEngine:
         assert sorted(calls) == ["_beam_combiner"] * 2 + ["_multiplex_slot"] * 2
 
 
+class TestPowerStacking:
+    """A sweep runs the grid points whose configs differ only in transmit
+    power as one stream of rows, cut into chunks across grid-point
+    boundaries; every grid point's columns must hold the bytes of that
+    point run alone at its grid index."""
+
+    SCHEMES = ("sm", "bf", "ds", "db")
+
+    @staticmethod
+    def _alone(plan, config, min_bits):
+        """Each grid point's columns from one chunk of its own rows."""
+        configs = {g: mc._grid_config(plan, config, g) for g in range(len(plan.axis_values))}
+        payloads = None
+        if min_bits is not None:
+            payloads = dict(enumerate(mc._payload_sizes(plan, list(configs.values()), min_bits)))
+        assert plan.n_angle_epochs * plan.n_fading_epochs <= mc.CHUNK_ROWS
+        return [
+            mc._run_chunk(configs, plan.schemes, [(g, a) for a in range(plan.n_angle_epochs)],
+                          plan.n_fading_epochs, plan.base_seed, plan.gamma_th, payloads)[g]
+            for g in range(len(configs))
+        ]
+
+    @classmethod
+    def _assert_points_match(cls, plan, config, min_bits, chunk_rows, monkeypatch):
+        expected = cls._alone(plan, config, min_bits)
+        monkeypatch.setattr(mc, "CHUNK_ROWS", chunk_rows)
+        got, _ = _swept_columns(plan, config, min_bits)
+        for g, (point, alone) in enumerate(zip(got, expected)):
+            for scheme in plan.schemes:
+                assert_same_columns(point[scheme], alone[scheme], (g, scheme))
+
+    @pytest.mark.parametrize("payload", [False, True], ids=["se", "ber"])
+    @pytest.mark.parametrize("sigma_e", [0.0, 0.05])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 128])
+    def test_power_grid_matches_points_run_alone(self, chunk_rows, sigma_e, payload,
+                                                 monkeypatch):
+        config = small_config(n_slots=2, angle_error_std=sigma_e)
+        for n_fading in (1, 2, 4):
+            plan = _plan(axis_values=(0.0, 10.0, 20.0, 30.0), schemes=self.SCHEMES,
+                         n_angle_epochs=3, n_fading_epochs=n_fading)
+            with pytest.MonkeyPatch.context() as patch:
+                self._assert_points_match(plan, config, 400 if payload else None, chunk_rows,
+                                          patch)
+
+    @pytest.mark.parametrize("axis, values", [
+        ("L_R", (2.0, 3.0, 5.0)), ("kappa_dB", (-5.0, 0.0, 10.0)),
+    ])
+    def test_other_axes_match_points_run_alone(self, axis, values, monkeypatch):
+        config = small_config(n_slots=2, angle_error_std=0.05)
+        plan = _plan(axis_name=axis, axis_values=values, schemes=self.SCHEMES,
+                     n_angle_epochs=3, n_fading_epochs=2)
+        self._assert_points_match(plan, config, 200, 5, monkeypatch)
+
+    def test_power_points_share_chunks(self):
+        # Five power points of 2 x 10 rows fit one chunk; an L_R grid
+        # changes the draws, so each of its points runs on its own.
+        config = small_config(n_slots=2)
+        plan = _plan(axis_values=(0.0, 10.0, 20.0, 30.0, 40.0), schemes=self.SCHEMES,
+                     n_angle_epochs=2, n_fading_epochs=10)
+        assert 5 * 2 * 10 <= mc.CHUNK_ROWS
+        assert _swept_columns(plan, config)[1] == 1
+        plan = dataclasses.replace(plan, axis_name="L_R", axis_values=(2.0, 3.0, 4.0))
+        assert _swept_columns(plan, config)[1] == 3
+
+    def test_peak_memory_flat_over_power_grid(self):
+        # Twelve power points of just over one chunk of rows each peak
+        # where one point of the same epochs does: chunks stay at most
+        # CHUNK_ROWS rows, and each point is reduced once its rows are done.
+        # Both sweeps run once first, traced, so that the substream key
+        # caches are full and their churn costs neither run anything.
+        config = rl.SystemConfig(n_slots=2)
+        n_fading = 10
+        n_angle = mc.CHUNK_ROWS // n_fading + 1
+        plans = [_plan(axis_values=values, schemes=self.SCHEMES, n_angle_epochs=n_angle,
+                       n_fading_epochs=n_fading)
+                 for values in ((20.0,), tuple(np.arange(12.0) * 5.0))]
+        peaks = []
+        tracemalloc.start()
+        try:
+            for plan in plans:
+                rl.estimate_ergodic_se(plan, config)
+            for plan in plans:
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                rl.estimate_ergodic_se(plan, config)
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
 class TestRowResultPin:
     """Frozen engine rows: sha256 of the repr of every field of every row
     of each scheme's ``SchemeResult`` columns, as Python scalars after the
@@ -492,7 +618,7 @@ class TestRowResultPin:
 
         monkeypatch.setattr(mc, "design_slots", recording)
         for args in self._calls(40):
-            chunk = mc._run_chunk(*args)
+            chunk = _one_point_chunk(*args)
             for scheme, result in chunk.items():
                 for row in result_rows(result):
                     results.update(repr((scheme, (scheme, *row))).encode())
