@@ -17,22 +17,22 @@ slot.
 A grid point's realizations are rows, one per (angle epoch, fading
 epoch).  Grid points whose configs differ only in transmit power (a power
 sweep) form one stream of rows, grid point after grid point, since only
-the runners read the power.  The rows run in chunks of at most
-``CHUNK_ROWS`` rows: as many whole angle epochs as fit, across grid-point
-boundaries, or one angle epoch's fading epochs in pieces.  Draws stay per
-epoch: every random draw comes from a counter-based stream keyed by
-``(base_seed, grid index, epoch indices, purpose)`` and is made in the
-order of a single-epoch run, so a rerun at the same seed reproduces every
-result bit for bit, however the rows are chunked or grouped.  Above the
-draws a chunk runs stacked: one set of selection terms (Gram matrices)
-serves both families, each family selects for all its angle epochs at
-once, and each slot design covers every row, with the angle-only parts
-(steering responses, surface kernels) built once per angle epoch and the
-gain-dependent parts carrying the rows.  Each family's runner makes one
-pass per grid point of the chunk, on that point's rows and config, so its
-arithmetic and scalar power stay those of a grid point run alone.
-Results stay columns over (angle epoch, fading epoch) from the runners to
-the reducers, one :class:`SchemeResult` per scheme and block of rows.
+the runners read the power, as a column with one value per angle epoch.
+The rows run in chunks of at most ``CHUNK_ROWS`` rows: as many whole
+angle epochs as fit, across grid-point boundaries, or one angle epoch's
+fading epochs in pieces.  Draws stay per epoch: every random draw comes
+from a counter-based stream keyed by ``(base_seed, grid index, epoch
+indices, purpose)`` and is made in the order of a single-epoch run, so a
+rerun at the same seed reproduces every result bit for bit, however the
+rows are chunked or grouped.  Above the draws a chunk runs stacked: one
+set of selection terms (Gram matrices) serves both families, each family
+selects for all its angle epochs at once, each slot design covers every
+row, with the angle-only parts (steering responses, surface kernels)
+built once per angle epoch and the gain-dependent parts carrying the
+rows, and each family's runner makes one pass over all the rows, each
+row at its own power.  Results stay columns over (angle epoch, fading
+epoch) from the runners to the reducers, one :class:`SchemeResult` per
+scheme and block of rows; the sweep cuts them into grid points.
 Bit-error payloads ride on each family's runner pass, every row on its
 fading epoch's own substream; every scheme of a fading epoch reads that
 one payload stream, so one pass per family serves both its schemes.
@@ -289,6 +289,11 @@ def _join(parts: list[SchemeResult], axis: int) -> SchemeResult:
                           for f in fields(SchemeResult)))
 
 
+def _angle_rows(result: SchemeResult, block) -> SchemeResult:
+    """A result's columns over a block of its angle epochs."""
+    return SchemeResult(*(getattr(result, f.name)[block] for f in fields(SchemeResult)))
+
+
 # Rows (one angle epoch by one fading epoch each) designed and run at a
 # time.  A chunk holds as many whole angle epochs as fit, of one or more
 # grid points of a power sweep, or one angle epoch's fading epochs in
@@ -298,47 +303,43 @@ CHUNK_ROWS = 128
 
 
 def _run_chunk(
-    configs: dict[int, SystemConfig],
+    config: SystemConfig,
+    surfaces: SurfaceGeometry,
     schemes: tuple[str, ...],
     rows: list[tuple[int, int]],
+    powers: np.ndarray,
     n_fading_epochs: int,
     base_seed: int,
     gamma_th: float,
-    payloads: dict[int, dict[str, int]] | None = None,
-    surfaces: SurfaceGeometry | None = None,
-) -> dict[int, dict[str, SchemeResult]]:
+    payload: dict[str, int] | None = None,
+) -> dict[str, SchemeResult]:
     """Evaluate every scheme over the rows of a chunk of angle epochs.
 
-    ``rows`` holds the chunk's (grid index, angle epoch) keys, grid-major;
-    ``configs[g]`` is grid point ``g``'s config, and the chunk's configs
-    may differ only in ``transmit_power``, which only the runners read.
+    ``rows`` holds the chunk's (grid index, angle epoch) keys, which pick
+    only the substreams, and ``powers`` each row's transmit power.  The
+    rows share ``config``, whose transmit power nothing here reads, and
+    its surface geometry ``surfaces``.
     Every angle epoch draws from its own substreams in the order of a
     single-epoch run, straight into the chunk's arrays: its receiver drop
-    and path angles (:func:`draw_angle_epochs`, on the surface geometry
-    ``surfaces``, built when omitted), then, with angle error, the
-    perturbed estimates on a second substream (:func:`_angle_errors`);
+    and path angles (:func:`draw_angle_epochs`), then, with angle error,
+    the perturbed estimates on a second substream (:func:`_angle_errors`);
     every fading epoch draws its gains from its own generator
     (:func:`draw_fading_gains`).  Above the draws the chunk runs as
     stacked rows: one set of search terms serves every selection,
     each scheme family selects once (the hopping search when its hopping
     scheme is requested), and then, for at most ``CHUNK_ROWS`` rows at a
     time, each family designs each slot once and makes one runner pass
-    per grid point, on that point's rows of the designs and its own config,
-    where ``sm``/``bf`` read the one-slot prefix and ``ds``/``db`` all
-    slots.
-    With ``payloads`` (``payloads[g]``: family -> symbols per fading
-    epoch), each runner pass also carries the family's payload over its
-    rows, every row on that fading epoch's payload substream, and fills the
-    bit counts of every scheme it reads.  Returns, per grid index, each
-    scheme's result, its columns over that point's (angle epoch, fading
-    epoch) rows.
+    over all the rows, each at its own power, where ``sm``/``bf`` read the
+    one-slot prefix and ``ds``/``db`` all slots.
+    With ``payload`` (family -> symbols per fading epoch), each runner
+    pass also carries the family's payload over its rows, every row on
+    that fading epoch's payload substream, and fills the bit counts of
+    every scheme it reads.  Returns each scheme's result, its columns over
+    the chunk's (angle epoch, fading epoch) rows.
     """
-    config = configs[rows[0][0]]
     mismatched = config.angle_error_std > 0
     angles, los_gains = draw_angle_epochs(
-        config,
-        surface_geometry(config) if surfaces is None else surfaces,
-        [substream(base_seed, g, a, _ANGLES) for g, a in rows],
+        config, surfaces, [substream(base_seed, g, a, _ANGLES) for g, a in rows]
     )
     estimated = {}
     if mismatched:
@@ -360,11 +361,7 @@ def _run_chunk(
                                     slots[scheme]), slots)
         for family, scheme, slots in _family_runs(schemes, config)
     ]
-    # Each grid point's rows of the chunk, a block of consecutive rows.
-    grid = [g for g, _ in rows]
-    blocks = {g: slice(grid.index(g), grid.index(g) + grid.count(g)) for g in dict.fromkeys(grid)}
-
-    pieces = {g: {scheme: [] for scheme in schemes} for g in blocks}
+    pieces = {scheme: [] for scheme in schemes}
     step = max(1, CHUNK_ROWS // len(rows))
     for start in range(0, n_fading_epochs, step):
         fading_indices = range(start, min(start + step, n_fading_epochs))
@@ -378,30 +375,17 @@ def _run_chunk(
                 design_slots(selections, m, estimate, exact, refine=not multiplex)[0]
                 for m in range(selections[0].n_slots)
             ]
+            run_payload = None
+            if payload:
+                run_payload = (payload[family], [
+                    [substream(base_seed, g, a, f, _PAYLOAD) for f in fading_indices]
+                    for g, a in rows
+                ])
             run = _run_multiplex if multiplex else _run_beamform
-            for g, block in blocks.items():
-                payload = None
-                if payloads:
-                    payload = (payloads[g][family], [
-                        [substream(base_seed, g, a, f, _PAYLOAD) for f in fading_indices]
-                        for _, a in rows[block]
-                    ])
-                point_designs = [
-                    replace(d, **{name: getattr(d, name)[block]
-                                  for name in ("r_active", "t_active", "xi_active", "exact_h")})
-                    for d in designs
-                ]
-                results = run(point_designs, configs[g], slots, gamma_th, payload)
-                for scheme, result in results.items():
-                    pieces[g][scheme].append(result)
-    return {
-        g: {scheme: _join(parts, axis=1) for scheme, parts in by_scheme.items()}
-        for g, by_scheme in pieces.items()
-    }
-
-
-def _grid_config(plan: TrialPlan, config: SystemConfig, grid_index: int) -> SystemConfig:
-    return apply_axis(config, plan.axis_name, plan.axis_values[grid_index])
+            results = run(designs, powers, config.noise_power, slots, gamma_th, run_payload)
+            for scheme, result in results.items():
+                pieces[scheme].append(result)
+    return {scheme: _join(parts, axis=1) for scheme, parts in pieces.items()}
 
 
 def closed_form_companions(
@@ -511,18 +495,19 @@ def _sweep(
     if min_bits is not None and min_bits < 1:
         raise ConfigurationError(f"need at least one payload bit, got min_bits={min_bits}")
     reduce = _REDUCERS[metric]
-    # Every grid point's config, geometry, closed forms, payload size and
-    # selection searches first, so bad input fails before any simulation.
-    configs = [_grid_config(plan, config, i) for i in range(len(plan.axis_values))]
-    keys = [(cfg.n_tx, cfg.n_ris, cfg.dft_offset, cfg.carrier_frequency, cfg.gain_target,
-             cfg.ris_axis_distance, cfg.rx_center_distance, cfg.rx_disk_radius) for cfg in configs]
-    geometries = {}
-    for key, cfg in zip(keys, configs):
-        if key not in geometries:
-            geometries[key] = _check_geometry(cfg)
+    # Every grid point's config, closed forms, payload size and selection
+    # searches, and every stream's geometry, first, so bad input fails
+    # before any simulation.  Grid points whose configs differ only in
+    # transmit power, which only the runners read, run as one stream of
+    # rows, each row still on its own grid point's substreams.
+    configs = [apply_axis(config, plan.axis_name, value) for value in plan.axis_values]
+    groups: dict[SystemConfig, list[int]] = {}
+    for grid_index, cfg in enumerate(configs):
+        groups.setdefault(cfg.replace(transmit_power=1.0), []).append(grid_index)
+    geometries = [_check_geometry(configs[group[0]]) for group in groups.values()]
     payloads = None
     if min_bits is not None:
-        payloads = dict(enumerate(_payload_sizes(plan, configs, min_bits)))
+        payloads = _payload_sizes(plan, configs, min_bits)
     if metric in ("se", "se_model"):
         companions = closed_form_companions(plan.schemes, configs)
     else:
@@ -530,31 +515,30 @@ def _sweep(
     for cfg in configs:
         for _, scheme, slots in _family_runs(plan.schemes, cfg):
             check_selection(cfg.n_ris_rx_paths, cfg.n_ris, cfg.n_rx, scheme, slots[scheme])
-    # Grid points whose configs differ only in transmit power, which only
-    # the runners read, run as one stream of rows, each row still on its
-    # own grid point's substreams.
-    groups: dict[SystemConfig, list[int]] = {}
-    for grid_index, cfg in enumerate(configs):
-        groups.setdefault(cfg.replace(transmit_power=1.0), []).append(grid_index)
-    points = dict(enumerate(configs))
+    n_angle = plan.n_angle_epochs
     per_chunk = max(1, CHUNK_ROWS // plan.n_fading_epochs)
     reduced = [None] * len(configs)
-    for group in groups.values():
-        rows = [(g, a) for g in group for a in range(plan.n_angle_epochs)]
-        parts: dict[int, list] = {}
+    for group, surfaces in zip(groups.values(), geometries):
+        rows = [(g, a) for g in group for a in range(n_angle)]
+        powers = np.array([configs[g].transmit_power for g, _ in rows])
+        payload = None if payloads is None else payloads[group[0]]
+        parts = []
         for start in range(0, len(rows), per_chunk):
             stop = min(start + per_chunk, len(rows))
-            chunk = _run_chunk(points, plan.schemes, rows[start:stop], plan.n_fading_epochs,
-                               plan.base_seed, plan.gamma_th, payloads, geometries[keys[group[0]]])
-            for g, results in chunk.items():
-                parts.setdefault(g, []).append(results)
-            # Rows run grid-major, so a grid point is whole once the next row is another's.
-            for g in [g for g in parts if stop == len(rows) or rows[stop][0] != g]:
-                chunks = parts.pop(g)
-                reduced[g] = {
-                    scheme: reduce(_join([results[scheme] for results in chunks], axis=0))
-                    for scheme in plan.schemes
-                }
+            chunk = _run_chunk(configs[group[0]], surfaces, plan.schemes, rows[start:stop],
+                               powers[start:stop], plan.n_fading_epochs, plan.base_seed,
+                               plan.gamma_th, payload)
+            # Rows run grid-major: cut the chunk's columns at grid-point
+            # edges, and reduce each grid point once its last row has run.
+            edges = [start, *range(start - start % n_angle + n_angle, stop, n_angle), stop]
+            for lo, hi in zip(edges, edges[1:]):
+                block = slice(lo - start, hi - start)
+                parts.append({s: _angle_rows(r, block) for s, r in chunk.items()})
+                if hi % n_angle == 0:
+                    reduced[rows[lo][0]] = {
+                        s: reduce(_join([part[s] for part in parts], axis=0)) for s in plan.schemes
+                    }
+                    parts = []
     result = SweepResult(metric, plan.axis_name, plan.axis_values, plan.schemes)
     for scheme in plan.schemes:
         result.means[scheme], result.stderrs[scheme], result.n_trials[scheme] = zip(

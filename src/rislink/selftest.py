@@ -324,7 +324,8 @@ def _check_power_and_run() -> str:
     config = SystemConfig(n_ris=2, n_rx=2, n_ris_rx_paths=4, n_nlos_tx_paths=1)
     hops = _draw_scene(config, seed=9)
     design = design_one(select_one(hops.rx_arrival[0], config.n_rx, "sm"), hops)[0]
-    result = _run_multiplex([design], config, {"sm": 1}, DEFAULT_OUTAGE_THRESHOLD)["sm"]
+    result = _run_multiplex([design], np.array([config.transmit_power]), config.noise_power,
+                            {"sm": 1}, DEFAULT_OUTAGE_THRESHOLD)["sm"]
     assert result.se_bits_per_hz.item() > 0, "non-positive spectral efficiency"
     assert np.isfinite(result.se_model_bits_per_hz.item())
     return f"sm SE {result.se_bits_per_hz.item():.3f} bits/s/Hz"
@@ -346,7 +347,8 @@ def _check_payload() -> str:
         def counts_and_states(rows, keys):
             # Bit errors, bits sent and generator states, row f on key f.
             rngs = [substream(37, int(multiplex), f) for f in keys]
-            result = run([rows], config, {scheme: 1}, DEFAULT_OUTAGE_THRESHOLD, (500, [rngs]))
+            result = run([rows], np.array([config.transmit_power]), config.noise_power,
+                         {scheme: 1}, DEFAULT_OUTAGE_THRESHOLD, (500, [rngs]))
             return (result[scheme].bit_errors[0].tolist(), result[scheme].bits_sent[0].tolist(),
                     [repr(rng.bit_generator.state) for rng in rngs])
 

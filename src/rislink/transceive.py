@@ -13,11 +13,13 @@ scheme off a prefix of the slots, so the single-configuration schemes are
 literally the one-slot case of the same code, and one pass over a hopping
 design serves both schemes of its family bit for bit.  The runners take
 one :class:`rislink.customize.DesignStack` per slot, over rows of angle
-and fading epochs, and give one :class:`SchemeResult` per scheme whose
+and fading epochs, the transmit power as a column over the angle rows and
+the noise power, and give one :class:`SchemeResult` per scheme whose
 fields are columns over those rows, each row equal bit for bit to running
-it on its own.  A runner given a bit-error payload pushes it through the
-slot transceivers it has just built (:func:`payload_errors`), detecting
-after every slot, so each scheme reads its bit counts off its prefix too.
+it on its own at its own power.  A runner given a bit-error payload
+pushes it through the slot transceivers it has just built
+(:func:`payload_errors`), detecting after every slot, so each scheme
+reads its bit counts off its prefix too.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import SystemConfig
 from .customize import DesignStack
 
 DEFAULT_OUTAGE_THRESHOLD = 10.0  # linear SNR, i.e. 10 dB
@@ -61,27 +62,29 @@ def _result(rows: tuple[int, int], se, se_model, snr, outage) -> SchemeResult:
                         outage.reshape(rows), *counts)
 
 
-def _multiplex_precoder(design: DesignStack, config: SystemConfig) -> np.ndarray:
+# The precoders scale the angle rows of a design by their transmit powers
+# ``powers`` (A,): a real factor, so each row rounds as its scalar product.
+def _multiplex_precoder(design: DesignStack, powers: np.ndarray) -> np.ndarray:
     n_streams = design.t_active.shape[-1]
-    return math.sqrt(config.transmit_power / n_streams) * design.t_active
+    return np.sqrt(powers / n_streams)[:, None, None, None] * design.t_active
 
 
-def _beam_precoder(design: DesignStack, config: SystemConfig) -> np.ndarray:
+def _beam_precoder(design: DesignStack, powers: np.ndarray) -> np.ndarray:
     n_active = design.t_active.shape[-1]
-    return math.sqrt(config.transmit_power / n_active) * design.t_active.sum(axis=-1)
+    return np.sqrt(powers / n_active)[:, None, None] * design.t_active.sum(axis=-1)
 
 
-def _multiplex_slot(design: DesignStack, config: SystemConfig):
+def _multiplex_slot(design: DesignStack, powers: np.ndarray):
     """One slot's precoder, stream matrix ``R^H H F`` and the per-stream
     rotation that turns its diagonal real and positive."""
-    f = _multiplex_precoder(design, config)
+    f = _multiplex_precoder(design, powers)
     g = np.swapaxes(design.r_active.conj(), -1, -2) @ design.exact_h @ f
     return f, g, np.exp(-1j * np.angle(np.diagonal(g, axis1=-2, axis2=-1)))
 
 
-def _beam_combiner(design: DesignStack, config: SystemConfig) -> np.ndarray:
+def _beam_combiner(design: DesignStack, powers: np.ndarray) -> np.ndarray:
     """One slot's matched-filter combiner ``H f``."""
-    return (design.exact_h @ _beam_precoder(design, config)[..., None])[..., 0]
+    return (design.exact_h @ _beam_precoder(design, powers)[..., None])[..., 0]
 
 
 def _beam_powers(matched: np.ndarray) -> np.ndarray:
@@ -119,30 +122,31 @@ def _write_counts(out: dict[str, SchemeResult], slots: dict[str, int], sent: int
 
 def _run_multiplex(
     designs: Sequence[DesignStack],
-    config: SystemConfig,
+    powers: np.ndarray,
+    noise_power: float,
     slots: dict[str, int],
     gamma_th: float,
     payload: _Payload | None = None,
 ) -> dict[str, SchemeResult]:
     """Shared multiplexing runner: per-slot combine, rotate, sum, detect.
 
-    Each slot's combiner is the activated receive-response stack with its
-    columns phase-rotated onto the realized per-stream gains, so slot
-    outputs add coherently; stacking m slots leaves per-stream noise at
-    ``m * noise_power``.  Slots accumulate in order, and each scheme of
-    ``slots`` (scheme -> slot count) reads its result columns off its
-    prefix.  A ``payload`` (see :func:`payload_errors`) runs on the same
-    slot transceivers and fills the bit counts.
+    Angle row ``a`` transmits at ``powers[a]``.  Each slot's combiner is
+    the activated receive-response stack with its columns phase-rotated
+    onto the realized per-stream gains, so slot outputs add coherently;
+    stacking m slots leaves per-stream noise at ``m * noise_power``.
+    Slots accumulate in order, and each scheme of ``slots`` (scheme ->
+    slot count) reads its result columns off its prefix.  A ``payload``
+    (see :func:`payload_errors`) runs on the same slot transceivers and
+    fills the bit counts.
     """
     _check_slots(designs)
-    noise_power = config.noise_power
     n_streams = designs[0].r_active.shape[-1]
     effective = 0j
     model_amplitude = 0.0
     links = []
     out = {}
     for n_slots, design in enumerate(designs, 1):
-        links.append(_multiplex_slot(design, config))
+        links.append(_multiplex_slot(design, powers))
         _, g, rotation = links[-1]
         effective += rotation[..., :, None] * g
         model_amplitude += np.abs(design.xi_active)
@@ -156,7 +160,7 @@ def _run_multiplex(
         se = logdet / math.log(2.0) / n_slots
         snr = (
             model_amplitude**2
-            * config.transmit_power
+            * powers[:, None, None]
             / (n_streams * n_slots * noise_power)
         )
         se_model = np.sum(np.log2(1.0 + snr), axis=-1) / n_slots
@@ -164,32 +168,35 @@ def _run_multiplex(
         for scheme in readers:
             out[scheme] = _result(se.shape, se, se_model, snr, outage)
     if payload is not None:
-        _write_counts(out, slots, *payload_errors(designs, links, config, *payload, True))
+        _write_counts(out, slots, *payload_errors(designs, links, noise_power, *payload, True))
     return out
 
 
 def _run_beamform(
     designs: Sequence[DesignStack],
-    config: SystemConfig,
+    powers: np.ndarray,
+    noise_power: float,
     slots: dict[str, int],
     gamma_th: float,
     payload: _Payload | None = None,
 ) -> dict[str, SchemeResult]:
     """Shared beamforming runner: matched-filter stacking across slots.
 
-    Slots accumulate in order, and each scheme of ``slots`` (scheme ->
-    slot count) reads its result columns off its prefix.  A ``payload``
-    (see :func:`payload_errors`) runs on the same matched filters and
-    fills the bit counts."""
+    Angle row ``a`` transmits at ``powers[a]``.  Slots accumulate in
+    order, and each scheme of ``slots`` (scheme -> slot count) reads its
+    result columns off its prefix.  A ``payload`` (see
+    :func:`payload_errors`) runs on the same matched filters and fills the
+    bit counts."""
     _check_slots(designs)
     rows = designs[0].exact_h.shape[:-2]
     n_active = designs[0].t_active.shape[-1]
+    row_powers = np.repeat(powers, rows[1])
     exact_power = 0.0
     model_sum = 0.0
     links = []
     out = {}
     for n_slots, design in enumerate(designs, 1):
-        links.append(_beam_combiner(design, config))
+        links.append(_beam_combiner(design, powers))
         exact_power += _beam_powers(links[-1])
         model_sum += np.array([
             s**2 for s in np.abs(design.xi_active).reshape(-1, n_active).sum(axis=-1).tolist()
@@ -198,13 +205,13 @@ def _run_beamform(
         if not readers:
             continue
         # The rates take math.log2 row by row: np.log2 may round otherwise.
-        se = np.array(list(map(math.log2, (1.0 + exact_power / config.noise_power).tolist())))
-        snr = config.transmit_power * model_sum / (n_active * config.noise_power)
+        se = np.array(list(map(math.log2, (1.0 + exact_power / noise_power).tolist())))
+        snr = row_powers * model_sum / (n_active * noise_power)
         se_model = np.array(list(map(math.log2, (1.0 + snr).tolist())))
         for scheme in readers:
             out[scheme] = _result(rows, se / n_slots, se_model / n_slots, snr, snr < gamma_th)
     if payload is not None:
-        _write_counts(out, slots, *payload_errors(designs, links, config, *payload, False))
+        _write_counts(out, slots, *payload_errors(designs, links, noise_power, *payload, False))
     return out
 
 
@@ -255,7 +262,7 @@ def _awgn(
 def payload_errors(
     designs: Sequence[DesignStack],
     links: Sequence,
-    config: SystemConfig,
+    noise_power: float,
     symbols: int,
     rngs: Sequence[Sequence[np.random.Generator]],
     multiplex: bool,
@@ -315,13 +322,13 @@ def payload_errors(
                     precoder, _, rotation = link
                     np.matmul(design.exact_h[a, f], np.matmul(precoder[a, 0], sent, out=precoded),
                               out=received)
-                    _awgn(rng, config.noise_power, received, noise)
+                    _awgn(rng, noise_power, received, noise)
                     np.matmul(design.r_active[a, 0].conj().T, received, out=projected)
                     combined += np.multiply(rotation[a, f][:, None], projected, out=rotated)
                 else:
                     matched = link[a, f]
                     np.outer(matched, sent, out=received)
-                    _awgn(rng, config.noise_power, received, noise)
+                    _awgn(rng, noise_power, received, noise)
                     combined += np.matmul(matched.conj(), received, out=projected)
                 errors[m, a, f] = _bit_errors(combined, negative, flips)
     return int(negative.size), errors

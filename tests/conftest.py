@@ -87,11 +87,17 @@ def design_row(design, angle_index: int = 0, fading_index: int = 0):
     )
 
 
-def slot_links(designs, config: rl.SystemConfig, multiplex: bool) -> list:
-    """Each slot's transceiver over its design's rows, as the runners build
-    it for ``transceive.payload_errors``."""
+def row_powers(config: rl.SystemConfig, designs) -> np.ndarray:
+    """The config's transmit power as the runners' column over the angle
+    rows of ``designs``."""
+    return np.full(designs[0].exact_h.shape[0], config.transmit_power)
+
+
+def slot_links(designs, powers: np.ndarray, multiplex: bool) -> list:
+    """Each slot's transceiver over its design's rows, angle row ``a`` at
+    ``powers[a]``, as the runners build it for ``transceive.payload_errors``."""
     slot = transceive._multiplex_slot if multiplex else transceive._beam_combiner
-    return [slot(design, config) for design in designs]
+    return [slot(design, powers) for design in designs]
 
 
 def model_channel(design) -> np.ndarray:

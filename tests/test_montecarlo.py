@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import math
 import tracemalloc
 
@@ -19,7 +20,14 @@ from rislink.config import surface_geometry
 from rislink.errors import ConfigurationError
 from rislink.selftest import design_one, select_one
 
-from conftest import BASE_SEED, assert_same_columns, result_rows, slot_links, small_config
+from conftest import (
+    BASE_SEED,
+    assert_same_columns,
+    result_rows,
+    row_powers,
+    slot_links,
+    small_config,
+)
 
 
 def _plan(**overrides) -> rl.TrialPlan:
@@ -227,7 +235,7 @@ class TestPlanValidation:
         ]
         for axis, value, field, expected in cases:
             plan = _plan(axis_name=axis, axis_values=(value,))
-            applied = mc._grid_config(plan, config, 0)
+            applied = mc.apply_axis(config, axis, value)
             got = getattr(applied, field)
             assert got == expected and type(got) is type(expected)
 
@@ -236,10 +244,10 @@ def _one_point_chunk(config, schemes, grid_index, angle_indices, n_fading_epochs
                      gamma_th, payload_symbols=None):
     """A chunk of one grid point's angle epochs through the chunk engine:
     each scheme's columns over its (angle epoch, fading epoch) rows."""
-    payloads = None if payload_symbols is None else {grid_index: payload_symbols}
-    return mc._run_chunk({grid_index: config}, schemes,
-                         [(grid_index, a) for a in angle_indices], n_fading_epochs, base_seed,
-                         gamma_th, payloads)[grid_index]
+    return mc._run_chunk(config, surface_geometry(config), schemes,
+                         [(grid_index, a) for a in angle_indices],
+                         np.full(len(angle_indices), config.transmit_power), n_fading_epochs,
+                         base_seed, gamma_th, payload_symbols)
 
 
 def _angle_epoch(config, schemes, grid_index, epoch_index, n_fading_epochs, base_seed, gamma_th,
@@ -294,13 +302,15 @@ def _per_epoch_oracle(config, schemes, grid_index, epoch_index, n_fading_epochs,
                 for m in range(selection.n_slots)
             ]
             run = transceive._run_multiplex if multiplex else transceive._run_beamform
-            result = run(designs, config, {scheme: len(designs)}, gamma_th)[scheme]
+            powers = row_powers(config, designs)
+            result = run(designs, powers, config.noise_power, {scheme: len(designs)},
+                         gamma_th)[scheme]
             if payload_symbols is not None:
                 payload_rng = mc.substream(base_seed, grid_index, epoch_index, fading_index,
                                            mc._PAYLOAD)
                 family = "multiplex" if multiplex else "beamform"
                 sent, errors = transceive.payload_errors(
-                    designs, slot_links(designs, config, multiplex), config,
+                    designs, slot_links(designs, powers, multiplex), config.noise_power,
                     payload_symbols[family], [[payload_rng]], multiplex,
                 )
                 result.bit_errors[0, 0], result.bits_sent[0, 0] = errors[-1, 0, 0], sent
@@ -316,17 +326,22 @@ def _swept_columns(plan, config, min_bits=None):
     original = mc._run_chunk
 
     def recording(*args, **kwargs):
-        calls.append(original(*args, **kwargs))
-        return calls[-1]
+        rows = inspect.signature(original).bind(*args, **kwargs).arguments["rows"]
+        calls.append((rows, original(*args, **kwargs)))
+        return calls[-1][1]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mc, "_run_chunk", recording)
         mc._sweep(plan, config, "se" if min_bits is None else "ber", min_bits)
-    columns = [
-        {scheme: _joined([call[g][scheme] for call in calls if g in call], axis=0)
-         for scheme in plan.schemes}
-        for g in range(len(plan.axis_values))
-    ]
+    columns = []
+    for g in range(len(plan.axis_values)):
+        blocks = [(result, [i for i, (h, _) in enumerate(rows) if h == g])
+                  for rows, result in calls]
+        columns.append({
+            scheme: _joined([mc._angle_rows(result[scheme], block) for result, block in blocks],
+                            axis=0)
+            for scheme in plan.schemes
+        })
     return columns, len(calls)
 
 
@@ -400,7 +415,7 @@ class TestStackedEngine:
         schemes = ("sm", "bf", "ds", "db")
         for n_fading in (1, 2, 4):
             plan = _plan(schemes=schemes, n_angle_epochs=3, n_fading_epochs=n_fading)
-            applied = mc._grid_config(plan, config, 0)
+            applied = mc.apply_axis(config, plan.axis_name, plan.axis_values[0])
             for min_bits in (None, 480 * n_fading):
                 symbols = None if min_bits is None else \
                     mc._payload_sizes(plan, [applied], min_bits)[0]
@@ -461,9 +476,11 @@ class TestStackedEngine:
         # One design per slot and family: sm/bf take slot 0 of ds/db's.
         assert sorted(built) == [(False, 0), (False, 1), (True, 0), (True, 1)]
 
-    @pytest.mark.parametrize("payload", [None, {"multiplex": 20, "beamform": 20}],
-                             ids=["no-payload", "payload"])
-    def test_each_family_runs_each_slot_once(self, payload, monkeypatch):
+    @pytest.mark.parametrize("payload, power_sweep", [
+        (None, False), ({"multiplex": 20, "beamform": 20}, False), (None, True),
+        ({"multiplex": 20, "beamform": 20}, True),
+    ], ids=["no-payload", "payload", "no-payload-power-sweep", "payload-power-sweep"])
+    def test_each_family_runs_each_slot_once(self, payload, power_sweep, monkeypatch):
         calls = []
         for name in ("_multiplex_slot", "_beam_combiner"):
             original = getattr(transceive, name)
@@ -474,7 +491,16 @@ class TestStackedEngine:
 
             monkeypatch.setattr(transceive, name, counting)
         config = rl.SystemConfig(n_slots=2)
-        _angle_epoch(config, ("sm", "bf", "ds", "db"), 0, 0, 3, BASE_SEED, 10.0, payload)
+        schemes = ("sm", "bf", "ds", "db")
+        if power_sweep:
+            # Five power points of 2 x 10 rows fit one chunk, whose runners
+            # run once over all its rows, each row at its point's power.
+            plan = _plan(axis_values=(0.0, 10.0, 20.0, 30.0, 40.0), schemes=schemes,
+                         n_angle_epochs=2, n_fading_epochs=10)
+            min_bits = None if payload is None else 4000
+            assert _swept_columns(plan, config, min_bits)[1] == 1
+        else:
+            _angle_epoch(config, schemes, 0, 0, 3, BASE_SEED, 10.0, payload)
         # sm/bf read their results off the first slot of ds/db's pass, and
         # the payloads run on the slot transceivers of that pass.
         assert sorted(calls) == ["_beam_combiner"] * 2 + ["_multiplex_slot"] * 2
@@ -491,15 +517,15 @@ class TestPowerStacking:
     @staticmethod
     def _alone(plan, config, min_bits):
         """Each grid point's columns from one chunk of its own rows."""
-        configs = {g: mc._grid_config(plan, config, g) for g in range(len(plan.axis_values))}
-        payloads = None
+        configs = [mc.apply_axis(config, plan.axis_name, value) for value in plan.axis_values]
+        payloads = [None] * len(configs)
         if min_bits is not None:
-            payloads = dict(enumerate(mc._payload_sizes(plan, list(configs.values()), min_bits)))
+            payloads = mc._payload_sizes(plan, configs, min_bits)
         assert plan.n_angle_epochs * plan.n_fading_epochs <= mc.CHUNK_ROWS
         return [
-            mc._run_chunk(configs, plan.schemes, [(g, a) for a in range(plan.n_angle_epochs)],
-                          plan.n_fading_epochs, plan.base_seed, plan.gamma_th, payloads)[g]
-            for g in range(len(configs))
+            _one_point_chunk(cfg, plan.schemes, g, range(plan.n_angle_epochs),
+                             plan.n_fading_epochs, plan.base_seed, plan.gamma_th, payload)
+            for g, (cfg, payload) in enumerate(zip(configs, payloads))
         ]
 
     @classmethod
@@ -632,7 +658,7 @@ class TestEstimators:
                      schemes=("sm", "bf"))
         result = rl.estimate_ergodic_se(plan, config)
         epoch = _angle_epoch(
-            mc._grid_config(plan, config, 0), plan.schemes, 0, 0, 1,
+            mc.apply_axis(config, plan.axis_name, plan.axis_values[0]), plan.schemes, 0, 0, 1,
             plan.base_seed, plan.gamma_th,
         )
         for scheme in plan.schemes:
@@ -649,7 +675,7 @@ class TestEstimators:
             r.se_bits_per_hz
             for i in range(3)
             for r in result_rows(_angle_epoch(
-                mc._grid_config(plan, config, 0), plan.schemes, 0, i, 2,
+                mc.apply_axis(config, plan.axis_name, plan.axis_values[0]), plan.schemes, 0, i, 2,
                 plan.base_seed, plan.gamma_th,
             )["sm"])
         ]
@@ -667,7 +693,7 @@ class TestEstimators:
         plan = _plan(schemes=("sm", "bf", "ds", "db"), n_angle_epochs=1,
                      n_fading_epochs=1)
         result = rl.estimate_ergodic_se(plan, config)
-        applied = mc._grid_config(plan, config, 0)
+        applied = mc.apply_axis(config, plan.axis_name, plan.axis_values[0])
         params = mc.analysis.ClosedFormParams.from_config(applied)
         sm_cols = result.closed_form["sm"][0]
         assert math.isclose(sm_cols[0],

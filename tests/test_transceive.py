@@ -30,6 +30,7 @@ from conftest import (
     design_row,
     draw_scene,
     result_rows,
+    row_powers,
     slot_links,
     small_config,
     with_fading,
@@ -56,7 +57,8 @@ def _pass(designs, config, symbols, rng, multiplex):
     """One payload pass over slot designs of one row: the bits sent and the
     errors after each slot, as a tuple."""
     sent, errors = transceive.payload_errors(
-        designs, slot_links(designs, config, multiplex), config, symbols, [[rng]], multiplex)
+        designs, slot_links(designs, row_powers(config, designs), multiplex), config.noise_power,
+        symbols, [[rng]], multiplex)
     return sent, tuple(errors[:, 0, 0].tolist())
 
 
@@ -71,22 +73,23 @@ def _row_block(design, a, f):
 def _run(scheme, designs, config, gamma_th=DEFAULT_OUTAGE_THRESHOLD):
     """One scheme's runner over all of ``designs``: its per-row results."""
     run = _run_multiplex if scheme in ("sm", "ds") else _run_beamform
-    return result_rows(run(designs, config, {scheme: len(designs)}, gamma_th)[scheme])
+    return result_rows(run(designs, row_powers(config, designs), config.noise_power,
+                           {scheme: len(designs)}, gamma_th)[scheme])
 
 
 class TestPrecoding:
     def test_multiplex_precoder_power(self):
         config = rl.SystemConfig(transmit_power=0.4)
-        (design,) = _rows(_designs(config, (70,), "sm"))
-        f = _multiplex_precoder(design, config)
+        (design,) = _designs(config, (70,), "sm")
+        f = _multiplex_precoder(design, np.array([0.4]))
         assert math.isclose(float(np.linalg.norm(f) ** 2), 0.4, rel_tol=1e-12)
 
     def test_beam_precoder_power_on_orthogonal_beams(self):
         # Active transmit responses sit on distinct DFT beams, so the
         # summed beam carries exactly the configured power.
         config = rl.SystemConfig(transmit_power=0.4)
-        (design,) = _rows(_designs(config, (71,), "bf"))
-        f = _beam_precoder(design, config)
+        (design,) = _designs(config, (71,), "bf")
+        f = _beam_precoder(design, np.array([0.4]))
         assert math.isclose(float(np.linalg.norm(f) ** 2), 0.4, rel_tol=1e-12)
 
 
@@ -277,10 +280,10 @@ class TestBitErrorTrials:
         # zip would pair the first slots and drop the rest silently.
         config = small_config(n_slots=2)
         designs = _designs(config, (91,), "ds" if multiplex else "db", n_slots=2)
-        links = slot_links(designs, config, multiplex)
+        links = slot_links(designs, row_powers(config, designs), multiplex)
         for wrong in (links[:1], links + links[:1]):
             with pytest.raises(ValueError, match="slot transceivers"):
-                transceive.payload_errors(designs, wrong, config, 10,
+                transceive.payload_errors(designs, wrong, config.noise_power, 10,
                                           [[rl.substream(BASE_SEED, 92)]], multiplex)
 
     @pytest.mark.parametrize("grid", [(0, 1), (2, 1), (1, 0), (1, 2)])
@@ -289,9 +292,9 @@ class TestBitErrorTrials:
         designs = _designs(config, (93,), "sm")
         rngs = [[rl.substream(BASE_SEED, 94, a, f) for f in range(grid[1])]
                 for a in range(grid[0])]
+        links = slot_links(designs, row_powers(config, designs), True)
         with pytest.raises(ValueError, match="payload generators"):
-            transceive.payload_errors(designs, slot_links(designs, config, True), config, 10,
-                                      rngs, True)
+            transceive.payload_errors(designs, links, config.noise_power, 10, rngs, True)
 
 
 class TestPayloadRungs:
@@ -368,7 +371,8 @@ class TestStackedEpochs:
         multiplex = scheme in ("sm", "ds")
         stacked_designs = [design for design, _, _ in stacked]
         sent, errors = transceive.payload_errors(
-            stacked_designs, slot_links(stacked_designs, config, multiplex), config, 50,
+            stacked_designs, slot_links(stacked_designs, row_powers(config, stacked_designs),
+                                        multiplex), config.noise_power, 50,
             [[rl.substream(BASE_SEED, 95, f) for f in keys]], multiplex)
         for f in keys:
             single_hops = with_fading(config, hops, [rl.substream(BASE_SEED, 94, f)])
@@ -421,7 +425,9 @@ class TestPayloadPin:
 
 
 class TestPayloadBlocks:
-    """A payload pass over a block of rows against each row passed alone."""
+    """A payload pass and a runner pass over a block of rows, its angle
+    rows at different powers, against each row passed alone at its own
+    power."""
 
     SYMBOLS = 257
 
@@ -435,7 +441,8 @@ class TestPayloadBlocks:
             return original(observations, *rest)
 
         monkeypatch.setattr(transceive, "_bit_errors", recording)
-        config = small_config(n_slots=2, transmit_power=1.0)
+        config = small_config(n_slots=2)
+        powers = np.array([1.0, 0.1])
         multiplex = scheme == "ds"
         angles, los_gains = draw_angle_epochs(
             config, surface_geometry(config), [rl.substream(BASE_SEED, 110, a) for a in range(2)])
@@ -457,8 +464,8 @@ class TestPayloadBlocks:
         ]
         rngs = [[rl.substream(BASE_SEED, 112, *key) for key in row] for row in keys]
         sent, errors = transceive.payload_errors(
-            designs, slot_links(designs, config, multiplex), config, self.SYMBOLS, rngs,
-            multiplex)
+            designs, slot_links(designs, powers, multiplex), config.noise_power, self.SYMBOLS,
+            rngs, multiplex)
         block_observed = list(observed)
         assert errors.shape == (2, 2, 3)
         assert errors[-1, 0, 1] > 0.3 * sent > errors[-1, 0, 2] > 0
@@ -466,9 +473,24 @@ class TestPayloadBlocks:
         for a, f in (key for row in keys for key in row):
             del observed[:]
             rng = rl.substream(BASE_SEED, 112, a, f)
-            alone = _pass([_row_block(design, a, f) for design in designs], config,
-                          self.SYMBOLS, rng, multiplex)
+            alone = _pass([_row_block(design, a, f) for design in designs],
+                          config.replace(transmit_power=powers[a]), self.SYMBOLS, rng, multiplex)
             assert (sent, tuple(errors[:, a, f].tolist())) == alone, (a, f)
             assert repr(rngs[a][f].bit_generator.state) == repr(rng.bit_generator.state)
             alone_observed += observed
         assert block_observed == alone_observed
+        # The runner's result rows, bit counts included, likewise.
+        run = _run_multiplex if multiplex else _run_beamform
+
+        def rows_run(block_designs, block_powers, payload_keys):
+            payload = (self.SYMBOLS, [[rl.substream(BASE_SEED, 112, *key) for key in row]
+                                      for row in payload_keys])
+            return result_rows(run(block_designs, block_powers, config.noise_power, {scheme: 2},
+                                   DEFAULT_OUTAGE_THRESHOLD, payload)[scheme])
+
+        block = rows_run(designs, powers, keys)
+        assert [row.bit_errors for row in block] == errors[-1].ravel().tolist()
+        for a, f in (key for row in keys for key in row):
+            alone = rows_run([_row_block(design, a, f) for design in designs], powers[a:a + 1],
+                             [[(a, f)]])
+            assert alone == block[3 * a + f:3 * a + f + 1], (a, f)
