@@ -14,6 +14,10 @@ end-to-end matrices of every row of a stack from these arrays and the
 surfaces' linear phase profiles alone: every surface inner product is a
 Dirichlet kernel, so no hop matrix is ever materialized
 (``rislink.selftest.dense_composite`` is the dense oracle).
+
+Every angle epoch and fading epoch draws from its own counter-based
+Philox stream.  The draws take their rows' Philox keys and one generator,
+which :func:`rekey` restarts on each row's key before that row's draws.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +34,22 @@ from .errors import SamplingError
 
 TX_RIS = "tx-ris"
 RIS_RX = "ris-rx"
+
+
+def rekey(rng: np.random.Generator, key) -> np.random.Generator:
+    """Restart the Philox generator ``rng`` on ``key`` (two 64-bit words):
+    a zero counter, an empty buffer and no stored 32-bit half.  A
+    counter-based stream is fixed by its key alone, so ``rng`` then draws
+    what a new Philox generator on ``key`` draws, whatever it drew before."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def _response_matrix(n_elements: int, freqs: np.ndarray) -> np.ndarray:
@@ -64,11 +83,11 @@ def _draw_separated_freqs(
     the draw down instead of deadlocking it.
 
     Every try consumes one ``rng.uniform(0.0, pi)``, in order.  The uniforms
-    are drawn in batches: the first ``count`` are always consumed; beyond
-    them the generator state is saved, and once done it is restored and
-    exactly the consumed number redrawn, so the generator ends where one
-    scalar draw per try leaves it (after a ``SamplingError`` its state is
-    unspecified).  Each try is first tested against its two neighbours in
+    are drawn in rounds of as many as there are frequencies still missing.
+    A round can complete the draw only on its last try, so every uniform
+    it draws is consumed, and the generator ends where one scalar draw per
+    try leaves it (after a ``SamplingError`` its state is unspecified).
+    Each try is first tested against its two neighbours in
     sorted order, which on the circle are the nearest taken frequencies:
     a neighbour that is too close rejects it, as the full gap test would.
     When every frequency lies in [-pi, pi] and both neighbours clear the
@@ -87,16 +106,8 @@ def _draw_separated_freqs(
     ordered = sorted(taken)
     out: list[float] = []
     attempts = 0
-    saved = None
-    consumed = 0
-    batch = count
     while len(out) < count:
-        if out or attempts:
-            if saved is None:
-                saved = rng.bit_generator.state
-            batch = max(32, 4 * (count - len(out)))
-        for u in rng.uniform(0.0, pi, size=batch).tolist():
-            consumed += saved is not None
+        for u in rng.uniform(0.0, pi, size=count - len(out)).tolist():
             freq = pi * math.cos(u)
             attempts += 1
             i = bisect.bisect(ordered, freq)
@@ -114,13 +125,8 @@ def _draw_separated_freqs(
                 taken.append(freq)
                 ordered.insert(i, freq)
                 attempts = 0
-                if len(out) == count:
-                    break
             elif attempts == max_attempts:
                 raise SamplingError(f"angle sampling failed after {max_attempts} attempts")
-    if saved is not None:
-        rng.bit_generator.state = saved
-        rng.uniform(0.0, pi, size=consumed)
     return np.array(out)
 
 
@@ -170,11 +176,13 @@ def _scattered_paths(
 
 
 def draw_angle_epochs(
-    config: SystemConfig, surfaces: SurfaceGeometry, rngs: Sequence[np.random.Generator]
+    config: SystemConfig, surfaces: SurfaceGeometry, keys: np.ndarray, rng: np.random.Generator
 ) -> tuple[dict, np.ndarray]:
     """Every angle epoch's receiver drop and path angles, straight into arrays.
 
-    ``rngs[a]`` is angle epoch ``a``'s generator.  An epoch drops the
+    ``keys[a]`` is angle epoch ``a``'s Philox key, shape (A, 2), and ``rng``
+    a Philox generator re-keyed to each in turn (:func:`rekey`), so it ends
+    where the last epoch's draws leave its stream.  An epoch drops the
     receiver (:func:`rislink.config.drop_receiver`), which sizes the
     surfaces, then draws surface by surface the scattered paths of the
     transmitter-to-surface hop (arrivals kept away from the line of sight)
@@ -184,12 +192,12 @@ def draw_angle_epochs(
     its far-side frequencies and its scattered gains, in that order; the
     gains' normals are drawn in one call and dropped, since fading epochs
     redraw the gains.
-    ``tests/test_channel.py`` pins every value and each generator's final
-    state by digest.  Returns the angle fields of a :class:`HopStack`
+    ``tests/test_channel.py`` pins every value and each epoch's final
+    stream state by digest.  Returns the angle fields of a :class:`HopStack`
     (frequencies (A, K, L), element counts and losses (A, K)) and the
     line-of-sight gains (A, K).
     """
-    n_angle, n_ris = len(rngs), config.n_ris
+    n_angle, n_ris = len(keys), config.n_ris
     tx_arrival = np.empty((n_angle, n_ris, 1 + config.n_nlos_tx_paths))
     tx_departure = np.empty_like(tx_arrival)
     tx_arrival[..., 0] = surfaces.los_arrival
@@ -198,7 +206,8 @@ def draw_angle_epochs(
     rx_departure = np.empty_like(rx_arrival)
     losses = np.empty((n_angle, n_ris))
     n_elements = np.empty((n_angle, n_ris), dtype=np.int64)
-    for a, rng in enumerate(rngs):
+    for a, key in enumerate(keys.tolist()):
+        rekey(rng, key)
         losses[a], n_elements[a] = receiver_losses(config, surfaces, drop_receiver(config, rng))
         separation = _separation(n_elements[a])
         for k, n_s in enumerate(n_elements[a].tolist()):
@@ -240,14 +249,16 @@ def draw_fading_gains(
     config: SystemConfig,
     n_elements: np.ndarray,
     los_gains: np.ndarray,
-    rngs: Sequence[Sequence[np.random.Generator]],
+    keys: np.ndarray,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fresh gains of both hops of every surface for a grid of fading epochs.
 
-    ``rngs[a][f]`` is the generator of fading epoch ``f`` of angle epoch
-    ``a``, whose surfaces have ``n_elements[a]`` elements and line-of-sight
-    gains ``los_gains[a]``.  Each generator makes one normal draw for all
-    surfaces, sliced surface by surface into the real parts and then the
+    ``keys[a, f]`` is the Philox key of fading epoch ``f`` of angle epoch
+    ``a``, shape (A, F, 2), whose surfaces have ``n_elements[a]`` elements
+    and line-of-sight gains ``los_gains[a]``; ``rng`` is re-keyed to each
+    in turn (:func:`rekey`).  Each fading epoch makes one normal draw for
+    all surfaces, sliced surface by surface into the real parts and then the
     imaginary parts of the transmit-side scattered gains, then the same
     for the receive-side gains.  The line-of-sight gains are copied in
     unchanged.  Returns (A, F, K, 1 + L_T) transmit-side and (A, F, K, L_R)
@@ -256,10 +267,10 @@ def draw_fading_gains(
     n_tx_paths, n_rx_paths = config.n_nlos_tx_paths, config.n_ris_rx_paths
     n_angle, n_ris = n_elements.shape
     width = 2 * (n_tx_paths + n_rx_paths)
-    normals = np.empty((n_angle, len(rngs[0]), n_ris * width))
-    for row, epoch_rngs in zip(normals, rngs):
-        for out, rng in zip(row, epoch_rngs):
-            rng.standard_normal(out=out)
+    normals = np.empty((n_angle, keys.shape[1], n_ris * width))
+    for row, row_keys in zip(normals, keys.tolist()):
+        for out, key in zip(row, row_keys):
+            rekey(rng, key).standard_normal(out=out)
     normals = normals.reshape(normals.shape[:2] + (n_ris, width))
     split = np.cumsum([n_tx_paths, n_tx_paths, n_rx_paths])
     tx_re, tx_im, rx_re, rx_im = np.split(normals, split, axis=-1)

@@ -24,18 +24,23 @@ fading epochs in pieces.  Draws stay per epoch: every random draw comes
 from a counter-based stream keyed by ``(base_seed, grid index, epoch
 indices, purpose)`` and is made in the order of a single-epoch run, so a
 rerun at the same seed reproduces every result bit for bit, however the
-rows are chunked or grouped.  Above the draws a chunk runs stacked: one
-set of selection terms (Gram matrices) serves both families, each family
-selects for all its angle epochs at once, each slot design covers every
-row, with the angle-only parts (steering responses, surface kernels)
-built once per angle epoch and the gain-dependent parts carrying the
-rows, and each family's runner makes one pass over all the rows, each
-row at its own power.  Results stay columns over (angle epoch, fading
-epoch) from the runners to the reducers, one :class:`SchemeResult` per
-scheme and block of rows; the sweep cuts them into grid points.
+rows are chunked or grouped.  A chunk derives the Philox keys of all its
+cells in array passes from the cached hash pools of its rows, and each
+draw re-keys one generator before each row instead of building one per
+cell; :func:`substream` is the one-cell oracle of those keys.  Above the
+draws a chunk runs stacked: one set of selection terms (Gram matrices)
+serves both families, each family selects for all its angle epochs at
+once, each slot design covers every row, with the angle-only parts
+(steering responses, surface kernels) built once per angle epoch and the
+gain-dependent parts carrying the rows, and each family's runner makes
+one pass over all the rows, each row at its own power.  Results stay
+columns over (angle epoch, fading epoch) from the runners to the
+reducers, one :class:`SchemeResult` per scheme and block of rows; the
+sweep cuts them into grid points.
 Bit-error payloads ride on each family's runner pass, every row on its
 fading epoch's own substream; every scheme of a fading epoch reads that
-one payload stream, so one pass per family serves both its schemes.
+one payload stream, whose key is derived once for both families, so one
+pass per family serves both its schemes.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .channel import HopStack, draw_angle_epochs, draw_fading_gains
+from .channel import HopStack, draw_angle_epochs, draw_fading_gains, rekey
 from .config import SurfaceGeometry, SystemConfig, db2lin, dbm2watt, receiver_losses
 from .config import surface_geometry
 from .customize import (
@@ -80,6 +85,10 @@ _INIT_A, _MULT_A, _MIX_L, _MIX_R = 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F71
 _STATE_CONSTS = [(0x8B51F9DD * 0x58F38DED**i & _MASK32, 0x8B51F9DD * 0x58F38DED**(i + 1) & _MASK32)
                  for i in range(4)]
 _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)  # Philox converts an int counter in Python.
+# The same constants as uint64 arrays, for the block derivation: the hash
+# constant's first five powers of the multiplier, and generate_state's pairs.
+_HASH_POWERS = np.array([_MULT_A**i & _MASK32 for i in range(5)], dtype=np.uint64)
+_STATE_XOR, _STATE_MULT = np.array(_STATE_CONSTS, dtype=np.uint64).T
 
 
 def _words(n: int) -> list[int]:
@@ -136,6 +145,11 @@ class _PhiloxKey:
         return self.key
 
 
+def _philox(key: np.ndarray) -> np.random.Generator:
+    """A Philox generator at counter zero on ``key`` (two uint64 words)."""
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=_ZERO_COUNTER))
+
+
 def substream(base_seed: int, *key: int) -> np.random.Generator:
     """Counter-based generator for one (grid, epoch, purpose) cell.
 
@@ -144,14 +158,54 @@ def substream(base_seed: int, *key: int) -> np.random.Generator:
     of the (seed, key prefix).  A counter-based stream is fixed by its key
     alone (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
     SC'11), so every draw is SeedSequence's, bit for bit.  Negative
-    integers raise ``ValueError``, a seed that is not one ``TypeError``.
+    integers raise ``ValueError``, a seed or key word that is not one
+    ``TypeError``.  The engine derives its keys in blocks instead
+    (:func:`_stream_keys`); this one-cell path is their oracle.
     """
-    key = tuple(map(int, key))
+    key = tuple(map(operator.index, key))
     state = _pool(operator.index(base_seed), key[:-1])
     pool, _ = _absorb(state, key[-1]) if key else state
     words = [(v := (x ^ c) * m & _MASK32) ^ v >> 16 for x, (c, m) in zip(pool, _STATE_CONSTS)]
-    philox_key = np.array([words[0] | words[1] << 32, words[2] | words[3] << 32], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_PhiloxKey(philox_key), counter=_ZERO_COUNTER))
+    return _philox(np.array([words[0] | words[1] << 32, words[2] | words[3] << 32],
+                            dtype=np.uint64))
+
+
+def _stream_pools(base_seed: int, prefixes) -> tuple[np.ndarray, np.ndarray]:
+    """The cached SeedSequence (pool, hash constant) of every key prefix on
+    ``base_seed``, as uint64 arrays (P, 4) and (P,)."""
+    states = [_pool(base_seed, tuple(prefix)) for prefix in prefixes]
+    return (np.array([pool for pool, _ in states], dtype=np.uint64),
+            np.array([const for _, const in states], dtype=np.uint64))
+
+
+def _stream_keys(pools: tuple[np.ndarray, np.ndarray], tails) -> np.ndarray:
+    """Philox keys of ``substream(base_seed, *prefix, *tail)`` for every
+    prefix of ``pools`` (see :func:`_stream_pools`) and every key ``tail``,
+    shape (P, T, 2): SeedSequence's hash as uint64 array passes, 32-bit
+    words in the low halves.
+
+    The hash constant advances once per hashed word, so only tails of the
+    same word count share a pass; each count gets its own.
+    """
+    pool, const = pools
+    words = [[w for n in tail for w in _words(operator.index(n))] for tail in tails]
+    keys = np.empty((len(pool), len(words), 2), dtype=np.uint64)
+    for size in set(map(len, words)):
+        group = [t for t, tail in enumerate(words) if len(tail) == size]
+        mixed = pool[:, None]
+        hash_const = const[:, None, None]
+        for column in np.array([words[t] for t in group], dtype=np.uint64).T:
+            # One word into every pool word: hash it from the constant's
+            # next four values, then mix each hash into its pool word.
+            hashes = hash_const * _HASH_POWERS & _MASK32
+            values = (column[:, None] ^ hashes[..., :4]) * hashes[..., 1:] & _MASK32
+            mixed = _MIX_L * mixed - _MIX_R * (values ^ values >> 16) & _MASK32
+            mixed ^= mixed >> 16
+            hash_const = hashes[..., 4:]
+        out = (mixed ^ _STATE_XOR) * _STATE_MULT & _MASK32
+        out ^= out >> 16
+        keys[:, group] = out[..., 0::2] | out[..., 1::2] << 32
+    return keys
 
 
 def _axis_appliers():
@@ -254,16 +308,22 @@ class SweepResult:
 
 
 def _angle_errors(
-    sigma_e: float, arrivals: np.ndarray, departures: np.ndarray, rng: np.random.Generator
+    sigma_e: float, arrivals: np.ndarray, departures: np.ndarray, keys: np.ndarray,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates of the surface-to-receiver frequencies of one angle epoch,
-    shape (K, L), for selection and phase design only: every frequency
-    gains independent real Gaussian noise of standard deviation
-    ``sigma_e``.  One normal draw holds, surface by surface, the arrivals'
-    errors and then the departures'.  Transmit-side angles are known
-    exactly and never perturbed."""
-    errors = sigma_e * rng.standard_normal((len(arrivals), 2, arrivals.shape[-1]))
-    return arrivals + errors[:, 0], departures + errors[:, 1]
+    """Estimates of the surface-to-receiver frequencies of a block of angle
+    epochs, shape (A, K, L), for selection and phase design only: every
+    frequency gains independent real Gaussian noise of standard deviation
+    ``sigma_e``.  Angle epoch ``a`` draws on Philox key ``keys[a]``, shape
+    (A, 2), with ``rng`` re-keyed to it (:func:`rislink.channel.rekey`):
+    one normal draw holds, surface by surface, the arrivals' errors and
+    then the departures'.  Transmit-side angles are known exactly and
+    never perturbed."""
+    errors = np.empty((len(arrivals), arrivals.shape[1], 2, arrivals.shape[-1]))
+    for out, key in zip(errors, keys.tolist()):
+        rekey(rng, key).standard_normal(out=out)
+    errors *= sigma_e
+    return arrivals + errors[:, :, 0], departures + errors[:, :, 1]
 
 
 # Scheme family -> (single-configuration scheme, path-hopping scheme).  The
@@ -319,11 +379,14 @@ def _run_chunk(
     only the substreams, and ``powers`` each row's transmit power.  The
     rows share ``config``, whose transmit power nothing here reads, and
     its surface geometry ``surfaces``.
-    Every angle epoch draws from its own substreams in the order of a
-    single-epoch run, straight into the chunk's arrays: its receiver drop
-    and path angles (:func:`draw_angle_epochs`), then, with angle error,
-    the perturbed estimates on a second substream (:func:`_angle_errors`);
-    every fading epoch draws its gains from its own generator
+    Every angle epoch and fading epoch draws from its own substream, in
+    the order of a single-epoch run, straight into the chunk's arrays.
+    The chunk derives its substreams' Philox keys in array passes
+    (:func:`_stream_keys`) from the cached pools of its rows' (seed, grid
+    index, angle epoch) prefixes, and every draw re-keys one generator
+    before each row: the angle epochs' receiver drops and path angles
+    (:func:`draw_angle_epochs`), then, with angle error, the perturbed
+    estimates (:func:`_angle_errors`), and every fading epoch's gains
     (:func:`draw_fading_gains`).  Above the draws the chunk runs as
     stacked rows: one set of search terms serves every selection,
     each scheme family selects once (the hopping search when its hopping
@@ -333,27 +396,22 @@ def _run_chunk(
     one-slot prefix and ``ds``/``db`` all slots.
     With ``payload`` (family -> symbols per fading epoch), each runner
     pass also carries the family's payload over its rows, every row on
-    that fading epoch's payload substream, and fills the bit counts of
-    every scheme it reads.  Returns each scheme's result, its columns over
-    the chunk's (angle epoch, fading epoch) rows.
+    that fading epoch's payload key, derived once per piece of fading
+    epochs for both families, and fills the bit counts of every scheme it
+    reads.  Returns each scheme's result, its columns over the chunk's
+    (angle epoch, fading epoch) rows.
     """
     mismatched = config.angle_error_std > 0
-    angles, los_gains = draw_angle_epochs(
-        config, surfaces, [substream(base_seed, g, a, _ANGLES) for g, a in rows]
-    )
+    pools = _stream_pools(base_seed, rows)
+    epoch_keys = _stream_keys(pools, [(_ANGLES,), (_MISMATCH,)] if mismatched else [(_ANGLES,)])
+    rng = _philox(epoch_keys[0, 0])
+    angles, los_gains = draw_angle_epochs(config, surfaces, epoch_keys[:, 0], rng)
     estimated = {}
     if mismatched:
-        estimated = dict(
-            rx_arrival=np.empty_like(angles["rx_arrival"]),
-            rx_departure=np.empty_like(angles["rx_departure"]),
+        estimated["rx_arrival"], estimated["rx_departure"] = _angle_errors(
+            config.angle_error_std, angles["rx_arrival"], angles["rx_departure"],
+            epoch_keys[:, 1], rng,
         )
-        for r, (g, a) in enumerate(rows):
-            estimated["rx_arrival"][r], estimated["rx_departure"][r] = _angle_errors(
-                config.angle_error_std,
-                angles["rx_arrival"][r],
-                angles["rx_departure"][r],
-                substream(base_seed, g, a, _MISMATCH),
-            )
     candidates = estimated.get("rx_arrival", angles["rx_arrival"])
     terms = SearchTerms(_candidate_gram(candidates, config.n_rx))
     families = [
@@ -362,11 +420,14 @@ def _run_chunk(
         for family, scheme, slots in _family_runs(schemes, config)
     ]
     pieces = {scheme: [] for scheme in schemes}
+    purposes = (_FADING, _PAYLOAD) if payload else (_FADING,)
     step = max(1, CHUNK_ROWS // len(rows))
     for start in range(0, n_fading_epochs, step):
         fading_indices = range(start, min(start + step, n_fading_epochs))
-        rngs = [[substream(base_seed, g, a, f, _FADING) for f in fading_indices] for g, a in rows]
-        tx_gains, rx_gains = draw_fading_gains(config, angles["n_elements"], los_gains, rngs)
+        keys = _stream_keys(pools, [(f, purpose) for purpose in purposes for f in fading_indices])
+        keys = keys.reshape(len(rows), len(purposes), len(fading_indices), 2)
+        tx_gains, rx_gains = draw_fading_gains(config, angles["n_elements"], los_gains,
+                                               keys[:, 0], rng)
         exact = HopStack(tx_gains=tx_gains, rx_gains=rx_gains, **angles)
         estimate = replace(exact, **estimated) if mismatched else exact
         for family, selections, slots in families:
@@ -375,12 +436,7 @@ def _run_chunk(
                 design_slots(selections, m, estimate, exact, refine=not multiplex)[0]
                 for m in range(selections[0].n_slots)
             ]
-            run_payload = None
-            if payload:
-                run_payload = (payload[family], [
-                    [substream(base_seed, g, a, f, _PAYLOAD) for f in fading_indices]
-                    for g, a in rows
-                ])
+            run_payload = (payload[family], keys[:, 1], rng) if payload else None
             run = _run_multiplex if multiplex else _run_beamform
             results = run(designs, powers, config.noise_power, slots, gamma_th, run_payload)
             for scheme, result in results.items():

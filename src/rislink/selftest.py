@@ -34,7 +34,14 @@ from .customize import (
     select_paths_stack,
 )
 from .errors import NoCrossingError, RislinkError
-from .montecarlo import TrialPlan, _angle_errors, estimate_ergodic_se, substream
+from .montecarlo import (
+    TrialPlan,
+    _angle_errors,
+    _stream_keys,
+    _stream_pools,
+    estimate_ergodic_se,
+    substream,
+)
 from .transceive import DEFAULT_OUTAGE_THRESHOLD, _run_beamform, _run_multiplex
 
 
@@ -42,10 +49,25 @@ def _draw_scene(config, seed=7, n_fading=1) -> HopStack:
     """One angle epoch and ``n_fading`` fading epochs of the engine's
     draws, a stack of that many rows: the angles on substream ``(seed,
     0)``, fading epoch ``f``'s gains on ``(seed, 0, 1 + f)``."""
-    angles, los_gains = draw_angle_epochs(config, surface_geometry(config), [substream(seed, 0)])
-    rngs = [[substream(seed, 0, 1 + f) for f in range(n_fading)]]
-    tx_gains, rx_gains = draw_fading_gains(config, angles["n_elements"], los_gains, rngs)
+    keys = _stream_keys(_stream_pools(seed, [(0,)]), [(), *((1 + f,) for f in range(n_fading))])
+    rng = substream(seed)
+    angles, los_gains = draw_angle_epochs(config, surface_geometry(config), keys[:, 0], rng)
+    tx_gains, rx_gains = draw_fading_gains(config, angles["n_elements"], los_gains, keys[:, 1:],
+                                           rng)
     return HopStack(tx_gains=tx_gains, rx_gains=rx_gains, **angles)
+
+
+def row_states(draw, rows) -> list[str]:
+    """The stream state that each row's draws leave, as the exact ``repr``
+    of its Philox state: ``draw(row, rng)`` draws ``row`` alone, re-keying
+    the fresh generator ``rng`` to it.  A draw of a block of rows re-keys
+    one generator, which keeps only the last row's state."""
+    states = []
+    for row in rows:
+        rng = substream(0)
+        draw(row, rng)
+        states.append(repr(rng.bit_generator.state))
+    return states
 
 
 def hop_matrix(hops: HopStack, link: str, k: int, a: int = 0, f: int = 0) -> np.ndarray:
@@ -250,29 +272,38 @@ _DRAWS_DIGEST = "addf73cd5d2598b9dfaa28878b9182dd89a430adb653d8c39746f3268590308
 
 def _check_draws() -> str:
     # Two angle epochs of the default config with angle error, two fading
-    # epochs each, and every generator's state after its draws.
+    # epochs each, and the stream state each epoch's draws leave.
     config = SystemConfig(angle_error_std=0.05)
-    rngs = [substream(29, a) for a in range(2)]
-    angles, los_gains = draw_angle_epochs(config, surface_geometry(config), rngs)
+    surfaces = surface_geometry(config)
+    keys = _stream_keys(_stream_pools(29, [(0,), (1,)]), [(), (1,), (2, 0), (2, 1)])
+    rng = substream(29)
+    angles, los_gains = draw_angle_epochs(config, surfaces, keys[:, 0], rng)
     arrays = [angles[name] for name in ("tx_arrival", "tx_departure", "rx_arrival",
                                         "rx_departure", "n_elements", "losses")] + [los_gains]
-    for a in range(2):
-        rngs.append(substream(29, a, 1))
-        arrays.extend(_angle_errors(config.angle_error_std, angles["rx_arrival"][a],
-                                    angles["rx_departure"][a], rngs[-1]))
-    fading = [[substream(29, a, 2, f) for f in range(2)] for a in range(2)]
-    arrays.extend(draw_fading_gains(config, angles["n_elements"], los_gains, fading))
-    rngs.extend(rng for row in fading for rng in row)
+    arrivals, departures = angles["rx_arrival"], angles["rx_departure"]
+    errors = _angle_errors(config.angle_error_std, arrivals, departures, keys[:, 1], rng)
+    arrays.extend(estimate[a] for a in range(2) for estimate in errors)
+    n_elements = angles["n_elements"]
+    arrays.extend(draw_fading_gains(config, n_elements, los_gains, keys[:, 2:], rng))
+    states = row_states(
+        lambda a, rng: draw_angle_epochs(config, surfaces, keys[a:a + 1, 0], rng), range(2))
+    states += row_states(lambda a, rng: _angle_errors(
+        config.angle_error_std, arrivals[a:a + 1], departures[a:a + 1], keys[a:a + 1, 1], rng,
+    ), range(2))
+    states += row_states(lambda af, rng: draw_fading_gains(
+        config, n_elements[af[0]:af[0] + 1], los_gains[af[0]:af[0] + 1],
+        keys[af[0]:af[0] + 1, 2 + af[1]:3 + af[1]], rng,
+    ), np.ndindex(2, 2))
     digest = hashlib.sha256()
     for array in arrays:
         digest.update(f"{array.dtype.str}{array.shape}".encode() + array.tobytes())
-    for rng in rngs:
+    for state in states:
         # The state holds arrays, whose repr is exact at these sizes.
-        digest.update(repr(rng.bit_generator.state).encode())
+        digest.update(state.encode())
     assert digest.hexdigest() == _DRAWS_DIGEST, (
         f"draw digest {digest.hexdigest()} != pinned {_DRAWS_DIGEST}"
     )
-    return f"{len(arrays)} arrays and {len(rngs)} generator states match the pinned digest"
+    return f"{len(arrays)} arrays and {len(states)} stream states match the pinned digest"
 
 
 def _check_substreams() -> str:
@@ -286,7 +317,23 @@ def _check_substreams() -> str:
         ours = substream(seed, *key).bit_generator.state
         oracle = np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)).state
         assert repr(ours) == repr(oracle), f"seed {seed}, key {key}: {ours} != {oracle}"
-    return "64 keys on seeds of up to 191 bits match SeedSequence's Philox keys"
+    # A chunk's keys in blocks, as the engine derives them: rows and tails
+    # whose words reach 2^32 and past, so tails of one, two and three
+    # words each take their own pass.
+    rows = [(0, 3), (1, 2**32 + 1), (2**40, 7)]
+    tails = [(1,), (3,), (0, 2), (2**32 + 9, 2), (5, 4), (2**33, 4)]
+    blocks = 0
+    for seed in (7, 2**64 + 5, 2**130 + 3):
+        keys = _stream_keys(_stream_pools(seed, rows), tails)
+        for r, row in enumerate(rows):
+            for t, tail in enumerate(tails):
+                sequence = np.random.SeedSequence(seed, spawn_key=row + tail)
+                oracle = sequence.generate_state(2, np.uint64)
+                assert keys[r, t].tolist() == oracle.tolist(), (
+                    f"seed {seed}, key {row + tail}: block key {keys[r, t]} != {oracle}")
+                blocks += 1
+    return (f"64 keys on seeds of up to 191 bits and {blocks} block keys of a chunk match "
+            "SeedSequence's Philox keys")
 
 
 def _outcome(solver, params) -> str:
@@ -344,21 +391,24 @@ def _check_payload() -> str:
         design = design_one(selection, hops, refine=not multiplex)[0]
         design = replace(design, exact_h=design.exact_h * drown)
 
-        def counts_and_states(rows, keys):
-            # Bit errors, bits sent and generator states, row f on key f.
-            rngs = [substream(37, int(multiplex), f) for f in keys]
+        def counts_and_state(rows, cells):
+            # Bit errors and bits sent per row, row f on key (37, family,
+            # f), and the stream state that the last row leaves.
+            keys = _stream_keys(_stream_pools(37, [(int(multiplex),)]), [(f,) for f in cells])
+            rng = substream(37)
             result = run([rows], np.array([config.transmit_power]), config.noise_power,
-                         {scheme: 1}, DEFAULT_OUTAGE_THRESHOLD, (500, [rngs]))
+                         {scheme: 1}, DEFAULT_OUTAGE_THRESHOLD, (500, keys, rng))
             return (result[scheme].bit_errors[0].tolist(), result[scheme].bits_sent[0].tolist(),
-                    [repr(rng.bit_generator.state) for rng in rngs])
+                    repr(rng.bit_generator.state))
 
-        block = counts_and_states(design, range(3))
+        block = counts_and_state(design, range(3))
         alone = [
-            counts_and_states(replace(design, xi_active=design.xi_active[:, f:f + 1],
-                                      exact_h=design.exact_h[:, f:f + 1]), [f])
+            counts_and_state(replace(design, xi_active=design.xi_active[:, f:f + 1],
+                                     exact_h=design.exact_h[:, f:f + 1]), [f])
             for f in range(3)
         ]
-        assert block == tuple(sum(parts, []) for parts in zip(*alone)), (
+        rows_alone = tuple(sum(parts, []) for parts in zip(*(row[:2] for row in alone)))
+        assert block == (*rows_alone, alone[-1][2]), (
             f"{scheme} block {block[0]} != rows alone {[row[0] for row in alone]}"
         )
         counts.append(f"{'/'.join(map(str, block[0]))} of {block[1][0]}")

@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .channel import rekey
 from .customize import DesignStack
 
 DEFAULT_OUTAGE_THRESHOLD = 10.0  # linear SNR, i.e. 10 dB
@@ -107,8 +108,9 @@ def _check_slots(designs: Sequence[DesignStack]) -> None:
             raise ValueError(f"slot channel {m} was built for slot {design.slot}")
 
 
-# A block's payload: QPSK symbols per row and each row's generator rngs[a][f].
-_Payload = tuple[int, Sequence[Sequence[np.random.Generator]]]
+# A block's payload: QPSK symbols per row, each row's Philox key keys[a, f]
+# (A, F, 2) and the generator to re-key to them.
+_Payload = tuple[int, np.ndarray, np.random.Generator]
 
 
 def _write_counts(out: dict[str, SchemeResult], slots: dict[str, int], sent: int,
@@ -264,7 +266,8 @@ def payload_errors(
     links: Sequence,
     noise_power: float,
     symbols: int,
-    rngs: Sequence[Sequence[np.random.Generator]],
+    keys: np.ndarray,
+    rng: np.random.Generator,
     multiplex: bool,
 ) -> tuple[int, np.ndarray]:
     """Push Gray-coded QPSK payload through the exact slot channels of a
@@ -273,7 +276,9 @@ def payload_errors(
     ``designs`` holds each slot's design over (A, F) rows and ``links``
     each slot's transceiver as the runner built it: the precoder, stream
     matrix and rotation of :func:`_multiplex_slot`, or the matched filter
-    of :func:`_beam_combiner`.  Row (a, f) draws from ``rngs[a][f]``.
+    of :func:`_beam_combiner`.  Row (a, f) draws on Philox key
+    ``keys[a, f]``, shape (A, F, 2), with ``rng`` re-keyed to it
+    (:func:`rislink.channel.rekey`).
 
     ``symbols`` channel uses are simulated at once per row; multiplexing
     carries one QPSK symbol per stream per use, beamforming one per use.
@@ -281,7 +286,7 @@ def payload_errors(
     spectral-efficiency runners, and sign-detected after every slot.
     Returns the bits sent per row and the cumulative bit errors, shape
     (slots, A, F): entry ``[m, a, f]`` is what a pass over
-    ``designs[:m + 1]`` counts in row (a, f) with the same generator,
+    ``designs[:m + 1]`` counts in row (a, f) on the same key,
     because each row draws its bits and then each slot's noise in slot
     order.  The work arrays are allocated once per call; every row
     writes each of them before it reads it.
@@ -291,9 +296,9 @@ def payload_errors(
     if len(links) != len(designs):
         raise ValueError(f"got {len(links)} slot transceivers for {len(designs)} slot designs")
     n_angle, n_fading, n_rx, n_tx = designs[0].exact_h.shape
-    if len(rngs) != n_angle or any(len(row) != n_fading for row in rngs):
-        raise ValueError(f"payload generators do not match the designs' {n_angle} x "
-                         f"{n_fading} rows")
+    if keys.shape != (n_angle, n_fading, 2):
+        raise ValueError(f"payload keys of shape {keys.shape} do not match the designs' "
+                         f"{n_angle} x {n_fading} rows")
     per_use = (designs[0].r_active.shape[-1], symbols) if multiplex else (symbols,)
     index = np.empty(per_use, dtype=np.int64)
     points = np.empty(per_use, dtype=complex)
@@ -306,9 +311,9 @@ def payload_errors(
     combined = np.empty(per_use, dtype=complex)
     flips = np.empty(per_use, dtype=bool)
     errors = np.zeros((len(designs), n_angle, n_fading), dtype=np.int64)
-    for a, row_rngs in enumerate(rngs):
-        for f, rng in enumerate(row_rngs):
-            bits = rng.integers(0, 2, size=negative.shape)
+    for a, row_keys in enumerate(keys.tolist()):
+        for f, key in enumerate(row_keys):
+            bits = rekey(rng, key).integers(0, 2, size=negative.shape)
             sent = _qpsk_modulate(bits, index, points)
             np.not_equal(bits, 0, out=negative)
             combined.fill(0)

@@ -66,11 +66,32 @@ def draw_scene(config: rl.SystemConfig, seed: int = BASE_SEED, *key: int) -> Hop
     )
 
 
+def key_of(rng: np.random.Generator) -> np.ndarray:
+    """The Philox key of a generator, such as one ``rl.substream`` built."""
+    return rng.bit_generator.state["state"]["key"]
+
+
+def stream_keys(seed: int, cells) -> np.ndarray:
+    """The Philox keys of ``rl.substream(seed, *cell)`` for every key tuple
+    of a (nested) list of cells: shape (..., 2)."""
+    if isinstance(cells, tuple):
+        return key_of(rl.substream(seed, *cells))
+    return np.array([stream_keys(seed, cell) for cell in cells], dtype=np.uint64)
+
+
+def streams(seed: int, cells) -> tuple[np.ndarray, np.random.Generator]:
+    """What a draw takes in place of one ``rl.substream(seed, *cell)`` per
+    cell: the cells' keys (:func:`stream_keys`) and a generator to re-key."""
+    return stream_keys(seed, cells), rl.substream(seed)
+
+
 def with_fading(config: rl.SystemConfig, hops: HopStack, rngs) -> HopStack:
     """A stack of one angle epoch with the gains of one fading epoch per
-    generator in ``rngs``, on the same angle arrays."""
+    generator in ``rngs``, each on that generator's key, on the same angle
+    arrays."""
     tx_gains, rx_gains = draw_fading_gains(
-        config, hops.n_elements, hops.tx_gains[:, 0, :, 0].real, [rngs]
+        config, hops.n_elements, hops.tx_gains[:, 0, :, 0].real,
+        np.array([[key_of(rng) for rng in rngs]]), rl.substream(0),
     )
     return replace(hops, tx_gains=tx_gains, rx_gains=rx_gains)
 

@@ -26,9 +26,24 @@ from rislink.channel import (
 )
 from rislink.config import drop_receiver, receiver_losses, surface_geometry
 from rislink.montecarlo import _angle_errors
-from rislink.selftest import dense_composite, design_one, hop_matrix, phase_profile, select_one
+from rislink.selftest import (
+    dense_composite,
+    design_one,
+    hop_matrix,
+    phase_profile,
+    row_states,
+    select_one,
+)
 
-from conftest import BASE_SEED, draw_scene, random_profiles, small_config, with_fading
+from conftest import (
+    BASE_SEED,
+    draw_scene,
+    random_profiles,
+    small_config,
+    stream_keys,
+    streams,
+    with_fading,
+)
 
 
 def _circular_gap(a: np.ndarray, b: float) -> np.ndarray:
@@ -160,8 +175,8 @@ class TestMultipathDraws:
 
     def test_receive_gains_zero_mean(self):
         config = rl.SystemConfig(n_tx=8, n_rx=2, n_ris=2, n_ris_rx_paths=4)
-        rngs = [[rl.substream(BASE_SEED, 12, i) for i in range(2000)]]
-        _, gains = draw_fading_gains(config, np.array([[24]]), np.ones((1, 1)), rngs)
+        _, gains = draw_fading_gains(config, np.array([[24]]), np.ones((1, 1)),
+                                     *streams(BASE_SEED, [[(12, i) for i in range(2000)]]))
         scale = math.sqrt(config.n_rx * 24 / config.n_ris_rx_paths)
         assert abs(gains.mean()) / scale < 0.02
 
@@ -205,7 +220,7 @@ class TestMultipathDraws:
         names = _ANGLE_ARRAYS + ("tx_gains", "rx_gains")
         before = [getattr(hops, name).tobytes() for name in names]
         with_fading(config, hops, [rl.substream(BASE_SEED, 25)])
-        _angle_errors(0.05, hops.rx_arrival[0], hops.rx_departure[0], rl.substream(BASE_SEED, 26))
+        _angle_errors(0.05, hops.rx_arrival, hops.rx_departure, *streams(BASE_SEED, [(26,)]))
         assert [getattr(hops, name).tobytes() for name in names] == before
 
     def test_stacked_redraw_matches_epoch_by_epoch(self):
@@ -226,16 +241,16 @@ class TestMultipathDraws:
         # do not depend on how the chunk is cut.
         config = rl.SystemConfig(n_nlos_tx_paths=n_nlos, n_ris_rx_paths=5)
         angles, los_gains = draw_angle_epochs(
-            config, surface_geometry(config), [rl.substream(BASE_SEED, 40 + a) for a in range(2)])
+            config, surface_geometry(config), *streams(BASE_SEED, [(40 + a,) for a in range(2)]))
         tx_gains, rx_gains = draw_fading_gains(
             config, angles["n_elements"], los_gains,
-            [[rl.substream(BASE_SEED, 30, a, f) for f in range(3)] for a in range(2)],
+            *streams(BASE_SEED, [[(30, a, f) for f in range(3)] for a in range(2)]),
         )
         for a in range(2):
             for f in range(3):
                 tx, rx = draw_fading_gains(config, angles["n_elements"][a:a + 1],
                                            los_gains[a:a + 1],
-                                           [[rl.substream(BASE_SEED, 30, a, f)]])
+                                           *streams(BASE_SEED, [[(30, a, f)]]))
                 assert tx_gains[a, f].tobytes() == tx[0, 0].tobytes()
                 assert rx_gains[a, f].tobytes() == rx[0, 0].tobytes()
 
@@ -362,11 +377,6 @@ class TestMultipathDraws:
         assert hops.rx_gains.shape[-1] == 10
 
 
-def _state(rng) -> str:
-    # The state holds small arrays, whose repr is exact.
-    return repr(rng.bit_generator.state)
-
-
 def _assert_array_draws_obey_the_model(config, key, n_angle):
     """The model's rules on a block of array draws: the line of sight from
     the geometry, surfaces sized from the drop, every surface-side
@@ -374,10 +384,9 @@ def _assert_array_draws_obey_the_model(config, key, n_angle):
     to the packing limit), far-side frequencies in [-pi, pi], a rerun equal
     bit for bit, and angle errors only on the receive-side frequencies."""
     surfaces = surface_geometry(config)
-    rngs = [rl.substream(BASE_SEED, 70, key, a) for a in range(n_angle)]
-    angles, los_gains = draw_angle_epochs(config, surfaces, rngs)
-    again, _ = draw_angle_epochs(config, surfaces,
-                                 [rl.substream(BASE_SEED, 70, key, a) for a in range(n_angle)])
+    cells = [(70, key, a) for a in range(n_angle)]
+    angles, los_gains = draw_angle_epochs(config, surfaces, *streams(BASE_SEED, cells))
+    again, _ = draw_angle_epochs(config, surfaces, *streams(BASE_SEED, cells))
     assert all(angles[name].tobytes() == again[name].tobytes() for name in _ANGLE_ARRAYS)
     assert (angles["tx_arrival"][..., 0] == surfaces.los_arrival).all()
     assert (angles["tx_departure"][..., 0] == surfaces.los_departure).all()
@@ -397,9 +406,10 @@ def _assert_array_draws_obey_the_model(config, key, n_angle):
         far = np.concatenate([angles["tx_departure"][a], angles["rx_arrival"][a]], axis=None)
         assert (np.abs(far) <= math.pi).all()
         if config.angle_error_std:
-            rng = rl.substream(BASE_SEED, 71, key, a)
             arrivals, departures = _angle_errors(
-                config.angle_error_std, angles["rx_arrival"][a], angles["rx_departure"][a], rng)
+                config.angle_error_std, angles["rx_arrival"][a:a + 1],
+                angles["rx_departure"][a:a + 1], *streams(BASE_SEED, [(71, key, a)]))
+            arrivals, departures = arrivals[0], departures[0]
             errors = config.angle_error_std * rl.substream(BASE_SEED, 71, key, a).standard_normal(
                 (config.n_ris, 2, config.n_ris_rx_paths))
             assert np.allclose(arrivals - angles["rx_arrival"][a], errors[:, 0], rtol=0,
@@ -460,7 +470,7 @@ class TestArrayAngleDraws:
                             lambda *args: sampler(*args, max_attempts=1))
         config = rl.SystemConfig(n_ris_rx_paths=40)
         with pytest.raises(rl.SamplingError):
-            draw_angle_epochs(config, surface_geometry(config), [rl.substream(BASE_SEED, 72)])
+            draw_angle_epochs(config, surface_geometry(config), *streams(BASE_SEED, [(72,)]))
 
 
 _NAMED_CONFIGS = [
@@ -499,25 +509,40 @@ def _update(digest, *arrays):
 
 def _draw_digests(cases, n_fading=2):
     """sha256 of the array draws of every (config, key, angle epochs) case
-    and of their generators' states afterwards: every angle array and the
-    line-of-sight gains; with angle error, each angle epoch's perturbed
-    receive-side frequencies; the gains of ``n_fading`` fading epochs."""
+    and of the stream states that each epoch's draws leave: every angle
+    array and the line-of-sight gains; with angle error, each angle epoch's
+    perturbed receive-side frequencies; the gains of ``n_fading`` fading
+    epochs."""
     arrays, states = hashlib.sha256(), hashlib.sha256()
     for config, key, n_angle in cases:
-        rngs = [rl.substream(BASE_SEED, 70, key, a) for a in range(n_angle)]
-        angles, los_gains = draw_angle_epochs(config, surface_geometry(config), rngs)
+        surfaces = surface_geometry(config)
+        angle_keys, rng = streams(BASE_SEED, [(70, key, a) for a in range(n_angle)])
+        angles, los_gains = draw_angle_epochs(config, surfaces, angle_keys, rng)
         _update(arrays, *(angles[name] for name in _ANGLE_ARRAYS), los_gains)
+        left = row_states(
+            lambda a, rng: draw_angle_epochs(config, surfaces, angle_keys[a:a + 1], rng),
+            range(n_angle))
         if config.angle_error_std:
+            error_keys = stream_keys(BASE_SEED, [(71, key, a) for a in range(n_angle)])
+            arrivals, departures = angles["rx_arrival"], angles["rx_departure"]
+            estimates = _angle_errors(config.angle_error_std, arrivals, departures, error_keys,
+                                      rng)
             for a in range(n_angle):
-                error_rng = rl.substream(BASE_SEED, 71, key, a)
-                _update(arrays, *_angle_errors(config.angle_error_std, angles["rx_arrival"][a],
-                                               angles["rx_departure"][a], error_rng))
-                rngs.append(error_rng)
-        fading_rngs = [[rl.substream(BASE_SEED, 72, key, a, f) for f in range(n_fading)]
-                       for a in range(n_angle)]
-        _update(arrays, *draw_fading_gains(config, angles["n_elements"], los_gains, fading_rngs))
-        for rng in rngs + [rng for row in fading_rngs for rng in row]:
-            states.update(_state(rng).encode())
+                _update(arrays, estimates[0][a], estimates[1][a])
+            left += row_states(lambda a, rng: _angle_errors(
+                config.angle_error_std, arrivals[a:a + 1], departures[a:a + 1],
+                error_keys[a:a + 1], rng,
+            ), range(n_angle))
+        fading_keys = stream_keys(BASE_SEED, [[(72, key, a, f) for f in range(n_fading)]
+                                              for a in range(n_angle)])
+        n_elements = angles["n_elements"]
+        _update(arrays, *draw_fading_gains(config, n_elements, los_gains, fading_keys, rng))
+        left += row_states(lambda af, rng: draw_fading_gains(
+            config, n_elements[af[0]:af[0] + 1], los_gains[af[0]:af[0] + 1],
+            fading_keys[af[0]:af[0] + 1, af[1]:af[1] + 1], rng,
+        ), np.ndindex(n_angle, n_fading))
+        for state in left:
+            states.update(state.encode())
     return arrays.hexdigest(), states.hexdigest()
 
 

@@ -23,7 +23,14 @@ from rislink.errors import SearchSpaceError, SelectionInfeasibleError
 from rislink.montecarlo import _angle_errors
 from rislink.selftest import design_one, select_one
 
-from conftest import BASE_SEED, design_row, draw_scene, model_channel, scalar_phase_design
+from conftest import (
+    BASE_SEED,
+    design_row,
+    draw_scene,
+    model_channel,
+    scalar_phase_design,
+    streams,
+)
 
 
 def _gram_objective(freqs, n_rx: int, off_diagonal: float) -> float:
@@ -498,10 +505,9 @@ class TestCustomizedChannel:
         # Selection and phase design run on the perturbed estimate, but
         # the exact channel must be assembled from the true draws.
         config, hops = self._scene((61,))
-        arrivals, departures = _angle_errors(0.05, hops.rx_arrival[0], hops.rx_departure[0],
-                                             rl.substream(BASE_SEED, 62))
-        estimate = dataclasses.replace(hops, rx_arrival=arrivals[None],
-                                       rx_departure=departures[None])
+        arrivals, departures = _angle_errors(0.05, hops.rx_arrival, hops.rx_departure,
+                                             *streams(BASE_SEED, [(62,)]))
+        estimate = dataclasses.replace(hops, rx_arrival=arrivals, rx_departure=departures)
         selection = select_one(estimate.rx_arrival[0], config.n_rx, "sm")
         design, slopes, commons = design_one(selection, estimate, exact=hops)
         h_true = composite(hops, slopes, commons)
@@ -543,7 +549,7 @@ class TestArrayPhaseDesign:
     def _stack(config, rng, n_angle, n_fading, zeros):
         angles, _ = draw_angle_epochs(
             config, surface_geometry(config),
-            [rl.substream(BASE_SEED, 60, n_angle, a) for a in range(n_angle)],
+            *streams(BASE_SEED, [(60, n_angle, a) for a in range(n_angle)]),
         )
         n_ris, n_tx_paths = angles["tx_arrival"].shape[1:]
         return HopStack(

@@ -15,7 +15,13 @@ from scipy import stats
 import rislink as rl
 import rislink.montecarlo as mc
 from rislink import transceive
-from rislink.channel import HopStack, _complex_normal, draw_angle_epochs, draw_fading_gains
+from rislink.channel import (
+    HopStack,
+    _complex_normal,
+    draw_angle_epochs,
+    draw_fading_gains,
+    rekey,
+)
 from rislink.config import surface_geometry
 from rislink.errors import ConfigurationError
 from rislink.selftest import design_one, select_one
@@ -23,10 +29,12 @@ from rislink.selftest import design_one, select_one
 from conftest import (
     BASE_SEED,
     assert_same_columns,
+    key_of,
     result_rows,
     row_powers,
     slot_links,
     small_config,
+    streams,
 )
 
 
@@ -97,7 +105,7 @@ class TestSubstreamKeys:
 
     @pytest.mark.parametrize("seed, key", [
         (-1, ()), (-(2**70), (3,)), (5, (-1,)), (2**130, (2, -3)), (5, (1, 2, -(2**64))),
-        (1.5, ()), (2.0, (1,)),
+        (1.5, ()), (2.0, (1,)), (5, (1.5,)), (5, (2.0,)), (5, (np.float64(3.0),)),
     ])
     def test_bad_inputs_raise_like_seed_sequence(self, seed, key):
         with pytest.raises(Exception) as expected:
@@ -114,6 +122,55 @@ class TestSubstreamKeys:
                         (4, np.uint64), (2, np.int64)]:
             with pytest.raises(ValueError):
                 shim.generate_state(*request)
+
+
+# The engine's key shapes: each chunk row's (grid index, angle epoch)
+# prefix, and the tails of its angle, angle-error, fading and payload
+# substreams, with key words of one, two and three 32-bit words.
+_BLOCK_ROWS = [(0, 0), (3, 2**32 + 7), (2**40 + 1, 5)]
+_FADING_INDICES = [0, 9, 2**32 + 3, 2**64 + 1]
+_ENGINE_TAILS = [(mc._ANGLES,), (mc._MISMATCH,)] + [
+    (f, purpose) for purpose in (mc._FADING, mc._PAYLOAD) for f in _FADING_INDICES
+]
+
+
+class TestBlockKeys:
+    """The engine derives a chunk's Philox keys in array passes and re-keys
+    one generator before each row; every key, and every re-keyed row's
+    draws, must be those of ``substream`` for that cell."""
+
+    @pytest.mark.parametrize("seed", [BASE_SEED, 2**64 + 11, 2**128 + 5])
+    def test_block_keys_equal_substream_keys(self, seed):
+        pools = mc._stream_pools(seed, _BLOCK_ROWS)
+        # All tails in one call, so tails of different word counts meet in
+        # one block, and each purpose's tails alone, as the engine asks.
+        blocks = [(_ENGINE_TAILS, mc._stream_keys(pools, _ENGINE_TAILS))]
+        blocks += [([tail], mc._stream_keys(pools, [tail])) for tail in _ENGINE_TAILS[:2]]
+        blocks += [(tails, mc._stream_keys(pools, tails))
+                   for tails in (_ENGINE_TAILS[2:6], _ENGINE_TAILS[6:])]
+        for tails, keys in blocks:
+            assert keys.shape == (len(_BLOCK_ROWS), len(tails), 2) and keys.dtype == np.uint64
+            for r, row in enumerate(_BLOCK_ROWS):
+                for t, tail in enumerate(tails):
+                    expected = key_of(rl.substream(seed, *row, *tail))
+                    assert keys[r, t].tolist() == expected.tolist(), (row, tail)
+
+    @pytest.mark.parametrize("seed", [BASE_SEED, 2**64 + 11, 2**128 + 5])
+    def test_rekeyed_rows_draw_as_fresh_substreams(self, seed):
+        # Each row leaves Philox partway through its buffer (three doubles
+        # of a four-word block) and with a stored 32-bit half (five bits),
+        # so a re-key that kept either would shift the next row's draws.
+        keys = mc._stream_keys(mc._stream_pools(seed, _BLOCK_ROWS), _ENGINE_TAILS)
+        rng = rl.substream(0)
+        for row, row_keys in zip(_BLOCK_ROWS, keys):
+            for tail, key in zip(_ENGINE_TAILS, row_keys):
+                fresh = rl.substream(seed, *row, *tail)
+                rekey(rng, key.tolist())
+                for draw in (lambda g: g.random(3), lambda g: g.integers(0, 2, 5),
+                             lambda g: g.standard_normal(3)):
+                    assert draw(rng).tobytes() == draw(fresh).tobytes(), (row, tail)
+                assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
+                assert rng.bit_generator.state["has_uint32"] == 1
 
 
 class TestFadingStatistics:
@@ -143,12 +200,12 @@ class TestAngleErrorInjection:
     def _angles(self):
         config = rl.SystemConfig()
         angles, _ = draw_angle_epochs(config, surface_geometry(config),
-                                      [rl.substream(BASE_SEED, 113)])
-        return angles["rx_arrival"][0], angles["rx_departure"][0]
+                                      *streams(BASE_SEED, [(113,)]))
+        return angles["rx_arrival"], angles["rx_departure"]
 
     def test_zero_sigma_is_identity(self):
         arrivals, departures = self._angles()
-        got = mc._angle_errors(0.0, arrivals, departures, rl.substream(BASE_SEED, 116))
+        got = mc._angle_errors(0.0, arrivals, departures, *streams(BASE_SEED, [(116,)]))
         assert [g.tobytes() for g in got] == [arrivals.tobytes(), departures.tobytes()]
 
     def test_transmit_hop_never_perturbed(self):
@@ -156,14 +213,14 @@ class TestAngleErrorInjection:
         # for the transmit side, whose geometry is known exactly.
         arrivals, departures = self._angles()
         rng, replay = rl.substream(BASE_SEED, 117), rl.substream(BASE_SEED, 117)
-        mc._angle_errors(0.3, arrivals, departures, rng)
+        mc._angle_errors(0.3, arrivals, departures, key_of(rng)[None], rng)
         replay.standard_normal(2 * arrivals.size)
         assert repr(rng.bit_generator.state) == repr(replay.bit_generator.state)
 
     def test_perturbs_frequencies_not_gains(self):
         arrivals, departures = self._angles()
         sigma = 0.05
-        perturbed = mc._angle_errors(sigma, arrivals, departures, rl.substream(BASE_SEED, 118))
+        perturbed = mc._angle_errors(sigma, arrivals, departures, *streams(BASE_SEED, [(118,)]))
         assert not np.array_equal(perturbed[0], arrivals)
         assert not np.array_equal(perturbed[1], departures)
         # Additive real Gaussian on the spatial frequencies, so offsets
@@ -272,15 +329,15 @@ def _per_epoch_oracle(config, schemes, grid_index, epoch_index, n_fading_epochs,
     Returns each scheme's columns over the angle epoch's (1, F) rows."""
     angles, los_gains = draw_angle_epochs(
         config, surface_geometry(config),
-        [mc.substream(base_seed, grid_index, epoch_index, mc._ANGLES)],
+        *streams(base_seed, [(grid_index, epoch_index, mc._ANGLES)]),
     )
     estimated = {}
     if config.angle_error_std > 0:
         arrivals, departures = mc._angle_errors(
-            config.angle_error_std, angles["rx_arrival"][0], angles["rx_departure"][0],
-            mc.substream(base_seed, grid_index, epoch_index, mc._MISMATCH),
+            config.angle_error_std, angles["rx_arrival"], angles["rx_departure"],
+            *streams(base_seed, [(grid_index, epoch_index, mc._MISMATCH)]),
         )
-        estimated = dict(rx_arrival=arrivals[None], rx_departure=departures[None])
+        estimated = dict(rx_arrival=arrivals, rx_departure=departures)
     candidates = estimated.get("rx_arrival", angles["rx_arrival"])[0]
     selections = {
         scheme: select_one(candidates, config.n_rx, scheme,
@@ -289,9 +346,9 @@ def _per_epoch_oracle(config, schemes, grid_index, epoch_index, n_fading_epochs,
     }
     out = {scheme: [] for scheme in schemes}
     for fading_index in range(n_fading_epochs):
-        fading_rng = mc.substream(base_seed, grid_index, epoch_index, fading_index, mc._FADING)
+        fading_cell = (grid_index, epoch_index, fading_index, mc._FADING)
         tx_gains, rx_gains = draw_fading_gains(config, angles["n_elements"], los_gains,
-                                               [[fading_rng]])
+                                               *streams(base_seed, [[fading_cell]]))
         exact = HopStack(tx_gains=tx_gains, rx_gains=rx_gains, **angles)
         estimate = dataclasses.replace(exact, **estimated)
         for scheme in schemes:
@@ -306,12 +363,11 @@ def _per_epoch_oracle(config, schemes, grid_index, epoch_index, n_fading_epochs,
             result = run(designs, powers, config.noise_power, {scheme: len(designs)},
                          gamma_th)[scheme]
             if payload_symbols is not None:
-                payload_rng = mc.substream(base_seed, grid_index, epoch_index, fading_index,
-                                           mc._PAYLOAD)
+                payload_cell = (grid_index, epoch_index, fading_index, mc._PAYLOAD)
                 family = "multiplex" if multiplex else "beamform"
                 sent, errors = transceive.payload_errors(
                     designs, slot_links(designs, powers, multiplex), config.noise_power,
-                    payload_symbols[family], [[payload_rng]], multiplex,
+                    payload_symbols[family], *streams(base_seed, [[payload_cell]]), multiplex,
                 )
                 result.bit_errors[0, 0], result.bits_sent[0, 0] = errors[-1, 0, 0], sent
             out[scheme].append(result)

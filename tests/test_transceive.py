@@ -29,10 +29,12 @@ from conftest import (
     BASE_SEED,
     design_row,
     draw_scene,
+    key_of,
     result_rows,
     row_powers,
     slot_links,
     small_config,
+    streams,
     with_fading,
 )
 
@@ -54,11 +56,11 @@ def _rows(designs):
 
 
 def _pass(designs, config, symbols, rng, multiplex):
-    """One payload pass over slot designs of one row: the bits sent and the
-    errors after each slot, as a tuple."""
+    """One payload pass over slot designs of one row, on ``rng`` and its
+    key: the bits sent and the errors after each slot, as a tuple."""
     sent, errors = transceive.payload_errors(
         designs, slot_links(designs, row_powers(config, designs), multiplex), config.noise_power,
-        symbols, [[rng]], multiplex)
+        symbols, key_of(rng)[None, None], rng, multiplex)
     return sent, tuple(errors[:, 0, 0].tolist())
 
 
@@ -284,17 +286,17 @@ class TestBitErrorTrials:
         for wrong in (links[:1], links + links[:1]):
             with pytest.raises(ValueError, match="slot transceivers"):
                 transceive.payload_errors(designs, wrong, config.noise_power, 10,
-                                          [[rl.substream(BASE_SEED, 92)]], multiplex)
+                                          *streams(BASE_SEED, [[(92,)]]), multiplex)
 
     @pytest.mark.parametrize("grid", [(0, 1), (2, 1), (1, 0), (1, 2)])
     def test_generators_of_other_rows_rejected(self, grid):
         config = small_config()
         designs = _designs(config, (93,), "sm")
-        rngs = [[rl.substream(BASE_SEED, 94, a, f) for f in range(grid[1])]
-                for a in range(grid[0])]
+        keys, rng = streams(BASE_SEED, [[(94, a, f) for f in range(grid[1])]
+                                        for a in range(grid[0])])
         links = slot_links(designs, row_powers(config, designs), True)
-        with pytest.raises(ValueError, match="payload generators"):
-            transceive.payload_errors(designs, links, config.noise_power, 10, rngs, True)
+        with pytest.raises(ValueError, match="payload keys"):
+            transceive.payload_errors(designs, links, config.noise_power, 10, keys, rng, True)
 
 
 class TestPayloadRungs:
@@ -373,7 +375,7 @@ class TestStackedEpochs:
         sent, errors = transceive.payload_errors(
             stacked_designs, slot_links(stacked_designs, row_powers(config, stacked_designs),
                                         multiplex), config.noise_power, 50,
-            [[rl.substream(BASE_SEED, 95, f) for f in keys]], multiplex)
+            *streams(BASE_SEED, [[(95, f) for f in keys]]), multiplex)
         for f in keys:
             single_hops = with_fading(config, hops, [rl.substream(BASE_SEED, 94, f)])
             singles = [design_one(selection, single_hops, slot=m, refine=refine)
@@ -445,11 +447,11 @@ class TestPayloadBlocks:
         powers = np.array([1.0, 0.1])
         multiplex = scheme == "ds"
         angles, los_gains = draw_angle_epochs(
-            config, surface_geometry(config), [rl.substream(BASE_SEED, 110, a) for a in range(2)])
+            config, surface_geometry(config), *streams(BASE_SEED, [(110, a) for a in range(2)]))
         keys = [[(a, f) for f in range(3)] for a in range(2)]
         tx_gains, rx_gains = draw_fading_gains(
             config, angles["n_elements"], los_gains,
-            [[rl.substream(BASE_SEED, 111, *key) for key in row] for row in keys])
+            *streams(BASE_SEED, [[(111, *key) for key in row] for row in keys]))
         hops = HopStack(tx_gains=tx_gains, rx_gains=rx_gains, **angles)
         terms = SearchTerms(_candidate_gram(angles["rx_arrival"], config.n_rx))
         selections = select_paths_stack(terms, config.n_ris_rx_paths, config.n_rx, scheme, 2)
@@ -462,10 +464,11 @@ class TestPayloadBlocks:
             for design in (design_slots(selections, m, hops, hops, refine=not multiplex)[0]
                            for m in range(2))
         ]
-        rngs = [[rl.substream(BASE_SEED, 112, *key) for key in row] for row in keys]
+        payload_keys, block_rng = streams(BASE_SEED, [[(112, *key) for key in row]
+                                                      for row in keys])
         sent, errors = transceive.payload_errors(
             designs, slot_links(designs, powers, multiplex), config.noise_power, self.SYMBOLS,
-            rngs, multiplex)
+            payload_keys, block_rng, multiplex)
         block_observed = list(observed)
         assert errors.shape == (2, 2, 3)
         assert errors[-1, 0, 1] > 0.3 * sent > errors[-1, 0, 2] > 0
@@ -476,15 +479,16 @@ class TestPayloadBlocks:
             alone = _pass([_row_block(design, a, f) for design in designs],
                           config.replace(transmit_power=powers[a]), self.SYMBOLS, rng, multiplex)
             assert (sent, tuple(errors[:, a, f].tolist())) == alone, (a, f)
-            assert repr(rngs[a][f].bit_generator.state) == repr(rng.bit_generator.state)
             alone_observed += observed
         assert block_observed == alone_observed
+        # The block's one generator ends where the last row alone leaves it.
+        assert repr(block_rng.bit_generator.state) == repr(rng.bit_generator.state)
         # The runner's result rows, bit counts included, likewise.
         run = _run_multiplex if multiplex else _run_beamform
 
         def rows_run(block_designs, block_powers, payload_keys):
-            payload = (self.SYMBOLS, [[rl.substream(BASE_SEED, 112, *key) for key in row]
-                                      for row in payload_keys])
+            payload = (self.SYMBOLS, *streams(BASE_SEED, [[(112, *key) for key in row]
+                                                          for row in payload_keys]))
             return result_rows(run(block_designs, block_powers, config.noise_power, {scheme: 2},
                                    DEFAULT_OUTAGE_THRESHOLD, payload)[scheme])
 
