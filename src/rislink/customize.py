@@ -12,10 +12,11 @@ matrix is to a target (identity for multiplexing, all-ones for
 beamforming); searches are exact, skipping by bound only what cannot win,
 with deterministic lexicographic tie-breaking so equal inputs always
 yield equal selections.  Selection and design work on stacks of angle
-epochs: :func:`select_paths_stack` runs every angle epoch's search from
-one :class:`SearchTerms`, and :func:`design_slots` designs one slot for
-every (angle epoch, fading epoch) row of a :class:`HopStack` into a
-:class:`DesignStack`.  One angle epoch is a stack of one.
+epochs: :func:`select_paths_stack` runs every scheme's searches of every
+angle epoch from one :class:`SearchTerms`, one stacked search per slot,
+and :func:`design_slots` designs one slot for every (angle epoch, fading
+epoch) row of a :class:`HopStack` into a :class:`DesignStack`.  One
+angle epoch is a stack of one.
 
 Every profile is linear in the element index (element ``i`` applies ``i *
 slope + c`` radians): its slope retargets one path pair onto the cascaded
@@ -38,11 +39,10 @@ from .errors import SearchSpaceError, SelectionInfeasibleError
 
 SCHEME_TAGS = ("sm", "bf", "ds", "db")
 DEFAULT_SEARCH_CAP = 10_000_000
-# Tuples up to which one dense evaluation is as fast as bounding (on a
-# 2-core x86 host the two break even near 10^4 tuples of four groups, and
-# bounding is 1.25x faster at 12^4).
-DENSE_SEARCH_LIMIT = 1 << 14
-# Objective elements the bounded search evaluates at a time.
+# Objective elements the bounded search evaluates at a time, and above
+# which a stacked search of three or more groups bounds rather than runs
+# dense (on a 2-core x86 host the two break even between about 2 x 10^4
+# stacked elements of four or five groups and 7 x 10^4 of three).
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -89,23 +89,34 @@ class SearchTerms:
         self.unary = np.abs(np.real(np.diagonal(gram, axis1=-2, axis2=-1)) - 1.0) ** 2
 
     def gather(
-        self, groups: Sequence[np.ndarray], target_off_diagonal: float
+        self, searches: Sequence[tuple[Sequence[np.ndarray], float]]
     ) -> tuple[list[np.ndarray], dict[tuple[int, int], np.ndarray]]:
-        """The terms of one search, each with a leading row axis: per
-        group, the unary terms of its indices, and per group pair ``a < b``
-        (keyed in lexicographic order) ``2 |G_ab - target|^2``.  ``groups``
-        holds flat candidate indices of shape (A, S), or (S,) for every row
-        alike."""
-        rows = np.arange(len(self.gram))[:, None]
-        groups = [np.asarray(g) for g in groups]
-        unary = [self.unary[rows, g] for g in groups]
+        """The terms of a stack of searches of equal group sizes, each
+        search's A rows after the last's: per group, the unary terms of its
+        indices, and per group pair ``a < b`` (keyed in lexicographic order)
+        ``2 |G_ab - target|^2``.  Each search holds its groups, flat
+        candidate indices of shape (A, S) or (S,) for every row alike, and
+        its target off-diagonal.  Each search's terms are written into its
+        block of C-ordered stack arrays."""
+        n_angle = len(self.gram)
+        rows = np.arange(n_angle)[:, None]
+        sizes = [np.shape(g)[-1] for g in searches[0][0]]
+        n_rows = n_angle * len(searches)
+        unary = [np.empty((n_rows, size)) for size in sizes]
         pairs = {
-            (a, b): 2.0 * np.abs(
-                self.gram[rows[..., None], groups[a][..., :, None], groups[b][..., None, :]]
-                - target_off_diagonal
-            ) ** 2
-            for a, b in combinations(range(len(groups)), 2)
+            (a, b): np.empty((n_rows, sizes[a], sizes[b]))
+            for a, b in combinations(range(len(sizes)), 2)
         }
+        for j, (groups, target) in enumerate(searches):
+            block = slice(j * n_angle, (j + 1) * n_angle)
+            groups = [np.asarray(g) for g in groups]
+            for term, g in zip(unary, groups):
+                term[block] = self.unary[rows, g]
+            for (a, b), term in pairs.items():
+                term[block] = 2.0 * np.abs(
+                    self.gram[rows[..., None], groups[a][..., :, None], groups[b][..., None, :]]
+                    - target
+                ) ** 2
         return unary, pairs
 
 
@@ -244,39 +255,50 @@ def _bounded_minima(unary, pairs) -> tuple[list[tuple[float, int] | None], np.nd
 
 def _search(
     terms: SearchTerms,
-    groups: Sequence[np.ndarray],
-    target_off_diagonal: float,
-) -> list[tuple[tuple[int, ...], float]]:
+    searches: Sequence[tuple[Sequence[np.ndarray], float]],
+) -> list[list[tuple[tuple[int, ...], float]]]:
     """Exactly minimize the Gram mismatch over one index per group, for
-    every row of a stack of Gram matrices.
+    every (groups, target off-diagonal) search and every row of a stack of
+    Gram matrices.
 
-    ``groups`` holds flat candidate column indices, of shape (A, S) or (S,)
-    for every row alike.  The objective is the squared Frobenius distance
-    between the selected columns' Gram matrix and a target with unit
-    diagonal and ``target_off_diagonal`` elsewhere.  Returns, per row,
-    positional indices into each group (first minimizer in lexicographic
-    order) and the objective value.
+    A search's ``groups`` hold flat candidate column indices, of shape
+    (A, S) or (S,) for every row alike.  Its objective is the squared
+    Frobenius distance between the selected columns' Gram matrix and a
+    target with unit diagonal and the search's off-diagonal elsewhere.
+    Returns, per search and row, positional indices into each group (first
+    minimizer in lexicographic order) and the objective value.
 
-    Searches of more than two groups and ``DENSE_SEARCH_LIMIT`` tuples
-    run one bounded search over all rows (see ``_bounded_minima``), and
+    Searches of equal group sizes run as one stack (see
+    :meth:`SearchTerms.gather`), split back after.  A stack of more than
+    two groups and more than ``_CHUNK_ELEMENTS`` objective elements (rows
+    times tuples) runs one bounded search (see ``_bounded_minima``), and
     rows whose bound proves nothing join the rest, which evaluate every
-    tuple of every row at once (faster for small searches).  Both give
-    the exhaustive minimizer and its objective bit for bit.
+    tuple of every row at once (faster for small stacks).  Both give the
+    exhaustive minimizer and its objective bit for bit, whatever the
+    stack.
     """
-    sizes = [np.shape(g)[-1] for g in groups]
-    unary, pairs = terms.gather(groups, target_off_diagonal)
-    rows = len(unary[0])
-    found = [None] * rows
-    if len(groups) > 2 and math.prod(sizes) > DENSE_SEARCH_LIMIT:
-        found = _bounded_minima(unary, pairs)[0]
-    dense = np.array([r for r in range(rows) if found[r] is None], dtype=np.int64)
-    if len(dense):
-        objective = _slab_objective(unary, pairs, dense, []).reshape(len(dense), -1)
-        for r, values, k in zip(dense.tolist(), objective, np.argmin(objective, axis=1).tolist()):
-            found[r] = (float(values[k]), k)
-    return [
-        (tuple(int(i) for i in np.unravel_index(flat, sizes)), value) for value, flat in found
-    ]
+    stacks = {}
+    for i, (groups, _) in enumerate(searches):
+        stacks.setdefault(tuple(np.shape(g)[-1] for g in groups), []).append(i)
+    results = [None] * len(searches)
+    for sizes, members in stacks.items():
+        unary, pairs = terms.gather([searches[i] for i in members])
+        rows = len(unary[0])
+        found = [None] * rows
+        if len(sizes) > 2 and rows * math.prod(sizes) > _CHUNK_ELEMENTS:
+            found = _bounded_minima(unary, pairs)[0]
+        dense = np.array([r for r in range(rows) if found[r] is None], dtype=np.int64)
+        if len(dense):
+            objective = _slab_objective(unary, pairs, dense, []).reshape(len(dense), -1)
+            minima = np.argmin(objective, axis=1).tolist()
+            for r, values, k in zip(dense.tolist(), objective, minima):
+                found[r] = (float(values[k]), k)
+        found = [(tuple(int(i) for i in np.unravel_index(flat, sizes)), value)
+                 for value, flat in found]
+        n_angle = rows // len(members)
+        for j, i in enumerate(members):
+            results[i] = found[j * n_angle:(j + 1) * n_angle]
+    return results
 
 
 def check_selection(n_paths: int, n_ris: int, n_rx: int, scheme: str, n_slots: int = 1) -> None:
@@ -305,14 +327,15 @@ def select_paths_stack(
     terms: SearchTerms,
     n_paths: int,
     n_rx: int,
-    scheme: str,
-    n_slots: int = 1,
-) -> list[PathSelection]:
-    """One scheme's path selection for every angle epoch of a stack.
+    slots: dict[str, int],
+) -> dict[str, list[PathSelection]]:
+    """Every scheme's path selection for every angle epoch of a stack.
 
     ``terms`` holds the search terms of candidates of shape (A, n_ris,
     n_paths), shared by every search; candidate ``[a, k, l]`` is the
     receive-side spatial frequency of path ``l`` through surface ``k``.
+    ``slots`` maps each scheme to its slot count, and the result maps it
+    to one selection per angle epoch.
     Slot 0 runs the multiplexing search (``sm``, ``ds``): ``n_rx``
     (surface, path) pairs whose responses' Gram matrix is closest to the
     identity, over every surface subset of size ``n_rx`` and every path
@@ -322,46 +345,73 @@ def select_paths_stack(
     (subset, assignment).  Each later slot greedily re-runs the same
     search restricted to each active surface's unused paths, with the
     active surface set frozen, so ``n_slots`` is at most ``n_paths``.
-    Inputs that :func:`check_selection` rejects raise its errors.
+    The schemes of one family (same search) share its slots: each reads
+    the prefix of its own slot count, as if selected alone.  Each slot
+    runs as one :func:`_search` call over every family still running, so
+    searches of equal group sizes stack (slot 0's surface subsets, with
+    the beamforming search when ``n_rx == n_ris``; a later slot's hopping
+    searches likewise).  Inputs that :func:`check_selection` rejects raise
+    its errors.
     """
     n_angle = len(terms.gram)
     n_ris = terms.gram.shape[-1] // n_paths
-    check_selection(n_paths, n_ris, n_rx, scheme, n_slots)
-    multiplex = scheme in ("sm", "ds")
-    target = 0.0 if multiplex else 1.0
-    if multiplex:
-        subsets = list(combinations(range(n_ris), n_rx))
-    else:
-        subsets = [tuple(range(n_ris))]
-    best = [(math.inf, (), ()) for _ in range(n_angle)]
-    for subset in subsets:
-        groups = [np.arange(n_paths) + k * n_paths for k in subset]
-        for r, (positions, obj) in enumerate(_search(terms, groups, target)):
-            if obj < best[r][0] or not multiplex:
-                best[r] = (obj, subset, positions)
-    active = np.array([subset for _, subset, _ in best])
-    slot_paths = [[positions] for _, _, positions in best]
-    slot_objectives = [[obj] for obj, _, _ in best]
-    used = np.zeros((n_angle, n_ris, n_paths), dtype=bool)
-    rows = np.arange(n_angle)[:, None]
-    for m in range(1, n_slots):
-        used[rows, active, [paths[-1] for paths in slot_paths]] = True
-        # Unused paths of each active surface in ascending order, m per
-        # surface used so far: (A, n_active, n_paths - m).
-        free = np.nonzero(~used[rows, active])[-1].reshape(active.shape + (n_paths - m,))
-        groups = list(np.moveaxis(free + active[..., None] * n_paths, 1, 0))
-        for r, (positions, obj) in enumerate(_search(terms, groups, target)):
-            slot_paths[r].append(tuple(int(free[r, i, p]) for i, p in enumerate(positions)))
-            slot_objectives[r].append(obj)
-    return [
-        PathSelection(
-            scheme=scheme,
-            active_ris=subset,
-            slot_paths=tuple(paths),
-            slot_objectives=tuple(objectives),
-        )
-        for (_, subset, _), paths, objectives in zip(best, slot_paths, slot_objectives)
+    # Each family is keyed by its search's target off-diagonal: the
+    # scheme's target, and the slots the family runs.
+    targets, runs = {}, {}
+    for scheme, n_slots in slots.items():
+        check_selection(n_paths, n_ris, n_rx, scheme, n_slots)
+        target = targets[scheme] = 0.0 if scheme in ("sm", "ds") else 1.0
+        runs[target] = max(runs.get(target, 0), n_slots)
+    subsets = [
+        (target, subset)
+        for target in runs
+        for subset in (combinations(range(n_ris), n_rx) if target == 0.0 else [tuple(range(n_ris))])
     ]
+    found = _search(terms, [([np.arange(n_paths) + k * n_paths for k in subset], target)
+                            for target, subset in subsets])
+    best = {target: [(math.inf, (), ())] * n_angle for target in runs}
+    for (target, subset), rows_found in zip(subsets, found):
+        for r, (positions, obj) in enumerate(rows_found):
+            # Beamforming has one subset, which wins even a NaN objective.
+            if obj < best[target][r][0] or target == 1.0:
+                best[target][r] = (obj, subset, positions)
+    active = {target: np.array([subset for _, subset, _ in best[target]]) for target in runs}
+    slot_paths = {target: [[positions] for _, _, positions in best[target]] for target in runs}
+    slot_objectives = {target: [[obj] for obj, _, _ in best[target]] for target in runs}
+    used = {target: np.zeros((n_angle, n_ris, n_paths), dtype=bool) for target in runs}
+    rows = np.arange(n_angle)[:, None]
+    for m in range(1, max(runs.values())):
+        hopping = [target for target, n_slots in runs.items() if n_slots > m]
+        frees = []
+        for target in hopping:
+            used[target][rows, active[target], [paths[-1] for paths in slot_paths[target]]] = True
+            # Unused paths of each active surface in ascending order, m per
+            # surface used so far: (A, n_active, n_paths - m).
+            frees.append(np.nonzero(~used[target][rows, active[target]])[-1].reshape(
+                active[target].shape + (n_paths - m,)))
+        found = _search(terms, [
+            (list(np.moveaxis(free + active[target][..., None] * n_paths, 1, 0)), target)
+            for target, free in zip(hopping, frees)
+        ])
+        for target, free, rows_found in zip(hopping, frees, found):
+            for r, (positions, obj) in enumerate(rows_found):
+                slot_paths[target][r].append(
+                    tuple(int(free[r, i, p]) for i, p in enumerate(positions)))
+                slot_objectives[target][r].append(obj)
+    selections = {}
+    for scheme, n_slots in slots.items():
+        target = targets[scheme]
+        selections[scheme] = [
+            PathSelection(
+                scheme=scheme,
+                active_ris=subset,
+                slot_paths=tuple(paths[:n_slots]),
+                slot_objectives=tuple(objectives[:n_slots]),
+            )
+            for (_, subset, _), paths, objectives
+            in zip(best[target], slot_paths[target], slot_objectives[target])
+        ]
+    return selections
 
 
 @dataclass(frozen=True, eq=False)

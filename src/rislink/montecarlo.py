@@ -29,8 +29,9 @@ cells in array passes from the cached hash pools of its rows, and each
 draw re-keys one generator before each row instead of building one per
 cell; :func:`substream` is the one-cell oracle of those keys.  Above the
 draws a chunk runs stacked: one set of selection terms (Gram matrices)
-serves both families, each family selects for all its angle epochs at
-once, each slot design covers every row, with the angle-only parts
+serves both families, one selection call runs each selection slot of
+both families over all the angle epochs as one stacked search, each slot
+design covers every row, with the angle-only parts
 (steering responses, surface kernels) built once per angle epoch and the
 gain-dependent parts carrying the rows, and each family's runner makes
 one pass over all the rows, each row at its own power.  Results stay
@@ -388,9 +389,10 @@ def _run_chunk(
     (:func:`draw_angle_epochs`), then, with angle error, the perturbed
     estimates (:func:`_angle_errors`), and every fading epoch's gains
     (:func:`draw_fading_gains`).  Above the draws the chunk runs as
-    stacked rows: one set of search terms serves every selection,
-    each scheme family selects once (the hopping search when its hopping
-    scheme is requested), and then, for at most ``CHUNK_ROWS`` rows at a
+    stacked rows: one set of search terms serves every selection, one
+    :func:`select_paths_stack` call selects for every family (the hopping
+    search when its hopping scheme is requested), one stacked search per
+    selection slot, and then, for at most ``CHUNK_ROWS`` rows at a
     time, each family designs each slot once and makes one runner pass
     over all the rows, each at its own power, where ``sm``/``bf`` read the
     one-slot prefix and ``ds``/``db`` all slots.
@@ -414,11 +416,10 @@ def _run_chunk(
         )
     candidates = estimated.get("rx_arrival", angles["rx_arrival"])
     terms = SearchTerms(_candidate_gram(candidates, config.n_rx))
-    families = [
-        (family, select_paths_stack(terms, config.n_ris_rx_paths, config.n_rx, scheme,
-                                    slots[scheme]), slots)
-        for family, scheme, slots in _family_runs(schemes, config)
-    ]
+    runs = list(_family_runs(schemes, config))
+    selected = select_paths_stack(terms, config.n_ris_rx_paths, config.n_rx,
+                                  {scheme: slots[scheme] for _, scheme, slots in runs})
+    families = [(family, selected[scheme], slots) for family, scheme, slots in runs]
     pieces = {scheme: [] for scheme in schemes}
     purposes = (_FADING, _PAYLOAD) if payload else (_FADING,)
     step = max(1, CHUNK_ROWS // len(rows))

@@ -113,7 +113,7 @@ def select_one(candidates, n_rx, scheme, n_slots=1):
     (n_ris, n_paths): a stack of one."""
     candidates = np.asarray(candidates, dtype=float)
     terms = SearchTerms(_candidate_gram(candidates[None], n_rx))
-    return select_paths_stack(terms, candidates.shape[1], n_rx, scheme, n_slots)[0]
+    return select_paths_stack(terms, candidates.shape[1], n_rx, {scheme: n_slots})[scheme][0]
 
 
 def design_one(selection, estimate: HopStack, slot=0, refine=False, exact: HopStack | None = None):
@@ -249,7 +249,7 @@ def _check_bounded_search() -> str:
     groups = [np.arange(20) + 20 * k for k in range(config.n_ris)]
     evaluated = []
     for target in (0.0, 1.0):
-        unary, pairs = terms.gather(groups, target)
+        unary, pairs = terms.gather([(groups, target)])
         found, counts = _bounded_minima(unary, pairs)
         heads = _head_prefixes(unary)
         for r, bounded in enumerate(found):

@@ -27,6 +27,7 @@ from rislink.channel import (
 from rislink.config import drop_receiver, receiver_losses, surface_geometry
 from rislink.montecarlo import _angle_errors
 from rislink.selftest import (
+    _draw_scene,
     dense_composite,
     design_one,
     hop_matrix,
@@ -573,6 +574,8 @@ class TestArrayDrawPin:
     # Surfaces so small that the sampler relaxes its threshold.
     TINY = ("d94318cfca7f82d774d18208567beec535e05f4b1abee4cc6ce0e0ea3ba2e865",
             "506c3edc9b2460d2d49a175147aa75f6e7fb5c5eb99f5bfde16e992271bf0711")
+    # The selftest's scene at seed 7 with two fading epochs (arrays only).
+    SCENE = "2f909d0806b8fbdad87c80432eecd4e130c49078bcd85bd93cb71126febe3353"
 
     @pytest.mark.parametrize("index", range(len(_NAMED_CONFIGS)))
     def test_named_configs_frozen(self, index):
@@ -584,6 +587,15 @@ class TestArrayDrawPin:
 
     def test_tiny_surfaces_frozen(self):
         assert _draw_digests([(_TINY_CONFIG, 1, 4)]) == self.TINY
+
+    def test_selftest_scene_frozen(self):
+        # The selftest's scenes: angles on (seed, 0), fading epoch f's gains
+        # on (seed, 0, 1 + f).
+        digest = hashlib.sha256()
+        hops = _draw_scene(rl.SystemConfig(), seed=7, n_fading=2)
+        _update(digest, *(getattr(hops, f.name) for f in dataclasses.fields(hops)
+                          if isinstance(getattr(hops, f.name), np.ndarray)))
+        assert digest.hexdigest() == self.SCENE
 
 
 def _inner_products_of(hops, slopes, commons) -> np.ndarray:

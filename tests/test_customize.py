@@ -14,11 +14,7 @@ from rislink import customize
 from rislink.channel import HopStack, _inner_products, _response_matrix, composite
 from rislink.channel import draw_angle_epochs
 from rislink.config import surface_geometry
-from rislink.customize import (
-    DENSE_SEARCH_LIMIT,
-    SearchTerms,
-    _candidate_gram,
-)
+from rislink.customize import SearchTerms, _candidate_gram
 from rislink.errors import SearchSpaceError, SelectionInfeasibleError
 from rislink.montecarlo import _angle_errors
 from rislink.selftest import design_one, select_one
@@ -91,7 +87,7 @@ def _search_oracle(gram, groups, target_off_diagonal):
 def _search_one(gram, groups, target_off_diagonal):
     """The selection search on one Gram matrix: a stack of one."""
     terms = SearchTerms(gram[None])
-    return customize._search(terms, groups, target_off_diagonal)[0]
+    return customize._search(terms, [(groups, target_off_diagonal)])[0][0]
 
 
 class TestBestTuple:
@@ -115,32 +111,56 @@ class TestBestTuple:
     @pytest.mark.parametrize(
         "key, mode", list(enumerate(["random", "duplicated", "unequal", "constant"]))
     )
-    def test_bounded_search_matches_oracle_repr_exact(self, key, mode):
-        # Above the dense limit with three or more groups, the search skips
-        # slabs by bound; it must still return the oracle's tuple and value.
+    def test_bounded_search_matches_oracle_repr_exact(self, key, mode, monkeypatch):
+        # Above one chunk of stacked elements with three or more groups, the
+        # search skips slabs by bound; it must still return the oracle's
+        # tuple and value on every row.
+        evaluated = self._count_slabs(monkeypatch)
         rng = rl.substream(BASE_SEED, 61, key)
         path_ranges = {3: (29, 31), 4: (15, 31), 5: (10, 16)}
+        n_rows = 4
         for trial in range(6):
             n_groups = 3 + trial % 3
             n_paths = int(rng.integers(*path_ranges[n_groups]))
-            candidates = rng.uniform(-math.pi, math.pi, (n_groups, n_paths))
+            candidates = rng.uniform(-math.pi, math.pi, (n_rows, n_groups, n_paths))
             if mode == "duplicated":
+                candidates[:, :, -1] = candidates[:, :, 0]
                 candidates[:, -1] = candidates[:, 0]
-                candidates[-1] = candidates[0]
-            gram = _candidate_gram(candidates, int(rng.integers(1, 6)))
+            grams = _candidate_gram(candidates, int(rng.integers(1, 6)))
             if mode == "constant":
-                gram = np.full_like(gram, 0.5 + 0.25j)
+                grams = np.full_like(grams, 0.5 + 0.25j)
             groups = [np.arange(n_paths) + k * n_paths for k in range(n_groups)]
             if mode == "unequal":
                 # As in the later hopping slots: each group keeps its unused paths.
                 groups = [np.sort(rng.permutation(g)[: n_paths - int(rng.integers(0, 4))])
                           for g in groups]
-            assert math.prod(len(g) for g in groups) > DENSE_SEARCH_LIMIT
+            assert n_rows * math.prod(len(g) for g in groups) > customize._CHUNK_ELEMENTS
             for target in (0.0, 1.0):
-                got = _search_one(gram, groups, target)
-                assert repr(got) == repr(_search_oracle(gram, groups, target))
-                if mode == "constant":
-                    assert got[0] == (0,) * n_groups
+                (got,) = customize._search(SearchTerms(grams), [(groups, target)])
+                for gram, row in zip(grams, got):
+                    assert repr(row) == repr(_search_oracle(gram, groups, target))
+                    if mode == "constant":
+                        assert row[0] == (0,) * n_groups
+        assert len(evaluated) == 12
+
+    def test_stack_size_routes_dense_or_bounded(self, monkeypatch):
+        # A stack of exactly one chunk of elements runs dense; one row more
+        # runs bounded.  Both give the oracle's tuple and value.
+        evaluated = self._count_slabs(monkeypatch)
+        n_groups, n_paths = 4, 8
+        rows = customize._CHUNK_ELEMENTS // n_paths**n_groups
+        assert rows * n_paths**n_groups == customize._CHUNK_ELEMENTS
+        candidates = rl.substream(BASE_SEED, 64).uniform(
+            -math.pi, math.pi, (rows + 1, n_groups, n_paths))
+        groups = [np.arange(n_paths) + k * n_paths for k in range(n_groups)]
+        for n_rows, calls in ((rows, 0), (rows + 1, 1)):
+            grams = _candidate_gram(candidates[:n_rows], 3)
+            for target in (0.0, 1.0):
+                del evaluated[:]
+                (got,) = customize._search(SearchTerms(grams), [(groups, target)])
+                assert len(evaluated) == calls, (n_rows, target)
+                for gram, row in zip(grams, got):
+                    assert repr(row) == repr(_search_oracle(gram, groups, target))
 
     @staticmethod
     def _count_slabs(monkeypatch) -> list[list[int]]:
@@ -162,7 +182,7 @@ class TestBestTuple:
         grams = _candidate_gram(candidates, 4)
         groups = [np.arange(30) + k * 30 for k in range(4)]
         for target in (0.0, 1.0):
-            got = customize._search(SearchTerms(grams), groups, target)
+            (got,) = customize._search(SearchTerms(grams), [(groups, target)])
             for gram, row in zip(grams, got):
                 assert repr(row) == repr(_search_oracle(gram, groups, target))
         assert len(evaluated) == 2
@@ -190,13 +210,14 @@ class TestBestTuple:
         grams[3, head[3], groups[1][3, 0]] = math.nan  # a head pair term
         grams[4, head[4], head[4]] = math.inf  # a head unary term
         grams[6, tail[6], tail[6]] = math.inf  # a tail unary term: still bounded
-        assert (n_paths - 1) ** n_groups > DENSE_SEARCH_LIMIT
+        assert len(grams) * (n_paths - 1) ** n_groups > customize._CHUNK_ELEMENTS
         for target in (0.0, 1.0):
-            got = customize._search(SearchTerms(grams), groups, target)
+            (got,) = customize._search(SearchTerms(grams), [(groups, target)])
             for r, (gram, row) in enumerate(zip(grams, got)):
                 oracle = _search_oracle(gram, [g[r] for g in groups], target)
                 assert repr(row) == repr(oracle), (target, r)
             assert got[1][0] == (0,) * n_groups
+        assert len(evaluated) == 2
         prefixes = (n_paths - 1) ** 2
         for counts in evaluated:
             assert counts[3] == counts[4] == 0, counts
@@ -372,6 +393,32 @@ class TestDiversitySelection:
         for position in range(len(selection.active_ris)):
             used = sorted(paths[position] for paths in selection.slot_paths)
             assert used == list(range(n_paths))
+
+    @pytest.mark.parametrize("n_rx, n_paths", [(2, 6), (3, 5), (4, 10)])
+    def test_stacked_schemes_match_each_alone(self, n_rx, n_paths):
+        # One call stacks every scheme's searches per slot: several surface
+        # subsets for n_rx < n_ris, and sm with bf when n_rx == n_ris.
+        # Duplicated columns make exact ties, which the first subset and
+        # tuple must still win.
+        rng = rl.substream(BASE_SEED, 52, n_rx)
+        candidates = rng.uniform(-math.pi, math.pi, (7, 4, n_paths))
+        candidates[::2, :, -1] = candidates[::2, :, 0]
+        candidates[::3, -1] = candidates[::3, 0]
+        terms = SearchTerms(_candidate_gram(candidates, n_rx))
+        slots = {"sm": 1, "bf": 1, "ds": 2, "db": 2}
+        stacked = customize.select_paths_stack(terms, n_paths, n_rx, slots)
+        assert list(stacked) == list(slots)
+        for scheme, n_slots in slots.items():
+            alone = customize.select_paths_stack(terms, n_paths, n_rx, {scheme: n_slots})
+            assert repr(stacked[scheme]) == repr(alone[scheme])
+            rows = [select_one(row, n_rx, scheme, n_slots) for row in candidates]
+            assert repr(stacked[scheme]) == repr(rows)
+        if n_rx == 2:
+            # Where surface 3 repeats surface 0, a pair with 3 but not 0
+            # ties the same pair with 0, an earlier subset, bit for bit.
+            assert any(3 in s.active_ris for s in stacked["sm"])
+            for selection in stacked["sm"][::3]:
+                assert 0 in selection.active_ris or 3 not in selection.active_ris
 
     def test_more_slots_than_paths_rejected(self):
         candidates = np.zeros((3, 2))
@@ -570,7 +617,7 @@ class TestArrayPhaseDesign:
                                      n_slots=n_slots, gain_target=2e-7)
             hops = self._stack(config, rng, 3, 40, zeros=not refine)
             terms = SearchTerms(_candidate_gram(hops.rx_arrival, n_rx))
-            selections = customize.select_paths_stack(terms, 3, n_rx, scheme, n_slots)
+            selections = customize.select_paths_stack(terms, 3, n_rx, {scheme: n_slots})[scheme]
             for slot in range(n_slots):
                 with np.errstate(all="ignore"):
                     design, _, commons = customize.design_slots(
@@ -587,7 +634,7 @@ class TestArrayPhaseDesign:
         config = rl.SystemConfig(n_tx=8, n_rx=2, n_ris=3, n_ris_rx_paths=3, gain_target=2e-7)
         hops = self._stack(config, rl.substream(BASE_SEED, 62), 2, 3, zeros=False)
         terms = SearchTerms(_candidate_gram(hops.rx_arrival, config.n_rx))
-        (selection, *_) = selections = customize.select_paths_stack(terms, 3, 2, "bf")
+        (selection, *_) = selections = customize.select_paths_stack(terms, 3, 2, {"bf": 1})["bf"]
         k, l = selection.active_ris[0], selection.slot_paths[0][0]
         gains = (hops.rx_gains[0, 1, k, l:l + 1] if zero == "rx" else hops.tx_gains[0, 1, k, :1])
         gains[:] = complex(-0.0, 0.0)

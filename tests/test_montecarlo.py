@@ -459,7 +459,7 @@ class TestStackedEngine:
         payload = {"multiplex": 30, "beamform": 30}
         self._assert_chunk_matches(config, ("sm", "bf", "ds", "db"), 2, range(0, 6), 2, 5,
                                    payload)
-        assert len({s.active_ris for s in selected[0]}) > 1
+        assert len({s.active_ris for s in selected[0]["ds"]}) > 1
 
     @pytest.mark.parametrize("rows", [1, 3, 5])
     def test_chunks_cut_mid_angle_epoch(self, rows, monkeypatch):

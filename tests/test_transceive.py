@@ -454,7 +454,8 @@ class TestPayloadBlocks:
             *streams(BASE_SEED, [[(111, *key) for key in row] for row in keys]))
         hops = HopStack(tx_gains=tx_gains, rx_gains=rx_gains, **angles)
         terms = SearchTerms(_candidate_gram(angles["rx_arrival"], config.n_rx))
-        selections = select_paths_stack(terms, config.n_ris_rx_paths, config.n_rx, scheme, 2)
+        selections = select_paths_stack(terms, config.n_ris_rx_paths, config.n_rx,
+                                        {scheme: 2})[scheme]
         # Row (0, 1) is drowned, so its errors are many and row (0, 2)
         # follows an error-heavy row in the block.
         drown = np.ones((2, 3, 1, 1))
