@@ -272,7 +272,8 @@ def receiver_losses(
     )
     try:
         counts = np.array(
-            [ris_element_count(config.gain_target, loss) for loss in losses], dtype=np.int64
+            [ris_element_count(config.gain_target, loss) for loss in losses.tolist()],
+            dtype=np.int64,
         )
     except OverflowError as exc:
         raise ConfigurationError(

@@ -24,11 +24,13 @@ fading epochs in pieces.  Draws stay per epoch: every random draw comes
 from a counter-based stream keyed by ``(base_seed, grid index, epoch
 indices, purpose)`` and is made in the order of a single-epoch run, so a
 rerun at the same seed reproduces every result bit for bit, however the
-rows are chunked or grouped.  A chunk derives the Philox keys of all its
-cells in array passes from the cached hash pools of its rows, and each
-draw re-keys one generator before each row instead of building one per
-cell; :func:`substream` is the one-cell oracle of those keys.  Above the
-draws a chunk runs stacked: one set of selection terms (Gram matrices)
+rows are chunked or grouped.  One implementation of numpy's SeedSequence
+hash, in uint64 array passes, derives every key: a chunk hashes its
+rows' key prefixes into the cached pool of the seed and then the Philox
+keys of all its cells, and each draw re-keys one generator before each
+row instead of building one per cell; :func:`substream` is the same
+hash on one cell.  Above the draws a chunk runs stacked: one set of
+selection terms (Gram matrices)
 serves both families, one selection call runs each selection slot of
 both families over all the angle epochs as one stacked search, each slot
 design covers every row, with the angle-only parts
@@ -79,17 +81,16 @@ MAX_PAYLOAD_BITS = 1 << 20
 _NO_FORM = (math.nan, math.nan)
 
 
-# numpy's SeedSequence hash (O'Neill's seed_seq mixing): the entropy hash,
-# the pool mix, and generate_state's (XOR, multiplier) per pool word.
+# numpy's SeedSequence hash (O'Neill's seed_seq mixing), as uint64 arrays
+# with 32-bit words in the low halves: the entropy hash's initial constant
+# and multiplier, the pool mix, and generate_state's (XOR, multiplier) per
+# pool word.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _MIX_L, _MIX_R = 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
-_STATE_CONSTS = [(0x8B51F9DD * 0x58F38DED**i & _MASK32, 0x8B51F9DD * 0x58F38DED**(i + 1) & _MASK32)
-                 for i in range(4)]
+_STATE_XOR, _STATE_MULT = np.array(
+    [(0x8B51F9DD * 0x58F38DED**i & _MASK32, 0x8B51F9DD * 0x58F38DED**(i + 1) & _MASK32)
+     for i in range(4)], dtype=np.uint64).T
 _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)  # Philox converts an int counter in Python.
-# The same constants as uint64 arrays, for the block derivation: the hash
-# constant's first five powers of the multiplier, and generate_state's pairs.
-_HASH_POWERS = np.array([_MULT_A**i & _MASK32 for i in range(5)], dtype=np.uint64)
-_STATE_XOR, _STATE_MULT = np.array(_STATE_CONSTS, dtype=np.uint64).T
 
 
 def _words(n: int) -> list[int]:
@@ -100,113 +101,77 @@ def _words(n: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=256)
-def _mix_terms(word: int, const: int) -> tuple[tuple[int, ...], int]:
-    """What mixing ``word`` from hash constant ``const`` adds to the four
-    pool words (``-_MIX_R`` times its hashes), and the constant after."""
-    terms = []
-    for _ in range(4):
-        value = word ^ const
-        const = const * _MULT_A & _MASK32
-        value = value * const & _MASK32
-        terms.append(-_MIX_R * (value ^ value >> 16) & _MASK32)
-    return tuple(terms), const
+def _seed_state(base_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's SeedSequence pool of ``base_seed``, shape (4,), and the hash
+    constant after it (16 hashes, and 4 per seed word past the fourth)."""
+    pool = np.random.SeedSequence(base_seed).pool.astype(np.uint64)
+    const = _INIT_A * _MULT_A**(16 + 4 * max(len(_words(base_seed)) - 4, 0)) & _MASK32
+    return pool, np.array(const, dtype=np.uint64)
 
 
-def _absorb(state: tuple, n: int) -> tuple[tuple[int, ...], int]:
-    """(pool, hash constant) after mixing each word of ``n`` into the pool."""
-    pool, const = state
-    for word in _words(n):
-        terms, const = _mix_terms(word, const)
-        pool = tuple([(v := (_MIX_L * x + t) & _MASK32) ^ v >> 16 for x, t in zip(pool, terms)])
-    return pool, const
+def _absorb(pool: np.ndarray, const: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's (pool, hash constant) after mixing every word of each
+    key tuple in ``cells`` into every state of a stack of pools (..., 4)
+    and hash constants (...): arrays (..., C, 4) and (..., C).
 
-
-@functools.lru_cache(maxsize=256)
-def _pool(base_seed: int, prefix: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """SeedSequence's (pool, hash constant) after ``base_seed`` and the key
-    ``prefix``: numpy's pool of the seed (16 hashes, and 4 per seed word
-    past the fourth), then each key word mixed into every pool word."""
-    if prefix:
-        return _absorb(_pool(base_seed, prefix[:-1]), prefix[-1])
-    np.random.bit_generator.ISeedSequence.register(_PhiloxKey)
-    pool = np.random.SeedSequence(base_seed).pool.tolist()
-    return tuple(pool), _INIT_A * _MULT_A**(16 + 4 * max(len(_words(base_seed)) - 4, 0)) & _MASK32
-
-
-@dataclass
-class _PhiloxKey:
-    """One Philox key, served only as ``generate_state(2, np.uint64)``: an
-    ``ISeedSequence`` once :func:`_pool` has loaded numpy.random for a seed."""
-
-    key: np.ndarray
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a Philox key serves only generate_state(2, np.uint64)")
-        return self.key
+    The hash constant advances once per hashed word, so only cells of the
+    same word count share a pass; each count gets its own.
+    """
+    words = [[w for n in cell for w in _words(operator.index(n))] for cell in cells]
+    pools = np.empty((*const.shape, len(words), 4), dtype=np.uint64)
+    consts = np.empty((*const.shape, len(words)), dtype=np.uint64)
+    for size in set(map(len, words)):
+        group = [c for c, cell in enumerate(words) if len(cell) == size]
+        # The pass's hash constants, four per word and the one after: the
+        # constant times the multiplier's powers, wrapped to 32 bits.
+        powers = np.uint64(_MULT_A) ** np.arange(4 * size + 1, dtype=np.uint64)
+        hashes = const[..., None, None] * powers & _MASK32
+        # Each word hashed once per pool word, then mixed in word by word.
+        column = np.repeat(np.array([words[c] for c in group], dtype=np.uint64), 4, axis=1)
+        values = (column ^ hashes[..., :-1]) * hashes[..., 1:] & _MASK32
+        values = _MIX_R * (values ^ values >> 16)
+        mixed = pool[..., None, :]
+        for start in range(0, 4 * size, 4):
+            mixed = _MIX_L * mixed - values[..., start:start + 4] & _MASK32
+            mixed ^= mixed >> 16
+        pools[..., group, :] = mixed
+        consts[..., group] = hashes[..., -1]
+    return pools, consts
 
 
 def _philox(key: np.ndarray) -> np.random.Generator:
     """A Philox generator at counter zero on ``key`` (two uint64 words)."""
-    return np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=_ZERO_COUNTER))
+    return np.random.Generator(np.random.Philox(key=key, counter=_ZERO_COUNTER))
 
 
 def substream(base_seed: int, *key: int) -> np.random.Generator:
     """Counter-based generator for one (grid, epoch, purpose) cell.
 
     It is ``Philox(SeedSequence(base_seed, spawn_key=key))``, its key
-    derived by SeedSequence's hash in Python integers from the cached pool
-    of the (seed, key prefix).  A counter-based stream is fixed by its key
-    alone (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-    SC'11), so every draw is SeedSequence's, bit for bit.  Negative
-    integers raise ``ValueError``, a seed or key word that is not one
-    ``TypeError``.  The engine derives its keys in blocks instead
-    (:func:`_stream_keys`); this one-cell path is their oracle.
+    derived by the block path's hash (:func:`_stream_keys`) as a block of
+    one cell.  A counter-based stream is fixed by its key alone (Salmon et
+    al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), so every
+    draw is SeedSequence's, bit for bit.  Negative integers raise
+    ``ValueError``, a seed or key word that is not one ``TypeError``.
     """
-    key = tuple(map(operator.index, key))
-    state = _pool(operator.index(base_seed), key[:-1])
-    pool, _ = _absorb(state, key[-1]) if key else state
-    words = [(v := (x ^ c) * m & _MASK32) ^ v >> 16 for x, (c, m) in zip(pool, _STATE_CONSTS)]
-    return _philox(np.array([words[0] | words[1] << 32, words[2] | words[3] << 32],
-                            dtype=np.uint64))
+    return _philox(_stream_keys(_stream_pools(operator.index(base_seed), [()]), [key])[0, 0])
 
 
 def _stream_pools(base_seed: int, prefixes) -> tuple[np.ndarray, np.ndarray]:
-    """The cached SeedSequence (pool, hash constant) of every key prefix on
-    ``base_seed``, as uint64 arrays (P, 4) and (P,)."""
-    states = [_pool(base_seed, tuple(prefix)) for prefix in prefixes]
-    return (np.array([pool for pool, _ in states], dtype=np.uint64),
-            np.array([const for _, const in states], dtype=np.uint64))
+    """SeedSequence's (pool, hash constant) after ``base_seed`` and each key
+    prefix, as uint64 arrays (P, 4) and (P,)."""
+    return _absorb(*_seed_state(base_seed), prefixes)
 
 
 def _stream_keys(pools: tuple[np.ndarray, np.ndarray], tails) -> np.ndarray:
     """Philox keys of ``substream(base_seed, *prefix, *tail)`` for every
     prefix of ``pools`` (see :func:`_stream_pools`) and every key ``tail``,
-    shape (P, T, 2): SeedSequence's hash as uint64 array passes, 32-bit
-    words in the low halves.
-
-    The hash constant advances once per hashed word, so only tails of the
-    same word count share a pass; each count gets its own.
-    """
-    pool, const = pools
-    words = [[w for n in tail for w in _words(operator.index(n))] for tail in tails]
-    keys = np.empty((len(pool), len(words), 2), dtype=np.uint64)
-    for size in set(map(len, words)):
-        group = [t for t, tail in enumerate(words) if len(tail) == size]
-        mixed = pool[:, None]
-        hash_const = const[:, None, None]
-        for column in np.array([words[t] for t in group], dtype=np.uint64).T:
-            # One word into every pool word: hash it from the constant's
-            # next four values, then mix each hash into its pool word.
-            hashes = hash_const * _HASH_POWERS & _MASK32
-            values = (column[:, None] ^ hashes[..., :4]) * hashes[..., 1:] & _MASK32
-            mixed = _MIX_L * mixed - _MIX_R * (values ^ values >> 16) & _MASK32
-            mixed ^= mixed >> 16
-            hash_const = hashes[..., 4:]
-        out = (mixed ^ _STATE_XOR) * _STATE_MULT & _MASK32
-        out ^= out >> 16
-        keys[:, group] = out[..., 0::2] | out[..., 1::2] << 32
-    return keys
+    shape (P, T, 2): each tail's words mixed in, then generate_state's
+    finalisation of the pool into two uint64 words."""
+    mixed, _ = _absorb(*pools, tails)
+    out = (mixed ^ _STATE_XOR) * _STATE_MULT & _MASK32
+    out ^= out >> 16
+    return out[..., 0::2] | out[..., 1::2] << 32
 
 
 def _axis_appliers():
@@ -383,12 +348,12 @@ def _run_chunk(
     Every angle epoch and fading epoch draws from its own substream, in
     the order of a single-epoch run, straight into the chunk's arrays.
     The chunk derives its substreams' Philox keys in array passes
-    (:func:`_stream_keys`) from the cached pools of its rows' (seed, grid
-    index, angle epoch) prefixes, and every draw re-keys one generator
-    before each row: the angle epochs' receiver drops and path angles
-    (:func:`draw_angle_epochs`), then, with angle error, the perturbed
-    estimates (:func:`_angle_errors`), and every fading epoch's gains
-    (:func:`draw_fading_gains`).  Above the draws the chunk runs as
+    (:func:`_stream_keys`) from the pools of its rows' (seed, grid index,
+    angle epoch) prefixes (:func:`_stream_pools`), and every draw re-keys
+    one generator before each row: the angle epochs' receiver drops and
+    path angles (:func:`draw_angle_epochs`), then, with angle error, the
+    perturbed estimates (:func:`_angle_errors`), and every fading epoch's
+    gains (:func:`draw_fading_gains`).  Above the draws the chunk runs as
     stacked rows: one set of search terms serves every selection, one
     :func:`select_paths_stack` call selects for every family (the hopping
     search when its hopping scheme is requested), one stacked search per

@@ -37,6 +37,7 @@ from .errors import NoCrossingError, RislinkError
 from .montecarlo import (
     TrialPlan,
     _angle_errors,
+    _philox,
     _stream_keys,
     _stream_pools,
     estimate_ergodic_se,
@@ -50,7 +51,7 @@ def _draw_scene(config, seed=7, n_fading=1) -> HopStack:
     draws, a stack of that many rows: the angles on substream ``(seed,
     0)``, fading epoch ``f``'s gains on ``(seed, 0, 1 + f)``."""
     keys = _stream_keys(_stream_pools(seed, [(0,)]), [(), *((1 + f,) for f in range(n_fading))])
-    rng = substream(seed)
+    rng = _philox(keys[0, 0])
     angles, los_gains = draw_angle_epochs(config, surface_geometry(config), keys[:, 0], rng)
     tx_gains, rx_gains = draw_fading_gains(config, angles["n_elements"], los_gains, keys[:, 1:],
                                            rng)
@@ -276,7 +277,7 @@ def _check_draws() -> str:
     config = SystemConfig(angle_error_std=0.05)
     surfaces = surface_geometry(config)
     keys = _stream_keys(_stream_pools(29, [(0,), (1,)]), [(), (1,), (2, 0), (2, 1)])
-    rng = substream(29)
+    rng = _philox(keys[0, 0])
     angles, los_gains = draw_angle_epochs(config, surfaces, keys[:, 0], rng)
     arrays = [angles[name] for name in ("tx_arrival", "tx_departure", "rx_arrival",
                                         "rx_departure", "n_elements", "losses")] + [los_gains]
@@ -395,7 +396,7 @@ def _check_payload() -> str:
             # Bit errors and bits sent per row, row f on key (37, family,
             # f), and the stream state that the last row leaves.
             keys = _stream_keys(_stream_pools(37, [(int(multiplex),)]), [(f,) for f in cells])
-            rng = substream(37)
+            rng = _philox(keys[0, 0])
             result = run([rows], np.array([config.transmit_power]), config.noise_power,
                          {scheme: 1}, DEFAULT_OUTAGE_THRESHOLD, (500, keys, rng))
             return (result[scheme].bit_errors[0].tolist(), result[scheme].bits_sent[0].tolist(),

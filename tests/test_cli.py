@@ -492,6 +492,7 @@ class TestExitCodes:
         ("ris_axis_distance=1e200", "deployment distances leave the floating-point range"),
         ("rx_center_distance=1e300", "deployment distances leave the floating-point range"),
         ("ris_axis_distance=1e12", "surface element counts overflow"),
+        ("gain_target=1e300", "surface element counts overflow"),
     ])
     def test_overflowing_deployment_is_named(self, override, message, capsys):
         argv = ["se-sweep", "--scheme", "sm", "--axis", "E_dBm=20",

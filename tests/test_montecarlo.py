@@ -6,7 +6,11 @@ import dataclasses
 import hashlib
 import inspect
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,8 +87,8 @@ def _seed_sequence_cases(count: int):
 
 
 class TestSubstreamKeys:
-    """``substream`` derives its Philox key without ``SeedSequence``; key,
-    state and draws must be those of ``Philox(SeedSequence(seed,
+    """``substream`` hashes its key into numpy's pool of the seed itself;
+    key, state and draws must be those of ``Philox(SeedSequence(seed,
     spawn_key=key))``."""
 
     def test_keys_and_draws_match_seed_sequence(self):
@@ -96,8 +100,7 @@ class TestSubstreamKeys:
             ours = rl.substream(seed, *key)
             sequence = np.random.SeedSequence(seed, spawn_key=key)
             oracle = np.random.Generator(np.random.Philox(sequence))
-            assert np.array_equal(ours.bit_generator.seed_seq.generate_state(2, np.uint64),
-                                  sequence.generate_state(2, np.uint64)), (seed, key)
+            assert np.array_equal(key_of(ours), sequence.generate_state(2, np.uint64)), (seed, key)
             assert repr(ours.bit_generator.state) == repr(oracle.bit_generator.state)
             assert ours.standard_normal(7).tobytes() == oracle.standard_normal(7).tobytes()
             assert ours.integers(0, 2**64, 3, dtype=np.uint64).tobytes() == \
@@ -113,16 +116,6 @@ class TestSubstreamKeys:
         with pytest.raises(expected.type):
             rl.substream(seed, *key)
 
-    def test_key_shim_serves_only_philox(self):
-        shim = rl.substream(7, 1, 2).bit_generator.seed_seq
-        key = np.random.SeedSequence(7, spawn_key=(1, 2)).generate_state(2, np.uint64)
-        assert np.array_equal(shim.generate_state(2, np.uint64), key)
-        assert np.array_equal(shim.generate_state(2, dtype="u8"), key)
-        for request in [(2,), (2, np.uint32), (4, np.uint32), (1, np.uint64), (3, np.uint64),
-                        (4, np.uint64), (2, np.int64)]:
-            with pytest.raises(ValueError):
-                shim.generate_state(*request)
-
 
 # The engine's key shapes: each chunk row's (grid index, angle epoch)
 # prefix, and the tails of its angle, angle-error, fading and payload
@@ -136,12 +129,15 @@ _ENGINE_TAILS = [(mc._ANGLES,), (mc._MISMATCH,)] + [
 
 class TestBlockKeys:
     """The engine derives a chunk's Philox keys in array passes and re-keys
-    one generator before each row; every key, and every re-keyed row's
-    draws, must be those of ``substream`` for that cell."""
+    one generator before each row; every prefix pool, key, and re-keyed
+    row's draws must be those of numpy's ``SeedSequence`` for that cell."""
 
     @pytest.mark.parametrize("seed", [BASE_SEED, 2**64 + 11, 2**128 + 5])
     def test_block_keys_equal_substream_keys(self, seed):
         pools = mc._stream_pools(seed, _BLOCK_ROWS)
+        for r, row in enumerate(_BLOCK_ROWS):
+            expected = np.random.SeedSequence(seed, spawn_key=row).pool
+            assert pools[0][r].tolist() == expected.tolist(), row
         # All tails in one call, so tails of different word counts meet in
         # one block, and each purpose's tails alone, as the engine asks.
         blocks = [(_ENGINE_TAILS, mc._stream_keys(pools, _ENGINE_TAILS))]
@@ -152,7 +148,8 @@ class TestBlockKeys:
             assert keys.shape == (len(_BLOCK_ROWS), len(tails), 2) and keys.dtype == np.uint64
             for r, row in enumerate(_BLOCK_ROWS):
                 for t, tail in enumerate(tails):
-                    expected = key_of(rl.substream(seed, *row, *tail))
+                    sequence = np.random.SeedSequence(seed, spawn_key=row + tail)
+                    expected = sequence.generate_state(2, np.uint64)
                     assert keys[r, t].tolist() == expected.tolist(), (row, tail)
 
     @pytest.mark.parametrize("seed", [BASE_SEED, 2**64 + 11, 2**128 + 5])
@@ -164,13 +161,26 @@ class TestBlockKeys:
         rng = rl.substream(0)
         for row, row_keys in zip(_BLOCK_ROWS, keys):
             for tail, key in zip(_ENGINE_TAILS, row_keys):
-                fresh = rl.substream(seed, *row, *tail)
+                sequence = np.random.SeedSequence(seed, spawn_key=row + tail)
+                fresh = np.random.Generator(np.random.Philox(sequence))
                 rekey(rng, key.tolist())
                 for draw in (lambda g: g.random(3), lambda g: g.integers(0, 2, 5),
                              lambda g: g.standard_normal(3)):
                     assert draw(rng).tobytes() == draw(fresh).tobytes(), (row, tail)
                 assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
                 assert rng.bit_generator.state["has_uint32"] == 1
+
+    def test_philox_needs_no_earlier_seed(self):
+        # A fresh process builds a generator on a key before any seed is
+        # hashed, as a draw handed only its keys does.
+        code = ("import numpy as np; from rislink.montecarlo import _philox; "
+                "print(_philox(np.array([1, 2], dtype=np.uint64)).bit_generator.state)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(Path(mc.__file__).parents[1])})
+        assert done.returncode == 0, done.stderr
+        expected = np.random.Philox(key=[1, 2], counter=0).state
+        assert done.stdout.strip() == str(expected)
 
 
 class TestFadingStatistics:
