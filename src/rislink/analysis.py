@@ -10,7 +10,9 @@ beamforming bound.
 The Ei kernels run on arrays: every entry follows the scalar recurrence
 in the scalar order with its own stop rule, and takes ``log`` and ``exp``
 from :mod:`math`, so array results equal one-point-at-a-time results bit
-for bit.  :func:`se_sm_approx` takes a whole sweep grid's stream
+for bit.  A parameter bundle may hold a column of transmit powers, and
+every closed form but the crossing point then runs over the column in
+one pass; :func:`se_sm_approx` takes a whole sweep grid's stream
 constants to one kernel call.  The crossing solver runs on Python floats
 and rejects polynomials whose coefficients leave the float range.
 """
@@ -153,19 +155,23 @@ def se_sm_approx(c):
     """Ergodic multiplexing SE approximation: -(1/ln2) sum exp(c) Ei(-c).
 
     ``c`` holds one positive fading constant per stream (inverse mean
-    stream SNR) and gives a float.  A list of such rows, each at least 1-D,
-    gives a list of floats, with all rows' constants in one Ei kernel
-    call; each row still sums in stream order.
+    stream SNR) and gives a float; a 2-D array of such rows, one per
+    transmit power, gives an array.  A list of either, each at least 1-D,
+    gives a list, with all their constants in one Ei kernel call; each
+    row still sums in stream order.
     """
-    rows_given = isinstance(c, list) and all(np.ndim(row) for row in c)
-    rows = [np.asarray(row, dtype=float).ravel() for row in (c if rows_given else [c])]
-    values = scaled_ei_neg(np.concatenate([np.empty(0), *rows])).tolist()
+    given_list = isinstance(c, list) and all(np.ndim(block) for block in c)
+    blocks = [np.asarray(block, dtype=float) for block in (c if given_list else [c])]
+    values = scaled_ei_neg(np.concatenate([np.empty(0), *(b.ravel() for b in blocks)]))
     out, start = [], 0
-    for row in rows:
-        stop = start + row.size
-        out.append(-sum(values[start:stop]) / math.log(2.0))
-        start = stop
-    return out if rows_given else out[0]
+    for block in blocks:
+        rows = values[start:start + block.size].reshape(np.atleast_2d(block).shape)
+        start += block.size
+        # Each row sums in stream order; negating the terms, not the sum,
+        # keeps 0.0 for a row of no streams.
+        sums = sum(-rows.T, np.zeros(len(rows))) / math.log(2.0)
+        out.append(sums if block.ndim == 2 else float(sums[0]))
+    return out if given_list else out[0]
 
 
 # Below this, 1 + x rounds away over half of x's bits, and its rounding
@@ -175,16 +181,18 @@ def se_sm_approx(c):
 _LOG1P_BELOW = 2.0**-26
 
 
-def se_sm_upper(c) -> float:
-    """Jensen upper bound of the multiplexing ergodic SE: sum log2(1 + 1/c)."""
+def se_sm_upper(c):
+    """Jensen upper bound of the multiplexing ergodic SE: sum log2(1 + 1/c),
+    a float for one row of stream constants, an array for a 2-D array."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
     if np.any(c <= 0):
         raise ValueError("stream constants must be positive")
     snr = 1.0 / c
     terms = np.log2(1.0 + snr)
-    if min(snr.tolist()) < _LOG1P_BELOW:
+    if snr.min() < _LOG1P_BELOW:
         terms = np.where(snr < _LOG1P_BELOW, np.log1p(snr) / math.log(2.0), terms)
-    return float(np.add.reduce(terms))
+    sums = np.add.reduce(terms, axis=-1)
+    return sums if c.ndim == 2 else float(sums)
 
 
 @dataclass(frozen=True)
@@ -194,10 +202,12 @@ class ClosedFormParams:
     ``gain_profile[n]`` is the product of surface n's element count and its
     cascaded amplitude loss; its square is the diagonal profile entering
     every bound.  Multiplexing formulas use the first ``n_rx`` entries, so
-    order the profile accordingly.
+    order the profile accordingly.  A 1-D column of transmit powers holds
+    one point per power, each checked as its own bundle would be, and every
+    closed form but the crossing point gives one value per power.
     """
 
-    transmit_power: float
+    transmit_power: float | np.ndarray
     noise_power: float
     rician_factor: float
     n_tx: int
@@ -210,42 +220,47 @@ class ClosedFormParams:
     def __post_init__(self) -> None:
         profile = np.atleast_1d(np.asarray(self.gain_profile, dtype=float))
         object.__setattr__(self, "gain_profile", profile)
-        entries = profile.ravel().tolist()
-        values = (
-            self.transmit_power,
-            self.noise_power,
-            self.rician_factor,
-            self.n_tx,
-            self.n_rx,
-            self.n_ris,
-            self.n_ris_rx_paths,
-            self.n_slots,
-            *entries,
-        )
+        powers = np.ravel(self.transmit_power)
+        # The first point, then the first point that fails a check, names
+        # the failure, as one bundle per point in column order would.
+        self._check_point(float(powers[0]))
+        if powers.size > 1:
+            with np.errstate(over="ignore", invalid="ignore"):
+                good = (powers > 0.0) & self._in_range(self.power_coefficient(powers))
+            self._check_point(float(powers[np.argmin(good)]))
+
+    def _check_point(self, transmit_power: float) -> None:
+        values = (transmit_power, self.noise_power, self.rician_factor, self.n_tx, self.n_rx,
+                  self.n_ris, self.n_ris_rx_paths, self.n_slots)
+        values += tuple(self.gain_profile.ravel().tolist())
         if not all(math.isfinite(v) for v in values):
             raise ConfigurationError("closed-form parameters must be finite")
         if any(v <= 0 for v in values):
             raise ConfigurationError("closed-form parameters must be positive")
-        if profile.shape != (self.n_ris,):
+        if self.gain_profile.shape != (self.n_ris,):
             raise ConfigurationError("gain profile needs one entry per surface")
         if self.n_rx > self.n_ris:
             raise ConfigurationError("need n_rx <= n_ris")
-        self._check_range(self.power_coefficient())
+        self._check_range(self.power_coefficient(transmit_power))
 
-    def _check_range(self, coefficient: float) -> None:
-        """The fading constants 1 / (coefficient * profile^2) must be
-        positive finite floats; the extreme profile entries bound them."""
+    def _in_range(self, coefficient):
+        """Whether 1 / (coefficient * profile^2) is finite and positive, at
+        each coefficient: 1 / x is finite iff x > 2**-1024."""
         entries = self.gain_profile.ravel().tolist()
         high, low = max(entries), min(entries)
         steepest, flattest = coefficient * (high * high), coefficient * (low * low)
-        if not (steepest < math.inf and flattest > 0.0 and 1.0 / flattest < math.inf):
+        return (steepest < math.inf) & (flattest > 2.0**-1024)
+
+    def _check_range(self, coefficient) -> None:
+        if not np.asarray(self._in_range(coefficient)).all():
             raise ConfigurationError("closed-form parameters leave the floating-point range")
 
     @classmethod
-    def from_config(cls, config: SystemConfig) -> "ClosedFormParams":
-        """Bundle from a system config, on the equal-gain-target profile."""
+    def from_config(cls, config: SystemConfig, transmit_power=None) -> "ClosedFormParams":
+        """Bundle from a system config, on the equal-gain-target profile, at
+        the config's transmit power unless a power or column is given."""
         return cls(
-            transmit_power=config.transmit_power,
+            transmit_power=config.transmit_power if transmit_power is None else transmit_power,
             noise_power=config.noise_power,
             rician_factor=config.rician_factor,
             n_tx=config.n_tx,
@@ -256,9 +271,10 @@ class ClosedFormParams:
             n_slots=config.n_slots,
         )
 
-    def power_coefficient(self, transmit_power: float | None = None) -> float:
+    def power_coefficient(self, transmit_power=None):
         """Per-unit-profile SNR slope: E * n_tx * kappa / (sigma^2 L (kappa+1)),
-        at the bundle's transmit power E unless another is given."""
+        at the bundle's transmit power E unless another is given; one per
+        power of a column."""
         power = self.transmit_power if transmit_power is None else transmit_power
         return (
             power
@@ -272,23 +288,24 @@ class ClosedFormParams:
         )
 
     def c_values(self) -> np.ndarray:
-        """Per-stream fading constants of the multiplexing closed forms."""
+        """Per-stream fading constants of the multiplexing closed forms, one
+        row per power of a column."""
         profile = self.gain_profile[: self.n_rx]
-        return 1.0 / (self.power_coefficient() * profile**2)
+        return 1.0 / np.multiply.outer(self.power_coefficient(), profile**2)
 
 
-def _bf_bound(params: ClosedFormParams, coefficient: float) -> float:
+def _bf_bound(params: ClosedFormParams, coefficient):
     profile = params.gain_profile
     squares = float(np.add.reduce(profile**2))
     cross = float(np.add.reduce(profile)) ** 2 - squares
-    scale = coefficient * params.n_rx / params.n_ris
-    snr = scale * (squares + math.pi / 4.0 * cross)
-    if snr < _LOG1P_BELOW:
-        return math.log1p(snr) / math.log(2.0)
-    return math.log2(1.0 + snr)
+    gain = squares + math.pi / 4.0 * cross
+    snrs = [point * params.n_rx / params.n_ris * gain for point in np.ravel(coefficient).tolist()]
+    bounds = [math.log1p(s) / math.log(2.0) if s < _LOG1P_BELOW else math.log2(1.0 + s)
+              for s in snrs]
+    return bounds[0] if np.ndim(coefficient) == 0 else np.array(bounds)
 
 
-def se_bf_upper(params: ClosedFormParams) -> float:
+def se_bf_upper(params: ClosedFormParams):
     """Jensen upper bound of the beamforming ergodic SE.
 
     The double-sum over surface pairs splits into the squared-profile sum
@@ -298,7 +315,7 @@ def se_bf_upper(params: ClosedFormParams) -> float:
     return _bf_bound(params, params.power_coefficient())
 
 
-def se_db_upper(params: ClosedFormParams, n_slots: int | None = None) -> float:
+def se_db_upper(params: ClosedFormParams, n_slots: int | None = None):
     """Beamforming-with-path-hopping upper bound.
 
     The stacked combiner collects ``n_slots`` times the signal energy at
@@ -307,8 +324,9 @@ def se_db_upper(params: ClosedFormParams, n_slots: int | None = None) -> float:
     m = params.n_slots if n_slots is None else int(n_slots)
     if m < 1:
         raise ConfigurationError("need at least one slot")
-    coefficient = params.power_coefficient(m * params.transmit_power)
-    params._check_range(coefficient)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficient = params.power_coefficient(m * params.transmit_power)
+        params._check_range(coefficient)
     return _bf_bound(params, coefficient) / m
 
 
@@ -334,11 +352,16 @@ def _crossing_polynomial(params: ClosedFormParams):
     underflows, or the right-hand side is not finite.
     """
     profile = params.gain_profile.tolist()
-    squares = (params.gain_profile**2).tolist()
+    squares = [v * v for v in profile]
     mux = _symmetric_sums(squares[: params.n_rx], params.n_rx)
-    rhs = (params.n_rx / params.n_ris) * (
-        _symmetric_sums(squares, 1)[1] + (math.pi / 2.0) * _symmetric_sums(profile, 2)[2]
-    ) - mux[1]
+    # The order-1 sum of the squares and the order-2 sum of the profile,
+    # each accumulator taking the steps of its _symmetric_sums pass.
+    square_sum = linear = pairs = 0.0
+    for v, square in zip(profile, squares):
+        square_sum += square
+        pairs += v * linear
+        linear += v
+    rhs = (params.n_rx / params.n_ris) * (square_sum + (math.pi / 2.0) * pairs) - mux[1]
     coeffs = mux[2:]
     if not (all(0.0 < c < math.inf for c in coeffs) and math.isfinite(rhs)):
         raise ConfigurationError("crossing-point polynomial leaves the floating-point range")

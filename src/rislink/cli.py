@@ -38,12 +38,12 @@ from .montecarlo import (
     AXIS_NAMES,
     SweepResult,
     TrialPlan,
-    apply_axis,
     check_axis_grid,
     closed_form_companions,
     estimate_ber,
     estimate_ergodic_se,
     estimate_outage,
+    power_groups,
 )
 
 EXIT_OK = 0
@@ -261,16 +261,15 @@ def _write_closed_form_sweep(config: SystemConfig, axis_spec: str, path: str) ->
     primary closed form (approximation where one exists, bound otherwise)."""
     axis_name, axis_values = _parse_axis(axis_spec)
     check_axis_grid(axis_values)
-    configs = [apply_axis(config, axis_name, value) for value in axis_values]
     schemes = ("sm", "bf", "db")
     result = SweepResult("closed_form", axis_name, axis_values, schemes)
-    companions = closed_form_companions(schemes, configs)
+    companions = closed_form_companions(schemes, power_groups(config, axis_name, axis_values))
     for scheme in schemes:
         pairs = companions[scheme]
         result.means[scheme] = tuple(u if math.isnan(a) else a for a, u in pairs)
-        result.stderrs[scheme] = (0.0,) * len(configs)
+        result.stderrs[scheme] = (0.0,) * len(axis_values)
         result.closed_form[scheme] = pairs
-        result.n_trials[scheme] = (0,) * len(configs)
+        result.n_trials[scheme] = (0,) * len(axis_values)
     write_csv(result, path)
 
 

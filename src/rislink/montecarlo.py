@@ -49,6 +49,7 @@ pass per family serves both its schemes.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field, fields, replace
@@ -174,40 +175,57 @@ def _stream_keys(pools: tuple[np.ndarray, np.ndarray], tails) -> np.ndarray:
     return out[..., 0::2] | out[..., 1::2] << 32
 
 
-def _axis_appliers():
-    def integral(value: float) -> int:
-        if not math.isfinite(value) or abs(value - round(value)) > 1e-9:
-            raise ConfigurationError(f"axis value {value} must be an integer")
-        return int(round(value))
-
-    return {
-        "E_dBm": lambda cfg, v: cfg.replace(transmit_power=dbm2watt(v)),
-        "kappa_dB": lambda cfg, v: cfg.replace(rician_factor=db2lin(v)),
-        "L_R": lambda cfg, v: cfg.replace(n_ris_rx_paths=integral(v)),
-        "L_T": lambda cfg, v: cfg.replace(n_nlos_tx_paths=integral(v)),
-        "M_R": lambda cfg, v: cfg.replace(n_slots=integral(v)),
-        "N_T": lambda cfg, v: cfg.replace(n_tx=integral(v)),
-        "N_R": lambda cfg, v: cfg.replace(n_rx=integral(v)),
-        "K": lambda cfg, v: cfg.replace(n_ris=integral(v)),
-        "C": lambda cfg, v: cfg.replace(gain_target=v),
-        "sigma_e": lambda cfg, v: cfg.replace(angle_error_std=v),
-    }
+def _integral(value: float) -> int:
+    if not math.isfinite(value) or abs(value - round(value)) > 1e-9:
+        raise ConfigurationError(f"axis value {value} must be an integer")
+    return int(round(value))
 
 
-AXIS_NAMES = tuple(_axis_appliers().keys())
+# Sweep axis -> (config field it sets, conversion from display units).
+_AXES = {
+    "E_dBm": ("transmit_power", dbm2watt),
+    "kappa_dB": ("rician_factor", db2lin),
+    "L_R": ("n_ris_rx_paths", _integral),
+    "L_T": ("n_nlos_tx_paths", _integral),
+    "M_R": ("n_slots", _integral),
+    "N_T": ("n_tx", _integral),
+    "N_R": ("n_rx", _integral),
+    "K": ("n_ris", _integral),
+    "C": ("gain_target", float),
+    "sigma_e": ("angle_error_std", float),
+}
+AXIS_NAMES = tuple(_AXES)
+
+
+def _axis_setting(axis_name: str, value: float) -> tuple[str, float | int]:
+    """The config field one swept value sets, and its value there."""
+    if axis_name not in _AXES:
+        raise ConfigurationError(
+            f"unknown sweep axis {axis_name!r}; expected one of {', '.join(AXIS_NAMES)}"
+        )
+    name, convert = _AXES[axis_name]
+    try:
+        return name, convert(value)
+    except OverflowError as exc:
+        raise ConfigurationError(f"axis value {axis_name}={value} is out of range") from exc
 
 
 def apply_axis(config: SystemConfig, axis_name: str, value: float) -> SystemConfig:
     """Return the config with one swept parameter replaced (display units)."""
-    appliers = _axis_appliers()
-    if axis_name not in appliers:
-        raise ConfigurationError(
-            f"unknown sweep axis {axis_name!r}; expected one of {', '.join(AXIS_NAMES)}"
-        )
-    try:
-        return appliers[axis_name](config, value)
-    except OverflowError as exc:
-        raise ConfigurationError(f"axis value {axis_name}={value} is out of range") from exc
+    return config.replace(**dict([_axis_setting(axis_name, value)]))
+
+
+def power_groups(
+    config: SystemConfig, axis_name: str, axis_values: tuple[float, ...]
+) -> list[tuple[SystemConfig, np.ndarray]]:
+    """A sweep grid, checked in grid order, as groups of consecutive points
+    that differ only in transmit power: each group's config (its transmit
+    power unread) and its points' powers.  A power axis is one group and
+    builds no config per point; any other axis gives one group per value."""
+    if axis_name == "E_dBm":
+        return [(config, np.array([_axis_setting(axis_name, v)[1] for v in axis_values]))]
+    configs = [apply_axis(config, axis_name, value) for value in axis_values]
+    return [(cfg, np.array([cfg.transmit_power])) for cfg in configs]
 
 
 def check_axis_grid(axis_values: tuple[float, ...]) -> None:
@@ -411,29 +429,34 @@ def _run_chunk(
 
 
 def closed_form_companions(
-    schemes: tuple[str, ...], configs: list[SystemConfig]
+    schemes: tuple[str, ...], groups: list[tuple[SystemConfig, np.ndarray]]
 ) -> dict[str, tuple[tuple[float, float], ...]]:
     """Closed-form (approximation, upper bound) SE columns of every scheme
-    at every configuration of a grid; NaN where no closed form applies.
+    over a grid of :func:`power_groups`; NaN where no closed form applies.
 
-    Every configuration's parameter bundle is validated, whatever the
-    schemes; the grid's stream constants share one Ei kernel call.
+    Every group's parameter bundle on its power column (a float for a group
+    of one point) is validated first, whatever the schemes; each bound then
+    runs once per group.  Consecutive groups' stream constants of one
+    width stack into one block per width, and all blocks share one Ei
+    kernel call.
     """
-    params = [analysis.ClosedFormParams.from_config(cfg) for cfg in configs]
+    params = [
+        analysis.ClosedFormParams.from_config(cfg, powers if len(powers) > 1 else float(powers[0]))
+        for cfg, powers in groups
+    ]
+    bounds = {"bf": analysis.se_bf_upper, "db": analysis.se_db_upper}
+    nans = [np.full(sum(len(powers) for _, powers in groups), math.nan)]
     out = {}
     for scheme in schemes:
+        approx = upper = nans
         if scheme == "sm":
             c_rows = [p.c_values() for p in params]
-            uppers = [analysis.se_sm_upper(c) for c in c_rows]
-            out[scheme] = tuple(zip(analysis.se_sm_approx(c_rows), uppers))
-        elif scheme == "bf":
-            out[scheme] = tuple((math.nan, analysis.se_bf_upper(p)) for p in params)
-        elif scheme == "db":
-            out[scheme] = tuple(
-                (math.nan, analysis.se_db_upper(p, cfg.n_slots)) for p, cfg in zip(params, configs)
-            )
-        else:
-            out[scheme] = (_NO_FORM,) * len(configs)
+            widths = itertools.groupby(c_rows, key=lambda c: c.shape[-1])
+            blocks = [np.vstack(list(rows)) for _, rows in widths]
+            approx, upper = analysis.se_sm_approx(blocks), list(map(analysis.se_sm_upper, blocks))
+        elif scheme in bounds:
+            upper = [bounds[scheme](p) for p in params]
+        out[scheme] = tuple(zip(np.hstack(approx).tolist(), np.hstack(upper).tolist()))
     return out
 
 
@@ -469,7 +492,7 @@ def _payload_sizes(
     plan: TrialPlan, configs: list[SystemConfig], min_bits: int
 ) -> list[dict[str, int]]:
     """QPSK symbols per fading epoch of each requested family at every
-    grid point.
+    config of a grid.
 
     The bit budget is split evenly over the plan's epochs, at one QPSK
     symbol per stream and channel use (one stream for beamforming).  A
@@ -522,32 +545,30 @@ def _sweep(
     # before any simulation.  Grid points whose configs differ only in
     # transmit power, which only the runners read, run as one stream of
     # rows, each row still on its own grid point's substreams.
-    configs = [apply_axis(config, plan.axis_name, value) for value in plan.axis_values]
-    groups: dict[SystemConfig, list[int]] = {}
-    for grid_index, cfg in enumerate(configs):
-        groups.setdefault(cfg.replace(transmit_power=1.0), []).append(grid_index)
-    geometries = [_check_geometry(configs[group[0]]) for group in groups.values()]
-    payloads = None
+    groups = power_groups(config, plan.axis_name, plan.axis_values)
+    configs = [cfg for cfg, _ in groups]
+    geometries = [_check_geometry(cfg) for cfg in configs]
+    payloads = [None] * len(groups)
     if min_bits is not None:
         payloads = _payload_sizes(plan, configs, min_bits)
     if metric in ("se", "se_model"):
-        companions = closed_form_companions(plan.schemes, configs)
+        companions = closed_form_companions(plan.schemes, groups)
     else:
-        companions = {scheme: (_NO_FORM,) * len(configs) for scheme in plan.schemes}
+        companions = {scheme: (_NO_FORM,) * len(plan.axis_values) for scheme in plan.schemes}
     for cfg in configs:
         for _, scheme, slots in _family_runs(plan.schemes, cfg):
             check_selection(cfg.n_ris_rx_paths, cfg.n_ris, cfg.n_rx, scheme, slots[scheme])
     n_angle = plan.n_angle_epochs
     per_chunk = max(1, CHUNK_ROWS // plan.n_fading_epochs)
-    reduced = [None] * len(configs)
-    for group, surfaces in zip(groups.values(), geometries):
-        rows = [(g, a) for g in group for a in range(n_angle)]
-        powers = np.array([configs[g].transmit_power for g, _ in rows])
-        payload = None if payloads is None else payloads[group[0]]
+    reduced = []
+    for (cfg, group_powers), surfaces, payload in zip(groups, geometries, payloads):
+        first = len(reduced)
+        rows = [(first + g, a) for g in range(len(group_powers)) for a in range(n_angle)]
+        powers = np.repeat(group_powers, n_angle)
         parts = []
         for start in range(0, len(rows), per_chunk):
             stop = min(start + per_chunk, len(rows))
-            chunk = _run_chunk(configs[group[0]], surfaces, plan.schemes, rows[start:stop],
+            chunk = _run_chunk(cfg, surfaces, plan.schemes, rows[start:stop],
                                powers[start:stop], plan.n_fading_epochs, plan.base_seed,
                                plan.gamma_th, payload)
             # Rows run grid-major: cut the chunk's columns at grid-point
@@ -557,9 +578,9 @@ def _sweep(
                 block = slice(lo - start, hi - start)
                 parts.append({s: _angle_rows(r, block) for s, r in chunk.items()})
                 if hi % n_angle == 0:
-                    reduced[rows[lo][0]] = {
+                    reduced.append({
                         s: reduce(_join([part[s] for part in parts], axis=0)) for s in plan.schemes
-                    }
+                    })
                     parts = []
     result = SweepResult(metric, plan.axis_name, plan.axis_values, plan.schemes)
     for scheme in plan.schemes:

@@ -12,6 +12,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -260,6 +261,131 @@ class TestAnalyze:
             assert upper > 0.0, row
             if row[1] == "sm":
                 assert upper >= approx * (1.0 - 1e-12), row
+
+
+def _oracle_point(cfg):
+    """One grid point's (approximation, upper bound) pairs of sm, bf and
+    db: its own validated bundle and the scalar formulas, spelled out."""
+    params = rl.ClosedFormParams.from_config(cfg)
+    profile = params.gain_profile
+
+    def coefficient(power):
+        return power * cfg.n_tx * cfg.rician_factor / (
+            cfg.noise_power * cfg.n_ris_rx_paths * (cfg.rician_factor + 1.0))
+
+    def beamform(coef):
+        squares = float(np.add.reduce(profile**2))
+        cross = float(np.add.reduce(profile)) ** 2 - squares
+        snr = coef * cfg.n_rx / cfg.n_ris * (squares + math.pi / 4.0 * cross)
+        return math.log1p(snr) / math.log(2.0) if snr < 2.0**-26 else math.log2(1.0 + snr)
+
+    c = 1.0 / (coefficient(cfg.transmit_power) * profile[: cfg.n_rx] ** 2)
+    approx = -sum(rl.scaled_ei_neg(c).tolist()) / math.log(2.0)
+    snr = 1.0 / c
+    terms = np.log2(1.0 + snr)
+    if min(snr.tolist()) < 2.0**-26:
+        terms = np.where(snr < 2.0**-26, np.log1p(snr) / math.log(2.0), terms)
+    m = cfg.n_slots
+    params._check_range(coefficient(m * cfg.transmit_power))
+    return {
+        "sm": (approx, float(np.add.reduce(terms))),
+        "bf": (math.nan, beamform(coefficient(cfg.transmit_power))),
+        "db": (math.nan, beamform(coefficient(m * cfg.transmit_power)) / m),
+    }
+
+
+class TestClosedFormGrid:
+    """``analyze --axis`` against a per-point evaluation of every grid
+    point, and its first error against the order of a per-point run:
+    every point's config before any closed form."""
+
+    GRIDS = {
+        # log1p terms below about -60 dBm; at -53.5 and -1 dBm numpy's
+        # vectorized log2 rounds a beamforming bound other than math.log2.
+        "E_dBm": "E_dBm=-80:0.5:60",
+        "kappa_dB": "kappa_dB=-10:2.5:20",
+        "L_R": "L_R=1:1:12",
+        "L_T": "L_T=0:1:4",
+        "M_R": "M_R=1:1:5",
+        "N_T": "N_T=4:4:32",
+        "N_R": "N_R=1:1:4",
+        "K": "K=4:1:12",
+        "C": "C=1e-7:1e-7:2e-6",
+        "sigma_e": "sigma_e=0:0.01:0.05",
+    }
+
+    def test_every_axis_has_a_grid(self):
+        assert set(self.GRIDS) == set(montecarlo.AXIS_NAMES)
+
+    @pytest.mark.parametrize("extra", [
+        [], ["--set", "n_slots=3"], ["--set", "n_rx=2"], ["--set", "n_slots=3", "--set", "n_rx=2"],
+    ])
+    @pytest.mark.parametrize("axis", sorted(GRIDS))
+    def test_equals_per_point_evaluation(self, axis, extra, tmp_path):
+        out = tmp_path / "closed.csv"
+        assert _run(["analyze", "--axis", self.GRIDS[axis], "--output", str(out), *extra]) == 0
+        overrides = dict(item.split("=") for item in extra[1::2])
+        base = rl.SystemConfig().replace(**{k: int(v) for k, v in overrides.items()})
+        name, values = cli._parse_axis(self.GRIDS[axis])
+        points = [_oracle_point(rl.apply_axis(base, name, v)) for v in values]
+        result = SweepResult("closed_form", name, values, ("sm", "bf", "db"))
+        companions = montecarlo.closed_form_companions(
+            result.schemes, montecarlo.power_groups(base, name, values))
+        for scheme in result.schemes:
+            pairs = tuple(point[scheme] for point in points)
+            # Bit for bit: a last-bit change does not reach the CSV's 12 digits.
+            assert repr(companions[scheme]) == repr(pairs)
+            result.means[scheme] = tuple(u if math.isnan(a) else a for a, u in pairs)
+            result.stderrs[scheme] = (0.0,) * len(values)
+            result.closed_form[scheme] = pairs
+            result.n_trials[scheme] = (0,) * len(values)
+        assert out.read_bytes() == cli.format_csv(result).encode()
+
+    def test_power_sweep_builds_nothing_per_point(self, tmp_path, monkeypatch):
+        counts = {rl.SystemConfig: 0, rl.ClosedFormParams: 0}
+        for cls in counts:
+            def counted(self, _cls=cls, _init=cls.__post_init__):
+                counts[_cls] += 1
+                _init(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        out = tmp_path / "closed.csv"
+        assert _run(["analyze", "--axis", "E_dBm=0:0.1:40", "--output", str(out)]) == 0
+        assert len(_read_rows(out)[1]) == 3 * 401
+        assert max(counts.values()) <= 2, counts
+
+    @pytest.mark.parametrize("axis, extra, message", [
+        # The last point overflows, after a point of 0 W: configs first.
+        ("E_dBm=0:1000:4000", [], "axis value E_dBm=4000.0 is out of range"),
+        ("E_dBm=-4000:4000:4000", [], "axis value E_dBm=4000.0 is out of range"),
+        # 10 ** -403 W underflows to 0 W.
+        ("E_dBm=-4000:1:-3999", [], "closed-form parameters must be positive"),
+        ("E_dBm=-4000:830:-3170", [], "closed-form parameters must be positive"),
+        # 1e-320 W: a subnormal power whose stream constants overflow.
+        ("E_dBm=-3170:1:-3169", [], "closed-form parameters leave the floating-point range"),
+        ("E_dBm=-3170:10:-3100", [], "closed-form parameters leave the floating-point range"),
+        # 1e297 W: the last point's stream constants underflow.
+        ("E_dBm=0:1000:3000", [], "closed-form parameters leave the floating-point range"),
+        # The db bound leaves the float range only at m * P ...
+        ("M_R=1:1:3", ["--set", "transmit_power=1e300"],
+         "closed-form parameters leave the floating-point range"),
+        ("E_dBm=0:2977:2977", ["--set", "n_slots=3"],
+         "closed-form parameters leave the floating-point range"),
+        # ... which every point's own bundle precedes.
+        ("E_dBm=-4000:6977:2977", ["--set", "n_slots=3"],
+         "closed-form parameters must be positive"),
+    ])
+    @pytest.mark.parametrize("verb", ["analyze", "se-sweep"])
+    def test_first_error_of_a_bad_grid(self, verb, axis, extra, message, tmp_path,
+                                       monkeypatch, capsys):
+        monkeypatch.setattr(montecarlo, "_run_chunk", _engine_reached)
+        out = tmp_path / "x.csv"
+        argv = [verb, "--axis", axis, "--output", str(out), *extra]
+        if verb == "se-sweep":
+            argv += ["--scheme", "sm,bf,db", "--angle-epochs", "1", "--fading-epochs", "1"]
+        assert _run(argv) == cli.EXIT_BAD_CONFIG
+        out_text, err = capsys.readouterr()
+        assert (out_text, err) == ("", f"error: {message}\n")
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -888,8 +888,15 @@ class TestEstimators:
 
 
 def _companions(schemes, configs):
-    """Every scheme's (approximation, upper bound) pairs over a grid."""
-    return mc.closed_form_companions(schemes, configs)
+    """Every scheme's (approximation, upper bound) pairs over a grid, run
+    of consecutive configs that differ only in transmit power as one group."""
+    groups = []
+    for cfg in configs:
+        if groups and cfg == groups[-1][0].replace(transmit_power=cfg.transmit_power):
+            groups[-1][1].append(cfg.transmit_power)
+        else:
+            groups.append((cfg, [cfg.transmit_power]))
+    return mc.closed_form_companions(schemes, [(cfg, np.array(p)) for cfg, p in groups])
 
 
 class TestClosedFormCompanions:
