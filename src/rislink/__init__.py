@@ -25,7 +25,6 @@ from .config import (
     ris_element_count,
     watt2dbm,
 )
-from .customize import PathSelection
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -54,7 +53,6 @@ __all__ = [
     "ConfigurationError",
     "ConvergenceError",
     "NoCrossingError",
-    "PathSelection",
     "PlacementError",
     "RislinkError",
     "SamplingError",

@@ -36,6 +36,7 @@ from .errors import (
 )
 from .montecarlo import (
     AXIS_NAMES,
+    CLOSED_FORM_SCHEMES,
     SweepResult,
     TrialPlan,
     check_axis_grid,
@@ -261,10 +262,10 @@ def _write_closed_form_sweep(config: SystemConfig, axis_spec: str, path: str) ->
     primary closed form (approximation where one exists, bound otherwise)."""
     axis_name, axis_values = _parse_axis(axis_spec)
     check_axis_grid(axis_values)
-    schemes = ("sm", "bf", "db")
-    result = SweepResult("closed_form", axis_name, axis_values, schemes)
-    companions = closed_form_companions(schemes, power_groups(config, axis_name, axis_values))
-    for scheme in schemes:
+    result = SweepResult("closed_form", axis_name, axis_values, CLOSED_FORM_SCHEMES)
+    companions = closed_form_companions(CLOSED_FORM_SCHEMES,
+                                        power_groups(config, axis_name, axis_values))
+    for scheme in CLOSED_FORM_SCHEMES:
         pairs = companions[scheme]
         result.means[scheme] = tuple(u if math.isnan(a) else a for a, u in pairs)
         result.stderrs[scheme] = (0.0,) * len(axis_values)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,16 @@ def dbm2watt(value_dbm: float) -> float:
 def watt2dbm(value_watt: float) -> float:
     """Convert a power level from watts to dBm."""
     return 10.0 * math.log10(value_watt) + 30.0
+
+
+def integer_field(name: str, value) -> int:
+    """``value`` of the integer field ``name`` as a Python int (a numpy
+    integer included); what ``operator.index`` refuses raises
+    :class:`ConfigurationError`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -95,6 +106,8 @@ class SystemConfig:
     rx_disk_radius: float = 50.0
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            object.__setattr__(self, name, integer_field(name, getattr(self, name)))
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite")
@@ -133,6 +146,7 @@ class SystemConfig:
 
 
 _FLOAT_FIELDS = tuple(f.name for f in dataclasses.fields(SystemConfig) if f.type == "float")
+_INT_FIELDS = tuple(f.name for f in dataclasses.fields(SystemConfig) if f.type == "int")
 
 
 def path_loss(dist_tx_ris: float, dist_ris_rx: float, wavelength: float) -> float:

@@ -7,16 +7,21 @@ Scheme tags used throughout the package:
 - ``ds``: multiplexing with per-slot path hopping (intra-symbol diversity),
 - ``db``: beamforming with per-slot path hopping.
 
+The schemes come in two families (:data:`FAMILIES`), multiplexing and
+beamforming, each a single-configuration scheme and its hopping scheme,
+which adds slots to the same selection; a selection belongs to a family.
 The selectors score candidate receive responses by how close their Gram
 matrix is to a target (identity for multiplexing, all-ones for
 beamforming); searches are exact, skipping by bound only what cannot win,
 with deterministic lexicographic tie-breaking so equal inputs always
 yield equal selections.  Selection and design work on stacks of angle
-epochs: :func:`select_paths_stack` runs every scheme's searches of every
-angle epoch from one :class:`SearchTerms`, one stacked search per slot,
-and :func:`design_slots` designs one slot for every (angle epoch, fading
-epoch) row of a :class:`HopStack` into a :class:`DesignStack`.  One
-angle epoch is a stack of one.
+epochs, as arrays from search to design: :func:`select_paths_stack` runs
+every family's searches of every angle epoch from one
+:class:`SearchTerms`, one stacked search per slot, into one
+:class:`SelectionStack` per family, and :func:`design_slots` designs one
+of its slots for every (angle epoch, fading epoch) row of a
+:class:`HopStack` into a :class:`DesignStack`.  One angle epoch is a
+stack of one.
 
 Every profile is linear in the element index (element ``i`` applies ``i *
 slope + c`` radians): its slope retargets one path pair onto the cascaded
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +43,11 @@ from .channel import HopStack, _response_matrix, composite
 from .errors import SearchSpaceError, SelectionInfeasibleError
 
 SCHEME_TAGS = ("sm", "bf", "ds", "db")
+# Scheme family -> (single-configuration scheme, path-hopping scheme).  A
+# family runs one selection search, multiplexing or beamforming; its hopping
+# scheme extends the single one: the selection and designs begin with the
+# single scheme's, and the results continue the same slot sums.
+FAMILIES = {"multiplex": ("sm", "ds"), "beamform": ("bf", "db")}
 DEFAULT_SEARCH_CAP = 10_000_000
 # Objective elements the bounded search evaluates at a time, and above
 # which a stacked search of three or more groups bounds rather than runs
@@ -46,25 +56,27 @@ DEFAULT_SEARCH_CAP = 10_000_000
 _CHUNK_ELEMENTS = 1 << 16
 
 
-@dataclass(frozen=True)
-class PathSelection:
-    """Outcome of a selection search.
+@dataclass(frozen=True, eq=False)
+class SelectionStack:
+    """One family's path selections over a stack of A angle epochs and M
+    slots.
 
-    ``active_ris`` lists the surfaces that carry a retargeted path, in
-    ascending order.  ``slot_paths[m][i]`` is the receiver-side path index
-    assigned to ``active_ris[i]`` during slot ``m``; single-configuration
-    schemes have exactly one slot.  ``slot_objectives`` holds the realized
-    Gram-mismatch objective of every slot.
+    ``active`` (A, n_active) lists, per angle epoch, the surfaces that carry
+    a retargeted path, in ascending order.  ``paths[a, m, i]`` is the
+    receiver-side path assigned to surface ``active[a, i]`` during slot
+    ``m``, shape (A, M, n_active); both are int64.  ``objectives`` (A, M)
+    holds the realized Gram-mismatch objective of every slot.  A family's
+    single-configuration scheme reads slot 0, its hopping scheme a prefix of
+    the slots.
     """
 
-    scheme: str
-    active_ris: tuple[int, ...]
-    slot_paths: tuple[tuple[int, ...], ...]
-    slot_objectives: tuple[float, ...]
+    active: np.ndarray
+    paths: np.ndarray
+    objectives: np.ndarray
 
     @property
     def n_slots(self) -> int:
-        return len(self.slot_paths)
+        return self.paths.shape[1]
 
 
 def _candidate_gram(candidates: np.ndarray, n_rx: int) -> np.ndarray:
@@ -256,7 +268,7 @@ def _bounded_minima(unary, pairs) -> tuple[list[tuple[float, int] | None], np.nd
 def _search(
     terms: SearchTerms,
     searches: Sequence[tuple[Sequence[np.ndarray], float]],
-) -> list[list[tuple[tuple[int, ...], float]]]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exactly minimize the Gram mismatch over one index per group, for
     every (groups, target off-diagonal) search and every row of a stack of
     Gram matrices.
@@ -265,8 +277,9 @@ def _search(
     (A, S) or (S,) for every row alike.  Its objective is the squared
     Frobenius distance between the selected columns' Gram matrix and a
     target with unit diagonal and the search's off-diagonal elsewhere.
-    Returns, per search and row, positional indices into each group (first
-    minimizer in lexicographic order) and the objective value.
+    Returns, per search, every row's positional indices into each group
+    (first minimizer in lexicographic order), shape (A, groups), and its
+    objective value, shape (A,).
 
     Searches of equal group sizes run as one stack (see
     :meth:`SearchTerms.gather`), split back after.  A stack of more than
@@ -288,33 +301,36 @@ def _search(
         if len(sizes) > 2 and rows * math.prod(sizes) > _CHUNK_ELEMENTS:
             found = _bounded_minima(unary, pairs)[0]
         dense = np.array([r for r in range(rows) if found[r] is None], dtype=np.int64)
+        values, flats = np.empty(rows), np.empty(rows, dtype=np.int64)
+        for r, best in enumerate(found):
+            if best is not None:
+                values[r], flats[r] = best
         if len(dense):
             objective = _slab_objective(unary, pairs, dense, []).reshape(len(dense), -1)
-            minima = np.argmin(objective, axis=1).tolist()
-            for r, values, k in zip(dense.tolist(), objective, minima):
-                found[r] = (float(values[k]), k)
-        found = [(tuple(int(i) for i in np.unravel_index(flat, sizes)), value)
-                 for value, flat in found]
+            flats[dense] = np.argmin(objective, axis=1)
+            values[dense] = objective[np.arange(len(dense)), flats[dense]]
+        positions = np.stack(np.unravel_index(flats, sizes), axis=-1)
         n_angle = rows // len(members)
         for j, i in enumerate(members):
-            results[i] = found[j * n_angle:(j + 1) * n_angle]
+            block = slice(j * n_angle, (j + 1) * n_angle)
+            results[i] = positions[block], values[block]
     return results
 
 
-def check_selection(n_paths: int, n_ris: int, n_rx: int, scheme: str, n_slots: int = 1) -> None:
-    """Reject an unknown scheme (``ValueError``), slots or surfaces that
+def check_selection(n_paths: int, n_ris: int, n_rx: int, family: str, n_slots: int = 1) -> None:
+    """Reject an unknown family (``ValueError``), slots or surfaces that
     ``n_paths`` paths per surface cannot serve (``SelectionInfeasibleError``)
     and a first-slot search above ``DEFAULT_SEARCH_CAP`` tuples
     (``SearchSpaceError``)."""
-    if scheme not in SCHEME_TAGS:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {', '.join(SCHEME_TAGS)}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
     if n_slots < 1:
         raise SelectionInfeasibleError("need at least one slot")
     if n_slots > n_paths:
         raise SelectionInfeasibleError(
             f"{n_slots} slots need {n_slots} disjoint paths but only {n_paths} exist"
         )
-    multiplex = scheme in ("sm", "ds")
+    multiplex = family == "multiplex"
     if multiplex and not (n_ris >= n_rx >= 1):
         raise SelectionInfeasibleError("need n_ris >= n_rx >= 1 for multiplexing")
     space = math.comb(n_ris, n_rx) * n_paths**n_rx if multiplex else n_paths**n_ris
@@ -328,90 +344,78 @@ def select_paths_stack(
     n_paths: int,
     n_rx: int,
     slots: dict[str, int],
-) -> dict[str, list[PathSelection]]:
-    """Every scheme's path selection for every angle epoch of a stack.
+) -> dict[str, SelectionStack]:
+    """Every family's path selection for every angle epoch of a stack.
 
     ``terms`` holds the search terms of candidates of shape (A, n_ris,
     n_paths), shared by every search; candidate ``[a, k, l]`` is the
     receive-side spatial frequency of path ``l`` through surface ``k``.
-    ``slots`` maps each scheme to its slot count, and the result maps it
-    to one selection per angle epoch.
-    Slot 0 runs the multiplexing search (``sm``, ``ds``): ``n_rx``
-    (surface, path) pairs whose responses' Gram matrix is closest to the
-    identity, over every surface subset of size ``n_rx`` and every path
-    assignment.  Or it runs the beamforming search (``bf``, ``db``): one
-    path on every surface, with the Gram matrix closest to all-ones
-    (perfect alignment).  Ties go to the lexicographically smallest
-    (subset, assignment).  Each later slot greedily re-runs the same
-    search restricted to each active surface's unused paths, with the
-    active surface set frozen, so ``n_slots`` is at most ``n_paths``.
-    The schemes of one family (same search) share its slots: each reads
-    the prefix of its own slot count, as if selected alone.  Each slot
-    runs as one :func:`_search` call over every family still running, so
-    searches of equal group sizes stack (slot 0's surface subsets, with
-    the beamforming search when ``n_rx == n_ris``; a later slot's hopping
-    searches likewise).  Inputs that :func:`check_selection` rejects raise
-    its errors.
+    ``slots`` maps each family of :data:`FAMILIES` to its slot count, and
+    the result maps it to its :class:`SelectionStack`.
+    Slot 0 runs the multiplexing search: ``n_rx`` (surface, path) pairs
+    whose responses' Gram matrix is closest to the identity, over every
+    surface subset of size ``n_rx`` and every path assignment.  Or it runs
+    the beamforming search: one path on every surface, with the Gram matrix
+    closest to all-ones (perfect alignment).  Ties go to the
+    lexicographically smallest (subset, assignment).  Each later slot
+    greedily re-runs the same search restricted to each active surface's
+    unused paths, with the active surface set frozen, so ``n_slots`` is at
+    most ``n_paths``; a prefix of a family's slots is its selection at that
+    slot count.  Each slot runs as one :func:`_search` call over every
+    family still running, so searches of equal group sizes stack (slot 0's
+    surface subsets, with the beamforming search when ``n_rx == n_ris``; a
+    later slot's hopping searches likewise).  Inputs that
+    :func:`check_selection` rejects raise its errors.
     """
     n_angle = len(terms.gram)
     n_ris = terms.gram.shape[-1] // n_paths
-    # Each family is keyed by its search's target off-diagonal: the
-    # scheme's target, and the slots the family runs.
-    targets, runs = {}, {}
-    for scheme, n_slots in slots.items():
-        check_selection(n_paths, n_ris, n_rx, scheme, n_slots)
-        target = targets[scheme] = 0.0 if scheme in ("sm", "ds") else 1.0
-        runs[target] = max(runs.get(target, 0), n_slots)
-    subsets = [
-        (target, subset)
-        for target in runs
-        for subset in (combinations(range(n_ris), n_rx) if target == 0.0 else [tuple(range(n_ris))])
-    ]
-    found = _search(terms, [([np.arange(n_paths) + k * n_paths for k in subset], target)
-                            for target, subset in subsets])
-    best = {target: [(math.inf, (), ())] * n_angle for target in runs}
-    for (target, subset), rows_found in zip(subsets, found):
-        for r, (positions, obj) in enumerate(rows_found):
-            # Beamforming has one subset, which wins even a NaN objective.
-            if obj < best[target][r][0] or target == 1.0:
-                best[target][r] = (obj, subset, positions)
-    active = {target: np.array([subset for _, subset, _ in best[target]]) for target in runs}
-    slot_paths = {target: [[positions] for _, _, positions in best[target]] for target in runs}
-    slot_objectives = {target: [[obj] for obj, _, _ in best[target]] for target in runs}
-    used = {target: np.zeros((n_angle, n_ris, n_paths), dtype=bool) for target in runs}
-    rows = np.arange(n_angle)[:, None]
-    for m in range(1, max(runs.values())):
-        hopping = [target for target, n_slots in runs.items() if n_slots > m]
+    for family, n_slots in slots.items():
+        check_selection(n_paths, n_ris, n_rx, family, n_slots)
+    # Each family's search target off-diagonal, and its surface subsets
+    # (beamforming has one, every surface): (subsets, n_active).
+    targets = {family: 0.0 if family == "multiplex" else 1.0 for family in slots}
+    subsets = {
+        family: np.array(list(combinations(range(n_ris), n_rx if family == "multiplex" else n_ris)))
+        for family in slots
+    }
+    found = iter(_search(terms, [
+        ([np.arange(n_paths) + k * n_paths for k in subset], targets[family])
+        for family in slots for subset in subsets[family].tolist()
+    ]))
+    rows = np.arange(n_angle)
+    active, paths, objectives = {}, {}, {}
+    for family in slots:
+        # Each subset's search: positions (subsets, A, n_active), values (subsets, A).
+        positions, values = map(np.stack, zip(*islice(found, len(subsets[family]))))
+        # The first subset of least objective wins, a NaN ranking as +inf:
+        # it never beats a number, and beamforming's one subset always wins.
+        best = np.where(np.isnan(values), math.inf, values).argmin(axis=0)
+        active[family] = subsets[family][best]
+        paths[family] = [positions[best, rows]]
+        objectives[family] = [values[best, rows]]
+    used = {family: np.zeros((n_angle, n_ris, n_paths), dtype=bool) for family in slots}
+    rows = rows[:, None]
+    for m in range(1, max(slots.values())):
+        hopping = [family for family, n_slots in slots.items() if n_slots > m]
         frees = []
-        for target in hopping:
-            used[target][rows, active[target], [paths[-1] for paths in slot_paths[target]]] = True
+        for family in hopping:
+            used[family][rows, active[family], paths[family][-1]] = True
             # Unused paths of each active surface in ascending order, m per
             # surface used so far: (A, n_active, n_paths - m).
-            frees.append(np.nonzero(~used[target][rows, active[target]])[-1].reshape(
-                active[target].shape + (n_paths - m,)))
+            frees.append(np.nonzero(~used[family][rows, active[family]])[-1].reshape(
+                active[family].shape + (n_paths - m,)))
         found = _search(terms, [
-            (list(np.moveaxis(free + active[target][..., None] * n_paths, 1, 0)), target)
-            for target, free in zip(hopping, frees)
+            (list(np.moveaxis(free + active[family][..., None] * n_paths, 1, 0)), targets[family])
+            for family, free in zip(hopping, frees)
         ])
-        for target, free, rows_found in zip(hopping, frees, found):
-            for r, (positions, obj) in enumerate(rows_found):
-                slot_paths[target][r].append(
-                    tuple(int(free[r, i, p]) for i, p in enumerate(positions)))
-                slot_objectives[target][r].append(obj)
-    selections = {}
-    for scheme, n_slots in slots.items():
-        target = targets[scheme]
-        selections[scheme] = [
-            PathSelection(
-                scheme=scheme,
-                active_ris=subset,
-                slot_paths=tuple(paths[:n_slots]),
-                slot_objectives=tuple(objectives[:n_slots]),
-            )
-            for (_, subset, _), paths, objectives
-            in zip(best[target], slot_paths[target], slot_objectives[target])
-        ]
-    return selections
+        for family, free, (positions, values) in zip(hopping, frees, found):
+            paths[family].append(np.take_along_axis(free, positions[..., None], axis=-1)[..., 0])
+            objectives[family].append(values)
+    return {
+        family: SelectionStack(active[family], np.stack(paths[family], axis=1),
+                               np.stack(objectives[family], axis=1))
+        for family in slots
+    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,8 +423,8 @@ class DesignStack:
     """One slot's designs over a block of (angle epoch, fading epoch) rows.
 
     ``r_active`` / ``t_active`` hold the receive / transmit responses of
-    the activated paths (one column per active surface, in the selection's
-    ``active_ris`` order), shape (A, 1, n, n_active): they depend on the
+    the activated paths (one column per active surface, in the order of the
+    selection's ``active``), shape (A, 1, n, n_active): they depend on the
     angles only.  ``xi_active`` holds the designed effective gains of
     those paths, shape (A, F, n_active), and ``exact_h`` the full
     composite channel realized under the designed profiles, including
@@ -467,13 +471,13 @@ def _designed_gains(losses, rx_gains, tx_gains, phases) -> tuple[np.ndarray, np.
 
 
 def design_slots(
-    selections: Sequence[PathSelection],
+    selection: SelectionStack,
     slot: int,
     estimate: HopStack,
     exact: HopStack,
     refine: bool = False,
 ) -> tuple[DesignStack, np.ndarray, np.ndarray]:
-    """Design slot ``slot`` of each angle epoch's selection over a stack.
+    """Design slot ``slot`` of a family's selection over a stack.
 
     Each active surface gets a linear profile retargeting its assigned
     receiver-side path onto the transmitter line of sight; inactive
@@ -487,10 +491,9 @@ def design_slots(
     arrays that round exactly as one scalar at a time would (see
     :func:`_common_phases` and :func:`_designed_gains`).
     """
-    n_angle = len(selections)
+    active, paths = selection.active, selection.paths[:, slot]
+    n_angle = len(active)
     rows = np.arange(n_angle)[:, None]
-    active = np.array([selection.active_ris for selection in selections])
-    paths = np.array([selection.slot_paths[slot] for selection in selections])
     rx_freqs = estimate.rx_arrival[rows, active, paths]
     slopes = np.zeros(estimate.n_elements.shape)
     slopes[rows, active] = (
@@ -511,7 +514,7 @@ def design_slots(
     xi_active.real, xi_active.imag = (np.swapaxes(part, 1, 2) for part in gains)
     design = DesignStack(
         slot=slot,
-        n_slots=selections[0].n_slots,
+        n_slots=selection.n_slots,
         r_active=_response_matrix(estimate.n_rx, rx_freqs)[:, None],
         t_active=_response_matrix(estimate.n_tx, estimate.tx_departure[rows, active, 0])[:, None],
         xi_active=xi_active,

@@ -7,12 +7,13 @@ redraw only the scattered gains and refine the phase design from instant
 knowledge.  Slot hopping for the diversity schemes happens inside a single
 fading epoch.
 
-The schemes come in two families, multiplexing (``sm``/``ds``) and
+The schemes come in the two families of
+:data:`rislink.customize.FAMILIES`, multiplexing (``sm``/``ds``) and
 beamforming (``bf``/``db``), and the hopping scheme of a family is its
 single-configuration scheme plus more slots.  Each family runs one
-pipeline: one selection, one design per slot, and one pass of its runner,
-from which ``sm``/``bf`` read the one-slot prefix and ``ds``/``db`` every
-slot.
+pipeline: one selection at its largest requested slot count, one design
+per slot, and one pass of its runner, from which ``sm``/``bf`` read the
+one-slot prefix and ``ds``/``db`` every slot.
 
 A grid point's realizations are rows, one per (angle epoch, fading
 epoch).  Grid points whose configs differ only in transmit power (a power
@@ -30,9 +31,9 @@ rows' key prefixes into the cached pool of the seed and then the Philox
 keys of all its cells, and each draw re-keys one generator before each
 row instead of building one per cell; :func:`substream` is the same
 hash on one cell.  Above the draws a chunk runs stacked: one set of
-selection terms (Gram matrices)
-serves both families, one selection call runs each selection slot of
-both families over all the angle epochs as one stacked search, each slot
+selection terms (Gram matrices) serves both families, one selection call
+runs each selection slot of both families over all the angle epochs as
+one stacked search and returns one array stack per family, each slot
 design covers every row, with the angle-only parts
 (steering responses, surface kernels) built once per angle epoch and the
 gain-dependent parts carrying the rows, and each family's runner makes
@@ -57,9 +58,10 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .channel import HopStack, draw_angle_epochs, draw_fading_gains, rekey
-from .config import SurfaceGeometry, SystemConfig, db2lin, dbm2watt, receiver_losses
-from .config import surface_geometry
+from .config import SurfaceGeometry, SystemConfig, db2lin, dbm2watt, integer_field
+from .config import receiver_losses, surface_geometry
 from .customize import (
+    FAMILIES,
     SCHEME_TAGS,
     SearchTerms,
     _candidate_gram,
@@ -250,6 +252,8 @@ class TrialPlan:
     gamma_th: float = DEFAULT_OUTAGE_THRESHOLD
 
     def __post_init__(self) -> None:
+        for name in ("n_angle_epochs", "n_fading_epochs", "base_seed"):
+            object.__setattr__(self, name, integer_field(name, getattr(self, name)))
         if self.axis_name not in AXIS_NAMES:
             raise ConfigurationError(
                 f"unknown sweep axis {self.axis_name!r}; "
@@ -310,20 +314,15 @@ def _angle_errors(
     return arrivals + errors[:, :, 0], departures + errors[:, :, 1]
 
 
-# Scheme family -> (single-configuration scheme, path-hopping scheme).  The
-# hopping scheme extends the single one: its selection and designs begin
-# with the single scheme's, and its results continue the same slot sums.
-_FAMILIES = {"multiplex": ("sm", "ds"), "beamform": ("bf", "db")}
-
-
-def _family_runs(schemes: tuple[str, ...], config: SystemConfig):
-    """(family, scheme its selection searches for, {requested scheme: slots
-    it reads}) of every family with a requested scheme: the hopping search
-    when the hopping scheme is requested, else the one-slot one."""
-    for family, (single, hopping) in _FAMILIES.items():
+def _family_runs(schemes: tuple[str, ...], config: SystemConfig) -> dict[str, dict[str, int]]:
+    """{requested scheme: slots it reads} of every family of
+    :data:`~rislink.customize.FAMILIES` with a requested scheme."""
+    runs = {}
+    for family, (single, hopping) in FAMILIES.items():
         slots = {s: n for s, n in ((single, 1), (hopping, config.n_slots)) if s in schemes}
         if slots:
-            yield family, hopping if hopping in slots else single, slots
+            runs[family] = slots
+    return runs
 
 
 def _join(parts: list[SchemeResult], axis: int) -> SchemeResult:
@@ -362,28 +361,15 @@ def _run_chunk(
     ``rows`` holds the chunk's (grid index, angle epoch) keys, which pick
     only the substreams, and ``powers`` each row's transmit power.  The
     rows share ``config``, whose transmit power nothing here reads, and
-    its surface geometry ``surfaces``.
-    Every angle epoch and fading epoch draws from its own substream, in
-    the order of a single-epoch run, straight into the chunk's arrays.
-    The chunk derives its substreams' Philox keys in array passes
-    (:func:`_stream_keys`) from the pools of its rows' (seed, grid index,
-    angle epoch) prefixes (:func:`_stream_pools`), and every draw re-keys
-    one generator before each row: the angle epochs' receiver drops and
-    path angles (:func:`draw_angle_epochs`), then, with angle error, the
-    perturbed estimates (:func:`_angle_errors`), and every fading epoch's
-    gains (:func:`draw_fading_gains`).  Above the draws the chunk runs as
-    stacked rows: one set of search terms serves every selection, one
-    :func:`select_paths_stack` call selects for every family (the hopping
-    search when its hopping scheme is requested), one stacked search per
-    selection slot, and then, for at most ``CHUNK_ROWS`` rows at a
-    time, each family designs each slot once and makes one runner pass
-    over all the rows, each at its own power, where ``sm``/``bf`` read the
-    one-slot prefix and ``ds``/``db`` all slots.
-    With ``payload`` (family -> symbols per fading epoch), each runner
-    pass also carries the family's payload over its rows, every row on
-    that fading epoch's payload key, derived once per piece of fading
-    epochs for both families, and fills the bit counts of every scheme it
-    reads.  Returns each scheme's result, its columns over the chunk's
+    its surface geometry ``surfaces``.  The chunk derives its substreams'
+    keys once, draws its angle epochs (with angle error, their estimates),
+    and selects each family once, at its largest requested slot count.
+    Then, for at most ``CHUNK_ROWS`` rows of fading epochs at a time, it
+    draws their gains, and each family designs each slot once and makes
+    one runner pass, from which each scheme reads its own slot prefix.
+    With ``payload`` (family -> symbols per fading epoch), each pass also
+    carries the family's payload, every row on its fading epoch's payload
+    key.  Returns each scheme's result, its columns over the chunk's
     (angle epoch, fading epoch) rows.
     """
     mismatched = config.angle_error_std > 0
@@ -399,10 +385,9 @@ def _run_chunk(
         )
     candidates = estimated.get("rx_arrival", angles["rx_arrival"])
     terms = SearchTerms(_candidate_gram(candidates, config.n_rx))
-    runs = list(_family_runs(schemes, config))
+    runs = _family_runs(schemes, config)
     selected = select_paths_stack(terms, config.n_ris_rx_paths, config.n_rx,
-                                  {scheme: slots[scheme] for _, scheme, slots in runs})
-    families = [(family, selected[scheme], slots) for family, scheme, slots in runs]
+                                  {family: max(slots.values()) for family, slots in runs.items()})
     pieces = {scheme: [] for scheme in schemes}
     purposes = (_FADING, _PAYLOAD) if payload else (_FADING,)
     step = max(1, CHUNK_ROWS // len(rows))
@@ -414,11 +399,11 @@ def _run_chunk(
                                                keys[:, 0], rng)
         exact = HopStack(tx_gains=tx_gains, rx_gains=rx_gains, **angles)
         estimate = replace(exact, **estimated) if mismatched else exact
-        for family, selections, slots in families:
+        for family, slots in runs.items():
             multiplex = family == "multiplex"
             designs = [
-                design_slots(selections, m, estimate, exact, refine=not multiplex)[0]
-                for m in range(selections[0].n_slots)
+                design_slots(selected[family], m, estimate, exact, refine=not multiplex)[0]
+                for m in range(selected[family].n_slots)
             ]
             run_payload = (payload[family], keys[:, 1], rng) if payload else None
             run = _run_multiplex if multiplex else _run_beamform
@@ -426,6 +411,12 @@ def _run_chunk(
             for scheme, result in results.items():
                 pieces[scheme].append(result)
     return {scheme: _join(parts, axis=1) for scheme, parts in pieces.items()}
+
+
+# Schemes with a closed form: ``sm`` has an approximation and an upper
+# bound, the beamforming schemes an upper bound each.
+_BOUNDS = {"bf": analysis.se_bf_upper, "db": analysis.se_db_upper}
+CLOSED_FORM_SCHEMES = ("sm", *_BOUNDS)
 
 
 def closed_form_companions(
@@ -444,7 +435,6 @@ def closed_form_companions(
         analysis.ClosedFormParams.from_config(cfg, powers if len(powers) > 1 else float(powers[0]))
         for cfg, powers in groups
     ]
-    bounds = {"bf": analysis.se_bf_upper, "db": analysis.se_db_upper}
     nans = [np.full(sum(len(powers) for _, powers in groups), math.nan)]
     out = {}
     for scheme in schemes:
@@ -454,8 +444,8 @@ def closed_form_companions(
             widths = itertools.groupby(c_rows, key=lambda c: c.shape[-1])
             blocks = [np.vstack(list(rows)) for _, rows in widths]
             approx, upper = analysis.se_sm_approx(blocks), list(map(analysis.se_sm_upper, blocks))
-        elif scheme in bounds:
-            upper = [bounds[scheme](p) for p in params]
+        elif scheme in _BOUNDS:
+            upper = [_BOUNDS[scheme](p) for p in params]
         out[scheme] = tuple(zip(np.hstack(approx).tolist(), np.hstack(upper).tolist()))
     return out
 
@@ -503,7 +493,7 @@ def _payload_sizes(
     sizes = []
     for cfg in configs:
         symbols = {}
-        for family, _, _ in _family_runs(plan.schemes, cfg):
+        for family in _family_runs(plan.schemes, cfg):
             per_use = 2 * (cfg.n_rx if family == "multiplex" else 1)
             symbols[family] = max(1, -(-min_bits // (n_epochs * per_use)))
             if symbols[family] * per_use > MAX_PAYLOAD_BITS:
@@ -556,8 +546,8 @@ def _sweep(
     else:
         companions = {scheme: (_NO_FORM,) * len(plan.axis_values) for scheme in plan.schemes}
     for cfg in configs:
-        for _, scheme, slots in _family_runs(plan.schemes, cfg):
-            check_selection(cfg.n_ris_rx_paths, cfg.n_ris, cfg.n_rx, scheme, slots[scheme])
+        for family, slots in _family_runs(plan.schemes, cfg).items():
+            check_selection(cfg.n_ris_rx_paths, cfg.n_ris, cfg.n_rx, family, max(slots.values()))
     n_angle = plan.n_angle_epochs
     per_chunk = max(1, CHUNK_ROWS // plan.n_fading_epochs)
     reduced = []

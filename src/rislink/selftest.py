@@ -25,6 +25,7 @@ from .channel import (
 )
 from .config import SystemConfig, receiver_losses, surface_geometry
 from .customize import (
+    FAMILIES,
     SearchTerms,
     _bounded_minima,
     _candidate_gram,
@@ -110,11 +111,12 @@ def dense_composite(hops: HopStack, slopes, commons, a: int = 0, f: int = 0) -> 
 
 
 def select_one(candidates, n_rx, scheme, n_slots=1):
-    """:func:`select_paths_stack` on one angle epoch's candidates, shape
-    (n_ris, n_paths): a stack of one."""
+    """:func:`select_paths_stack` for the family of ``scheme`` on one angle
+    epoch's candidates, shape (n_ris, n_paths): a stack of one."""
     candidates = np.asarray(candidates, dtype=float)
     terms = SearchTerms(_candidate_gram(candidates[None], n_rx))
-    return select_paths_stack(terms, candidates.shape[1], n_rx, {scheme: n_slots})[scheme][0]
+    family = next((f for f, members in FAMILIES.items() if scheme in members), scheme)
+    return select_paths_stack(terms, candidates.shape[1], n_rx, {family: n_slots})[family]
 
 
 def design_one(selection, estimate: HopStack, slot=0, refine=False, exact: HopStack | None = None):
@@ -122,7 +124,7 @@ def design_one(selection, estimate: HopStack, slot=0, refine=False, exact: HopSt
     that angle epoch as the designer knows it; ``exact`` realizes the
     channel on other hops.  Gains stacked over F fading epochs give F
     rows.  Returns the design, slopes and common phases."""
-    return design_slots([selection], slot, estimate, estimate if exact is None else exact, refine)
+    return design_slots(selection, slot, estimate, estimate if exact is None else exact, refine)
 
 
 def evaluated_crossing_point(params) -> float:
@@ -238,7 +240,7 @@ def _check_selection() -> str:
          if len({k for k, _ in pairs}) == config.n_rx),
         key=objective,
     )
-    got = tuple(zip(selection.active_ris, selection.slot_paths[0]))
+    got = tuple(zip(selection.active[0].tolist(), selection.paths[0, 0].tolist()))
     assert math.isclose(objective(got), objective(best), rel_tol=1e-12), (got, best)
     return f"pairs {got}"
 

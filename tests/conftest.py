@@ -149,15 +149,17 @@ def common_phase_refinement(
     )
 
 
-def scalar_phase_design(selections, slot: int, estimate: HopStack, refine: bool):
+def scalar_phase_design(selection, slot: int, estimate: HopStack, refine: bool):
     """Scalar oracle of ``customize.design_slots``'s common phases (A, F or
     1, K) and designed gains (A, F, n_active): one scalar at a time, on
     numpy scalars, as the design loops ran before they became arrays."""
     n_fading = estimate.rx_gains.shape[1]
-    commons = np.zeros((len(selections), n_fading if refine else 1, estimate.n_elements.shape[1]))
-    xi_active = np.empty((len(selections), n_fading, len(selections[0].active_ris)), dtype=complex)
-    for a, selection in enumerate(selections):
-        for i, (k, l) in enumerate(zip(selection.active_ris, selection.slot_paths[slot])):
+    n_angle, n_active = selection.active.shape
+    commons = np.zeros((n_angle, n_fading if refine else 1, estimate.n_elements.shape[1]))
+    xi_active = np.empty((n_angle, n_fading, n_active), dtype=complex)
+    for a in range(n_angle):
+        for i, (k, l) in enumerate(zip(selection.active[a].tolist(),
+                                       selection.paths[a, slot].tolist())):
             rx_gains, tx_gains = estimate.rx_gains[a, :, k, l], estimate.tx_gains[a, :, k, 0]
             phases = [0.0] * n_fading
             if refine:

@@ -58,6 +58,16 @@ COMMANDS: dict[str, list[str]] = {
         "ber-sweep", "--scheme", "sm,bf", "--axis", "E_dBm=0:20:20",
         "--angle-epochs", "2", "--fading-epochs", "2", "--min-bits", "2000",
     ],
+    # README figure commands at full size: both run the bounded path search
+    # (Figure 6 from L_R=15 up) over many chunks of angle epochs.
+    "figure6.csv": [
+        "se-sweep", "--scheme", "sm,bf", "--axis", "L_R=5:5:30",
+        "--set", "transmit_power=0.1",
+    ],
+    "figure7-mismatched.csv": [
+        "se-sweep", "--scheme", "sm,bf", "--axis", "E_dBm=0:5:40",
+        "--set", "angle_error_std=0.05",
+    ],
 }
 
 

@@ -300,16 +300,16 @@ def test_criterion_09_selection_matches_exhaustive_search():
 
         obj, active, paths = _exhaustive_sm(candidates, n_rx)
         got = select_one(candidates, n_rx, "sm")
-        assert got.active_ris == active
-        assert got.slot_paths[0] == paths
-        assert math.isclose(got.slot_objectives[0], obj, rel_tol=1e-12,
+        assert tuple(got.active[0].tolist()) == active
+        assert tuple(got.paths[0, 0].tolist()) == paths
+        assert math.isclose(got.objectives[0, 0], obj, rel_tol=1e-12,
                             abs_tol=1e-12)
 
         obj, active, paths = _exhaustive_bf(candidates, n_rx)
         got = select_one(candidates, n_rx, "bf")
-        assert got.active_ris == active
-        assert got.slot_paths[0] == paths
-        assert math.isclose(got.slot_objectives[0], obj, rel_tol=1e-12,
+        assert tuple(got.active[0].tolist()) == active
+        assert tuple(got.paths[0, 0].tolist()) == paths
+        assert math.isclose(got.objectives[0, 0], obj, rel_tol=1e-12,
                             abs_tol=1e-12)
     _report(9, True,
             "path selection matches an independent exhaustive enumerator "

@@ -227,6 +227,25 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
             rl.SystemConfig().replace(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("n_tx", 16.5), ("n_rx", 2.0), ("n_ris", 4.0), ("n_nlos_tx_paths", np.float64(2.0)),
+        ("n_ris_rx_paths", 3.5), ("n_slots", "2"), ("n_tx", None),
+    ])
+    def test_rejects_non_integer_counts(self, name, value):
+        # A fractional array size used to run (n_tx=16.5 gave a 16.5-element
+        # array); others failed deep in the engine with a bare TypeError.
+        with pytest.raises(ConfigurationError, match=f"^{name} must be an integer"):
+            rl.SystemConfig().replace(**{name: value})
+
+    def test_numpy_integer_counts_stored_as_int(self):
+        counts = dict(n_tx=np.int64(8), n_rx=np.int32(2), n_ris=np.uint8(3),
+                      n_nlos_tx_paths=np.int16(1), n_ris_rx_paths=np.int64(5),
+                      n_slots=np.int64(2))
+        config = rl.SystemConfig(**counts)
+        for name, value in counts.items():
+            assert type(getattr(config, name)) is int and getattr(config, name) == value
+        assert config == rl.SystemConfig(**{k: int(v) for k, v in counts.items()})
+
     def test_pure_los_transmit_link_allowed(self):
         config = rl.SystemConfig(n_nlos_tx_paths=0)
         assert config.n_nlos_tx_paths == 0

@@ -84,10 +84,17 @@ def _search_oracle(gram, groups, target_off_diagonal):
     return tuple(int(i) for i in best), float(objective.reshape(-1)[flat])
 
 
+def _rows(found):
+    """One search's positions and values as the oracle's per-row
+    (index tuple, value) pairs."""
+    positions, values = found
+    return list(zip(map(tuple, positions.tolist()), values.tolist()))
+
+
 def _search_one(gram, groups, target_off_diagonal):
     """The selection search on one Gram matrix: a stack of one."""
     terms = SearchTerms(gram[None])
-    return customize._search(terms, [(groups, target_off_diagonal)])[0][0]
+    return _rows(customize._search(terms, [(groups, target_off_diagonal)])[0])[0]
 
 
 class TestBestTuple:
@@ -136,7 +143,7 @@ class TestBestTuple:
                           for g in groups]
             assert n_rows * math.prod(len(g) for g in groups) > customize._CHUNK_ELEMENTS
             for target in (0.0, 1.0):
-                (got,) = customize._search(SearchTerms(grams), [(groups, target)])
+                (got,) = map(_rows, customize._search(SearchTerms(grams), [(groups, target)]))
                 for gram, row in zip(grams, got):
                     assert repr(row) == repr(_search_oracle(gram, groups, target))
                     if mode == "constant":
@@ -157,7 +164,7 @@ class TestBestTuple:
             grams = _candidate_gram(candidates[:n_rows], 3)
             for target in (0.0, 1.0):
                 del evaluated[:]
-                (got,) = customize._search(SearchTerms(grams), [(groups, target)])
+                (got,) = map(_rows, customize._search(SearchTerms(grams), [(groups, target)]))
                 assert len(evaluated) == calls, (n_rows, target)
                 for gram, row in zip(grams, got):
                     assert repr(row) == repr(_search_oracle(gram, groups, target))
@@ -182,7 +189,7 @@ class TestBestTuple:
         grams = _candidate_gram(candidates, 4)
         groups = [np.arange(30) + k * 30 for k in range(4)]
         for target in (0.0, 1.0):
-            (got,) = customize._search(SearchTerms(grams), [(groups, target)])
+            (got,) = map(_rows, customize._search(SearchTerms(grams), [(groups, target)]))
             for gram, row in zip(grams, got):
                 assert repr(row) == repr(_search_oracle(gram, groups, target))
         assert len(evaluated) == 2
@@ -212,7 +219,7 @@ class TestBestTuple:
         grams[6, tail[6], tail[6]] = math.inf  # a tail unary term: still bounded
         assert len(grams) * (n_paths - 1) ** n_groups > customize._CHUNK_ELEMENTS
         for target in (0.0, 1.0):
-            (got,) = customize._search(SearchTerms(grams), [(groups, target)])
+            (got,) = map(_rows, customize._search(SearchTerms(grams), [(groups, target)]))
             for r, (gram, row) in enumerate(zip(grams, got)):
                 oracle = _search_oracle(gram, [g[r] for g in groups], target)
                 assert repr(row) == repr(oracle), (target, r)
@@ -239,18 +246,18 @@ class TestMultiplexSelection:
             [0.4 + math.pi, 1.3],
         ])
         selection = select_one(candidates, n_rx, "sm")
-        assert selection.slot_objectives[0] < 1e-24
-        assert selection.active_ris == (0, 1)
-        assert selection.slot_paths[0] == (0, 0)
+        assert selection.objectives[0, 0] < 1e-24
+        assert selection.active[0].tolist() == [0, 1]
+        assert selection.paths[0, 0].tolist() == [0, 0]
 
     def test_objective_matches_recomputation(self):
         rng = rl.substream(BASE_SEED, 40)
         candidates = rng.uniform(-math.pi, math.pi, (4, 6))
         selection = select_one(candidates, 3, "sm")
         freqs = [candidates[k, p] for k, p in
-                 zip(selection.active_ris, selection.slot_paths[0])]
+                 zip(selection.active[0], selection.paths[0, 0])]
         assert math.isclose(
-            selection.slot_objectives[0],
+            selection.objectives[0, 0],
             _gram_objective(freqs, 3, 0.0),
             rel_tol=1e-12,
         )
@@ -264,9 +271,9 @@ class TestMultiplexSelection:
             candidates = rng.uniform(-math.pi, math.pi, (n_ris, n_paths))
             selection = select_one(candidates, n_rx, "sm")
             objective, subset, paths = _brute_force_sm(candidates, n_rx)
-            assert selection.active_ris == subset
-            assert selection.slot_paths[0] == paths
-            assert math.isclose(selection.slot_objectives[0], objective,
+            assert selection.active[0].tolist() == list(subset)
+            assert selection.paths[0, 0].tolist() == list(paths)
+            assert math.isclose(selection.objectives[0, 0], objective,
                                 rel_tol=1e-12, abs_tol=1e-18)
 
     def test_matches_brute_force_at_default_size(self):
@@ -274,16 +281,30 @@ class TestMultiplexSelection:
         candidates = rng.uniform(-math.pi, math.pi, (4, 10))
         selection = select_one(candidates, 4, "sm")
         objective, subset, paths = _brute_force_sm(candidates, 4)
-        assert selection.active_ris == subset
-        assert selection.slot_paths[0] == paths
-        assert math.isclose(selection.slot_objectives[0], objective,
+        assert selection.active[0].tolist() == list(subset)
+        assert selection.paths[0, 0].tolist() == list(paths)
+        assert math.isclose(selection.objectives[0, 0], objective,
                             rel_tol=1e-12)
 
     def test_single_stream_trivial(self):
         candidates = np.array([[0.3, -1.2]])
         selection = select_one(candidates, 1, "sm")
-        assert selection.active_ris == (0,)
-        assert selection.slot_objectives[0] == 0.0
+        assert selection.active[0].tolist() == [0]
+        assert selection.objectives[0, 0] == 0.0
+
+    def test_nan_objective_never_wins(self):
+        # A NaN candidate makes each search over its surface return a NaN
+        # objective.  Multiplexing then picks among the other subsets as if
+        # the surface were absent; beamforming's one subset wins with NaN.
+        candidates = rl.substream(BASE_SEED, 64).uniform(-math.pi, math.pi, (3, 4))
+        candidates[0, 1] = math.nan
+        with np.errstate(invalid="ignore"):
+            sm, bf = (select_one(candidates, 2, scheme) for scheme in ("sm", "bf"))
+        without = select_one(candidates[1:], 2, "sm")
+        assert sm.active.tolist() == (without.active + 1).tolist() == [[1, 2]]
+        assert sm.paths.tobytes() == without.paths.tobytes()
+        assert sm.objectives.tobytes() == without.objectives.tobytes()
+        assert bf.active.tolist() == [[0, 1, 2]] and math.isnan(bf.objectives[0, 0])
 
     def test_search_cap_enforced(self, monkeypatch):
         monkeypatch.setattr(customize, "DEFAULT_SEARCH_CAP", 100)
@@ -297,7 +318,8 @@ class TestMultiplexSelection:
         candidates = rng.uniform(-math.pi, math.pi, (4, 10))
         a = select_one(candidates, 4, "sm")
         b = select_one(candidates, 4, "sm")
-        assert a == b
+        for f in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name))
 
 
 class TestBeamformSelection:
@@ -305,8 +327,8 @@ class TestBeamformSelection:
         rng = rl.substream(BASE_SEED, 44)
         candidates = rng.uniform(-math.pi, math.pi, (4, 5))
         selection = select_one(candidates, 2, "bf")
-        assert selection.active_ris == (0, 1, 2, 3)
-        assert len(selection.slot_paths[0]) == 4
+        assert selection.active[0].tolist() == [0, 1, 2, 3]
+        assert selection.paths.shape == (1, 1, 4)
 
     def test_matches_brute_force_on_random_instances(self):
         rng = rl.substream(BASE_SEED, 45)
@@ -317,20 +339,20 @@ class TestBeamformSelection:
             candidates = rng.uniform(-math.pi, math.pi, (n_ris, n_paths))
             selection = select_one(candidates, n_rx, "bf")
             objective, active, paths = _brute_force_bf(candidates, n_rx)
-            assert selection.active_ris == active
-            assert selection.slot_paths[0] == paths
-            assert math.isclose(selection.slot_objectives[0], objective,
+            assert selection.active[0].tolist() == list(active)
+            assert selection.paths[0, 0].tolist() == list(paths)
+            assert math.isclose(selection.objectives[0, 0], objective,
                                 rel_tol=1e-12, abs_tol=1e-18)
 
     def test_identical_frequencies_reach_zero(self):
         candidates = np.full((3, 4), 0.8)
         selection = select_one(candidates, 2, "bf")
-        assert selection.slot_objectives[0] < 1e-24
+        assert selection.objectives[0, 0] < 1e-24
 
     def test_single_surface_objective_zero(self):
         candidates = np.array([[0.5, -0.5]])
         selection = select_one(candidates, 2, "bf")
-        assert selection.slot_objectives[0] < 1e-24
+        assert selection.objectives[0, 0] < 1e-24
 
 
 class TestDiversitySelection:
@@ -339,38 +361,35 @@ class TestDiversitySelection:
         candidates = rng.uniform(-math.pi, math.pi, (4, 5))
         ds = select_one(candidates, 2, "ds", 2)
         sm = select_one(candidates, 2, "sm")
-        assert ds.active_ris == sm.active_ris
-        assert ds.slot_paths[0] == sm.slot_paths[0]
+        assert np.array_equal(ds.active, sm.active)
+        assert np.array_equal(ds.paths[:, :1], sm.paths)
         db = select_one(candidates, 2, "db", 2)
         bf = select_one(candidates, 2, "bf")
-        assert db.active_ris == bf.active_ris
-        assert db.slot_paths[0] == bf.slot_paths[0]
+        assert np.array_equal(db.active, bf.active)
+        assert np.array_equal(db.paths[:, :1], bf.paths)
 
     def test_active_set_is_shared_across_slots(self):
         rng = rl.substream(BASE_SEED, 48)
         candidates = rng.uniform(-math.pi, math.pi, (4, 6))
         for scheme in ("ds", "db"):
             selection = select_one(candidates, 2, scheme, 3)
-            assert len(selection.slot_paths) == 3
-            assert len(selection.slot_objectives) == 3
-            for slot_paths in selection.slot_paths:
-                assert len(slot_paths) == len(selection.active_ris)
+            assert selection.paths.shape == (1, 3, selection.active.shape[1])
+            assert selection.objectives.shape == (1, 3)
 
     def test_paths_disjoint_across_slots(self):
         rng = rl.substream(BASE_SEED, 49)
         candidates = rng.uniform(-math.pi, math.pi, (4, 5))
         for scheme in ("ds", "db"):
             selection = select_one(candidates, 2, scheme, 3)
-            for position in range(len(selection.active_ris)):
-                used = [paths[position] for paths in selection.slot_paths]
+            for used in selection.paths[0].T.tolist():
                 assert len(set(used)) == len(used)
 
     def test_later_slots_optimal_over_remaining_paths(self):
         rng = rl.substream(BASE_SEED, 50)
         candidates = rng.uniform(-math.pi, math.pi, (4, 4))
         selection = select_one(candidates, 2, "ds", 2)
-        active = selection.active_ris
-        used = selection.slot_paths[0]
+        active = selection.active[0]
+        used = selection.paths[0, 0]
         best = None
         remaining = [
             [p for p in range(candidates.shape[1]) if p != used[i]]
@@ -381,8 +400,8 @@ class TestDiversitySelection:
             objective = _gram_objective(freqs, 2, 0.0)
             if best is None or objective < best[0]:
                 best = (objective, paths)
-        assert selection.slot_paths[1] == best[1]
-        assert math.isclose(selection.slot_objectives[1], best[0],
+        assert tuple(selection.paths[0, 1].tolist()) == best[1]
+        assert math.isclose(selection.objectives[0, 1], best[0],
                             rel_tol=1e-12)
 
     def test_full_depth_uses_each_path_once(self):
@@ -390,45 +409,62 @@ class TestDiversitySelection:
         n_paths = 3
         candidates = rng.uniform(-math.pi, math.pi, (3, n_paths))
         selection = select_one(candidates, 2, "ds", n_paths)
-        for position in range(len(selection.active_ris)):
-            used = sorted(paths[position] for paths in selection.slot_paths)
-            assert used == list(range(n_paths))
+        for used in selection.paths[0].T.tolist():
+            assert sorted(used) == list(range(n_paths))
 
     @pytest.mark.parametrize("n_rx, n_paths", [(2, 6), (3, 5), (4, 10)])
     def test_stacked_schemes_match_each_alone(self, n_rx, n_paths):
-        # One call stacks every scheme's searches per slot: several surface
-        # subsets for n_rx < n_ris, and sm with bf when n_rx == n_ris.
-        # Duplicated columns make exact ties, which the first subset and
-        # tuple must still win.
+        # One call stacks both families' searches per slot: several surface
+        # subsets for n_rx < n_ris, and multiplexing with beamforming when
+        # n_rx == n_ris; the third slot is multiplexing's alone.  Duplicated
+        # columns make exact ties, which the first subset and tuple must
+        # still win.
         rng = rl.substream(BASE_SEED, 52, n_rx)
         candidates = rng.uniform(-math.pi, math.pi, (7, 4, n_paths))
         candidates[::2, :, -1] = candidates[::2, :, 0]
         candidates[::3, -1] = candidates[::3, 0]
         terms = SearchTerms(_candidate_gram(candidates, n_rx))
-        slots = {"sm": 1, "bf": 1, "ds": 2, "db": 2}
+        slots = {"multiplex": 3, "beamform": 2}
         stacked = customize.select_paths_stack(terms, n_paths, n_rx, slots)
         assert list(stacked) == list(slots)
-        for scheme, n_slots in slots.items():
-            alone = customize.select_paths_stack(terms, n_paths, n_rx, {scheme: n_slots})
-            assert repr(stacked[scheme]) == repr(alone[scheme])
-            rows = [select_one(row, n_rx, scheme, n_slots) for row in candidates]
-            assert repr(stacked[scheme]) == repr(rows)
+
+        def arrays(selection, rows=slice(None), n_slots=None):
+            return [(a.dtype, a.shape, a.tobytes()) for a in (
+                selection.active[rows], selection.paths[rows, :n_slots],
+                selection.objectives[rows, :n_slots])]
+
+        for family, n_slots in slots.items():
+            selection = stacked[family]
+            n_active = n_rx if family == "multiplex" else 4
+            assert [(dtype, shape) for dtype, shape, _ in arrays(selection)] == [
+                (np.int64, (7, n_active)), (np.int64, (7, n_slots, n_active)),
+                (np.float64, (7, n_slots))]
+            for m in range(1, n_slots + 1):
+                alone = customize.select_paths_stack(terms, n_paths, n_rx, {family: m})
+                assert arrays(alone[family]) == arrays(selection, n_slots=m)
+            hopping = customize.FAMILIES[family][1]
+            for a, row in enumerate(candidates):
+                one = select_one(row, n_rx, hopping, n_slots)
+                assert arrays(one) == arrays(selection, slice(a, a + 1))
         if n_rx == 2:
             # Where surface 3 repeats surface 0, a pair with 3 but not 0
             # ties the same pair with 0, an earlier subset, bit for bit.
-            assert any(3 in s.active_ris for s in stacked["sm"])
-            for selection in stacked["sm"][::3]:
-                assert 0 in selection.active_ris or 3 not in selection.active_ris
+            active = stacked["multiplex"].active.tolist()
+            assert any(3 in row for row in active)
+            for row in active[::3]:
+                assert 0 in row or 3 not in row
 
     def test_more_slots_than_paths_rejected(self):
         candidates = np.zeros((3, 2))
         with pytest.raises(SelectionInfeasibleError):
             select_one(candidates, 2, "ds", 3)
 
-    def test_unknown_scheme_rejected(self):
-        candidates = rl.substream(BASE_SEED, 63).uniform(-math.pi, math.pi, (3, 4))
-        with pytest.raises(ValueError, match="unknown scheme 'xx'"):
-            select_one(candidates, 2, "xx")
+    def test_unknown_family_rejected(self):
+        # Selections are keyed by family; a scheme tag is not one.
+        candidates = rl.substream(BASE_SEED, 63).uniform(-math.pi, math.pi, (1, 3, 4))
+        terms = SearchTerms(_candidate_gram(candidates, 2))
+        with pytest.raises(ValueError, match="unknown family 'sm'"):
+            customize.select_paths_stack(terms, 4, 2, {"sm": 1})
 
 
 class TestCustomizedChannel:
@@ -445,14 +481,14 @@ class TestCustomizedChannel:
         gram = design.r_active.conj().T @ design.r_active
         assert np.allclose(np.diag(gram), 1.0, atol=1e-12)
         assert np.linalg.norm(gram - np.eye(config.n_rx)) ** 2 \
-            <= selection.slot_objectives[0] + 1e-12
+            <= selection.objectives[0, 0] + 1e-12
 
     def test_active_columns_match_selection(self):
         config, hops = self._scene((53,))
         selection = select_one(hops.rx_arrival[0], config.n_rx, "sm")
         design = design_row(design_one(selection, hops)[0])
         for column, (k, path) in enumerate(
-                zip(selection.active_ris, selection.slot_paths[0])):
+                zip(selection.active[0], selection.paths[0, 0])):
             assert np.array_equal(
                 design.r_active[:, column],
                 _response_matrix(config.n_rx, hops.rx_arrival[0, k, path:path + 1])[:, 0],
@@ -470,7 +506,7 @@ class TestCustomizedChannel:
             slopes, commons, hops.rx_departure, hops.tx_arrival, hops.n_elements
         )[0, 0]
         for column, (k, path) in enumerate(
-                zip(selection.active_ris, selection.slot_paths[0])):
+                zip(selection.active[0], selection.paths[0, 0])):
             gain = (hops.losses[0, k] * hops.rx_gains[0, 0, k, path] * hops.tx_gains[0, 0, k, 0]
                     * inner[k, path, 0])
             assert abs(design.xi_active[0, 0, column] - gain) <= 1e-15
@@ -481,11 +517,12 @@ class TestCustomizedChannel:
         _, slopes, commons = design_one(selection, hops)
         assert slopes.shape == (1, config.n_ris)
         assert not commons.any()
+        active = selection.active[0].tolist()
         for k in range(config.n_ris):
-            if k not in selection.active_ris:
+            if k not in active:
                 assert slopes[0, k] == 0.0
             else:
-                path = selection.slot_paths[0][selection.active_ris.index(k)]
+                path = selection.paths[0, 0, active.index(k)]
                 retarget = hops.rx_departure[0, k, path] - hops.tx_arrival[0, k, 0]
                 assert slopes[0, k] == retarget
 
@@ -515,7 +552,7 @@ class TestCustomizedChannel:
         selection = select_one(hops.rx_arrival[0], config.n_rx, "bf")
         design = design_row(design_one(selection, hops)[0])
         freqs = [hops.rx_arrival[0, k, p] for k, p in
-                 zip(selection.active_ris, selection.slot_paths[0])]
+                 zip(selection.active[0], selection.paths[0, 0])]
         approx = model_channel(design)
         s = np.linalg.svd(approx, compute_uv=False)
         spread = max(freqs) - min(freqs)
@@ -617,13 +654,14 @@ class TestArrayPhaseDesign:
                                      n_slots=n_slots, gain_target=2e-7)
             hops = self._stack(config, rng, 3, 40, zeros=not refine)
             terms = SearchTerms(_candidate_gram(hops.rx_arrival, n_rx))
-            selections = customize.select_paths_stack(terms, 3, n_rx, {scheme: n_slots})[scheme]
+            family = next(f for f, members in customize.FAMILIES.items() if scheme in members)
+            selection = customize.select_paths_stack(terms, 3, n_rx, {family: n_slots})[family]
             for slot in range(n_slots):
                 with np.errstate(all="ignore"):
                     design, _, commons = customize.design_slots(
-                        selections, slot, hops, hops, refine=refine
+                        selection, slot, hops, hops, refine=refine
                     )
-                oracle_commons, oracle_xi = scalar_phase_design(selections, slot, hops, refine)
+                oracle_commons, oracle_xi = scalar_phase_design(selection, slot, hops, refine)
                 assert repr(commons.tolist()) == repr(oracle_commons.tolist())
                 assert repr(design.xi_active.tolist()) == repr(oracle_xi.tolist())
                 checked += design.xi_active.size
@@ -634,14 +672,14 @@ class TestArrayPhaseDesign:
         config = rl.SystemConfig(n_tx=8, n_rx=2, n_ris=3, n_ris_rx_paths=3, gain_target=2e-7)
         hops = self._stack(config, rl.substream(BASE_SEED, 62), 2, 3, zeros=False)
         terms = SearchTerms(_candidate_gram(hops.rx_arrival, config.n_rx))
-        (selection, *_) = selections = customize.select_paths_stack(terms, 3, 2, {"bf": 1})["bf"]
-        k, l = selection.active_ris[0], selection.slot_paths[0][0]
+        selection = customize.select_paths_stack(terms, 3, 2, {"beamform": 1})["beamform"]
+        k, l = selection.active[0, 0], selection.paths[0, 0, 0]
         gains = (hops.rx_gains[0, 1, k, l:l + 1] if zero == "rx" else hops.tx_gains[0, 1, k, :1])
         gains[:] = complex(-0.0, 0.0)
         with pytest.raises(ValueError), np.errstate(all="ignore"):
-            customize.design_slots(selections, 0, hops, hops, refine=True)
+            customize.design_slots(selection, 0, hops, hops, refine=True)
         with np.errstate(all="ignore"):
-            design = customize.design_slots(selections, 0, hops, hops)[0]
+            design = customize.design_slots(selection, 0, hops, hops)[0]
         assert repr(design.xi_active.tolist()) == repr(
-            scalar_phase_design(selections, 0, hops, False)[1].tolist()
+            scalar_phase_design(selection, 0, hops, False)[1].tolist()
         )

@@ -30,7 +30,6 @@ PUBLIC_NAMES = [
     "ConfigurationError",
     "ConvergenceError",
     "NoCrossingError",
-    "PathSelection",
     "PlacementError",
     "RislinkError",
     "SamplingError",

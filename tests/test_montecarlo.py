@@ -264,6 +264,25 @@ class TestPlanValidation:
         with pytest.raises(ConfigurationError):
             _plan(**overrides)
 
+    @pytest.mark.parametrize("name, value", [
+        ("n_angle_epochs", 2.5), ("n_fading_epochs", 3.0), ("base_seed", 3.0),
+        ("base_seed", "3"), ("n_angle_epochs", None),
+    ])
+    def test_rejects_non_integer_counts(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be an integer"):
+            _plan(**{name: value})
+
+    def test_numpy_integers_stored_as_int(self):
+        # A numpy seed used to fail deep in the key derivation.
+        plan = _plan(n_angle_epochs=np.int64(2), n_fading_epochs=np.int32(2),
+                     base_seed=np.uint64(3))
+        for name in ("n_angle_epochs", "n_fading_epochs", "base_seed"):
+            assert type(getattr(plan, name)) is int
+        plain = _plan(n_angle_epochs=2, n_fading_epochs=2, base_seed=3)
+        assert plan == plain
+        config = rl.SystemConfig()
+        assert rl.estimate_ergodic_se(plan, config) == rl.estimate_ergodic_se(plain, config)
+
     def test_integer_axes_reject_fractions(self):
         plan = _plan(axis_name="K", axis_values=(4.2,))
         with pytest.raises(ConfigurationError):
@@ -469,7 +488,7 @@ class TestStackedEngine:
         payload = {"multiplex": 30, "beamform": 30}
         self._assert_chunk_matches(config, ("sm", "bf", "ds", "db"), 2, range(0, 6), 2, 5,
                                    payload)
-        assert len({s.active_ris for s in selected[0]["ds"]}) > 1
+        assert len({tuple(row) for row in selected[0]["multiplex"].active.tolist()}) > 1
 
     @pytest.mark.parametrize("rows", [1, 3, 5])
     def test_chunks_cut_mid_angle_epoch(self, rows, monkeypatch):
@@ -931,6 +950,13 @@ class TestClosedFormCompanions:
         for scheme, pair in expected.items():
             assert repr(companions[scheme][index]) == repr(pair)
         assert repr(companions["ds"][index]) == repr((math.nan, math.nan))
+
+    def test_closed_form_schemes_are_those_with_a_bound(self):
+        # The list the closed-form sweep writes names exactly the schemes
+        # whose columns are not all NaN.
+        companions = _companions(self.SCHEMES, self._grid()[:3])
+        bounded = [s for s in self.SCHEMES if not math.isnan(companions[s][0][1])]
+        assert list(mc.CLOSED_FORM_SCHEMES) == bounded == ["sm", "bf", "db"]
 
     def test_whole_grid_frozen(self):
         import hashlib

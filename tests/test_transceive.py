@@ -454,15 +454,16 @@ class TestPayloadBlocks:
             *streams(BASE_SEED, [[(111, *key) for key in row] for row in keys]))
         hops = HopStack(tx_gains=tx_gains, rx_gains=rx_gains, **angles)
         terms = SearchTerms(_candidate_gram(angles["rx_arrival"], config.n_rx))
-        selections = select_paths_stack(terms, config.n_ris_rx_paths, config.n_rx,
-                                        {scheme: 2})[scheme]
+        family = "multiplex" if multiplex else "beamform"
+        selection = select_paths_stack(terms, config.n_ris_rx_paths, config.n_rx,
+                                       {family: 2})[family]
         # Row (0, 1) is drowned, so its errors are many and row (0, 2)
         # follows an error-heavy row in the block.
         drown = np.ones((2, 3, 1, 1))
         drown[0, 1] = 1e-3
         designs = [
             dataclasses.replace(design, exact_h=design.exact_h * drown)
-            for design in (design_slots(selections, m, hops, hops, refine=not multiplex)[0]
+            for design in (design_slots(selection, m, hops, hops, refine=not multiplex)[0]
                            for m in range(2))
         ]
         payload_keys, block_rng = streams(BASE_SEED, [[(112, *key) for key in row]
