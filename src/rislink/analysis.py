@@ -46,27 +46,30 @@ def _ei_series(x):
     """Power series around zero: gamma + ln|x| + sum x^k/(k*k!).
 
     Scalar or array; every entry stops after its first term below 1e-22 in
-    magnitude, or after 199 terms, and leaves the working arrays.
+    magnitude, or after 199 terms.  Entries run in ascending |x|: rounding
+    is monotone and sign-symmetric, so every term's magnitude, and with it
+    the stop count, does not decrease in |x|, and the running entries are
+    one trailing slice whose magnitudes are sorted.
     """
     arr = np.asarray(x, dtype=float)
     flat = arr.ravel()
-    out = np.empty_like(flat)
-    active = np.arange(flat.size)
-    xs = flat
-    total = _EULER_GAMMA + _math_map(math.log, np.abs(flat))
-    term = np.ones_like(flat)
+    order = np.argsort(np.abs(flat))
+    xs = flat[order]
+    total = _EULER_GAMMA + _math_map(math.log, np.abs(xs))
+    term = np.ones_like(xs)
+    scratch = np.empty_like(xs)
+    start = 0
     for k in range(1, 200):
-        if not active.size:
+        if start == xs.size:
             break
-        term *= xs / k
-        contribution = term / k
-        total += contribution
-        done = np.abs(contribution) < 1e-22
-        if done.any():
-            out[active[done]] = total[done]
-            keep = ~done
-            active, xs, term, total = active[keep], xs[keep], term[keep], total[keep]
-    out[active] = total
+        running = scratch[start:]
+        np.divide(xs[start:], k, out=running)
+        term[start:] *= running
+        np.divide(term[start:], k, out=running)
+        total[start:] += running
+        start += int(np.searchsorted(np.abs(running, out=running), 1e-22))
+    out = np.empty_like(flat)
+    out[order] = total
     return _shaped(out, arr)
 
 
@@ -378,11 +381,17 @@ def _replay_band(terms, rhs: float) -> tuple[float, float]:
     m = len(terms)
     gamma = (m + 4) * 2.0**-52
     eta = (sum([c for _, c in terms]) + m) * 2.0**-1072
-    slopes = tuple((n - 1, n * c) for n, c in terms)
+    descending = [c for _, c in reversed(terms)] + [0.0]  # degrees m, ..., 1, 0
     try:
         x = min([(rhs / c) ** (1.0 / n) for n, c in terms])
         for _ in range(100):
-            step = (_poly(terms, x) - rhs) / _poly(slopes, x)
+            # Horner's rule for S(x) and S'(x); an overflow gives inf or
+            # nan, and a nan point fails the certification below.
+            value, slope = descending[0], 0.0
+            for c in descending[1:]:
+                slope = slope * x + value
+                value = value * x + c
+            step = (value - rhs) / slope
             x -= step
             if not step > 1e-8 * x:
                 break

@@ -62,6 +62,10 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+# One CSV row; ``%.12g`` takes the float formatter of :func:`_fmt`.
+_ROW = "%.12g,%s,%.12g,%.12g,%.12g,%.12g,%d"
+
+
 def write_csv(result: SweepResult, path) -> None:
     """Write :func:`format_csv` of a sweep to ``path``."""
     text = format_csv(result)
@@ -78,19 +82,9 @@ def format_csv(result: SweepResult) -> str:
     for i, axis_value in enumerate(result.axis_values):
         for scheme in result.schemes:
             approx, upper = result.closed_form[scheme][i]
-            lines.append(
-                ",".join(
-                    (
-                        _fmt(axis_value),
-                        scheme,
-                        _fmt(result.means[scheme][i]),
-                        _fmt(result.stderrs[scheme][i]),
-                        _fmt(approx),
-                        _fmt(upper),
-                        str(result.n_trials[scheme][i]),
-                    )
-                )
-            )
+            lines.append(_ROW % (axis_value, scheme, result.means[scheme][i],
+                                 result.stderrs[scheme][i], approx, upper,
+                                 result.n_trials[scheme][i]))
     return "\n".join(lines) + "\n"
 
 

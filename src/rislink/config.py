@@ -21,6 +21,11 @@ from .errors import ConfigurationError, PlacementError
 
 SPEED_OF_LIGHT = 299792458.0
 
+# Spatial frequencies have a period of 2 pi, so an angle error spread of pi
+# already scatters an estimate over most of it; far larger spreads
+# overflow the phase design.
+MAX_ANGLE_ERROR_STD = math.pi
+
 
 def db2lin(value_db: float) -> float:
     """Convert a power ratio from dB to linear scale."""
@@ -79,7 +84,8 @@ class SystemConfig:
         Surface reconfigurations per symbol (1 = no intra-symbol diversity).
     angle_error_std:
         Standard deviation of the estimation error added to surface-to-
-        receiver spatial frequencies before transceiver design (0 = ideal).
+        receiver spatial frequencies before transceiver design (0 = ideal),
+        at most :data:`MAX_ANGLE_ERROR_STD`.
     ris_axis_distance:
         Down-range distance (m) of the vertical line holding the surfaces.
     rx_center_distance:
@@ -131,8 +137,8 @@ class SystemConfig:
             raise ConfigurationError("gain_target must be positive")
         if self.n_slots < 1:
             raise ConfigurationError("n_slots must be at least 1")
-        if self.angle_error_std < 0:
-            raise ConfigurationError("angle_error_std must be non-negative")
+        if not 0 <= self.angle_error_std <= MAX_ANGLE_ERROR_STD:
+            raise ConfigurationError("angle_error_std must lie in [0, pi]")
         if min(self.ris_axis_distance, self.rx_center_distance, self.rx_disk_radius) <= 0:
             raise ConfigurationError("deployment distances must be positive")
 

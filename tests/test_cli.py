@@ -7,6 +7,7 @@ import dataclasses
 import io
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -107,6 +108,32 @@ class TestCsvFormat:
                 assert row[4] == f"{approx:.12g}"
                 assert row[5] == f"{upper:.12g}"
                 assert row[6] == str(result.n_trials[scheme][i])
+
+    def test_row_template_matches_per_field_format(self):
+        # The row template must write the bytes of _fmt field by field,
+        # on every float class and on counts beyond 64 bits.
+        values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, np.float64(-2.5), 7]
+        counts = [0, 1, 10**30, np.int64(2**63 - 1), 12, 3, 5, 8, 13]
+        result = SweepResult("se", "E_dBm", tuple(values), ("sm", "bf"))
+        for shift, scheme in enumerate(result.schemes, start=1):
+            rolled = values[shift:] + values[:shift]
+            result.means[scheme] = tuple(rolled)
+            result.stderrs[scheme] = tuple(reversed(rolled))
+            result.closed_form[scheme] = tuple(zip(rolled[2:] + rolled[:2], values))
+            result.n_trials[scheme] = tuple(counts[shift:] + counts[:shift])
+        expected = [self.HEADER]
+        for i, axis_value in enumerate(result.axis_values):
+            for scheme in result.schemes:
+                approx, upper = result.closed_form[scheme][i]
+                expected.append(",".join((
+                    cli._fmt(axis_value), scheme, cli._fmt(result.means[scheme][i]),
+                    cli._fmt(result.stderrs[scheme][i]), cli._fmt(approx), cli._fmt(upper),
+                    str(result.n_trials[scheme][i]),
+                )))
+        text = cli.format_csv(result)
+        assert text == "\n".join(expected) + "\n"
+        assert {"nan", "inf", "-inf", "-0", "4.94065645841e-324", "1e+300",
+                "1000000000000000000000000000000"} <= set(text.replace("\n", ",").split(","))
 
     def test_rewrite_is_byte_identical(self, small_sweep, tmp_path):
         _, result = small_sweep
@@ -211,6 +238,35 @@ class TestCrossingPoint:
         assert _run(["crossing-point", *same_as]) == cli.EXIT_OK
         assert got == capsys.readouterr().out
         assert got.startswith("crossing point: ")
+
+    # Printed lines of README's Figure 10 commands, byte for byte.
+    FIGURE10 = {
+        "analyze --axis E_dBm=0:1:40 --output fig10_curves.csv": "wrote fig10_curves.csv\n",
+        "crossing-point --n-rx 2":
+            "crossing point: 0.323976742401 W (25.11 dBm)\n"
+            "closed form: 0.323976742401 W (relative delta 1.388e-14)\n",
+        "crossing-point --n-rx 2 --set n_tx=32":
+            "crossing point: 0.161988371201 W (22.09 dBm)\n"
+            "closed form: 0.161988371201 W (relative delta 1.388e-14)\n",
+        "crossing-point --n-rx 2 --set gain_target=2e-6":
+            "crossing point: 0.0809941856004 W (19.08 dBm)\n"
+            "closed form: 0.0809941856004 W (relative delta 1.388e-14)\n",
+    }
+
+    def test_figure10_commands_pinned(self, tmp_path, monkeypatch, capsys):
+        # The commands come from README itself, so editing or dropping one
+        # there fails this test; the curves equal their golden CSV.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Figure 10 —", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [" ".join(shlex.split(line, comments=True)[1:])
+                    for line in block.splitlines() if line.strip()]
+        assert commands == list(self.FIGURE10)
+        monkeypatch.chdir(tmp_path)
+        for command, printed in self.FIGURE10.items():
+            assert _run(command.split()) == cli.EXIT_OK
+            assert capsys.readouterr().out == printed
+        golden = Path(__file__).resolve().parent / "golden" / "closed-form-power.csv"
+        assert (tmp_path / "fig10_curves.csv").read_bytes() == golden.read_bytes()
 
 
 class TestAnalyze:
@@ -833,6 +889,27 @@ class TestFileAndBudgetErrors:
                      "--output", str(out)]) == code
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", ["sm", "bf"])
+    @pytest.mark.parametrize("setting", [
+        ["--set", "angle_error_std=1e308"],    # bf died in math.cos, sm wrote NaN rows
+        ["--set", f"angle_error_std={math.nextafter(math.pi, 4.0)!r}"],
+        ["--axis", "sigma_e=0:2:4"],           # above the cap at the last grid point
+    ])
+    def test_angle_error_above_cap_fails_before_any_epoch(self, scheme, setting, tmp_path,
+                                                         monkeypatch, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["se-sweep", "--scheme", scheme, "--axis", "E_dBm=0:20:20", "--angle-epochs",
+                "2", "--fading-epochs", "2", "--output", str(out)]
+        with monkeypatch.context() as patched:
+            patched.setattr(montecarlo, "_run_chunk", _engine_reached)
+            assert _run([*argv, *setting]) == cli.EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == "error: angle_error_std must lie in [0, pi]\n"
+        assert not out.exists()
+        # At the cap itself both families run to finite rows.
+        assert _run([*argv, "--set", f"angle_error_std={math.pi!r}"]) == cli.EXIT_OK
+        _, rows = _read_rows(out)
+        assert all(math.isfinite(float(row[2])) for row in rows)
 
     @pytest.mark.parametrize("min_bits, n_epochs", [
         (10**12, 1), (10**30, 1), (montecarlo.MAX_PAYLOAD_BITS + 1, 1),
