@@ -352,7 +352,8 @@ def _crossing_polynomial(params: ClosedFormParams):
     ``sum_{n>=2} tr_n(mux profile) X^(n-1) - rhs``; a positive root exists
     iff ``rhs > 0`` and is unique because every coefficient is positive.
     Raises :class:`ConfigurationError` when a coefficient over- or
-    underflows, or the right-hand side is not finite.
+    underflows, or the right-hand side is not finite, and then
+    :class:`NoCrossingError` when the right-hand side is not positive.
     """
     profile = params.gain_profile.tolist()
     squares = [v * v for v in profile]
@@ -368,6 +369,8 @@ def _crossing_polynomial(params: ClosedFormParams):
     coeffs = mux[2:]
     if not (all(0.0 < c < math.inf for c in coeffs) and math.isfinite(rhs)):
         raise ConfigurationError("crossing-point polynomial leaves the floating-point range")
+    if rhs <= 0:
+        raise NoCrossingError("bounds do not cross at positive power")
     return coeffs, rhs
 
 
@@ -432,8 +435,6 @@ def crossing_point(params: ClosedFormParams) -> float:
     if params.n_rx < 2:
         raise ValueError("crossing point needs at least two streams")
     coeffs, rhs = _crossing_polynomial(params)
-    if rhs <= 0:
-        raise NoCrossingError("bounds do not cross at positive power")
     terms = tuple(enumerate(coeffs, start=1))
     lower, upper = _replay_band(terms, rhs)
 
@@ -478,8 +479,6 @@ def crossing_point_two_stream(params: ClosedFormParams) -> float:
     if params.n_rx != 2:
         raise ValueError("closed form is specific to two streams")
     coeffs, rhs = _crossing_polynomial(params)
-    if rhs <= 0:
-        raise NoCrossingError("bounds do not cross at positive power")
     return _crossing_watts(params, rhs / coeffs[0])
 
 
@@ -488,8 +487,6 @@ def crossing_point_three_stream(params: ClosedFormParams) -> float:
     if params.n_rx != 3:
         raise ValueError("closed form is specific to three streams")
     coeffs, rhs = _crossing_polynomial(params)
-    if rhs <= 0:
-        raise NoCrossingError("bounds do not cross at positive power")
     quad, lin = coeffs[1], coeffs[0]
     # Root of quad*x^2 + lin*x = rhs without the cancellation of -lin + sqrt(...).
     root_term = math.hypot(lin, 2.0 * math.sqrt(quad) * math.sqrt(rhs))

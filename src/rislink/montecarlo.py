@@ -16,12 +16,13 @@ per slot, and one pass of its runner, from which ``sm``/``bf`` read the
 one-slot prefix and ``ds``/``db`` every slot.
 
 A grid point's realizations are rows, one per (angle epoch, fading
-epoch).  Grid points whose configs differ only in transmit power (a power
-sweep) form one stream of rows, grid point after grid point, since only
-the runners read the power, as a column with one value per angle epoch.
-The rows run in chunks of at most ``CHUNK_ROWS`` rows: as many whole
-angle epochs as fit, across grid-point boundaries, or one angle epoch's
-fading epochs in pieces.  Draws stay per epoch: every random draw comes
+epoch).  A sweep plans, runs and reduces.  The plan lists its jobs up
+front: chunks of at most ``CHUNK_ROWS`` rows, as many whole angle epochs
+as fit, across the grid points of a power group (configs that differ
+only in transmit power, a column the runners read), or one angle epoch
+whose fading epochs run in pieces.  Jobs run in table order; the reducer
+cuts their columns at grid-point edges and reduces a grid point once its
+last angle epoch has run.  Draws stay per epoch: every random draw comes
 from a counter-based stream keyed by ``(base_seed, grid index, epoch
 indices, purpose)`` and is made in the order of a single-epoch run, so a
 rerun at the same seed reproduces every result bit for bit, however the
@@ -39,8 +40,7 @@ design covers every row, with the angle-only parts
 gain-dependent parts carrying the rows, and each family's runner makes
 one pass over all the rows, each row at its own power.  Results stay
 columns over (angle epoch, fading epoch) from the runners to the
-reducers, one :class:`SchemeResult` per scheme and block of rows; the
-sweep cuts them into grid points.
+reducers, one :class:`SchemeResult` per scheme and block of rows.
 Bit-error payloads ride on each family's runner pass, every row on its
 fading epoch's own substream; every scheme of a fading epoch reads that
 one payload stream, whose key is derived once for both families, so one
@@ -521,6 +521,23 @@ def _check_geometry(config: SystemConfig) -> SurfaceGeometry:
     return surfaces
 
 
+def _jobs(plan: TrialPlan, groups, geometries, payloads) -> list[dict]:
+    """A sweep's jobs in run order: the ``_run_chunk`` arguments that vary
+    by chunk, over its :func:`power_groups`, geometries and payload sizes.
+    A group's rows run grid-major, grid indices counted from its offset in
+    the grid, in chunks of ``max(1, CHUNK_ROWS // F)`` angle epochs."""
+    per_chunk = max(1, CHUNK_ROWS // plan.n_fading_epochs)
+    jobs, offset = [], 0
+    for (cfg, powers), surfaces, payload in zip(groups, geometries, payloads):
+        grid = range(offset, offset + len(powers))
+        rows = list(itertools.product(grid, range(plan.n_angle_epochs)))
+        for chunk in (rows[i:i + per_chunk] for i in range(0, len(rows), per_chunk)):
+            jobs.append(dict(config=cfg, surfaces=surfaces, payload=payload, rows=chunk,
+                             powers=powers[[g - offset for g, _ in chunk]]))
+        offset += len(powers)
+    return jobs
+
+
 def _sweep(
     plan: TrialPlan, config: SystemConfig, metric: str, min_bits: int | None = None
 ) -> SweepResult:
@@ -530,17 +547,13 @@ def _sweep(
     if min_bits is not None and min_bits < 1:
         raise ConfigurationError(f"need at least one payload bit, got min_bits={min_bits}")
     reduce = _REDUCERS[metric]
-    # Every grid point's config, closed forms, payload size and selection
-    # searches, and every stream's geometry, first, so bad input fails
-    # before any simulation.  Grid points whose configs differ only in
-    # transmit power, which only the runners read, run as one stream of
-    # rows, each row still on its own grid point's substreams.
+    # Plan: check every grid point's inputs and every group's geometry,
+    # then list the jobs, so bad input fails before any simulation.
     groups = power_groups(config, plan.axis_name, plan.axis_values)
     configs = [cfg for cfg, _ in groups]
     geometries = [_check_geometry(cfg) for cfg in configs]
-    payloads = [None] * len(groups)
-    if min_bits is not None:
-        payloads = _payload_sizes(plan, configs, min_bits)
+    payloads = (_payload_sizes(plan, configs, min_bits) if min_bits is not None
+                else [None] * len(groups))
     if metric in ("se", "se_model"):
         companions = closed_form_companions(plan.schemes, groups)
     else:
@@ -548,30 +561,21 @@ def _sweep(
     for cfg in configs:
         for family, slots in _family_runs(plan.schemes, cfg).items():
             check_selection(cfg.n_ris_rx_paths, cfg.n_ris, cfg.n_rx, family, max(slots.values()))
-    n_angle = plan.n_angle_epochs
-    per_chunk = max(1, CHUNK_ROWS // plan.n_fading_epochs)
-    reduced = []
-    for (cfg, group_powers), surfaces, payload in zip(groups, geometries, payloads):
-        first = len(reduced)
-        rows = [(first + g, a) for g in range(len(group_powers)) for a in range(n_angle)]
-        powers = np.repeat(group_powers, n_angle)
-        parts = []
-        for start in range(0, len(rows), per_chunk):
-            stop = min(start + per_chunk, len(rows))
-            chunk = _run_chunk(cfg, surfaces, plan.schemes, rows[start:stop],
-                               powers[start:stop], plan.n_fading_epochs, plan.base_seed,
-                               plan.gamma_th, payload)
-            # Rows run grid-major: cut the chunk's columns at grid-point
-            # edges, and reduce each grid point once its last row has run.
-            edges = [start, *range(start - start % n_angle + n_angle, stop, n_angle), stop]
-            for lo, hi in zip(edges, edges[1:]):
-                block = slice(lo - start, hi - start)
-                parts.append({s: _angle_rows(r, block) for s, r in chunk.items()})
-                if hi % n_angle == 0:
-                    reduced.append({
-                        s: reduce(_join([part[s] for part in parts], axis=0)) for s in plan.schemes
-                    })
-                    parts = []
+    reduced, parts = [], []
+    for job in _jobs(plan, groups, geometries, payloads):
+        # Run each job in table order, cut its columns where the rows' grid
+        # index changes, and reduce a grid point once its last angle epoch
+        # has run, so memory does not grow with the grid.
+        chunk = _run_chunk(schemes=plan.schemes, n_fading_epochs=plan.n_fading_epochs,
+                           base_seed=plan.base_seed, gamma_th=plan.gamma_th, **job)
+        grid, epochs = np.array(job["rows"]).T
+        cuts = [0, *np.flatnonzero(np.diff(grid)) + 1, len(grid)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            parts.append({s: _angle_rows(r, slice(lo, hi)) for s, r in chunk.items()})
+            if epochs[hi - 1] == plan.n_angle_epochs - 1:
+                reduced.append({s: reduce(_join([part[s] for part in parts], axis=0))
+                                for s in plan.schemes})
+                parts = []
     result = SweepResult(metric, plan.axis_name, plan.axis_values, plan.schemes)
     for scheme in plan.schemes:
         result.means[scheme], result.stderrs[scheme], result.n_trials[scheme] = zip(

@@ -134,8 +134,6 @@ def evaluated_crossing_point(params) -> float:
     if params.n_rx < 2:
         raise ValueError("crossing point needs at least two streams")
     coeffs, rhs = analysis._crossing_polynomial(params)
-    if rhs <= 0:
-        raise NoCrossingError("bounds do not cross at positive power")
     terms = tuple(enumerate(coeffs, start=1))
 
     def gap(x: float) -> float:

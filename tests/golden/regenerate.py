@@ -68,6 +68,16 @@ COMMANDS: dict[str, list[str]] = {
         "se-sweep", "--scheme", "sm,bf", "--axis", "E_dBm=0:5:40",
         "--set", "angle_error_std=0.05",
     ],
+    # README figure commands at full size: hopping slots (Figure 8) and BER
+    # payloads (Figure 9) over chunks that cross grid-point edges.
+    "figure8.csv": [
+        "se-sweep", "--scheme", "sm,bf,ds,db", "--axis", "E_dBm=0:5:40",
+        "--set", "n_slots=2",
+    ],
+    "figure9.csv": [
+        "ber-sweep", "--scheme", "sm,bf,ds,db", "--axis", "E_dBm=0:5:30",
+        "--set", "n_slots=2", "--min-bits", "1000000",
+    ],
 }
 
 

@@ -687,10 +687,16 @@ class TestCrossingPoint:
         assert len(calls) / len(sets) <= 2.5
 
     def test_no_crossing_raises(self):
-        params = dataclasses.replace(
-            an.ClosedFormParams.from_config(rl.SystemConfig()),
-            n_rx=2,
-            gain_profile=np.array([1e-6, 1e-12, 1e-12, 1e-12]),
-        )
-        with pytest.raises(NoCrossingError):
-            an.crossing_point(params)
+        # A non-positive right-hand side: every solver of the profile's
+        # stream count raises the one error of the crossing polynomial.
+        closed_forms = {2: an.crossing_point_two_stream, 3: an.crossing_point_three_stream}
+        for n_rx, closed_form in closed_forms.items():
+            params = dataclasses.replace(
+                an.ClosedFormParams.from_config(rl.SystemConfig()),
+                n_rx=n_rx,
+                gain_profile=np.array([1e-6, 1e-12, 1e-12, 1e-12]),
+            )
+            for solve in (an.crossing_point, closed_form, evaluated_crossing_point):
+                with pytest.raises(NoCrossingError,
+                                   match="^bounds do not cross at positive power$"):
+                    solve(params)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rislink as rl
+import rislink.montecarlo as mc
 from rislink import channel
 from rislink.channel import (
     RIS_RX,
@@ -180,6 +181,33 @@ class TestMultipathDraws:
                                      *streams(BASE_SEED, [[(12, i) for i in range(2000)]]))
         scale = math.sqrt(config.n_rx * 24 / config.n_ris_rx_paths)
         assert abs(gains.mean()) / scale < 0.02
+
+    def test_engine_fading_gain_statistics(self):
+        # The gains the engine draws, on its own fading keys of grid point 0
+        # over 8 x 5000 epochs of two surfaces: every scattered path's mean
+        # power is its scale squared on both hops, the line-of-sight gains
+        # are copied, and two independent receive paths' |conj(b1) b2|
+        # averages the Rayleigh product (sqrt(pi) / 2 * scale)^2.
+        config = rl.SystemConfig(n_tx=8, n_rx=2, n_ris=2, rician_factor=3.0,
+                                 n_nlos_tx_paths=2, n_ris_rx_paths=4)
+        n_angle, n_fading = 8, 5000
+        keys = mc._stream_keys(mc._stream_pools(BASE_SEED, [(0, a) for a in range(n_angle)]),
+                               [(f, mc._FADING) for f in range(n_fading)])
+        n_elements = np.tile([24, 40], (n_angle, 1))
+        los_gains = np.random.default_rng(BASE_SEED).uniform(0.5, 2.0, (n_angle, 2))
+        tx_gains, rx_gains = draw_fading_gains(config, n_elements, los_gains, keys,
+                                               rl.substream(BASE_SEED))
+        assert tx_gains[..., 0].tobytes() == np.broadcast_to(
+            los_gains[:, None, :], tx_gains.shape[:3]).astype(complex).tobytes()
+        products = []
+        for k, n_s in enumerate([24, 40]):
+            for link, gains in ((TX_RIS, tx_gains[:, :, k, 1:]), (RIS_RX, rx_gains[:, :, k])):
+                scale = channel._scatter_scale(config, link, n_s, gains.shape[-1])
+                power = (np.abs(gains) ** 2).mean(axis=(0, 1)) / scale**2
+                assert np.all(np.abs(power - 1.0) < 0.02), (k, link, power)
+            b = rx_gains[:, :, k] / channel._scatter_scale(config, RIS_RX, n_s, 4)
+            products += [np.abs(b[..., m].conj() * b[..., m + 1]) for m in (0, 2)]
+        assert abs(np.mean(products) / (math.pi / 4.0) - 1.0) < 0.01
 
     def test_strong_rician_factor_collapses_to_line_of_sight(self):
         config = rl.SystemConfig(n_tx=8, n_rx=2, n_ris=2, rician_factor=1e12)

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import rislink as rl
@@ -591,6 +593,78 @@ class TestStackedEngine:
         assert sorted(calls) == ["_beam_combiner"] * 2 + ["_multiplex_slot"] * 2
 
 
+def _job_table(plan, config):
+    """The job table of a sweep's grid, with no geometry or payload."""
+    groups = mc.power_groups(config, plan.axis_name, plan.axis_values)
+    return mc._jobs(plan, groups, [None] * len(groups), [None] * len(groups))
+
+
+class TestJobTable:
+    """A sweep lists its chunks up front: every (grid index, angle epoch)
+    row once, grid-major, in jobs that stay inside one power group and hold
+    at most ``max(1, CHUNK_ROWS // F)`` angle epochs; the sweep then runs
+    the jobs in table order."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n_angle=st.integers(1, 9), n_fading=st.integers(1, 40),
+           sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           chunk_rows=st.integers(1, 64))
+    def test_rows_once_grid_major_within_groups(self, n_angle, n_fading, sizes, chunk_rows):
+        n_points = sum(sizes)
+        plan = _plan(axis_values=tuple(map(float, range(n_points))), n_angle_epochs=n_angle,
+                     n_fading_epochs=n_fading)
+        group_of = [k for k, size in enumerate(sizes) for _ in range(size)]
+        powers = np.arange(n_points) * 0.5 + 1.0
+        offsets = np.cumsum([0, *sizes])
+        groups = [(f"config {k}", powers[offsets[k]:offsets[k + 1]]) for k in range(len(sizes))]
+        geometries = [f"geometry {k}" for k in range(len(sizes))]
+        payloads = [{"multiplex": k} for k in range(len(sizes))]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "CHUNK_ROWS", chunk_rows)
+            jobs = mc._jobs(plan, groups, geometries, payloads)
+        assert [row for job in jobs for row in job["rows"]] == \
+            [(g, a) for g in range(n_points) for a in range(n_angle)]
+        per_chunk = max(1, chunk_rows // n_fading)
+        assert len(jobs) == sum(-(-size * n_angle // per_chunk) for size in sizes)
+        for job in jobs:
+            (k,) = {group_of[g] for g, _ in job["rows"]}
+            assert (job["config"], job["surfaces"]) == (groups[k][0], geometries[k])
+            assert job["payload"] is payloads[k]
+            assert 1 <= len(job["rows"]) <= per_chunk
+            assert job["powers"].tolist() == [powers[g] for g, _ in job["rows"]]
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(n_angle=st.integers(1, 3), n_fading=st.integers(1, 3), n_points=st.integers(1, 3),
+           chunk_rows=st.integers(1, 8), power_axis=st.booleans(), payload=st.booleans())
+    def test_sweep_runs_each_job_once_in_table_order(self, n_angle, n_fading, n_points,
+                                                     chunk_rows, power_axis, payload):
+        tables, calls = [], []
+        jobs, run_chunk = mc._jobs, mc._run_chunk
+
+        def listing(*args):
+            tables.append(jobs(*args))
+            return tables[-1]
+
+        def running(**kwargs):
+            assert len(tables) == 1  # the whole table exists before any run
+            calls.append(kwargs)
+            return run_chunk(**kwargs)
+
+        axis = ("E_dBm", (0.0, 10.0, 20.0)) if power_axis else ("L_R", (2.0, 3.0, 4.0))
+        plan = _plan(axis_name=axis[0], axis_values=axis[1][:n_points], schemes=("sm", "db"),
+                     n_angle_epochs=n_angle, n_fading_epochs=n_fading)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "CHUNK_ROWS", chunk_rows)
+            patch.setattr(mc, "_jobs", listing)
+            patch.setattr(mc, "_run_chunk", running)
+            mc._sweep(plan, small_config(n_slots=2), "ber" if payload else "se",
+                      100 if payload else None)
+        (table,) = tables
+        assert len(calls) == len(table)
+        for job, call in zip(table, calls):
+            assert all(call[name] is value for name, value in job.items())
+
+
 class TestPowerStacking:
     """A sweep runs the grid points whose configs differ only in transmit
     power as one stream of rows, cut into chunks across grid-point
@@ -645,15 +719,15 @@ class TestPowerStacking:
         self._assert_points_match(plan, config, 200, 5, monkeypatch)
 
     def test_power_points_share_chunks(self):
-        # Five power points of 2 x 10 rows fit one chunk; an L_R grid
-        # changes the draws, so each of its points runs on its own.
+        # Five power points of 2 x 10 rows fit one job; an L_R grid
+        # changes the draws, so each of its points is a job of its own.
         config = small_config(n_slots=2)
         plan = _plan(axis_values=(0.0, 10.0, 20.0, 30.0, 40.0), schemes=self.SCHEMES,
                      n_angle_epochs=2, n_fading_epochs=10)
         assert 5 * 2 * 10 <= mc.CHUNK_ROWS
-        assert _swept_columns(plan, config)[1] == 1
+        assert len(_job_table(plan, config)) == 1
         plan = dataclasses.replace(plan, axis_name="L_R", axis_values=(2.0, 3.0, 4.0))
-        assert _swept_columns(plan, config)[1] == 3
+        assert len(_job_table(plan, config)) == 3
 
     def test_peak_memory_flat_over_power_grid(self):
         # Twelve power points of just over one chunk of rows each peak
