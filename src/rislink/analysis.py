@@ -12,9 +12,8 @@ in the scalar order with its own stop rule, and takes ``log`` and ``exp``
 from :mod:`math`, so array results equal one-point-at-a-time results bit
 for bit.  A parameter bundle may hold a column of transmit powers, and
 every closed form but the crossing point then runs over the column in
-one pass; :func:`se_sm_approx` takes a whole sweep grid's stream
-constants to one kernel call.  The crossing solver runs on Python floats
-and rejects polynomials whose coefficients leave the float range.
+one pass.  The crossing solver runs on Python floats and rejects
+polynomials whose coefficients leave the float range.
 """
 
 from __future__ import annotations
@@ -159,22 +158,14 @@ def se_sm_approx(c):
 
     ``c`` holds one positive fading constant per stream (inverse mean
     stream SNR) and gives a float; a 2-D array of such rows, one per
-    transmit power, gives an array.  A list of either, each at least 1-D,
-    gives a list, with all their constants in one Ei kernel call; each
-    row still sums in stream order.
+    transmit power, gives an array, with all its constants in one Ei
+    kernel call.  Each row sums in stream order.
     """
-    given_list = isinstance(c, list) and all(np.ndim(block) for block in c)
-    blocks = [np.asarray(block, dtype=float) for block in (c if given_list else [c])]
-    values = scaled_ei_neg(np.concatenate([np.empty(0), *(b.ravel() for b in blocks)]))
-    out, start = [], 0
-    for block in blocks:
-        rows = values[start:start + block.size].reshape(np.atleast_2d(block).shape)
-        start += block.size
-        # Each row sums in stream order; negating the terms, not the sum,
-        # keeps 0.0 for a row of no streams.
-        sums = sum(-rows.T, np.zeros(len(rows))) / math.log(2.0)
-        out.append(sums if block.ndim == 2 else float(sums[0]))
-    return out if given_list else out[0]
+    block = np.asarray(c, dtype=float)
+    rows = scaled_ei_neg(block.ravel()).reshape(np.atleast_2d(block).shape)
+    # Negating the terms, not the sum, keeps 0.0 for a row of no streams.
+    sums = sum(-rows.T, np.zeros(len(rows))) / math.log(2.0)
+    return sums if block.ndim == 2 else float(sums[0])
 
 
 # Below this, 1 + x rounds away over half of x's bits, and its rounding

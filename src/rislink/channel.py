@@ -130,11 +130,6 @@ def _draw_separated_freqs(
     return np.array(out)
 
 
-def _complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Circularly-symmetric unit-variance complex Gaussian samples."""
-    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
-
-
 def _scatter_scale(config: SystemConfig, link: str, n_s: int, count: int) -> float:
     """Amplitude of each of a hop's ``count`` scattered paths, which share
     the hop's non-line-of-sight power equally (0 when there are none)."""
@@ -159,20 +154,19 @@ def _los_gain(config: SystemConfig, n_elements):
 
 
 def _scattered_paths(
-    config: SystemConfig, link: str, n_s: int, keep_away: np.ndarray,
-    rng: np.random.Generator, separation: float, gains: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The scattered paths of one hop, drawn in this order: frequencies at
-    the surface (kept ``separation`` away from each other and from
-    ``keep_away``), frequencies at the far end, gains.  Without ``gains``
-    their normals are drawn in one call and None is returned."""
+    config: SystemConfig, link: str, keep_away: np.ndarray, rng: np.random.Generator,
+    separation: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The angles of one hop's scattered paths: frequencies at the surface
+    (kept ``separation`` away from each other and from ``keep_away``),
+    then frequencies at the far end.  The normals of the paths' gains
+    follow in one call and are dropped, since fading epochs redraw the
+    gains."""
     count = config.n_nlos_tx_paths if link == TX_RIS else config.n_ris_rx_paths
     at_surface = _draw_separated_freqs(rng, count, keep_away, separation)
     far = math.pi * np.cos(rng.uniform(0.0, math.pi, size=count))
-    if not gains:
-        rng.standard_normal(2 * count)
-        return at_surface, far, None
-    return at_surface, far, _scatter_scale(config, link, n_s, count) * _complex_normal(rng, count)
+    rng.standard_normal(2 * count)
+    return at_surface, far
 
 
 def draw_angle_epochs(
@@ -188,10 +182,10 @@ def draw_angle_epochs(
     transmitter-to-surface hop (arrivals kept away from the line of sight)
     and then those of the surface-to-receiver hop (departures kept away
     from every transmit-side arrival at that surface), all at the spacing
-    of the smallest surface.  Each hop draws its surface-side frequencies,
-    its far-side frequencies and its scattered gains, in that order; the
-    gains' normals are drawn in one call and dropped, since fading epochs
-    redraw the gains.
+    of the smallest surface.  Each hop draws (:func:`_scattered_paths`)
+    its surface-side frequencies, its far-side frequencies and the normals
+    of its scattered gains, in that order; the normals are dropped, since
+    fading epochs redraw the gains.
     ``tests/test_channel.py`` pins every value and each epoch's final
     stream state by digest.  Returns the angle fields of a :class:`HopStack`
     (frequencies (A, K, L), element counts and losses (A, K)) and the
@@ -210,12 +204,12 @@ def draw_angle_epochs(
         rekey(rng, key)
         losses[a], n_elements[a] = receiver_losses(config, surfaces, drop_receiver(config, rng))
         separation = _separation(n_elements[a])
-        for k, n_s in enumerate(n_elements[a].tolist()):
-            tx_arrival[a, k, 1:], tx_departure[a, k, 1:], _ = _scattered_paths(
-                config, TX_RIS, n_s, tx_arrival[a, k, :1], rng, separation, gains=False
+        for k in range(n_ris):
+            tx_arrival[a, k, 1:], tx_departure[a, k, 1:] = _scattered_paths(
+                config, TX_RIS, tx_arrival[a, k, :1], rng, separation
             )
-            rx_departure[a, k], rx_arrival[a, k], _ = _scattered_paths(
-                config, RIS_RX, n_s, tx_arrival[a, k], rng, separation, gains=False
+            rx_departure[a, k], rx_arrival[a, k] = _scattered_paths(
+                config, RIS_RX, tx_arrival[a, k], rng, separation
             )
     angles = dict(
         n_rx=config.n_rx,

@@ -177,6 +177,7 @@ def _outage_threshold(gamma_th_db: float) -> float:
 def _build_plan(args: argparse.Namespace) -> TrialPlan:
     axis_name, axis_values = _parse_axis(args.axis)
     schemes = tuple(s.strip() for s in args.scheme.split(",") if s.strip())
+    outage = {"gamma_th": _outage_threshold(args.gamma_th_db)} if "gamma_th_db" in args else {}
     return TrialPlan(
         axis_name=axis_name,
         axis_values=axis_values,
@@ -184,7 +185,7 @@ def _build_plan(args: argparse.Namespace) -> TrialPlan:
         n_angle_epochs=args.angle_epochs,
         n_fading_epochs=args.fading_epochs,
         base_seed=args.seed,
-        gamma_th=_outage_threshold(args.gamma_th_db),
+        **outage,
     )
 
 
@@ -323,7 +324,6 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", required=True, help="CSV output path")
     parser.add_argument("--angle-epochs", type=int, default=200)
     parser.add_argument("--fading-epochs", type=int, default=10)
-    parser.add_argument("--gamma-th-db", type=float, default=10.0, help="outage threshold")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,6 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_sweep_args(p)
         if verb == "ber-sweep":
             p.add_argument("--min-bits", type=int, default=1_000_000)
+        elif verb == "outage-sweep":
+            p.add_argument("--gamma-th-db", type=float, default=10.0, help="outage threshold")
 
     p = sub.add_parser("crossing-point", help="solve the bound crossing power",
                        allow_abbrev=False)

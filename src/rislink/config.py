@@ -191,8 +191,9 @@ def _dft_direction_cosines(n_tx: int, dft_offset: float) -> np.ndarray:
     return np.where(v >= 1.0, v - 2.0, v)
 
 
-def _distances(config: SystemConfig) -> str:
+def _deployment(config: SystemConfig) -> str:
     return (
+        f"carrier_frequency={config.carrier_frequency!r}, "
         f"ris_axis_distance={config.ris_axis_distance!r}, "
         f"rx_center_distance={config.rx_center_distance!r}, "
         f"rx_disk_radius={config.rx_disk_radius!r}"
@@ -233,7 +234,7 @@ def surface_geometry(config: SystemConfig) -> SurfaceGeometry:
     PlacementError
         If fewer than ``n_ris`` DFT beams intersect the surface line.
     ConfigurationError
-        If a transmitter-to-surface distance leaves the floating-point range.
+        If a transmitter-to-surface distance overflows or underflows to 0.
     """
     cosines = _dft_direction_cosines(config.n_tx, config.dft_offset)
     usable = [u for u in cosines if 1e-12 < abs(u) < 1.0 - 1e-12]
@@ -249,9 +250,9 @@ def surface_geometry(config: SystemConfig) -> SurfaceGeometry:
     tx_position = np.zeros(2)
     with np.errstate(over="ignore", invalid="ignore"):
         d_tx = np.linalg.norm(ris_positions - tx_position, axis=1)
-    if not np.isfinite(d_tx).all():
+    if not np.all((d_tx > 0) & (d_tx < math.inf)):
         raise ConfigurationError(
-            f"deployment distances leave the floating-point range: {_distances(config)}"
+            f"deployment distances leave the floating-point range: {_deployment(config)}"
         )
     return SurfaceGeometry(
         tx_position=tx_position,
@@ -280,16 +281,20 @@ def receiver_losses(
     config: SystemConfig, surfaces: SurfaceGeometry, rx_position: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each surface's cascaded loss to a receiver at ``rx_position`` and the
-    element count sized from it."""
+    element count sized from it, rejecting a loss that overflows or
+    underflows to 0 (Python float products, so numpy warns of neither)."""
     with np.errstate(over="ignore", invalid="ignore"):
         d_rx = np.linalg.norm(surfaces.ris_positions - rx_position, axis=1)
     if not np.isfinite(d_rx).all():
         raise ConfigurationError(
-            f"deployment distances leave the floating-point range: {_distances(config)}"
+            f"deployment distances leave the floating-point range: {_deployment(config)}"
         )
-    losses = np.array(
-        [path_loss(a, b, config.wavelength) for a, b in zip(surfaces.tx_distances, d_rx)]
-    )
+    losses = np.array([path_loss(a, b, config.wavelength)
+                       for a, b in zip(surfaces.tx_distances.tolist(), d_rx.tolist())])
+    if not np.all((losses > 0) & (losses < math.inf)):
+        raise ConfigurationError(
+            f"cascaded path losses leave the floating-point range: {_deployment(config)}"
+        )
     try:
         counts = np.array(
             [ris_element_count(config.gain_target, loss) for loss in losses.tolist()],
@@ -298,7 +303,7 @@ def receiver_losses(
     except OverflowError as exc:
         raise ConfigurationError(
             f"surface element counts overflow: gain_target={config.gain_target!r} "
-            f"is too large for the deployment distances {_distances(config)}"
+            f"is too large for {_deployment(config)}"
         ) from exc
     return losses, counts
 

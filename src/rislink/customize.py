@@ -15,13 +15,13 @@ matrix is to a target (identity for multiplexing, all-ones for
 beamforming); searches are exact, skipping by bound only what cannot win,
 with deterministic lexicographic tie-breaking so equal inputs always
 yield equal selections.  Selection and design work on stacks of angle
-epochs, as arrays from search to design: :func:`select_paths_stack` runs
-every family's searches of every angle epoch from one
-:class:`SearchTerms`, one stacked search per slot, into one
-:class:`SelectionStack` per family, and :func:`design_slots` designs one
-of its slots for every (angle epoch, fading epoch) row of a
-:class:`HopStack` into a :class:`DesignStack`.  One angle epoch is a
-stack of one.
+epochs, as arrays from search to design: :func:`select_paths_stack` takes
+every angle epoch's candidate receive-side angles, builds their
+:class:`SearchTerms` once, and runs every family's searches on them, one
+stacked search per slot, into one :class:`SelectionStack` per family,
+and :func:`design_slots` designs one of its slots for every (angle epoch,
+fading epoch) row of a :class:`HopStack` into a :class:`DesignStack`.
+One angle epoch is a stack of one.
 
 Every profile is linear in the element index (element ``i`` applies ``i *
 slope + c`` radians): its slope retargets one path pair onto the cascaded
@@ -340,18 +340,17 @@ def check_selection(n_paths: int, n_ris: int, n_rx: int, family: str, n_slots: i
 
 
 def select_paths_stack(
-    terms: SearchTerms,
-    n_paths: int,
+    candidates: np.ndarray,
     n_rx: int,
     slots: dict[str, int],
 ) -> dict[str, SelectionStack]:
     """Every family's path selection for every angle epoch of a stack.
 
-    ``terms`` holds the search terms of candidates of shape (A, n_ris,
-    n_paths), shared by every search; candidate ``[a, k, l]`` is the
-    receive-side spatial frequency of path ``l`` through surface ``k``.
-    ``slots`` maps each family of :data:`FAMILIES` to its slot count, and
-    the result maps it to its :class:`SelectionStack`.
+    ``candidates`` (A, n_ris, n_paths) holds receive-side spatial
+    frequencies: ``[a, k, l]`` is that of path ``l`` through surface ``k``
+    in angle epoch ``a``.  One :class:`SearchTerms` of them serves every
+    search.  ``slots`` maps each family of :data:`FAMILIES` to its slot
+    count, and the result maps it to its :class:`SelectionStack`.
     Slot 0 runs the multiplexing search: ``n_rx`` (surface, path) pairs
     whose responses' Gram matrix is closest to the identity, over every
     surface subset of size ``n_rx`` and every path assignment.  Or it runs
@@ -367,10 +366,10 @@ def select_paths_stack(
     later slot's hopping searches likewise).  Inputs that
     :func:`check_selection` rejects raise its errors.
     """
-    n_angle = len(terms.gram)
-    n_ris = terms.gram.shape[-1] // n_paths
+    n_angle, n_ris, n_paths = np.shape(candidates)
     for family, n_slots in slots.items():
         check_selection(n_paths, n_ris, n_rx, family, n_slots)
+    terms = SearchTerms(_candidate_gram(candidates, n_rx))
     # Each family's search target off-diagonal, and its surface subsets
     # (beamforming has one, every surface): (subsets, n_active).
     targets = {family: 0.0 if family == "multiplex" else 1.0 for family in slots}

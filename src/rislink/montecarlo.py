@@ -63,8 +63,6 @@ from .config import receiver_losses, surface_geometry
 from .customize import (
     FAMILIES,
     SCHEME_TAGS,
-    SearchTerms,
-    _candidate_gram,
     check_selection,
     design_slots,
     select_paths_stack,
@@ -383,10 +381,8 @@ def _run_chunk(
             config.angle_error_std, angles["rx_arrival"], angles["rx_departure"],
             epoch_keys[:, 1], rng,
         )
-    candidates = estimated.get("rx_arrival", angles["rx_arrival"])
-    terms = SearchTerms(_candidate_gram(candidates, config.n_rx))
     runs = _family_runs(schemes, config)
-    selected = select_paths_stack(terms, config.n_ris_rx_paths, config.n_rx,
+    selected = select_paths_stack(estimated.get("rx_arrival", angles["rx_arrival"]), config.n_rx,
                                   {family: max(slots.values()) for family, slots in runs.items()})
     pieces = {scheme: [] for scheme in schemes}
     purposes = (_FADING, _PAYLOAD) if payload else (_FADING,)
@@ -428,7 +424,7 @@ def closed_form_companions(
     Every group's parameter bundle on its power column (a float for a group
     of one point) is validated first, whatever the schemes; each bound then
     runs once per group.  Consecutive groups' stream constants of one
-    width stack into one block per width, and all blocks share one Ei
+    width stack into one block per width, and each block takes one Ei
     kernel call.
     """
     params = [
@@ -443,7 +439,8 @@ def closed_form_companions(
             c_rows = [p.c_values() for p in params]
             widths = itertools.groupby(c_rows, key=lambda c: c.shape[-1])
             blocks = [np.vstack(list(rows)) for _, rows in widths]
-            approx, upper = analysis.se_sm_approx(blocks), list(map(analysis.se_sm_upper, blocks))
+            approx = list(map(analysis.se_sm_approx, blocks))
+            upper = list(map(analysis.se_sm_upper, blocks))
         elif scheme in _BOUNDS:
             upper = [_BOUNDS[scheme](p) for p in params]
         out[scheme] = tuple(zip(np.hstack(approx).tolist(), np.hstack(upper).tolist()))

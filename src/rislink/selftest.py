@@ -113,10 +113,8 @@ def dense_composite(hops: HopStack, slopes, commons, a: int = 0, f: int = 0) -> 
 def select_one(candidates, n_rx, scheme, n_slots=1):
     """:func:`select_paths_stack` for the family of ``scheme`` on one angle
     epoch's candidates, shape (n_ris, n_paths): a stack of one."""
-    candidates = np.asarray(candidates, dtype=float)
-    terms = SearchTerms(_candidate_gram(candidates[None], n_rx))
     family = next((f for f, members in FAMILIES.items() if scheme in members), scheme)
-    return select_paths_stack(terms, candidates.shape[1], n_rx, {family: n_slots})[family]
+    return select_paths_stack(np.asarray(candidates)[None], n_rx, {family: n_slots})[family]
 
 
 def design_one(selection, estimate: HopStack, slot=0, refine=False, exact: HopStack | None = None):

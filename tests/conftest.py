@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import math
 from collections import namedtuple
 from dataclasses import fields, replace
 
@@ -13,8 +14,9 @@ from rislink.channel import (
     RIS_RX,
     TX_RIS,
     HopStack,
+    _draw_separated_freqs,
     _los_gain,
-    _scattered_paths,
+    _scatter_scale,
     _separation,
     draw_fading_gains,
 )
@@ -32,6 +34,22 @@ def small_config(**overrides) -> rl.SystemConfig:
     return rl.SystemConfig(**defaults)
 
 
+def _complex_normal(rng: np.random.Generator, size) -> np.ndarray:
+    """Circularly-symmetric unit-variance complex Gaussian samples."""
+    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
+
+
+def _scattered_hop(config, link, n_s, keep_away, rng, separation):
+    """One hop's scattered paths with their gains, drawn in this order:
+    frequencies at the surface (kept ``separation`` away from each other
+    and from ``keep_away``), frequencies at the far end, then the gains,
+    real parts before imaginary parts."""
+    count = config.n_nlos_tx_paths if link == TX_RIS else config.n_ris_rx_paths
+    at_surface = _draw_separated_freqs(rng, count, keep_away, separation)
+    far = math.pi * np.cos(rng.uniform(0.0, math.pi, size=count))
+    return at_surface, far, _scatter_scale(config, link, n_s, count) * _complex_normal(rng, count)
+
+
 def draw_scene(config: rl.SystemConfig, seed: int = BASE_SEED, *key: int) -> HopStack:
     """One angle epoch's hops with their gains, a stack of one row.
 
@@ -46,14 +64,14 @@ def draw_scene(config: rl.SystemConfig, seed: int = BASE_SEED, *key: int) -> Hop
     surfaces = surface_geometry(config)
     losses, counts = receiver_losses(config, surfaces, drop_receiver(config, rng))
     separation = _separation(counts)
-    tx = [_scattered_paths(config, TX_RIS, n_s, surfaces.los_arrival[k:k + 1], rng, separation)
+    tx = [_scattered_hop(config, TX_RIS, n_s, surfaces.los_arrival[k:k + 1], rng, separation)
           for k, n_s in enumerate(counts.tolist())]
 
     def with_los(i, los):
         return np.array([np.concatenate(([los[k]], paths[i])) for k, paths in enumerate(tx)])
 
     tx_arrival = with_los(0, surfaces.los_arrival)
-    rx = [_scattered_paths(config, RIS_RX, n_s, tx_arrival[k], rng, separation)
+    rx = [_scattered_hop(config, RIS_RX, n_s, tx_arrival[k], rng, separation)
           for k, n_s in enumerate(counts.tolist())]
     return HopStack(
         n_rx=config.n_rx, n_tx=config.n_tx,

@@ -132,10 +132,11 @@ def differences(expected: str, got: str) -> str | None:
     )
 
 
-def check(golden_dir: Path = GOLDEN_DIR, names=tuple(COMMANDS)) -> list[str]:
-    """One line per golden file whose bytes the commands would change."""
+def check(golden_dir: Path = GOLDEN_DIR, names=None) -> list[str]:
+    """One line per golden file whose bytes the commands would change, over
+    ``names`` (by default every command of the table as it stands)."""
     problems = []
-    for name in names:
+    for name in COMMANDS if names is None else names:
         path = golden_dir / name
         if not path.is_file():
             problems.append(f"{path}: missing")

@@ -17,8 +17,9 @@ from scipy import integrate, stats
 import rislink as rl
 import rislink.analysis as an
 from rislink import cli
-from rislink.channel import _complex_normal
 from rislink.selftest import select_one
+
+from conftest import _complex_normal
 
 BASE_SEED = 20240601
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

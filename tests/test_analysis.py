@@ -155,12 +155,18 @@ class TestArrayKernelMatchesScalarOracle:
 
     def test_rows_match_one_row_at_a_time(self):
         rng = rl.substream(BASE_SEED, 105)
-        rows = [10.0 ** rng.uniform(-6.0, 3.0, n) for n in (1, 3, 2, 12, 4)]
-        rows.append(list(rows[1]))
-        assert an.se_sm_approx(rows) == [an.se_sm_approx(c) for c in rows]
-        assert an.se_sm_approx([]) == []
-        with pytest.raises(ValueError):
-            an.se_sm_approx([rows[0], np.array([0.5, -1.0])])
+        for n in (0, 1, 3, 2, 12, 4):
+            block = 10.0 ** rng.uniform(-6.0, 3.0, (6, n))
+            got = an.se_sm_approx(block)
+            assert type(got) is np.ndarray and got.shape == (6,)
+            assert got.tolist() == [an.se_sm_approx(c) for c in block]
+        assert an.se_sm_approx(np.empty((0, 3))).shape == (0,)
+        for bad in (0.0, -1.0, math.nan):
+            for position in ((0, 0), (2, 1)):
+                block = np.full((3, 2), 0.5)
+                block[position] = bad
+                with pytest.raises(ValueError):
+                    an.se_sm_approx(block)
 
 
 class TestSeriesStopOrder:

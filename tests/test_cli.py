@@ -598,6 +598,23 @@ class TestExitCodes:
           "--angle-epochs", "1", "--fading-epochs", "1", "--min", "100"], cli.EXIT_BAD_CONFIG),
         (["analyze", "--dump", "/tmp/unused.cfg"], cli.EXIT_BAD_CONFIG),
         (["crossing-point", "--n", "2"], cli.EXIT_BAD_CONFIG),
+        # Deployments that leave the floating-point range.
+        *(
+            (["se-sweep", "--scheme", "sm,bf", "--axis", "E_dBm=20",
+              "--output", "/tmp/unused.csv", "--angle-epochs", "1",
+              "--fading-epochs", "1", "--set", override], cli.EXIT_BAD_CONFIG)
+            for override in ("carrier_frequency=1e-300", "carrier_frequency=1e-290",
+                             "carrier_frequency=1e300", "ris_axis_distance=1e-300")
+        ),
+        # Only the outage sweep reads an outage threshold.
+        *(
+            ([verb, "--scheme", "sm", "--axis", "E_dBm=20",
+              "--output", "/tmp/unused.csv", "--angle-epochs", "1",
+              "--fading-epochs", "1", "--gamma-th-db", "10"], cli.EXIT_BAD_CONFIG)
+            for verb in ("se-sweep", "ber-sweep")
+        ),
+        (["outage-sweep", "--scheme", "sm", "--axis", "E_dBm=20", "--output", "/tmp/unused.csv",
+          "--angle-epochs", "1", "--fading-epochs", "1", "--gamma-th", "3"], cli.EXIT_BAD_CONFIG),
     ])
     def test_error_paths(self, argv, code, capsys):
         assert _run(argv) == code
@@ -675,10 +692,17 @@ class TestExitCodes:
         ("rx_center_distance=1e300", "deployment distances leave the floating-point range"),
         ("ris_axis_distance=1e12", "surface element counts overflow"),
         ("gain_target=1e300", "surface element counts overflow"),
+        # An infinite wavelength, a loss that overflows, one that underflows
+        # to 0, and transmitter-to-surface distances that underflow to 0.
+        ("carrier_frequency=1e-300", "cascaded path losses leave the floating-point range"),
+        ("carrier_frequency=1e-290", "cascaded path losses leave the floating-point range"),
+        ("carrier_frequency=1e300", "cascaded path losses leave the floating-point range"),
+        ("ris_axis_distance=1e-300", "deployment distances leave the floating-point range"),
     ])
-    def test_overflowing_deployment_is_named(self, override, message, capsys):
-        argv = ["se-sweep", "--scheme", "sm", "--axis", "E_dBm=20",
-                "--output", "/tmp/unused.csv", "--angle-epochs", "1",
+    def test_overflowing_deployment_is_named(self, override, message, capsys, tmp_path):
+        out = tmp_path / "unused.csv"
+        argv = ["se-sweep", "--scheme", "sm,bf", "--axis", "E_dBm=20",
+                "--output", str(out), "--angle-epochs", "1",
                 "--fading-epochs", "1", "--set", override]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -687,6 +711,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {message}" in err and override.split("=")[0] in err
         assert "RuntimeWarning" not in err
+        assert not out.exists()
 
     def test_analyze_summary_names_a_zero_watt_root(self, capsys):
         argv = ["analyze", "--set", "n_rx=2", "--set", "noise_power=1e-320",

@@ -423,9 +423,8 @@ class TestDiversitySelection:
         candidates = rng.uniform(-math.pi, math.pi, (7, 4, n_paths))
         candidates[::2, :, -1] = candidates[::2, :, 0]
         candidates[::3, -1] = candidates[::3, 0]
-        terms = SearchTerms(_candidate_gram(candidates, n_rx))
         slots = {"multiplex": 3, "beamform": 2}
-        stacked = customize.select_paths_stack(terms, n_paths, n_rx, slots)
+        stacked = customize.select_paths_stack(candidates, n_rx, slots)
         assert list(stacked) == list(slots)
 
         def arrays(selection, rows=slice(None), n_slots=None):
@@ -440,7 +439,7 @@ class TestDiversitySelection:
                 (np.int64, (7, n_active)), (np.int64, (7, n_slots, n_active)),
                 (np.float64, (7, n_slots))]
             for m in range(1, n_slots + 1):
-                alone = customize.select_paths_stack(terms, n_paths, n_rx, {family: m})
+                alone = customize.select_paths_stack(candidates, n_rx, {family: m})
                 assert arrays(alone[family]) == arrays(selection, n_slots=m)
             hopping = customize.FAMILIES[family][1]
             for a, row in enumerate(candidates):
@@ -462,9 +461,8 @@ class TestDiversitySelection:
     def test_unknown_family_rejected(self):
         # Selections are keyed by family; a scheme tag is not one.
         candidates = rl.substream(BASE_SEED, 63).uniform(-math.pi, math.pi, (1, 3, 4))
-        terms = SearchTerms(_candidate_gram(candidates, 2))
         with pytest.raises(ValueError, match="unknown family 'sm'"):
-            customize.select_paths_stack(terms, 4, 2, {"sm": 1})
+            customize.select_paths_stack(candidates, 2, {"sm": 1})
 
 
 class TestCustomizedChannel:
@@ -653,9 +651,9 @@ class TestArrayPhaseDesign:
             config = rl.SystemConfig(n_tx=8, n_rx=n_rx, n_ris=4, n_ris_rx_paths=3,
                                      n_slots=n_slots, gain_target=2e-7)
             hops = self._stack(config, rng, 3, 40, zeros=not refine)
-            terms = SearchTerms(_candidate_gram(hops.rx_arrival, n_rx))
             family = next(f for f, members in customize.FAMILIES.items() if scheme in members)
-            selection = customize.select_paths_stack(terms, 3, n_rx, {family: n_slots})[family]
+            selection = customize.select_paths_stack(hops.rx_arrival, n_rx,
+                                                     {family: n_slots})[family]
             for slot in range(n_slots):
                 with np.errstate(all="ignore"):
                     design, _, commons = customize.design_slots(
@@ -671,8 +669,7 @@ class TestArrayPhaseDesign:
     def test_zero_gain_rejected_by_refinement(self, zero):
         config = rl.SystemConfig(n_tx=8, n_rx=2, n_ris=3, n_ris_rx_paths=3, gain_target=2e-7)
         hops = self._stack(config, rl.substream(BASE_SEED, 62), 2, 3, zeros=False)
-        terms = SearchTerms(_candidate_gram(hops.rx_arrival, config.n_rx))
-        selection = customize.select_paths_stack(terms, 3, 2, {"beamform": 1})["beamform"]
+        selection = customize.select_paths_stack(hops.rx_arrival, 2, {"beamform": 1})["beamform"]
         k, l = selection.active[0, 0], selection.paths[0, 0, 0]
         gains = (hops.rx_gains[0, 1, k, l:l + 1] if zero == "rx" else hops.tx_gains[0, 1, k, :1])
         gains[:] = complex(-0.0, 0.0)

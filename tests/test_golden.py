@@ -25,8 +25,22 @@ def test_output_matches_golden(name, tmp_path):
     assert out.read_bytes() == (regenerate.GOLDEN_DIR / name).read_bytes()
 
 
-def test_check_passes_on_the_golden_files():
+# ``test_output_matches_golden`` compares every golden file byte for byte,
+# so the check's report is tested on the two cheapest commands.
+_CHEAP = ("closed-form-power.csv", "closed-form-kappa.csv")
+
+
+def test_check_passes_on_the_golden_files(monkeypatch, capsys):
+    monkeypatch.setattr(regenerate, "COMMANDS", {n: regenerate.COMMANDS[n] for n in _CHEAP})
     assert regenerate.main(["--check"]) == 0
+    assert capsys.readouterr().err == "all 2 golden files unchanged\n"
+
+
+def test_check_fails_on_a_missing_golden_file(monkeypatch, capsys):
+    commands = {n: regenerate.COMMANDS[n] for n in _CHEAP}
+    monkeypatch.setattr(regenerate, "COMMANDS", {**commands, "absent.csv": []})
+    assert regenerate.main(["--check"]) == 1
+    assert capsys.readouterr().err == f"{regenerate.GOLDEN_DIR / 'absent.csv'}: missing\n"
 
 
 def test_check_names_a_changed_file_and_column(tmp_path):

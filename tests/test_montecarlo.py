@@ -23,7 +23,6 @@ import rislink.montecarlo as mc
 from rislink import transceive
 from rislink.channel import (
     HopStack,
-    _complex_normal,
     draw_angle_epochs,
     draw_fading_gains,
     rekey,
@@ -34,6 +33,7 @@ from rislink.selftest import design_one, select_one
 
 from conftest import (
     BASE_SEED,
+    _complex_normal,
     assert_same_columns,
     key_of,
     result_rows,

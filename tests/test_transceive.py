@@ -15,7 +15,7 @@ import rislink as rl
 from rislink import transceive
 from rislink.channel import HopStack, draw_angle_epochs, draw_fading_gains
 from rislink.config import surface_geometry
-from rislink.customize import SearchTerms, _candidate_gram, design_slots, select_paths_stack
+from rislink.customize import design_slots, select_paths_stack
 from rislink.selftest import design_one, select_one
 from rislink.transceive import (
     DEFAULT_OUTAGE_THRESHOLD,
@@ -453,10 +453,8 @@ class TestPayloadBlocks:
             config, angles["n_elements"], los_gains,
             *streams(BASE_SEED, [[(111, *key) for key in row] for row in keys]))
         hops = HopStack(tx_gains=tx_gains, rx_gains=rx_gains, **angles)
-        terms = SearchTerms(_candidate_gram(angles["rx_arrival"], config.n_rx))
         family = "multiplex" if multiplex else "beamform"
-        selection = select_paths_stack(terms, config.n_ris_rx_paths, config.n_rx,
-                                       {family: 2})[family]
+        selection = select_paths_stack(angles["rx_arrival"], config.n_rx, {family: 2})[family]
         # Row (0, 1) is drowned, so its errors are many and row (0, 2)
         # follows an error-heavy row in the block.
         drown = np.ones((2, 3, 1, 1))
