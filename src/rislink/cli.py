@@ -287,7 +287,7 @@ def _print_summary(config: SystemConfig) -> None:
         f"sm approximation: {_fmt(analysis.se_sm_approx(c))} bits/s/Hz",
         f"sm upper bound:   {_fmt(analysis.se_sm_upper(c))} bits/s/Hz",
         f"bf upper bound:   {_fmt(analysis.se_bf_upper(params))} bits/s/Hz",
-        f"db upper bound:   {_fmt(analysis.se_db_upper(params, config.n_slots))}"
+        f"db upper bound:   {_fmt(analysis.se_db_upper(params))}"
         f" bits/s/Hz (slots={config.n_slots})",
     ]
     if crossing is not None:

@@ -427,11 +427,10 @@ class DesignStack:
     angles only.  ``xi_active`` holds the designed effective gains of
     those paths, shape (A, F, n_active), and ``exact_h`` the full
     composite channel realized under the designed profiles, including
-    whatever the profiles did not shape, shape (A, F, n_rx, n_tx).
+    whatever the profiles did not shape, shape (A, F, n_rx, n_tx).  It has
+    no slot index: a runner reads a list of them in slot order.
     """
 
-    slot: int
-    n_slots: int
     r_active: np.ndarray
     t_active: np.ndarray
     xi_active: np.ndarray
@@ -512,8 +511,6 @@ def design_slots(
     xi_active = np.empty((n_angle, n_fading, active.shape[1]), dtype=complex)
     xi_active.real, xi_active.imag = (np.swapaxes(part, 1, 2) for part in gains)
     design = DesignStack(
-        slot=slot,
-        n_slots=selection.n_slots,
         r_active=_response_matrix(estimate.n_rx, rx_freqs)[:, None],
         t_active=_response_matrix(estimate.n_tx, estimate.tx_departure[rows, active, 0])[:, None],
         xi_active=xi_active,

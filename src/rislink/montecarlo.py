@@ -229,17 +229,20 @@ def power_groups(
 
 
 def check_axis_grid(axis_values: tuple[float, ...]) -> None:
-    """Reject an empty sweep grid, or one that is not strictly ascending
-    (a step below the values' resolution repeats a value)."""
+    """Reject an empty sweep grid, a non-finite value, or a grid that is not
+    strictly ascending (a step below the values' resolution repeats a value)."""
     if not axis_values:
         raise ConfigurationError("sweep grid must be non-empty")
+    if not all(map(math.isfinite, axis_values)):
+        raise ConfigurationError(f"sweep grid {axis_values} must be finite")
     if any(a >= b for a, b in zip(axis_values, axis_values[1:])):
         raise ConfigurationError("sweep grid must be strictly ascending (no repeated value)")
 
 
 @dataclass(frozen=True)
 class TrialPlan:
-    """What to estimate: schemes, sweep axis, epoch counts, seed."""
+    """What to estimate: schemes, sweep axis, epoch counts, seed.  The grid
+    is stored as a tuple of floats and the schemes as a tuple."""
 
     axis_name: str
     axis_values: tuple[float, ...]
@@ -252,6 +255,8 @@ class TrialPlan:
     def __post_init__(self) -> None:
         for name in ("n_angle_epochs", "n_fading_epochs", "base_seed"):
             object.__setattr__(self, name, integer_field(name, getattr(self, name)))
+        object.__setattr__(self, "axis_values", tuple(map(float, self.axis_values)))
+        object.__setattr__(self, "schemes", tuple(self.schemes))
         if self.axis_name not in AXIS_NAMES:
             raise ConfigurationError(
                 f"unknown sweep axis {self.axis_name!r}; "
@@ -421,16 +426,12 @@ def closed_form_companions(
     """Closed-form (approximation, upper bound) SE columns of every scheme
     over a grid of :func:`power_groups`; NaN where no closed form applies.
 
-    Every group's parameter bundle on its power column (a float for a group
-    of one point) is validated first, whatever the schemes; each bound then
-    runs once per group.  Consecutive groups' stream constants of one
-    width stack into one block per width, and each block takes one Ei
-    kernel call.
+    Every group's parameter bundle on its power column is validated first,
+    whatever the schemes; each bound then runs once per group.
+    Consecutive groups' stream constants of one width stack into one block
+    per width, and each block takes one Ei kernel call.
     """
-    params = [
-        analysis.ClosedFormParams.from_config(cfg, powers if len(powers) > 1 else float(powers[0]))
-        for cfg, powers in groups
-    ]
+    params = [analysis.ClosedFormParams.from_config(cfg, powers) for cfg, powers in groups]
     nans = [np.full(sum(len(powers) for _, powers in groups), math.nan)]
     out = {}
     for scheme in schemes:
@@ -456,6 +457,8 @@ def wilson_half_width(errors: int, total: int, z: float = _WILSON_Z) -> float:
     """Half-width of the Wilson score interval for a binomial proportion."""
     if total < 1:
         raise ValueError("need at least one observation")
+    if not 0 <= errors <= total:
+        raise ValueError(f"need 0 <= errors <= total, got {errors} errors in {total}")
     p = errors / total
     denom = 1.0 + z * z / total
     return z * math.sqrt(p * (1.0 - p) / total + z * z / (4.0 * total * total)) / denom

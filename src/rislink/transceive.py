@@ -8,18 +8,19 @@ activated-gain (diagonalized) model supplies the per-stream SNRs used for
 outage calls and is reported separately as a companion value.
 
 The path-hopping schemes run one shaped channel per slot and combine slot
-outputs coherently.  The runners accumulate slot by slot and read each
-scheme off a prefix of the slots, so the single-configuration schemes are
-literally the one-slot case of the same code, and one pass over a hopping
-design serves both schemes of its family bit for bit.  The runners take
-one :class:`rislink.customize.DesignStack` per slot, over rows of angle
-and fading epochs, the transmit power as a column over the angle rows and
-the noise power, and give one :class:`SchemeResult` per scheme whose
-fields are columns over those rows, each row equal bit for bit to running
-it on its own at its own power.  A runner given a bit-error payload
-pushes it through the slot transceivers it has just built
-(:func:`payload_errors`), detecting after every slot, so each scheme
-reads its bit counts off its prefix too.
+outputs coherently.  A runner takes a list of
+:class:`rislink.customize.DesignStack`, the slots in order, over rows of
+angle and fading epochs, the transmit power as a column over the angle
+rows and the noise power, and makes one straight pass: it builds every
+slot's link (precoder, stream matrix and rotation, or matched filter),
+pushes a bit-error payload, if given one, through those links
+(:func:`payload_errors`, detecting after every slot), then accumulates the
+slots and builds each scheme's :class:`SchemeResult` once, off its prefix
+of the slots and with that prefix's bit counts.  So the
+single-configuration schemes are literally the one-slot case of the same
+code, one pass over a hopping design serves both schemes of its family bit
+for bit, and every result field is a column over the rows, each row equal
+bit for bit to running it on its own at its own power.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class SchemeResult:
     ``se_bits_per_hz`` is evaluated on the exact channel;
     ``se_model_bits_per_hz`` and ``post_combine_snr`` come from the
     activated-gain model (outage is called on the latter).  The int64 bit
-    counters are zero unless a symbol-level pass wrote them.
+    counters are zero for a runner given no payload.
     """
 
     se_bits_per_hz: np.ndarray
@@ -55,12 +56,12 @@ class SchemeResult:
     bits_sent: np.ndarray
 
 
-def _result(rows: tuple[int, int], se, se_model, snr, outage) -> SchemeResult:
-    """The columns shaped over ``rows`` (A, F), the SNR with a stream axis,
-    and bit counters of their own, all zero."""
-    counts = [np.zeros(rows, dtype=np.int64) for _ in range(2)]
+def _result(errors: np.ndarray, sent: int, se, se_model, snr, outage) -> SchemeResult:
+    """The columns shaped over the (A, F) rows of a prefix's bit ``errors``,
+    the SNR with a stream axis, and ``sent`` bits in every row."""
+    rows = errors.shape
     return SchemeResult(se.reshape(rows), se_model.reshape(rows), snr.reshape(rows + (-1,)),
-                        outage.reshape(rows), *counts)
+                        outage.reshape(rows), errors, np.full(rows, sent, dtype=np.int64))
 
 
 # The precoders scale the angle rows of a design by their transmit powers
@@ -98,28 +99,18 @@ def _beam_powers(matched: np.ndarray) -> np.ndarray:
     return np.array([x**2 for x in np.sqrt(squares).ravel().tolist()])
 
 
-def _check_slots(designs: Sequence[DesignStack]) -> None:
-    if len(designs) != designs[0].n_slots:
-        raise ValueError(
-            f"got {len(designs)} slot channels for a {designs[0].n_slots}-slot selection"
-        )
-    for m, design in enumerate(designs):
-        if design.slot != m:
-            raise ValueError(f"slot channel {m} was built for slot {design.slot}")
-
-
 # A block's payload: QPSK symbols per row, each row's Philox key keys[a, f]
 # (A, F, 2) and the generator to re-key to them.
 _Payload = tuple[int, np.ndarray, np.random.Generator]
 
 
-def _write_counts(out: dict[str, SchemeResult], slots: dict[str, int], sent: int,
-                  errors: np.ndarray) -> None:
-    """Write a payload's bit counts (see :func:`payload_errors`) into every
-    scheme's columns: each scheme of ``slots`` reads the errors after its slots."""
-    for scheme, n_slots in slots.items():
-        out[scheme].bit_errors[...] = errors[n_slots - 1]
-        out[scheme].bits_sent[...] = sent
+def _bit_counts(designs: Sequence[DesignStack], links: list, noise_power: float,
+                payload: _Payload | None, multiplex: bool) -> tuple[int, np.ndarray]:
+    """:func:`payload_errors` of a ``payload`` on the slot ``links``; without
+    a payload, no bits sent and no errors."""
+    if payload is None:
+        return 0, np.zeros((len(designs),) + designs[0].exact_h.shape[:-2], dtype=np.int64)
+    return payload_errors(designs, links, noise_power, *payload, multiplex)
 
 
 def _run_multiplex(
@@ -132,24 +123,21 @@ def _run_multiplex(
 ) -> dict[str, SchemeResult]:
     """Shared multiplexing runner: per-slot combine, rotate, sum, detect.
 
-    Angle row ``a`` transmits at ``powers[a]``.  Each slot's combiner is
-    the activated receive-response stack with its columns phase-rotated
-    onto the realized per-stream gains, so slot outputs add coherently;
-    stacking m slots leaves per-stream noise at ``m * noise_power``.
-    Slots accumulate in order, and each scheme of ``slots`` (scheme ->
-    slot count) reads its result columns off its prefix.  A ``payload``
-    (see :func:`payload_errors`) runs on the same slot transceivers and
-    fills the bit counts.
+    ``designs`` are the slots in order.  Angle row ``a`` transmits at
+    ``powers[a]``.  Each slot's combiner is the activated receive-response
+    stack with its columns phase-rotated onto the realized per-stream
+    gains, so slot outputs add coherently; stacking m slots leaves
+    per-stream noise at ``m * noise_power``.  Links first, then the
+    ``payload`` (if any) on them, then each scheme of ``slots`` (scheme ->
+    slot count) reads its result off its prefix of the slots.
     """
-    _check_slots(designs)
+    links = [_multiplex_slot(design, powers) for design in designs]
+    sent, errors = _bit_counts(designs, links, noise_power, payload, True)
     n_streams = designs[0].r_active.shape[-1]
     effective = 0j
     model_amplitude = 0.0
-    links = []
     out = {}
-    for n_slots, design in enumerate(designs, 1):
-        links.append(_multiplex_slot(design, powers))
-        _, g, rotation = links[-1]
+    for n_slots, (design, (_, g, rotation)) in enumerate(zip(designs, links), 1):
         effective += rotation[..., :, None] * g
         model_amplitude += np.abs(design.xi_active)
         readers = [scheme for scheme, count in slots.items() if count == n_slots]
@@ -168,9 +156,7 @@ def _run_multiplex(
         se_model = np.sum(np.log2(1.0 + snr), axis=-1) / n_slots
         outage = snr.min(axis=-1) < gamma_th
         for scheme in readers:
-            out[scheme] = _result(se.shape, se, se_model, snr, outage)
-    if payload is not None:
-        _write_counts(out, slots, *payload_errors(designs, links, noise_power, *payload, True))
+            out[scheme] = _result(errors[n_slots - 1], sent, se, se_model, snr, outage)
     return out
 
 
@@ -184,22 +170,20 @@ def _run_beamform(
 ) -> dict[str, SchemeResult]:
     """Shared beamforming runner: matched-filter stacking across slots.
 
-    Angle row ``a`` transmits at ``powers[a]``.  Slots accumulate in
-    order, and each scheme of ``slots`` (scheme -> slot count) reads its
-    result columns off its prefix.  A ``payload`` (see
-    :func:`payload_errors`) runs on the same matched filters and fills the
-    bit counts."""
-    _check_slots(designs)
+    ``designs`` are the slots in order.  Angle row ``a`` transmits at
+    ``powers[a]``.  Matched filters first, then the ``payload`` (if any) on
+    them, then each scheme of ``slots`` (scheme -> slot count) reads its
+    result off its prefix of the slots."""
+    links = [_beam_combiner(design, powers) for design in designs]
+    sent, errors = _bit_counts(designs, links, noise_power, payload, False)
     rows = designs[0].exact_h.shape[:-2]
     n_active = designs[0].t_active.shape[-1]
     row_powers = np.repeat(powers, rows[1])
     exact_power = 0.0
     model_sum = 0.0
-    links = []
     out = {}
-    for n_slots, design in enumerate(designs, 1):
-        links.append(_beam_combiner(design, powers))
-        exact_power += _beam_powers(links[-1])
+    for n_slots, (design, matched) in enumerate(zip(designs, links), 1):
+        exact_power += _beam_powers(matched)
         model_sum += np.array([
             s**2 for s in np.abs(design.xi_active).reshape(-1, n_active).sum(axis=-1).tolist()
         ])
@@ -211,9 +195,8 @@ def _run_beamform(
         snr = row_powers * model_sum / (n_active * noise_power)
         se_model = np.array(list(map(math.log2, (1.0 + snr).tolist())))
         for scheme in readers:
-            out[scheme] = _result(rows, se / n_slots, se_model / n_slots, snr, snr < gamma_th)
-    if payload is not None:
-        _write_counts(out, slots, *payload_errors(designs, links, noise_power, *payload, False))
+            out[scheme] = _result(errors[n_slots - 1], sent, se / n_slots, se_model / n_slots,
+                                  snr, snr < gamma_th)
     return out
 
 

@@ -58,8 +58,17 @@ COMMANDS: dict[str, list[str]] = {
         "ber-sweep", "--scheme", "sm,bf", "--axis", "E_dBm=0:20:20",
         "--angle-epochs", "2", "--fading-epochs", "2", "--min-bits", "2000",
     ],
-    # README figure commands at full size: both run the bounded path search
-    # (Figure 6 from L_R=15 up) over many chunks of angle epochs.
+    # README figure commands at full size, one pin each (the README test in
+    # ``tests/test_golden.py`` checks that README runs exactly these).
+    "figure4a.csv": ["se-sweep", "--scheme", "sm", "--axis", "E_dBm=0:5:40"],
+    "figure4b.csv": ["se-sweep", "--scheme", "bf", "--axis", "E_dBm=0:5:40"],
+    "figure5.csv": [
+        "se-sweep", "--scheme", "sm,bf", "--axis", "kappa_dB=0:2.5:15",
+        "--set", "transmit_power=0.1",
+    ],
+    "figure7-clean.csv": ["se-sweep", "--scheme", "sm,bf", "--axis", "E_dBm=0:5:40"],
+    # Figures 6 and 7 with angle error run the bounded path search (Figure 6
+    # from L_R=15 up) over many chunks of angle epochs.
     "figure6.csv": [
         "se-sweep", "--scheme", "sm,bf", "--axis", "L_R=5:5:30",
         "--set", "transmit_power=0.1",

@@ -580,7 +580,6 @@ class TestCustomizedChannel:
         selection = select_one(hops.rx_arrival[0], config.n_rx, "ds", 2)
         slot0 = design_one(selection, hops, slot=0)[0]
         slot1 = design_one(selection, hops, slot=1)[0]
-        assert slot0.slot == 0 and slot1.slot == 1
         assert not np.array_equal(slot0.r_active, slot1.r_active)
 
     def test_mismatched_design_keeps_true_exact_channel(self):

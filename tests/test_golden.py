@@ -7,6 +7,8 @@ wrote the golden files, so the two cannot drift apart.
 from __future__ import annotations
 
 import importlib.util
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,33 @@ def test_output_matches_golden(name, tmp_path):
     out = tmp_path / name
     regenerate.write(name, out)
     assert out.read_bytes() == (regenerate.GOLDEN_DIR / name).read_bytes()
+
+
+def _readme_figure_commands() -> list[list[str]]:
+    """The ``rislink ... --output`` commands of README's "Reproducing the
+    reference figures" section, without ``rislink`` and the ``--output``
+    pair, with the backslash continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Reproducing the reference figures", 1)[1].split("\n## ", 1)[0]
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", section, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["rislink"] and "--output" in words:
+                at = words.index("--output")
+                commands.append(words[1:at] + words[at + 2:])
+    return commands
+
+
+def test_readme_figure_commands_are_pinned():
+    # Every README figure command that writes a CSV is a golden command, and
+    # every figure pin is a README command: editing, adding or dropping one
+    # in README fails here until the table and its pin are regenerated.
+    commands = _readme_figure_commands()
+    pinned = {name: argv for name, argv in regenerate.COMMANDS.items() if argv in commands}
+    assert all(argv in regenerate.COMMANDS.values() for argv in commands), commands
+    assert len(pinned) == len(commands)
+    assert {name for name in regenerate.COMMANDS if name.startswith("figure")} <= set(pinned)
 
 
 # ``test_output_matches_golden`` compares every golden file byte for byte,

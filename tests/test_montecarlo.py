@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from scipy import stats
 
 import rislink as rl
 import rislink.montecarlo as mc
-from rislink import transceive
+from rislink import cli, transceive
 from rislink.channel import (
     HopStack,
     draw_angle_epochs,
@@ -284,6 +285,28 @@ class TestPlanValidation:
         assert plan == plain
         config = rl.SystemConfig()
         assert rl.estimate_ergodic_se(plan, config) == rl.estimate_ergodic_se(plain, config)
+
+    @pytest.mark.parametrize("estimate", [rl.estimate_ergodic_se, rl.estimate_outage,
+                                          rl.estimate_ber])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_rejected_without_warning(self, estimate, value):
+        # A power grid builds no config per point, so the plan itself checks
+        # that the grid is finite, before numpy sees a value.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="must be finite"):
+                estimate(_plan(axis_values=(0.0, value)), rl.SystemConfig())
+
+    def test_array_grid_stored_as_float_tuple(self):
+        # A numpy grid of two or more values used to fail on its truth value.
+        plan = _plan(axis_values=np.array([0.0, 20.0]), schemes=["sm", "bf"])
+        plain = _plan(axis_values=(0.0, 20.0), schemes=("sm", "bf"))
+        assert type(plan.axis_values) is tuple and type(plan.schemes) is tuple
+        assert all(type(v) is float for v in plan.axis_values)
+        assert plan == plain
+        config = rl.SystemConfig()
+        assert cli.format_csv(rl.estimate_ergodic_se(plan, config)) == \
+            cli.format_csv(rl.estimate_ergodic_se(plain, config))
 
     def test_integer_axes_reject_fractions(self):
         plan = _plan(axis_name="K", axis_values=(4.2,))
@@ -1052,10 +1075,12 @@ class TestWilsonInterval:
                             rel_tol=1e-12)
 
     def test_symmetric_in_error_count(self):
-        assert math.isclose(
-            rl.wilson_half_width(10, 100), rl.wilson_half_width(90, 100),
-            rel_tol=1e-12,
-        )
+        # Also at the edges of the valid range, 0 and all of the sample.
+        for errors in (10, 0):
+            assert math.isclose(
+                rl.wilson_half_width(errors, 100), rl.wilson_half_width(100 - errors, 100),
+                rel_tol=1e-12,
+            )
 
     def test_shrinks_with_sample_size(self):
         widths = [rl.wilson_half_width(n // 10, n)
@@ -1065,3 +1090,8 @@ class TestWilsonInterval:
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):
             rl.wilson_half_width(0, 0)
+
+    @pytest.mark.parametrize("errors, total", [(5, 3), (-0.5, 10), (-1, 1), (11, 10)])
+    def test_rejects_errors_outside_the_sample(self, errors, total):
+        with pytest.raises(ValueError, match=rf"got {errors} errors in {total}$"):
+            rl.wilson_half_width(errors, total)
