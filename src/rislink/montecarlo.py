@@ -544,7 +544,7 @@ def _sweep(
     """Walk the sweep grid, reducing each scheme's pooled realizations per
     grid point.  ``min_bits`` sends symbol-level payloads instead, splitting
     the bit budget evenly over the plan's epochs."""
-    if min_bits is not None and min_bits < 1:
+    if min_bits is not None and integer_field("min_bits", min_bits) < 1:
         raise ConfigurationError(f"need at least one payload bit, got min_bits={min_bits}")
     reduce = _REDUCERS[metric]
     # Plan: check every grid point's inputs and every group's geometry,

@@ -1,8 +1,8 @@
 """Fast invariant checks behind the ``selftest`` CLI verb.
 
-Each check is independent and cheap (the whole suite stays under a few
-seconds); failures report the observed value so a broken install is
-diagnosable without the full test suite.
+Each check is independent, cheap and needs numpy alone (the Ei kernel is
+checked against the quadrature of :func:`ei_quadrature`); failures report
+the observed value so a broken install is diagnosable without the tests.
 """
 
 from __future__ import annotations
@@ -129,8 +129,6 @@ def evaluated_crossing_point(params) -> float:
     """Oracle of :func:`analysis.crossing_point`: the same doubling bracket
     and bisection with the sign of the gap evaluated at every point.  The
     solver must return its root repr-equal, or raise the same error."""
-    if params.n_rx < 2:
-        raise ValueError("crossing point needs at least two streams")
     coeffs, rhs = analysis._crossing_polynomial(params)
     terms = tuple(enumerate(coeffs, start=1))
 
@@ -154,11 +152,18 @@ def evaluated_crossing_point(params) -> float:
             hi = mid
         else:
             lo = mid
-    unit_coefficient = params.power_coefficient() / params.transmit_power
-    power = 0.5 * (lo + hi) / unit_coefficient if unit_coefficient > 0 else math.inf
-    if not 0.0 < power < math.inf:
-        raise NoCrossingError("bounds do not cross at a representable power")
-    return power
+    return analysis._crossing_watts(params, 0.5 * (lo + hi))
+
+
+def ei_quadrature(x) -> np.ndarray:
+    """Oracle of :func:`analysis.exp_integral_ei`: Ei(x) = -E1(-x), E1(z) the
+    integral of exp(-e^v) over [ln z, 6.7] (A&S 5.1.1, t = e^v; exp(-e^6.7)
+    underflows to 0) by 200-node Gauss-Legendre, in one array product."""
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    lower = np.log(-np.asarray(x, dtype=float))
+    half = 0.5 * (6.7 - lower)
+    v = np.multiply.outer(half, nodes + 1.0) + lower[..., None]
+    return -half * (np.exp(-np.exp(v)) @ weights)
 
 
 def _check_geometry() -> str:
@@ -205,18 +210,16 @@ def _check_alignment() -> str:
 
 
 def _check_exp_integral() -> str:
-    from scipy.integrate import quad
-    from scipy.special import expi
-
-    for x in (-0.06875, -1.0, -5.5, -30.0):
-        oracle, _ = quad(lambda t: math.exp(t) / t, -np.inf, x)
-        ours = analysis.exp_integral_ei(x)
-        assert abs(ours - oracle) < 1e-10, f"Ei({x}) = {ours} vs {oracle}"
+    scalars = (-0.06875, -1.0, -5.5, -30.0)
     # One array call across the series/continued-fraction cutoff at -6.
     grid = -np.logspace(-8.0, math.log10(700.0), 241)
-    worst = float(np.max(np.abs(analysis.exp_integral_ei(grid) - expi(grid))))
-    assert worst < 1e-12, f"array Ei off scipy.special.expi by {worst:.3e}"
-    return f"matches quadrature at 4 points, expi on {grid.size} to {worst:.1e}"
+    oracle = ei_quadrature(np.concatenate([scalars, grid]))
+    for x, reference in zip(scalars, oracle):
+        ours = analysis.exp_integral_ei(x)
+        assert abs(ours - reference) < 1e-10, f"Ei({x}) = {ours} vs {reference}"
+    worst = float(np.max(np.abs(analysis.exp_integral_ei(grid) - oracle[len(scalars):])))
+    assert worst < 1e-12, f"array Ei off the quadrature by {worst:.3e}"
+    return f"matches the quadrature at 4 points and on {grid.size} to {worst:.1e}"
 
 
 def _check_selection() -> str:
@@ -416,16 +419,10 @@ def _check_payload() -> str:
 
 def _check_determinism() -> str:
     config = SystemConfig(n_ris=2, n_rx=2, n_ris_rx_paths=4)
-    plan = dict(
-        axis_name="E_dBm",
-        axis_values=(20.0,),
-        schemes=("sm",),
-        n_angle_epochs=2,
-        n_fading_epochs=2,
-        base_seed=77,
-    )
-    one = estimate_ergodic_se(TrialPlan(**plan), config)
-    two = estimate_ergodic_se(TrialPlan(**plan), config)
+    plan = TrialPlan(axis_name="E_dBm", axis_values=(20.0,), schemes=("sm",),
+                     n_angle_epochs=2, n_fading_epochs=2, base_seed=77)
+    one = estimate_ergodic_se(plan, config)
+    two = estimate_ergodic_se(plan, config)
     assert one.means == two.means, (one.means, two.means)
     return f"mean {one.means['sm'][0]:.6f} on two runs"
 

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import expi
 
 import rislink as rl
 from rislink import analysis as an
+from rislink import selftest
 from rislink.errors import ConfigurationError, NoCrossingError
 from rislink.selftest import _outcome, evaluated_crossing_point
 
@@ -265,6 +267,45 @@ class TestExponentialIntegral:
         value = an.scaled_ei_neg(c)
         assert value < 0.0
         assert an.scaled_ei_neg(c * 2.0) > value
+
+
+class TestSelftestEiCheck:
+    """The selftest's Ei check and its numpy quadrature oracle."""
+
+    SCALARS = (-0.06875, -1.0, -5.5, -30.0)
+    GRID = -np.logspace(-8.0, math.log10(700.0), 241)
+
+    def test_quadrature_matches_scipy(self):
+        # Measured: at most 8.5e-14 off quad at the check's four points,
+        # 3.2e-14 off expi on its grid and 3.6e-14 on the dense grid.
+        ours = selftest.ei_quadrature(np.array(self.SCALARS))
+        assert np.max(np.abs(ours - [_quad_ei(x) for x in self.SCALARS])) <= 2e-13
+        for grid in (self.GRID, -np.logspace(-8.0, math.log10(700.0), 20_001)):
+            assert np.max(np.abs(selftest.ei_quadrature(grid) - expi(grid))) <= 1e-13
+
+    @pytest.mark.parametrize("array_call, offset", [(True, 2e-12), (False, 2e-10)])
+    def test_perturbed_kernel_fails(self, array_call, offset, monkeypatch, capsys):
+        # The kernel off by a little at one grid point of the array call,
+        # or at one of the scalar calls, fails the check and only it.
+        kernel, calls = an.exp_integral_ei, []
+
+        def perturbed(x):
+            calls.append(x)
+            out = kernel(x)
+            if array_call and np.ndim(x):
+                out[120] += offset
+            elif not array_call and x == -5.5:
+                out += offset
+            return out
+
+        monkeypatch.setattr(an, "exp_integral_ei", perturbed)
+        assert selftest.run() == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+            "FAIL exp-integral"]
+        # The scalar calls come first, in order, then the one array call.
+        reached = [*self.SCALARS, self.GRID] if array_call else [*self.SCALARS[:3]]
+        assert [np.asarray(x).tolist() for x in calls] == [np.asarray(x).tolist() for x in reached]
 
 
 class TestErgodicRateForms:
@@ -706,3 +747,17 @@ class TestCrossingPoint:
                 with pytest.raises(NoCrossingError,
                                    match="^bounds do not cross at positive power$"):
                     solve(params)
+
+    @pytest.mark.parametrize("powers", [[1.0], [0.1, 1.0]])
+    @pytest.mark.parametrize("n_rx, closed_form", [
+        (2, an.crossing_point_two_stream),
+        (3, an.crossing_point_three_stream),
+    ])
+    def test_power_column_rejected(self, powers, n_rx, closed_form, monkeypatch):
+        # A bundle on a column of transmit powers has no one crossing
+        # point: every solver says so before it solves.
+        monkeypatch.setattr(an, "_symmetric_sums", None)
+        params = an.ClosedFormParams.from_config(rl.SystemConfig(n_rx=n_rx), np.array(powers))
+        for solve in (an.crossing_point, closed_form, evaluated_crossing_point):
+            with pytest.raises(ValueError, match="^crossing point needs one transmit power"):
+                solve(params)

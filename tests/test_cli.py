@@ -10,6 +10,7 @@ import os
 import shlex
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -456,6 +457,50 @@ class TestExitCodes:
         ]
         assert "PASS substreams" in [line.split(":")[0] for line in lines]
         assert lines[-1] == "all 12 checks passed"
+
+    def test_runs_on_numpy_alone(self, tmp_path):
+        # scipy is a test dependency only: in a process where every import
+        # of it fails, the self test and one command of each kind exit 0.
+        script = textwrap.dedent("""
+            import sys
+
+            class NoScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name.partition(".")[0] == "scipy":
+                        raise ImportError(f"{name} is blocked")
+
+            sys.meta_path.insert(0, NoScipy())
+            try:
+                import scipy
+            except ImportError:
+                pass
+            else:
+                raise SystemExit("scipy was not blocked")
+            from rislink import cli
+
+            for argv in sys.argv[1:]:
+                try:
+                    cli.main(argv.split())
+                except SystemExit as done:
+                    print("exit", done.code)
+        """)
+        sweep = "--axis E_dBm=20 --angle-epochs 1 --fading-epochs 1 --scheme sm,bf --output"
+        commands = [
+            "selftest",
+            f"se-sweep {sweep} {tmp_path / 'se.csv'}",
+            f"ber-sweep {sweep} {tmp_path / 'ber.csv'} --min-bits 1000",
+            f"analyze --axis E_dBm=0:10:40 --output {tmp_path / 'closed.csv'}",
+            "crossing-point --n-rx 2",
+        ]
+        src = str(Path(rl.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script, *commands], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        lines = done.stdout.splitlines()
+        assert [line for line in lines if line.startswith("exit")] == ["exit 0"] * 5
+        assert len([line for line in lines if line.startswith("PASS ")]) == 12
+        assert "all 12 checks passed" in lines
 
     @pytest.mark.parametrize("argv,code", [
         (["analyze", "--set", "n_tx=banana"], cli.EXIT_BAD_CONFIG),

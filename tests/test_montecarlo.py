@@ -984,13 +984,14 @@ class TestEstimators:
         for scheme, means in expected.items():
             assert [repr(m) for m in result.means[scheme]] == [repr(m) for m in means]
 
-    @pytest.mark.parametrize("min_bits", [0, -5])
+    @pytest.mark.parametrize("min_bits", [0, -5, 1000.5, math.nan, math.inf])
     def test_ber_rejects_empty_budget_before_any_epoch(self, min_bits, monkeypatch):
         def simulated(*args, **kwargs):
             raise AssertionError("simulated an epoch")
 
         monkeypatch.setattr(mc, "_run_chunk", simulated)
-        with pytest.raises(ConfigurationError, match="payload bit"):
+        message = "payload bit" if min_bits < 1 else f"min_bits must be an integer, got {min_bits}"
+        with pytest.raises(ConfigurationError, match=message):
             rl.estimate_ber(_plan(), rl.SystemConfig(), min_bits=min_bits)
 
     def test_ber_bit_budget_met(self):
