@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import SystemConfig, integer_field
 from .errors import ConfigurationError, ConvergenceError, NoCrossingError
 
 _EULER_GAMMA = 0.5772156649015329
@@ -214,6 +214,10 @@ class ClosedFormParams:
     def __post_init__(self) -> None:
         profile = np.atleast_1d(np.asarray(self.gain_profile, dtype=float))
         object.__setattr__(self, "gain_profile", profile)
+        for name in ("n_tx", "n_rx", "n_ris", "n_ris_rx_paths", "n_slots"):
+            value = getattr(self, name)
+            if not isinstance(value, float) or math.isfinite(value):  # nan fails as non-finite
+                object.__setattr__(self, name, integer_field(name, value))
         powers = np.ravel(self.transmit_power)
         # The first point, then the first point that fails a check, names
         # the failure, as one bundle per point in column order would.
@@ -315,7 +319,7 @@ def se_db_upper(params: ClosedFormParams, n_slots: int | None = None):
     The stacked combiner collects ``n_slots`` times the signal energy at
     the cost of an ``1/n_slots`` rate prefactor.
     """
-    m = params.n_slots if n_slots is None else int(n_slots)
+    m = params.n_slots if n_slots is None else integer_field("n_slots", n_slots)
     if m < 1:
         raise ConfigurationError("need at least one slot")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -342,13 +346,14 @@ def _crossing_polynomial(params: ClosedFormParams):
     In the normalized power variable X, the bound gap is
     ``sum_{n>=2} tr_n(mux profile) X^(n-1) - rhs``; a positive root exists
     iff ``rhs > 0`` and is unique because every coefficient is positive.
-    Raises ``ValueError`` for fewer than two streams or a column of
-    transmit powers, then :class:`ConfigurationError` when a coefficient
-    over- or underflows, or the right-hand side is not finite, and then
-    :class:`NoCrossingError` when the right-hand side is not positive.
+    Raises, in this order, :class:`ConfigurationError` for fewer than two
+    streams, ``ValueError`` for a column of transmit powers,
+    :class:`ConfigurationError` when a coefficient over- or underflows or
+    the right-hand side is not finite, and :class:`NoCrossingError` when
+    the right-hand side is not positive.
     """
     if params.n_rx < 2:
-        raise ValueError("crossing point needs at least two streams")
+        raise ConfigurationError("crossing point needs at least two streams")
     if isinstance(params.transmit_power, np.ndarray) and params.transmit_power.ndim:
         raise ValueError("crossing point needs one transmit power, not a column")
     profile = params.gain_profile.tolist()

@@ -36,15 +36,12 @@ from .errors import (
 )
 from .montecarlo import (
     AXIS_NAMES,
-    CLOSED_FORM_SCHEMES,
     SweepResult,
     TrialPlan,
-    check_axis_grid,
-    closed_form_companions,
+    closed_form_sweep,
     estimate_ber,
     estimate_ergodic_se,
     estimate_outage,
-    power_groups,
 )
 
 EXIT_OK = 0
@@ -213,20 +210,15 @@ def _parse_profile(text: str) -> np.ndarray:
 
 def _cmd_crossing_point(args: argparse.Namespace) -> int:
     config = _load_effective_config(args, **({} if args.n_rx is None else {"n_rx": args.n_rx}))
-    n_rx = config.n_rx
-    if n_rx < 2:
-        raise ConfigurationError("crossing point needs at least two streams")
     params = analysis.ClosedFormParams.from_config(config)
     if args.profile is not None:
         params = replace(params, gain_profile=_parse_profile(args.profile))
     e_th = analysis.crossing_point(params)
     print(f"crossing point: {_fmt(e_th)} W ({watt2dbm(e_th):.2f} dBm)")
-    closed = None
-    if n_rx == 2:
-        closed = analysis.crossing_point_two_stream(params)
-    elif n_rx == 3:
-        closed = analysis.crossing_point_three_stream(params)
-    if closed is not None:
+    closed_form = {2: analysis.crossing_point_two_stream,
+                   3: analysis.crossing_point_three_stream}.get(config.n_rx)
+    if closed_form is not None:
+        closed = closed_form(params)
         delta = abs(e_th - closed) / closed
         print(f"closed form: {_fmt(closed)} W (relative delta {delta:.3e})")
     return EXIT_OK
@@ -245,28 +237,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         dump_config(config, args.dump_config)
         print(f"wrote {args.dump_config}")
     if args.axis:
-        _write_closed_form_sweep(config, args.axis, args.output)
+        write_csv(closed_form_sweep(config, *_parse_axis(args.axis)), args.output)
         print(f"wrote {args.output}")
     if not args.dump_config and not args.axis:
         _print_summary(config)
     return EXIT_OK
-
-
-def _write_closed_form_sweep(config: SystemConfig, axis_spec: str, path: str) -> None:
-    """Closed-form-only sweep: the metric column carries each scheme's
-    primary closed form (approximation where one exists, bound otherwise)."""
-    axis_name, axis_values = _parse_axis(axis_spec)
-    check_axis_grid(axis_values)
-    result = SweepResult("closed_form", axis_name, axis_values, CLOSED_FORM_SCHEMES)
-    companions = closed_form_companions(CLOSED_FORM_SCHEMES,
-                                        power_groups(config, axis_name, axis_values))
-    for scheme in CLOSED_FORM_SCHEMES:
-        pairs = companions[scheme]
-        result.means[scheme] = tuple(u if math.isnan(a) else a for a, u in pairs)
-        result.stderrs[scheme] = (0.0,) * len(axis_values)
-        result.closed_form[scheme] = pairs
-        result.n_trials[scheme] = (0,) * len(axis_values)
-    write_csv(result, path)
 
 
 def _print_summary(config: SystemConfig) -> None:

@@ -20,9 +20,11 @@ epoch).  A sweep plans, runs and reduces.  The plan lists its jobs up
 front: chunks of at most ``CHUNK_ROWS`` rows, as many whole angle epochs
 as fit, across the grid points of a power group (configs that differ
 only in transmit power, a column the runners read), or one angle epoch
-whose fading epochs run in pieces.  Jobs run in table order; the reducer
-cuts their columns at grid-point edges and reduces a grid point once its
-last angle epoch has run.  Draws stay per epoch: every random draw comes
+whose fading epochs run in pieces.  Jobs run in table order; the sweep
+cuts their columns at grid-point edges and passes each grid point, once
+its last angle epoch has run, to the one reducer, :func:`_reduce`; one
+builder, :func:`_sweep_result`, makes the table, as in
+:func:`closed_form_sweep`.  Draws stay per epoch: every random draw comes
 from a counter-based stream keyed by ``(base_seed, grid index, epoch
 indices, purpose)`` and is made in the order of a single-epoch run, so a
 rerun at the same seed reproduces every result bit for bit, however the
@@ -40,7 +42,7 @@ design covers every row, with the angle-only parts
 gain-dependent parts carrying the rows, and each family's runner makes
 one pass over all the rows, each row at its own power.  Results stay
 columns over (angle epoch, fading epoch) from the runners to the
-reducers, one :class:`SchemeResult` per scheme and block of rows.
+reducer, one :class:`SchemeResult` per scheme and block of rows.
 Bit-error payloads ride on each family's runner pass, every row on its
 fading epoch's own substream; every scheme of a fading epoch reads that
 one payload stream, whose key is derived once for both families, so one
@@ -79,7 +81,6 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 # (beamforming) bytes per bit with the default arrays (tracemalloc peak of
 # one pass), so this keeps a payload pass near 100 MiB.
 MAX_PAYLOAD_BITS = 1 << 20
-_NO_FORM = (math.nan, math.nan)
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq mixing), as uint64 arrays
@@ -448,11 +449,6 @@ def closed_form_companions(
     return out
 
 
-def _mean_and_stderr(samples: np.ndarray) -> tuple[float, float, int]:
-    stderr = samples.std(ddof=1) / math.sqrt(samples.size) if samples.size > 1 else 0.0
-    return float(samples.mean()), float(stderr), samples.size
-
-
 def wilson_half_width(errors: int, total: int, z: float = _WILSON_Z) -> float:
     """Half-width of the Wilson score interval for a binomial proportion."""
     if total < 1:
@@ -464,18 +460,35 @@ def wilson_half_width(errors: int, total: int, z: float = _WILSON_Z) -> float:
     return z * math.sqrt(p * (1.0 - p) / total + z * z / (4.0 * total * total)) / denom
 
 
-def _pooled_error_rate(result: SchemeResult) -> tuple[float, float, int]:
-    errors, bits = int(result.bit_errors.sum()), int(result.bits_sent.sum())
-    return errors / bits, wilson_half_width(errors, bits), bits
+# Metric -> the SchemeResult column it averages; "ber" pools bit counters.
+_SAMPLES = {"se": "se_bits_per_hz", "se_model": "se_model_bits_per_hz", "outage": "outage"}
 
 
-# Metric -> (metric, stderr, n_trials) columns from one scheme's grid-point result.
-_REDUCERS = {
-    "se": lambda r: _mean_and_stderr(r.se_bits_per_hz.ravel()),
-    "se_model": lambda r: _mean_and_stderr(r.se_model_bits_per_hz.ravel()),
-    "outage": lambda r: _mean_and_stderr(r.outage.ravel().astype(float)),
-    "ber": _pooled_error_rate,
-}
+def _reduce(metric: str, point: dict[str, SchemeResult]) -> dict[str, tuple[float, float, int]]:
+    """Each scheme's (metric, stderr, n_trials) at one grid point, over its
+    (angle epoch, fading epoch) rows: the rows' mean and standard error, or
+    for ``ber`` the pooled bit error rate and its Wilson half-width."""
+    out = {}
+    for scheme, result in point.items():
+        if metric == "ber":
+            errors, bits = int(result.bit_errors.sum()), int(result.bits_sent.sum())
+            out[scheme] = errors / bits, wilson_half_width(errors, bits), bits
+        else:
+            samples = getattr(result, _SAMPLES[metric]).ravel().astype(float)
+            stderr = samples.std(ddof=1) / math.sqrt(samples.size) if samples.size > 1 else 0.0
+            out[scheme] = float(samples.mean()), float(stderr), samples.size
+    return out
+
+
+def _sweep_result(metric: str, axis_name: str, axis_values, reduced, companions) -> SweepResult:
+    """The sweep table of each scheme's grid-point reductions (see
+    :func:`_reduce`) in ``reduced`` and its ``companions`` closed-form
+    column, in the companions' order."""
+    result = SweepResult(metric, axis_name, axis_values, tuple(companions))
+    for s, pairs in companions.items():
+        result.means[s], result.stderrs[s], result.n_trials[s] = zip(*reduced[s])
+        result.closed_form[s] = pairs
+    return result
 
 
 def _payload_sizes(
@@ -546,7 +559,6 @@ def _sweep(
     the bit budget evenly over the plan's epochs."""
     if min_bits is not None and integer_field("min_bits", min_bits) < 1:
         raise ConfigurationError(f"need at least one payload bit, got min_bits={min_bits}")
-    reduce = _REDUCERS[metric]
     # Plan: check every grid point's inputs and every group's geometry,
     # then list the jobs, so bad input fails before any simulation.
     groups = power_groups(config, plan.axis_name, plan.axis_values)
@@ -557,11 +569,11 @@ def _sweep(
     if metric in ("se", "se_model"):
         companions = closed_form_companions(plan.schemes, groups)
     else:
-        companions = {scheme: (_NO_FORM,) * len(plan.axis_values) for scheme in plan.schemes}
+        companions = dict.fromkeys(plan.schemes, ((math.nan, math.nan),) * len(plan.axis_values))
     for cfg in configs:
         for family, slots in _family_runs(plan.schemes, cfg).items():
             check_selection(cfg.n_ris_rx_paths, cfg.n_ris, cfg.n_rx, family, max(slots.values()))
-    reduced, parts = [], []
+    reduced, parts = {scheme: [] for scheme in plan.schemes}, []
     for job in _jobs(plan, groups, geometries, payloads):
         # Run each job in table order, cut its columns where the rows' grid
         # index changes, and reduce a grid point once its last angle epoch
@@ -573,16 +585,23 @@ def _sweep(
         for lo, hi in zip(cuts, cuts[1:]):
             parts.append({s: _angle_rows(r, slice(lo, hi)) for s, r in chunk.items()})
             if epochs[hi - 1] == plan.n_angle_epochs - 1:
-                reduced.append({s: reduce(_join([part[s] for part in parts], axis=0))
-                                for s in plan.schemes})
+                point = {s: _join([part[s] for part in parts], axis=0) for s in plan.schemes}
+                for scheme, stats in _reduce(metric, point).items():
+                    reduced[scheme].append(stats)
                 parts = []
-    result = SweepResult(metric, plan.axis_name, plan.axis_values, plan.schemes)
-    for scheme in plan.schemes:
-        result.means[scheme], result.stderrs[scheme], result.n_trials[scheme] = zip(
-            *(stats[scheme] for stats in reduced)
-        )
-        result.closed_form[scheme] = companions[scheme]
-    return result
+    return _sweep_result(metric, plan.axis_name, plan.axis_values, reduced, companions)
+
+
+def closed_form_sweep(config: SystemConfig, axis_name: str, axis_values) -> SweepResult:
+    """Closed-form-only sweep of :data:`CLOSED_FORM_SCHEMES`: the metric is
+    each scheme's approximation, or its bound where it has none, with stderr
+    0 and no trials.  Checks the grid, each point's config, the closed forms."""
+    check_axis_grid(axis_values)
+    companions = closed_form_companions(CLOSED_FORM_SCHEMES,
+                                        power_groups(config, axis_name, axis_values))
+    reduced = {s: [(upper if math.isnan(approx) else approx, 0.0, 0) for approx, upper in pairs]
+               for s, pairs in companions.items()}
+    return _sweep_result("closed_form", axis_name, axis_values, reduced, companions)
 
 
 def estimate_ergodic_se(

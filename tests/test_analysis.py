@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -473,6 +474,37 @@ class TestClosedFormParams:
             value = np.full(params.n_ris, value)
         with pytest.raises(ConfigurationError, match="floating-point range"):
             dataclasses.replace(params, **{name: value})
+
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_tx", 16.5), ("n_rx", 2.5), ("n_ris", 4.5), ("n_ris_rx_paths", 3.5), ("n_slots", 2.7),
+        ("n_tx", np.float64(16.0)), ("n_slots", "2"),
+    ])
+    def test_rejects_non_integer_counts(self, name, value):
+        # n_tx=16.5 used to move the beamforming bound, n_slots=2.7 gave a
+        # fractional-slot bound and n_rx=2.5 failed in slicing with a bare
+        # TypeError.
+        params = an.ClosedFormParams.from_config(rl.SystemConfig())
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"{name} must be an integer, got {value!r}")):
+            dataclasses.replace(params, **{name: value})
+
+    @pytest.mark.parametrize("n_slots", [2.9, 2.0, "2"])
+    def test_hopping_bound_rejects_non_integer_slots(self, n_slots):
+        # 2.9 slots used to give the 2-slot bound.
+        params = an.ClosedFormParams.from_config(rl.SystemConfig())
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"n_slots must be an integer, got {n_slots!r}")):
+            an.se_db_upper(params, n_slots)
+
+    def test_numpy_integer_counts_stored_as_int(self):
+        counts = dict(n_tx=np.int64(16), n_rx=np.int32(4), n_ris=np.uint8(4),
+                      n_ris_rx_paths=np.int64(10), n_slots=np.int16(2))
+        params = an.ClosedFormParams.from_config(rl.SystemConfig(n_slots=2))
+        converted = dataclasses.replace(params, **counts)
+        for name, value in counts.items():
+            assert type(getattr(converted, name)) is int and getattr(converted, name) == value
+        assert an.se_db_upper(converted) == an.se_db_upper(params, np.int64(2))
 
 
 class TestCrossingPoint:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import rislink as rl
 from rislink import channel, cli, montecarlo, selftest
+from rislink.config import watt2dbm
 from rislink.errors import ConfigurationError
 from rislink.montecarlo import SweepResult
 
@@ -209,6 +210,21 @@ class TestCrossingPoint:
         assert out[1].startswith("closed form: ")
         delta = float(out[1].rstrip(")").split()[-1])
         assert delta < 1e-9
+
+    def test_three_stream_closed_form_line(self, capsys):
+        assert _run(["crossing-point", "--n-rx", "3"]) == cli.EXIT_OK
+        params = rl.ClosedFormParams.from_config(rl.SystemConfig(n_rx=3))
+        e_th, closed = rl.crossing_point(params), rl.crossing_point_three_stream(params)
+        assert capsys.readouterr().out.splitlines() == [
+            f"crossing point: {cli._fmt(e_th)} W ({watt2dbm(e_th):.2f} dBm)",
+            f"closed form: {cli._fmt(closed)} W "
+            f"(relative delta {abs(e_th - closed) / closed:.3e})",
+        ]
+
+    def test_single_stream_rejected_by_the_solver(self, capsys):
+        # The stream count is checked once, by the crossing polynomial.
+        assert _run(["crossing-point", "--n-rx", "1"]) == cli.EXIT_BAD_CONFIG
+        assert capsys.readouterr() == ("", "error: crossing point needs at least two streams\n")
 
     def test_default_streams_no_closed_form_line(self, capsys):
         assert _run(["crossing-point"]) == cli.EXIT_OK

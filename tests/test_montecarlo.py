@@ -1067,6 +1067,57 @@ class TestClosedFormCompanions:
             "aa224509771bdfda0a2270e081dd77d4d843c96ad3882ef777cce137177cb805"
 
 
+class TestGridPointReducer:
+    """One reducer turns each finished grid point into its CSV columns, and
+    one builder makes the sweep table, for sweeps and closed forms alike."""
+
+    @pytest.mark.parametrize("metric, min_bits", [("se", None), ("ber", 100)])
+    def test_sweep_reduces_each_grid_point_once(self, metric, min_bits, monkeypatch):
+        # Two angle epochs per chunk over three of them: chunks straddle
+        # grid points, and each point still reaches the reducer whole.
+        calls, reduce = [], mc._reduce
+
+        def counted(metric, point):
+            calls.append((metric, {s: r.se_bits_per_hz.shape for s, r in point.items()}))
+            return reduce(metric, point)
+
+        monkeypatch.setattr(mc, "CHUNK_ROWS", 4)
+        monkeypatch.setattr(mc, "_reduce", counted)
+        plan = _plan(axis_values=(0.0, 10.0, 20.0), schemes=("sm", "db"), n_angle_epochs=3,
+                     n_fading_epochs=2)
+        result = mc._sweep(plan, small_config(n_slots=2), metric, min_bits)
+        assert calls == [(metric, {"sm": (3, 2), "db": (3, 2)})] * 3
+        assert all(len(column) == 3 for column in result.means.values())
+
+    def test_closed_form_sweep_columns(self):
+        config = rl.SystemConfig(n_slots=2)
+        values = (0.0, 20.0, 40.0)
+        result = mc.closed_form_sweep(config, "E_dBm", values)
+        companions = mc.closed_form_companions(
+            mc.CLOSED_FORM_SCHEMES, mc.power_groups(config, "E_dBm", values))
+        assert (result.metric, result.axis_name, result.axis_values, result.schemes) == \
+            ("closed_form", "E_dBm", values, ("sm", "bf", "db"))
+        assert repr(result.closed_form) == repr(companions)
+        assert result.means == {"sm": tuple(a for a, _ in companions["sm"]),
+                                "bf": tuple(u for _, u in companions["bf"]),
+                                "db": tuple(u for _, u in companions["db"])}
+        assert result.stderrs == dict.fromkeys(result.schemes, (0.0,) * 3)
+        assert result.n_trials == dict.fromkeys(result.schemes, (0,) * 3)
+
+    @pytest.mark.parametrize("axis, values, message", [
+        # The grid is checked before the axis name and every point's config.
+        ("E_W", (), "sweep grid must be non-empty"),
+        ("E_W", (1.0,), "unknown sweep axis 'E_W'"),
+        # Every point's config before any closed form: the first point's
+        # closed forms leave the float range, the second point's config is
+        # invalid.
+        ("N_R", (2.0, 5.0), r"need at least n_rx surfaces \(n_ris >= n_rx\)"),
+    ])
+    def test_closed_form_sweep_check_order(self, axis, values, message):
+        with pytest.raises(ConfigurationError, match=message):
+            mc.closed_form_sweep(rl.SystemConfig(transmit_power=1e300), axis, values)
+
+
 class TestWilsonInterval:
     def test_zero_errors_closed_form(self):
         z = 1.959963984540054
