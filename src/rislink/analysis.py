@@ -122,11 +122,11 @@ def exp_integral_ei(x):
 
     Series expansion near zero, continued fraction in the tail; within
     3.6e-15 absolute and 5.8e-12 relative across [-700, -1e-8].  Accepts a
-    scalar or an array; every entry must be strictly negative.
+    scalar or an array; every entry must be finite and strictly negative.
     """
     arr = np.asarray(x, dtype=float)
-    if not np.all(arr < 0):
-        raise ValueError("argument must be negative")
+    if not np.all((-math.inf < arr) & (arr < 0)):
+        raise ValueError("argument must be finite and negative")
     flat = arr.ravel()
     out = np.empty_like(flat)
     near = flat > -_SERIES_CUTOFF
@@ -139,11 +139,12 @@ def exp_integral_ei(x):
 def scaled_ei_neg(c):
     """exp(c) * Ei(-c) for c > 0, overflow-free for large c.
 
-    Accepts a scalar or an array; every entry must be strictly positive.
+    Accepts a scalar or an array; every entry must be finite and strictly
+    positive.
     """
     arr = np.asarray(c, dtype=float)
-    if not np.all(arr > 0):
-        raise ValueError("argument must be positive")
+    if not np.all((0 < arr) & (arr < math.inf)):
+        raise ValueError("argument must be finite and positive")
     flat = arr.ravel()
     out = np.empty_like(flat)
     near = flat < _SERIES_CUTOFF
@@ -196,9 +197,10 @@ class ClosedFormParams:
     ``gain_profile[n]`` is the product of surface n's element count and its
     cascaded amplitude loss; its square is the diagonal profile entering
     every bound.  Multiplexing formulas use the first ``n_rx`` entries, so
-    order the profile accordingly.  A 1-D column of transmit powers holds
-    one point per power, each checked as its own bundle would be, and every
-    closed form gives one value per power; the crossing solvers need one.
+    order the profile accordingly.  The transmit power is a number or a
+    non-empty 1-D column (stored as an array) of one point per power, each
+    checked as its own bundle would be, and every closed form gives one
+    value per power; the crossing solvers need one.
     """
 
     transmit_power: float | np.ndarray
@@ -218,7 +220,14 @@ class ClosedFormParams:
             value = getattr(self, name)
             if not isinstance(value, float) or math.isfinite(value):  # nan fails as non-finite
                 object.__setattr__(self, name, integer_field(name, value))
-        powers = np.ravel(self.transmit_power)
+        powers = np.asarray(self.transmit_power)
+        if powers.ndim > 1 or not powers.size or powers.dtype.kind not in "biuf":
+            raise ConfigurationError(
+                f"transmit power must be a number or a non-empty 1-D column, "
+                f"got {self.transmit_power!r}")
+        if powers.ndim:
+            object.__setattr__(self, "transmit_power", powers)
+        powers = powers.ravel()
         # The first point, then the first point that fails a check, names
         # the failure, as one bundle per point in column order would.
         self._check_point(float(powers[0]))

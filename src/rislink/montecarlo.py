@@ -16,15 +16,17 @@ per slot, and one pass of its runner, from which ``sm``/``bf`` read the
 one-slot prefix and ``ds``/``db`` every slot.
 
 A grid point's realizations are rows, one per (angle epoch, fading
-epoch).  A sweep plans, runs and reduces.  The plan lists its jobs up
-front: chunks of at most ``CHUNK_ROWS`` rows, as many whole angle epochs
-as fit, across the grid points of a power group (configs that differ
-only in transmit power, a column the runners read), or one angle epoch
-whose fading epochs run in pieces.  Jobs run in table order; the sweep
-cuts their columns at grid-point edges and passes each grid point, once
-its last angle epoch has run, to the one reducer, :func:`_reduce`; one
-builder, :func:`_sweep_result`, makes the table, as in
-:func:`closed_form_sweep`.  Draws stay per epoch: every random draw comes
+epoch).  A sweep's grid comes in through one intake, :func:`sweep_grid`,
+and its axis name through one check, :func:`sweep_axis`; then the sweep
+plans, runs and reduces.  The plan lists its jobs up front: chunks of at
+most ``CHUNK_ROWS`` rows, as many whole angle epochs as fit, across the
+grid points of a power group (configs that differ only in transmit
+power, a column the runners read), or one angle epoch whose fading
+epochs run in pieces.  Jobs run in table order; the sweep cuts their
+columns at grid-point edges and passes each grid point, once its last
+angle epoch has run, to the one reducer, :func:`_reduce`; one builder,
+:func:`_sweep_result`, makes the table, as in :func:`closed_form_sweep`.
+Draws stay per epoch: every random draw comes
 from a counter-based stream keyed by ``(base_seed, grid index, epoch
 indices, purpose)`` and is made in the order of a single-epoch run, so a
 rerun at the same seed reproduces every result bit for bit, however the
@@ -198,13 +200,17 @@ _AXES = {
 AXIS_NAMES = tuple(_AXES)
 
 
+def sweep_axis(axis_name: str):
+    """The (config field, conversion) pair of a sweep axis, by its name."""
+    if axis_name not in AXIS_NAMES:  # by equality, so an unhashable name is unknown too
+        raise ConfigurationError(f"unknown sweep axis {axis_name!r}; "
+                                 f"expected one of {', '.join(AXIS_NAMES)}")
+    return _AXES[axis_name]
+
+
 def _axis_setting(axis_name: str, value: float) -> tuple[str, float | int]:
     """The config field one swept value sets, and its value there."""
-    if axis_name not in _AXES:
-        raise ConfigurationError(
-            f"unknown sweep axis {axis_name!r}; expected one of {', '.join(AXIS_NAMES)}"
-        )
-    name, convert = _AXES[axis_name]
+    name, convert = sweep_axis(axis_name)
     try:
         return name, convert(value)
     except OverflowError as exc:
@@ -223,27 +229,38 @@ def power_groups(
     that differ only in transmit power: each group's config (its transmit
     power unread) and its points' powers.  A power axis is one group and
     builds no config per point; any other axis gives one group per value."""
-    if axis_name == "E_dBm":
+    if sweep_axis(axis_name)[0] == "transmit_power":
         return [(config, np.array([_axis_setting(axis_name, v)[1] for v in axis_values]))]
     configs = [apply_axis(config, axis_name, value) for value in axis_values]
     return [(cfg, np.array([cfg.transmit_power])) for cfg in configs]
 
 
-def check_axis_grid(axis_values: tuple[float, ...]) -> None:
-    """Reject an empty sweep grid, a non-finite value, or a grid that is not
-    strictly ascending (a step below the values' resolution repeats a value)."""
-    if not axis_values:
+def sweep_grid(axis_name: str, axis_values) -> tuple[float, ...]:
+    """The one intake of a sweep grid, a sequence or 1-D array of numbers:
+    its values as a tuple of floats.  Rejects anything else (text, a 2-D
+    array), an empty grid, a non-finite value, a grid that is not strictly
+    ascending (a step below the values' resolution repeats a value), then an
+    unknown axis."""
+    try:
+        grid = np.asarray(axis_values).astype(float, casting="same_kind")
+    except (TypeError, ValueError):  # text, objects, complex, a ragged nesting
+        grid = None
+    if grid is None or grid.ndim != 1:
+        raise ConfigurationError(f"sweep grid must be a sequence of numbers, got {axis_values!r}")
+    if not grid.size:
         raise ConfigurationError("sweep grid must be non-empty")
-    if not all(map(math.isfinite, axis_values)):
-        raise ConfigurationError(f"sweep grid {axis_values} must be finite")
-    if any(a >= b for a, b in zip(axis_values, axis_values[1:])):
+    if not np.isfinite(grid).all():
+        raise ConfigurationError(f"sweep grid {tuple(grid.tolist())} must be finite")
+    if not (grid[1:] > grid[:-1]).all():
         raise ConfigurationError("sweep grid must be strictly ascending (no repeated value)")
+    sweep_axis(axis_name)
+    return tuple(grid.tolist())
 
 
 @dataclass(frozen=True)
 class TrialPlan:
     """What to estimate: schemes, sweep axis, epoch counts, seed.  The grid
-    is stored as a tuple of floats and the schemes as a tuple."""
+    is stored as :func:`sweep_grid` returns it and the schemes as a tuple."""
 
     axis_name: str
     axis_values: tuple[float, ...]
@@ -256,16 +273,12 @@ class TrialPlan:
     def __post_init__(self) -> None:
         for name in ("n_angle_epochs", "n_fading_epochs", "base_seed"):
             object.__setattr__(self, name, integer_field(name, getattr(self, name)))
-        object.__setattr__(self, "axis_values", tuple(map(float, self.axis_values)))
+        object.__setattr__(self, "axis_values", sweep_grid(self.axis_name, self.axis_values))
+        if isinstance(self.schemes, (str, bytes)):
+            raise ConfigurationError(f"schemes must be a sequence of names, got {self.schemes!r}")
         object.__setattr__(self, "schemes", tuple(self.schemes))
-        if self.axis_name not in AXIS_NAMES:
-            raise ConfigurationError(
-                f"unknown sweep axis {self.axis_name!r}; "
-                f"expected one of {', '.join(AXIS_NAMES)}"
-            )
         if self.n_angle_epochs < 1 or self.n_fading_epochs < 1:
             raise ConfigurationError("epoch counts must be at least 1")
-        check_axis_grid(self.axis_values)
         if not self.schemes:
             raise ConfigurationError("need at least one scheme")
         for scheme in self.schemes:
@@ -594,9 +607,9 @@ def _sweep(
 
 def closed_form_sweep(config: SystemConfig, axis_name: str, axis_values) -> SweepResult:
     """Closed-form-only sweep of :data:`CLOSED_FORM_SCHEMES`: the metric is
-    each scheme's approximation, or its bound where it has none, with stderr
-    0 and no trials.  Checks the grid, each point's config, the closed forms."""
-    check_axis_grid(axis_values)
+    each scheme's approximation, or its bound where it has none, stderr 0
+    and no trials.  Checks :func:`sweep_grid`, each point's config, the closed forms."""
+    axis_values = sweep_grid(axis_name, axis_values)
     companions = closed_form_companions(CLOSED_FORM_SCHEMES,
                                         power_groups(config, axis_name, axis_values))
     reduced = {s: [(upper if math.isnan(approx) else approx, 0.0, 0) for approx, upper in pairs]

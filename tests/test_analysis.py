@@ -238,6 +238,17 @@ class TestExponentialIntegral:
         c = np.array([6.875e20, 6.25e298, np.finfo(float).max])
         assert np.all(np.abs(an.scaled_ei_neg(c) * c + 1.0) <= 1e-12)
 
+    @pytest.mark.parametrize("kernel, value", [
+        (an.exp_integral_ei, -math.inf), (an.exp_integral_ei, math.nan),
+        (an.exp_integral_ei, np.array([-1.0, math.nan])),
+        (an.scaled_ei_neg, math.inf), (an.scaled_ei_neg, math.nan),
+    ])
+    def test_rejects_non_finite_argument(self, kernel, value):
+        # Infinities used to reach the continued fraction and fail there as
+        # unconverged, and nan was reported as a sign error.
+        with pytest.raises(ValueError, match="^argument must be finite and"):
+            kernel(value)
+
     def test_unconverged_continued_fraction_is_a_package_error(self):
         with pytest.raises(rl.ConvergenceError):
             an._e1_cf_scaled(math.nan)
@@ -496,6 +507,23 @@ class TestClosedFormParams:
         with pytest.raises(ConfigurationError,
                            match=re.escape(f"n_slots must be an integer, got {n_slots!r}")):
             an.se_db_upper(params, n_slots)
+
+    @pytest.mark.parametrize("powers", [np.array([]), np.array([[0.5, 1.0], [2.0, 4.0]])],
+                             ids=["empty", "2-D"])
+    def test_rejects_power_columns_it_cannot_evaluate(self, powers):
+        # An empty column used to raise a bare IndexError; a 2-D one was
+        # accepted, and then the closed forms disagreed on its shape.
+        with pytest.raises(ConfigurationError, match="^transmit power must be a number or a "
+                                                     "non-empty 1-D column"):
+            an.ClosedFormParams.from_config(rl.SystemConfig(), powers)
+
+    def test_list_column_is_stored_as_an_array(self):
+        config = rl.SystemConfig()
+        listed = an.ClosedFormParams.from_config(config, [0.5, 1.0])
+        column = an.ClosedFormParams.from_config(config, np.array([0.5, 1.0]))
+        assert type(listed.transmit_power) is np.ndarray
+        assert np.array_equal(an.se_bf_upper(listed), an.se_bf_upper(column))
+        assert np.array_equal(listed.c_values(), column.c_values())
 
     def test_numpy_integer_counts_stored_as_int(self):
         counts = dict(n_tx=np.int64(16), n_rx=np.int32(4), n_ris=np.uint8(4),

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -883,6 +884,35 @@ class _Simulated(Exception):
 
 def _engine_reached(*args, **kwargs):
     raise _Simulated
+
+
+_UNKNOWN_AXIS = ("unknown sweep axis 'E_W'; expected one of E_dBm, kappa_dB, L_R, L_T, M_R, "
+                 "N_T, N_R, K, C, sigma_e")
+
+
+@pytest.mark.parametrize("entry", ["analyze", "se-sweep", "apply_axis", "TrialPlan",
+                                   "closed_form_sweep", "power_groups"])
+def test_unknown_axis_has_one_message(entry, tmp_path, monkeypatch, capsys):
+    """Every entry point that takes an axis name rejects an unknown one
+    through :func:`rislink.montecarlo.sweep_axis`; a sweep exits 2 before
+    the engine."""
+    monkeypatch.setattr(montecarlo, "_run_chunk", _engine_reached)
+    config = rl.SystemConfig()
+    calls = {
+        "apply_axis": lambda: rl.apply_axis(config, "E_W", 1.0),
+        "TrialPlan": lambda: rl.TrialPlan("E_W", (1.0,), ("sm",), 1, 1, BASE_SEED),
+        "closed_form_sweep": lambda: montecarlo.closed_form_sweep(config, "E_W", (1.0,)),
+        "power_groups": lambda: montecarlo.power_groups(config, "E_W", (1.0,)),
+    }
+    if entry in calls:
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(_UNKNOWN_AXIS)}$"):
+            calls[entry]()
+        return
+    output = tmp_path / "x.csv"
+    argv = [entry, "--axis", "E_W=1", "--output", str(output)]
+    assert _run(argv + ["--scheme", "sm"] * (entry == "se-sweep")) == cli.EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == f"error: {_UNKNOWN_AXIS}\n"
+    assert not output.exists()
 
 
 class TestFileAndBudgetErrors:

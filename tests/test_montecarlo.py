@@ -308,6 +308,30 @@ class TestPlanValidation:
         assert cli.format_csv(rl.estimate_ergodic_se(plan, config)) == \
             cli.format_csv(rl.estimate_ergodic_se(plain, config))
 
+    @pytest.mark.parametrize("overrides", [
+        dict(axis_values="12"),       # used to run the grid (1.0, 2.0)
+        dict(axis_values="0:5:40"),   # used to fail in float(':') with a bare ValueError
+        dict(axis_values=b"12"),
+        dict(axis_values=(0.0, "20")),
+        dict(axis_values=np.array([[0.0], [20.0]])),
+        dict(schemes="sm"),           # used to be reported as unknown scheme 's'
+    ])
+    def test_rejects_text_and_non_numeric_input(self, overrides):
+        with pytest.raises(ConfigurationError, match="must be a sequence of"):
+            _plan(**overrides)
+        if "axis_values" in overrides:
+            with pytest.raises(ConfigurationError, match="must be a sequence of numbers"):
+                mc.closed_form_sweep(rl.SystemConfig(), "E_dBm", overrides["axis_values"])
+
+    def test_unhashable_axis_name_is_unknown(self):
+        # apply_axis and closed_form_sweep used to hash the name and raise a
+        # bare TypeError.
+        for call in (lambda: _plan(axis_name=["E_dBm"]),
+                     lambda: rl.apply_axis(rl.SystemConfig(), ["E_dBm"], 1.0),
+                     lambda: mc.closed_form_sweep(rl.SystemConfig(), ["E_dBm"], (1.0,))):
+            with pytest.raises(ConfigurationError, match=r"^unknown sweep axis \['E_dBm'\]"):
+                call()
+
     def test_integer_axes_reject_fractions(self):
         plan = _plan(axis_name="K", axis_values=(4.2,))
         with pytest.raises(ConfigurationError):
@@ -1116,6 +1140,33 @@ class TestGridPointReducer:
     def test_closed_form_sweep_check_order(self, axis, values, message):
         with pytest.raises(ConfigurationError, match=message):
             mc.closed_form_sweep(rl.SystemConfig(transmit_power=1e300), axis, values)
+
+
+class TestGridIntake:
+    """:class:`TrialPlan` and :func:`closed_form_sweep` read a grid through
+    the one intake, :func:`rislink.montecarlo.sweep_grid`."""
+
+    @pytest.mark.parametrize("grid, values", [
+        ((0.0, 20.0), (0.0, 20.0)),
+        ([0.0, 20.0], (0.0, 20.0)),
+        ((0, 20), (0.0, 20.0)),
+        (np.array([20.0]), (20.0,)),
+        (np.array([0.0, 20.0]), (0.0, 20.0)),
+    ], ids=["tuple", "list", "int-tuple", "array-1", "array-2"])
+    def test_every_form_gives_one_float_tuple(self, grid, values):
+        # closed_form_sweep used to keep a list as a list, reject a
+        # one-point array as empty and fail on a longer array's truth value.
+        config = rl.SystemConfig()
+        plan, plain = (_plan(axis_values=g, n_angle_epochs=1, n_fading_epochs=2)
+                       for g in (grid, values))
+        closed = mc.closed_form_sweep(config, "E_dBm", grid)
+        for stored in (plan.axis_values, closed.axis_values):
+            assert type(stored) is tuple and stored == values
+            assert all(type(v) is float for v in stored)
+        assert cli.format_csv(rl.estimate_ergodic_se(plan, config)) == \
+            cli.format_csv(rl.estimate_ergodic_se(plain, config))
+        assert cli.format_csv(closed) == \
+            cli.format_csv(mc.closed_form_sweep(config, "E_dBm", values))
 
 
 class TestWilsonInterval:
