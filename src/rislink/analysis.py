@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig, integer_field
+from .config import SystemConfig, integer_field, real_field
 from .errors import ConfigurationError, ConvergenceError, NoCrossingError
 
 _EULER_GAMMA = 0.5772156649015329
@@ -214,12 +214,18 @@ class ClosedFormParams:
     n_slots: int = 1
 
     def __post_init__(self) -> None:
-        profile = np.atleast_1d(np.asarray(self.gain_profile, dtype=float))
+        try:  # text, objects, complex and ragged nestings fail the cast
+            profile = np.atleast_1d(self.gain_profile).astype(float, casting="same_kind")
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"gain_profile must be numbers, got {self.gain_profile!r}") from None
         object.__setattr__(self, "gain_profile", profile)
         for name in ("n_tx", "n_rx", "n_ris", "n_ris_rx_paths", "n_slots"):
             value = getattr(self, name)
             if not isinstance(value, float) or math.isfinite(value):  # nan fails as non-finite
                 object.__setattr__(self, name, integer_field(name, value))
+        for name in ("noise_power", "rician_factor"):
+            real_field(name, getattr(self, name))
         powers = np.asarray(self.transmit_power)
         if powers.ndim > 1 or not powers.size or powers.dtype.kind not in "biuf":
             raise ConfigurationError(

@@ -22,8 +22,8 @@ which :func:`rekey` restarts on each row's key before that row's draws.
 
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,20 +69,21 @@ _GAP_MARGIN = 1e-12
 def _draw_separated_freqs(
     rng: np.random.Generator,
     count: int,
-    keep_away: np.ndarray,
+    keep_away: list[float] | np.ndarray,
     separation: float,
     max_attempts: int = 100_000,
 ) -> np.ndarray:
     """Draw spatial frequencies of uniform physical angles on (0, pi),
     rejecting any draw closer than ``separation`` to an earlier one or to
-    the ``keep_away`` set.  A draw of no frequency returns an empty array
-    and leaves the generator untouched.
+    the ``keep_away`` frequencies (a list or 1-D array).  A draw of no
+    frequency returns an empty array and leaves the generator untouched.
 
     The threshold is capped at half the packing density of the full circle
     so a near-degenerate geometry (a surface with very few elements) slows
     the draw down instead of deadlocking it.
 
-    Every try consumes one ``rng.uniform(0.0, pi)``, in order.  The uniforms
+    Every try consumes one ``pi * rng.random()``, which rounds as
+    ``rng.uniform(0.0, pi)`` on the same word, in order.  The uniforms
     are drawn in rounds of as many as there are frequencies still missing.
     A round can complete the draw only on its last try, so every uniform
     it draws is consumed, and the generator ends where one scalar draw per
@@ -93,34 +94,47 @@ def _draw_separated_freqs(
     When every frequency lies in [-pi, pi] and both neighbours clear the
     threshold by ``_GAP_MARGIN``, far above the few-ulp error of the gap
     arithmetic, every other frequency clears it too and the try is taken;
-    otherwise the full gap test decides.
+    otherwise the full gap test decides.  Off the wrap, the plain
+    differences to the neighbours (within an ulp of the gaps) decide first
+    where they clear ``separation`` by ``2 * _GAP_MARGIN``, as the gaps would.
     """
     if not count:
         return np.empty(0)
-    taken = np.atleast_1d(np.asarray(keep_away, dtype=float)).tolist()
+    taken = list(map(float, keep_away))
     total = count + len(taken)
     separation = min(separation, 2.0 * math.pi / (2.0 * total))
     pi, two_pi = math.pi, 2.0 * math.pi
+    low, high = separation - 2.0 * _GAP_MARGIN, separation + 2.0 * _GAP_MARGIN
+    random, cos, bisect = rng.random, math.cos, bisect_right
 
     on_circle = all(-pi <= t <= pi for t in taken)
     ordered = sorted(taken)
     out: list[float] = []
     attempts = 0
     while len(out) < count:
-        for u in rng.uniform(0.0, pi, size=count - len(out)).tolist():
-            freq = pi * math.cos(u)
+        for u in random(count - len(out)).tolist():
+            freq = pi * cos(pi * u)
             attempts += 1
-            i = bisect.bisect(ordered, freq)
-            # Python's float % is numpy's remainder (fmod plus a sign fix),
-            # so these gaps decide as their numpy array form does, bit for bit.
-            near = math.inf
-            if ordered:
-                near = min(abs((ordered[i - 1] - freq + pi) % two_pi - pi),
-                           abs((ordered[i % len(ordered)] - freq + pi) % two_pi - pi))
-            if near >= separation and (
-                (on_circle and near >= separation + _GAP_MARGIN)
-                or all(abs((t - freq + pi) % two_pi - pi) >= separation for t in taken)
-            ):
+            i = bisect(ordered, freq)
+            if between := on_circle and 0 < i < len(ordered):
+                below, above = freq - ordered[i - 1], ordered[i] - freq
+            if between and (below < low or above < low):
+                take = False
+            elif between and below > high and above > high:
+                # They sum to at most 2 pi: neither neighbour is nearer the other way.
+                take = True
+            else:
+                # Python's float % is numpy's remainder (fmod plus a sign fix),
+                # so these gaps decide as their numpy array form does, bit for bit.
+                near = math.inf
+                if ordered:
+                    near = min(abs((ordered[i - 1] - freq + pi) % two_pi - pi),
+                               abs((ordered[i % len(ordered)] - freq + pi) % two_pi - pi))
+                take = near >= separation and (
+                    (on_circle and near >= separation + _GAP_MARGIN)
+                    or all(abs((t - freq + pi) % two_pi - pi) >= separation for t in taken)
+                )
+            if take:
                 out.append(freq)
                 taken.append(freq)
                 ordered.insert(i, freq)
@@ -143,7 +157,7 @@ def _scatter_scale(config: SystemConfig, link: str, n_s: int, count: int) -> flo
 def _separation(n_elements: np.ndarray) -> float:
     """Smallest allowed spacing of surface-side spatial frequencies: one
     full mainlobe of the smallest surface."""
-    return 2.0 * math.pi / float(np.min(n_elements))
+    return 2.0 * math.pi / min(n_elements.tolist())
 
 
 def _los_gain(config: SystemConfig, n_elements):
@@ -154,7 +168,7 @@ def _los_gain(config: SystemConfig, n_elements):
 
 
 def _scattered_paths(
-    config: SystemConfig, link: str, keep_away: np.ndarray, rng: np.random.Generator,
+    config: SystemConfig, link: str, keep_away: list[float], rng: np.random.Generator,
     separation: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The angles of one hop's scattered paths: frequencies at the surface
@@ -204,12 +218,12 @@ def draw_angle_epochs(
         rekey(rng, key)
         losses[a], n_elements[a] = receiver_losses(config, surfaces, drop_receiver(config, rng))
         separation = _separation(n_elements[a])
-        for k in range(n_ris):
+        for k, los in enumerate(surfaces.los_arrival.tolist()):
             tx_arrival[a, k, 1:], tx_departure[a, k, 1:] = _scattered_paths(
-                config, TX_RIS, tx_arrival[a, k, :1], rng, separation
+                config, TX_RIS, [los], rng, separation
             )
             rx_departure[a, k], rx_arrival[a, k] = _scattered_paths(
-                config, RIS_RX, tx_arrival[a, k], rng, separation
+                config, RIS_RX, tx_arrival[a, k].tolist(), rng, separation
             )
     angles = dict(
         n_rx=config.n_rx,

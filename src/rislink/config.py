@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -50,6 +51,18 @@ def integer_field(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def real_field(name: str, value) -> float:
+    """``value`` of the real field ``name`` as a Python float (a numpy real
+    included); text, None, a complex or an integer beyond the float range
+    raises :class:`ConfigurationError`."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{name} must be finite") from None
 
 
 @dataclass(frozen=True)
@@ -115,7 +128,7 @@ class SystemConfig:
         for name in _INT_FIELDS:
             object.__setattr__(self, name, integer_field(name, getattr(self, name)))
         for name in _FLOAT_FIELDS:
-            if not math.isfinite(getattr(self, name)):
+            if not math.isfinite(real_field(name, getattr(self, name))):
                 raise ConfigurationError(f"{name} must be finite")
         if self.carrier_frequency <= 0:
             raise ConfigurationError("carrier_frequency must be positive")
@@ -282,30 +295,30 @@ def receiver_losses(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each surface's cascaded loss to a receiver at ``rx_position`` and the
     element count sized from it, rejecting a loss that overflows or
-    underflows to 0 (Python float products, so numpy warns of neither)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        d_rx = np.linalg.norm(surfaces.ris_positions - rx_position, axis=1)
-    if not np.isfinite(d_rx).all():
+    underflows to 0 (Python floats, so numpy warns of neither; a distance
+    ``sqrt(dx*dx + dy*dy)`` rounds as ``np.linalg.norm`` of the offset)."""
+    rx, ry = map(float, rx_position)
+    d_rx = [math.sqrt((x - rx) * (x - rx) + (y - ry) * (y - ry))
+            for x, y in surfaces.ris_positions.tolist()]
+    if not all(map(math.isfinite, d_rx)):
         raise ConfigurationError(
             f"deployment distances leave the floating-point range: {_deployment(config)}"
         )
-    losses = np.array([path_loss(a, b, config.wavelength)
-                       for a, b in zip(surfaces.tx_distances.tolist(), d_rx.tolist())])
-    if not np.all((losses > 0) & (losses < math.inf)):
+    wavelength = config.wavelength
+    losses = [path_loss(a, b, wavelength) for a, b in zip(surfaces.tx_distances.tolist(), d_rx)]
+    if not all(0.0 < loss < math.inf for loss in losses):
         raise ConfigurationError(
             f"cascaded path losses leave the floating-point range: {_deployment(config)}"
         )
     try:
-        counts = np.array(
-            [ris_element_count(config.gain_target, loss) for loss in losses.tolist()],
-            dtype=np.int64,
-        )
+        counts = np.array([ris_element_count(config.gain_target, loss) for loss in losses],
+                          dtype=np.int64)
     except OverflowError as exc:
         raise ConfigurationError(
             f"surface element counts overflow: gain_target={config.gain_target!r} "
             f"is too large for {_deployment(config)}"
         ) from exc
-    return losses, counts
+    return np.array(losses), counts
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SystemConfig)}

@@ -101,18 +101,19 @@ class SearchTerms:
         self.unary = np.abs(np.real(np.diagonal(gram, axis1=-2, axis2=-1)) - 1.0) ** 2
 
     def gather(
-        self, searches: Sequence[tuple[Sequence[np.ndarray], float]]
+        self, searches: Sequence[tuple[Sequence[np.ndarray | slice], float]]
     ) -> tuple[list[np.ndarray], dict[tuple[int, int], np.ndarray]]:
         """The terms of a stack of searches of equal group sizes, each
         search's A rows after the last's: per group, the unary terms of its
         indices, and per group pair ``a < b`` (keyed in lexicographic order)
-        ``2 |G_ab - target|^2``.  Each search holds its groups, flat
-        candidate indices of shape (A, S) or (S,) for every row alike, and
-        its target off-diagonal.  Each search's terms are written into its
-        block of C-ordered stack arrays."""
+        ``2 |G_ab - target|^2``.  Each search holds its target off-diagonal
+        and its groups: all slices of the candidates, read through views, or
+        all flat candidate indices of shape (A, S) or (S,), read by index
+        (the same terms bit for bit).  Each search's terms are written into
+        its block of C-ordered stack arrays."""
         n_angle = len(self.gram)
         rows = np.arange(n_angle)[:, None]
-        sizes = [np.shape(g)[-1] for g in searches[0][0]]
+        sizes = [_group_size(g) for g in searches[0][0]]
         n_rows = n_angle * len(searches)
         unary = [np.empty((n_rows, size)) for size in sizes]
         pairs = {
@@ -121,15 +122,22 @@ class SearchTerms:
         }
         for j, (groups, target) in enumerate(searches):
             block = slice(j * n_angle, (j + 1) * n_angle)
-            groups = [np.asarray(g) for g in groups]
+            views = all(isinstance(g, slice) for g in groups)
+            at = slice(None) if views else rows
+            groups = groups if views else [np.asarray(g) for g in groups]
             for term, g in zip(unary, groups):
-                term[block] = self.unary[rows, g]
+                term[block] = self.unary[at, g]
             for (a, b), term in pairs.items():
-                term[block] = 2.0 * np.abs(
-                    self.gram[rows[..., None], groups[a][..., :, None], groups[b][..., None, :]]
-                    - target
-                ) ** 2
+                ga, gb = groups[a], groups[b]
+                index = (at, ga, gb) if views else (
+                    rows[..., None], ga[..., :, None], gb[..., None, :])
+                term[block] = 2.0 * np.abs(self.gram[index] - target) ** 2
         return unary, pairs
+
+
+def _group_size(group: np.ndarray | slice) -> int:
+    """A search group's size: a slice's length or an index array's last axis."""
+    return group.stop - group.start if isinstance(group, slice) else np.shape(group)[-1]
 
 
 def _head_prefixes(unary: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -273,10 +281,11 @@ def _search(
     every (groups, target off-diagonal) search and every row of a stack of
     Gram matrices.
 
-    A search's ``groups`` hold flat candidate column indices, of shape
-    (A, S) or (S,) for every row alike.  Its objective is the squared
-    Frobenius distance between the selected columns' Gram matrix and a
-    target with unit diagonal and the search's off-diagonal elsewhere.
+    A search's ``groups`` hold slices of the candidate columns or flat
+    column indices, of shape (A, S) or (S,) for every row alike.  Its
+    objective is the squared Frobenius distance between the selected
+    columns' Gram matrix and a target with unit diagonal and the search's
+    off-diagonal elsewhere.
     Returns, per search, every row's positional indices into each group
     (first minimizer in lexicographic order), shape (A, groups), and its
     objective value, shape (A,).
@@ -292,7 +301,7 @@ def _search(
     """
     stacks = {}
     for i, (groups, _) in enumerate(searches):
-        stacks.setdefault(tuple(np.shape(g)[-1] for g in groups), []).append(i)
+        stacks.setdefault(tuple(map(_group_size, groups)), []).append(i)
     results = [None] * len(searches)
     for sizes, members in stacks.items():
         unary, pairs = terms.gather([searches[i] for i in members])
@@ -378,7 +387,7 @@ def select_paths_stack(
         for family in slots
     }
     found = iter(_search(terms, [
-        ([np.arange(n_paths) + k * n_paths for k in subset], targets[family])
+        ([slice(k * n_paths, (k + 1) * n_paths) for k in subset], targets[family])
         for family in slots for subset in subsets[family].tolist()
     ]))
     rows = np.arange(n_angle)

@@ -57,12 +57,13 @@ import functools
 import itertools
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .channel import HopStack, draw_angle_epochs, draw_fading_gains, rekey
-from .config import SurfaceGeometry, SystemConfig, db2lin, dbm2watt, integer_field
+from .config import SurfaceGeometry, SystemConfig, db2lin, dbm2watt, integer_field, real_field
 from .config import receiver_losses, surface_geometry
 from .customize import (
     FAMILIES,
@@ -274,7 +275,7 @@ class TrialPlan:
         for name in ("n_angle_epochs", "n_fading_epochs", "base_seed"):
             object.__setattr__(self, name, integer_field(name, getattr(self, name)))
         object.__setattr__(self, "axis_values", sweep_grid(self.axis_name, self.axis_values))
-        if isinstance(self.schemes, (str, bytes)):
+        if isinstance(self.schemes, (str, bytes)) or not isinstance(self.schemes, Iterable):
             raise ConfigurationError(f"schemes must be a sequence of names, got {self.schemes!r}")
         object.__setattr__(self, "schemes", tuple(self.schemes))
         if self.n_angle_epochs < 1 or self.n_fading_epochs < 1:
@@ -290,7 +291,7 @@ class TrialPlan:
             raise ConfigurationError(f"duplicate scheme in {','.join(self.schemes)}")
         if self.base_seed < 0:
             raise ConfigurationError("seed must be non-negative")
-        if not math.isfinite(self.gamma_th) or self.gamma_th < 0:
+        if not math.isfinite(real_field("gamma_th", self.gamma_th)) or self.gamma_th < 0:
             raise ConfigurationError("outage threshold must be finite and non-negative")
 
 

@@ -387,6 +387,40 @@ class TestMultipathDraws:
         assert got.tolist() == expected.tolist()
         assert rng.random(4).tolist() == oracle_rng.random(4).tolist()
 
+    @pytest.mark.parametrize("wrap", [(), (math.pi, -math.pi), (math.pi,), (-math.pi,)],
+                             ids=["no-edges", "both-edges", "pi", "minus-pi"])
+    @pytest.mark.parametrize("below_edge, above_edge", [
+        ("low", "low"), ("low", "high"), ("high", "high"), ("high", "sep"), ("sep", "low"),
+        ("sep", "sep"),
+    ])
+    def test_plain_differences_decide_as_the_gap_test(self, below_edge, above_edge, wrap):
+        # The first try's neighbours sit a few ulps either side of
+        # separation -/+ 2 * _GAP_MARGIN (or of separation itself) from it,
+        # wrapped onto the circle, with +-pi taken as well or not: the
+        # draws and the generator's end state must be the oracle's.
+        separation = 0.2
+        edges = dict(low=separation - 2.0 * channel._GAP_MARGIN, sep=separation,
+                     high=separation + 2.0 * channel._GAP_MARGIN)
+
+        def shifted(value, ulps):
+            for _ in range(abs(ulps)):
+                value = math.nextafter(value, math.copysign(math.inf, ulps))
+            return value
+
+        def on_circle(value):
+            return (value + math.pi) % (2.0 * math.pi) - math.pi
+
+        for key in range(12):
+            first = math.pi * math.cos(rl.substream(BASE_SEED, 28, key).uniform(0.0, math.pi))
+            for ulps in range(-3, 4):
+                keep_away = [on_circle(first - shifted(edges[below_edge], ulps)),
+                             on_circle(first + shifted(edges[above_edge], -ulps)), *wrap]
+                rng, oracle_rng = rl.substream(BASE_SEED, 28, key), rl.substream(BASE_SEED, 28, key)
+                got = _draw_separated_freqs(rng, 3, keep_away, separation)
+                expected = _draw_separated_freqs_oracle(oracle_rng, 3, keep_away, separation)
+                assert got.tolist() == expected.tolist(), (key, ulps)
+                assert rng.random(4).tolist() == oracle_rng.random(4).tolist()
+
     def test_scalar_gap_equals_array_gap_across_the_wrap(self):
         edges = [math.pi, -math.pi, np.nextafter(math.pi, 0.0), np.nextafter(-math.pi, 0.0),
                  0.0, -0.0, 1e-300, 2.0 * math.pi / 3.0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rislink as rl
+from rislink import config as config_module
 from rislink.config import drop_receiver, receiver_losses, surface_geometry
 from rislink.errors import ConfigurationError, PlacementError
 
@@ -200,6 +202,83 @@ class TestPlacement:
         config = rl.SystemConfig(n_tx=2, n_rx=1, n_ris=1)
         with pytest.raises(PlacementError):
             surface_geometry(config)
+
+
+def _norm_distances(surfaces, rx_position):
+    """The receiver distances as ``np.linalg.norm`` computes them."""
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        return np.linalg.norm(surfaces.ris_positions - np.asarray(rx_position), axis=1)
+
+
+class TestReceiverDistances:
+    """``receiver_losses`` computes each distance on Python floats; it must
+    round as ``np.linalg.norm(axis=1)`` of the offsets, bit for bit."""
+
+    # Surfaces at the origin, at tiny and huge coordinates and one ulp off
+    # zero, so offsets underflow, go subnormal or approach overflow.
+    ADVERSARIAL_SURFACES = [[0.0, 0.0], [1e-160, -1e-160], [1e150, -1e150], [5e-324, 0.0],
+                            [-0.0, 3e-310], [1e-300, 1e150]]
+    RECEIVERS = [
+        (0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (5e-324, -5e-324), (1e-160, 1e-160),
+        (2.2250738585072014e-308, -1e-310), (1e150, 1e150), (-1e150, 1e150), (1.3e154, 0.0),
+        (9e153, -9e153), (0.0, 1e150), (1e-300, -1e150), (1.5, 2.5), (-3e-200, 7e-170),
+    ]
+
+    @pytest.mark.parametrize("rx", RECEIVERS)
+    def test_adversarial_offsets_match_norm(self, rx, monkeypatch):
+        config = rl.SystemConfig(n_tx=16, n_ris=6)
+        surfaces = dataclasses.replace(
+            surface_geometry(config), ris_positions=np.array(self.ADVERSARIAL_SURFACES),
+            tx_distances=np.full(6, 100.0))
+        distances = []
+
+        def recording_loss(dist_tx_ris, dist_ris_rx, wavelength):
+            distances.append(dist_ris_rx)
+            return 1e-8
+
+        monkeypatch.setattr(config_module, "path_loss", recording_loss)
+        expected = _norm_distances(surfaces, rx)
+        if not np.isfinite(expected).all():
+            with pytest.raises(ConfigurationError, match="^deployment distances leave"):
+                receiver_losses(config, surfaces, np.array(rx))
+            return
+        receiver_losses(config, surfaces, np.array(rx))
+        assert [d.hex() for d in distances] == [d.hex() for d in expected.tolist()]
+
+    def test_receivers_on_the_default_geometry(self):
+        # On a surface's axis (same x or same y), on a surface, at the
+        # transmitter and at -0.0: losses and counts as the norm gives them.
+        config = rl.SystemConfig()
+        surfaces = surface_geometry(config)
+        (x0, y0), (x1, y1) = surfaces.ris_positions[:2].tolist()
+        receivers = [(x0, -0.0), (200.0, y0), (x1 + 1e-13, y1), (-0.0, 0.0),
+                     (x1, math.nextafter(y1, 0.0)), (200.0, 50.0), (1e8, -1e8)]
+        for rx in receivers:
+            losses, counts = receiver_losses(config, surfaces, np.array(rx))
+            expected = [rl.path_loss(a, b, config.wavelength)
+                        for a, b in zip(surfaces.tx_distances.tolist(),
+                                        _norm_distances(surfaces, rx).tolist())]
+            assert [v.hex() for v in losses.tolist()] == [v.hex() for v in expected]
+            assert counts.dtype == np.int64 and counts.tolist() == [
+                rl.ris_element_count(config.gain_target, loss) for loss in expected]
+
+    @pytest.mark.parametrize("overrides, rx, message", [
+        (dict(), (1e200, 0.0), "deployment distances leave the floating-point range"),
+        (dict(), (math.inf, 0.0), "deployment distances leave the floating-point range"),
+        (dict(), (math.nan, 0.0), "deployment distances leave the floating-point range"),
+        (dict(), (-1.4e154, 1.4e154), "deployment distances leave the floating-point range"),
+        (dict(carrier_frequency=1e300), (200.0, 0.0),
+         "cascaded path losses leave the floating-point range"),
+        (dict(carrier_frequency=1e-290), (200.0, 0.0),
+         "cascaded path losses leave the floating-point range"),
+        (dict(gain_target=1e300), (200.0, 0.0), "surface element counts overflow"),
+        # A count past int64 but finite overflows in numpy, not math.floor.
+        (dict(gain_target=1e30), (200.0, 0.0), "surface element counts overflow"),
+    ])
+    def test_out_of_range_deployments_keep_their_messages(self, overrides, rx, message):
+        config = rl.SystemConfig(**overrides)
+        with pytest.raises(ConfigurationError, match=f"^{message}"):
+            receiver_losses(config, surface_geometry(config), np.array(rx))
 
 
 class TestValidation:

@@ -235,6 +235,66 @@ class TestBestTuple:
         assert 200 <= evaluated[0][0] < prefixes, evaluated
 
 
+class TestSearchTermViews:
+    """Slot 0's groups are contiguous candidate ranges, gathered through
+    views; per-row groups are gathered by index.  The terms are the same
+    bit for bit."""
+
+    def test_slice_groups_give_the_index_terms(self):
+        rng = rl.substream(BASE_SEED, 62)
+        n_angle, n_ris, n_paths = 3, 4, 5
+        gram = _candidate_gram(rng.uniform(-math.pi, math.pi, (n_angle, n_ris, n_paths)), 2)
+        terms = SearchTerms(gram)
+        for subset in ([0, 1, 2, 3], [1, 3], [0, 2, 3]):
+            spans = [slice(k * n_paths, (k + 1) * n_paths) for k in subset]
+            flat = [np.arange(n_paths) + k * n_paths for k in subset]
+            per_row = [np.tile(g, (n_angle, 1)) for g in flat]
+            for target in (0.0, 1.0):
+                gathered = [terms.gather([(groups, target)]) for groups in (spans, flat, per_row)]
+                # Stacked with a search gathered by index, each keeps its block.
+                stacked = terms.gather([(spans, target), (per_row, 1.0 - target)])
+                other = terms.gather([(per_row, 1.0 - target)])
+                for unary, pairs in gathered[1:]:
+                    assert [u.tobytes() for u in unary] == [u.tobytes() for u in gathered[0][0]]
+                    assert pairs.keys() == gathered[0][1].keys()
+                    assert all(p.tobytes() == gathered[0][1][key].tobytes()
+                               for key, p in pairs.items())
+                for mine, (unary, pairs) in ((slice(0, n_angle), gathered[0]),
+                                             (slice(n_angle, None), other)):
+                    assert all(s[mine].tobytes() == u.tobytes()
+                               for s, u in zip(stacked[0], unary))
+                    assert all(stacked[1][key][mine].tobytes() == p.tobytes()
+                               for key, p in pairs.items())
+                # The index terms themselves, row by row.
+                unary, pairs = gathered[0]
+                for a, g in enumerate(flat):
+                    assert unary[a].tobytes() == terms.unary[:, g].tobytes()
+                for (a, b), p in pairs.items():
+                    for r in range(n_angle):
+                        block = gram[r][np.ix_(flat[a], flat[b])]
+                        assert p[r].tobytes() == (2.0 * np.abs(block - target) ** 2).tobytes()
+
+    def test_slot_zero_reads_views_and_hopping_slots_index(self, monkeypatch):
+        kinds = []
+        gather = SearchTerms.gather
+
+        def spy(self, searches):
+            kinds.append([
+                "views" if all(isinstance(g, slice) for g in groups)
+                else "index" if all(np.ndim(g) == 2 for g in groups) else "mixed"
+                for groups, _ in searches
+            ])
+            return gather(self, searches)
+
+        monkeypatch.setattr(SearchTerms, "gather", spy)
+        rng = rl.substream(BASE_SEED, 63)
+        candidates = rng.uniform(-math.pi, math.pi, (2, 3, 4))
+        customize.select_paths_stack(candidates, 2, {"multiplex": 3, "beamform": 2})
+        # Slot 0: three two-surface subsets and the three-surface search,
+        # in two stacks; slots 1 and 2: the per-row hopping searches.
+        assert kinds == [["views"] * 3, ["views"], ["index"], ["index"], ["index"]]
+
+
 class TestMultiplexSelection:
     def test_orthogonal_pair_reaches_zero(self):
         # With two receive antennas, responses half a cycle apart are

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import re
 
+import numpy as np
 import pytest
 
 import rislink as rl
@@ -47,3 +48,56 @@ def _params(**changes) -> an.ClosedFormParams:
 def test_rejects_with_named_error(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def _plan(**changes) -> rl.TrialPlan:
+    fields = dict(axis_name="E_dBm", axis_values=(0.0,), schemes=("sm",), n_angle_epochs=1,
+                  n_fading_epochs=1, base_seed=0)
+    return rl.TrialPlan(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _plan(gamma_th="10"), "gamma_th must be a real number, got '10'"),
+    (lambda: _plan(gamma_th=None), "gamma_th must be a real number, got None"),
+    (lambda: _plan(schemes=None), "schemes must be a sequence of names, got None"),
+    (lambda: _plan(schemes=3), "schemes must be a sequence of names, got 3"),
+    (lambda: _params(noise_power="1"), "noise_power must be a real number, got '1'"),
+    (lambda: _params(rician_factor=None), "rician_factor must be a real number, got None"),
+    (lambda: _params(noise_power=1j), "noise_power must be a real number, got 1j"),
+    (lambda: _params(gain_profile="abc"), "gain_profile must be numbers, got 'abc'"),
+    (lambda: _params(gain_profile=[1e-6, None, 1e-6, 1e-6]),
+     "gain_profile must be numbers, got [1e-06, None, 1e-06, 1e-06]"),
+    (lambda: _params(gain_profile=[[1e-6], [1e-6, 1e-6]]),
+     "gain_profile must be numbers, got [[1e-06], [1e-06, 1e-06]]"),
+    (lambda: rl.SystemConfig(noise_power="1"), "noise_power must be a real number, got '1'"),
+    (lambda: rl.SystemConfig(rician_factor=None),
+     "rician_factor must be a real number, got None"),
+    (lambda: rl.SystemConfig(noise_power=10**400), "noise_power must be finite"),
+    (lambda: _params(rician_factor=10**400), "rician_factor must be finite"),
+    (lambda: _plan(gamma_th=-10**5000), "gamma_th must be finite"),
+], ids=[
+    "TrialPlan-text-threshold", "TrialPlan-None-threshold", "TrialPlan-None-schemes",
+    "TrialPlan-int-schemes", "ClosedFormParams-text-noise", "ClosedFormParams-None-kappa",
+    "ClosedFormParams-complex-noise", "ClosedFormParams-text-profile",
+    "ClosedFormParams-None-in-profile", "ClosedFormParams-ragged-profile",
+    "SystemConfig-text-noise", "SystemConfig-None-kappa", "SystemConfig-huge-int-noise",
+    "ClosedFormParams-huge-int-kappa", "TrialPlan-huge-int-threshold",
+])
+def test_non_numeric_scalars_name_the_field(call, message):
+    # These used to escape as bare TypeErrors, ValueErrors and
+    # OverflowErrors from math.isfinite, iteration or numpy's float
+    # conversion.
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numeric_scalars_still_pass():
+    # numpy and integer scalars are real numbers; a tuple, a generator and
+    # a numpy array of names are sequences of schemes.
+    assert _plan(gamma_th=np.float64(3.0)).gamma_th == 3.0
+    assert _plan(gamma_th=2).gamma_th == 2
+    assert _plan(schemes=(s for s in ("sm", "bf"))).schemes == ("sm", "bf")
+    assert _plan(schemes=np.array(["bf"])).schemes == ("bf",)
+    assert _params(noise_power=np.float32(1e-13), rician_factor=10).rician_factor == 10
+    assert _params(gain_profile=(1e-6, 1e-6, 2e-6, 1e-6)).gain_profile.dtype == float
+    assert rl.SystemConfig(noise_power=np.float64(1e-12)).noise_power == 1e-12
