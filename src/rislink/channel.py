@@ -94,9 +94,13 @@ def _draw_separated_freqs(
     When every frequency lies in [-pi, pi] and both neighbours clear the
     threshold by ``_GAP_MARGIN``, far above the few-ulp error of the gap
     arithmetic, every other frequency clears it too and the try is taken;
-    otherwise the full gap test decides.  Off the wrap, the plain
-    differences to the neighbours (within an ulp of the gaps) decide first
-    where they clear ``separation`` by ``2 * _GAP_MARGIN``, as the gaps would.
+    otherwise the full gap test decides.  The plain differences to the
+    neighbours decide first where they clear ``separation`` by ``2 *
+    _GAP_MARGIN``, as the gaps would.  Off the wrap they are within an ulp
+    of the gaps.  At the wrap (a try below the least or above the greatest
+    taken frequency) they run across it, ``freq - (ordered[-1] - 2 pi)`` and
+    ``ordered[0] + 2 pi - freq``: two roundings of results below 4 pi, each
+    within 9e-16, so within 2e-15 of the gaps on the same ``2 pi``.
     """
     if not count:
         return np.empty(0)
@@ -116,11 +120,12 @@ def _draw_separated_freqs(
             freq = pi * cos(pi * u)
             attempts += 1
             i = bisect(ordered, freq)
-            if between := on_circle and 0 < i < len(ordered):
-                below, above = freq - ordered[i - 1], ordered[i] - freq
-            if between and (below < low or above < low):
+            if plain := on_circle and len(ordered) > 0:
+                below = freq - ordered[i - 1] if i else freq - (ordered[-1] - two_pi)
+                above = ordered[i] - freq if i < len(ordered) else ordered[0] + two_pi - freq
+            if plain and (below < low or above < low):
                 take = False
-            elif between and below > high and above > high:
+            elif plain and below > high and above > high:
                 # They sum to at most 2 pi: neither neighbour is nearer the other way.
                 take = True
             else:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from typing import Sequence
 
 import numpy as np
@@ -51,8 +51,9 @@ FAMILIES = {"multiplex": ("sm", "ds"), "beamform": ("bf", "db")}
 DEFAULT_SEARCH_CAP = 10_000_000
 # Objective elements the bounded search evaluates at a time, and above
 # which a stacked search of three or more groups bounds rather than runs
-# dense (on a 2-core x86 host the two break even between about 2 x 10^4
-# stacked elements of four or five groups and 7 x 10^4 of three).
+# dense (on a 2-core x86 host the two break even at about 3-5 x 10^4
+# stacked elements of four groups, 4-8 x 10^4 of three and 0.65-1.3 x
+# 10^5 of five).
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -171,9 +172,11 @@ def _slab_objective(unary, pairs, rows: np.ndarray, heads: Sequence[np.ndarray])
     return objective
 
 
-def _prefix_bounds(unary, pairs) -> np.ndarray:
+def _prefix_bounds(unary, pairs, separable: bool = False) -> np.ndarray:
     """Lower bound of every head prefix's slab, per row: shape (rows,
-    prefixes), prefixes in C order (see :func:`_bounded_minima`)."""
+    prefixes), prefixes in C order (see :func:`_bounded_minima`).  The
+    ``separable`` bound takes the least pair term of every head group but
+    the first to each tail group on its own, at any tail index."""
     n_rows = len(unary[0])
     n_head = len(unary) - 2
 
@@ -186,17 +189,49 @@ def _prefix_bounds(unary, pairs) -> np.ndarray:
     # After the row axis, axis 0 holds a tail group's index and axis a + 1
     # head group a's.  The pair terms are copied tail-major, so the least
     # over the tail index reduces across whole head grids in memory order.
+    # The sum starts a new array of every prefix, so the rest adds in place.
     bound = sum(spread(unary[a], (a + 1,)) for a in range(n_head))
     for a, b in combinations(range(n_head), 2):
-        bound = bound + spread(pairs[a, b], (a + 1, b + 1))
+        bound += spread(pairs[a, b], (a + 1, b + 1))
+    joint = 1 if separable else n_head
     for t in range(n_head, len(unary)):
         reach = spread(unary[t], (0,))
-        for a in range(n_head):
+        for a in range(joint):
             reach = reach + spread(np.ascontiguousarray(np.swapaxes(pairs[a, t], 1, 2)), (0, a + 1))
-        bound = bound + reach.min(axis=1, keepdims=True)
+        reach = reach.min(axis=1, keepdims=True)
+        for a in range(joint, n_head):
+            reach = reach + spread(pairs[a, t].min(axis=2), (a + 1,))
+        bound += reach
     for a, b in combinations(range(n_head, len(unary)), 2):
-        bound = bound + spread(pairs[a, b].reshape(n_rows, -1).min(axis=1), ())
+        bound += spread(pairs[a, b].reshape(n_rows, -1).min(axis=1), ())
     return bound.reshape(n_rows, -1)
+
+
+def _slab_bounds(unary, pairs, rows: np.ndarray, heads: Sequence[np.ndarray]) -> np.ndarray:
+    """The tight :func:`_prefix_bounds` of the slabs ``rows`` and ``heads``
+    (as in :func:`_slab_objective`), bit for bit, gathering at most
+    ``_CHUNK_ELEMENTS >> 3`` tail terms at a time (64 KiB, below glibc's
+    mmap threshold)."""
+    n_head = len(heads)
+    tail_pairs = [pairs[a, b].reshape(len(pairs[a, b]), -1).min(axis=1)
+                  for a, b in combinations(range(n_head, len(unary)), 2)]
+    block = max(1, (_CHUNK_ELEMENTS >> 3) // max(u.shape[1] for u in unary[n_head:]))
+    bound = np.empty(len(rows))
+    for start in range(0, len(rows), block):
+        r, h = rows[start:start + block], [g[start:start + block] for g in heads]
+        part = sum(unary[a][r, h[a]] for a in range(n_head))
+        for a, b in combinations(range(n_head), 2):
+            part += pairs[a, b][r, h[a], h[b]]
+        for t in range(n_head, len(unary)):
+            reach = unary[t][r]
+            for a in range(n_head):
+                reach += pairs[a, t][r, h[a]]
+            # The least over a short last axis is far slower than across rows.
+            part += np.ascontiguousarray(reach.T).min(axis=0)
+        for least in tail_pairs:
+            part += least[r]
+        bound[start:start + block] = part
+    return bound
 
 
 def _bounded_minima(unary, pairs) -> tuple[list[tuple[float, int] | None], np.ndarray]:
@@ -205,35 +240,61 @@ def _bounded_minima(unary, pairs) -> tuple[list[tuple[float, int] | None], np.nd
     A prefix's slab is bounded from below (Land & Doig, 1960) by the
     prefix's own terms, plus, for each tail group, the least of its unary
     term and its pair terms to the prefix, plus the least of each
-    tail-tail pair term.  Each row first evaluates the slab of its lowest
-    bound, then the other slabs in ascending bound order, in rounds of
-    twice as many as the last, while their bound, less a 1e-12 relative
-    margin for summation order, does not exceed the least value found so
-    far (Lawler & Wood, 1966): a slab beyond that cannot hold a minimizer
-    or a tie.  A round evaluates the slabs of every row together, a
-    bounded number of objective elements at a time, and ties go to the
-    lower flat position, so the first minimizer wins whatever the order
+    tail-tail pair term.  With two or more head groups and a bound grid
+    (rows, prefixes, tail index) above one chunk, every prefix is first
+    bounded separably, each later head group's pair terms at their own
+    least tail index (never above the tight bound, since a minimum of sums
+    is at least the sum of the minima), and only the prefixes that bound
+    does not prune get the tight bound.  Each row first evaluates the slab
+    of its lowest first bound, then the other slabs in ascending tight
+    bound order, in rounds of twice as many as the last, while their
+    bound, less a 1e-12 relative margin for summation order, does not
+    exceed the least value found so far (Lawler & Wood, 1966): a slab
+    beyond that cannot hold a minimizer or a tie.  The rounds run over one
+    list of (row, prefix) entries sorted by row, bound and prefix, every
+    row's slabs in one pass of at most a chunk of objective elements at a
+    time.  Once the rounds end, each row's first minimizer is the lowest
+    flat position among its slab minima of least value, whatever the order
     of evaluation.  Returns, per row, the (value, flat position) of the
-    first minimizer, or None where a bound is not finite (it then proves
-    nothing), and the number of slabs each row evaluated.
+    first minimizer, or None where a tight bound is not finite (it then
+    proves nothing), and the number of slabs each row evaluated.
     """
     n_rows = len(unary[0])
     n_head = len(unary) - 2
     heads = _head_prefixes(unary)
-    # The bounds of a block of rows reduce (rows, tail index, prefix) grids.
-    block = max(1, _CHUNK_ELEMENTS // (len(heads[0]) * max(u.shape[1] for u in unary[n_head:])))
+    n_prefix = len(heads[0])
+    tail = max(u.shape[1] for u in unary[n_head:])
+    separable = n_head > 1 and n_rows * n_prefix * tail > _CHUNK_ELEMENTS
+    # The tight bounds of a block of rows reduce (rows, tail index, prefix)
+    # grids of a chunk; the separable ones keep (rows, prefix) grids below
+    # glibc's mmap threshold, as :func:`_slab_bounds` does.
+    block = max(1, (_CHUNK_ELEMENTS >> 3 if separable else _CHUNK_ELEMENTS // tail) // n_prefix)
     bound = np.concatenate([
         _prefix_bounds(
             [u[start:start + block] for u in unary],
             {key: p[start:start + block] for key, p in pairs.items()},
+            separable,
         )
         for start in range(0, n_rows, block)
     ])
-    cut = bound * (1.0 - 1e-12)
+    live = np.isfinite(bound).all(axis=1)
+    if separable:
+        # Infinite pair terms of several head groups can together cover a
+        # tail group where each alone does not: only the tight bound sees it.
+        # (A row holding a NaN term is not live either way.)
+        covered = np.zeros(n_rows, dtype=bool)
+        for a, t in product(range(1, n_head), range(n_head, len(unary))):
+            covered |= np.isinf(pairs[a, t].reshape(n_rows, -1).max(axis=1))
+        covered = np.flatnonzero(covered & live)
+        if len(covered):
+            tight = _slab_bounds(unary, pairs, np.repeat(covered, n_prefix),
+                                 [np.tile(h, len(covered)) for h in heads])
+            live[covered] = np.isfinite(tight.reshape(len(covered), n_prefix)).all(axis=1)
     slab = math.prod(u.shape[1] for u in unary[n_head:])
     step = max(1, _CHUNK_ELEMENTS // slab)
-    best = [(math.inf, math.inf)] * n_rows
-    evaluated = np.zeros(n_rows, dtype=np.int64)
+    least = np.full(n_rows, math.inf)
+    # Every evaluated slab's row, least value and its first flat position.
+    seen = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64))]
 
     def evaluate(rows: np.ndarray, prefixes: np.ndarray) -> None:
         for start in range(0, len(rows), step):
@@ -242,35 +303,42 @@ def _bounded_minima(unary, pairs) -> tuple[list[tuple[float, int] | None], np.nd
             objective = objective.reshape(len(r), slab)
             k = objective.argmin(axis=1)
             values = objective[np.arange(len(r)), k]
-            for row, value, flat in zip(r.tolist(), values.tolist(), (p * slab + k).tolist()):
-                best[row] = min(best[row], (value, flat))
-        evaluated[:] += np.bincount(rows, minlength=n_rows)
+            np.minimum.at(least, r, values)
+            seen.append((r, values, p * slab + k))
 
-    live = np.flatnonzero(np.isfinite(bound).all(axis=1))
-    lowest = bound[live].argmin(axis=1)
-    evaluate(live, lowest)
-    queues = {}
-    for r, first in zip(live.tolist(), lowest.tolist()):
-        rest = np.flatnonzero(cut[r] <= best[r][0])
-        rest = rest[rest != first]
-        queues[r] = rest[np.argsort(cut[r, rest], kind="stable")]
+    rows = np.flatnonzero(live)
+    first = bound.argmin(axis=1)[rows]
+    evaluate(rows, first)
+    bound *= 1.0 - 1e-12
+    keep = bound <= least[:, None]
+    keep[~live] = False
+    keep[rows, first] = False
+    r, p = np.nonzero(keep)
+    cut = (_slab_bounds(unary, pairs, r, [h[p] for h in heads]) * (1.0 - 1e-12)
+           if separable else bound[r, p])
+    keep = cut <= least[r]
+    r, p, cut = r[keep], p[keep], cut[keep]
+    # Every row's queue, in ascending bound order (ties by prefix: lexsort
+    # is stable), each entry ranked within its row.
+    order = np.lexsort((cut, r))
+    r, p, cut = r[order], p[order], cut[order]
+    rank = np.arange(len(r)) - np.searchsorted(r, r)
     size = 1
-    while queues:
-        rows, prefixes = [], []
-        for r, queue in list(queues.items()):
-            take = int(np.searchsorted(cut[r, queue[:size]], best[r][0], side="right"))
-            rows.append(np.full(take, r))
-            prefixes.append(queue[:take])
-            if take < size or take == len(queue):
-                del queues[r]
-            else:
-                queues[r] = queue[size:]
-        evaluate(np.concatenate(rows), np.concatenate(prefixes))
+    while len(r):
+        now = rank < size
+        evaluate(r[now], p[now])
+        # A row's queue is sorted, so past its first bound above the least
+        # value found no entry can win: what is left of it drops out.
+        later = ~now & (cut <= least[r])
+        r, p, cut, rank = r[later], p[later], cut[later], rank[later] - size
         size *= 2
-    found = [None] * n_rows
-    for r in live.tolist():
-        found[r] = best[r]
-    return found, evaluated
+    rows, values, flats = (np.concatenate(part) for part in zip(*seen))
+    minimizer = np.full(n_rows, n_prefix * slab)
+    tie = values == least[rows]
+    np.minimum.at(minimizer, rows[tie], flats[tie])
+    found = zip(least.tolist(), minimizer.tolist(), live.tolist())
+    return [(value, flat) if ok else None for value, flat, ok in found], np.bincount(
+        rows, minlength=n_rows)
 
 
 def _search(

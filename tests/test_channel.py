@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -429,6 +430,31 @@ class TestMultipathDraws:
         for freq in values.tolist():
             scalar = [abs((t - freq + math.pi) % two_pi - math.pi) for t in values.tolist()]
             assert scalar == _circular_gap(values, freq).tolist()
+
+    def test_wrap_tries_clear_of_the_band_skip_the_gap_test(self, monkeypatch):
+        # A try below the least or above the greatest taken frequency is
+        # decided by the plain differences across the wrap when both clear
+        # separation -/+ 2 * _GAP_MARGIN: the modular gap test, the only
+        # place the sampler calls abs(), never runs, and the draws are still
+        # the oracle's.
+        separation, wraps, gap_tests = 0.25, [], []
+
+        def counted_bisect(ordered, freq):
+            i = bisect_right(ordered, freq)
+            wraps.append(i in (0, len(ordered)))
+            return i
+
+        for key, keep_away in enumerate([[0.3], [-math.pi, math.pi], [-2.5, 1.0, 2.9]]):
+            rng, oracle_rng = rl.substream(BASE_SEED, 29, key), rl.substream(BASE_SEED, 29, key)
+            with monkeypatch.context() as patch:
+                patch.setattr(channel, "bisect_right", counted_bisect)
+                patch.setattr(channel, "abs", lambda x: gap_tests.append(x) or math.fabs(x),
+                              raising=False)
+                got = _draw_separated_freqs(rng, 8, keep_away, separation)
+            expected = _draw_separated_freqs_oracle(oracle_rng, 8, np.array(keep_away), separation)
+            assert got.tolist() == expected.tolist()
+        assert sum(wraps) >= 10, wraps
+        assert gap_tests == []
 
     def test_near_degenerate_geometry_still_draws(self):
         # Surfaces with very few elements would demand more angular

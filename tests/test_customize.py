@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,110 @@ class TestBestTuple:
             assert counts[1] == prefixes, counts  # every slab holds a tie
         # Row 0's multiplexing search takes hundreds of slabs over many rounds.
         assert 200 <= evaluated[0][0] < prefixes, evaluated
+
+
+class TestTwoStageBounds:
+    """Above one chunk of bound grid, the bounded search first bounds every
+    prefix separably and computes the tight bound only for the prefixes
+    that survive; the minimizers, live rows and objective bits stay the
+    tight search's."""
+
+    @staticmethod
+    def _stack(key: int, n_groups: int, n_paths: int, mode: str, n_angle: int = 4):
+        rng = rl.substream(BASE_SEED, 66, key)
+        candidates = rng.uniform(-math.pi, math.pi, (n_angle, n_groups, n_paths))
+        if mode == "duplicated":
+            candidates[:, :, -1] = candidates[:, :, 0]
+            candidates[:, -1] = candidates[:, 0]
+        terms = SearchTerms(_candidate_gram(candidates, 3))
+        groups = [np.arange(n_paths) + k * n_paths for k in range(n_groups)]
+        if mode == "unequal":
+            groups = [np.sort(np.array([rng.permutation(g)[: n_paths - k] for _ in range(n_angle)]),
+                              axis=1) for k, g in enumerate(groups)]
+        unary, pairs = terms.gather([(groups, 0.0), (groups, 1.0)])
+        if mode == "non-finite":
+            tail = n_groups - 1
+            unary[0][0, 1] = math.nan  # a head unary term
+            pairs[0, tail][1, 2, 3] = math.inf  # one head-tail pair term: still bounded
+            pairs[tail - 1, tail][2, 0, 0] = math.nan  # a tail-tail pair term
+            # Two head groups' infinite terms to the same tail group, at
+            # complementary tail indices: no head group covers it alone, the
+            # two together leave prefix (0, 0) no finite slab value.
+            pairs[0, tail][3, 0, 0::2] = math.inf
+            pairs[n_groups - 3, tail][3, 0, 1::2] = math.inf
+            unary[tail - 1][1, -1] = math.inf  # a tail unary term: still bounded
+        return unary, pairs
+
+    CASES = [(key, n_groups, n_paths, mode)
+             for key, (n_groups, n_paths) in enumerate([(3, 30), (4, 30), (4, 24), (5, 12)])
+             for mode in ("random", "duplicated", "unequal", "non-finite")]
+
+    @pytest.mark.parametrize("key, n_groups, n_paths, mode", CASES)
+    def test_separable_bound_never_exceeds_the_tight_bound(self, key, n_groups, n_paths, mode):
+        unary, pairs = self._stack(key, n_groups, n_paths, mode)
+        tight = customize._prefix_bounds(unary, pairs)
+        pre = customize._prefix_bounds(unary, pairs, separable=True)
+        assert np.array_equal(np.isnan(pre), np.isnan(tight))
+        assert np.all(pre[~np.isnan(pre)] <= tight[~np.isnan(tight)])
+        if n_groups == 3:
+            assert pre.tobytes() == tight.tobytes()  # one head group: the same bound
+
+    @pytest.mark.parametrize("key, n_groups, n_paths, mode", CASES)
+    def test_live_rows_and_minimizers_match_the_dense_search(self, key, n_groups, n_paths, mode):
+        unary, pairs = self._stack(key, n_groups, n_paths, mode)
+        n_rows = len(unary[0])
+        sizes = [u.shape[1] for u in unary]
+        # Four or five groups bound separably first; three have one head group.
+        assert n_groups == 3 or (
+            n_rows * math.prod(sizes[:-2]) * max(sizes[-2:]) > customize._CHUNK_ELEMENTS)
+        # A row is searched by bound exactly where every tight bound is finite.
+        live = np.isfinite(customize._prefix_bounds(unary, pairs)).all(axis=1)
+        found, counts = customize._bounded_minima(unary, pairs)
+        assert [best is not None for best in found] == live.tolist()
+        assert counts[~live].tolist() == [0] * int((~live).sum())
+        if mode == "non-finite":
+            assert live.tolist() == [False, True, False, False] + [True] * 4
+        dense = customize._slab_objective(unary, pairs, np.arange(n_rows), []).reshape(n_rows, -1)
+        flats = dense.argmin(axis=1)
+        for r in np.flatnonzero(live).tolist():
+            assert repr(found[r]) == repr((dense[r, flats[r]].item(), int(flats[r]))), r
+
+    @staticmethod
+    def _select_stack():
+        # The se-select shape at L_R = 30: eight angle epochs, four surfaces
+        # of 30 paths, multiplexing and beamforming rows stacked (16 rows).
+        candidates = rl.substream(BASE_SEED, 65, 0).uniform(-math.pi, math.pi, (8, 4, 30))
+        groups = [slice(k * 30, (k + 1) * 30) for k in range(4)]
+        return SearchTerms(_candidate_gram(candidates, 4)).gather([(groups, 0.0), (groups, 1.0)])
+
+    def test_pre_bound_prunes_most_prefixes(self, monkeypatch):
+        unary, pairs = self._select_stack()
+        tightened = []
+        slab_bounds = customize._slab_bounds
+
+        def counted(unary, pairs, rows, heads):
+            tightened.append(len(rows))
+            return slab_bounds(unary, pairs, rows, heads)
+
+        monkeypatch.setattr(customize, "_slab_bounds", counted)
+        found, counts = customize._bounded_minima(unary, pairs)
+        assert all(best is not None for best in found)
+        assert counts.mean() <= 3.0, counts
+        assert sum(tightened) <= 0.1 * 16 * 30 * 30, tightened
+
+    def test_peak_memory_of_one_search(self):
+        # tracemalloc's peak over one search of this stack: 726,256 bytes
+        # before the separable pre-bound (bound grids of a chunk), 430,012
+        # after.  It must not exceed the first.
+        unary, pairs = self._select_stack()
+        customize._bounded_minima(unary, pairs)
+        tracemalloc.start()
+        try:
+            customize._bounded_minima(unary, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 726_256, peak
 
 
 class TestSearchTermViews:
