@@ -51,9 +51,8 @@ FAMILIES = {"multiplex": ("sm", "ds"), "beamform": ("bf", "db")}
 DEFAULT_SEARCH_CAP = 10_000_000
 # Objective elements the bounded search evaluates at a time, and above
 # which a stacked search of three or more groups bounds rather than runs
-# dense (on a 2-core x86 host the two break even at about 3-5 x 10^4
-# stacked elements of four groups, 4-8 x 10^4 of three and 0.65-1.3 x
-# 10^5 of five).
+# dense (on a 2-core x86 host the two break even at about 2-5 x 10^4
+# stacked elements of three or four groups and 5-8 x 10^4 of five).
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -175,8 +174,9 @@ def _slab_objective(unary, pairs, rows: np.ndarray, heads: Sequence[np.ndarray])
 def _prefix_bounds(unary, pairs, separable: bool = False) -> np.ndarray:
     """Lower bound of every head prefix's slab, per row: shape (rows,
     prefixes), prefixes in C order (see :func:`_bounded_minima`).  The
-    ``separable`` bound takes the least pair term of every head group but
-    the first to each tail group on its own, at any tail index."""
+    ``separable`` bound takes each head group but the first at its own
+    least pair term to a tail group: never above the tight bound, since a
+    minimum of sums is at least the sum of the minima."""
     n_rows = len(unary[0])
     n_head = len(unary) - 2
 
@@ -241,23 +241,20 @@ def _bounded_minima(unary, pairs) -> tuple[list[tuple[float, int] | None], np.nd
     prefix's own terms, plus, for each tail group, the least of its unary
     term and its pair terms to the prefix, plus the least of each
     tail-tail pair term.  With two or more head groups and a bound grid
-    (rows, prefixes, tail index) above one chunk, every prefix is first
-    bounded separably, each later head group's pair terms at their own
-    least tail index (never above the tight bound, since a minimum of sums
-    is at least the sum of the minima), and only the prefixes that bound
-    does not prune get the tight bound.  Each row first evaluates the slab
-    of its lowest first bound, then the other slabs in ascending tight
-    bound order, in rounds of twice as many as the last, while their
-    bound, less a 1e-12 relative margin for summation order, does not
-    exceed the least value found so far (Lawler & Wood, 1966): a slab
-    beyond that cannot hold a minimizer or a tie.  The rounds run over one
-    list of (row, prefix) entries sorted by row, bound and prefix, every
-    row's slabs in one pass of at most a chunk of objective elements at a
-    time.  Once the rounds end, each row's first minimizer is the lowest
-    flat position among its slab minima of least value, whatever the order
-    of evaluation.  Returns, per row, the (value, flat position) of the
-    first minimizer, or None where a tight bound is not finite (it then
-    proves nothing), and the number of slabs each row evaluated.
+    (rows, prefixes, tail index) above one chunk, the separable
+    :func:`_prefix_bounds` first prunes the prefixes, and only the rest
+    get the tight bound.  Each row first evaluates the slab of its lowest
+    first bound, then the other slabs in ascending tight bound order, in
+    rounds of twice as many as the last, while their bound, less a 1e-12
+    relative margin for summation order, does not exceed the least value
+    found so far (Lawler & Wood, 1966): a slab beyond that cannot hold a
+    minimizer or a tie.  The rounds run over one list of (row, prefix)
+    entries sorted by row, bound and prefix, a chunk of objective
+    elements at a time; each row's first minimizer is then the lowest
+    flat position among its slab minima of least value.  Returns, per
+    row, the (value, flat position) of the first minimizer, or None where
+    a tight bound is not finite (it then proves nothing), and the number
+    of slabs each row evaluated.
     """
     n_rows = len(unary[0])
     n_head = len(unary) - 2
@@ -265,9 +262,8 @@ def _bounded_minima(unary, pairs) -> tuple[list[tuple[float, int] | None], np.nd
     n_prefix = len(heads[0])
     tail = max(u.shape[1] for u in unary[n_head:])
     separable = n_head > 1 and n_rows * n_prefix * tail > _CHUNK_ELEMENTS
-    # The tight bounds of a block of rows reduce (rows, tail index, prefix)
-    # grids of a chunk; the separable ones keep (rows, prefix) grids below
-    # glibc's mmap threshold, as :func:`_slab_bounds` does.
+    # Tight bounds reduce (rows, tail index, prefix) grids of a chunk; the
+    # separable ones keep (rows, prefix) grids below glibc's mmap threshold.
     block = max(1, (_CHUNK_ELEMENTS >> 3 if separable else _CHUNK_ELEMENTS // tail) // n_prefix)
     bound = np.concatenate([
         _prefix_bounds(
@@ -282,14 +278,12 @@ def _bounded_minima(unary, pairs) -> tuple[list[tuple[float, int] | None], np.nd
         # Infinite pair terms of several head groups can together cover a
         # tail group where each alone does not: only the tight bound sees it.
         # (A row holding a NaN term is not live either way.)
-        covered = np.zeros(n_rows, dtype=bool)
-        for a, t in product(range(1, n_head), range(n_head, len(unary))):
-            covered |= np.isinf(pairs[a, t].reshape(n_rows, -1).max(axis=1))
-        covered = np.flatnonzero(covered & live)
-        if len(covered):
-            tight = _slab_bounds(unary, pairs, np.repeat(covered, n_prefix),
-                                 [np.tile(h, len(covered)) for h in heads])
-            live[covered] = np.isfinite(tight.reshape(len(covered), n_prefix)).all(axis=1)
+        covered = np.flatnonzero(live & np.isinf([
+            pairs[a, t].reshape(n_rows, -1).max(axis=1)
+            for a, t in product(range(1, n_head), range(n_head, len(unary)))]).any(axis=0))
+        tight = _slab_bounds(unary, pairs, np.repeat(covered, n_prefix),
+                             [np.tile(h, len(covered)) for h in heads])
+        live[covered] = np.isfinite(tight.reshape(len(covered), n_prefix)).all(axis=1)
     slab = math.prod(u.shape[1] for u in unary[n_head:])
     step = max(1, _CHUNK_ELEMENTS // slab)
     least = np.full(n_rows, math.inf)
@@ -316,7 +310,10 @@ def _bounded_minima(unary, pairs) -> tuple[list[tuple[float, int] | None], np.nd
     r, p = np.nonzero(keep)
     cut = (_slab_bounds(unary, pairs, r, [h[p] for h in heads]) * (1.0 - 1e-12)
            if separable else bound[r, p])
-    keep = cut <= least[r]
+    # numpy caches up to seven freed buffers of each size below 1 KiB: the
+    # masks, of a new length every round, are views of two larger rows.
+    masks = np.empty((2, max(len(r), 1024)), dtype=bool)
+    keep = np.less_equal(cut, least[r], out=masks[0, :len(r)])
     r, p, cut = r[keep], p[keep], cut[keep]
     # Every row's queue, in ascending bound order (ties by prefix: lexsort
     # is stable), each entry ranked within its row.
@@ -325,11 +322,12 @@ def _bounded_minima(unary, pairs) -> tuple[list[tuple[float, int] | None], np.nd
     rank = np.arange(len(r)) - np.searchsorted(r, r)
     size = 1
     while len(r):
-        now = rank < size
+        now = np.less(rank, size, out=masks[0, :len(r)])
         evaluate(r[now], p[now])
         # A row's queue is sorted, so past its first bound above the least
         # value found no entry can win: what is left of it drops out.
-        later = ~now & (cut <= least[r])
+        later = np.less_equal(cut, least[r], out=masks[1, :len(r)])
+        later[now] = False
         r, p, cut, rank = r[later], p[later], cut[later], rank[later] - size
         size *= 2
     rows, values, flats = (np.concatenate(part) for part in zip(*seen))

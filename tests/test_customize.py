@@ -269,13 +269,38 @@ class TestTwoStageBounds:
         return unary, pairs
 
     CASES = [(key, n_groups, n_paths, mode)
-             for key, (n_groups, n_paths) in enumerate([(3, 30), (4, 30), (4, 24), (5, 12)])
+             for key, (n_groups, n_paths) in enumerate([(3, 30), (4, 30), (4, 24), (5, 12), (4, 10)])
              for mode in ("random", "duplicated", "unequal", "non-finite")]
+
+    @staticmethod
+    def _tight(unary, pairs) -> np.ndarray:
+        """The tight bound of every prefix, per row: shape (rows, prefixes)."""
+        n_rows, heads = len(unary[0]), customize._head_prefixes(unary)
+        rows = np.repeat(np.arange(n_rows), len(heads[0]))
+        every = customize._slab_bounds(unary, pairs, rows, [np.tile(h, n_rows) for h in heads])
+        return every.reshape(n_rows, -1)
+
+    @pytest.mark.parametrize("key, n_groups, n_paths, mode", CASES)
+    def test_tight_bound_is_the_least_of_each_tail_group(self, key, n_groups, n_paths, mode):
+        unary, pairs = self._stack(key, n_groups, n_paths, mode)
+        n_head, heads = n_groups - 2, customize._head_prefixes(unary)
+        tight = self._tight(unary, pairs)
+        # The gathered tight bound is the grid one bit for bit.
+        assert tight.tobytes() == customize._prefix_bounds(unary, pairs).tobytes()
+        for r in range(len(unary[0])):
+            for i in range(0, len(heads[0]), 7):
+                h = [g[i] for g in heads]
+                own = sum(unary[a][r, h[a]] for a in range(n_head)) + sum(
+                    pairs[a, b][r, h[a], h[b]] for a, b in itertools.combinations(range(n_head), 2))
+                for t in range(n_head, n_groups):
+                    own += np.min(unary[t][r] + sum(pairs[a, t][r, h[a]] for a in range(n_head)))
+                own += np.min(pairs[n_groups - 2, n_groups - 1][r])
+                assert tight[r, i] == pytest.approx(own, rel=1e-12, nan_ok=True), (r, h)
 
     @pytest.mark.parametrize("key, n_groups, n_paths, mode", CASES)
     def test_separable_bound_never_exceeds_the_tight_bound(self, key, n_groups, n_paths, mode):
         unary, pairs = self._stack(key, n_groups, n_paths, mode)
-        tight = customize._prefix_bounds(unary, pairs)
+        tight = self._tight(unary, pairs)
         pre = customize._prefix_bounds(unary, pairs, separable=True)
         assert np.array_equal(np.isnan(pre), np.isnan(tight))
         assert np.all(pre[~np.isnan(pre)] <= tight[~np.isnan(tight)])
@@ -286,12 +311,8 @@ class TestTwoStageBounds:
     def test_live_rows_and_minimizers_match_the_dense_search(self, key, n_groups, n_paths, mode):
         unary, pairs = self._stack(key, n_groups, n_paths, mode)
         n_rows = len(unary[0])
-        sizes = [u.shape[1] for u in unary]
-        # Four or five groups bound separably first; three have one head group.
-        assert n_groups == 3 or (
-            n_rows * math.prod(sizes[:-2]) * max(sizes[-2:]) > customize._CHUNK_ELEMENTS)
         # A row is searched by bound exactly where every tight bound is finite.
-        live = np.isfinite(customize._prefix_bounds(unary, pairs)).all(axis=1)
+        live = np.isfinite(self._tight(unary, pairs)).all(axis=1)
         found, counts = customize._bounded_minima(unary, pairs)
         assert [best is not None for best in found] == live.tolist()
         assert counts[~live].tolist() == [0] * int((~live).sum())
@@ -327,8 +348,8 @@ class TestTwoStageBounds:
 
     def test_peak_memory_of_one_search(self):
         # tracemalloc's peak over one search of this stack: 726,256 bytes
-        # before the separable pre-bound (bound grids of a chunk), 430,012
-        # after.  It must not exceed the first.
+        # with tight bound grids of a chunk for every prefix, 367,521 with
+        # the separable pre-bound.  It must not exceed the first.
         unary, pairs = self._select_stack()
         customize._bounded_minima(unary, pairs)
         tracemalloc.start()
